@@ -1,24 +1,34 @@
 """Certifiers for the reverse (and forward) geometric-mean inequalities.
 
-Each certifier evaluates one inequality exactly as stated — Loewner form via
-the spectrum of RHS − LHS, eigenvalue form via sorted spectra, norm form via
-the Ky Fan / Schatten families, trace form directly — and returns an
-InequalityReport with per-entry margins.  Hypotheses are re-verified before
-any conclusion is evaluated (HypothesisViolated on failure) so a drifting
-sampler cannot silently feed a certifier inputs outside its domain.
+Every inequality has one shape: under an order hypothesis, one side is at
+most a scalar constant times the other.  The table ``_INEQUALITIES`` holds,
+per inequality id, only what differs between ids — the parameter checks,
+the hypothesis re-check, the factor, the comparison builder, the sampler and
+the order of parameter draws — and one skeleton, ``_certify``, runs every
+row: check parameters, re-verify the hypothesis, build the factor, build
+both sides, report.  Hypotheses are re-verified before any conclusion is
+evaluated (HypothesisViolated on failure) so a drifting sampler cannot
+silently feed a certifier inputs outside its domain.  Comparisons are
+evaluated exactly as stated — Loewner form via the spectrum of RHS − LHS,
+eigenvalue form via sorted spectra, norm form via the Ky Fan / Schatten
+families, trace form directly — into an InequalityReport with per-entry
+margins.
 
-The registry at the bottom maps stable inequality ids to seeded instance
-recipes; run_instances drives soundness sweeps over them.
+The public ``certify_*`` functions are single calls into that skeleton.
+``RECIPES`` maps each id to its seeded per-instance recipe, and
+run_instances drives soundness sweeps over them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +48,7 @@ from .linalg import (
     power,
     trace,
 )
-from .means import geometric_mean, mean_power
+from .means import _check_alpha, geometric_mean, log_euclidean, mean_power
 from .orders import log_majorizes, loewner_leq
 from .sampling import (
     MODE_COMMUTING,
@@ -96,13 +106,8 @@ class InequalityReport:
     input_digest: str
 
     def __post_init__(self):
-        sizes = {
-            len(self.lhs_values),
-            len(self.rhs_values),
-            len(self.margins),
-            len(self.relative_margins),
-            len(self.labels),
-        }
+        columns = (self.lhs_values, self.rhs_values, self.margins, self.relative_margins)
+        sizes = {len(self.labels), *(len(column) for column in columns)}
         if len(sizes) != 1:
             raise DimMismatchError("report value/margin/label lengths disagree")
 
@@ -111,51 +116,24 @@ class InequalityReport:
         return min(self.relative_margins)
 
     def to_dict(self) -> dict:
-        return {
-            "inequality_id": self.inequality_id,
-            "parameters": dict(self.parameters),
-            "lhs_values": list(self.lhs_values),
-            "rhs_values": list(self.rhs_values),
-            "margins": list(self.margins),
-            "relative_margins": list(self.relative_margins),
-            "holds": self.holds,
-            "tolerance": self.tolerance,
-            "semantics": self.semantics,
-            "labels": list(self.labels),
-            "n": self.n,
-            "mode": self.mode,
-            "input_digest": self.input_digest,
-        }
+        """Every field in declaration order, tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["parameters"] = dict(self.parameters)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     def csv_rows(self, instance: int | None = None) -> list[list]:
         """One row per entry; see CSV_HEADER for the column layout."""
-        rows = []
-        params = json.dumps(self.parameters, sort_keys=True)
-        for label, lhs, rhs, margin, rel in zip(
+        head = [self.inequality_id, "" if instance is None else instance, self.n]
+        head += [self.mode, self.semantics]
+        tail = [self.holds, self.tolerance, self.input_digest]
+        tail.append(json.dumps(self.parameters, sort_keys=True))
+        entries = zip(
             self.labels, self.lhs_values, self.rhs_values, self.margins, self.relative_margins
-        ):
-            rows.append(
-                [
-                    self.inequality_id,
-                    "" if instance is None else instance,
-                    self.n,
-                    self.mode,
-                    self.semantics,
-                    label,
-                    lhs,
-                    rhs,
-                    margin,
-                    rel,
-                    self.holds,
-                    self.tolerance,
-                    self.input_digest,
-                    params,
-                ]
-            )
-        return rows
+        )
+        return [head + list(entry) + tail for entry in entries]
 
 
 CSV_HEADER = [
@@ -184,103 +162,41 @@ def _digest(params: dict, *matrices: HermitianMatrix) -> str:
     return hasher.hexdigest()[:16]
 
 
-def _finish_report(
-    inequality_id: str,
-    params: dict,
-    lhs,
-    rhs,
-    relative_margins,
-    semantics: str,
-    labels,
-    tolerance: float,
-    n: int,
-    digest: str,
-) -> InequalityReport:
-    lhs = tuple(float(x) for x in lhs)
-    rhs = tuple(float(x) for x in rhs)
-    rel = tuple(float(x) for x in relative_margins)
-    margins = tuple(r - l for l, r in zip(lhs, rhs))
-    return InequalityReport(
-        inequality_id=inequality_id,
-        parameters={k: float(v) for k, v in params.items()},
-        lhs_values=lhs,
-        rhs_values=rhs,
-        margins=margins,
-        relative_margins=rel,
-        holds=bool(min(rel) >= -tolerance),
-        tolerance=float(tolerance),
-        semantics=semantics,
-        labels=tuple(labels),
-        n=n,
-        mode="n/a",
-        input_digest=digest,
-    )
+def _relative(lhs, rhs) -> list:
+    return [(r - l) / max(abs(l), abs(r), _TINY) for l, r in zip(lhs, rhs)]
 
 
-def _eigen_report(inequality_id, params, lhs_values, rhs_values, tolerance, n, digest):
-    rel = [
-        (r - l) / max(abs(l), abs(r), _TINY) for l, r in zip(lhs_values, rhs_values)
-    ]
+def _eigen_sides(lhs_values, rhs_values):
     labels = [f"k={k + 1}" for k in range(len(lhs_values))]
-    return _finish_report(
-        inequality_id, params, lhs_values, rhs_values, rel,
-        SEMANTICS_EIGENVALUE, labels, tolerance, n, digest,
-    )
+    return SEMANTICS_EIGENVALUE, labels, lhs_values, rhs_values, _relative(lhs_values, rhs_values)
 
 
-def _loewner_report(inequality_id, params, lhs_mat, rhs_mat, tolerance, n, digest):
-    """Report on LHS <= RHS via the ascending spectrum of RHS - LHS.
+def _loewner_sides(lhs_mat, rhs_mat):
+    """LHS <= RHS via the ascending spectrum of RHS - LHS.
 
     Margins are the difference eigenvalues; relative margins divide by the
     larger spectral norm of the two sides, so 'holds' is scale-invariant.
     """
     diff = rhs_mat - lhs_mat
     diff_eigs = diff.eigenvalues[::-1]
-    scale = max(
-        float(np.max(np.abs(lhs_mat.eigenvalues))),
-        float(np.max(np.abs(rhs_mat.eigenvalues))),
-        _TINY,
-    )
+    scale = _spectral_scale(lhs_mat, rhs_mat, _TINY)
     rel = [e / scale for e in diff_eigs]
     labels = [f"diff-eig-{k + 1}" for k in range(len(diff_eigs))]
-    return _finish_report(
-        inequality_id, params, np.zeros(len(diff_eigs)), diff_eigs, rel,
-        SEMANTICS_LOEWNER, labels, tolerance, n, digest,
-    )
+    return SEMANTICS_LOEWNER, labels, np.zeros(len(diff_eigs)), diff_eigs, rel
 
 
-def _norm_family(matrix: PositiveDefiniteMatrix) -> tuple[list[str], np.ndarray]:
-    """Ky Fan 1..n plus Schatten {1, 2, inf} values of a positive matrix."""
-    eigs = eigenvalues_desc(matrix)
-    ky_fan = np.cumsum(eigs)
-    labels = [f"ky-fan-{k + 1}" for k in range(len(eigs))]
+def _norm_sides(lhs_mat, rhs_mat, factor):
+    """Ky Fan 1..n plus Schatten {1, 2, inf} values of two positive matrices."""
+    values = []
+    for matrix in (lhs_mat, rhs_mat):
+        eigs = eigenvalues_desc(matrix)
+        ky_fan = np.cumsum(eigs)
+        tail = [ky_fan[-1], float(np.sqrt(np.sum(eigs**2))), eigs[0]]
+        values.append(np.concatenate([ky_fan, tail]))
+    labels = [f"ky-fan-{k + 1}" for k in range(lhs_mat.dim)]
     labels += ["schatten-1", "schatten-2", "schatten-inf"]
-    values = np.concatenate(
-        [ky_fan, [ky_fan[-1], float(np.sqrt(np.sum(eigs**2))), eigs[0]]]
-    )
-    return labels, values
-
-
-def _norm_report(
-    inequality_id, params, lhs_mat, rhs_mat, factor, norm_id, tolerance, n, digest
-):
-    labels, lhs_values = _norm_family(lhs_mat)
-    _, rhs_base = _norm_family(rhs_mat)
-    rhs_values = factor * rhs_base
-    if norm_id is not None:
-        if norm_id not in labels:
-            raise BadRangeError(f"unknown norm id {norm_id!r}; choose from {labels}")
-        keep = labels.index(norm_id)
-        labels = [labels[keep]]
-        lhs_values = lhs_values[keep : keep + 1]
-        rhs_values = rhs_values[keep : keep + 1]
-    rel = [
-        (r - l) / max(abs(l), abs(r), _TINY) for l, r in zip(lhs_values, rhs_values)
-    ]
-    return _finish_report(
-        inequality_id, params, lhs_values, rhs_values, rel,
-        SEMANTICS_NORM, labels, tolerance, n, digest,
-    )
+    lhs_values, rhs_values = values[0], factor * values[1]
+    return SEMANTICS_NORM, labels, lhs_values, rhs_values, _relative(lhs_values, rhs_values)
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +204,38 @@ def _norm_report(
 # ---------------------------------------------------------------------------
 
 
-def _loewner_scale(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    return max(
-        float(np.max(np.abs(a.eigenvalues))), float(np.max(np.abs(b.eigenvalues))), 1.0
-    )
+def _spectral_scale(a: HermitianMatrix, b: HermitianMatrix, floor: float) -> float:
+    """The larger spectral radius of a and b, at least ``floor``."""
+    return max(float(np.max(np.abs(a.eigenvalues))), float(np.max(np.abs(b.eigenvalues))), floor)
 
 
 def _demand_loewner(lhs: HermitianMatrix, rhs: HermitianMatrix, what: str) -> None:
-    cert = loewner_leq(lhs, rhs, tolerance=HYPOTHESIS_RTOL * _loewner_scale(lhs, rhs))
+    cert = loewner_leq(lhs, rhs, tolerance=HYPOTHESIS_RTOL * _spectral_scale(lhs, rhs, 1.0))
     if not cert.holds:
         raise HypothesisViolatedError(
             f"hypothesis {what} fails: min eigenvalue of difference = {cert.worst_margin:.3e}"
         )
 
 
-def _lean_exponents(*exponents: float) -> tuple[float, ...]:
-    """{1} plus any needed exponents above 1 — where the Olson hypothesis is consumed."""
+def _lean_exponents(v: dict) -> tuple[float, ...]:
+    """{1} plus the exponents r, q, p above 1 — where an Olson hypothesis is consumed."""
     keep = {1.0}
-    keep.update(float(e) for e in exponents if float(e) > 1.0)
+    keep.update(float(v[e]) for e in ("r", "q", "p") if e in v and float(v[e]) > 1.0)
     return tuple(sorted(keep))
 
 
-def _require_sandwich(a, b, s, t) -> None:
+# Each hypothesis check takes the two operands and the parameter dict.
+
+
+def _require_sandwich(a, b, v: dict) -> None:
+    s, t = v["s"], v["t"]
     _demand_loewner(a * s, b, f"{s:g}*A <= B")
     _demand_loewner(b, a * t, f"B <= {t:g}*A")
 
 
-def _require_olson_sandwich(a, b, s, t, exponents=()) -> None:
-    for nu in _lean_exponents(*exponents):
+def _require_olson_sandwich(a, b, v: dict) -> None:
+    s, t = v["s"], v["t"]
+    for nu in _lean_exponents(v):
         a_nu, b_nu = power(a, nu), power(b, nu)
         _demand_loewner(a_nu * s**nu, b_nu, f"{s:g}^{nu:g}*A^{nu:g} <= B^{nu:g}")
         _demand_loewner(b_nu, a_nu * t**nu, f"B^{nu:g} <= {t:g}^{nu:g}*A^{nu:g}")
@@ -331,24 +251,34 @@ def _require_spectrum_bounds(x: HermitianMatrix, lo: float, hi: float, name: str
         )
 
 
-def _require_chain(a, b, m, M, olson_exponents=()) -> None:
+def _require_bounded(x, y, v: dict, names: str = "AB") -> None:
+    _require_spectrum_bounds(x, v["m"], v["M"], names[0])
+    _require_spectrum_bounds(y, v["m"], v["M"], names[1])
+
+
+def _require_bounded_hk(h, k, v: dict) -> None:
+    _require_bounded(h, k, v, "HK")
+
+
+def _require_chain(a, b, v: dict) -> None:
+    m, M = v["m"], v["M"]
     if M > 1.0 + HYPOTHESIS_RTOL:
         raise HypothesisViolatedError(f"chain needs M <= 1, got M = {M}")
     if not 0.0 < m <= M:
         raise HypothesisViolatedError(f"chain needs 0 < m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(a, m, M, "A")
-    _require_spectrum_bounds(b, m, M, "B")
-    for nu in _lean_exponents(*olson_exponents):
+    _require_bounded(a, b, v)
+    for nu in _lean_exponents(v):
         if nu == 1.0:
             _demand_loewner(a, b, "A <= B")
         else:
             _demand_loewner(power(a, nu), power(b, nu), f"A^{nu:g} <= B^{nu:g}")
 
 
-def _require_exponential_olson(h, k, s, t, exponents=()) -> None:
+def _require_exponential_olson(h, k, v: dict) -> None:
+    s, t = v["s"], v["t"]
     if s > t:
         raise HypothesisViolatedError(f"need s <= t, got s={s}, t={t}")
-    for nu in _lean_exponents(*exponents):
+    for nu in _lean_exponents(v):
         low = exp_h(h * nu) * math.exp(s * nu)
         mid = exp_h(k * nu)
         high = exp_h(h * nu) * math.exp(t * nu)
@@ -356,7 +286,8 @@ def _require_exponential_olson(h, k, s, t, exponents=()) -> None:
         _demand_loewner(mid, high, f"e^({nu:g}K) <= e^({t:g}{nu:g}) e^({nu:g}H)")
 
 
-def _require_exponential_chain(h, k, m, M, exponents=()) -> None:
+def _require_exponential_chain(h, k, v: dict) -> None:
+    m, M = v["m"], v["M"]
     if M > 0.0 + HYPOTHESIS_RTOL:
         raise HypothesisViolatedError(f"exponential chain needs M <= 0, got M = {M}")
     if m > M:
@@ -370,12 +301,15 @@ def _require_exponential_chain(h, k, m, M, exponents=()) -> None:
         raise HypothesisViolatedError(
             f"spectrum of K exceeds M: {k.eigenvalues[0]:.6g} > {M:g}"
         )
-    for nu in _lean_exponents(*exponents):
+    for nu in _lean_exponents(v):
         _demand_loewner(exp_h(h * nu), exp_h(k * nu), f"e^({nu:g}H) <= e^({nu:g}K)")
 
 
-def _require_isometry(u: np.ndarray, n: int) -> None:
+def _require_compression(a, u, v: dict) -> None:
+    """Spectrum of A inside [m, M] and a row-orthonormal transform U."""
+    _require_spectrum_bounds(a, v["m"], v["M"], "A")
     u = np.asarray(u, dtype=np.complex128)
+    n = a.dim
     if u.ndim != 2 or u.shape[1] != n or not 1 <= u.shape[0] <= n:
         raise DimMismatchError(f"isometry shape {u.shape} incompatible with dim {n}")
     gram = u @ u.conj().T
@@ -383,11 +317,17 @@ def _require_isometry(u: np.ndarray, n: int) -> None:
         raise HypothesisViolatedError("transform rows are not orthonormal (U U* != I)")
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise BadRangeError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+# ---------------------------------------------------------------------------
+# Parameter checks.  The table's checks validate entries of the parameter
+# dict in place and store them as floats.
+# ---------------------------------------------------------------------------
+
+
+def _check_tolerance(tolerance: float) -> float:
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < math.inf:
+        raise BadRangeError(f"tolerance must be finite and >= 0, got {tolerance}")
+    return tolerance
 
 
 def _check_low_power(r: float) -> float:
@@ -397,20 +337,6 @@ def _check_low_power(r: float) -> float:
     return r
 
 
-def _check_high_power(r: float) -> float:
-    r = float(r)
-    if not r >= 1.0:
-        raise BadRangeError(f"exponent must be >= 1, got {r}")
-    return r
-
-
-def _check_qp(q: float, p: float) -> tuple[float, float]:
-    q, p = float(q), float(p)
-    if not 0.0 < q <= p:
-        raise BadRangeError(f"need 0 < q <= p, got q={q}, p={p}")
-    return q, p
-
-
 def _check_positive(value: float, name: str) -> float:
     value = float(value)
     if not value > 0.0:
@@ -418,8 +344,463 @@ def _check_positive(value: float, name: str) -> float:
     return value
 
 
+def _check_bounds(m: float, M: float) -> None:
+    if not m <= M:
+        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
+
+
+def _alpha(v: dict) -> None:
+    v["alpha"] = _check_alpha(v["alpha"])
+
+
+def _low_r(v: dict) -> None:
+    v["r"] = _check_low_power(v["r"])
+
+
+def _high_r(v: dict) -> None:
+    v["r"] = r = float(v["r"])
+    if not r >= 1.0:
+        raise BadRangeError(f"exponent must be >= 1, got {r}")
+
+
+def _q_le_p(v: dict) -> None:
+    v["q"], v["p"] = q, p = float(v["q"]), float(v["p"])
+    if not 0.0 < q <= p:
+        raise BadRangeError(f"need 0 < q <= p, got q={q}, p={p}")
+
+
+def _positive_p(v: dict) -> None:
+    v["p"] = _check_positive(v["p"], "p")
+
+
+def _positive_m(v: dict) -> None:
+    v["m"] = _check_positive(v["m"], "m")
+
+
+def _bounds(v: dict) -> None:
+    _check_bounds(v["m"], v["M"])
+
+
+def _sandwich(v: dict) -> None:
+    if not 0.0 < v["s"] <= v["t"]:
+        raise BadRangeError(f"need 0 < s <= t, got s={v['s']}, t={v['t']}")
+
+
 # ---------------------------------------------------------------------------
-# Specht-ratio certifiers (sandwich and power-monotone-sandwich hypotheses)
+# Comparison builders, (x, y, params) -> (semantics, labels, lhs, rhs,
+# relative margins): five families and three one-offs
+# ---------------------------------------------------------------------------
+
+
+def _power_low(a, b, v, multiplier: float):
+    """Loewner: A^r #_a B^r <= multiplier * (A #_a B)^r for 0 < r <= 1."""
+    r, alpha = v["r"], v["alpha"]
+    lhs = geometric_mean(power(a, r), power(b, r), alpha)
+    rhs = power(geometric_mean(a, b, alpha), r) * multiplier
+    return _loewner_sides(lhs, rhs)
+
+
+def _eigen_power(a, b, v):
+    """lambda_k(A #_a B)^r against factor * lambda_k(A^r #_a B^r)."""
+    r, alpha = v["r"], v["alpha"]
+    lhs = eigenvalues_desc(geometric_mean(a, b, alpha)) ** r
+    rhs = v["factor"] * eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
+    return _eigen_sides(lhs, rhs)
+
+
+def _pq(a, b, v):
+    """lambda_k(A^q #_a B^q)^{1/q} against factor * lambda_k(A^p #_a B^p)^{1/p}."""
+    q, p, alpha = v["q"], v["p"], v["alpha"]
+    lhs = eigenvalues_desc(geometric_mean(power(a, q), power(b, q), alpha)) ** (1.0 / q)
+    rhs = v["factor"] * eigenvalues_desc(
+        geometric_mean(power(a, p), power(b, p), alpha)
+    ) ** (1.0 / p)
+    return _eigen_sides(lhs, rhs)
+
+
+def _gt_sides(h, k, v):
+    """e^{(1-a)H + aK} and the mean-power (e^{pH} #_a e^{pK})^{1/p}."""
+    return log_euclidean(h, k, v["alpha"]), mean_power(h, k, v["alpha"], v["p"])
+
+
+def _squared_sides(h, k, v):
+    """e^{H+K} and e^{2H} # e^{2K}: the alpha = 1/2, p = 2 display, squared."""
+    return exp_h(h + k), geometric_mean(exp_h(h * 2.0), exp_h(k * 2.0), 0.5)
+
+
+def _gt_eigen(h, k, v, sides=_gt_sides):
+    lhs_mat, rhs_mat = sides(h, k, v)
+    return _eigen_sides(eigenvalues_desc(lhs_mat), v["factor"] * eigenvalues_desc(rhs_mat))
+
+
+def _norm(h, k, v, sides=_gt_sides):
+    return _norm_sides(*sides(h, k, v), v["factor"])
+
+
+def _compression(a, u, v):
+    """Loewner: U A^{-1} U* <= factor * (U A U*)^{-1}."""
+    lhs = PositiveDefiniteMatrix(congruence(u, power(a, -1.0)).matrix)
+    compressed = PositiveDefiniteMatrix(congruence(u, a).matrix)
+    return _loewner_sides(lhs, power(compressed, -1.0) * v["factor"])
+
+
+def _log_majorization(a, b, v):
+    """Cumulative log-products of both spectra plus the k = n equality entry."""
+    r, alpha = v["r"], v["alpha"]
+    lhs_eigs = eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
+    rhs_eigs = eigenvalues_desc(power(geometric_mean(a, b, alpha), r))
+    cert = log_majorizes(lhs_eigs, rhs_eigs)
+    cum_lhs = np.cumsum(np.log(lhs_eigs))
+    cum_rhs = np.cumsum(np.log(rhs_eigs))
+    lhs_values = np.concatenate([cum_lhs, [cum_lhs[-1]]])
+    rhs_values = np.concatenate([cum_rhs, [cum_rhs[-1]]])
+    return SEMANTICS_EIGENVALUE, cert.labels, lhs_values, rhs_values, cert.margins
+
+
+def _trace(h, k, v):
+    lhs = float(trace(exp_h(h + k)).real)
+    rhs = float(np.trace(exp_h(h).matrix @ exp_h(k).matrix).real)
+    return SEMANTICS_TRACE, ("trace",), [lhs], [rhs], _relative([lhs], [rhs])
+
+
+# ---------------------------------------------------------------------------
+# Parameter draws, (rng, overrides, n) -> dict, and samplers, (config,
+# index, drawn) -> (x, y, sampled parameters).  A pinned value replaces its
+# draw; ``_ov`` still consumes the draw, the other draws skip it.
+# ---------------------------------------------------------------------------
+
+N_CYCLE = (2, 3, 4, 5, 6)
+
+
+def _ov(overrides: dict, name: str, value: float) -> float:
+    return float(overrides.get(name, value))
+
+
+def _draw_alpha(rng, ov, n) -> dict:
+    if "alpha" in ov:
+        return {"alpha": float(ov["alpha"])}
+    if rng.uniform() < 0.4:
+        return {"alpha": float(rng.choice(np.array([0.0, 0.25, 0.5, 0.75, 1.0])))}
+    return {"alpha": float(rng.uniform())}
+
+
+def _draw_low_power(rng, ov, n) -> dict:
+    if "r" in ov:
+        return {"r": float(ov["r"])}
+    return {"r": 1.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 1.0))}
+
+
+def _draw_high_power(rng, ov, n) -> dict:
+    if "r" in ov:
+        return {"r": float(ov["r"])}
+    return {"r": 1.0 if rng.uniform() < 0.1 else float(1.0 + rng.uniform(0.0, 2.0))}
+
+
+def _draw_qp(rng, ov, n) -> dict:
+    q = _ov(ov, "q", rng.uniform(0.2, 1.2))
+    return {"q": q, "p": _ov(ov, "p", q * (1.0 + rng.uniform(0.0, 1.5)))}
+
+
+def _draw_gt_power(rng, ov, n) -> dict:
+    return {"p": _ov(ov, "p", rng.uniform(0.3, 2.5))}
+
+
+def _pd_range(rng, ov, n) -> dict:
+    lo = _ov(ov, "m", rng.uniform(0.3, 1.0))
+    return {"m": lo, "M": _ov(ov, "M", lo * rng.uniform(1.2, 5.0))}
+
+
+def _unpinned_pd_range(rng, ov, n) -> dict:
+    """The spectral range of specht-power-low, which ignores pins of m and M."""
+    return _pd_range(rng, {}, n)
+
+
+def _hermitian_range(rng, ov, n) -> dict:
+    m = _ov(ov, "m", rng.uniform(-1.5, 0.3))
+    return {"m": m, "M": _ov(ov, "M", m + rng.uniform(0.3, 2.0))}
+
+
+def _chain_range(rng, ov, n) -> dict:
+    hi = _ov(ov, "M", rng.uniform(0.35, 1.0))
+    return {"m": _ov(ov, "m", hi * rng.uniform(0.15, 0.8)), "M": hi}
+
+
+def _exp_chain_range(rng, ov, n) -> dict:
+    M = _ov(ov, "M", -rng.uniform(0.0, 0.8))
+    return {"m": _ov(ov, "m", M - rng.uniform(0.3, 2.0)), "M": M}
+
+
+def _sandwich_scalars(rng, ov, n) -> dict:
+    s = _ov(ov, "s", rng.uniform(0.4, 1.0))
+    return {"s": s, "t": _ov(ov, "t", s * (1.0 + rng.uniform(0.0, 3.0)))}
+
+
+def _sandwich_sample(cfg, index, d):
+    sample = sandwich_pair(cfg, d["s"], d["t"], index, attach_certificates=False)
+    return sample.a, sample.b, {}
+
+
+def _olson_sandwich_sample(cfg, index, d):
+    sample = olson_sandwich_pair(cfg, index)
+    return sample.a, sample.b, {"s": sample.s, "t": sample.t}
+
+
+def _pd_pair_sample(cfg, index, d):
+    return *random_pd_pair(cfg, index), {}
+
+
+def _exp_olson_sample(cfg, index, d):
+    pair = olson_exponential_pair(cfg, cfg.lo, cfg.hi, index, attach_certificates=False)
+    return pair.h, pair.k, {"s": pair.s, "t": pair.t}
+
+
+def _bounded_sample(cfg, index, d):
+    return *bounded_hermitian_pair(cfg, index), {}
+
+
+def _chain_sample(cfg, index, d):
+    chain = ordered_chain_pair(cfg, index, olson=False)
+    return chain.a, chain.b, {"m": chain.m, "M": chain.M}
+
+
+def _olson_chain_sample(cfg, index, d):
+    """Ordered chain whose Olson middle is certified at the drawn exponents."""
+    chain = ordered_chain_pair(cfg, index, olson=True, grid=_lean_exponents(d))
+    return chain.a, chain.b, {"m": chain.m, "M": chain.M}
+
+
+def _exp_chain_sample(cfg, index, d):
+    pair = ordered_exponential_chain_pair(cfg, index, grid=_lean_exponents(d))
+    return pair.h, pair.k, {"m": pair.m, "M": pair.M}
+
+
+# ---------------------------------------------------------------------------
+# The inequality table and the skeleton that runs it
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Inequality:
+    """What one inequality id adds to the shared skeleton (see _certify).
+
+    ``params`` are the report's parameter keys in order, some pinned by
+    ``fixed``; "factor" follows them, and "h" = M/m and "rows" are derived.
+    ``draws`` run in params-stream order, then ``sample`` builds the operands.
+    """
+
+    params: tuple[str, ...]
+    checks: tuple[Callable, ...]
+    require: Callable | None
+    factor: Callable | None
+    compare: Callable
+    draws: tuple[Callable, ...]
+    sample: Callable
+    fixed: dict = field(default_factory=dict)
+
+
+def _specht_exp_factor(v: dict) -> float:
+    p = v["p"]
+    return max(specht(math.exp(v["s"] * p)), specht(math.exp(v["t"] * p))) ** (1.0 / p)
+
+
+def _kantorovich_exp_factor(v: dict) -> float:
+    p = v["p"]
+    return kantorovich(math.exp(p * (v["t"] - v["s"])), v["alpha"]) ** (-1.0 / p)
+
+
+def _cosh_factor(v: dict) -> float:
+    """(e^{2M} + e^{2m}) / (2 e^M e^m), cross-checked against the reciprocal
+    Kantorovich constant K(e^{4(M-m)}, 1/2)^{-1}; a mismatch signals an
+    internal constant bug, not a data problem."""
+    m, M = v["m"], v["M"]
+    factor = (math.exp(2.0 * M) + math.exp(2.0 * m)) / (2.0 * math.exp(M + m))
+    via_constant = 1.0 / kantorovich(math.exp(4.0 * (M - m)), 0.5)
+    if abs(via_constant - factor) > 1e-9 * factor:
+        raise GoldenBoundsError(
+            f"squared-display constant mismatch: closed form {factor!r} vs "
+            f"reciprocal Kantorovich {via_constant!r}"
+        )
+    return factor
+
+
+_GT_DRAWS = (_hermitian_range, _draw_alpha, _draw_gt_power)
+_SQUARED = {"alpha": 0.5, "p": 2.0}
+
+_INEQUALITIES = {
+    # Specht ratio: sandwich s*A <= B <= t*A, power-monotone for exponents >= 1
+    "specht-power-low": _Inequality(
+        ("alpha", "r", "s", "t"), (_alpha, _low_r, _sandwich),
+        require=_require_sandwich, factor=lambda v: max(specht(v["s"]), specht(v["t"])),
+        compare=lambda a, b, v: _power_low(a, b, v, v["factor"] ** v["r"]),
+        draws=(_unpinned_pd_range, _sandwich_scalars, _draw_alpha, _draw_low_power),
+        sample=_sandwich_sample,
+    ),
+    "specht-eigen-power": _Inequality(
+        ("alpha", "r", "s", "t"), (_alpha, _high_r, _sandwich), require=_require_olson_sandwich,
+        factor=lambda v: max(specht(v["s"] ** v["r"]), specht(v["t"] ** v["r"])),
+        compare=_eigen_power,
+        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_olson_sandwich_sample,
+    ),
+    "specht-pq": _Inequality(
+        ("alpha", "q", "p", "s", "t"), (_alpha, _q_le_p, _sandwich),
+        require=_require_olson_sandwich,
+        factor=lambda v: max(specht(v["s"] ** v["p"]), specht(v["t"] ** v["p"])) ** (1.0 / v["p"]),
+        compare=_pq, draws=(_pd_range, _draw_qp, _draw_alpha), sample=_olson_sandwich_sample,
+    ),
+    # Specht ratio: spectra of A and B inside [m, M], h = M/m
+    "bounded-power-low": _Inequality(
+        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds),
+        require=_require_bounded, factor=lambda v: specht(v["h"]),
+        compare=lambda a, b, v: _power_low(a, b, v, v["factor"] ** v["r"]),
+        draws=(_pd_range, _draw_alpha, _draw_low_power), sample=_pd_pair_sample,
+    ),
+    "bounded-eigen-power": _Inequality(
+        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds),
+        require=_require_bounded, factor=lambda v: specht(v["h"] ** v["r"]),
+        compare=_eigen_power,
+        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+    ),
+    "bounded-pq": _Inequality(
+        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds),
+        require=_require_bounded, factor=lambda v: specht(v["h"] ** v["p"]) ** (1.0 / v["p"]),
+        compare=_pq, draws=(_pd_range, _draw_alpha, _draw_qp), sample=_pd_pair_sample,
+    ),
+    # Golden-Thompson reverses with the Specht ratio
+    "gt-specht": _Inequality(
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        require=_require_exponential_olson, factor=_specht_exp_factor,
+        compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
+    ),
+    "gt-specht-norm": _Inequality(
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        require=_require_exponential_olson, factor=_specht_exp_factor,
+        compare=_norm, draws=_GT_DRAWS, sample=_exp_olson_sample,
+    ),
+    "gt-specht-norm-squared": _Inequality(
+        ("alpha", "p", "s", "t"), (), fixed=_SQUARED, require=_require_exponential_olson,
+        factor=lambda v: max(specht(math.exp(2.0 * v["s"])), specht(math.exp(2.0 * v["t"]))),
+        compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
+        draws=(_hermitian_range,), sample=_exp_olson_sample,
+    ),
+    "gt-bounded-specht": _Inequality(
+        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
+        factor=lambda v: specht(math.exp((v["M"] - v["m"]) * v["p"])) ** (1.0 / v["p"]),
+        compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
+    ),
+    # Kantorovich constant
+    "kantorovich-matrix": _Inequality(
+        ("m", "M", "h", "rows"), (_positive_m, _bounds), require=_require_compression,
+        factor=lambda v: (v["m"] + v["M"]) ** 2 / (4.0 * v["m"] * v["M"]),
+        compare=_compression,
+        draws=(_pd_range, lambda rng, ov, n: {"rows": int(rng.integers(1, n + 1))}),
+        sample=lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
+    ),
+    "gt-kantorovich": _Inequality(
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        require=_require_exponential_olson, factor=_kantorovich_exp_factor,
+        compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
+    ),
+    "gt-kantorovich-bounded": _Inequality(
+        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
+        factor=lambda v: kantorovich(math.exp(2.0 * v["p"] * (v["M"] - v["m"])), v["alpha"])
+        ** (-1.0 / v["p"]),
+        compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
+    ),
+    "gt-kantorovich-squared": _Inequality(
+        ("alpha", "p", "m", "M"), (_bounds,), fixed=_SQUARED,
+        require=_require_bounded_hk, factor=_cosh_factor,
+        compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
+        draws=(_hermitian_range,), sample=_bounded_sample,
+    ),
+    # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
+    "fm-power-low": _Inequality(
+        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r),
+        require=_require_chain, factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
+        compare=lambda a, b, v: _power_low(a, b, v, v["factor"]),
+        draws=(_chain_range, _draw_alpha, _draw_low_power), sample=_chain_sample,
+    ),
+    "fm-eigen-power": _Inequality(
+        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r),
+        require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
+        compare=_eigen_power,
+        draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_olson_chain_sample,
+    ),
+    "fm-pq": _Inequality(
+        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p), require=_require_chain,
+        factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
+        compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_olson_chain_sample,
+    ),
+    "gt-fm": _Inequality(
+        ("alpha", "p", "m", "M"), (_alpha, _positive_p), require=_require_exponential_chain,
+        factor=lambda v: fm_factor(math.exp(v["p"] * (v["M"] - v["m"])), v["alpha"], 1.0 / v["p"]),
+        compare=_gt_eigen,
+        draws=(_exp_chain_range, _draw_gt_power, _draw_alpha), sample=_exp_chain_sample,
+    ),
+    # Forward baselines: no hypothesis, no factor
+    "forward-ando-hiai": _Inequality(
+        ("alpha", "r"), (_alpha, _high_r), require=None, factor=None,
+        compare=_log_majorization,
+        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+    ),
+    "forward-gt-trace": _Inequality(
+        (), (), require=None, factor=None,
+        compare=_trace, draws=(_hermitian_range,), sample=_bounded_sample,
+    ),
+    "forward-mean-norm": _Inequality(
+        ("alpha", "p"), (_alpha, _positive_p), require=None, factor=None,
+        compare=lambda h, k, v: _norm_sides(*reversed(_gt_sides(h, k, v)), 1.0),
+        draws=_GT_DRAWS, sample=_bounded_sample,
+    ),
+}
+
+
+def _certify(
+    inequality_id: str, x, y, tolerance: float, norm_id: str | None = None, **given
+) -> InequalityReport:
+    """Check the parameters, re-verify the hypothesis, build the factor and
+    both sides of one inequality, and report the margins.  ``norm_id`` keeps
+    one entry of a norm-family report; the isometry of kantorovich-matrix is
+    not part of the digest."""
+    spec = _INEQUALITIES[inequality_id]
+    tolerance = _check_tolerance(tolerance)
+    params = dict.fromkeys(spec.params)
+    params.update(spec.fixed, **given)
+    for check in spec.checks:
+        check(params)
+    if spec.require is not None:
+        spec.require(x, y, params)
+    if "h" in params:
+        params["h"] = params["M"] / params["m"]
+    if "rows" in params:
+        params["rows"] = float(np.shape(y)[0])
+    if spec.factor is not None:
+        params["factor"] = spec.factor(params)
+    semantics, labels, lhs, rhs, rel = spec.compare(x, y, params)
+    if norm_id is not None:
+        if norm_id not in labels:
+            raise BadRangeError(f"unknown norm id {norm_id!r}; choose from {labels}")
+        keep = labels.index(norm_id)
+        labels, lhs, rhs, rel = ([seq[keep]] for seq in (labels, lhs, rhs, rel))
+    lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
+    return InequalityReport(
+        inequality_id=inequality_id,
+        parameters={k: float(v) for k, v in params.items()},
+        lhs_values=lhs,
+        rhs_values=rhs,
+        margins=tuple(r - l for l, r in zip(lhs, rhs)),
+        relative_margins=rel,
+        holds=bool(min(rel) >= -tolerance),
+        tolerance=tolerance,
+        semantics=semantics,
+        labels=tuple(labels),
+        n=x.dim,
+        mode="n/a",
+        input_digest=_digest(params, *(m for m in (x, y) if isinstance(m, HermitianMatrix))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Public certifiers, one per table row
 # ---------------------------------------------------------------------------
 
 
@@ -434,17 +815,7 @@ def certify_specht_power_low(
 ) -> InequalityReport:
     """A^r #_a B^r <= M^r (A #_a B)^r for 0 < r <= 1, M = max{S(s), S(t)},
     under the sandwich s*A <= B <= t*A (Loewner comparison)."""
-    alpha, r = _check_alpha(alpha), _check_low_power(r)
-    if not 0.0 < s <= t:
-        raise BadRangeError(f"need 0 < s <= t, got s={s}, t={t}")
-    _require_sandwich(a, b, s, t)
-    factor = max(specht(s), specht(t))
-    params = {"alpha": alpha, "r": r, "s": s, "t": t, "factor": factor}
-    lhs = geometric_mean(power(a, r), power(b, r), alpha)
-    rhs = power(geometric_mean(a, b, alpha), r) * factor**r
-    return _loewner_report(
-        "specht-power-low", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("specht-power-low", a, b, tolerance, alpha=alpha, r=r, s=s, t=t)
 
 
 def certify_specht_eigen_power(
@@ -458,17 +829,7 @@ def certify_specht_eigen_power(
 ) -> InequalityReport:
     """lambda_k(A #_a B)^r <= max{S(s^r), S(t^r)} lambda_k(A^r #_a B^r) for
     r >= 1, under the power-monotone sandwich s*A <=ols B <=ols t*A."""
-    alpha, r = _check_alpha(alpha), _check_high_power(r)
-    if not 0.0 < s <= t:
-        raise BadRangeError(f"need 0 < s <= t, got s={s}, t={t}")
-    _require_olson_sandwich(a, b, s, t, (r,))
-    factor = max(specht(s**r), specht(t**r))
-    params = {"alpha": alpha, "r": r, "s": s, "t": t, "factor": factor}
-    lhs = eigenvalues_desc(geometric_mean(a, b, alpha)) ** r
-    rhs = factor * eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
-    return _eigen_report(
-        "specht-eigen-power", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("specht-eigen-power", a, b, tolerance, alpha=alpha, r=r, s=s, t=t)
 
 
 def certify_specht_pq(
@@ -483,25 +844,7 @@ def certify_specht_pq(
 ) -> InequalityReport:
     """lambda_k(A^q #_a B^q)^{1/q} <= (max{S(s^p), S(t^p)})^{1/p}
     lambda_k(A^p #_a B^p)^{1/p} for 0 < q <= p (power-monotone sandwich)."""
-    alpha = _check_alpha(alpha)
-    q, p = _check_qp(q, p)
-    if not 0.0 < s <= t:
-        raise BadRangeError(f"need 0 < s <= t, got s={s}, t={t}")
-    _require_olson_sandwich(a, b, s, t, (q, p))
-    factor_root = max(specht(s**p), specht(t**p)) ** (1.0 / p)
-    params = {"alpha": alpha, "q": q, "p": p, "s": s, "t": t, "factor": factor_root}
-    lhs = eigenvalues_desc(geometric_mean(power(a, q), power(b, q), alpha)) ** (1.0 / q)
-    rhs = factor_root * eigenvalues_desc(
-        geometric_mean(power(a, p), power(b, p), alpha)
-    ) ** (1.0 / p)
-    return _eigen_report(
-        "specht-pq", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bounded-spectrum specializations (m*I <= A, B <= M*I, h = M/m)
-# ---------------------------------------------------------------------------
+    return _certify("specht-pq", a, b, tolerance, alpha=alpha, q=q, p=p, s=s, t=t)
 
 
 def certify_bounded_power_low(
@@ -509,72 +852,21 @@ def certify_bounded_power_low(
 ) -> InequalityReport:
     """A^r #_a B^r <= S(h)^r (A #_a B)^r for 0 < r <= 1 and h = M/m, given
     spectra of A and B inside [m, M]."""
-    alpha, r = _check_alpha(alpha), _check_low_power(r)
-    m = _check_positive(m, "m")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(a, m, M, "A")
-    _require_spectrum_bounds(b, m, M, "B")
-    h = M / m
-    factor = specht(h)
-    params = {"alpha": alpha, "r": r, "m": m, "M": M, "h": h, "factor": factor}
-    lhs = geometric_mean(power(a, r), power(b, r), alpha)
-    rhs = power(geometric_mean(a, b, alpha), r) * factor**r
-    return _loewner_report(
-        "bounded-power-low", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("bounded-power-low", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
 
 
 def certify_bounded_eigen_power(
     a, b, m, M, alpha, r, tolerance: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """lambda_k(A #_a B)^r <= S(h^r) lambda_k(A^r #_a B^r) for r >= 1."""
-    alpha, r = _check_alpha(alpha), _check_high_power(r)
-    m = _check_positive(m, "m")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(a, m, M, "A")
-    _require_spectrum_bounds(b, m, M, "B")
-    h = M / m
-    factor = specht(h**r)
-    params = {"alpha": alpha, "r": r, "m": m, "M": M, "h": h, "factor": factor}
-    lhs = eigenvalues_desc(geometric_mean(a, b, alpha)) ** r
-    rhs = factor * eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
-    return _eigen_report(
-        "bounded-eigen-power", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("bounded-eigen-power", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
 
 
 def certify_bounded_pq(
     a, b, m, M, alpha, q, p, tolerance: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """lambda_k(A^q #_a B^q)^{1/q} <= S(h^p)^{1/p} lambda_k(A^p #_a B^p)^{1/p}."""
-    alpha = _check_alpha(alpha)
-    q, p = _check_qp(q, p)
-    m = _check_positive(m, "m")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(a, m, M, "A")
-    _require_spectrum_bounds(b, m, M, "B")
-    h = M / m
-    factor_root = specht(h**p) ** (1.0 / p)
-    params = {"alpha": alpha, "q": q, "p": p, "m": m, "M": M, "h": h, "factor": factor_root}
-    lhs = eigenvalues_desc(geometric_mean(power(a, q), power(b, q), alpha)) ** (1.0 / q)
-    rhs = factor_root * eigenvalues_desc(
-        geometric_mean(power(a, p), power(b, p), alpha)
-    ) ** (1.0 / p)
-    return _eigen_report(
-        "bounded-pq", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reverse Golden-Thompson type bounds with the Specht ratio
-# ---------------------------------------------------------------------------
-
-
-def _specht_exp_root(s: float, t: float, p: float) -> float:
-    return max(specht(math.exp(s * p)), specht(math.exp(t * p))) ** (1.0 / p)
+    return _certify("bounded-pq", a, b, tolerance, alpha=alpha, q=q, p=p, m=m, M=M)
 
 
 def certify_gt_specht(
@@ -588,16 +880,7 @@ def certify_gt_specht(
 ) -> InequalityReport:
     """lambda_k(e^{(1-a)H + aK}) <= (max{S(e^{sp}), S(e^{tp})})^{1/p}
     lambda_k(e^{pH} #_a e^{pK})^{1/p}, given e^s e^H <=ols e^K <=ols e^t e^H."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    _require_exponential_olson(h, k, s, t, (p,))
-    factor_root = _specht_exp_root(s, t, p)
-    params = {"alpha": alpha, "p": p, "s": s, "t": t, "factor": factor_root}
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
-    rhs = factor_root * eigenvalues_desc(mean_power(h, k, alpha, p))
-    return _eigen_report(
-        "gt-specht", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
+    return _certify("gt-specht", h, k, tolerance, alpha=alpha, p=p, s=s, t=t)
 
 
 def certify_gt_specht_norm(
@@ -605,17 +888,7 @@ def certify_gt_specht_norm(
 ) -> InequalityReport:
     """Norm form of the Specht reverse bound over the Ky Fan and Schatten
     families: ||e^{(1-a)H + aK}|| <= factor^{1/p} ||(e^{pH} #_a e^{pK})^{1/p}||."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    _require_exponential_olson(h, k, s, t, (p,))
-    factor_root = _specht_exp_root(s, t, p)
-    params = {"alpha": alpha, "p": p, "s": s, "t": t, "factor": factor_root}
-    lhs_mat = exp_h(h * (1.0 - alpha) + k * alpha)
-    rhs_mat = mean_power(h, k, alpha, p)
-    return _norm_report(
-        "gt-specht-norm", params, lhs_mat, rhs_mat, factor_root, norm_id,
-        tolerance, h.dim, _digest(params, h, k),
-    )
+    return _certify("gt-specht-norm", h, k, tolerance, norm_id, alpha=alpha, p=p, s=s, t=t)
 
 
 def certify_gt_specht_norm_squared(
@@ -623,15 +896,7 @@ def certify_gt_specht_norm_squared(
 ) -> InequalityReport:
     """||e^{H+K}|| <= max{S(e^{2s}), S(e^{2t})} ||e^{2H} # e^{2K}||: the
     squared alpha = 1/2, p = 2 reading of the Specht norm bound."""
-    _require_exponential_olson(h, k, s, t, (2.0,))
-    factor = max(specht(math.exp(2.0 * s)), specht(math.exp(2.0 * t)))
-    params = {"alpha": 0.5, "p": 2.0, "s": s, "t": t, "factor": factor}
-    lhs_mat = exp_h(h + k)
-    rhs_mat = geometric_mean(exp_h(h * 2.0), exp_h(k * 2.0), 0.5)
-    return _norm_report(
-        "gt-specht-norm-squared", params, lhs_mat, rhs_mat, factor, norm_id,
-        tolerance, h.dim, _digest(params, h, k),
-    )
+    return _certify("gt-specht-norm-squared", h, k, tolerance, norm_id, s=s, t=t)
 
 
 def certify_gt_bounded_specht(
@@ -642,24 +907,7 @@ def certify_gt_bounded_specht(
 
     The norm form over the Ky Fan family follows entrywise from these
     eigenvalue margins (weak-majorization propagation)."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(h, m, M, "H")
-    _require_spectrum_bounds(k, m, M, "K")
-    factor_root = specht(math.exp((M - m) * p)) ** (1.0 / p)
-    params = {"alpha": alpha, "p": p, "m": m, "M": M, "factor": factor_root}
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
-    rhs = factor_root * eigenvalues_desc(mean_power(h, k, alpha, p))
-    return _eigen_report(
-        "gt-bounded-specht", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Kantorovich-constant certifiers
-# ---------------------------------------------------------------------------
+    return _certify("gt-bounded-specht", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
 
 
 def certify_kantorovich_matrix(
@@ -671,19 +919,7 @@ def certify_kantorovich_matrix(
 ) -> InequalityReport:
     """U A^{-1} U* <= ((m+M)^2 / 4mM) (U A U*)^{-1} for the spectrum of A in [m, M]
     and any row-orthonormal U (Loewner comparison on the compressed space)."""
-    m = _check_positive(m, "m")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(a, m, M, "A")
-    _require_isometry(u, a.dim)
-    factor = (m + M) ** 2 / (4.0 * m * M)
-    params = {"m": m, "M": M, "h": M / m, "rows": float(np.shape(u)[0]), "factor": factor}
-    lhs = PositiveDefiniteMatrix(congruence(u, power(a, -1.0)).matrix)
-    compressed = PositiveDefiniteMatrix(congruence(u, a).matrix)
-    rhs = power(compressed, -1.0) * factor
-    return _loewner_report(
-        "kantorovich-matrix", params, lhs, rhs, tolerance, a.dim, _digest(params, a)
-    )
+    return _certify("kantorovich-matrix", a, u, tolerance, m=m, M=M)
 
 
 def certify_gt_kantorovich(
@@ -691,16 +927,7 @@ def certify_gt_kantorovich(
 ) -> InequalityReport:
     """lambda_k(e^{(1-a)H + aK}) <= K(e^{p(t-s)}, a)^{-1/p}
     lambda_k(e^{pH} #_a e^{pK})^{1/p}, given e^s e^H <=ols e^K <=ols e^t e^H."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    _require_exponential_olson(h, k, s, t, (p,))
-    factor_root = kantorovich(math.exp(p * (t - s)), alpha) ** (-1.0 / p)
-    params = {"alpha": alpha, "p": p, "s": s, "t": t, "factor": factor_root}
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
-    rhs = factor_root * eigenvalues_desc(mean_power(h, k, alpha, p))
-    return _eigen_report(
-        "gt-kantorovich", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
+    return _certify("gt-kantorovich", h, k, tolerance, alpha=alpha, p=p, s=s, t=t)
 
 
 def certify_gt_kantorovich_bounded(
@@ -708,19 +935,7 @@ def certify_gt_kantorovich_bounded(
 ) -> InequalityReport:
     """lambda_k(e^{(1-a)H + aK}) <= K(e^{2p(M-m)}, a)^{-1/p}
     lambda_k(e^{pH} #_a e^{pK})^{1/p} for Hermitian spectra inside [m, M]."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(h, m, M, "H")
-    _require_spectrum_bounds(k, m, M, "K")
-    factor_root = kantorovich(math.exp(2.0 * p * (M - m)), alpha) ** (-1.0 / p)
-    params = {"alpha": alpha, "p": p, "m": m, "M": M, "factor": factor_root}
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
-    rhs = factor_root * eigenvalues_desc(mean_power(h, k, alpha, p))
-    return _eigen_report(
-        "gt-kantorovich-bounded", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
+    return _certify("gt-kantorovich-bounded", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
 
 
 def certify_gt_kantorovich_squared(
@@ -732,28 +947,7 @@ def certify_gt_kantorovich_squared(
     Before evaluating, the closed form is cross-checked against the
     reciprocal Kantorovich constant K(e^{4(M-m)}, 1/2)^{-1}; a mismatch
     signals an internal constant bug, not a data problem."""
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    _require_spectrum_bounds(h, m, M, "H")
-    _require_spectrum_bounds(k, m, M, "K")
-    factor = (math.exp(2.0 * M) + math.exp(2.0 * m)) / (2.0 * math.exp(M + m))
-    via_constant = 1.0 / kantorovich(math.exp(4.0 * (M - m)), 0.5)
-    if abs(via_constant - factor) > 1e-9 * factor:
-        raise GoldenBoundsError(
-            f"squared-display constant mismatch: closed form {factor!r} vs "
-            f"reciprocal Kantorovich {via_constant!r}"
-        )
-    params = {"alpha": 0.5, "p": 2.0, "m": m, "M": M, "factor": factor}
-    lhs = eigenvalues_desc(exp_h(h + k))
-    rhs = factor * eigenvalues_desc(geometric_mean(exp_h(h * 2.0), exp_h(k * 2.0), 0.5))
-    return _eigen_report(
-        "gt-kantorovich-squared", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Exponential-factor certifiers (ordered chain 0 < mI <= A <= B <= MI <= I)
-# ---------------------------------------------------------------------------
+    return _certify("gt-kantorovich-squared", h, k, tolerance, m=m, M=M)
 
 
 def certify_fm_power_low(
@@ -761,16 +955,7 @@ def certify_fm_power_low(
 ) -> InequalityReport:
     """A^r #_a B^r <= exp(r a(1-a)(1 - 1/h)^2) (A #_a B)^r for 0 < r <= 1
     under the ordered chain m*I <= A <= B <= M*I <= I, h = M/m."""
-    alpha, r = _check_alpha(alpha), _check_low_power(r)
-    _require_chain(a, b, m, M)
-    h_ratio = M / m
-    factor = fm_factor(h_ratio, alpha, r)
-    params = {"alpha": alpha, "r": r, "m": m, "M": M, "h": h_ratio, "factor": factor}
-    lhs = geometric_mean(power(a, r), power(b, r), alpha)
-    rhs = power(geometric_mean(a, b, alpha), r) * factor
-    return _loewner_report(
-        "fm-power-low", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("fm-power-low", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
 
 
 def certify_fm_eigen_power(
@@ -778,16 +963,7 @@ def certify_fm_eigen_power(
 ) -> InequalityReport:
     """lambda_k(A #_a B)^r <= exp(a(1-a)(1 - 1/h^r)^2) lambda_k(A^r #_a B^r)
     for r >= 1 under the power-monotone ordered chain."""
-    alpha, r = _check_alpha(alpha), _check_high_power(r)
-    _require_chain(a, b, m, M, (r,))
-    h_ratio = M / m
-    factor = fm_factor(h_ratio**r, alpha, 1.0)
-    params = {"alpha": alpha, "r": r, "m": m, "M": M, "h": h_ratio, "factor": factor}
-    lhs = eigenvalues_desc(geometric_mean(a, b, alpha)) ** r
-    rhs = factor * eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
-    return _eigen_report(
-        "fm-eigen-power", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("fm-eigen-power", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
 
 
 def certify_fm_pq(
@@ -795,21 +971,7 @@ def certify_fm_pq(
 ) -> InequalityReport:
     """lambda_k(A^q #_a B^q)^{1/q} <= exp((1/p) a(1-a)(1 - 1/h^p)^2)
     lambda_k(A^p #_a B^p)^{1/p} for 0 < q <= p (power-monotone chain)."""
-    alpha = _check_alpha(alpha)
-    q, p = _check_qp(q, p)
-    _require_chain(a, b, m, M, (q, p))
-    h_ratio = M / m
-    factor_root = fm_factor(h_ratio**p, alpha, 1.0 / p)
-    params = {
-        "alpha": alpha, "q": q, "p": p, "m": m, "M": M, "h": h_ratio, "factor": factor_root,
-    }
-    lhs = eigenvalues_desc(geometric_mean(power(a, q), power(b, q), alpha)) ** (1.0 / q)
-    rhs = factor_root * eigenvalues_desc(
-        geometric_mean(power(a, p), power(b, p), alpha)
-    ) ** (1.0 / p)
-    return _eigen_report(
-        "fm-pq", params, lhs, rhs, tolerance, a.dim, _digest(params, a, b)
-    )
+    return _certify("fm-pq", a, b, tolerance, alpha=alpha, q=q, p=p, m=m, M=M)
 
 
 def certify_gt_fm(
@@ -821,21 +983,7 @@ def certify_gt_fm(
 
     The matching norm bound over the Ky Fan family follows from these
     eigenvalue margins by weak-majorization propagation."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    _require_exponential_chain(h, k, m, M, (p,))
-    factor_root = fm_factor(math.exp(p * (M - m)), alpha, 1.0 / p)
-    params = {"alpha": alpha, "p": p, "m": m, "M": M, "factor": factor_root}
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
-    rhs = factor_root * eigenvalues_desc(mean_power(h, k, alpha, p))
-    return _eigen_report(
-        "gt-fm", params, lhs, rhs, tolerance, h.dim, _digest(params, h, k)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Forward baselines (the classical directions the reverses complement)
-# ---------------------------------------------------------------------------
+    return _certify("gt-fm", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
 
 
 def certify_forward_ando_hiai(
@@ -846,35 +994,14 @@ def certify_forward_ando_hiai(
     The report values are cumulative log-products of the descending spectra
     (the log-majorization partial sums), plus the forced k = n equality
     entry whose margin is negative whenever the total products differ."""
-    alpha, r = _check_alpha(alpha), _check_high_power(r)
-    lhs_mat = geometric_mean(power(a, r), power(b, r), alpha)
-    rhs_mat = power(geometric_mean(a, b, alpha), r)
-    lhs_eigs = eigenvalues_desc(lhs_mat)
-    rhs_eigs = eigenvalues_desc(rhs_mat)
-    cert = log_majorizes(lhs_eigs, rhs_eigs, tolerance)
-    cum_lhs = np.cumsum(np.log(lhs_eigs))
-    cum_rhs = np.cumsum(np.log(rhs_eigs))
-    lhs_values = np.concatenate([cum_lhs, [cum_lhs[-1]]])
-    rhs_values = np.concatenate([cum_rhs, [cum_rhs[-1]]])
-    params = {"alpha": alpha, "r": r}
-    return _finish_report(
-        "forward-ando-hiai", params, lhs_values, rhs_values, cert.margins,
-        SEMANTICS_EIGENVALUE, cert.labels, tolerance, a.dim, _digest(params, a, b),
-    )
+    return _certify("forward-ando-hiai", a, b, tolerance, alpha=alpha, r=r)
 
 
 def certify_forward_gt_trace(
     h, k, tolerance: float = DEFAULT_TOLERANCE
 ) -> InequalityReport:
     """Tr e^{H+K} <= Tr e^H e^K for Hermitian H, K."""
-    lhs = float(trace(exp_h(h + k)).real)
-    rhs = float(np.trace(exp_h(h).matrix @ exp_h(k).matrix).real)
-    rel = [(rhs - lhs) / max(abs(lhs), abs(rhs), _TINY)]
-    params: dict = {}
-    return _finish_report(
-        "forward-gt-trace", params, [lhs], [rhs], rel, SEMANTICS_TRACE,
-        ("trace",), tolerance, h.dim, _digest(params, h, k),
-    )
+    return _certify("forward-gt-trace", h, k, tolerance)
 
 
 def certify_forward_mean_norm(
@@ -882,15 +1009,8 @@ def certify_forward_mean_norm(
 ) -> InequalityReport:
     """||(e^{pH} #_a e^{pK})^{1/p}|| <= ||e^{(1-a)H + aK}|| over the Ky Fan
     and Schatten families (the forward direction the reverse bounds cap)."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    params = {"alpha": alpha, "p": p}
-    lhs_mat = mean_power(h, k, alpha, p)
-    rhs_mat = exp_h(h * (1.0 - alpha) + k * alpha)
-    return _norm_report(
-        "forward-mean-norm", params, lhs_mat, rhs_mat, 1.0, norm_id,
-        tolerance, h.dim, _digest(params, h, k),
-    )
+    return _certify("forward-mean-norm", h, k, tolerance, norm_id, alpha=alpha, p=p)
+
 
 
 # ---------------------------------------------------------------------------
@@ -962,8 +1082,7 @@ def compare_seo_constants(
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise BadRangeError(f"need 0 < p <= 1, got {p}")
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
+    _check_bounds(m, M)
     new_constant = kantorovich(math.exp(2.0 * p * (M - m)), alpha) ** (-1.0 / p)
     extra = kantorovich(math.exp(M - m), p) ** (-alpha / p)
     product = extra * new_constant
@@ -1007,28 +1126,19 @@ def convergence_study(
         raise BadRangeError(f"p_sequence must be positive, got {ps}")
     if any(later >= earlier for earlier, later in zip(ps, ps[1:])):
         raise BadRangeError(f"p_sequence must be strictly decreasing, got {ps}")
-    if factor_kind == "specht":
-        factor_root = lambda p: _specht_exp_root(s, t, p)  # noqa: E731
-    elif factor_kind == "kantorovich":
-        factor_root = lambda p: kantorovich(math.exp(p * (t - s)), alpha) ** (-1.0 / p)  # noqa: E731
-    else:
+    if factor_kind not in ("specht", "kantorovich"):
         raise BadRangeError(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"
         )
-    lhs = eigenvalues_desc(exp_h(h * (1.0 - alpha) + k * alpha))
+    factor = _INEQUALITIES[f"gt-{factor_kind}"].factor
+    lhs = eigenvalues_desc(log_euclidean(h, k, alpha))
     rows = []
     for p in ps:
-        rhs = factor_root(p) * eigenvalues_desc(mean_power(h, k, alpha, p))
-        for idx in range(h.dim):
-            rows.append(
-                ConvergenceRow(
-                    p=p,
-                    k=idx + 1,
-                    lhs=float(lhs[idx]),
-                    rhs=float(rhs[idx]),
-                    gap=float((rhs[idx] - lhs[idx]) / lhs[idx]),
-                )
-            )
+        scale = factor({"alpha": alpha, "p": p, "s": s, "t": t})
+        rhs = scale * eigenvalues_desc(mean_power(h, k, alpha, p))
+        for index, (left, right) in enumerate(zip(lhs, rhs), start=1):
+            gap = float((right - left) / left)
+            rows.append(ConvergenceRow(p, index, float(left), float(right), gap))
     return rows
 
 
@@ -1036,273 +1146,22 @@ def convergence_study(
 # Seeded instance recipes and the soundness-sweep driver
 # ---------------------------------------------------------------------------
 
-N_CYCLE = (2, 3, 4, 5, 6)
+
+def _recipe(inequality_id, index, seed, n, mode, rng, ov, tolerance):
+    """Draw one instance's free parameters in its row's order, sample its
+    operands, and certify it."""
+    spec = _INEQUALITIES[inequality_id]
+    drawn = {}
+    for draw in spec.draws:
+        drawn.update(draw(rng, ov, n))
+    cfg = SamplerConfig(n, seed, drawn["m"], drawn["M"], mode)
+    x, y, sampled = spec.sample(cfg, index, drawn)
+    drawn.update(sampled)
+    given = {name: drawn[name] for name in spec.params if name in drawn}
+    return _certify(inequality_id, x, y, tolerance, **given)
 
 
-def _ov(overrides: dict, name: str, value: float) -> float:
-    return float(overrides.get(name, value))
-
-
-def _draw_alpha(rng, overrides) -> float:
-    if "alpha" in overrides:
-        return float(overrides["alpha"])
-    if rng.uniform() < 0.4:
-        return float(rng.choice(np.array([0.0, 0.25, 0.5, 0.75, 1.0])))
-    return float(rng.uniform())
-
-
-def _draw_low_power(rng, overrides) -> float:
-    if "r" in overrides:
-        return float(overrides["r"])
-    return 1.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 1.0))
-
-
-def _draw_high_power(rng, overrides) -> float:
-    if "r" in overrides:
-        return float(overrides["r"])
-    return 1.0 if rng.uniform() < 0.1 else float(1.0 + rng.uniform(0.0, 2.0))
-
-
-def _draw_qp(rng, overrides) -> tuple[float, float]:
-    q = _ov(overrides, "q", rng.uniform(0.2, 1.2))
-    p = _ov(overrides, "p", q * (1.0 + rng.uniform(0.0, 1.5)))
-    return q, p
-
-
-def _draw_gt_power(rng, overrides) -> float:
-    return _ov(overrides, "p", rng.uniform(0.3, 2.5))
-
-
-def _pd_range(rng, overrides) -> tuple[float, float]:
-    lo = _ov(overrides, "m", rng.uniform(0.3, 1.0))
-    hi = _ov(overrides, "M", lo * rng.uniform(1.2, 5.0))
-    return lo, hi
-
-
-def _hermitian_range(rng, overrides) -> tuple[float, float]:
-    m = _ov(overrides, "m", rng.uniform(-1.5, 0.3))
-    M = _ov(overrides, "M", m + rng.uniform(0.3, 2.0))
-    return m, M
-
-
-def _chain_range(rng, overrides) -> tuple[float, float]:
-    hi = _ov(overrides, "M", rng.uniform(0.35, 1.0))
-    lo = _ov(overrides, "m", hi * rng.uniform(0.15, 0.8))
-    return lo, hi
-
-
-def _sandwich_scalars(rng, overrides) -> tuple[float, float]:
-    s = _ov(overrides, "s", rng.uniform(0.4, 1.0))
-    t = _ov(overrides, "t", s * (1.0 + rng.uniform(0.0, 3.0)))
-    return s, t
-
-
-def _recipe_specht_power_low(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _pd_range(rng, {})
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    s, t = _sandwich_scalars(rng, ov)
-    sample = sandwich_pair(cfg, s, t, index, attach_certificates=False)
-    return certify_specht_power_low(
-        sample.a, sample.b, s, t, _draw_alpha(rng, ov), _draw_low_power(rng, ov), tolerance
-    )
-
-
-def _recipe_specht_eigen_power(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _pd_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    sample = olson_sandwich_pair(cfg, index)
-    return certify_specht_eigen_power(
-        sample.a, sample.b, sample.s, sample.t,
-        _draw_alpha(rng, ov), _draw_high_power(rng, ov), tolerance,
-    )
-
-
-def _recipe_specht_pq(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _pd_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    sample = olson_sandwich_pair(cfg, index)
-    q, p = _draw_qp(rng, ov)
-    return certify_specht_pq(
-        sample.a, sample.b, sample.s, sample.t, _draw_alpha(rng, ov), q, p, tolerance
-    )
-
-
-def _recipe_bounded(certifier, kind):
-    def recipe(index, seed, n, mode, rng, ov, tolerance):
-        lo, hi = _pd_range(rng, ov)
-        cfg = SamplerConfig(n, seed, lo, hi, mode)
-        a, b = random_pd_pair(cfg, index)
-        alpha = _draw_alpha(rng, ov)
-        if kind == "low":
-            return certifier(a, b, lo, hi, alpha, _draw_low_power(rng, ov), tolerance)
-        if kind == "high":
-            return certifier(a, b, lo, hi, alpha, _draw_high_power(rng, ov), tolerance)
-        q, p = _draw_qp(rng, ov)
-        return certifier(a, b, lo, hi, alpha, q, p, tolerance)
-
-    return recipe
-
-
-def _recipe_gt_specht(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    pair = olson_exponential_pair(cfg, m, M, index, attach_certificates=False)
-    return certify_gt_specht(
-        pair.h, pair.k, pair.s, pair.t, _draw_alpha(rng, ov), _draw_gt_power(rng, ov), tolerance
-    )
-
-
-def _recipe_gt_specht_norm(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    pair = olson_exponential_pair(cfg, m, M, index, attach_certificates=False)
-    return certify_gt_specht_norm(
-        pair.h, pair.k, pair.s, pair.t, _draw_alpha(rng, ov), _draw_gt_power(rng, ov),
-        None, tolerance,
-    )
-
-
-def _recipe_gt_specht_norm_squared(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    pair = olson_exponential_pair(cfg, m, M, index, attach_certificates=False)
-    return certify_gt_specht_norm_squared(pair.h, pair.k, pair.s, pair.t, None, tolerance)
-
-
-def _recipe_gt_bounded_specht(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    h, k = bounded_hermitian_pair(cfg, index)
-    return certify_gt_bounded_specht(
-        h, k, m, M, _draw_alpha(rng, ov), _draw_gt_power(rng, ov), tolerance
-    )
-
-
-def _recipe_kantorovich_matrix(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _pd_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    a = random_pd(cfg, index)
-    rows = int(rng.integers(1, n + 1))
-    u = random_isometry(cfg, rows, index)
-    return certify_kantorovich_matrix(a, lo, hi, u, tolerance)
-
-
-def _recipe_gt_kantorovich(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    pair = olson_exponential_pair(cfg, m, M, index, attach_certificates=False)
-    return certify_gt_kantorovich(
-        pair.h, pair.k, pair.s, pair.t, _draw_alpha(rng, ov), _draw_gt_power(rng, ov), tolerance
-    )
-
-
-def _recipe_gt_kantorovich_bounded(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    h, k = bounded_hermitian_pair(cfg, index)
-    return certify_gt_kantorovich_bounded(
-        h, k, m, M, _draw_alpha(rng, ov), _draw_gt_power(rng, ov), tolerance
-    )
-
-
-def _recipe_gt_kantorovich_squared(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    h, k = bounded_hermitian_pair(cfg, index)
-    return certify_gt_kantorovich_squared(h, k, m, M, tolerance)
-
-
-def _recipe_fm_power_low(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _chain_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    chain = ordered_chain_pair(cfg, index, olson=False)
-    return certify_fm_power_low(
-        chain.a, chain.b, chain.m, chain.M,
-        _draw_alpha(rng, ov), _draw_low_power(rng, ov), tolerance,
-    )
-
-
-def _recipe_fm_eigen_power(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _chain_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    r = _draw_high_power(rng, ov)
-    chain = ordered_chain_pair(cfg, index, olson=True, grid=(1.0, max(r, 1.0)))
-    return certify_fm_eigen_power(
-        chain.a, chain.b, chain.m, chain.M, _draw_alpha(rng, ov), r, tolerance
-    )
-
-
-def _recipe_fm_pq(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _chain_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    q, p = _draw_qp(rng, ov)
-    grid = tuple(sorted({1.0} | {e for e in (q, p) if e > 1.0}))
-    chain = ordered_chain_pair(cfg, index, olson=True, grid=grid)
-    return certify_fm_pq(
-        chain.a, chain.b, chain.m, chain.M, _draw_alpha(rng, ov), q, p, tolerance
-    )
-
-
-def _recipe_gt_fm(index, seed, n, mode, rng, ov, tolerance):
-    M = _ov(ov, "M", -rng.uniform(0.0, 0.8))
-    m = _ov(ov, "m", M - rng.uniform(0.3, 2.0))
-    p = _draw_gt_power(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    grid = tuple(sorted({1.0} | ({p} if p > 1.0 else set())))
-    pair = ordered_exponential_chain_pair(cfg, index, grid=grid)
-    return certify_gt_fm(
-        pair.h, pair.k, pair.m, pair.M, _draw_alpha(rng, ov), p, tolerance
-    )
-
-
-def _recipe_forward_ando_hiai(index, seed, n, mode, rng, ov, tolerance):
-    lo, hi = _pd_range(rng, ov)
-    cfg = SamplerConfig(n, seed, lo, hi, mode)
-    a, b = random_pd_pair(cfg, index)
-    return certify_forward_ando_hiai(
-        a, b, _draw_alpha(rng, ov), _draw_high_power(rng, ov), tolerance
-    )
-
-
-def _recipe_forward_gt_trace(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    h, k = bounded_hermitian_pair(cfg, index)
-    return certify_forward_gt_trace(h, k, tolerance)
-
-
-def _recipe_forward_mean_norm(index, seed, n, mode, rng, ov, tolerance):
-    m, M = _hermitian_range(rng, ov)
-    cfg = SamplerConfig(n, seed, m, M, mode)
-    h, k = bounded_hermitian_pair(cfg, index)
-    return certify_forward_mean_norm(
-        h, k, _draw_alpha(rng, ov), _draw_gt_power(rng, ov), None, tolerance
-    )
-
-
-RECIPES = {
-    "specht-power-low": _recipe_specht_power_low,
-    "specht-eigen-power": _recipe_specht_eigen_power,
-    "specht-pq": _recipe_specht_pq,
-    "bounded-power-low": _recipe_bounded(certify_bounded_power_low, "low"),
-    "bounded-eigen-power": _recipe_bounded(certify_bounded_eigen_power, "high"),
-    "bounded-pq": _recipe_bounded(certify_bounded_pq, "pq"),
-    "gt-specht": _recipe_gt_specht,
-    "gt-specht-norm": _recipe_gt_specht_norm,
-    "gt-specht-norm-squared": _recipe_gt_specht_norm_squared,
-    "gt-bounded-specht": _recipe_gt_bounded_specht,
-    "kantorovich-matrix": _recipe_kantorovich_matrix,
-    "gt-kantorovich": _recipe_gt_kantorovich,
-    "gt-kantorovich-bounded": _recipe_gt_kantorovich_bounded,
-    "gt-kantorovich-squared": _recipe_gt_kantorovich_squared,
-    "fm-power-low": _recipe_fm_power_low,
-    "fm-eigen-power": _recipe_fm_eigen_power,
-    "fm-pq": _recipe_fm_pq,
-    "gt-fm": _recipe_gt_fm,
-    "forward-ando-hiai": _recipe_forward_ando_hiai,
-    "forward-gt-trace": _recipe_forward_gt_trace,
-    "forward-mean-norm": _recipe_forward_mean_norm,
-}
+RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
 
 INEQUALITY_IDS = tuple(sorted(RECIPES))
 
@@ -1354,6 +1213,7 @@ def run_instances(
         raise BadRangeError(f"count must be >= 1, got {count}")
     if mode is not None and mode not in (MODE_GENERAL, MODE_COMMUTING):
         raise BadRangeError(f"mode must be 'general' or 'commuting', got {mode!r}")
+    tolerance = _check_tolerance(tolerance)
     recipe = RECIPES[inequality_id]
     overrides = dict(param_overrides or {})
     reports = []

@@ -41,11 +41,10 @@ class ConstantEval:
 def _specht_eval(t: float) -> tuple[float, str]:
     if not t > 0.0:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
+    u = math.log(t)
     if abs(t - 1.0) < SPECHT_SERIES_WINDOW:
         # S(e^u) = 1 + u^2/8 + O(u^4); the quartic term is < 1e-26 here
-        u = math.log(t)
         return 1.0 + u * u / 8.0, BRANCH_SERIES
-    u = math.log(t)
     return (t - 1.0) * math.exp(u / (t - 1.0)) / (math.e * u), BRANCH_DIRECT
 
 
@@ -163,10 +162,10 @@ def scalar_specht_amgm_check(values) -> tuple[float, float, float]:
 
 _EVALUATORS = {
     "specht": (_specht_eval, 1),
-    "specht-p-root": (None, 2),
+    "specht-p-root": (lambda t, p: (specht_p_root(t, p), _specht_eval(t**p)[1]), 2),
     "kantorovich": (_kantorovich_eval, 2),
-    "kantorovich-lower-bound": (None, 1),
-    "fm": (None, 3),
+    "kantorovich-lower-bound": (lambda w: (kantorovich_lower_bound(w), BRANCH_DIRECT), 1),
+    "fm": (lambda h, alpha, scale: (fm_factor(h, alpha, scale), BRANCH_DIRECT), 3),
 }
 
 
@@ -175,18 +174,8 @@ def evaluate_constant(name: str, arguments) -> ConstantEval:
     args = tuple(float(a) for a in arguments)
     if name not in _EVALUATORS:
         raise BadRangeError(f"unknown constant {name!r}; choose from {sorted(_EVALUATORS)}")
-    _, arity = _EVALUATORS[name]
+    evaluator, arity = _EVALUATORS[name]
     if len(args) != arity:
         raise BadRangeError(f"{name} takes {arity} argument(s), got {len(args)}")
-    if name == "specht":
-        value, branch = _specht_eval(args[0])
-    elif name == "kantorovich":
-        value, branch = _kantorovich_eval(args[0], args[1])
-    elif name == "specht-p-root":
-        value = specht_p_root(args[0], args[1])
-        _, branch = _specht_eval(args[0] ** args[1])
-    elif name == "kantorovich-lower-bound":
-        value, branch = kantorovich_lower_bound(args[0]), BRANCH_DIRECT
-    else:
-        value, branch = fm_factor(*args), BRANCH_DIRECT
+    value, branch = evaluator(*args)
     return ConstantEval(name=name, arguments=args, value=value, branch=branch)

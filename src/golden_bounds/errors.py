@@ -10,7 +10,7 @@ class NonSquareError(GoldenBoundsError):
 
 
 class NotHermitianError(GoldenBoundsError):
-    """Hermiticity defect of the input exceeds the acceptance threshold."""
+    """Input has non-finite entries, or a Hermiticity defect above the acceptance threshold."""
 
 
 class NoConvergenceError(GoldenBoundsError):

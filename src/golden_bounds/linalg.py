@@ -126,8 +126,7 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return self.map_eigenvalues(self.eigenvalues)
 
     def map_eigenvalues(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V* for externally supplied eigenvalue images."""
@@ -142,9 +141,10 @@ class SpectralDecomposition:
 class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
 
-    Construction symmetrizes the entries to (raw + raw*)/2, records the
-    Hermiticity defect, and rejects inputs whose defect exceeds
-    1e-8 times the largest entry magnitude. The stored array is immutable.
+    Construction rejects non-finite entries, symmetrizes the entries to
+    (raw + raw*)/2, records the Hermiticity defect, and rejects inputs whose
+    defect exceeds 1e-8 times the largest entry magnitude. The stored array
+    is immutable.
     """
 
     __slots__ = ("_matrix", "_decomp", "hermiticity_defect")
@@ -154,6 +154,8 @@ class HermitianMatrix:
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
             raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
         scale = float(np.max(np.abs(raw)))
+        if not math.isfinite(scale):
+            raise NotHermitianError("matrix entries must be finite (got NaN or Inf)")
         defect = float(np.max(np.abs(raw - raw.conj().T)))
         if defect > HERMITICITY_DEFECT_RTOL * scale:
             raise NotHermitianError(
@@ -255,16 +257,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
         if factor > 0.0:
             return PositiveDefiniteMatrix(plain.matrix, decomposition=plain._decomp)
         return plain
-
-
-def make_hermitian(raw) -> HermitianMatrix:
-    """Validate and symmetrize raw entries into a HermitianMatrix."""
-    return HermitianMatrix(raw)
-
-
-def spectral_decompose(matrix: HermitianMatrix) -> SpectralDecomposition:
-    """Spectral decomposition with eigenvalues sorted descending."""
-    return matrix.decomposition
 
 
 def identity_pd(n: int) -> PositiveDefiniteMatrix:

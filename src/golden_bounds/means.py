@@ -11,8 +11,6 @@ which is the limit the reverse trace/eigenvalue bounds sharpen at finite q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadRangeError, EmptySequenceError
 from .linalg import (
     HermitianMatrix,
@@ -23,20 +21,6 @@ from .linalg import (
     inv_sqrt_congruence,
     power,
 )
-
-
-@dataclass(frozen=True)
-class MeanParams:
-    """Weight and exponent pair (alpha in [0, 1], p > 0)."""
-
-    alpha: float
-    p: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise BadRangeError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.p > 0.0:
-            raise BadRangeError(f"p must be positive, got {self.p}")
 
 
 def _check_alpha(alpha: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,16 +59,10 @@ class OrderCertificate:
     witness: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "holds": self.holds,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "labels": list(self.labels),
-            "margins": list(self.margins),
-            "witness": dict(self.witness),
-        }
+        """Every field in declaration order, tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["witness"] = dict(self.witness)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -28,7 +28,6 @@ from .linalg import (
     congruence,
     exp_h,
     log_pd,
-    matrix_to_json,
 )
 from .orders import (
     DEFAULT_OLSON_GRID,
@@ -86,25 +85,6 @@ class SamplerConfig:
     @property
     def spectral_range(self) -> tuple[float, float]:
         return (self.lo, self.hi)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "seed": self.seed,
-            "spectral_range": [self.lo, self.hi],
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SamplerConfig":
-        lo, hi = payload["spectral_range"]
-        return cls(
-            dim=int(payload["dim"]),
-            seed=int(payload["seed"]),
-            lo=float(lo),
-            hi=float(hi),
-            mode=payload.get("mode", MODE_GENERAL),
-        )
 
 
 def philox_generator(seed: int, index: int, tag: int) -> np.random.Generator:
@@ -217,15 +197,6 @@ class SandwichSample:
     t: float
     certificates: tuple[OrderCertificate, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "a": matrix_to_json(self.a),
-            "b": matrix_to_json(self.b),
-            "s": self.s,
-            "t": self.t,
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
-
 
 def sandwich_pair(
     cfg: SamplerConfig,
@@ -281,15 +252,6 @@ class OlsonSandwichSample:
     t: float
     certificates: tuple[OrderCertificate, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "a": matrix_to_json(self.a),
-            "b": matrix_to_json(self.b),
-            "s": self.s,
-            "t": self.t,
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
-
 
 def olson_sandwich_pair(
     cfg: SamplerConfig,
@@ -337,15 +299,6 @@ class ExponentialOlsonSample:
     t: float
     certificates: tuple[OrderCertificate, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "h": matrix_to_json(self.h),
-            "k": matrix_to_json(self.k),
-            "s": self.s,
-            "t": self.t,
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
-
 
 def olson_exponential_pair(
     cfg: SamplerConfig,
@@ -392,15 +345,6 @@ class ChainSample:
     @property
     def h(self) -> float:
         return self.M / self.m
-
-    def to_dict(self) -> dict:
-        return {
-            "a": matrix_to_json(self.a),
-            "b": matrix_to_json(self.b),
-            "m": self.m,
-            "M": self.M,
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
 
 
 def _commuting_chain_values(
@@ -485,15 +429,6 @@ class ExponentialChainSample:
     m: float
     M: float
     certificates: tuple[OrderCertificate, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "h": matrix_to_json(self.h),
-            "k": matrix_to_json(self.k),
-            "m": self.m,
-            "M": self.M,
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
 
 
 def ordered_exponential_chain_pair(

@@ -27,13 +27,11 @@ from golden_bounds.linalg import (
     inv_sqrt_congruence,
     ky_fan_norm,
     log_pd,
-    make_hermitian,
     matrix_from_json,
     matrix_to_json,
     power,
     schatten_norm,
     singular_values_desc,
-    spectral_decompose,
     trace,
 )
 
@@ -66,6 +64,16 @@ def test_construction_rejects_large_defect():
         HermitianMatrix([[1.0, 1.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_construction_rejects_non_finite_entries(bad):
+    # A NaN defect compares false against the Hermiticity threshold, so only
+    # an explicit finiteness check keeps such input out of the eigensolver.
+    with pytest.raises(NotHermitianError, match="finite"):
+        HermitianMatrix([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(NotHermitianError, match="finite"):
+        PositiveDefiniteMatrix([[bad, 0.0], [0.0, 1.0]])
+
+
 @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [[[1.0]]], np.zeros((0, 0))])
 def test_construction_rejects_non_square(bad):
     with pytest.raises(NonSquareError):
@@ -73,7 +81,7 @@ def test_construction_rejects_non_square(bad):
 
 
 def test_stored_matrix_is_immutable():
-    m = make_hermitian(np.eye(2))
+    m = HermitianMatrix(np.eye(2))
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 5.0
 
@@ -103,8 +111,8 @@ def test_scalar_multiplication_and_class_propagation():
 
 
 def test_addition_subtraction_dimension_checks():
-    a = make_hermitian(np.eye(2))
-    b = make_hermitian(np.eye(3))
+    a = HermitianMatrix(np.eye(2))
+    b = HermitianMatrix(np.eye(3))
     with pytest.raises(DimMismatchError):
         _ = a + b
     c = a + a
@@ -131,7 +139,7 @@ def test_reconstruction_and_orthonormality():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 5, 8):
         m = random_hermitian(rng, n)
-        dec = spectral_decompose(m)
+        dec = m.decomposition
         assert np.linalg.norm(dec.reconstruct() - m.matrix) <= 1e-12 * max(
             m.frobenius_norm(), 1.0
         )
@@ -140,13 +148,13 @@ def test_reconstruction_and_orthonormality():
 
 
 def test_decomposition_arrays_read_only():
-    m = make_hermitian(np.diag([2.0, 1.0]))
+    m = HermitianMatrix(np.diag([2.0, 1.0]))
     with pytest.raises(ValueError):
         m.decomposition.eigenvalues[0] = 7.0
 
 
 def test_diagonal_matrix_spectrum_exact():
-    m = make_hermitian(np.diag([3.0, -1.0, 2.0]))
+    m = HermitianMatrix(np.diag([3.0, -1.0, 2.0]))
     assert list(m.eigenvalues) == [3.0, 2.0, -1.0]
 
 
@@ -164,13 +172,13 @@ def test_repeated_eigenvalues_handled():
 
 
 def test_apply_function_squares_spectrum():
-    m = make_hermitian(np.diag([3.0, -2.0]))
+    m = HermitianMatrix(np.diag([3.0, -2.0]))
     sq = apply_function(m, lambda x: x * x)
     assert sq.eigenvalues == pytest.approx([9.0, 4.0])
 
 
 def test_apply_function_domain_error():
-    m = make_hermitian(np.diag([1.0, -1.0]))
+    m = HermitianMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
         apply_function(m, math.log)
     with pytest.raises(DomainError):
@@ -191,7 +199,7 @@ def test_power_identities():
 
 
 def test_power_requires_positive_definite():
-    m = make_hermitian(np.diag([1.0, -1.0]))
+    m = HermitianMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
         power(m, 0.5)
 
@@ -214,7 +222,7 @@ def test_exp_h_matches_taylor_oracle():
 
 def test_exp_h_overflow_guard():
     with pytest.raises(DomainError):
-        exp_h(make_hermitian(np.diag([800.0, 0.0])))
+        exp_h(HermitianMatrix(np.diag([800.0, 0.0])))
 
 
 def test_log_pd_inverts_exp():
@@ -223,7 +231,7 @@ def test_log_pd_inverts_exp():
     back = log_pd(exp_h(m))
     assert frobenius_distance(back, m) <= 1e-12 * max(m.frobenius_norm(), 1.0)
     with pytest.raises(DomainError):
-        log_pd(make_hermitian(np.diag([1.0, -1.0])))
+        log_pd(HermitianMatrix(np.diag([1.0, -1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,7 @@ def test_log_pd_inverts_exp():
 
 
 def test_singular_values_and_ky_fan():
-    m = make_hermitian(np.diag([3.0, -4.0, 1.0]))
+    m = HermitianMatrix(np.diag([3.0, -4.0, 1.0]))
     assert list(singular_values_desc(m)) == [4.0, 3.0, 1.0]
     assert ky_fan_norm(m, 1) == 4.0
     assert ky_fan_norm(m, 2) == 7.0
@@ -240,14 +248,14 @@ def test_singular_values_and_ky_fan():
 
 
 def test_ky_fan_index_validation():
-    m = make_hermitian(np.eye(2))
+    m = HermitianMatrix(np.eye(2))
     for bad in (0, 3, 1.5, True):
         with pytest.raises(BadIndexError):
             ky_fan_norm(m, bad)
 
 
 def test_schatten_norms():
-    m = make_hermitian(np.diag([3.0, -4.0]))
+    m = HermitianMatrix(np.diag([3.0, -4.0]))
     assert schatten_norm(m, 1) == 7.0
     assert schatten_norm(m, 2) == pytest.approx(5.0)
     assert schatten_norm(m, math.inf) == 4.0
@@ -256,12 +264,12 @@ def test_schatten_norms():
 
 
 def test_trace_and_distance():
-    a = make_hermitian(np.diag([1.0, 2.0]))
-    b = make_hermitian(np.diag([1.0, 5.0]))
+    a = HermitianMatrix(np.diag([1.0, 2.0]))
+    b = HermitianMatrix(np.diag([1.0, 5.0]))
     assert trace(a) == 3.0 + 0.0j
     assert frobenius_distance(a, b) == pytest.approx(3.0)
     with pytest.raises(DimMismatchError):
-        frobenius_distance(a, make_hermitian(np.eye(3)))
+        frobenius_distance(a, HermitianMatrix(np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +298,7 @@ def test_inv_sqrt_congruence_identity_anchor():
 
 def test_inv_sqrt_congruence_guards():
     with pytest.raises(DomainError):
-        inv_sqrt_congruence(make_hermitian(np.diag([1.0, -1.0])), identity_pd(2).base)
+        inv_sqrt_congruence(HermitianMatrix(np.diag([1.0, -1.0])), identity_pd(2).base)
     with pytest.raises(CondError):
         inv_sqrt_congruence(
             PositiveDefiniteMatrix(np.diag([1e14, 1.0])), identity_pd(2).base
@@ -323,8 +331,8 @@ def test_common_eigenbasis_on_commuting_pair():
 
 
 def test_common_eigenbasis_rejects_noncommuting_pair():
-    a = make_hermitian(np.diag([2.0, 1.0]))
-    b = make_hermitian([[1.0, 0.6], [0.6, 1.5]])
+    a = HermitianMatrix(np.diag([2.0, 1.0]))
+    b = HermitianMatrix([[1.0, 0.6], [0.6, 1.5]])
     assert commutator_norm(a, b) > 0.1
     assert common_eigenbasis(a, b) is None
 
@@ -354,7 +362,7 @@ def test_json_shape_validation():
 
 
 def test_eigenvalues_desc_returns_fresh_copy():
-    m = make_hermitian(np.diag([2.0, 1.0]))
+    m = HermitianMatrix(np.diag([2.0, 1.0]))
     values = eigenvalues_desc(m)
     values[0] = 99.0
     assert m.eigenvalues[0] == 2.0

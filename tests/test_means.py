@@ -15,7 +15,6 @@ from golden_bounds.linalg import (
     power,
 )
 from golden_bounds.means import (
-    MeanParams,
     geometric_mean,
     limit_probe,
     log_euclidean,
@@ -31,15 +30,6 @@ def random_pd(rng, n, shift=0.5) -> PositiveDefiniteMatrix:
 def random_hermitian(rng, n) -> HermitianMatrix:
     raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return HermitianMatrix((raw + raw.conj().T) / 2.0)
-
-
-def test_mean_params_validation():
-    params = MeanParams(alpha=0.5, p=2.0)
-    assert (params.alpha, params.p) == (0.5, 2.0)
-    with pytest.raises(BadRangeError):
-        MeanParams(alpha=1.5, p=1.0)
-    with pytest.raises(BadRangeError):
-        MeanParams(alpha=0.5, p=0.0)
 
 
 def test_endpoints_return_operands():
