@@ -511,7 +511,7 @@ def _pd_range(rng, ov, n) -> dict:
 
 
 def _unpinned_pd_range(rng, ov, n) -> dict:
-    """The spectral range of specht-power-low, which ignores pins of m and M."""
+    """The spectral range of specht-power-low, which takes no pins of m and M."""
     return _pd_range(rng, {}, n)
 
 
@@ -533,6 +533,27 @@ def _exp_chain_range(rng, ov, n) -> dict:
 def _sandwich_scalars(rng, ov, n) -> dict:
     s = _ov(ov, "s", rng.uniform(0.4, 1.0))
     return {"s": s, "t": _ov(ov, "t", s * (1.0 + rng.uniform(0.0, 3.0)))}
+
+
+#: The pins each draw reads; run_instances refuses a pin no draw of an id reads.
+_DRAW_PINS = {
+    _draw_alpha: ("alpha",),
+    _draw_low_power: ("r",),
+    _draw_high_power: ("r",),
+    _draw_qp: ("q", "p"),
+    _draw_gt_power: ("p",),
+    _pd_range: ("m", "M"),
+    _hermitian_range: ("m", "M"),
+    _chain_range: ("m", "M"),
+    _exp_chain_range: ("m", "M"),
+    _sandwich_scalars: ("s", "t"),
+}
+
+
+def _pinnable(inequality_id: str) -> tuple[str, ...]:
+    """Names ``run_instances`` accepts in ``param_overrides`` for this id."""
+    draws = _INEQUALITIES[inequality_id].draws
+    return tuple(name for draw in draws for name in _DRAW_PINS.get(draw, ()))
 
 
 def _sandwich_sample(cfg, index, d):
@@ -1203,7 +1224,9 @@ def run_instances(
     Instance i draws its free parameters from the Philox stream (seed, i,
     params tag); the dimension cycles through 2..6 unless pinned by ``n``,
     and the sampler alternates general/commuting pairs unless ``mode`` pins
-    one.  Reports come back in instance order, bit-reproducible per seed.
+    one.  ``param_overrides`` pins drawn parameters; pinning a name the id
+    does not draw raises BadRangeError.  Reports come back in instance
+    order, bit-reproducible per seed.
     """
     if inequality_id not in RECIPES:
         raise BadRangeError(
@@ -1216,6 +1239,13 @@ def run_instances(
     tolerance = _check_tolerance(tolerance)
     recipe = RECIPES[inequality_id]
     overrides = dict(param_overrides or {})
+    pinnable = _pinnable(inequality_id)
+    ignored = sorted(set(overrides) - set(pinnable))
+    if ignored:
+        raise BadRangeError(
+            f"{inequality_id} does not draw {', '.join(ignored)}, so it cannot be pinned; "
+            f"pinnable: {', '.join(pinnable) or 'none'}"
+        )
     reports = []
     started = time.perf_counter()
     for index in range(count):

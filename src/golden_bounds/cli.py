@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("alpha", "p", "q", "r", "m", "M", "s", "t"):
         p_cert.add_argument(
             f"--{flag}", type=float, default=None,
-            help=f"pin the sampled parameter {flag}",
+            help=f"pin the drawn parameter {flag} (exit 2 if the id does not draw it)",
         )
     _add_common_flags(p_cert)
 

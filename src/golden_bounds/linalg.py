@@ -1,9 +1,12 @@
 """Hermitian matrix core: types, Jacobi spectral decomposition, matrix functions.
 
 Everything routes through one eigensolver, a cyclic Jacobi iteration with
-complex rotations, so results are reproducible bit for bit on a given build
-and need no external solver. Matrices produced by spectral construction carry
-their decomposition with them; only genuinely new matrices cost a Jacobi run.
+complex rotations run on Python complex scalars, so spectra need no external
+solver and run to run the results repeat bit for bit. Across machines the last
+bits can still move: the matrix products around the solver run on numpy,
+whose BLAS build and runtime CPU dispatch (fused multiply-adds on X86_V3/V4)
+set their rounding. Matrices produced by spectral construction carry their
+decomposition with them; only genuinely new matrices cost a Jacobi run.
 """
 
 from __future__ import annotations
@@ -43,59 +46,86 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues descending, unitary eigenvector columns). Sweeps stop
     once the off-diagonal Frobenius mass falls below 1e-14 times the Frobenius
     norm of the input; the 100-sweep cap raises NoConvergenceError.
+
+    The rotations run on nested lists of Python complex scalars: at the small
+    dimensions used here, per-element numpy indexing costs more than the
+    arithmetic. ``a`` holds the matrix rows; the rows of ``vt`` are the
+    eigenvector columns.
     """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
+    arr = np.asarray(matrix, dtype=np.complex128)
+    n = arr.shape[0]
     if n == 1:
-        return np.array([a[0, 0].real]), v
-    threshold = JACOBI_OFFDIAG_RTOL * float(np.linalg.norm(a))
+        return np.array([arr[0, 0].real]), np.eye(1, dtype=np.complex128)
+    a = arr.tolist()
+    vt = np.eye(n, dtype=np.complex128).tolist()
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(
+        sum(x.real * x.real + x.imag * x.imag for row in a for x in row)
+    )
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        if _offdiag_norm(a) <= threshold:
+        off = 0.0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if i != j:
+                    off += x.real * x.real + x.imag * x.imag
+        off = math.sqrt(off)
+        if off <= threshold:
             break
         if sweep == JACOBI_MAX_SWEEPS:
             raise NoConvergenceError(
                 f"Jacobi sweep cap {JACOBI_MAX_SWEEPS} hit at off-diagonal "
-                f"mass {_offdiag_norm(a):.3e} (threshold {threshold:.3e})"
+                f"mass {off:.3e} (threshold {threshold:.3e})"
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if math.isinf(tau):
-                    continue
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary U = diag(1, conj(phase)) . [[c, s], [-s, c]]
-                w = s * phase.conjugate()
-                z = c * phase.conjugate()
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - w * col_q
-                a[:, q] = s * col_p + z * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - w.conjugate() * row_q
-                a[q, :] = s * row_p + z.conjugate() * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - w * col_q
-                v[:, q] = s * col_p + z * col_q
-    vals = a.diagonal().real.copy()
+        for p, q in pairs:
+            row_p = a[p]
+            row_q = a[q]
+            apq = row_p[q]
+            mag = abs(apq)
+            if mag == 0.0:
+                continue
+            # apq / mag as numpy rounds it (times the reciprocal); Python's
+            # complex division rounds differently
+            inv = 1.0 / mag
+            phase = complex(apq.real * inv, apq.imag * inv)
+            tau = (row_q[q].real - row_p[p].real) / (2.0 * mag)
+            if math.isinf(tau):
+                continue
+            if abs(tau) > 1e150:
+                t = 1.0 / (2.0 * tau)
+            elif tau >= 0.0:
+                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # unitary U = diag(1, conj(phase)) . [[c, s], [-s, c]]
+            w = s * phase.conjugate()
+            z = c * phase.conjugate()
+            for row in a:
+                x = row[p]
+                y = row[q]
+                row[p] = c * x - w * y
+                row[q] = s * x + z * y
+            wc = w.conjugate()
+            zc = z.conjugate()
+            for j in range(n):
+                x = row_p[j]
+                y = row_q[j]
+                row_p[j] = c * x - wc * y
+                row_q[j] = s * x + zc * y
+            row_p[q] = 0j
+            row_q[p] = 0j
+            col_p = vt[p]
+            col_q = vt[q]
+            for j in range(n):
+                x = col_p[j]
+                y = col_q[j]
+                col_p[j] = c * x - w * y
+                col_q[j] = s * x + z * y
+    vals = np.array([a[i][i].real for i in range(n)])
     order = np.argsort(-vals, kind="stable")
-    return vals[order], np.ascontiguousarray(v[:, order])
+    vecs = np.array([vt[i] for i in order], dtype=np.complex128).T.copy()
+    return vals[order], vecs
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

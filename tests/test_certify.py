@@ -494,6 +494,20 @@ def test_run_instances_param_overrides():
     assert result.all_hold
 
 
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_pinnable_names_are_the_pins_its_draws_read(inequality_id):
+    # A draw reads a pin when the pinned value comes back unchanged.
+    from golden_bounds.certify import _INEQUALITIES, _pinnable
+
+    read = set()
+    for draw in _INEQUALITIES[inequality_id].draws:
+        for name in ("alpha", "p", "q", "r", "m", "M", "s", "t"):
+            out = draw(np.random.default_rng(0), {name: 0.4242}, 3)
+            if out.get(name) == 0.4242:
+                read.add(name)
+    assert set(_pinnable(inequality_id)) == read
+
+
 def test_run_instances_validation():
     with pytest.raises(BadRangeError):
         run_instances("nope", count=1)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -142,92 +143,94 @@ def test_certify_rejects_bad_tolerance(capsys, tol):
 
 #: sha256 of ``certify <id> --n 0 --count 20 --seed 7 --format {csv,json}``
 #: report files: the byte contract a refactor of the certifiers keeps.
-#: Frozen with numpy 2.4.6 on x86-64 OpenBLAS; numpy ``@`` runs on the host
-#: BLAS, so another BLAS build may move the last bits of a margin.
+#: Frozen with numpy 2.4.6 on x86-64 OpenBLAS with numpy's default CPU
+#: dispatch; numpy ``@`` runs on the host BLAS, and numpy's complex multiply
+#: uses fused multiply-adds on X86_V3/V4 CPUs, so another BLAS build or CPU
+#: may move the last bits of a margin.
 REPORT_SHA256 = {
     "bounded-eigen-power": (
-        "1754a10d4e5e279c0f8a59cf308df1df427f410a9e14c723e6a477cbc9d92660",
-        "55c9c988a8620d827d0a112c1453e0cb7c6c0e06e66aec11de0f04a824ba85ed",
+        "2c390de53eb9313903687fd47765747c31a2b48fb175697d79e30d878cbec486",
+        "3eb59d050754b3a5818402d581fe702a7be63241392e3fb20ac334bc79677919",
     ),
     "bounded-power-low": (
-        "73dfa6ec2b1a92399cea654defe2180dd0afe009249f814ae9718b449d7ab995",
-        "cdd95c66e03644736af3c48537b63d10fe94fb49fe06855257728d19e91d73de",
+        "43b62df747dd2f88f1db0f208f3369ecb9de855ca71a1c05f9cfb8e921e2fe62",
+        "15a896b5a893bb77f287a7527f5211ef6f2983391bb08cf8a071530b60ad79ff",
     ),
     "bounded-pq": (
-        "7eab5df7826b9f4ce869c355f4ca817e698dcb37c6dfd965b851d22fc2cc7b30",
-        "9c1ffe88c751f2c4bce44588ce752033ea3fb708ec0fdfe1942179acc92a8402",
+        "eda8f787b305e34bd57782a5981456cc097bff217dd9d5fa4917645f8afc3aeb",
+        "ff1a85d403cffa91beccb14a01152739c2de259d4623c98214f6499f6640320c",
     ),
     "fm-eigen-power": (
-        "ff0638dd4294edfbf1f76deb63938882b36f04159bdaf827f20f3c89adb30338",
-        "125d913149a310c875c74c9688d91c5ef4cf6034e0186a7d08a3433d936c44d0",
+        "a3126a2beb656505cef553a2ea2c398f2273ecc35568747a8cb762107a1a9c64",
+        "775961f0587e5428efceffbe273e6eb73bd0c06293eeed5c997c20ee5e4a6eee",
     ),
     "fm-power-low": (
-        "5a051cd6e5180d67e9830a4e8b65f225e3c2bc341bf4d3bd80cb381b785dc144",
-        "516fb1e8468febd181af974171e94174e643c6e61b4550ac9b43efe2c8de5f0d",
+        "2650088308fc72869f3b50e6ccae07985cc235131319e16e00881a7884fdb115",
+        "b0384ae12311e6c377ec098f125f9ec25f54a781e94c441b540135cef366e9d6",
     ),
     "fm-pq": (
-        "bc16ba0aef1fcbf0b718ed6d6c829ee3899c6f36a53da26f5e908a925b976c6e",
-        "046b9000351383cf31569c04039934157cd646ec215fc00486e75c43db0154e4",
+        "ce0ecab53e4376ea16aba7e7826eb7c20fbc05b0212167702c9e03bbe429953b",
+        "39338170dbac4b290276f55bc5ce528071296bb5e8fa6ca3905552cd07895765",
     ),
     "forward-ando-hiai": (
-        "3b5c882fdbb390f80ec680596911ef5ecbeb5c8a9bf993ff7328be20f0a59091",
-        "9b022d4acd555e44a90c664e765214888107a350be6dfd3f7059e2d26c05f5f9",
+        "5b7e8b289fcff97949274cb059e0bb0c7c4abd421fc7d09c460469232828d0b7",
+        "6f4d1442efe0eb79dfb2eec5847d2948ab7f741ad6a34f8afa479bc4ff587d6a",
     ),
     "forward-gt-trace": (
-        "c2aac933b08b39996748e4c976bd7b9320d454b91fcc201433aae8f953b6e489",
-        "22eb648076aafc9b867a2bb8655fda8923350e5ea2a1f9683d6fb77a181d6432",
+        "bcccf064845f31519f0613863fb5f52683a4c0405a6c45969beb0cfcf0619056",
+        "45c788d4292757c93d078117a54c73279c4483c3d8906a430f3052472588f9c1",
     ),
     "forward-mean-norm": (
-        "53123084988f997abb3612160b52cb23268356363929ec896c24ae1f427a6104",
-        "789e55239d059f8690a13124d832bd8d6f91b9c5a8d22ccea5da221192eeb63b",
+        "88d0d34a60eb93b2b4be14a6efaf5a382806be286687afc3766c9d2163d2bc34",
+        "bb8b8e4392524c9b9c1677580a7e8584e32c4598a832b2a6b8c0066fd8f687c4",
     ),
     "gt-bounded-specht": (
-        "c9442cdbdedc001008764f233d2d26a20e9d41ee71d624bbf8dad75c9260ddd8",
-        "3afcd98f5a03598a67238980bd5230c2b58fd54bbd94c9668b022f8bbc6b18e8",
+        "181d6837597ca7652b657f698047f02803e8ce4e308cb78cb191989315e147ef",
+        "e6c53fc5c9d5022c88bb93591201501c247ffc6073a80c978de524804fae8b5c",
     ),
     "gt-fm": (
-        "a7a093b812d77a603d7b3dcaf2bbb39372816a0330e0ad3064b1da4964de1b2b",
-        "d635e99940f7b806599b87fc12fafe9a05fe5c4e4d79efbaf0e10b9dfff24d8a",
+        "69ea8255b8aa4210955eb086862a4c72bf5ac0aeb2b995374edc981fbedecdf5",
+        "9e13a1c3daf97bbbe4ad47d331b94006214fbf39ec5554b0c05d2a37147a279e",
     ),
     "gt-kantorovich": (
-        "697c75c720817436a739038ed2fb4aed019c9df2c0a48bb11c10e67b42af0cdf",
-        "920331a16be73eb88b12a3750adcb7db5897c372f780e78dabc174bc4788fcfa",
+        "7fc89b5652d5819d20617d76b0e0e508767c1db04020716f893e538d9ca18212",
+        "6d969a9991273c507ebb54913d323927da3f0246d0dc4c60389b3156d5e8c7ef",
     ),
     "gt-kantorovich-bounded": (
-        "ff5dae259eb1cdf86bff34bc962be03820738731fa1683820aab0fd89d697e0f",
-        "12696415a34911fa4f63a0e91129f745644ce950fc4599edb7315ee49fcbe109",
+        "c2f792fb2fc71b90a3bc74076a9b974dc66ab9608024ca7bd3125bd128fc0c66",
+        "ba28932822b7e519f008c4d9c88152fac4d58819ba85b8700b2a5efd07b8c7db",
     ),
     "gt-kantorovich-squared": (
-        "74a32cfff18b9d8db7309dd79ade7f192123a62cdb2c00efa57362ec289e3b91",
-        "a51afb1aa4bd650133a2703dba35f2426459e96733825a8c45cf18a5e0af7202",
+        "a9d7ebf8896da17fff1cddcee189a2dea2c740f0665e1632dc521de29dcc893d",
+        "b1eb3514e5d20c46b24ec511532e4980fa27adc64afa2eba409a45acca52db9d",
     ),
     "gt-specht": (
-        "eebbd2a41f612b34b36728727a8ed8daf9bc93d8fb2a9037b4886998ebd6ae3e",
-        "ad4f8d3d778166dcc74e223ff487fe1b693cce1a816623d340cb6155bd67fa00",
+        "46fa1770c580e546e64f5f79fdccfa15e4ae1010e0357963bd0385f851180d0d",
+        "1c8598ffb7f90e3187375e97ab278ea51ef337007f30607dffad1f45ca88c221",
     ),
     "gt-specht-norm": (
-        "c9c12df91fe6d66e8db6ccbc97bcad6e564dc62475dd4f3a20f7152d2ef2416f",
-        "6c5fb2cf3bb2caa152cbdf6f279b31e0fd80a2421de4a95d07072d9be3066d38",
+        "fb0fa2bbd5625b0e7e29b742491f2be243b06dbbd2756ff63154cac70edf23cc",
+        "0f54977b6469ecf4f4b8246967021a6b5587b2782735004484133bd6fb50edd6",
     ),
     "gt-specht-norm-squared": (
-        "f4562833bfa6a9d9674b1986c80ae141a7ada0189a2142f9d750ee32db733c38",
-        "f1bb54801c2abda1b99483c6ba806e4576e3b5aceda7e7016b62446c66ad76b2",
+        "97e915c94d5cd1b5f17a7dd24a93135cf295962be5104b8a478c581776b14754",
+        "44d1a2041548ef36a89e9f939a27394ab614c7b068405bbf2ed97e8a672a6233",
     ),
     "kantorovich-matrix": (
-        "894cc055d4f958e27a66786d313c75026eeac55513aa7ea35a4f97b3e01a91d4",
-        "21466795b8c570401325b01c5110ed9ee92724e3c4fa22d96a2ffe344ea94b97",
+        "51d244f876e0b73e58435b2b99a7cbc7339f9cbc5b39cfb653b3c1bb043ef2d9",
+        "c7cf47294f8e3498b5f8cda23ff50cac295ae6cd0594c49f090fa5159535ce46",
     ),
     "specht-eigen-power": (
-        "77390dac115a11285c81c31fec1d2ca5679f96366532c92a84b9eb55b00e798b",
-        "b0e83a4980706b89797385fbe3b193ef0d8ba7d330cd3e609b69a504d013e307",
+        "92ae67d3ff8568c8442d7dd60fea3f9d5f45eb4e41b521dfa93c326d6fe694f5",
+        "2c332f2d1177a925b3d08b33ecd508374cfaf003dff5a3c7b70cf7ae3a0986c6",
     ),
     "specht-power-low": (
-        "1d64d45801f72b6eb606b67ae9418864e9f1c9d3c1f5811511c1255cdbae3d41",
-        "9c0547ba93f9543801420dea2dfffbebf032da460119dfd81ef652412c07163e",
+        "fe588a90fc2005223541b3097dcf03f580821126dc2421381a4a0a0406d028c4",
+        "e4debfb963e7bd00904dd03f336f20fb15bb0a73e691b95ca48f905e11640000",
     ),
     "specht-pq": (
-        "c47bab5d30a3b784caca39877e637f23f86b94f9b2af23ae32e23f8605211e29",
-        "511547cb8d096f7412827737657c6113476c23f638ce41400c8858cfeea38043",
+        "23d73a9b37a4dba69517cd580415b6ce677f072c8f4752ba9ad8de50653f8a8b",
+        "8191b648aede40b567719b461a73e57002e98ef4bab2f0ad9654c0ca2520f001",
     ),
 }
 
@@ -248,6 +251,40 @@ def test_certify_report_bytes_are_frozen(capsys, tmp_path, inequality_id, fmt):
     assert code == 0
     expected = REPORT_SHA256[inequality_id][0 if fmt == "csv" else 1]
     assert hashlib.sha256(target.read_bytes()).hexdigest() == expected
+
+
+#: Relative margins of the same reports, frozen from the numpy-array Jacobi
+#: kernel that preceded the Python-scalar one.  Digests pin the bits of one
+#: build; this pins the values: a kernel change may move a margin by at most
+#: MARGIN_DRIFT_BOUND.
+FROZEN_MARGINS = json.loads(
+    pathlib.Path(__file__).with_name("frozen_margins.json").read_text()
+)["relative_margins"]
+MARGIN_DRIFT_BOUND = 1e-13
+
+
+def test_frozen_margin_table_covers_every_id():
+    assert sorted(FROZEN_MARGINS) == sorted(INEQUALITY_IDS)
+
+
+@pytest.mark.parametrize("inequality_id", sorted(FROZEN_MARGINS))
+def test_certify_margins_stay_near_frozen(capsys, tmp_path, inequality_id):
+    target = tmp_path / "report.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "certify", inequality_id, "--n", "0", "--count", "20", "--seed", "7",
+        "--format", "csv", "--out", str(target),
+    )
+    assert code == 0
+    with target.open(newline="") as fh:
+        rows = [
+            (int(row["instance"]), row["entry"], float(row["relative_margin"]))
+            for row in csv.DictReader(fh)
+        ]
+    frozen = FROZEN_MARGINS[inequality_id]
+    assert [row[:2] for row in rows] == [tuple(row[:2]) for row in frozen]
+    drift = max(abs(now[2] - then[2]) for now, then in zip(rows, frozen))
+    assert drift <= MARGIN_DRIFT_BOUND
 
 
 def test_certify_unknown_id_is_usage_error(capsys):
@@ -277,6 +314,22 @@ def test_certify_parameter_pins(capsys):
     params = json.loads(out)["reports"][0]["parameters"]
     assert params["alpha"] == 0.25
     assert params["p"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "inequality_id, pins",
+    [
+        ("gt-specht", ("--s", "0.1", "--t", "0.2")),
+        ("gt-kantorovich", ("--s", "-0.5",)),
+        ("specht-power-low", ("--m", "0.5", "--M", "0.6")),
+        ("gt-kantorovich-squared", ("--p", "1.0")),
+        ("bounded-power-low", ("--q", "0.5")),
+    ],
+)
+def test_certify_rejects_pins_the_id_does_not_draw(capsys, inequality_id, pins):
+    code, out, err = run_cli(capsys, "certify", inequality_id, "--count", "2", "--seed", "4", *pins)
+    assert code == 2
+    assert "does not draw" in err and "pinnable:" in err and out == ""
 
 
 def test_certify_n_cycle_sentinel(capsys, tmp_path):

@@ -10,9 +10,11 @@ from golden_bounds.errors import (
     CondError,
     DimMismatchError,
     DomainError,
+    NoConvergenceError,
     NonSquareError,
     NotHermitianError,
 )
+from golden_bounds import linalg
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -164,6 +166,76 @@ def test_repeated_eigenvalues_handled():
     q, _ = np.linalg.qr(raw)
     m = HermitianMatrix((q * np.array([2.0, 2.0, 2.0, 1.0])) @ q.conj().T)
     assert m.eigenvalues == pytest.approx([2.0, 2.0, 2.0, 1.0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The Jacobi kernel itself, against LAPACK (np.linalg.eigh is for tests only)
+# ---------------------------------------------------------------------------
+
+
+def assert_accurate_decomposition(a, vals, vecs):
+    n = a.shape[0]
+    scale = np.linalg.norm(a)
+    assert vals.dtype == np.float64 and vals.shape == (n,)
+    assert vecs.dtype == np.complex128 and vecs.flags.c_contiguous
+    assert list(vals) == sorted(vals, reverse=True)
+    reference = np.linalg.eigh(a)[0][::-1]
+    assert np.max(np.abs(vals - reference)) <= 1e-13 * scale
+    assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-13 * scale
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16])
+def test_jacobi_matches_eigh(n):
+    rng = np.random.default_rng(100 + n)
+    for trial in range(12 if n <= 8 else 3):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if trial % 3 == 2:
+            raw = raw.real.astype(np.complex128)
+        a = (raw + raw.conj().T) / 2.0
+        assert_accurate_decomposition(a, *linalg._jacobi(a))
+
+
+@pytest.mark.parametrize("coupling", [1e-200, 1e-320])
+def test_jacobi_huge_tau_branches(coupling):
+    # Index 0 couples to the rest only through a[0, 1] = coupling, so the
+    # first rotation, on pair (0, 1), sees tau = 1 / (2 * coupling).
+    a = np.array(
+        [[0.0, coupling, 0.0], [coupling, 1.0, 0.5], [0.0, 0.5, 2.0]], dtype=np.complex128
+    )
+    vals, vecs = linalg._jacobi(a)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
+    assert_accurate_decomposition(a, vals, vecs)
+    if coupling == 1e-200:
+        # tau = 5e199 > 1e150 takes t = 1 / (2 tau); the root formula would
+        # square tau to inf, give t = 0 and leave the null vector exactly e_0.
+        assert coupling / 2.0 <= abs(vecs[1, 2]) <= 2.0 * coupling
+    else:
+        # tau overflows to inf and the pair is skipped.
+        assert np.array_equal(vecs[:, 2], [1.0, 0.0, 0.0])
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(9)
+    a = random_hermitian(rng, 4).matrix
+    with pytest.raises(NoConvergenceError, match="sweep cap 1 hit"):
+        linalg._jacobi(a)
+    # One rotation zeroes a 2x2 exactly, so one sweep is enough there.
+    b = random_hermitian(rng, 2).matrix
+    assert_accurate_decomposition(b, *linalg._jacobi(b))
+
+
+@pytest.mark.parametrize(
+    "diagonal", [[4.5], [3.0, -1.0, 2.0], [1.0, 1.0, 0.0, 1.0], [0.0, 0.0]]
+)
+def test_jacobi_makes_no_rotation_on_diagonal_input(diagonal):
+    # Any rotation would leave inexact eigenvector entries; none may remain.
+    vals, vecs = linalg._jacobi(np.diag(np.array(diagonal, dtype=np.complex128)))
+    order = np.argsort(-np.array(diagonal), kind="stable")
+    assert vals.tolist() == [diagonal[i] for i in order]
+    assert np.array_equal(vecs, np.eye(len(diagonal))[:, order])
+    assert vecs.dtype == np.complex128 and vecs.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
