@@ -1,12 +1,14 @@
 """Hermitian matrix core: types, Jacobi spectral decomposition, matrix functions.
 
-Everything routes through one eigensolver, a cyclic Jacobi iteration with
-complex rotations run on Python complex scalars, so spectra need no external
-solver and run to run the results repeat bit for bit. Across machines the last
-bits can still move: the matrix products around the solver run on numpy,
-whose BLAS build and runtime CPU dispatch (fused multiply-adds on X86_V3/V4)
-set their rounding. Matrices produced by spectral construction carry their
-decomposition with them; only genuinely new matrices cost a Jacobi run.
+Every spectrum comes from one eigensolver, a cyclic Jacobi iteration with
+complex rotations run on Python complex scalars; a positivity test that needs
+no spectrum runs a Cholesky factorization on the same scalars instead. Neither
+needs an external solver, and run to run the results repeat bit for bit.
+Across machines the last bits can still move: the matrix products around the
+solver run on numpy, whose BLAS build and runtime CPU dispatch (fused
+multiply-adds on X86_V3/V4) set their rounding. Matrices produced by spectral
+construction carry their decomposition with them; only genuinely new matrices
+cost a Jacobi run.
 """
 
 from __future__ import annotations
@@ -126,6 +128,34 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-vals, kind="stable")
     vecs = np.array([vt[i] for i in order], dtype=np.complex128).T.copy()
     return vals[order], vecs
+
+
+def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
+    """Whether ``matrix + shift*I`` has a Cholesky factor, i.e. is positive definite.
+
+    Builds the factor L row by row on Python complex scalars, reading only the
+    lower triangle of the Hermitian array; every pivot must be positive and
+    finite. Cholesky is backward stable, so for a shift well above
+    n * eps * ||matrix|| the verdict is that of ``lambda_min >= -shift``.
+    """
+    rows = np.asarray(matrix, dtype=np.complex128).tolist()
+    conj_rows = []  # conjugated rows of L, without their diagonal
+    inv_diag = []  # 1 / L[j][j]
+    for i, row in enumerate(rows):
+        l_row = []
+        for j in range(i):
+            x = row[j]
+            for y, z in zip(l_row, conj_rows[j]):
+                x -= y * z
+            l_row.append(x * inv_diag[j])
+        pivot = row[i].real + shift
+        for y in l_row:
+            pivot -= y.real * y.real + y.imag * y.imag
+        if not 0.0 < pivot < math.inf:
+            return False
+        inv_diag.append(1.0 / math.sqrt(pivot))
+        conj_rows.append([y.conjugate() for y in l_row])
+    return True
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from golden_bounds import certify, linalg
 from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
@@ -217,49 +219,107 @@ def test_alpha_endpoints_hold_everywhere():
 # ---------------------------------------------------------------------------
 
 
+def raises_exactly(message):
+    """Expect a HypothesisViolatedError whose whole text is ``message``; the
+    texts are those raised when every Loewner check ran an eigensolve of the
+    difference, whose smallest eigenvalue they quote."""
+    return pytest.raises(HypothesisViolatedError, match=f"^{re.escape(message)}$")
+
+
 def test_sandwich_hypothesis_violation_detected():
     cfg = SamplerConfig(3, 17, 0.5, 1.5)
     # B = 1.2 A exactly, so claiming 1.3 A <= B is certainly false.
     sample = sandwich_pair(cfg, 1.2, 1.2, 0, attach_certificates=False)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("hypothesis 1.3*A <= B fails: min eigenvalue of difference = -1.269e-01"):
         certify_specht_power_low(sample.a, sample.b, 1.3, 1.5, 0.5, 0.5)
 
 
 def test_bounded_hypothesis_violation_detected():
     a, b = commuting_pd_pair([2.0, 1.0], [1.5, 1.2])
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("spectrum of A = [1, 2] escapes the bounds [1.1, 2]"):
         certify_bounded_power_low(a, b, 1.1, 2.0, 0.5, 0.5)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("spectrum of A = [1, 2] escapes the bounds [1, 1.8]"):
         certify_bounded_eigen_power(a, b, 1.0, 1.8, 0.5, 2.0)
 
 
 def test_chain_hypothesis_violations_detected():
     a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)  # not ordered
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("hypothesis A <= B fails: min eigenvalue of difference = -5.000e-02"):
         certify_fm_power_low(a, b, 0.3, 0.6, 0.5, 0.5)
     a2, b2 = commuting_pd_pair([0.4, 0.3], [0.8, 0.5], seed=15)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("chain needs M <= 1, got M = 1.4"):
         certify_fm_power_low(a2, b2, 0.3, 1.4, 0.5, 0.5)  # M > 1 breaks the chain
 
 
 def test_exponential_chain_requires_nonpositive_upper_bound():
     h, k = commuting_hermitian_pair([-0.5, -0.8], [-0.2, -0.4], seed=17)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("exponential chain needs M <= 0, got M = 0.3"):
         certify_gt_fm(h, k, -1.0, 0.3, 0.5, 1.0)
 
 
 def test_exponential_olson_hypothesis_violation_detected():
     cfg = SamplerConfig(3, 19, -0.5, 0.5)
     pair = olson_exponential_pair(cfg, -0.5, 0.5, 0, attach_certificates=False)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly(
+        "hypothesis e^(1K) <= e^(0.11) e^(1H) fails: min eigenvalue of difference = -6.219e-01"
+    ):
         certify_gt_specht(pair.h, pair.k, -0.1, 0.1, 0.5, 1.0)
 
 
 def test_isometry_check_rejects_bad_transform():
     cfg = SamplerConfig(3, 23, 0.5, 2.0)
     a = random_pd(cfg, 0)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("transform rows are not orthonormal (U U* != I)"):
         certify_kantorovich_matrix(a, 0.5, 2.0, np.ones((2, 3)))
+
+
+def _count_eigensolves_in_loewner_checks(monkeypatch) -> dict:
+    """Patch ``_jacobi`` and ``_demand_loewner`` to count the eigensolves
+    made inside the Loewner hypothesis checks."""
+    counts = {"checks": 0, "jacobi": 0, "jacobi_in_checks": 0, "depth": 0}
+    jacobi, demand = linalg._jacobi, certify._demand_loewner
+
+    def counting_jacobi(matrix):
+        counts["jacobi"] += 1
+        counts["jacobi_in_checks"] += counts["depth"] > 0
+        return jacobi(matrix)
+
+    def counting_demand(lhs, rhs, what):
+        counts["checks"] += 1
+        counts["depth"] += 1
+        try:
+            demand(lhs, rhs, what)
+        finally:
+            counts["depth"] -= 1
+
+    monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
+    monkeypatch.setattr(certify, "_demand_loewner", counting_demand)
+    return counts
+
+
+def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
+    counts = _count_eigensolves_in_loewner_checks(monkeypatch)
+    for index in range(3):
+        pair = olson_exponential_pair(
+            SamplerConfig(4, 31, -0.6, 0.4), -0.6, 0.4, index, attach_certificates=False
+        )
+        assert certify_gt_specht(pair.h, pair.k, -1.0, 1.0, 0.3, 2.0).holds
+        chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), index, olson=True)
+        assert certify_fm_pq(chain.a, chain.b, 0.2, 0.9, 0.6, 0.5, 1.5).holds
+    # exponents {1, 2} for gt-specht and {1, 1.5} for fm-pq, two checks per
+    # exponent in the exp-Olson sandwich and one in the chain
+    assert counts["checks"] == 3 * (4 + 2)
+    assert counts["jacobi"] > 0
+    assert counts["jacobi_in_checks"] == 0
+
+
+def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):
+    counts = _count_eigensolves_in_loewner_checks(monkeypatch)
+    a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)
+    with pytest.raises(HypothesisViolatedError, match="min eigenvalue of difference"):
+        certify_fm_power_low(a, b, 0.3, 0.6, 0.5, 0.5)
+    assert counts["checks"] == 1
+    assert counts["jacobi_in_checks"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +340,7 @@ def test_parameter_domain_errors():
     with pytest.raises(BadRangeError):
         certify_specht_power_low(a, b, -1.0, 1.3, 0.5, 0.5)  # s <= 0
     h, k = commuting_hermitian_pair([0.2, -0.1], [0.1, 0.0], seed=19)
-    with pytest.raises(HypothesisViolatedError):
+    with raises_exactly("need s <= t, got s=0.5, t=-0.5"):
         certify_gt_specht(h, k, 0.5, -0.5, 0.5, 1.0)  # s > t is unsatisfiable
     with pytest.raises(BadRangeError):
         certify_gt_kantorovich(h, k, -0.5, 0.5, 0.5, 0.0)  # p = 0

@@ -239,6 +239,38 @@ def test_jacobi_makes_no_rotation_on_diagonal_input(diagonal):
 
 
 # ---------------------------------------------------------------------------
+# The shifted Cholesky positivity predicate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shift", [1e-8, 1e-3])
+@pytest.mark.parametrize("placement", [-2.0, -0.5, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+def test_cholesky_verdict_matches_spectrum(n, placement, shift):
+    rng = np.random.default_rng(1000 * n + int(4 * placement))
+    for _ in range(4):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        smallest = placement * shift
+        vals = np.concatenate([[smallest], rng.uniform(0.1, 2.0, size=n - 1)])
+        m = HermitianMatrix((q * vals) @ q.conj().T)
+        verdict = linalg._cholesky_succeeds(m.matrix, shift)
+        assert verdict == bool(m.eigenvalues[-1] >= -shift)
+        assert verdict == (placement > -1.0)
+
+
+def test_cholesky_edge_cases():
+    zero = np.zeros((3, 3), dtype=np.complex128)
+    assert linalg._cholesky_succeeds(zero, 1e-12)
+    assert not linalg._cholesky_succeeds(zero, 0.0)
+    assert linalg._cholesky_succeeds(np.array([[-0.5]]), 0.6)
+    assert not linalg._cholesky_succeeds(np.array([[-0.5]]), 0.4)
+    # An infinite pivot counts as failure, as does one that overflows to
+    # -inf through the Schur complement of an indefinite matrix.
+    assert not linalg._cholesky_succeeds(np.diag([1e308, 1e308]), 1e308)
+    assert not linalg._cholesky_succeeds(np.array([[1e-300, 1e200], [1e200, 1.0]]), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Matrix functions
 # ---------------------------------------------------------------------------
 
