@@ -293,8 +293,8 @@ def _require_exponential_olson(h, k, v: dict) -> None:
         low = exp_nu_h * math.exp(s * nu)
         mid = exp_h(k * nu)
         high = exp_nu_h * math.exp(t * nu)
-        _demand_loewner(low, mid, f"e^({s:g}{nu:g}) e^({nu:g}H) <= e^({nu:g}K)")
-        _demand_loewner(mid, high, f"e^({nu:g}K) <= e^({t:g}{nu:g}) e^({nu:g}H)")
+        _demand_loewner(low, mid, f"e^({s:g}*{nu:g}) e^({nu:g}H) <= e^({nu:g}K)")
+        _demand_loewner(mid, high, f"e^({nu:g}K) <= e^({t:g}*{nu:g}) e^({nu:g}H)")
 
 
 def _require_exponential_chain(h, k, v: dict) -> None:

@@ -3,7 +3,10 @@
 Every spectrum comes from one eigensolver, a cyclic Jacobi iteration with
 complex rotations run on Python complex scalars; a positivity test that needs
 no spectrum runs a Cholesky factorization on the same scalars instead. Neither
-needs an external solver, and run to run the results repeat bit for bit.
+needs an external solver, and run to run the results repeat bit for bit. The
+eigensolver rotates only the upper triangle and logs its rotations; the
+eigenvectors are built on their first read, by replaying the log on the
+identity, so a spectrum read only for its eigenvalues never builds them.
 Across machines the last bits can still move: the matrix products around the
 solver run on numpy, whose BLAS build and runtime CPU dispatch (fused
 multiply-adds on X86_V3/V4) set their rounding. Matrices produced by spectral
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -42,34 +44,40 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     """Diagonalize a Hermitian array by cyclic Jacobi rotations.
 
-    Returns (eigenvalues descending, unitary eigenvector columns). Sweeps stop
-    once the off-diagonal Frobenius mass falls below 1e-14 times the Frobenius
-    norm of the input; the 100-sweep cap raises NoConvergenceError.
+    Returns (eigenvalues descending, the log of the rotations). The log's
+    ``replay`` builds the unitary eigenvector columns; decompositions call it
+    on the first read of their eigenvectors, so a spectrum that is only read
+    for its eigenvalues never pays for them. Sweeps stop once the
+    off-diagonal Frobenius mass falls below 1e-14 times the Frobenius norm of
+    the input; the 100-sweep cap raises NoConvergenceError.
 
     The rotations run on nested lists of Python complex scalars: at the small
     dimensions used here, per-element numpy indexing costs more than the
-    arithmetic. ``a`` holds the matrix rows; the rows of ``vt`` are the
-    eigenvector columns.
+    arithmetic. Only the diagonal and the upper triangle of ``a`` are kept;
+    an entry below the diagonal is read as the conjugate of its mirror, which
+    is what rotating both triangles would store there, up to the sign of an
+    exact zero (on real input, the sign of a zero imaginary part in an
+    eigenvector can differ).
     """
     arr = np.asarray(matrix, dtype=np.complex128)
     n = arr.shape[0]
-    if n == 1:
-        return np.array([arr[0, 0].real]), np.eye(1, dtype=np.complex128)
     a = arr.tolist()
-    vt = np.eye(n, dtype=np.complex128).tolist()
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    steps = []
     threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(
         sum(x.real * x.real + x.imag * x.imag for row in a for x in row)
     )
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = 0.0
-        for i, row in enumerate(a):
-            for j, x in enumerate(row):
-                if i != j:
-                    off += x.real * x.real + x.imag * x.imag
+        for i, row in enumerate(a):  # row-major, lower entries through their mirrors
+            for above in a[:i]:
+                x = above[i]
+                off += x.real * x.real + x.imag * x.imag
+            for x in row[i + 1 :]:
+                off += x.real * x.real + x.imag * x.imag
         off = math.sqrt(off)
         if off <= threshold:
             break
@@ -100,23 +108,58 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            # unitary U = diag(1, conj(phase)) . [[c, s], [-s, c]]
+            # unitary U = diag(1, conj(phase)) . [[c, s], [-s, c]]; A <- U* A U
             w = s * phase.conjugate()
             z = c * phase.conjugate()
-            for row in a:
+            # a float times a complex multiplies as complex(f, 0.0) does,
+            # so converting once changes no bit
+            c = complex(c)
+            s = complex(s)
+            wc = w.conjugate()
+            zc = z.conjugate()
+            steps.append((p, q, c, s, w, z))
+            for row in a[:p]:  # columns p and q above row p
                 x = row[p]
                 y = row[q]
                 row[p] = c * x - w * y
                 row[q] = s * x + z * y
-            wc = w.conjugate()
-            zc = z.conjugate()
-            for j in range(n):
-                x = row_p[j]
-                y = row_q[j]
-                row_p[j] = c * x - wc * y
-                row_q[j] = s * x + zc * y
+            for r in range(p + 1, q):  # row p and column q between them
+                row = a[r]
+                x = row_p[r]
+                y = row[q]
+                row_p[r] = c * x - wc * y.conjugate()
+                row[q] = s * x.conjugate() + z * y
+            for r in range(q + 1, n):  # rows p and q right of column q
+                x = row_p[r]
+                y = row_q[r]
+                row_p[r] = c * x - wc * y
+                row_q[r] = s * x + zc * y
+            # the 2x2 block, column update first as the full update does it
+            app = row_p[p]
+            aqq = row_q[q]
+            aqp = apq.conjugate()
+            row_p[p] = c * (c * app - w * apq) - wc * (c * aqp - w * aqq)
+            row_q[q] = s * (s * app + z * apq) + zc * (s * aqp + z * aqq)
             row_p[q] = 0j
-            row_q[p] = 0j
+    vals = np.array([a[i][i].real for i in range(n)])
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], _RotationLog(steps, order.tolist())
+
+
+class _RotationLog:
+    """The rotations of one Jacobi run and the descending order of its eigenvalues."""
+
+    __slots__ = ("steps", "order")
+
+    def __init__(self, steps: list, order: list):
+        self.steps = steps  # (p, q, c, s, w, z) per rotation, in the order applied
+        self.order = order
+
+    def replay(self) -> np.ndarray:
+        """The eigenvector columns: each rotation applied to the identity, in order."""
+        n = len(self.order)
+        vt = np.eye(n, dtype=np.complex128).tolist()  # rows are eigenvector columns
+        for p, q, c, s, w, z in self.steps:
             col_p = vt[p]
             col_q = vt[q]
             for j in range(n):
@@ -124,10 +167,7 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 y = col_q[j]
                 col_p[j] = c * x - w * y
                 col_q[j] = s * x + z * y
-    vals = np.array([a[i][i].real for i in range(n)])
-    order = np.argsort(-vals, kind="stable")
-    vecs = np.array([vt[i] for i in order], dtype=np.complex128).T.copy()
-    return vals[order], vecs
+        return np.array([vt[i] for i in self.order], dtype=np.complex128).T.copy()
 
 
 def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
@@ -166,24 +206,33 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching unitary eigenvector columns."""
+    """Eigenvalues (descending) and matching unitary eigenvector columns.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    The eigenvector columns are given either as an array or as a callable
+    that builds them, such as the ``replay`` of a Jacobi run's rotation log.
+    The callable runs on the first read of ``eigenvectors``; its array is
+    kept, read-only, and the callable is dropped.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "eigenvalues", _read_only(np.asarray(self.eigenvalues, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "eigenvectors", _read_only(np.asarray(self.eigenvectors, dtype=np.complex128))
-        )
+    __slots__ = ("_eigenvalues", "_eigenvectors")
+
+    def __init__(self, eigenvalues, eigenvectors):
+        self._eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
+        if not callable(eigenvectors):
+            eigenvectors = _read_only(np.asarray(eigenvectors, dtype=np.complex128))
+        self._eigenvectors = eigenvectors
 
     @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        if callable(self._eigenvectors):
+            built = self._eigenvectors()
+            self._eigenvectors = _read_only(np.asarray(built, dtype=np.complex128))
+        return self._eigenvectors
 
     def reconstruct(self) -> np.ndarray:
         return self.map_eigenvalues(self.eigenvalues)
@@ -193,9 +242,13 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * np.asarray(values)) @ v.conj().T
 
-    def basis_residual(self) -> float:
-        v = self.eigenvectors
-        return float(np.linalg.norm(v.conj().T @ v - np.eye(self.dim)))
+    def _scaled(self, factor: float) -> "SpectralDecomposition":
+        """The decomposition of ``factor`` times the matrix; its eigenvectors
+        are built from this one's when first read."""
+        vals = self._eigenvalues * factor
+        if factor < 0.0:
+            return SpectralDecomposition(vals[::-1], lambda: self.eigenvectors[:, ::-1])
+        return SpectralDecomposition(vals, lambda: self.eigenvectors)
 
 
 class HermitianMatrix:
@@ -237,8 +290,8 @@ class HermitianMatrix:
     @property
     def decomposition(self) -> SpectralDecomposition:
         if self._decomp is None:
-            vals, vecs = _jacobi(self._matrix)
-            self._decomp = SpectralDecomposition(vals, vecs)
+            vals, log = _jacobi(self._matrix)
+            self._decomp = SpectralDecomposition(vals, log.replay)
         return self._decomp
 
     @property
@@ -267,14 +320,7 @@ class HermitianMatrix:
 
     def _scaled(self, factor: float) -> "HermitianMatrix":
         dec = self._decomp
-        new_dec = None
-        if dec is not None:
-            vals = dec.eigenvalues * factor
-            vecs = dec.eigenvectors
-            if factor < 0.0:
-                vals = vals[::-1]
-                vecs = vecs[:, ::-1]
-            new_dec = SpectralDecomposition(vals, vecs)
+        new_dec = None if dec is None else dec._scaled(factor)
         return HermitianMatrix(self._matrix * factor, decomposition=new_dec)
 
     def __mul__(self, factor):
@@ -495,8 +541,8 @@ def common_eigenbasis(
         if stop - start > 1:
             block = b_rot[start:stop, start:stop]
             block = (block + block.conj().T) / 2.0
-            _, w = _jacobi(block)
-            v[:, start:stop] = v[:, start:stop] @ w
+            _, log = _jacobi(block)
+            v[:, start:stop] = v[:, start:stop] @ log.replay()
         start = stop
     b_rot = v.conj().T @ b.matrix @ v
     b_scale = max(b.frobenius_norm(), 1e-300)

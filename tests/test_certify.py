@@ -261,7 +261,7 @@ def test_exponential_olson_hypothesis_violation_detected():
     cfg = SamplerConfig(3, 19, -0.5, 0.5)
     pair = olson_exponential_pair(cfg, -0.5, 0.5, 0, attach_certificates=False)
     with raises_exactly(
-        "hypothesis e^(1K) <= e^(0.11) e^(1H) fails: min eigenvalue of difference = -6.219e-01"
+        "hypothesis e^(1K) <= e^(0.1*1) e^(1H) fails: min eigenvalue of difference = -6.219e-01"
     ):
         certify_gt_specht(pair.h, pair.k, -0.1, 0.1, 0.5, 1.0)
 
@@ -320,6 +320,34 @@ def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):
         certify_fm_power_low(a, b, 0.3, 0.6, 0.5, 0.5)
     assert counts["checks"] == 1
     assert counts["jacobi_in_checks"] == 1
+
+
+def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
+    # Both sides compare spectra of geometric means, so the eigenvectors of
+    # the means are never built: each one's rotation log is still pending.
+    means, replays = [], []
+    mean, replay = certify.geometric_mean, linalg._RotationLog.replay
+
+    def recording_mean(a, b, alpha):
+        means.append(mean(a, b, alpha))
+        return means[-1]
+
+    def counting_replay(log):
+        replays.append(log)
+        return replay(log)
+
+    monkeypatch.setattr(certify, "geometric_mean", recording_mean)
+    monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
+    avals = np.array([1.6, 1.0, 0.7])
+    a, b = commuting_pd_pair(avals, avals * np.array([0.8, 1.1, 1.9]), seed=3)
+    assert certify_specht_eigen_power(a, b, 0.8, 1.9, 0.3, 2.0).holds
+    chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), 0, olson=True)
+    assert certify_fm_eigen_power(chain.a, chain.b, 0.2, 0.9, 0.6, 1.5).holds
+    assert len(means) == 4
+    before = len(replays)
+    for m in means:
+        m.decomposition.eigenvectors
+    assert len(replays) == before + 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Matrix core: construction, Jacobi spectra, functions, norms, serialization."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -36,6 +37,8 @@ from golden_bounds.linalg import (
     singular_values_desc,
     trace,
 )
+from golden_bounds.means import geometric_mean
+from golden_bounds.orders import loewner_leq
 
 import oracles
 
@@ -145,7 +148,8 @@ def test_reconstruction_and_orthonormality():
         assert np.linalg.norm(dec.reconstruct() - m.matrix) <= 1e-12 * max(
             m.frobenius_norm(), 1.0
         )
-        assert dec.basis_residual() <= 1e-12
+        v = dec.eigenvectors
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
         assert list(dec.eigenvalues) == sorted(dec.eigenvalues, reverse=True)
 
 
@@ -173,6 +177,12 @@ def test_repeated_eigenvalues_handled():
 # ---------------------------------------------------------------------------
 
 
+def jacobi_eigenpairs(a):
+    """Eigenvalues from ``_jacobi`` and eigenvectors from the replay of its log."""
+    vals, log = linalg._jacobi(a)
+    return vals, log.replay()
+
+
 def assert_accurate_decomposition(a, vals, vecs):
     n = a.shape[0]
     scale = np.linalg.norm(a)
@@ -193,7 +203,7 @@ def test_jacobi_matches_eigh(n):
         if trial % 3 == 2:
             raw = raw.real.astype(np.complex128)
         a = (raw + raw.conj().T) / 2.0
-        assert_accurate_decomposition(a, *linalg._jacobi(a))
+        assert_accurate_decomposition(a, *jacobi_eigenpairs(a))
 
 
 @pytest.mark.parametrize("coupling", [1e-200, 1e-320])
@@ -203,7 +213,7 @@ def test_jacobi_huge_tau_branches(coupling):
     a = np.array(
         [[0.0, coupling, 0.0], [coupling, 1.0, 0.5], [0.0, 0.5, 2.0]], dtype=np.complex128
     )
-    vals, vecs = linalg._jacobi(a)
+    vals, vecs = jacobi_eigenpairs(a)
     assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
     assert_accurate_decomposition(a, vals, vecs)
     if coupling == 1e-200:
@@ -223,7 +233,7 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
         linalg._jacobi(a)
     # One rotation zeroes a 2x2 exactly, so one sweep is enough there.
     b = random_hermitian(rng, 2).matrix
-    assert_accurate_decomposition(b, *linalg._jacobi(b))
+    assert_accurate_decomposition(b, *jacobi_eigenpairs(b))
 
 
 @pytest.mark.parametrize(
@@ -231,11 +241,171 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
 )
 def test_jacobi_makes_no_rotation_on_diagonal_input(diagonal):
     # Any rotation would leave inexact eigenvector entries; none may remain.
-    vals, vecs = linalg._jacobi(np.diag(np.array(diagonal, dtype=np.complex128)))
+    vals, vecs = jacobi_eigenpairs(np.diag(np.array(diagonal, dtype=np.complex128)))
     order = np.argsort(-np.array(diagonal), kind="stable")
     assert vals.tolist() == [diagonal[i] for i in order]
     assert np.array_equal(vecs, np.eye(len(diagonal))[:, order])
     assert vecs.dtype == np.complex128 and vecs.flags.c_contiguous
+
+
+def kernel_digest_inputs() -> dict:
+    """Seeded Hermitian arrays for the frozen kernel digests.
+
+    They are built from normal draws with additions, halvings and Python
+    scalar products only, so no BLAS call or numpy CPU dispatch touches their
+    bits; neither does the kernel, which runs on Python scalars.
+    """
+    rng = np.random.default_rng(2024)
+    cases = {}
+    for n in (1, 2, 3, 4, 5, 6, 8, 16):
+        for trial in range(3):
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            name = f"n{n}-complex-{trial}"
+            if trial == 2:
+                raw = raw.real.astype(np.complex128)
+                name = f"n{n}-real"
+            cases[name] = (raw + raw.conj().T) / 2.0
+    cases["diagonal"] = np.diag(np.array([3.0, -1.0, 2.0, 2.0], dtype=np.complex128))
+    # tau = 5e199 on the first rotation: the |tau| > 1e150 branch
+    cases["coupling-1e-200"] = np.array(
+        [[0.0, 1e-200, 0.0], [1e-200, 1.0, 0.5], [0.0, 0.5, 2.0]], dtype=np.complex128
+    )
+    # u u* + 2I: eigenvalue 2 four times
+    u = [complex(x, y) for x, y in rng.normal(size=(5, 2))]
+    rank_one = np.array(
+        [
+            [x * y.conjugate() + (2.0 if i == j else 0.0) for j, y in enumerate(u)]
+            for i, x in enumerate(u)
+        ]
+    )
+    cases["repeated"] = (rank_one + rank_one.conj().T) / 2.0
+    return cases
+
+
+#: sha256 of eigenvalues.tobytes() + eigenvectors.tobytes(), frozen from the
+#: kernel that built its eigenvectors while it rotated, on both triangles.
+#: On real inputs ("-real") every imaginary part is zero, and the sign of such
+#: a zero in an eigenvector may differ from that kernel's (n16-real has two),
+#: so those digests are taken after adding 0.0, which turns -0.0 into 0.0.
+KERNEL_SHA256 = {
+    "n1-complex-0": "68f0ab7c0cce5d3bf31c1325f035339d2ba7691b09d8c25c224657a6187b7ba2",
+    "n1-complex-1": "f6cab86dd25d5f229d961e1eb117c54c2ca2df8ee8d566d48139571b83d9c93d",
+    "n1-real": "f2b56f6adeb4e1e016b67a4a10e78f2dfb2ffa8179b3f1f6e8906f4007aaf61b",
+    "n2-complex-0": "da8c550ba950d786133ffd6d233af76ef61b2170e8d265963e66a0fe363e7071",
+    "n2-complex-1": "848461c1a44a2bbb2bb20afd0ce0784e2d480a18b320b476a1a309df2149164b",
+    "n2-real": "7d381ed601c368e671ae222fb01210987feb9bab6ed6d14daf8f41de90173e1a",
+    "n3-complex-0": "b7cd9e187a6e00963c396803e9d0fbba40aba0839375e7dfd7a1f95c51740ab9",
+    "n3-complex-1": "e68d173f12421c390354fe776c1e3ae2c4417bec7fa046ecc13d7ec6ba459fec",
+    "n3-real": "a8d4f14fb1e0e9913caf0e98f041feb75adbccd5693dd10afc5d32c935a97b73",
+    "n4-complex-0": "8c5220263b70a5d2310ae0359b323d05842500779b80e001703d6ed90daa2846",
+    "n4-complex-1": "1312a5869893e5cd1deae24d33f368ca4a4d64c610890704e5090d3633c0671b",
+    "n4-real": "08465e15eef726658f1e0ad8c10efc88ebc466084092e8d088a5b34480c79af7",
+    "n5-complex-0": "e63adc0b92357f3698d474e3f24bc5bd9076137efc21407285964edde0ac8915",
+    "n5-complex-1": "9ca898a61878686b0157d65243f463b6f4f5c6f5331433e75484241dfb620220",
+    "n5-real": "552601abbdaf9bd6647211151ffd8ab001d9f72049133d38ee9bd636daa5dca4",
+    "n6-complex-0": "f6694208fcfb1bef931ec212dbfdcfee3575100241b377b91b380fa87d28f0fb",
+    "n6-complex-1": "eb91fe567d30d55f255a87955df8b174951ea141c1b8d60327fbcb00b7c93409",
+    "n6-real": "29d84722bfc459ccec904a188df43b16fc610201c1a18c1d900ec11547e64840",
+    "n8-complex-0": "b1f76684a62e484678fe603bf78c9899c1ebd7ce2ad5ae735f2d59fa7da621b0",
+    "n8-complex-1": "6356246e15569b502dbdd859ef3b216f70eab43cc13db4150ef6845f43b675a5",
+    "n8-real": "687b50c4402262a8e8b48b5185e569ed065d13747479ff95901d68c81751cabd",
+    "n16-complex-0": "44f5bcbb2d68696e6ba2ce7d82915c63532e2ddd81a02b0fa271f9836193c2fa",
+    "n16-complex-1": "3e9a2175b48e7ad25c4c8421956865ca7f94dcd0de29620f8550a9c9618474ca",
+    "n16-real": "896aaab31d9d28243272ccd9b25ff62deae9c7ec1a9b3fcb974e48fc6a0f77cd",
+    "diagonal": "26ae4518f399cb3df4fc1e1449184fcf0a725cdc1dbeeaa56e643d7566ea268d",
+    "coupling-1e-200": "07fe390493a0e39377835ecf03ee0a373db280b5bfba98d53fb859e2731fba86",
+    "repeated": "71bde21d0f91cabbccf7931ee6b11a3a6430d4a9958faf316640c0eb3fcab441",
+}
+
+
+def test_kernel_digest_table_covers_every_input():
+    assert set(KERNEL_SHA256) == set(kernel_digest_inputs())
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SHA256))
+def test_jacobi_bits_are_frozen(name):
+    vals, vecs = jacobi_eigenpairs(kernel_digest_inputs()[name])
+    if name.endswith("-real"):
+        vecs = vecs + 0.0
+    assert hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest() == KERNEL_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# Eigenvectors built on first read, by replaying the rotation log
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def solver_counts(monkeypatch):
+    """Count the eigensolves and the rotation-log replays made from here on."""
+    counts = {"jacobi": 0, "replay": 0}
+    jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
+
+    def counting_jacobi(matrix):
+        counts["jacobi"] += 1
+        return jacobi(matrix)
+
+    def counting_replay(log):
+        counts["replay"] += 1
+        return replay(log)
+
+    monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
+    monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
+    return counts
+
+
+def test_eigenvectors_replay_once_into_one_read_only_array(solver_counts):
+    m = random_hermitian(np.random.default_rng(41), 5)
+    dec = m.decomposition
+    assert solver_counts == {"jacobi": 1, "replay": 0}
+    first = dec.eigenvectors
+    second = dec.eigenvectors
+    assert first is second
+    assert not first.flags.writeable
+    assert solver_counts == {"jacobi": 1, "replay": 1}
+    assert np.array_equal(first, jacobi_eigenpairs(m.matrix)[1])
+
+
+def test_eigenvalues_of_a_geometric_mean_leave_its_log_pending(solver_counts):
+    rng = np.random.default_rng(43)
+    a, b = random_pd_array(rng, 4), random_pd_array(rng, 4)
+    mean = geometric_mean(a, b, 0.3)
+    before = dict(solver_counts)
+    eigenvalues_desc(mean)
+    assert solver_counts == before
+    mean.decomposition.eigenvectors
+    assert solver_counts == {"jacobi": before["jacobi"], "replay": before["replay"] + 1}
+
+
+def test_loewner_check_on_a_difference_never_replays(solver_counts):
+    rng = np.random.default_rng(47)
+    a = random_pd_array(rng, 4)
+    b = a + PositiveDefiniteMatrix(np.eye(4))
+    assert solver_counts == {"jacobi": 2, "replay": 0}
+    assert loewner_leq(a, b).holds
+    assert solver_counts == {"jacobi": 3, "replay": 0}
+
+
+def test_derived_spectra_make_no_second_eigensolve(solver_counts):
+    rng = np.random.default_rng(53)
+    pd = random_pd_array(rng, 4)
+    h = random_hermitian(rng, 4)
+    h.decomposition
+    derived = [-h, 2.5 * h, -0.5 * pd, 3.0 * pd, pd.base]
+    assert isinstance(derived[3], PositiveDefiniteMatrix)
+    for m in derived:
+        m.eigenvalues
+    assert solver_counts == {"jacobi": 2, "replay": 0}
+    neg = derived[0].decomposition.eigenvectors
+    assert solver_counts["replay"] == 1
+    assert np.array_equal(neg, h.decomposition.eigenvectors[:, ::-1])
+    assert derived[1].decomposition.eigenvectors is h.decomposition.eigenvectors
+    assert derived[4].decomposition is pd.decomposition
+    power(pd, 0.7)
+    power(pd, -1.5)
+    exp_h(h)
+    exp_h(-0.5 * pd)
+    assert solver_counts == {"jacobi": 2, "replay": 2}
 
 
 # ---------------------------------------------------------------------------
