@@ -23,7 +23,7 @@ from golden_bounds import (
 # One hand-built instance: B sandwiched between 0.7 A and 2.2 A, then the
 # reverse mean-power comparison with the Specht factor.
 cfg = SamplerConfig(4, 101, 0.5, 2.0)
-sample = sandwich_pair(cfg, 0.7, 2.2, 0, attach_certificates=False)
+sample = sandwich_pair(cfg, 0.7, 2.2, 0)
 report = certify_specht_power_low(sample.a, sample.b, 0.7, 2.2, 0.5, 0.5)
 print(f"{report.inequality_id}: holds={report.holds} "
       f"factor={report.parameters['factor']:.6f}")
@@ -33,8 +33,7 @@ print()
 
 # The exponential variant compares eigenvalues of e^{(1-a)H + aK} against the
 # mean-power of e^{pH}, e^{pK}, scaled by a rooted Specht factor.
-pair = olson_exponential_pair(SamplerConfig(3, 202, -0.6, 0.9), -0.6, 0.9, 0,
-                              attach_certificates=False)
+pair = olson_exponential_pair(SamplerConfig(3, 202, -0.6, 0.9), 0)
 exp_report = certify_gt_specht(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0)
 print(f"{exp_report.inequality_id}: holds={exp_report.holds} "
       f"factor={exp_report.parameters['factor']:.6f}")

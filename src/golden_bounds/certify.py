@@ -360,6 +360,11 @@ def _check_bounds(m: float, M: float) -> None:
         raise BadRangeError(f"need m <= M, got m={m}, M={M}")
 
 
+def _check_finite_st(s: float, t: float) -> None:
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise BadRangeError(f"s and t must be finite, got s={s}, t={t}")
+
+
 def _alpha(v: dict) -> None:
     v["alpha"] = _check_alpha(v["alpha"])
 
@@ -390,6 +395,10 @@ def _positive_m(v: dict) -> None:
 
 def _bounds(v: dict) -> None:
     _check_bounds(v["m"], v["M"])
+
+
+def _finite_st(v: dict) -> None:
+    _check_finite_st(v["s"], v["t"])
 
 
 def _sandwich(v: dict) -> None:
@@ -568,7 +577,7 @@ def _pinnable(inequality_id: str) -> tuple[str, ...]:
 
 
 def _sandwich_sample(cfg, index, d):
-    sample = sandwich_pair(cfg, d["s"], d["t"], index, attach_certificates=False)
+    sample = sandwich_pair(cfg, d["s"], d["t"], index)
     return sample.a, sample.b, {}
 
 
@@ -582,7 +591,7 @@ def _pd_pair_sample(cfg, index, d):
 
 
 def _exp_olson_sample(cfg, index, d):
-    pair = olson_exponential_pair(cfg, cfg.lo, cfg.hi, index, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, index)
     return pair.h, pair.k, {"s": pair.s, "t": pair.t}
 
 
@@ -699,17 +708,18 @@ _INEQUALITIES = {
     ),
     # Golden-Thompson reverses with the Specht ratio
     "gt-specht": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_specht_exp_factor,
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
     ),
     "gt-specht-norm": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_specht_exp_factor,
         compare=_norm, draws=_GT_DRAWS, sample=_exp_olson_sample,
     ),
     "gt-specht-norm-squared": _Inequality(
-        ("alpha", "p", "s", "t"), (), fixed=_SQUARED, require=_require_exponential_olson,
+        ("alpha", "p", "s", "t"), (_finite_st,), fixed=_SQUARED,
+        require=_require_exponential_olson,
         factor=lambda v: max(specht(math.exp(2.0 * v["s"])), specht(math.exp(2.0 * v["t"]))),
         compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
         draws=(_hermitian_range,), sample=_exp_olson_sample,
@@ -728,7 +738,7 @@ _INEQUALITIES = {
         sample=lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
     ),
     "gt-kantorovich": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p),
+        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_kantorovich_exp_factor,
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
     ),
@@ -1149,6 +1159,7 @@ def convergence_study(
     alpha)^{-1/p}) against the fixed lambda_k(e^{(1-alpha)H + alpha K}), with
     gap = (rhs - lhs)/lhs."""
     alpha = _check_alpha(alpha)
+    _check_finite_st(s, t)
     if s > t:
         raise BadRangeError(f"need s <= t, got s={s}, t={t}")
     ps = [float(p) for p in p_sequence]

@@ -288,7 +288,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     powers = tuple(args.p) if args.p else DEFAULT_CONVERGENCE_POWERS
     mode = MODE_COMMUTING if args.commuting else MODE_GENERAL
     cfg = SamplerConfig(args.n, args.seed, args.m, args.M, mode)
-    pair = olson_exponential_pair(cfg, args.m, args.M, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     rows = convergence_study(
         pair.h, pair.k, pair.s, pair.t, args.alpha, powers, args.factor_kind
     )

@@ -38,7 +38,13 @@ class ConstantEval:
             raise BadRangeError(f"unknown branch {self.branch!r}")
 
 
+def _require_finite(name: str, *arguments: float) -> None:
+    if not all(math.isfinite(x) for x in arguments):
+        raise BadRangeError(f"{name} needs finite arguments, got {arguments}")
+
+
 def _specht_eval(t: float) -> tuple[float, str]:
+    _require_finite("Specht ratio", t)
     if not t > 0.0:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
     u = math.log(t)
@@ -53,6 +59,7 @@ def specht(t: float) -> float:
 
     Symmetric under t -> 1/t and >= 1 with equality only at t = 1; it is the
     sharp constant in the reverse arithmetic-geometric mean inequality.
+    A non-finite t raises BadRangeError.
     """
     return _specht_eval(float(t))[0]
 
@@ -68,6 +75,7 @@ def specht_p_root(t: float, p: float) -> float:
 
 
 def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
+    _require_finite("Kantorovich constant", w, alpha)
     if not w > 0.0:
         raise NonPositiveError(f"Kantorovich constant needs w > 0, got {w}")
     if abs(w - 1.0) < KANTOROVICH_LIMIT_WINDOW:
@@ -98,6 +106,7 @@ def kantorovich(w: float, alpha: float) -> float:
     K(w, a) = ((w^a - w)/((a-1)(w-1))) * (((a-1)/a) (w^a - 1)/(w^a - w))^a
     with the removable points w = 1 and a in {0, 1} evaluated by their
     limits. K(w, a) <= 1 for a in [0, 1] and K(w, 2) = (1+w)^2/(4w).
+    A non-finite w or alpha raises BadRangeError.
     """
     return _kantorovich_eval(float(w), float(alpha))[0]
 
@@ -141,23 +150,6 @@ def fm_factor(h: float, alpha: float, scale: float) -> float:
     if not scale > 0.0:
         raise BadRangeError(f"fm_factor needs scale > 0, got {scale}")
     return math.exp(scale * alpha * (1.0 - alpha) * (1.0 - 1.0 / h) ** 2)
-
-
-def scalar_specht_amgm_check(values) -> tuple[float, float, float]:
-    """Reverse AM-GM on positive scalars: mean <= S(max/min) * geomean.
-
-    Returns (arithmetic mean, bound, margin = bound - mean).
-    """
-    xs = [float(x) for x in values]
-    if not xs:
-        raise EmptySequenceError("need at least one value")
-    if any(not x > 0.0 for x in xs):
-        raise NonPositiveError(f"values must be positive, got {xs}")
-    ratio = max(xs) / min(xs)
-    mean = sum(xs) / len(xs)
-    geomean = math.exp(sum(math.log(x) for x in xs) / len(xs))
-    bound = specht(ratio) * geomean
-    return mean, bound, bound - mean
 
 
 _EVALUATORS = {

@@ -16,7 +16,6 @@ cost a Jacobi run.
 
 from __future__ import annotations
 
-import json
 import math
 from numbers import Real
 
@@ -255,12 +254,12 @@ class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
 
     Construction rejects non-finite entries, symmetrizes the entries to
-    (raw + raw*)/2, records the Hermiticity defect, and rejects inputs whose
-    defect exceeds 1e-8 times the largest entry magnitude. The stored array
-    is immutable.
+    (raw + raw*)/2, and rejects inputs whose Hermiticity defect
+    max|raw - raw*| exceeds 1e-8 times the largest entry magnitude. The
+    stored array is immutable.
     """
 
-    __slots__ = ("_matrix", "_decomp", "hermiticity_defect")
+    __slots__ = ("_matrix", "_decomp")
 
     def __init__(self, entries, *, decomposition: SpectralDecomposition | None = None):
         raw = np.asarray(entries, dtype=np.complex128)
@@ -277,7 +276,6 @@ class HermitianMatrix:
             )
         self._matrix = _read_only((raw + raw.conj().T) / 2.0)
         self._decomp = decomposition
-        self.hermiticity_defect = defect
 
     @property
     def matrix(self) -> np.ndarray:
@@ -355,7 +353,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
         view = HermitianMatrix.__new__(HermitianMatrix)
         view._matrix = self._matrix
         view._decomp = self._decomp
-        view.hermiticity_defect = self.hermiticity_defect
         return view
 
     def _scaled(self, factor: float):
@@ -376,22 +373,6 @@ def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> Hermitian
     dec = SpectralDecomposition(vals[order], vecs[:, order])
     cls = PositiveDefiniteMatrix if positive else HermitianMatrix
     return cls(dec.reconstruct(), decomposition=dec)
-
-
-def apply_function(matrix: HermitianMatrix, f) -> HermitianMatrix:
-    """Apply a real scalar function to the spectrum: V diag(f(w)) V*.
-
-    Raises DomainError if f is undefined or non-finite on any eigenvalue.
-    """
-    dec = matrix.decomposition
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.array([float(f(x)) for x in dec.eigenvalues], dtype=np.float64)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"function undefined on an eigenvalue: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("function produced a non-finite value on the spectrum")
-    return _from_eigen(vals, dec.eigenvectors, positive=False)
 
 
 def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
@@ -445,7 +426,7 @@ def eigenvalues_desc(matrix: HermitianMatrix) -> np.ndarray:
     return matrix.eigenvalues.copy()
 
 
-def singular_values_desc(matrix: HermitianMatrix) -> np.ndarray:
+def _singular_values_desc(matrix: HermitianMatrix) -> np.ndarray:
     return np.sort(np.abs(matrix.eigenvalues))[::-1]
 
 
@@ -455,12 +436,12 @@ def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
         raise BadIndexError(f"Ky Fan index must be an integer, got {k!r}")
     if k < 1 or k > matrix.dim:
         raise BadIndexError(f"Ky Fan index {k} outside 1..{matrix.dim}")
-    return float(np.sum(singular_values_desc(matrix)[:k]))
+    return float(np.sum(_singular_values_desc(matrix)[:k]))
 
 
 def schatten_norm(matrix: HermitianMatrix, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}."""
-    sv = singular_values_desc(matrix)
+    sv = _singular_values_desc(matrix)
     if p == 1:
         return float(np.sum(sv))
     if p == 2:
@@ -506,7 +487,7 @@ def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> Her
     return congruence(inv_sqrt, matrix)
 
 
-def commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
+def _commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
     if a.dim != b.dim:
         raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     am, bm = a.matrix, b.matrix
@@ -526,7 +507,7 @@ def common_eigenbasis(
     if a.dim != b.dim:
         raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     scale = a.frobenius_norm() * b.frobenius_norm()
-    if scale > 0.0 and commutator_norm(a, b) > rtol * scale:
+    if scale > 0.0 and _commutator_norm(a, b) > rtol * scale:
         return None
     dec = a.decomposition
     v = dec.eigenvectors.copy()
@@ -550,26 +531,3 @@ def common_eigenbasis(
         return None
     a_rot = v.conj().T @ a.matrix @ v
     return v, a_rot.diagonal().real.copy(), b_rot.diagonal().real.copy()
-
-
-def matrix_to_json(matrix: HermitianMatrix) -> str:
-    """Serialize to the {"n", "re", "im"} literal format."""
-    m = matrix.matrix
-    payload = {"n": matrix.dim, "re": m.real.tolist(), "im": m.imag.tolist()}
-    return json.dumps(payload)
-
-
-def matrix_from_json(text: str) -> HermitianMatrix:
-    """Parse the {"n", "re", "im"} literal format ("im" optional)."""
-    payload = json.loads(text)
-    n = int(payload["n"])
-    re = np.asarray(payload["re"], dtype=np.float64)
-    if re.shape != (n, n):
-        raise NonSquareError(f'"re" block has shape {re.shape}, expected ({n}, {n})')
-    entries = re.astype(np.complex128)
-    if "im" in payload and payload["im"] is not None:
-        im = np.asarray(payload["im"], dtype=np.float64)
-        if im.shape != (n, n):
-            raise NonSquareError(f'"im" block has shape {im.shape}, expected ({n}, {n})')
-        entries = entries + 1j * im
-    return HermitianMatrix(entries)

@@ -37,7 +37,6 @@ MODE_EXACT = "exact"
 MODE_GRID = "grid-evidence"
 MODE_EIGENVALUE = "eigenvalue"
 MODE_LOEWNER = "loewner"
-MODE_SCALAR_BOUND = "scalar-bound"
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Every draw is addressed by (seed, draw index, stream tag) through a Philox
 counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
 their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain)
-rather than rejection-sampling it, and can attach the matching order
-certificate as evidence.
+rather than rejection-sampling it; the certifiers re-verify the hypothesis
+on every instance they are given.
 
 Stream tags: a draw's primary eigenvalues (1), its eigenbasis (2), the
 secondary operand's eigenvalues (3) and basis (4), and free parameters (5).
@@ -26,16 +26,9 @@ from .linalg import (
     PositiveDefiniteMatrix,
     _from_eigen,
     congruence,
-    exp_h,
     log_pd,
 )
-from .orders import (
-    DEFAULT_OLSON_GRID,
-    OrderCertificate,
-    loewner_leq,
-    olson_leq,
-    sandwich_bounds,
-)
+from .orders import olson_leq
 
 TAG_EIGENVALUES = 1
 TAG_BASIS = 2
@@ -49,7 +42,7 @@ MODE_COMMUTING = "commuting"
 _SEED_LIMIT = 2**64
 
 #: Shrinking congruence-perturbation sizes tried when a perturbed ordered
-#: chain must re-certify its Olson relation; the final 0.0 falls back to the
+#: chain must pass its Olson check; the final 0.0 falls back to the
 #: exact commuting construction so generation always succeeds.
 _EPSILON_LADDER = (0.12, 0.05, 0.02, 0.005, 0.0)
 
@@ -58,8 +51,8 @@ _EPSILON_LADDER = (0.12, 0.05, 0.02, 0.005, 0.0)
 class SamplerConfig:
     """Addressing and shape of one sampling stream.
 
-    ``spectral_range`` = [lo, hi] bounds the spectra of primary draws:
-    positive for positive definite targets, any reals for Hermitian targets.
+    [lo, hi] bounds the spectra of primary draws: positive for positive
+    definite targets, any reals for Hermitian targets.
     ``mode`` selects whether pair samplers share an eigenbasis (commuting) or
     draw independent bases (general).
     """
@@ -81,10 +74,6 @@ class SamplerConfig:
             raise BadRangeError(f"spectral range is empty: [{self.lo}, {self.hi}]")
         if self.mode not in (MODE_GENERAL, MODE_COMMUTING):
             raise BadRangeError(f"mode must be 'general' or 'commuting', got {self.mode!r}")
-
-    @property
-    def spectral_range(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 def philox_generator(seed: int, index: int, tag: int) -> np.random.Generator:
@@ -189,22 +178,16 @@ def random_pd_pair(
 
 @dataclass(frozen=True)
 class SandwichSample:
-    """Pair with s*A <= B <= t*A, built as B = A^{1/2} C A^{1/2}, spectrum of C in [s, t]."""
+    """Pair with s*A <= B <= t*A; from ``olson_sandwich_pair``, also the
+    power-monotone sandwich s*A <=ols B <=ols t*A."""
 
     a: PositiveDefiniteMatrix
     b: PositiveDefiniteMatrix
     s: float
     t: float
-    certificates: tuple[OrderCertificate, ...] = ()
 
 
-def sandwich_pair(
-    cfg: SamplerConfig,
-    s: float,
-    t: float,
-    index: int = 0,
-    attach_certificates: bool = True,
-) -> SandwichSample:
+def sandwich_pair(cfg: SamplerConfig, s: float, t: float, index: int = 0) -> SandwichSample:
     """Sample (A, B) with s*A <= B <= t*A for given 0 < s <= t.
 
     The coupling matrix C with spectrum in [s, t] is congruence-wrapped as
@@ -226,45 +209,16 @@ def sandwich_pair(
         c = _from_eigen(coupling_vals, basis, positive=True)
         sqrt_a = a.decomposition.map_eigenvalues(np.sqrt(a.decomposition.eigenvalues))
         b = PositiveDefiniteMatrix(congruence(sqrt_a, c).matrix)
-    certificates: tuple[OrderCertificate, ...] = ()
-    if attach_certificates:
-        lo_obs, hi_obs = sandwich_bounds(a, b)
-        scale = max(abs(s), abs(t))
-        certificates = (
-            loewner_leq(a * s, b),
-            loewner_leq(b, a * t),
-        )
-        if lo_obs < s - 1e-9 * scale or hi_obs > t + 1e-9 * scale:
-            raise NoConvergenceError(
-                f"sandwich construction out of range: observed [{lo_obs}, {hi_obs}] "
-                f"vs requested [{s}, {t}]"
-            )
-    return SandwichSample(a=a, b=b, s=s, t=t, certificates=certificates)
+    return SandwichSample(a=a, b=b, s=s, t=t)
 
 
-@dataclass(frozen=True)
-class OlsonSandwichSample:
-    """Pair with s*A <=ols B <=ols t*A (power-monotone sandwich)."""
-
-    a: PositiveDefiniteMatrix
-    b: PositiveDefiniteMatrix
-    s: float
-    t: float
-    certificates: tuple[OrderCertificate, ...] = ()
-
-
-def olson_sandwich_pair(
-    cfg: SamplerConfig,
-    index: int = 0,
-    attach_certificates: bool = False,
-    grid=None,
-) -> OlsonSandwichSample:
+def olson_sandwich_pair(cfg: SamplerConfig, index: int = 0) -> SandwichSample:
     """Sample (A, B, s, t) with s*A <=ols B <=ols t*A.
 
     General mode uses the bounded-spectrum route: spectra of A and B inside
     [lo, hi] force (lo/hi)^v A^v <= B^v <= (hi/lo)^v A^v for every v >= 1, so
     the returned scalars are s = lo/hi, t = hi/lo.  Commuting mode instead
-    draws per-eigenvalue factors in [s, t] on a shared basis, which certifies
+    draws per-eigenvalue factors in [s, t] on a shared basis, which gives
     the relation exactly.
     """
     if cfg.lo <= 0.0:
@@ -280,13 +234,7 @@ def olson_sandwich_pair(
         b = _from_eigen(a.decomposition.eigenvalues * factors, a.decomposition.eigenvectors, positive=True)
     else:
         b = random_pd(cfg, index, slot=1)
-    certificates: tuple[OrderCertificate, ...] = ()
-    if attach_certificates:
-        certificates = (
-            olson_leq(a * s, b, grid=grid),
-            olson_leq(b, a * t, grid=grid),
-        )
-    return OlsonSandwichSample(a=a, b=b, s=s, t=t, certificates=certificates)
+    return SandwichSample(a=a, b=b, s=s, t=t)
 
 
 @dataclass(frozen=True)
@@ -297,54 +245,29 @@ class ExponentialOlsonSample:
     k: HermitianMatrix
     s: float
     t: float
-    certificates: tuple[OrderCertificate, ...] = ()
 
 
-def olson_exponential_pair(
-    cfg: SamplerConfig,
-    m: float,
-    M: float,
-    index: int = 0,
-    attach_certificates: bool = True,
-    grid=None,
-    force_equal: bool = False,
-) -> ExponentialOlsonSample:
+def olson_exponential_pair(cfg: SamplerConfig, index: int = 0) -> ExponentialOlsonSample:
     """Sample Hermitian (H, K) with e^{m-M} e^H <=ols e^K <=ols e^{M-m} e^H.
 
-    Both spectra are drawn inside [m, M]; the bound e^{vm} <= e^{vH}, e^{vK}
-    <= e^{vM} for every v >= 1 then yields the Olson sandwich with s = m - M
-    and t = M - m, for any (even non-commuting) draw.  ``force_equal`` sets
-    K = H, the degenerate case where both relations are immediate.
+    Both spectra are drawn inside [m, M] = [cfg.lo, cfg.hi]; the bound
+    e^{vm} <= e^{vH}, e^{vK} <= e^{vM} for every v >= 1 then yields the Olson
+    sandwich with s = m - M and t = M - m, for any (even non-commuting) draw.
     """
-    m, M = float(m), float(M)
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-    bounds_cfg = replace(cfg, lo=m, hi=M)
-    h = random_bounded_hermitian(bounds_cfg, index, slot=0)
-    k = h if force_equal else random_bounded_hermitian(bounds_cfg, index, slot=1)
-    s, t = m - M, M - m
-    certificates: tuple[OrderCertificate, ...] = ()
-    if attach_certificates:
-        lhs = exp_h(h) * math.exp(s)
-        mid = exp_h(k)
-        rhs = exp_h(h) * math.exp(t)
-        certificates = (olson_leq(lhs, mid, grid=grid), olson_leq(mid, rhs, grid=grid))
-    return ExponentialOlsonSample(h=h, k=k, s=s, t=t, certificates=certificates)
+    h = random_bounded_hermitian(cfg, index, slot=0)
+    k = random_bounded_hermitian(cfg, index, slot=1)
+    m, M = float(cfg.lo), float(cfg.hi)
+    return ExponentialOlsonSample(h=h, k=k, s=m - M, t=M - m)
 
 
 @dataclass(frozen=True)
 class ChainSample:
-    """Positive definite pair with m*I <= A <= B <= M*I <= I (h = M/m)."""
+    """Positive definite pair with m*I <= A <= B <= M*I <= I."""
 
     a: PositiveDefiniteMatrix
     b: PositiveDefiniteMatrix
     m: float
     M: float
-    certificates: tuple[OrderCertificate, ...] = ()
-
-    @property
-    def h(self) -> float:
-        return self.M / self.m
 
 
 def _commuting_chain_values(
@@ -356,11 +279,7 @@ def _commuting_chain_values(
 
 
 def ordered_chain_pair(
-    cfg: SamplerConfig,
-    index: int = 0,
-    olson: bool = False,
-    grid=None,
-    attach_certificates: bool = False,
+    cfg: SamplerConfig, index: int = 0, olson: bool = False, grid=None
 ) -> ChainSample:
     """Sample (A, B) with 0 < m*I <= A <= B <= M*I <= I.
 
@@ -368,8 +287,8 @@ def ordered_chain_pair(
     makes the whole chain — including its power-monotone (Olson) middle —
     exact.  General mode congruence-perturbs a commuting pair by T = I + eX:
     the Loewner chain survives congruence exactly, and when ``olson`` is set
-    the A <=ols B middle is re-certified on ``grid`` (default grid when None),
-    shrinking e until the certificate passes; e = 0 restores the commuting
+    the A <=ols B middle is checked on ``grid`` (default grid when None),
+    shrinking e until the check passes; e = 0 restores the commuting
     construction, so generation always terminates.
     """
     if not 0.0 < cfg.lo <= cfg.hi <= 1.0:
@@ -380,12 +299,7 @@ def ordered_chain_pair(
     if cfg.mode == MODE_COMMUTING:
         a = _from_eigen(a_vals, basis, positive=True)
         b = _from_eigen(b_vals, basis, positive=True)
-        m, M = cfg.lo, cfg.hi
-        certificates: tuple[OrderCertificate, ...] = ()
-        if attach_certificates or olson:
-            cert = olson_leq(a, b, grid=grid) if olson else loewner_leq(a, b)
-            certificates = (cert,)
-        return ChainSample(a=a, b=b, m=m, M=M, certificates=certificates)
+        return ChainSample(a=a, b=b, m=cfg.lo, M=cfg.hi)
 
     a0 = _from_eigen(a_vals, basis, positive=True)
     b0 = _from_eigen(b_vals, basis, positive=True)
@@ -407,16 +321,9 @@ def ordered_chain_pair(
             b_new = b1 * scale
             m_new = float(a_new.eigenvalues[-1])
             M_new = cfg.hi
-        if olson:
-            cert = olson_leq(a_new, b_new, grid=grid)
-            if not cert.holds:
-                continue
-            certs = (cert,)
-        elif attach_certificates:
-            certs = (loewner_leq(a_new, b_new),)
-        else:
-            certs = ()
-        return ChainSample(a=a_new, b=b_new, m=m_new, M=M_new, certificates=certs)
+        if olson and not olson_leq(a_new, b_new, grid=grid).holds:
+            continue
+        return ChainSample(a=a_new, b=b_new, m=m_new, M=M_new)
     raise NoConvergenceError("ordered chain perturbation failed at every step size")
 
 
@@ -428,34 +335,28 @@ class ExponentialChainSample:
     k: HermitianMatrix
     m: float
     M: float
-    certificates: tuple[OrderCertificate, ...] = ()
 
 
 def ordered_exponential_chain_pair(
-    cfg: SamplerConfig,
-    index: int = 0,
-    grid=None,
-    attach_certificates: bool = False,
+    cfg: SamplerConfig, index: int = 0, grid=None
 ) -> ExponentialChainSample:
     """Sample Hermitian (H, K) with e^m I <=ols e^H <=ols e^K <=ols e^M I <=ols I.
 
-    ``cfg.spectral_range`` holds the exponent bounds [m, M] with M <= 0.  The
+    ``cfg.lo`` and ``cfg.hi`` hold the exponent bounds m and M <= 0.  The
     pair is built as logarithms of an ordered positive chain with spectra in
     [e^m, e^M]; the scalar ends of the chain reduce to plain Loewner bounds,
-    and the e^H <=ols e^K middle carries the chain sampler's certificate.
+    and the e^H <=ols e^K middle is the chain sampler's (exact in commuting
+    mode, checked on ``grid`` in general mode).
     """
     if cfg.hi > 0.0:
         raise BadRangeError(
             f"exponential chain needs exponent bounds with M <= 0, got [{cfg.lo}, {cfg.hi}]"
         )
     pd_cfg = replace(cfg, lo=math.exp(cfg.lo), hi=math.exp(cfg.hi))
-    chain = ordered_chain_pair(
-        pd_cfg, index, olson=True, grid=grid, attach_certificates=attach_certificates
-    )
+    chain = ordered_chain_pair(pd_cfg, index, olson=True, grid=grid)
     return ExponentialChainSample(
         h=log_pd(chain.a),
         k=log_pd(chain.b),
         m=math.log(chain.m),
         M=math.log(chain.M),
-        certificates=chain.certificates,
     )

@@ -132,7 +132,7 @@ def test_criterion_4_small_exponent_collapse():
 
 def test_criterion_5_factor_adjusted_convergence():
     cfg = SamplerConfig(4, 515151, -0.6, 0.9)
-    pair = olson_exponential_pair(cfg, -0.6, 0.9, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     powers = (1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4)
     worst = {}
     for kind in ("specht", "kantorovich"):

@@ -187,7 +187,7 @@ def test_forward_trace_commuting_is_tight():
 
 def test_specht_power_low_scalar_sandwich_tight():
     cfg = SamplerConfig(3, 31, 0.6, 1.4)
-    sample = sandwich_pair(cfg, 1.2, 1.2, 0, attach_certificates=False)
+    sample = sandwich_pair(cfg, 1.2, 1.2, 0)
     report = certify_specht_power_low(sample.a, sample.b, 1.2, 1.2, 0.5, 0.7)
     assert report.holds
     # B = 1.2 A makes both sides proportional: the difference spectrum is
@@ -229,7 +229,7 @@ def raises_exactly(message):
 def test_sandwich_hypothesis_violation_detected():
     cfg = SamplerConfig(3, 17, 0.5, 1.5)
     # B = 1.2 A exactly, so claiming 1.3 A <= B is certainly false.
-    sample = sandwich_pair(cfg, 1.2, 1.2, 0, attach_certificates=False)
+    sample = sandwich_pair(cfg, 1.2, 1.2, 0)
     with raises_exactly("hypothesis 1.3*A <= B fails: min eigenvalue of difference = -1.269e-01"):
         certify_specht_power_low(sample.a, sample.b, 1.3, 1.5, 0.5, 0.5)
 
@@ -259,7 +259,7 @@ def test_exponential_chain_requires_nonpositive_upper_bound():
 
 def test_exponential_olson_hypothesis_violation_detected():
     cfg = SamplerConfig(3, 19, -0.5, 0.5)
-    pair = olson_exponential_pair(cfg, -0.5, 0.5, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     with raises_exactly(
         "hypothesis e^(1K) <= e^(0.1*1) e^(1H) fails: min eigenvalue of difference = -6.219e-01"
     ):
@@ -300,9 +300,7 @@ def _count_eigensolves_in_loewner_checks(monkeypatch) -> dict:
 def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
     counts = _count_eigensolves_in_loewner_checks(monkeypatch)
     for index in range(3):
-        pair = olson_exponential_pair(
-            SamplerConfig(4, 31, -0.6, 0.4), -0.6, 0.4, index, attach_certificates=False
-        )
+        pair = olson_exponential_pair(SamplerConfig(4, 31, -0.6, 0.4), index)
         assert certify_gt_specht(pair.h, pair.k, -1.0, 1.0, 0.3, 2.0).holds
         chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), index, olson=True)
         assert certify_fm_pq(chain.a, chain.b, 0.2, 0.9, 0.6, 0.5, 1.5).holds
@@ -374,9 +372,25 @@ def test_parameter_domain_errors():
         certify_gt_kantorovich(h, k, -0.5, 0.5, 0.5, 0.0)  # p = 0
 
 
+@pytest.mark.parametrize(
+    "s, t", [(-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.0, math.nan)]
+)
+def test_exp_olson_rows_reject_non_finite_s_t(s, t):
+    # an infinite t once gave the factor S(e^{s p}) alone (specht(inf) is NaN,
+    # which max() dropped), and an infinite s reported a violation with factor NaN
+    h, k = commuting_hermitian_pair([0.2, -0.1], [0.1, 0.0], seed=19)
+    for certifier in (certify_gt_specht, certify_gt_specht_norm, certify_gt_kantorovich):
+        with pytest.raises(BadRangeError, match="s and t must be finite"):
+            certifier(h, k, s, t, 0.5, 1.0)
+    with pytest.raises(BadRangeError, match="s and t must be finite"):
+        certify_gt_specht_norm_squared(h, k, s, t)
+    with pytest.raises(BadRangeError, match="s and t must be finite"):
+        convergence_study(h, k, s, t, 0.5, (1.0, 0.5))
+
+
 def test_unknown_norm_id_rejected():
     cfg = SamplerConfig(2, 29, -0.4, 0.4)
-    pair = olson_exponential_pair(cfg, -0.4, 0.4, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     with pytest.raises(BadRangeError):
         certify_gt_specht_norm(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0, "operator")
 
@@ -388,7 +402,7 @@ def test_unknown_norm_id_rejected():
 
 def test_norm_report_families_and_filtering():
     cfg = SamplerConfig(3, 37, -0.6, 0.6)
-    pair = olson_exponential_pair(cfg, -0.6, 0.6, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     full = certify_gt_specht_norm(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0)
     assert full.holds
     assert list(full.labels) == [
@@ -407,7 +421,7 @@ def test_norm_report_families_and_filtering():
 
 def test_norm_squared_display_factor():
     cfg = SamplerConfig(3, 41, -0.5, 0.4)
-    pair = olson_exponential_pair(cfg, -0.5, 0.4, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     report = certify_gt_specht_norm_squared(pair.h, pair.k, pair.s, pair.t)
     assert report.holds
     expected = max(specht(math.exp(2 * pair.s)), specht(math.exp(2 * pair.t)))
@@ -512,7 +526,7 @@ def test_compare_seo_constants_ratio_bounded():
 
 def test_convergence_study_shape_and_decay():
     cfg = SamplerConfig(3, 67, -0.5, 0.8)
-    pair = olson_exponential_pair(cfg, -0.5, 0.8, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     powers = (1.0, 0.1, 0.01, 1e-3, 1e-4)
     for kind in ("specht", "kantorovich"):
         rows = convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, powers, kind)
@@ -526,15 +540,15 @@ def test_convergence_study_shape_and_decay():
 
 def test_convergence_study_equal_pair_gap_is_factor_only():
     cfg = SamplerConfig(2, 71, -0.3, 0.3)
-    pair = olson_exponential_pair(cfg, -0.3, 0.3, 0, force_equal=True)
-    rows = convergence_study(pair.h, pair.k, 0.0, 0.0, 0.5, (1.0, 0.5), "specht")
+    pair = olson_exponential_pair(cfg, 0)
+    rows = convergence_study(pair.h, pair.h, 0.0, 0.0, 0.5, (1.0, 0.5), "specht")
     # H = K with s = t = 0 gives factor 1 and exact equality of both sides.
     assert all(abs(row.gap) <= 1e-12 for row in rows)
 
 
 def test_convergence_study_validation():
     cfg = SamplerConfig(2, 73, -0.3, 0.3)
-    pair = olson_exponential_pair(cfg, -0.3, 0.3, 0, attach_certificates=False)
+    pair = olson_exponential_pair(cfg, 0)
     with pytest.raises(BadRangeError):
         convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, (), "specht")
     with pytest.raises(BadRangeError):

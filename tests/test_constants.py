@@ -15,7 +15,6 @@ from golden_bounds.constants import (
     kantorovich,
     kantorovich_limit_root,
     kantorovich_lower_bound,
-    scalar_specht_amgm_check,
     specht,
     specht_p_root,
 )
@@ -80,6 +79,21 @@ def test_specht_branch_boundary_consistent():
 def test_specht_domain(bad):
     with pytest.raises(NonPositiveError):
         specht(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_constants_reject_non_finite_arguments(bad):
+    # specht(inf) used to be NaN, which max() in a factor silently dropped
+    with pytest.raises(BadRangeError):
+        specht(bad)
+    with pytest.raises(BadRangeError):
+        kantorovich(bad, 0.5)
+    with pytest.raises(BadRangeError):
+        kantorovich(2.0, bad)
+    with pytest.raises(BadRangeError):
+        evaluate_constant("specht", [bad])
+    with pytest.raises(BadRangeError):
+        evaluate_constant("kantorovich", [2.0, bad])
 
 
 def test_specht_p_root_frozen():
@@ -257,27 +271,35 @@ def test_fm_factor_domains():
 # ---------------------------------------------------------------------------
 
 
+def _specht_amgm(values) -> tuple[float, float]:
+    """Arithmetic mean and its reverse AM-GM bound S(max/min) * geometric mean."""
+    mean = sum(values) / len(values)
+    geomean = math.exp(sum(math.log(x) for x in values) / len(values))
+    return mean, specht(max(values) / min(values)) * geomean
+
+
 def test_scalar_amgm_reverse_holds_on_random_tuples():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        values = rng.uniform(0.2, 9.0, size=int(rng.integers(1, 7)))
-        mean, bound, margin = scalar_specht_amgm_check(values)
-        assert margin >= -1e-12 * bound
+        values = [float(x) for x in rng.uniform(0.2, 9.0, size=int(rng.integers(1, 7)))]
+        mean, bound = _specht_amgm(values)
         assert mean <= bound + 1e-12 * bound
 
 
 def test_scalar_amgm_equal_values_tight():
-    mean, bound, margin = scalar_specht_amgm_check([3.0, 3.0, 3.0])
+    mean, bound = _specht_amgm([3.0, 3.0, 3.0])
     assert mean == pytest.approx(3.0, rel=1e-15)
     assert bound == pytest.approx(3.0, rel=1e-15)
-    assert margin == pytest.approx(0.0, abs=1e-14)
+    assert bound - mean == pytest.approx(0.0, abs=1e-14)
 
 
 def test_scalar_amgm_validation():
-    with pytest.raises(EmptySequenceError):
-        scalar_specht_amgm_check([])
+    # the bound needs a finite positive spread max/min; an unbounded one has no constant
+    for ratio in (math.inf, math.nan):
+        with pytest.raises(BadRangeError):
+            specht(ratio)
     with pytest.raises(NonPositiveError):
-        scalar_specht_amgm_check([1.0, 0.0])
+        specht(0.0)
 
 
 def test_evaluate_constant_names_and_branches():

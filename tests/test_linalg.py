@@ -1,4 +1,4 @@
-"""Matrix core: construction, Jacobi spectra, functions, norms, serialization."""
+"""Matrix core: construction, Jacobi spectra, functions, norms."""
 
 import hashlib
 import math
@@ -19,8 +19,8 @@ from golden_bounds import linalg
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    apply_function,
-    commutator_norm,
+    _commutator_norm,
+    _singular_values_desc,
     common_eigenbasis,
     congruence,
     eigenvalues_desc,
@@ -30,11 +30,8 @@ from golden_bounds.linalg import (
     inv_sqrt_congruence,
     ky_fan_norm,
     log_pd,
-    matrix_from_json,
-    matrix_to_json,
     power,
     schatten_norm,
-    singular_values_desc,
     trace,
 )
 from golden_bounds.means import geometric_mean
@@ -61,7 +58,8 @@ def random_pd_array(rng, n) -> PositiveDefiniteMatrix:
 def test_construction_symmetrizes_small_defects():
     m = HermitianMatrix([[1.0, 0.5 + 1e-12j], [0.5, 2.0]])
     assert np.allclose(m.matrix, m.matrix.conj().T)
-    assert m.hermiticity_defect <= 1e-11
+    # the stored entry is the mean of the entry and its mirror's conjugate
+    assert m.matrix[0, 1] == 0.5 + 0.5e-12j
 
 
 def test_construction_rejects_large_defect():
@@ -445,20 +443,6 @@ def test_cholesky_edge_cases():
 # ---------------------------------------------------------------------------
 
 
-def test_apply_function_squares_spectrum():
-    m = HermitianMatrix(np.diag([3.0, -2.0]))
-    sq = apply_function(m, lambda x: x * x)
-    assert sq.eigenvalues == pytest.approx([9.0, 4.0])
-
-
-def test_apply_function_domain_error():
-    m = HermitianMatrix(np.diag([1.0, -1.0]))
-    with pytest.raises(DomainError):
-        apply_function(m, math.log)
-    with pytest.raises(DomainError):
-        apply_function(m, lambda x: 1.0 / (x - 1.0))
-
-
 def test_power_identities():
     rng = np.random.default_rng(3)
     p = random_pd_array(rng, 4)
@@ -515,7 +499,7 @@ def test_log_pd_inverts_exp():
 
 def test_singular_values_and_ky_fan():
     m = HermitianMatrix(np.diag([3.0, -4.0, 1.0]))
-    assert list(singular_values_desc(m)) == [4.0, 3.0, 1.0]
+    assert list(_singular_values_desc(m)) == [4.0, 3.0, 1.0]
     assert ky_fan_norm(m, 1) == 4.0
     assert ky_fan_norm(m, 2) == 7.0
     assert ky_fan_norm(m, 3) == 8.0
@@ -592,7 +576,7 @@ def test_common_eigenbasis_on_commuting_pair():
     bvals = np.array([1.0, 5.0, 3.0, 2.0])
     a = HermitianMatrix((q * avals) @ q.conj().T)
     b = HermitianMatrix((q * bvals) @ q.conj().T)
-    assert commutator_norm(a, b) <= 1e-12
+    assert _commutator_norm(a, b) <= 1e-12
     result = common_eigenbasis(a, b)
     assert result is not None
     v, got_a, got_b = result
@@ -607,32 +591,13 @@ def test_common_eigenbasis_on_commuting_pair():
 def test_common_eigenbasis_rejects_noncommuting_pair():
     a = HermitianMatrix(np.diag([2.0, 1.0]))
     b = HermitianMatrix([[1.0, 0.6], [0.6, 1.5]])
-    assert commutator_norm(a, b) > 0.1
+    assert _commutator_norm(a, b) > 0.1
     assert common_eigenbasis(a, b) is None
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Spectrum copies
 # ---------------------------------------------------------------------------
-
-
-def test_json_round_trip_complex():
-    rng = np.random.default_rng(37)
-    m = random_hermitian(rng, 3)
-    back = matrix_from_json(matrix_to_json(m))
-    assert frobenius_distance(m, back) == 0.0
-
-
-def test_json_imaginary_block_optional():
-    m = matrix_from_json('{"n": 2, "re": [[1.0, 0.5], [0.5, 2.0]]}')
-    assert np.allclose(m.matrix, [[1.0, 0.5], [0.5, 2.0]])
-
-
-def test_json_shape_validation():
-    with pytest.raises(NonSquareError):
-        matrix_from_json('{"n": 2, "re": [[1.0, 0.5]]}')
-    with pytest.raises(NonSquareError):
-        matrix_from_json('{"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]}')
 
 
 def test_eigenvalues_desc_returns_fresh_copy():

@@ -90,6 +90,35 @@ def test_olson_commuting_pair_certifies_exactly():
     assert cert.mode == MODE_EXACT
 
 
+@pytest.mark.parametrize(
+    "b_values, holds, worst",
+    [
+        ((3.5, 2.6, 2.3, 1.2), True, (2.3 - 2.0) / 2.3),
+        ((3.5, 2.6, 1.5, 1.2), False, (1.5 - 2.0) / 2.0),
+    ],
+    ids=["holds", "fails"],
+)
+def test_olson_exact_on_repeated_eigenvalue(b_values, holds, worst):
+    # A has the eigenvalue 2 twice; B commutes with A but splits that
+    # eigenspace along a basis the eigensolver of A does not pick, so only
+    # the block eigensolve in common_eigenbasis can pair the eigenvalues.
+    rng = np.random.default_rng(41)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(raw)
+    mix = np.eye(4, dtype=complex)
+    c, s = np.cos(0.6), np.sin(0.6) * np.exp(0.4j)
+    mix[1:3, 1:3] = [[c, -s], [s.conjugate(), c]]
+    a = PositiveDefiniteMatrix((q * np.array([3.0, 2.0, 2.0, 1.0])) @ q.conj().T)
+    qb = q @ mix
+    b = PositiveDefiniteMatrix((qb * np.array(b_values)) @ qb.conj().T)
+    v = a.decomposition.eigenvectors[:, 1:3]
+    assert abs((v.conj().T @ b.matrix @ v)[0, 1]) > 0.1  # not diagonal in A's basis
+    cert = olson_leq(a, b)
+    assert cert.mode == MODE_EXACT
+    assert cert.holds is holds
+    assert cert.worst_margin == pytest.approx(worst, abs=1e-9)
+
+
 def test_olson_general_pair_uses_grid_evidence():
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -1,4 +1,4 @@
-"""Seeded samplers: determinism, spectral ranges, certified relations."""
+"""Seeded samplers: determinism, spectral ranges, the relations they construct."""
 
 import math
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from golden_bounds.errors import BadRangeError
-from golden_bounds.linalg import commutator_norm, exp_h
-from golden_bounds.orders import MODE_EXACT, MODE_GRID, loewner_leq
+from golden_bounds.linalg import _commutator_norm, exp_h
+from golden_bounds.orders import MODE_EXACT, MODE_GRID, loewner_leq, olson_leq, sandwich_bounds
 from golden_bounds.sampling import (
     MODE_COMMUTING,
     MODE_GENERAL,
@@ -56,7 +56,7 @@ def test_config_validation():
     with pytest.raises(BadRangeError):
         SamplerConfig(2, 1, 0.5, 2.0, mode="diagonal")
     cfg = SamplerConfig(2, 1, 0.5, 2.0)
-    assert cfg.spectral_range == (0.5, 2.0)
+    assert (cfg.lo, cfg.hi) == (0.5, 2.0)
 
 
 def test_golden_pd_spectra_frozen():
@@ -74,9 +74,7 @@ def test_golden_hermitian_pair_frozen():
 
 
 def test_golden_sandwich_frozen():
-    sample = sandwich_pair(
-        SamplerConfig(3, 9, 0.5, 1.5), 0.8, 2.0, 1, attach_certificates=False
-    )
+    sample = sandwich_pair(SamplerConfig(3, 9, 0.5, 1.5), 0.8, 2.0, 1)
     assert sample.b.eigenvalues == pytest.approx(GOLDEN_SANDWICH_B, abs=1e-10)
 
 
@@ -120,10 +118,10 @@ def test_spectra_respect_configured_range():
 def test_commuting_mode_commutes_general_does_not():
     commuting = SamplerConfig(4, 17, 0.5, 2.0, mode=MODE_COMMUTING)
     a, b = random_pd_pair(commuting, 0)
-    assert commutator_norm(a, b) <= 1e-12
+    assert _commutator_norm(a, b) <= 1e-12
     general = SamplerConfig(4, 17, 0.5, 2.0, mode=MODE_GENERAL)
     a2, b2 = random_pd_pair(general, 0)
-    assert commutator_norm(a2, b2) > 1e-6
+    assert _commutator_norm(a2, b2) > 1e-6
 
 
 def test_degenerate_range_collapses_to_scalar_matrix():
@@ -141,17 +139,22 @@ def test_isometry_rows_orthonormal():
 
 
 def test_sandwich_pair_satisfies_scalar_bounds():
-    cfg = SamplerConfig(4, 3, 0.5, 1.5)
-    sample = sandwich_pair(cfg, 0.7, 2.5, 0, attach_certificates=True)
-    assert sample.s == 0.7 and sample.t == 2.5
-    assert all(cert.holds for cert in sample.certificates)
-    assert loewner_leq(sample.a * 0.7, sample.b, tolerance=1e-9).holds
-    assert loewner_leq(sample.b, sample.a * 2.5, tolerance=1e-9).holds
+    for mode in (MODE_GENERAL, MODE_COMMUTING):
+        cfg = SamplerConfig(4, 3, 0.5, 1.5, mode=mode)
+        sample = sandwich_pair(cfg, 0.7, 2.5, 0)
+        assert sample.s == 0.7 and sample.t == 2.5
+        assert loewner_leq(sample.a * 0.7, sample.b).holds
+        assert loewner_leq(sample.b, sample.a * 2.5).holds
+        assert loewner_leq(sample.a * 0.7, sample.b, tolerance=1e-9).holds
+        assert loewner_leq(sample.b, sample.a * 2.5, tolerance=1e-9).holds
+        # the observed sandwich lies inside the requested [s, t]
+        lo_obs, hi_obs = sandwich_bounds(sample.a, sample.b)
+        assert 0.7 - 1e-9 * 2.5 <= lo_obs <= hi_obs <= 2.5 + 1e-9 * 2.5
 
 
 def test_sandwich_pair_degenerate_scalars():
     cfg = SamplerConfig(3, 5, 0.5, 1.5)
-    sample = sandwich_pair(cfg, 1.3, 1.3, 0, attach_certificates=False)
+    sample = sandwich_pair(cfg, 1.3, 1.3, 0)
     assert np.allclose(sample.b.matrix, 1.3 * sample.a.matrix, atol=1e-12)
 
 
@@ -163,55 +166,56 @@ def test_sandwich_pair_validation():
         sandwich_pair(cfg, 0.0, 1.0, 0)
 
 
+def _olson_sandwich_checks(sample):
+    return (
+        olson_leq(sample.a * sample.s, sample.b),
+        olson_leq(sample.b, sample.a * sample.t),
+    )
+
+
 def test_olson_sandwich_modes_and_certificates():
     commuting = SamplerConfig(3, 6, 0.4, 1.6, mode=MODE_COMMUTING)
-    sample = olson_sandwich_pair(commuting, 0, attach_certificates=True)
+    sample = olson_sandwich_pair(commuting, 0)
     assert sample.s == pytest.approx(0.25)
     assert sample.t == pytest.approx(4.0)
-    assert all(c.holds for c in sample.certificates)
-    assert {c.mode for c in sample.certificates} == {MODE_EXACT}
+    checks = _olson_sandwich_checks(sample)
+    assert all(c.holds for c in checks)
+    assert {c.mode for c in checks} == {MODE_EXACT}
 
     general = SamplerConfig(3, 6, 0.4, 1.6, mode=MODE_GENERAL)
-    sample2 = olson_sandwich_pair(general, 0, attach_certificates=True)
-    assert all(c.holds for c in sample2.certificates)
-    assert {c.mode for c in sample2.certificates} == {MODE_GRID}
+    checks2 = _olson_sandwich_checks(olson_sandwich_pair(general, 0))
+    assert all(c.holds for c in checks2)
+    assert {c.mode for c in checks2} == {MODE_GRID}
 
 
 def test_olson_exponential_pair_relations():
     cfg = SamplerConfig(3, 8, -0.8, 0.7)
-    pair = olson_exponential_pair(cfg, -0.8, 0.7, 0, attach_certificates=True)
+    pair = olson_exponential_pair(cfg, 0)
     assert pair.s == pytest.approx(-1.5)
     assert pair.t == pytest.approx(1.5)
-    assert all(c.holds for c in pair.certificates)
     lhs = exp_h(pair.h) * math.exp(pair.s)
     mid = exp_h(pair.k)
     rhs = exp_h(pair.h) * math.exp(pair.t)
+    assert olson_leq(lhs, mid).holds and olson_leq(mid, rhs).holds
     assert loewner_leq(lhs, mid, tolerance=1e-9).holds
     assert loewner_leq(mid, rhs, tolerance=1e-9).holds
-
-
-def test_olson_exponential_force_equal():
-    cfg = SamplerConfig(3, 8, -0.5, 0.5)
-    pair = olson_exponential_pair(cfg, -0.5, 0.5, 0, force_equal=True)
-    assert np.array_equal(pair.h.matrix, pair.k.matrix)
 
 
 def test_ordered_chain_loewner_and_bounds():
     for mode in (MODE_COMMUTING, MODE_GENERAL):
         cfg = SamplerConfig(4, 10, 0.2, 0.9, mode=mode)
-        chain = ordered_chain_pair(cfg, 0, attach_certificates=True)
+        chain = ordered_chain_pair(cfg, 0)
         assert 0.0 < chain.m <= chain.M <= 1.0 + 1e-12
-        assert chain.certificates and all(c.holds for c in chain.certificates)
+        assert loewner_leq(chain.a, chain.b).holds
         assert chain.a.eigenvalues[-1] >= chain.m - 1e-10
         assert chain.b.eigenvalues[0] <= chain.M + 1e-10
         assert loewner_leq(chain.a, chain.b, tolerance=1e-9).holds
-        assert chain.h == pytest.approx(chain.M / chain.m)
 
 
 def test_ordered_chain_olson_middle():
     cfg = SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_GENERAL)
     chain = ordered_chain_pair(cfg, 1, olson=True, grid=(1.0, 2.0, 3.0))
-    assert chain.certificates and chain.certificates[0].holds
+    assert olson_leq(chain.a, chain.b, grid=(1.0, 2.0, 3.0)).holds
 
 
 def test_ordered_chain_range_validation():
