@@ -1,4 +1,5 @@
-"""Count the eigensolves whose eigenvectors are never read, per benchmark workload.
+"""Count the eigensolves whose eigenvectors are never read, and the matrices
+whose entries are never built, per benchmark workload.
 
 Run from a checkout, with that checkout's sources on the path:
 
@@ -8,8 +9,12 @@ For each workload in ``perfbench/workloads.py`` it runs the CLI calls of the
 first ``--cycles`` cycles (CLI seeds taken from the start of the workload's
 pool) in this process, and counts ``linalg._jacobi`` calls and rotation-log
 replays. Each log is replayed at most once, so the eigensolves minus the
-replays are the decompositions whose eigenvectors were never read. Report
-files go to a temporary directory; the counts are printed as JSON.
+replays are the decompositions whose eigenvectors were never read. In the
+same way it counts the matrices constructed with pending entries (a callable,
+such as the results of ``power`` and ``exp_h``) and the first reads of
+``matrix`` that build them; the difference is the matrices whose entries were
+never built. Report files go to a temporary directory; the counts are
+printed as JSON.
 """
 
 from __future__ import annotations
@@ -30,18 +35,29 @@ from golden_bounds import cli, linalg  # noqa: E402
 
 
 def count_reads(workload, cycles: int, out_dir: Path) -> dict:
-    counts = {"eigensolves": 0, "replays": 0}
+    counts = {"eigensolves": 0, "replays": 0, "pending_matrices": 0, "matrix_builds": 0}
+    hermitian = linalg.HermitianMatrix
     jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
+    init, matrix = hermitian.__init__, hermitian.matrix
 
-    def counting_jacobi(matrix):
+    def counting_jacobi(m):
         counts["eigensolves"] += 1
-        return jacobi(matrix)
+        return jacobi(m)
 
     def counting_replay(log):
         counts["replays"] += 1
         return replay(log)
 
+    def counting_init(self, entries, **kwargs):
+        counts["pending_matrices"] += callable(entries)
+        init(self, entries, **kwargs)
+
+    def counting_matrix(m):
+        counts["matrix_builds"] += callable(m._matrix)
+        return matrix.fget(m)
+
     linalg._jacobi, linalg._RotationLog.replay = counting_jacobi, counting_replay
+    hermitian.__init__, hermitian.matrix = counting_init, property(counting_matrix)
     try:
         for cli_seed in workload.pool[:cycles]:
             for call in workload.make_cycle(cli_seed, out_dir):
@@ -50,9 +66,13 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
                         raise SystemExit(f"failed: {' '.join(call.argv)}")
     finally:
         linalg._jacobi, linalg._RotationLog.replay = jacobi, replay
+        hermitian.__init__, hermitian.matrix = init, matrix
     unread = counts["eigensolves"] - counts["replays"]
     counts["never_read"] = unread
     counts["never_read_share"] = round(unread / counts["eigensolves"], 3)
+    unbuilt = counts["pending_matrices"] - counts["matrix_builds"]
+    counts["never_built"] = unbuilt
+    counts["never_built_share"] = round(unbuilt / counts["pending_matrices"], 3)
     return counts
 
 

@@ -39,10 +39,10 @@ print()
 a = PositiveDefiniteMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
 sqrt_a = power(a, 0.5)
 print(f"sqrt(A)^2 ~ A defect: "
-      f"{np.linalg.norm((sqrt_a.base.matrix @ sqrt_a.base.matrix) - a.base.matrix):.2e}")
+      f"{np.linalg.norm((sqrt_a.matrix @ sqrt_a.matrix) - a.matrix):.2e}")
 log_a = log_pd(a)
 print(f"exp(log(A)) ~ A defect: "
-      f"{np.linalg.norm(exp_h(log_a).base.matrix - a.base.matrix):.2e}")
+      f"{np.linalg.norm(exp_h(log_a).matrix - a.matrix):.2e}")
 print()
 
 # Congruence maps X -> T* X T preserve positivity; the inverse-square-root
@@ -50,12 +50,12 @@ print()
 # geometric mean.
 cfg = SamplerConfig(4, 7, 0.5, 2.0)
 b = random_pd(cfg, 0)
-normalized = inv_sqrt_congruence(b.base, b.base)
+normalized = inv_sqrt_congruence(b, b)
 print(f"A^(-1/2) A A^(-1/2) = I defect: "
       f"{np.linalg.norm(normalized.matrix - np.eye(4)):.2e}")
 t = np.array([[1.0, 2.0], [0.0, 1.0]])
 print(f"congruence by a unit-triangular T keeps positivity: "
-      f"min eig = {congruence(t, a.base).eigenvalues[-1]:.6f}")
+      f"min eig = {congruence(t, a).eigenvalues[-1]:.6f}")
 print()
 
 # Ky Fan norms sum the k largest singular values; Schatten norms aggregate

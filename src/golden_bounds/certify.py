@@ -290,9 +290,9 @@ def _require_exponential_olson(h, k, v: dict) -> None:
         raise HypothesisViolatedError(f"need s <= t, got s={s}, t={t}")
     for nu in _lean_exponents(v):
         exp_nu_h = exp_h(h * nu)
-        low = exp_nu_h * math.exp(s * nu)
+        low = exp_nu_h * _exp(s * nu, "s*nu")
         mid = exp_h(k * nu)
-        high = exp_nu_h * math.exp(t * nu)
+        high = exp_nu_h * _exp(t * nu, "t*nu")
         _demand_loewner(low, mid, f"e^({s:g}*{nu:g}) e^({nu:g}H) <= e^({nu:g}K)")
         _demand_loewner(mid, high, f"e^({nu:g}K) <= e^({t:g}*{nu:g}) e^({nu:g}H)")
 
@@ -363,6 +363,19 @@ def _check_bounds(m: float, M: float) -> None:
 def _check_finite_st(s: float, t: float) -> None:
     if not (math.isfinite(s) and math.isfinite(t)):
         raise BadRangeError(f"s and t must be finite, got s={s}, t={t}")
+
+
+def _exp(exponent: float, name: str) -> float:
+    """e^exponent; BadRangeError if it overflows or underflows to 0, naming
+    the exponent as ``name`` (e.g. "t*p")."""
+    try:
+        value = math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        fault = "overflows" if value else "underflows to 0"
+        raise BadRangeError(f"e^({name}) = e^({exponent:g}) {fault} in double precision")
+    return value
 
 
 def _alpha(v: dict) -> None:
@@ -641,12 +654,12 @@ class _Inequality:
 
 def _specht_exp_factor(v: dict) -> float:
     p = v["p"]
-    return max(specht(math.exp(v["s"] * p)), specht(math.exp(v["t"] * p))) ** (1.0 / p)
+    return max(specht(_exp(v["s"] * p, "s*p")), specht(_exp(v["t"] * p, "t*p"))) ** (1.0 / p)
 
 
 def _kantorovich_exp_factor(v: dict) -> float:
     p = v["p"]
-    return kantorovich(math.exp(p * (v["t"] - v["s"])), v["alpha"]) ** (-1.0 / p)
+    return kantorovich(_exp(p * (v["t"] - v["s"]), "p(t-s)"), v["alpha"]) ** (-1.0 / p)
 
 
 def _cosh_factor(v: dict) -> float:
@@ -654,8 +667,8 @@ def _cosh_factor(v: dict) -> float:
     Kantorovich constant K(e^{4(M-m)}, 1/2)^{-1}; a mismatch signals an
     internal constant bug, not a data problem."""
     m, M = v["m"], v["M"]
-    factor = (math.exp(2.0 * M) + math.exp(2.0 * m)) / (2.0 * math.exp(M + m))
-    via_constant = 1.0 / kantorovich(math.exp(4.0 * (M - m)), 0.5)
+    factor = (_exp(2.0 * M, "2M") + _exp(2.0 * m, "2m")) / (2.0 * _exp(M + m, "M+m"))
+    via_constant = 1.0 / kantorovich(_exp(4.0 * (M - m), "4(M-m)"), 0.5)
     if abs(via_constant - factor) > 1e-9 * factor:
         raise GoldenBoundsError(
             f"squared-display constant mismatch: closed form {factor!r} vs "
@@ -720,13 +733,13 @@ _INEQUALITIES = {
     "gt-specht-norm-squared": _Inequality(
         ("alpha", "p", "s", "t"), (_finite_st,), fixed=_SQUARED,
         require=_require_exponential_olson,
-        factor=lambda v: max(specht(math.exp(2.0 * v["s"])), specht(math.exp(2.0 * v["t"]))),
+        factor=lambda v: max(specht(_exp(2.0 * v["s"], "2s")), specht(_exp(2.0 * v["t"], "2t"))),
         compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
         draws=(_hermitian_range,), sample=_exp_olson_sample,
     ),
     "gt-bounded-specht": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
-        factor=lambda v: specht(math.exp((v["M"] - v["m"]) * v["p"])) ** (1.0 / v["p"]),
+        factor=lambda v: specht(_exp((v["M"] - v["m"]) * v["p"], "(M-m)p")) ** (1.0 / v["p"]),
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
     ),
     # Kantorovich constant
@@ -744,7 +757,7 @@ _INEQUALITIES = {
     ),
     "gt-kantorovich-bounded": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
-        factor=lambda v: kantorovich(math.exp(2.0 * v["p"] * (v["M"] - v["m"])), v["alpha"])
+        factor=lambda v: kantorovich(_exp(2.0 * v["p"] * (v["M"] - v["m"]), "2p(M-m)"), v["alpha"])
         ** (-1.0 / v["p"]),
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
     ),
@@ -774,7 +787,9 @@ _INEQUALITIES = {
     ),
     "gt-fm": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p), require=_require_exponential_chain,
-        factor=lambda v: fm_factor(math.exp(v["p"] * (v["M"] - v["m"])), v["alpha"], 1.0 / v["p"]),
+        factor=lambda v: fm_factor(
+            _exp(v["p"] * (v["M"] - v["m"]), "p(M-m)"), v["alpha"], 1.0 / v["p"]
+        ),
         compare=_gt_eigen,
         draws=(_exp_chain_range, _draw_gt_power, _draw_alpha), sample=_exp_chain_sample,
     ),
@@ -1125,8 +1140,8 @@ def compare_seo_constants(
     if not 0.0 < p <= 1.0:
         raise BadRangeError(f"need 0 < p <= 1, got {p}")
     _check_bounds(m, M)
-    new_constant = kantorovich(math.exp(2.0 * p * (M - m)), alpha) ** (-1.0 / p)
-    extra = kantorovich(math.exp(M - m), p) ** (-alpha / p)
+    new_constant = kantorovich(_exp(2.0 * p * (M - m), "2p(M-m)"), alpha) ** (-1.0 / p)
+    extra = kantorovich(_exp(M - m, "M-m"), p) ** (-alpha / p)
     product = extra * new_constant
     return new_constant, product, new_constant / product
 

@@ -10,8 +10,9 @@ identity, so a spectrum read only for its eigenvalues never builds them.
 Across machines the last bits can still move: the matrix products around the
 solver run on numpy, whose BLAS build and runtime CPU dispatch (fused
 multiply-adds on X86_V3/V4) set their rounding. Matrices produced by spectral
-construction carry their decomposition with them; only genuinely new matrices
-cost a Jacobi run.
+construction carry their decomposition with them, and their entries
+V diag(f(λ)) V* are built on first read, so a result read only for its
+spectrum never forms them; only genuinely new matrices cost a Jacobi run.
 """
 
 from __future__ import annotations
@@ -242,12 +243,33 @@ class SpectralDecomposition:
         return (v * np.asarray(values)) @ v.conj().T
 
     def _scaled(self, factor: float) -> "SpectralDecomposition":
-        """The decomposition of ``factor`` times the matrix; its eigenvectors
-        are built from this one's when first read."""
-        vals = self._eigenvalues * factor
-        if factor < 0.0:
-            return SpectralDecomposition(vals[::-1], lambda: self.eigenvectors[:, ::-1])
-        return SpectralDecomposition(vals, lambda: self.eigenvectors)
+        """The decomposition of ``factor`` times the matrix."""
+        return self._mapped(self._eigenvalues * factor, reverse=factor < 0.0)
+
+    def _mapped(self, values: np.ndarray, reverse: bool = False) -> "SpectralDecomposition":
+        """The decomposition with these eigenvalue images on this one's
+        eigenvectors, both reversed if ``reverse`` (for a decreasing map); its
+        eigenvectors are built from this one's when first read."""
+        if reverse:
+            return SpectralDecomposition(values[::-1], lambda: self.eigenvectors[:, ::-1])
+        return SpectralDecomposition(values, lambda: self.eigenvectors)
+
+
+def _checked_entries(entries) -> np.ndarray:
+    """The read-only (raw + raw*)/2 of a finite, nonempty, square, Hermitian array."""
+    raw = np.asarray(entries, dtype=np.complex128)
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
+        raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
+    scale = float(np.max(np.abs(raw)))
+    if not math.isfinite(scale):
+        raise NotHermitianError("matrix entries must be finite (got NaN or Inf)")
+    defect = float(np.max(np.abs(raw - raw.conj().T)))
+    if defect > HERMITICITY_DEFECT_RTOL * scale:
+        raise NotHermitianError(
+            f"Hermiticity defect {defect:.3e} exceeds "
+            f"{HERMITICITY_DEFECT_RTOL:g} * max|entry| = {HERMITICITY_DEFECT_RTOL * scale:.3e}"
+        )
+    return _read_only((raw + raw.conj().T) / 2.0)
 
 
 class HermitianMatrix:
@@ -257,32 +279,35 @@ class HermitianMatrix:
     (raw + raw*)/2, and rejects inputs whose Hermiticity defect
     max|raw - raw*| exceeds 1e-8 times the largest entry magnitude. The
     stored array is immutable.
+
+    The entries are given either as an array or, together with the
+    decomposition, as a callable that builds them, such as a decomposition's
+    ``reconstruct``. The callable runs on the first read of ``matrix``, which
+    makes the checks above; until then ``dim`` and the spectrum come from the
+    decomposition.
     """
 
     __slots__ = ("_matrix", "_decomp")
 
     def __init__(self, entries, *, decomposition: SpectralDecomposition | None = None):
-        raw = np.asarray(entries, dtype=np.complex128)
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
-            raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
-        scale = float(np.max(np.abs(raw)))
-        if not math.isfinite(scale):
-            raise NotHermitianError("matrix entries must be finite (got NaN or Inf)")
-        defect = float(np.max(np.abs(raw - raw.conj().T)))
-        if defect > HERMITICITY_DEFECT_RTOL * scale:
-            raise NotHermitianError(
-                f"Hermiticity defect {defect:.3e} exceeds "
-                f"{HERMITICITY_DEFECT_RTOL:g} * max|entry| = {HERMITICITY_DEFECT_RTOL * scale:.3e}"
-            )
-        self._matrix = _read_only((raw + raw.conj().T) / 2.0)
+        if callable(entries):
+            if decomposition is None:
+                raise TypeError("entries given as a callable need a decomposition")
+        else:
+            entries = _checked_entries(entries)
+        self._matrix = entries
         self._decomp = decomposition
 
     @property
     def matrix(self) -> np.ndarray:
+        if callable(self._matrix):
+            self._matrix = _checked_entries(self._matrix())
         return self._matrix
 
     @property
     def dim(self) -> int:
+        if callable(self._matrix):
+            return self._decomp.eigenvalues.shape[0]
         return self._matrix.shape[0]
 
     @property
@@ -298,14 +323,14 @@ class HermitianMatrix:
         return self.decomposition.eigenvalues
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self._matrix))
+        return float(np.linalg.norm(self.matrix))
 
     def _binary(self, other, sign: float) -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
         if other.dim != self.dim:
             raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return HermitianMatrix(self._matrix + sign * other._matrix)
+        return HermitianMatrix(self.matrix + sign * other.matrix)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -319,7 +344,7 @@ class HermitianMatrix:
     def _scaled(self, factor: float) -> "HermitianMatrix":
         dec = self._decomp
         new_dec = None if dec is None else dec._scaled(factor)
-        return HermitianMatrix(self._matrix * factor, decomposition=new_dec)
+        return HermitianMatrix(self.matrix * factor, decomposition=new_dec)
 
     def __mul__(self, factor):
         if not isinstance(factor, Real):
@@ -347,14 +372,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    @property
-    def base(self) -> HermitianMatrix:
-        """The same matrix viewed as a plain HermitianMatrix (shared storage)."""
-        view = HermitianMatrix.__new__(HermitianMatrix)
-        view._matrix = self._matrix
-        view._decomp = self._decomp
-        return view
-
     def _scaled(self, factor: float):
         plain = super()._scaled(factor)
         if factor > 0.0:
@@ -372,7 +389,7 @@ def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> Hermitian
     order = np.argsort(-vals, kind="stable")
     dec = SpectralDecomposition(vals[order], vecs[:, order])
     cls = PositiveDefiniteMatrix if positive else HermitianMatrix
-    return cls(dec.reconstruct(), decomposition=dec)
+    return cls(dec.reconstruct, decomposition=dec)
 
 
 def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
@@ -392,12 +409,8 @@ def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
             vals = dec.eigenvalues**r
         except FloatingPointError as exc:
             raise DomainError(f"matrix power overflowed: {exc}") from exc
-    vecs = dec.eigenvectors
-    if r < 0.0:
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
-    dec_out = SpectralDecomposition(vals, vecs)
-    return PositiveDefiniteMatrix(dec_out.reconstruct(), decomposition=dec_out)
+    dec_out = dec._mapped(vals, reverse=r < 0.0)
+    return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 
 
 def exp_h(matrix: HermitianMatrix) -> PositiveDefiniteMatrix:
@@ -407,8 +420,8 @@ def exp_h(matrix: HermitianMatrix) -> PositiveDefiniteMatrix:
         vals = np.exp(dec.eigenvalues)
     if not np.all(np.isfinite(vals)):
         raise DomainError(f"exponential overflowed at eigenvalue {dec.eigenvalues[0]:.6g}")
-    dec_out = SpectralDecomposition(vals, dec.eigenvectors)
-    return PositiveDefiniteMatrix(dec_out.reconstruct(), decomposition=dec_out)
+    dec_out = dec._mapped(vals)
+    return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 
 
 def log_pd(matrix: HermitianMatrix) -> HermitianMatrix:
@@ -417,8 +430,8 @@ def log_pd(matrix: HermitianMatrix) -> HermitianMatrix:
     if dec.eigenvalues[-1] <= 0.0:
         raise DomainError("matrix logarithm requires a positive definite input")
     vals = np.log(dec.eigenvalues)
-    dec_out = SpectralDecomposition(vals, dec.eigenvectors)
-    return HermitianMatrix(dec_out.reconstruct(), decomposition=dec_out)
+    dec_out = dec._mapped(vals)
+    return HermitianMatrix(dec_out.reconstruct, decomposition=dec_out)
 
 
 def eigenvalues_desc(matrix: HermitianMatrix) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_criterion_4_small_exponent_collapse():
     cfg = SamplerConfig(4, 424242, -2.0, 2.0)
     h, k = bounded_hermitian_pair(cfg, 0)
     probe = limit_probe(h, k, 0.5, (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5))
-    target_norm = schatten_norm(log_euclidean(h, k, 0.5).base, 2)
+    target_norm = schatten_norm(log_euclidean(h, k, 0.5), 2)
     terminal_rel = probe[-1][1] / target_norm
     ok = ok and terminal_rel <= 1e-4
     _verdict(
@@ -181,14 +181,14 @@ def test_criterion_6_spectral_and_mean_backbone():
         a, b = random_pd_pair(cfg, index)
         t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         t += 3.0 * np.eye(n)  # keep the transform comfortably invertible
-        left = congruence(t, geometric_mean(a, b, 0.5).base)
+        left = congruence(t, geometric_mean(a, b, 0.5))
         right = geometric_mean(
-            PositiveDefiniteMatrix(congruence(t, a.base).matrix),
-            PositiveDefiniteMatrix(congruence(t, b.base).matrix),
+            PositiveDefiniteMatrix(congruence(t, a).matrix),
+            PositiveDefiniteMatrix(congruence(t, b).matrix),
             0.5,
         )
-        scale = max(schatten_norm(right.base, 2), 1e-300)
-        err = frobenius_distance(left, right.base) / scale
+        scale = max(schatten_norm(right, 2), 1e-300)
+        err = frobenius_distance(left, right) / scale
         worst_congruence = max(worst_congruence, err)
     ok = ok and worst_congruence <= 1e-9
 

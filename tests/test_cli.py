@@ -332,6 +332,23 @@ def test_certify_rejects_pins_the_id_does_not_draw(capsys, inequality_id, pins):
     assert "does not draw" in err and "pinnable:" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, exponent",
+    [
+        (("certify", "gt-kantorovich-squared", "--m", "-200", "--M", "200", "--count", "1"),
+         "e^(4(M-m)) = e^(1600) overflows"),
+        (("certify", "gt-specht", "--m", "-400", "--M", "400", "--count", "1"),
+         "e^(s*nu) = e^(-800) underflows"),
+        (("convergence", "specht", "--m", "-400", "--M", "400"),
+         "e^(s*p) = e^(-800) underflows"),
+    ],
+)
+def test_exponential_out_of_double_range_is_usage_error(capsys, argv, exponent):
+    code, out, err = run_cli(capsys, *argv, "--n", "2", "--seed", "1")
+    assert code == 2
+    assert exponent in err and out == ""
+
+
 def test_certify_n_cycle_sentinel(capsys, tmp_path):
     target = tmp_path / "cycle.json"
     code, _, _ = run_cli(

@@ -34,7 +34,7 @@ from golden_bounds.linalg import (
     schatten_norm,
     trace,
 )
-from golden_bounds.means import geometric_mean
+from golden_bounds.means import geometric_mean, log_euclidean, mean_power
 from golden_bounds.orders import loewner_leq
 
 import oracles
@@ -97,9 +97,6 @@ def test_positive_definite_rejects_indefinite():
 def test_positive_definite_properties():
     p = PositiveDefiniteMatrix([[2.0, 0.0], [0.0, 0.5]])
     assert p.min_eigenvalue == pytest.approx(0.5)
-    view = p.base
-    assert type(view) is HermitianMatrix
-    assert view.matrix is p.matrix
 
 
 def test_scalar_multiplication_and_class_propagation():
@@ -335,32 +332,40 @@ def test_jacobi_bits_are_frozen(name):
 
 @pytest.fixture
 def solver_counts(monkeypatch):
-    """Count the eigensolves and the rotation-log replays made from here on."""
-    counts = {"jacobi": 0, "replay": 0}
+    """Count the eigensolves, the rotation-log replays and the builds of
+    pending matrix entries made from here on."""
+    counts = {"jacobi": 0, "replay": 0, "builds": 0}
     jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
+    matrix = linalg.HermitianMatrix.matrix
 
-    def counting_jacobi(matrix):
+    def counting_jacobi(m):
         counts["jacobi"] += 1
-        return jacobi(matrix)
+        return jacobi(m)
 
     def counting_replay(log):
         counts["replay"] += 1
         return replay(log)
 
+    def counting_matrix(m):
+        if callable(m._matrix):
+            counts["builds"] += 1
+        return matrix.fget(m)
+
     monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
     monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
+    monkeypatch.setattr(linalg.HermitianMatrix, "matrix", property(counting_matrix))
     return counts
 
 
 def test_eigenvectors_replay_once_into_one_read_only_array(solver_counts):
     m = random_hermitian(np.random.default_rng(41), 5)
     dec = m.decomposition
-    assert solver_counts == {"jacobi": 1, "replay": 0}
+    assert solver_counts == {"jacobi": 1, "replay": 0, "builds": 0}
     first = dec.eigenvectors
     second = dec.eigenvectors
     assert first is second
     assert not first.flags.writeable
-    assert solver_counts == {"jacobi": 1, "replay": 1}
+    assert solver_counts == {"jacobi": 1, "replay": 1, "builds": 0}
     assert np.array_equal(first, jacobi_eigenpairs(m.matrix)[1])
 
 
@@ -372,16 +377,16 @@ def test_eigenvalues_of_a_geometric_mean_leave_its_log_pending(solver_counts):
     eigenvalues_desc(mean)
     assert solver_counts == before
     mean.decomposition.eigenvectors
-    assert solver_counts == {"jacobi": before["jacobi"], "replay": before["replay"] + 1}
+    assert solver_counts == dict(before, replay=before["replay"] + 1)
 
 
 def test_loewner_check_on_a_difference_never_replays(solver_counts):
     rng = np.random.default_rng(47)
     a = random_pd_array(rng, 4)
     b = a + PositiveDefiniteMatrix(np.eye(4))
-    assert solver_counts == {"jacobi": 2, "replay": 0}
+    assert solver_counts == {"jacobi": 2, "replay": 0, "builds": 0}
     assert loewner_leq(a, b).holds
-    assert solver_counts == {"jacobi": 3, "replay": 0}
+    assert solver_counts == {"jacobi": 3, "replay": 0, "builds": 0}
 
 
 def test_derived_spectra_make_no_second_eigensolve(solver_counts):
@@ -389,21 +394,69 @@ def test_derived_spectra_make_no_second_eigensolve(solver_counts):
     pd = random_pd_array(rng, 4)
     h = random_hermitian(rng, 4)
     h.decomposition
-    derived = [-h, 2.5 * h, -0.5 * pd, 3.0 * pd, pd.base]
+    derived = [-h, 2.5 * h, -0.5 * pd, 3.0 * pd]
     assert isinstance(derived[3], PositiveDefiniteMatrix)
     for m in derived:
         m.eigenvalues
-    assert solver_counts == {"jacobi": 2, "replay": 0}
+    assert solver_counts == {"jacobi": 2, "replay": 0, "builds": 0}
     neg = derived[0].decomposition.eigenvectors
     assert solver_counts["replay"] == 1
     assert np.array_equal(neg, h.decomposition.eigenvectors[:, ::-1])
     assert derived[1].decomposition.eigenvectors is h.decomposition.eigenvectors
-    assert derived[4].decomposition is pd.decomposition
-    power(pd, 0.7)
-    power(pd, -1.5)
-    exp_h(h)
-    exp_h(-0.5 * pd)
-    assert solver_counts == {"jacobi": 2, "replay": 2}
+    # matrix functions leave their entries, and so pd's log, pending
+    results = [power(pd, 0.7), power(pd, -1.5), exp_h(h), exp_h(-0.5 * pd)]
+    assert solver_counts == {"jacobi": 2, "replay": 1, "builds": 0}
+    results[0].matrix
+    assert solver_counts == {"jacobi": 2, "replay": 2, "builds": 1}
+    for m in results[1:]:
+        m.matrix
+    assert solver_counts == {"jacobi": 2, "replay": 2, "builds": 4}
+
+
+def test_spectra_of_means_build_no_entries_and_replay_no_result_log(solver_counts):
+    rng = np.random.default_rng(59)
+    h, k = random_hermitian(rng, 4), random_hermitian(rng, 4)
+    eigenvalues_desc(log_euclidean(h, k, 0.3))
+    # one eigensolve of the weighted sum; its log and the exponential's
+    # entries stay pending
+    assert solver_counts == {"jacobi": 1, "replay": 0, "builds": 0}
+    before = dict(solver_counts)
+    result = mean_power(h, k, 0.3, 0.5)
+    eigenvalues_desc(result)
+    spent = {key: solver_counts[key] - before[key] for key in before}
+    # eigensolves of qH, qK, the inner congruence and the mean; the mean's
+    # log is the one not replayed, and the mean's power is never built
+    assert spent == {"jacobi": 4, "replay": 3, "builds": 2}
+    result.matrix
+    assert solver_counts["replay"] == before["replay"] + 4
+    assert solver_counts["builds"] == before["builds"] + 3
+
+
+def test_pending_entries_build_once_as_the_eager_constructor_would(solver_counts):
+    out = power(random_pd_array(np.random.default_rng(61), 5), 0.3)
+    assert solver_counts["builds"] == 0
+    raw = out.decomposition.reconstruct()
+    first = out.matrix
+    assert solver_counts["builds"] == 1
+    assert first.tobytes() == ((raw + raw.conj().T) / 2.0).tobytes()
+    assert not first.flags.writeable
+    assert out.matrix is first
+    assert solver_counts["builds"] == 1
+
+
+def test_dim_and_eigenvalues_of_pending_entries_build_nothing(solver_counts):
+    h = random_hermitian(np.random.default_rng(67), 3)
+    results = [exp_h(h), log_pd(exp_h(h)), power(exp_h(h), 2.0)]
+    for m in results:
+        assert m.dim == 3
+        m.eigenvalues
+        repr(m)
+    assert solver_counts["builds"] == 0
+
+
+def test_pending_entries_need_a_decomposition():
+    with pytest.raises(TypeError):
+        HermitianMatrix(lambda: np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +609,10 @@ def test_inv_sqrt_congruence_identity_anchor():
 
 def test_inv_sqrt_congruence_guards():
     with pytest.raises(DomainError):
-        inv_sqrt_congruence(HermitianMatrix(np.diag([1.0, -1.0])), identity_pd(2).base)
+        inv_sqrt_congruence(HermitianMatrix(np.diag([1.0, -1.0])), identity_pd(2))
     with pytest.raises(CondError):
         inv_sqrt_congruence(
-            PositiveDefiniteMatrix(np.diag([1e14, 1.0])), identity_pd(2).base
+            PositiveDefiniteMatrix(np.diag([1e14, 1.0])), identity_pd(2)
         )
 
 
