@@ -12,8 +12,7 @@ sweeps and a small-exponent convergence table.
 from golden_bounds import (
     INEQUALITY_IDS,
     SamplerConfig,
-    certify_gt_specht,
-    certify_specht_power_low,
+    certify_inequality,
     convergence_study,
     olson_exponential_pair,
     run_instances,
@@ -24,7 +23,9 @@ from golden_bounds import (
 # reverse mean-power comparison with the Specht factor.
 cfg = SamplerConfig(4, 101, 0.5, 2.0)
 sample = sandwich_pair(cfg, 0.7, 2.2, 0)
-report = certify_specht_power_low(sample.a, sample.b, 0.7, 2.2, 0.5, 0.5)
+report = certify_inequality(
+    "specht-power-low", sample.a, sample.b, s=0.7, t=2.2, alpha=0.5, r=0.5
+)
 print(f"{report.inequality_id}: holds={report.holds} "
       f"factor={report.parameters['factor']:.6f}")
 print(f"  semantics={report.semantics}, entries={list(report.labels)}")
@@ -34,7 +35,9 @@ print()
 # The exponential variant compares eigenvalues of e^{(1-a)H + aK} against the
 # mean-power of e^{pH}, e^{pK}, scaled by a rooted Specht factor.
 pair = olson_exponential_pair(SamplerConfig(3, 202, -0.6, 0.9), 0)
-exp_report = certify_gt_specht(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0)
+exp_report = certify_inequality(
+    "gt-specht", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0
+)
 print(f"{exp_report.inequality_id}: holds={exp_report.holds} "
       f"factor={exp_report.parameters['factor']:.6f}")
 for label, l, r in zip(exp_report.labels, exp_report.lhs_values,

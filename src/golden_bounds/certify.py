@@ -3,18 +3,18 @@
 Every inequality has one shape: under an order hypothesis, one side is at
 most a scalar constant times the other.  The table ``_INEQUALITIES`` holds,
 per inequality id, only what differs between ids — the parameter checks,
-the hypothesis re-check, the factor, the comparison builder, the sampler and
-the order of parameter draws — and one skeleton, ``_certify``, runs every
-row: check parameters, re-verify the hypothesis, build the factor, build
-both sides, report.  Hypotheses are re-verified before any conclusion is
-evaluated (HypothesisViolated on failure) so a drifting sampler cannot
-silently feed a certifier inputs outside its domain.  Comparisons are
-evaluated exactly as stated — Loewner form via the spectrum of RHS − LHS,
-eigenvalue form via sorted spectra, norm form via the Ky Fan / Schatten
-families, trace form directly — into an InequalityReport with per-entry
-margins.
+the hypothesis re-check, the factor, the comparison builder, the sampler,
+the order of parameter draws, and the hypothesis, comparison and factor
+text of the id's row in the README table — and one public certifier,
+``certify_inequality``, runs every row: check parameters, re-verify the
+hypothesis, build the factor, build both sides, report.  Hypotheses are
+re-verified before any conclusion is evaluated (HypothesisViolated on
+failure) so a drifting sampler cannot silently feed a certifier inputs
+outside its domain.  Comparisons are evaluated exactly as stated — Loewner
+form via the spectrum of RHS − LHS, eigenvalue form via sorted spectra, norm
+form via the Ky Fan / Schatten families, trace form directly — into an
+InequalityReport with per-entry margins.
 
-The public ``certify_*`` functions are single calls into that skeleton.
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them.
 """
@@ -472,8 +472,8 @@ def _norm(h, k, v, sides=_gt_sides):
 
 def _compression(a, u, v):
     """Loewner: U A^{-1} U* <= factor * (U A U*)^{-1}."""
-    lhs = PositiveDefiniteMatrix(congruence(u, power(a, -1.0)).matrix)
-    compressed = PositiveDefiniteMatrix(congruence(u, a).matrix)
+    lhs = PositiveDefiniteMatrix(congruence(u, power(a, -1.0)))
+    compressed = PositiveDefiniteMatrix(congruence(u, a))
     return _loewner_sides(lhs, power(compressed, -1.0) * v["factor"])
 
 
@@ -633,13 +633,20 @@ def _exp_chain_sample(cfg, index, d):
 # ---------------------------------------------------------------------------
 
 
+#: Report parameters computed from the others, never given by a caller.
+_DERIVED = ("h", "rows", "factor")
+
+
 @dataclass(frozen=True)
 class _Inequality:
-    """What one inequality id adds to the shared skeleton (see _certify).
+    """What one inequality id adds to the shared skeleton (see
+    certify_inequality).
 
     ``params`` are the report's parameter keys in order, some pinned by
     ``fixed``; "factor" follows them, and "h" = M/m and "rows" are derived.
     ``draws`` run in params-stream order, then ``sample`` builds the operands.
+    ``cells`` are the hypothesis, comparison and factor cells of the id's row
+    in the README table, which is rendered from them.
     """
 
     params: tuple[str, ...]
@@ -649,7 +656,14 @@ class _Inequality:
     compare: Callable
     draws: tuple[Callable, ...]
     sample: Callable
+    cells: tuple[str, str, str]
     fixed: dict = field(default_factory=dict)
+
+    @property
+    def taken(self) -> tuple[str, ...]:
+        """The parameter names a caller gives: ``params`` less the fixed and
+        derived ones."""
+        return tuple(n for n in self.params if n not in self.fixed and n not in _DERIVED)
 
 
 def _specht_exp_factor(v: dict) -> float:
@@ -688,18 +702,27 @@ _INEQUALITIES = {
         compare=lambda a, b, v: _power_low(a, b, v, v["factor"] ** v["r"]),
         draws=(_unpinned_pd_range, _sandwich_scalars, _draw_alpha, _draw_low_power),
         sample=_sandwich_sample,
+        cells=(
+            "sandwich", "Loewner, `(A #_a B)^r` vs mean of powers, `0 < r <= 1`",
+            "`max(S(s), S(t))^r`",
+        ),
     ),
     "specht-eigen-power": _Inequality(
         ("alpha", "r", "s", "t"), (_alpha, _high_r, _sandwich), require=_require_olson_sandwich,
         factor=lambda v: max(specht(v["s"] ** v["r"]), specht(v["t"] ** v["r"])),
         compare=_eigen_power,
         draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_olson_sandwich_sample,
+        cells=("power sandwich", "eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
     ),
     "specht-pq": _Inequality(
         ("alpha", "q", "p", "s", "t"), (_alpha, _q_le_p, _sandwich),
         require=_require_olson_sandwich,
         factor=lambda v: max(specht(v["s"] ** v["p"]), specht(v["t"] ** v["p"])) ** (1.0 / v["p"]),
         compare=_pq, draws=(_pd_range, _draw_qp, _draw_alpha), sample=_olson_sandwich_sample,
+        cells=(
+            "power sandwich", "eigenvalues, two exponents `0 < q <= p`",
+            "`max(S(s^p), S(t^p))^(1/p)`",
+        ),
     ),
     # Specht ratio: spectra of A and B inside [m, M], h = M/m
     "bounded-power-low": _Inequality(
@@ -707,28 +730,36 @@ _INEQUALITIES = {
         require=_require_bounded, factor=lambda v: specht(v["h"]),
         compare=lambda a, b, v: _power_low(a, b, v, v["factor"] ** v["r"]),
         draws=(_pd_range, _draw_alpha, _draw_low_power), sample=_pd_pair_sample,
+        cells=("bounded", "Loewner, `0 < r <= 1`", "`S(h)^r`, `h = M/m`"),
     ),
     "bounded-eigen-power": _Inequality(
         ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds),
         require=_require_bounded, factor=lambda v: specht(v["h"] ** v["r"]),
         compare=_eigen_power,
         draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+        cells=("bounded", "eigenvalues, `r >= 1`", "`S(h^r)`"),
     ),
     "bounded-pq": _Inequality(
         ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds),
         require=_require_bounded, factor=lambda v: specht(v["h"] ** v["p"]) ** (1.0 / v["p"]),
         compare=_pq, draws=(_pd_range, _draw_alpha, _draw_qp), sample=_pd_pair_sample,
+        cells=("bounded", "eigenvalues, `0 < q <= p`", "`S(h^p)^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
     "gt-specht": _Inequality(
         ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_specht_exp_factor,
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
+        cells=(
+            "exp-Olson", "eigenvalues of `e^{(1-a)H + aK}` vs mean-power",
+            "`max(S(e^{sp}), S(e^{tp}))^(1/p)`",
+        ),
     ),
     "gt-specht-norm": _Inequality(
         ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_specht_exp_factor,
         compare=_norm, draws=_GT_DRAWS, sample=_exp_olson_sample,
+        cells=("exp-Olson", "Ky Fan + Schatten norms", "same as `gt-specht`"),
     ),
     "gt-specht-norm-squared": _Inequality(
         ("alpha", "p", "s", "t"), (_finite_st,), fixed=_SQUARED,
@@ -736,11 +767,16 @@ _INEQUALITIES = {
         factor=lambda v: max(specht(_exp(2.0 * v["s"], "2s")), specht(_exp(2.0 * v["t"], "2t"))),
         compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
         draws=(_hermitian_range,), sample=_exp_olson_sample,
+        cells=(
+            "exp-Olson", "norm of `e^{H+K}` vs `e^{2H} # e^{2K}`",
+            "`max(S(e^{2s}), S(e^{2t}))`",
+        ),
     ),
     "gt-bounded-specht": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
         factor=lambda v: specht(_exp((v["M"] - v["m"]) * v["p"], "(M-m)p")) ** (1.0 / v["p"]),
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
+        cells=("bounded spectra", "eigenvalues", "`S(e^{(M-m)p})^(1/p)`"),
     ),
     # Kantorovich constant
     "kantorovich-matrix": _Inequality(
@@ -749,23 +785,27 @@ _INEQUALITIES = {
         compare=_compression,
         draws=(_pd_range, lambda rng, ov, n: {"rows": int(rng.integers(1, n + 1))}),
         sample=lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
+        cells=("bounded `A`", "Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
     ),
     "gt-kantorovich": _Inequality(
         ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
         require=_require_exponential_olson, factor=_kantorovich_exp_factor,
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
+        cells=("exp-Olson", "eigenvalues", "`K(e^{p(t-s)}, a)^(-1/p)`"),
     ),
     "gt-kantorovich-bounded": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
         factor=lambda v: kantorovich(_exp(2.0 * v["p"] * (v["M"] - v["m"]), "2p(M-m)"), v["alpha"])
         ** (-1.0 / v["p"]),
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
+        cells=("bounded spectra", "eigenvalues", "`K(e^{2p(M-m)}, a)^(-1/p)`"),
     ),
     "gt-kantorovich-squared": _Inequality(
         ("alpha", "p", "m", "M"), (_bounds,), fixed=_SQUARED,
         require=_require_bounded_hk, factor=_cosh_factor,
         compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
         draws=(_hermitian_range,), sample=_bounded_sample,
+        cells=("bounded spectra", "norm display at `p = 2`", "`cosh(M - m)`"),
     ),
     # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
     "fm-power-low": _Inequality(
@@ -773,17 +813,20 @@ _INEQUALITIES = {
         require=_require_chain, factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
         compare=lambda a, b, v: _power_low(a, b, v, v["factor"]),
         draws=(_chain_range, _draw_alpha, _draw_low_power), sample=_chain_sample,
+        cells=("chain", "Loewner, `0 < r <= 1`", "difference factor"),
     ),
     "fm-eigen-power": _Inequality(
         ("alpha", "r", "m", "M", "h"), (_alpha, _high_r),
         require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
         compare=_eigen_power,
         draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_olson_chain_sample,
+        cells=("chain", "eigenvalues, `r >= 1`", "difference factor"),
     ),
     "fm-pq": _Inequality(
         ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p), require=_require_chain,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
         compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_olson_chain_sample,
+        cells=("chain", "eigenvalues, `0 < q <= p`", "difference factor"),
     ),
     "gt-fm": _Inequality(
         ("alpha", "p", "m", "M"), (_alpha, _positive_p), require=_require_exponential_chain,
@@ -792,48 +835,90 @@ _INEQUALITIES = {
         ),
         compare=_gt_eigen,
         draws=(_exp_chain_range, _draw_gt_power, _draw_alpha), sample=_exp_chain_sample,
+        cells=("exp-chain", "eigenvalues", "difference factor"),
     ),
     # Forward baselines: no hypothesis, no factor
     "forward-ando-hiai": _Inequality(
         ("alpha", "r"), (_alpha, _high_r), require=None, factor=None,
         compare=_log_majorization,
         draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+        cells=("positive pair", "log-majorization, `r >= 1`", "1"),
     ),
     "forward-gt-trace": _Inequality(
         (), (), require=None, factor=None,
         compare=_trace, draws=(_hermitian_range,), sample=_bounded_sample,
+        cells=("Hermitian pair", "trace", "1"),
     ),
     "forward-mean-norm": _Inequality(
         ("alpha", "p"), (_alpha, _positive_p), require=None, factor=None,
         compare=lambda h, k, v: _norm_sides(*reversed(_gt_sides(h, k, v)), 1.0),
         draws=_GT_DRAWS, sample=_bounded_sample,
+        cells=("Hermitian pair", "unitarily invariant norms", "1"),
     ),
 }
 
 
-def _certify(
-    inequality_id: str, x, y, tolerance: float, norm_id: str | None = None, **given
+def _row(inequality_id: str) -> _Inequality:
+    """The table row of ``inequality_id``; BadRangeError for an unknown id."""
+    if inequality_id not in _INEQUALITIES:
+        raise BadRangeError(
+            f"unknown inequality id {inequality_id!r}; known ids: {', '.join(INEQUALITY_IDS)}"
+        )
+    return _INEQUALITIES[inequality_id]
+
+
+def certify_inequality(
+    inequality_id: str,
+    x,
+    y,
+    /,
+    *,
+    tolerance: float = DEFAULT_TOLERANCE,
+    norm_id: str | None = None,
+    **params,
 ) -> InequalityReport:
-    """Check the parameters, re-verify the hypothesis, build the factor and
-    both sides of one inequality, and report the margins.  ``norm_id`` keeps
-    one entry of a norm-family report; the isometry of kantorovich-matrix is
-    not part of the digest."""
-    spec = _INEQUALITIES[inequality_id]
+    """Certify one instance of ``inequality_id`` (an id of INEQUALITY_IDS):
+    check the parameters, re-verify the hypothesis, build the factor and
+    both sides, and report the margins.
+
+    ``x`` and ``y`` are the operands: A and B, H and K, or, for
+    kantorovich-matrix, A and the row-orthonormal U (U is not part of the
+    digest).  ``params`` are exactly the row's parameters less those it
+    fixes (alpha and p of the -squared ids) and the derived h = M/m and
+    rows.  ``norm_id`` keeps one entry of a norm-family report.
+    BadRangeError names an unknown id, a given name the row does not take,
+    fixes or derives, a missing name, and a norm_id on another report.
+    """
+    spec = _row(inequality_id)
+    fixed = sorted(set(params) & set(spec.fixed))
+    derived = sorted(set(params) & set(_DERIVED))
+    unknown = sorted(set(params) - set(spec.taken) - set(spec.fixed) - set(_DERIVED))
+    missing = [name for name in spec.taken if name not in params]
+    for names, fault in (
+        (unknown, "takes no parameter"), (fixed, "fixes"), (derived, "derives"), (missing, "needs"),
+    ):
+        if names:
+            raise BadRangeError(
+                f"{inequality_id} {fault} {', '.join(names)}; "
+                f"it takes {', '.join(spec.taken) or 'no parameters'}"
+            )
     tolerance = _check_tolerance(tolerance)
-    params = dict.fromkeys(spec.params)
-    params.update(spec.fixed, **given)
+    values = dict.fromkeys(spec.params)
+    values.update(spec.fixed, **params)
     for check in spec.checks:
-        check(params)
+        check(values)
     if spec.require is not None:
-        spec.require(x, y, params)
-    if "h" in params:
-        params["h"] = params["M"] / params["m"]
-    if "rows" in params:
-        params["rows"] = float(np.shape(y)[0])
+        spec.require(x, y, values)
+    if "h" in values:
+        values["h"] = values["M"] / values["m"]
+    if "rows" in values:
+        values["rows"] = float(np.shape(y)[0])
     if spec.factor is not None:
-        params["factor"] = spec.factor(params)
-    semantics, labels, lhs, rhs, rel = spec.compare(x, y, params)
+        values["factor"] = spec.factor(values)
+    semantics, labels, lhs, rhs, rel = spec.compare(x, y, values)
     if norm_id is not None:
+        if semantics != SEMANTICS_NORM:
+            raise BadRangeError(f"{inequality_id} reports no norm family to pick {norm_id!r} from")
         if norm_id not in labels:
             raise BadRangeError(f"unknown norm id {norm_id!r}; choose from {labels}")
         keep = labels.index(norm_id)
@@ -841,7 +926,7 @@ def _certify(
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
     return InequalityReport(
         inequality_id=inequality_id,
-        parameters={k: float(v) for k, v in params.items()},
+        parameters={k: float(v) for k, v in values.items()},
         lhs_values=lhs,
         rhs_values=rhs,
         margins=tuple(r - l for l, r in zip(lhs, rhs)),
@@ -852,222 +937,8 @@ def _certify(
         labels=tuple(labels),
         n=x.dim,
         mode="n/a",
-        input_digest=_digest(params, *(m for m in (x, y) if isinstance(m, HermitianMatrix))),
+        input_digest=_digest(values, *(m for m in (x, y) if isinstance(m, HermitianMatrix))),
     )
-
-
-# ---------------------------------------------------------------------------
-# Public certifiers, one per table row
-# ---------------------------------------------------------------------------
-
-
-def certify_specht_power_low(
-    a: PositiveDefiniteMatrix,
-    b: PositiveDefiniteMatrix,
-    s: float,
-    t: float,
-    alpha: float,
-    r: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """A^r #_a B^r <= M^r (A #_a B)^r for 0 < r <= 1, M = max{S(s), S(t)},
-    under the sandwich s*A <= B <= t*A (Loewner comparison)."""
-    return _certify("specht-power-low", a, b, tolerance, alpha=alpha, r=r, s=s, t=t)
-
-
-def certify_specht_eigen_power(
-    a: PositiveDefiniteMatrix,
-    b: PositiveDefiniteMatrix,
-    s: float,
-    t: float,
-    alpha: float,
-    r: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """lambda_k(A #_a B)^r <= max{S(s^r), S(t^r)} lambda_k(A^r #_a B^r) for
-    r >= 1, under the power-monotone sandwich s*A <=ols B <=ols t*A."""
-    return _certify("specht-eigen-power", a, b, tolerance, alpha=alpha, r=r, s=s, t=t)
-
-
-def certify_specht_pq(
-    a: PositiveDefiniteMatrix,
-    b: PositiveDefiniteMatrix,
-    s: float,
-    t: float,
-    alpha: float,
-    q: float,
-    p: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """lambda_k(A^q #_a B^q)^{1/q} <= (max{S(s^p), S(t^p)})^{1/p}
-    lambda_k(A^p #_a B^p)^{1/p} for 0 < q <= p (power-monotone sandwich)."""
-    return _certify("specht-pq", a, b, tolerance, alpha=alpha, q=q, p=p, s=s, t=t)
-
-
-def certify_bounded_power_low(
-    a, b, m, M, alpha, r, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """A^r #_a B^r <= S(h)^r (A #_a B)^r for 0 < r <= 1 and h = M/m, given
-    spectra of A and B inside [m, M]."""
-    return _certify("bounded-power-low", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
-
-
-def certify_bounded_eigen_power(
-    a, b, m, M, alpha, r, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(A #_a B)^r <= S(h^r) lambda_k(A^r #_a B^r) for r >= 1."""
-    return _certify("bounded-eigen-power", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
-
-
-def certify_bounded_pq(
-    a, b, m, M, alpha, q, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(A^q #_a B^q)^{1/q} <= S(h^p)^{1/p} lambda_k(A^p #_a B^p)^{1/p}."""
-    return _certify("bounded-pq", a, b, tolerance, alpha=alpha, q=q, p=p, m=m, M=M)
-
-
-def certify_gt_specht(
-    h: HermitianMatrix,
-    k: HermitianMatrix,
-    s: float,
-    t: float,
-    alpha: float,
-    p: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """lambda_k(e^{(1-a)H + aK}) <= (max{S(e^{sp}), S(e^{tp})})^{1/p}
-    lambda_k(e^{pH} #_a e^{pK})^{1/p}, given e^s e^H <=ols e^K <=ols e^t e^H."""
-    return _certify("gt-specht", h, k, tolerance, alpha=alpha, p=p, s=s, t=t)
-
-
-def certify_gt_specht_norm(
-    h, k, s, t, alpha, p, norm_id: str | None = None, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """Norm form of the Specht reverse bound over the Ky Fan and Schatten
-    families: ||e^{(1-a)H + aK}|| <= factor^{1/p} ||(e^{pH} #_a e^{pK})^{1/p}||."""
-    return _certify("gt-specht-norm", h, k, tolerance, norm_id, alpha=alpha, p=p, s=s, t=t)
-
-
-def certify_gt_specht_norm_squared(
-    h, k, s, t, norm_id: str | None = None, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """||e^{H+K}|| <= max{S(e^{2s}), S(e^{2t})} ||e^{2H} # e^{2K}||: the
-    squared alpha = 1/2, p = 2 reading of the Specht norm bound."""
-    return _certify("gt-specht-norm-squared", h, k, tolerance, norm_id, s=s, t=t)
-
-
-def certify_gt_bounded_specht(
-    h, k, m, M, alpha, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(e^{(1-a)H + aK}) <= S(e^{(M-m)p})^{1/p}
-    lambda_k(e^{pH} #_a e^{pK})^{1/p} for Hermitian spectra inside [m, M].
-
-    The norm form over the Ky Fan family follows entrywise from these
-    eigenvalue margins (weak-majorization propagation)."""
-    return _certify("gt-bounded-specht", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
-
-
-def certify_kantorovich_matrix(
-    a: PositiveDefiniteMatrix,
-    m: float,
-    M: float,
-    u: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """U A^{-1} U* <= ((m+M)^2 / 4mM) (U A U*)^{-1} for the spectrum of A in [m, M]
-    and any row-orthonormal U (Loewner comparison on the compressed space)."""
-    return _certify("kantorovich-matrix", a, u, tolerance, m=m, M=M)
-
-
-def certify_gt_kantorovich(
-    h, k, s, t, alpha, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(e^{(1-a)H + aK}) <= K(e^{p(t-s)}, a)^{-1/p}
-    lambda_k(e^{pH} #_a e^{pK})^{1/p}, given e^s e^H <=ols e^K <=ols e^t e^H."""
-    return _certify("gt-kantorovich", h, k, tolerance, alpha=alpha, p=p, s=s, t=t)
-
-
-def certify_gt_kantorovich_bounded(
-    h, k, m, M, alpha, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(e^{(1-a)H + aK}) <= K(e^{2p(M-m)}, a)^{-1/p}
-    lambda_k(e^{pH} #_a e^{pK})^{1/p} for Hermitian spectra inside [m, M]."""
-    return _certify("gt-kantorovich-bounded", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
-
-
-def certify_gt_kantorovich_squared(
-    h, k, m, M, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(e^{H+K}) <= ((e^{2M} + e^{2m}) / (2 e^M e^m))
-    lambda_k(e^{2H} # e^{2K}): the squared alpha = 1/2, p = 2 reading.
-
-    Before evaluating, the closed form is cross-checked against the
-    reciprocal Kantorovich constant K(e^{4(M-m)}, 1/2)^{-1}; a mismatch
-    signals an internal constant bug, not a data problem."""
-    return _certify("gt-kantorovich-squared", h, k, tolerance, m=m, M=M)
-
-
-def certify_fm_power_low(
-    a, b, m, M, alpha, r, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """A^r #_a B^r <= exp(r a(1-a)(1 - 1/h)^2) (A #_a B)^r for 0 < r <= 1
-    under the ordered chain m*I <= A <= B <= M*I <= I, h = M/m."""
-    return _certify("fm-power-low", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
-
-
-def certify_fm_eigen_power(
-    a, b, m, M, alpha, r, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(A #_a B)^r <= exp(a(1-a)(1 - 1/h^r)^2) lambda_k(A^r #_a B^r)
-    for r >= 1 under the power-monotone ordered chain."""
-    return _certify("fm-eigen-power", a, b, tolerance, alpha=alpha, r=r, m=m, M=M)
-
-
-def certify_fm_pq(
-    a, b, m, M, alpha, q, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(A^q #_a B^q)^{1/q} <= exp((1/p) a(1-a)(1 - 1/h^p)^2)
-    lambda_k(A^p #_a B^p)^{1/p} for 0 < q <= p (power-monotone chain)."""
-    return _certify("fm-pq", a, b, tolerance, alpha=alpha, q=q, p=p, m=m, M=M)
-
-
-def certify_gt_fm(
-    h, k, m, M, alpha, p, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """lambda_k(e^{(1-a)H + aK}) <= exp((1/p) a(1-a)(1 - e^{-p(M-m)})^2)
-    lambda_k(e^{pH} #_a e^{pK})^{1/p}, given the exponential ordered chain
-    e^m I <=ols e^H <=ols e^K <=ols e^M I <=ols I (forces M <= 0).
-
-    The matching norm bound over the Ky Fan family follows from these
-    eigenvalue margins by weak-majorization propagation."""
-    return _certify("gt-fm", h, k, tolerance, alpha=alpha, p=p, m=m, M=M)
-
-
-def certify_forward_ando_hiai(
-    a, b, alpha, r, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """A^r #_a B^r prec-log (A #_a B)^r for r >= 1 and any positive pair.
-
-    The report values are cumulative log-products of the descending spectra
-    (the log-majorization partial sums), plus the forced k = n equality
-    entry whose margin is negative whenever the total products differ."""
-    return _certify("forward-ando-hiai", a, b, tolerance, alpha=alpha, r=r)
-
-
-def certify_forward_gt_trace(
-    h, k, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """Tr e^{H+K} <= Tr e^H e^K for Hermitian H, K."""
-    return _certify("forward-gt-trace", h, k, tolerance)
-
-
-def certify_forward_mean_norm(
-    h, k, alpha, p, norm_id: str | None = None, tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityReport:
-    """||(e^{pH} #_a e^{pK})^{1/p}|| <= ||e^{(1-a)H + aK}|| over the Ky Fan
-    and Schatten families (the forward direction the reverse bounds cap)."""
-    return _certify("forward-mean-norm", h, k, tolerance, norm_id, alpha=alpha, p=p)
-
 
 
 # ---------------------------------------------------------------------------
@@ -1215,8 +1086,8 @@ def _recipe(inequality_id, index, seed, n, mode, rng, ov, tolerance):
     cfg = SamplerConfig(n, seed, drawn["m"], drawn["M"], mode)
     x, y, sampled = spec.sample(cfg, index, drawn)
     drawn.update(sampled)
-    given = {name: drawn[name] for name in spec.params if name in drawn}
-    return _certify(inequality_id, x, y, tolerance, **given)
+    given = {name: drawn[name] for name in spec.taken}
+    return certify_inequality(inequality_id, x, y, tolerance=tolerance, **given)
 
 
 RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
@@ -1265,10 +1136,7 @@ def run_instances(
     does not draw raises BadRangeError.  Reports come back in instance
     order, bit-reproducible per seed.
     """
-    if inequality_id not in RECIPES:
-        raise BadRangeError(
-            f"unknown inequality id {inequality_id!r}; known ids: {', '.join(INEQUALITY_IDS)}"
-        )
+    _row(inequality_id)
     if count < 1:
         raise BadRangeError(f"count must be >= 1, got {count}")
     if mode is not None and mode not in (MODE_GENERAL, MODE_COMMUTING):

@@ -284,13 +284,16 @@ class HermitianMatrix:
     decomposition, as a callable that builds them, such as a decomposition's
     ``reconstruct``. The callable runs on the first read of ``matrix``, which
     makes the checks above; until then ``dim`` and the spectrum come from the
-    decomposition.
+    decomposition. A HermitianMatrix given as the entries hands over its
+    entries, which it has already checked.
     """
 
     __slots__ = ("_matrix", "_decomp")
 
     def __init__(self, entries, *, decomposition: SpectralDecomposition | None = None):
-        if callable(entries):
+        if isinstance(entries, HermitianMatrix):
+            entries = entries.matrix
+        elif callable(entries):
             if decomposition is None:
                 raise TypeError("entries given as a callable need a decomposition")
         else:
@@ -342,9 +345,11 @@ class HermitianMatrix:
         return self._scaled(-1.0)
 
     def _scaled(self, factor: float) -> "HermitianMatrix":
+        """``factor`` times this matrix, of this class for a positive factor."""
         dec = self._decomp
         new_dec = None if dec is None else dec._scaled(factor)
-        return HermitianMatrix(self.matrix * factor, decomposition=new_dec)
+        cls = type(self) if factor > 0.0 else HermitianMatrix
+        return cls(self.matrix * factor, decomposition=new_dec)
 
     def __mul__(self, factor):
         if not isinstance(factor, Real):
@@ -371,12 +376,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
     @property
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
-
-    def _scaled(self, factor: float):
-        plain = super()._scaled(factor)
-        if factor > 0.0:
-            return PositiveDefiniteMatrix(plain.matrix, decomposition=plain._decomp)
-        return plain
 
 
 def identity_pd(n: int) -> PositiveDefiniteMatrix:

@@ -44,11 +44,11 @@ def geometric_mean(
         return a
     if alpha == 1.0:
         return b
-    inner = PositiveDefiniteMatrix(inv_sqrt_congruence(a, b).matrix)
+    inner = PositiveDefiniteMatrix(inv_sqrt_congruence(a, b))
     inner_pow = power(inner, alpha)
     sqrt_a = power(a, 0.5)
     dec = sqrt_a.decomposition
-    return PositiveDefiniteMatrix(congruence(dec.reconstruct(), inner_pow).matrix)
+    return PositiveDefiniteMatrix(congruence(dec.reconstruct(), inner_pow))
 
 
 def log_euclidean(h: HermitianMatrix, k: HermitianMatrix, alpha: float) -> PositiveDefiniteMatrix:

@@ -12,9 +12,8 @@ certificate passes when the worst margin stays above minus its tolerance.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +55,6 @@ class OrderCertificate:
     labels: tuple[str, ...] = ()
     margins: tuple[float, ...] = ()
     witness: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """Every field in declaration order, tuples as lists."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["witness"] = dict(self.witness)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _finish(relation, mode, tolerance, labels, margins, witness) -> OrderCertificate:

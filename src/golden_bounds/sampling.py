@@ -208,7 +208,7 @@ def sandwich_pair(cfg: SamplerConfig, s: float, t: float, index: int = 0) -> San
         basis = _draw_basis(cfg, index, TAG_SECONDARY_BASIS)
         c = _from_eigen(coupling_vals, basis, positive=True)
         sqrt_a = a.decomposition.map_eigenvalues(np.sqrt(a.decomposition.eigenvalues))
-        b = PositiveDefiniteMatrix(congruence(sqrt_a, c).matrix)
+        b = PositiveDefiniteMatrix(congruence(sqrt_a, c))
     return SandwichSample(a=a, b=b, s=s, t=t)
 
 
@@ -314,8 +314,8 @@ def ordered_chain_pair(
             m_new, M_new = cfg.lo, cfg.hi
         else:
             transform = np.eye(cfg.dim, dtype=np.complex128) + epsilon * direction
-            a1 = PositiveDefiniteMatrix(congruence(transform, a0).matrix)
-            b1 = PositiveDefiniteMatrix(congruence(transform, b0).matrix)
+            a1 = PositiveDefiniteMatrix(congruence(transform, a0))
+            b1 = PositiveDefiniteMatrix(congruence(transform, b0))
             scale = cfg.hi / float(b1.eigenvalues[0])
             a_new = a1 * scale
             b_new = b1 * scale

@@ -13,27 +13,7 @@ from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
     RECIPES,
-    certify_bounded_eigen_power,
-    certify_bounded_power_low,
-    certify_bounded_pq,
-    certify_fm_eigen_power,
-    certify_fm_power_low,
-    certify_fm_pq,
-    certify_forward_ando_hiai,
-    certify_forward_gt_trace,
-    certify_forward_mean_norm,
-    certify_gt_bounded_specht,
-    certify_gt_fm,
-    certify_gt_kantorovich,
-    certify_gt_kantorovich_bounded,
-    certify_gt_kantorovich_squared,
-    certify_gt_specht,
-    certify_gt_specht_norm,
-    certify_gt_specht_norm_squared,
-    certify_kantorovich_matrix,
-    certify_specht_eigen_power,
-    certify_specht_power_low,
-    certify_specht_pq,
+    certify_inequality,
     compare_constants_remark,
     compare_seo_constants,
     compare_specht_vs_fm,
@@ -86,7 +66,7 @@ def commuting_hermitian_pair(hvals, kvals, seed=0):
 
 def test_report_fields_and_serialization():
     a, b = commuting_pd_pair([2.0, 1.0], [1.5, 1.2])
-    report = certify_bounded_power_low(a, b, 1.0, 2.0, 0.5, 0.5)
+    report = certify_inequality("bounded-power-low", a, b, m=1.0, M=2.0, alpha=0.5, r=0.5)
     assert report.inequality_id == "bounded-power-low"
     assert report.holds
     assert report.semantics == "loewner"
@@ -107,9 +87,9 @@ def test_report_fields_and_serialization():
 
 def test_report_digest_tracks_inputs():
     a, b = commuting_pd_pair([2.0, 1.0], [1.5, 1.2])
-    r1 = certify_bounded_power_low(a, b, 1.0, 2.0, 0.5, 0.5)
-    r2 = certify_bounded_power_low(a, b, 1.0, 2.0, 0.5, 0.6)
-    r3 = certify_bounded_power_low(a, b, 1.0, 2.0, 0.5, 0.5)
+    r1 = certify_inequality("bounded-power-low", a, b, m=1.0, M=2.0, alpha=0.5, r=0.5)
+    r2 = certify_inequality("bounded-power-low", a, b, m=1.0, M=2.0, alpha=0.5, r=0.6)
+    r3 = certify_inequality("bounded-power-low", a, b, m=1.0, M=2.0, alpha=0.5, r=0.5)
     assert r1.input_digest != r2.input_digest
     assert r1.input_digest == r3.input_digest
 
@@ -125,7 +105,7 @@ def test_specht_eigen_power_matches_scalar_computation():
     a, b = commuting_pd_pair(avals, avals * ratios, seed=3)
     s, t = float(ratios.min()), float(ratios.max())
     alpha, r = 0.3, 2.0
-    report = certify_specht_eigen_power(a, b, s, t, alpha, r)
+    report = certify_inequality("specht-eigen-power", a, b, s=s, t=t, alpha=alpha, r=r)
     assert report.holds
 
     products = avals ** (1.0 - alpha) * (avals * ratios) ** alpha
@@ -145,7 +125,7 @@ def test_gt_specht_commuting_margins_are_factor_gap():
     m = min(float(h.eigenvalues[-1]), float(k.eigenvalues[-1]))
     M = max(float(h.eigenvalues[0]), float(k.eigenvalues[0]))
     s, t = m - M, M - m
-    report = certify_gt_specht(h, k, s, t, 0.4, 1.3)
+    report = certify_inequality("gt-specht", h, k, s=s, t=t, alpha=0.4, p=1.3)
     assert report.holds
     factor = report.parameters["factor"]
     assert factor > 1.0
@@ -161,7 +141,7 @@ def test_fm_pq_matches_scalar_computation():
     a, b = commuting_pd_pair(avals, bvals, seed=7)
     m, M = 0.30, 0.80
     alpha, q, p = 0.6, 0.5, 1.5
-    report = certify_fm_pq(a, b, m, M, alpha, q, p)
+    report = certify_inequality("fm-pq", a, b, m=m, M=M, alpha=alpha, q=q, p=p)
     assert report.holds
     h_ratio = M / m
     factor = fm_factor(h_ratio**p, alpha, 1.0 / p)
@@ -175,7 +155,7 @@ def test_fm_pq_matches_scalar_computation():
 
 def test_forward_trace_commuting_is_tight():
     h, k = commuting_hermitian_pair([0.5, -0.1], [0.2, 0.3], seed=9)
-    report = certify_forward_gt_trace(h, k)
+    report = certify_inequality("forward-gt-trace", h, k)
     assert report.holds
     assert abs(report.relative_margins[0]) <= 1e-12
 
@@ -188,7 +168,9 @@ def test_forward_trace_commuting_is_tight():
 def test_specht_power_low_scalar_sandwich_tight():
     cfg = SamplerConfig(3, 31, 0.6, 1.4)
     sample = sandwich_pair(cfg, 1.2, 1.2, 0)
-    report = certify_specht_power_low(sample.a, sample.b, 1.2, 1.2, 0.5, 0.7)
+    report = certify_inequality(
+        "specht-power-low", sample.a, sample.b, s=1.2, t=1.2, alpha=0.5, r=0.7
+    )
     assert report.holds
     # B = 1.2 A makes both sides proportional: the difference spectrum is
     # exactly (factor^r - 1) times the mean's spectrum, hence nonnegative.
@@ -197,7 +179,7 @@ def test_specht_power_low_scalar_sandwich_tight():
 
 def test_power_one_keeps_loewner_form_tight():
     a, b = commuting_pd_pair([1.3, 0.9], [1.2, 1.1], seed=11)
-    report = certify_bounded_power_low(a, b, 0.9, 1.3, 0.5, 1.0)
+    report = certify_inequality("bounded-power-low", a, b, m=0.9, M=1.3, alpha=0.5, r=1.0)
     factor = report.parameters["factor"]
     # r = 1: LHS = A # B and RHS = factor (A # B); margins reduce to
     # (factor - 1) times the mean's eigenvalues.
@@ -210,7 +192,9 @@ def test_power_one_keeps_loewner_form_tight():
 def test_alpha_endpoints_hold_everywhere():
     a, b = commuting_pd_pair([1.4, 0.8], [1.0, 1.1], seed=13)
     for alpha in (0.0, 1.0):
-        report = certify_bounded_eigen_power(a, b, 0.8, 1.4, alpha, 1.5)
+        report = certify_inequality(
+            "bounded-eigen-power", a, b, m=0.8, M=1.4, alpha=alpha, r=1.5
+        )
         assert report.holds
 
 
@@ -231,30 +215,33 @@ def test_sandwich_hypothesis_violation_detected():
     # B = 1.2 A exactly, so claiming 1.3 A <= B is certainly false.
     sample = sandwich_pair(cfg, 1.2, 1.2, 0)
     with raises_exactly("hypothesis 1.3*A <= B fails: min eigenvalue of difference = -1.269e-01"):
-        certify_specht_power_low(sample.a, sample.b, 1.3, 1.5, 0.5, 0.5)
+        certify_inequality(
+            "specht-power-low", sample.a, sample.b, s=1.3, t=1.5, alpha=0.5, r=0.5
+        )
 
 
 def test_bounded_hypothesis_violation_detected():
     a, b = commuting_pd_pair([2.0, 1.0], [1.5, 1.2])
     with raises_exactly("spectrum of A = [1, 2] escapes the bounds [1.1, 2]"):
-        certify_bounded_power_low(a, b, 1.1, 2.0, 0.5, 0.5)
+        certify_inequality("bounded-power-low", a, b, m=1.1, M=2.0, alpha=0.5, r=0.5)
     with raises_exactly("spectrum of A = [1, 2] escapes the bounds [1, 1.8]"):
-        certify_bounded_eigen_power(a, b, 1.0, 1.8, 0.5, 2.0)
+        certify_inequality("bounded-eigen-power", a, b, m=1.0, M=1.8, alpha=0.5, r=2.0)
 
 
 def test_chain_hypothesis_violations_detected():
     a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)  # not ordered
     with raises_exactly("hypothesis A <= B fails: min eigenvalue of difference = -5.000e-02"):
-        certify_fm_power_low(a, b, 0.3, 0.6, 0.5, 0.5)
+        certify_inequality("fm-power-low", a, b, m=0.3, M=0.6, alpha=0.5, r=0.5)
     a2, b2 = commuting_pd_pair([0.4, 0.3], [0.8, 0.5], seed=15)
     with raises_exactly("chain needs M <= 1, got M = 1.4"):
-        certify_fm_power_low(a2, b2, 0.3, 1.4, 0.5, 0.5)  # M > 1 breaks the chain
+        # M > 1 breaks the chain
+        certify_inequality("fm-power-low", a2, b2, m=0.3, M=1.4, alpha=0.5, r=0.5)
 
 
 def test_exponential_chain_requires_nonpositive_upper_bound():
     h, k = commuting_hermitian_pair([-0.5, -0.8], [-0.2, -0.4], seed=17)
     with raises_exactly("exponential chain needs M <= 0, got M = 0.3"):
-        certify_gt_fm(h, k, -1.0, 0.3, 0.5, 1.0)
+        certify_inequality("gt-fm", h, k, m=-1.0, M=0.3, alpha=0.5, p=1.0)
 
 
 def test_exponential_olson_hypothesis_violation_detected():
@@ -263,14 +250,14 @@ def test_exponential_olson_hypothesis_violation_detected():
     with raises_exactly(
         "hypothesis e^(1K) <= e^(0.1*1) e^(1H) fails: min eigenvalue of difference = -6.219e-01"
     ):
-        certify_gt_specht(pair.h, pair.k, -0.1, 0.1, 0.5, 1.0)
+        certify_inequality("gt-specht", pair.h, pair.k, s=-0.1, t=0.1, alpha=0.5, p=1.0)
 
 
 def test_isometry_check_rejects_bad_transform():
     cfg = SamplerConfig(3, 23, 0.5, 2.0)
     a = random_pd(cfg, 0)
     with raises_exactly("transform rows are not orthonormal (U U* != I)"):
-        certify_kantorovich_matrix(a, 0.5, 2.0, np.ones((2, 3)))
+        certify_inequality("kantorovich-matrix", a, np.ones((2, 3)), m=0.5, M=2.0)
 
 
 def _count_eigensolves_in_loewner_checks(monkeypatch) -> dict:
@@ -301,9 +288,13 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
     counts = _count_eigensolves_in_loewner_checks(monkeypatch)
     for index in range(3):
         pair = olson_exponential_pair(SamplerConfig(4, 31, -0.6, 0.4), index)
-        assert certify_gt_specht(pair.h, pair.k, -1.0, 1.0, 0.3, 2.0).holds
+        assert certify_inequality(
+            "gt-specht", pair.h, pair.k, s=-1.0, t=1.0, alpha=0.3, p=2.0
+        ).holds
         chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), index, olson=True)
-        assert certify_fm_pq(chain.a, chain.b, 0.2, 0.9, 0.6, 0.5, 1.5).holds
+        assert certify_inequality(
+            "fm-pq", chain.a, chain.b, m=0.2, M=0.9, alpha=0.6, q=0.5, p=1.5
+        ).holds
     # exponents {1, 2} for gt-specht and {1, 1.5} for fm-pq, two checks per
     # exponent in the exp-Olson sandwich and one in the chain
     assert counts["checks"] == 3 * (4 + 2)
@@ -315,7 +306,7 @@ def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):
     counts = _count_eigensolves_in_loewner_checks(monkeypatch)
     a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)
     with pytest.raises(HypothesisViolatedError, match="min eigenvalue of difference"):
-        certify_fm_power_low(a, b, 0.3, 0.6, 0.5, 0.5)
+        certify_inequality("fm-power-low", a, b, m=0.3, M=0.6, alpha=0.5, r=0.5)
     assert counts["checks"] == 1
     assert counts["jacobi_in_checks"] == 1
 
@@ -338,9 +329,11 @@ def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
     monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
     avals = np.array([1.6, 1.0, 0.7])
     a, b = commuting_pd_pair(avals, avals * np.array([0.8, 1.1, 1.9]), seed=3)
-    assert certify_specht_eigen_power(a, b, 0.8, 1.9, 0.3, 2.0).holds
+    assert certify_inequality("specht-eigen-power", a, b, s=0.8, t=1.9, alpha=0.3, r=2.0).holds
     chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), 0, olson=True)
-    assert certify_fm_eigen_power(chain.a, chain.b, 0.2, 0.9, 0.6, 1.5).holds
+    assert certify_inequality(
+        "fm-eigen-power", chain.a, chain.b, m=0.2, M=0.9, alpha=0.6, r=1.5
+    ).holds
     assert len(means) == 4
     before = len(replays)
     for m in means:
@@ -356,20 +349,21 @@ def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
 def test_parameter_domain_errors():
     a, b = commuting_pd_pair([1.3, 0.9], [1.2, 1.1], seed=11)
     with pytest.raises(BadRangeError):
-        certify_bounded_power_low(a, b, 0.9, 1.3, 1.2, 0.5)  # alpha
+        certify_inequality("bounded-power-low", a, b, m=0.9, M=1.3, alpha=1.2, r=0.5)  # alpha
     with pytest.raises(BadRangeError):
-        certify_bounded_power_low(a, b, 0.9, 1.3, 0.5, 1.5)  # r > 1
+        certify_inequality("bounded-power-low", a, b, m=0.9, M=1.3, alpha=0.5, r=1.5)  # r > 1
     with pytest.raises(BadRangeError):
-        certify_bounded_eigen_power(a, b, 0.9, 1.3, 0.5, 0.5)  # r < 1
+        certify_inequality("bounded-eigen-power", a, b, m=0.9, M=1.3, alpha=0.5, r=0.5)  # r < 1
     with pytest.raises(BadRangeError):
-        certify_bounded_pq(a, b, 0.9, 1.3, 0.5, 2.0, 1.0)  # q > p
+        certify_inequality("bounded-pq", a, b, m=0.9, M=1.3, alpha=0.5, q=2.0, p=1.0)  # q > p
     with pytest.raises(BadRangeError):
-        certify_specht_power_low(a, b, -1.0, 1.3, 0.5, 0.5)  # s <= 0
+        certify_inequality("specht-power-low", a, b, s=-1.0, t=1.3, alpha=0.5, r=0.5)  # s <= 0
     h, k = commuting_hermitian_pair([0.2, -0.1], [0.1, 0.0], seed=19)
     with raises_exactly("need s <= t, got s=0.5, t=-0.5"):
-        certify_gt_specht(h, k, 0.5, -0.5, 0.5, 1.0)  # s > t is unsatisfiable
+        # s > t is unsatisfiable
+        certify_inequality("gt-specht", h, k, s=0.5, t=-0.5, alpha=0.5, p=1.0)
     with pytest.raises(BadRangeError):
-        certify_gt_kantorovich(h, k, -0.5, 0.5, 0.5, 0.0)  # p = 0
+        certify_inequality("gt-kantorovich", h, k, s=-0.5, t=0.5, alpha=0.5, p=0.0)  # p = 0
 
 
 @pytest.mark.parametrize(
@@ -379,20 +373,67 @@ def test_exp_olson_rows_reject_non_finite_s_t(s, t):
     # an infinite t once gave the factor S(e^{s p}) alone (specht(inf) is NaN,
     # which max() dropped), and an infinite s reported a violation with factor NaN
     h, k = commuting_hermitian_pair([0.2, -0.1], [0.1, 0.0], seed=19)
-    for certifier in (certify_gt_specht, certify_gt_specht_norm, certify_gt_kantorovich):
+    for inequality_id in ("gt-specht", "gt-specht-norm", "gt-kantorovich"):
         with pytest.raises(BadRangeError, match="s and t must be finite"):
-            certifier(h, k, s, t, 0.5, 1.0)
+            certify_inequality(inequality_id, h, k, s=s, t=t, alpha=0.5, p=1.0)
     with pytest.raises(BadRangeError, match="s and t must be finite"):
-        certify_gt_specht_norm_squared(h, k, s, t)
+        certify_inequality("gt-specht-norm-squared", h, k, s=s, t=t)
     with pytest.raises(BadRangeError, match="s and t must be finite"):
         convergence_study(h, k, s, t, 0.5, (1.0, 0.5))
+
+
+_GT = {"alpha": 0.5, "p": 1.0, "s": -2.0, "t": 2.0}
+
+
+@pytest.mark.parametrize(
+    "inequality_id, given, norm_id, message",
+    [
+        ("gt-nope", _GT, None, "unknown inequality id 'gt-nope'"),
+        ("gt-specht", {**_GT, "r": 2.0, "x": 1.0}, None, "gt-specht takes no parameter r, x;"),
+        ("gt-specht-norm-squared", _GT, None, "gt-specht-norm-squared fixes alpha, p;"),
+        ("gt-kantorovich-squared", {"m": -1.0, "M": 1.0, "p": 2.0}, None,
+         "gt-kantorovich-squared fixes p;"),
+        ("bounded-pq", {"h": 2.0}, None, "bounded-pq derives h;"),
+        ("kantorovich-matrix", {"m": 0.5, "M": 2.0, "rows": 2.0}, None,
+         "kantorovich-matrix derives rows;"),
+        ("gt-specht", {**_GT, "factor": 1.5}, None, "gt-specht derives factor;"),
+        ("gt-specht", {"alpha": 0.5, "p": 1.0, "s": -2.0}, None,
+         "gt-specht needs t; it takes alpha, p, s, t$"),
+        ("gt-specht", _GT, "schatten-2", "gt-specht reports no norm family"),
+    ],
+    ids=[
+        "unknown-id", "unknown-name", "fixed-alpha-p", "fixed-p", "derived-h", "derived-rows",
+        "derived-factor", "missing-name", "norm-id-on-eigenvalue-report",
+    ],
+)
+def test_certify_inequality_rejects_names_the_row_does_not_take(
+    inequality_id, given, norm_id, message
+):
+    # The name checks run before the operands are read, so one Hermitian
+    # pair serves every id; the last case passes them and fails on norm_id.
+    pair = olson_exponential_pair(SamplerConfig(3, 37, -0.6, 0.6), 0)
+    with pytest.raises(BadRangeError, match=message):
+        certify_inequality(inequality_id, pair.h, pair.k, norm_id=norm_id, **given)
+
+
+def test_package_attribute_certify_is_the_module():
+    # ``from golden_bounds import certify`` must keep giving the module,
+    # which a package-level function of that name would shadow.
+    import golden_bounds
+
+    assert golden_bounds.certify is certify
+    assert certify.__name__ == "golden_bounds.certify"
+    assert golden_bounds.certify_inequality is certify.certify_inequality
 
 
 def test_unknown_norm_id_rejected():
     cfg = SamplerConfig(2, 29, -0.4, 0.4)
     pair = olson_exponential_pair(cfg, 0)
     with pytest.raises(BadRangeError):
-        certify_gt_specht_norm(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0, "operator")
+        certify_inequality(
+            "gt-specht-norm", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0,
+            norm_id="operator",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +444,9 @@ def test_unknown_norm_id_rejected():
 def test_norm_report_families_and_filtering():
     cfg = SamplerConfig(3, 37, -0.6, 0.6)
     pair = olson_exponential_pair(cfg, 0)
-    full = certify_gt_specht_norm(pair.h, pair.k, pair.s, pair.t, 0.5, 1.0)
+    full = certify_inequality(
+        "gt-specht-norm", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0
+    )
     assert full.holds
     assert list(full.labels) == [
         "ky-fan-1", "ky-fan-2", "ky-fan-3", "schatten-1", "schatten-2", "schatten-inf",
@@ -412,8 +455,9 @@ def test_norm_report_families_and_filtering():
     assert by_label["schatten-1"] == pytest.approx(by_label["ky-fan-3"], rel=1e-15)
     assert by_label["schatten-inf"] == pytest.approx(by_label["ky-fan-1"], rel=1e-15)
 
-    single = certify_gt_specht_norm(
-        pair.h, pair.k, pair.s, pair.t, 0.5, 1.0, norm_id="schatten-2"
+    single = certify_inequality(
+        "gt-specht-norm", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0,
+        norm_id="schatten-2",
     )
     assert list(single.labels) == ["schatten-2"]
     assert single.holds
@@ -422,7 +466,7 @@ def test_norm_report_families_and_filtering():
 def test_norm_squared_display_factor():
     cfg = SamplerConfig(3, 41, -0.5, 0.4)
     pair = olson_exponential_pair(cfg, 0)
-    report = certify_gt_specht_norm_squared(pair.h, pair.k, pair.s, pair.t)
+    report = certify_inequality("gt-specht-norm-squared", pair.h, pair.k, s=pair.s, t=pair.t)
     assert report.holds
     expected = max(specht(math.exp(2 * pair.s)), specht(math.exp(2 * pair.t)))
     assert report.parameters["factor"] == pytest.approx(expected, rel=1e-14)
@@ -432,7 +476,7 @@ def test_norm_squared_display_factor():
 def test_kantorovich_squared_display_uses_cosh():
     cfg = SamplerConfig(3, 43, -0.4, 0.5)
     h, k = bounded_hermitian_pair(cfg, 0)
-    report = certify_gt_kantorovich_squared(h, k, -0.4, 0.5)
+    report = certify_inequality("gt-kantorovich-squared", h, k, m=-0.4, M=0.5)
     assert report.holds
     assert report.parameters["factor"] == pytest.approx(math.cosh(0.9), rel=1e-12)
 
@@ -442,7 +486,7 @@ def test_kantorovich_matrix_full_rank_and_compression():
     a = random_pd(cfg, 0)
     for rows in (1, 2, 4):
         u = random_isometry(cfg, rows, 0)
-        report = certify_kantorovich_matrix(a, 0.5, 2.0, u)
+        report = certify_inequality("kantorovich-matrix", a, u, m=0.5, M=2.0)
         assert report.holds
         assert report.parameters["factor"] == pytest.approx(
             kantorovich(4.0, 2.0), rel=1e-12
@@ -458,17 +502,17 @@ def test_forward_ando_hiai_holds_and_validates():
     cfg = SamplerConfig(3, 53, 0.4, 1.8)
     a = random_pd(cfg, 0, slot=0)
     b = random_pd(cfg, 0, slot=1)
-    report = certify_forward_ando_hiai(a, b, 0.4, 2.0)
+    report = certify_inequality("forward-ando-hiai", a, b, alpha=0.4, r=2.0)
     assert report.holds
     assert report.labels[-1] == "total-product"
     with pytest.raises(BadRangeError):
-        certify_forward_ando_hiai(a, b, 0.4, 0.5)
+        certify_inequality("forward-ando-hiai", a, b, alpha=0.4, r=0.5)
 
 
 def test_forward_mean_norm_holds():
     cfg = SamplerConfig(3, 59, -0.7, 0.7)
     h, k = bounded_hermitian_pair(cfg, 0)
-    report = certify_forward_mean_norm(h, k, 0.35, 1.2)
+    report = certify_inequality("forward-mean-norm", h, k, alpha=0.35, p=1.2)
     assert report.holds
     assert report.parameters == {"alpha": 0.35, "p": 1.2}
 

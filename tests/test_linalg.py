@@ -459,6 +459,30 @@ def test_pending_entries_need_a_decomposition():
         HermitianMatrix(lambda: np.eye(2))
 
 
+def test_checked_entries_are_not_checked_again(solver_counts, monkeypatch):
+    # A positive scaling and a geometric mean check each array they form
+    # once; neither hands a checked (read-only) array to a second check.
+    rng = np.random.default_rng(71)
+    a, b = random_pd_array(rng, 3), random_pd_array(rng, 3)
+    checked, check = [], linalg._checked_entries
+
+    def counting_check(entries):
+        checked.append(isinstance(entries, np.ndarray) and not entries.flags.writeable)
+        return check(entries)
+
+    monkeypatch.setattr(linalg, "_checked_entries", counting_check)
+    solver_counts.update(jacobi=0)
+    doubled = a * 2.0
+    assert isinstance(doubled, PositiveDefiniteMatrix)
+    assert checked == [False]
+    assert solver_counts["jacobi"] == 0
+    checked.clear()
+    mean = geometric_mean(a, b, 0.3)
+    assert isinstance(mean, PositiveDefiniteMatrix)
+    assert checked == [False, False, False]
+    assert solver_counts["jacobi"] == 2
+
+
 # ---------------------------------------------------------------------------
 # The shifted Cholesky positivity predicate
 # ---------------------------------------------------------------------------
