@@ -43,8 +43,8 @@ from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     _cholesky_succeeds,
+    _norm_family,
     congruence,
-    eigenvalues_desc,
     exp_h,
     power,
     trace,
@@ -188,15 +188,9 @@ def _loewner_sides(lhs_mat, rhs_mat):
 
 def _norm_sides(lhs_mat, rhs_mat, factor):
     """Ky Fan 1..n plus Schatten {1, 2, inf} values of two positive matrices."""
-    values = []
-    for matrix in (lhs_mat, rhs_mat):
-        eigs = eigenvalues_desc(matrix)
-        ky_fan = np.cumsum(eigs)
-        tail = [ky_fan[-1], float(np.sqrt(np.sum(eigs**2))), eigs[0]]
-        values.append(np.concatenate([ky_fan, tail]))
     labels = [f"ky-fan-{k + 1}" for k in range(lhs_mat.dim)]
     labels += ["schatten-1", "schatten-2", "schatten-inf"]
-    lhs_values, rhs_values = values[0], factor * values[1]
+    lhs_values, rhs_values = _norm_family(lhs_mat), factor * _norm_family(rhs_mat)
     return SEMANTICS_NORM, labels, lhs_values, rhs_values, _relative(lhs_values, rhs_values)
 
 
@@ -436,18 +430,16 @@ def _power_low(a, b, v, multiplier: float):
 def _eigen_power(a, b, v):
     """lambda_k(A #_a B)^r against factor * lambda_k(A^r #_a B^r)."""
     r, alpha = v["r"], v["alpha"]
-    lhs = eigenvalues_desc(geometric_mean(a, b, alpha)) ** r
-    rhs = v["factor"] * eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
+    lhs = geometric_mean(a, b, alpha).eigenvalues ** r
+    rhs = v["factor"] * geometric_mean(power(a, r), power(b, r), alpha).eigenvalues
     return _eigen_sides(lhs, rhs)
 
 
 def _pq(a, b, v):
     """lambda_k(A^q #_a B^q)^{1/q} against factor * lambda_k(A^p #_a B^p)^{1/p}."""
     q, p, alpha = v["q"], v["p"], v["alpha"]
-    lhs = eigenvalues_desc(geometric_mean(power(a, q), power(b, q), alpha)) ** (1.0 / q)
-    rhs = v["factor"] * eigenvalues_desc(
-        geometric_mean(power(a, p), power(b, p), alpha)
-    ) ** (1.0 / p)
+    lhs = geometric_mean(power(a, q), power(b, q), alpha).eigenvalues ** (1.0 / q)
+    rhs = v["factor"] * geometric_mean(power(a, p), power(b, p), alpha).eigenvalues ** (1.0 / p)
     return _eigen_sides(lhs, rhs)
 
 
@@ -463,7 +455,7 @@ def _squared_sides(h, k, v):
 
 def _gt_eigen(h, k, v, sides=_gt_sides):
     lhs_mat, rhs_mat = sides(h, k, v)
-    return _eigen_sides(eigenvalues_desc(lhs_mat), v["factor"] * eigenvalues_desc(rhs_mat))
+    return _eigen_sides(lhs_mat.eigenvalues, v["factor"] * rhs_mat.eigenvalues)
 
 
 def _norm(h, k, v, sides=_gt_sides):
@@ -480,8 +472,8 @@ def _compression(a, u, v):
 def _log_majorization(a, b, v):
     """Cumulative log-products of both spectra plus the k = n equality entry."""
     r, alpha = v["r"], v["alpha"]
-    lhs_eigs = eigenvalues_desc(geometric_mean(power(a, r), power(b, r), alpha))
-    rhs_eigs = eigenvalues_desc(power(geometric_mean(a, b, alpha), r))
+    lhs_eigs = geometric_mean(power(a, r), power(b, r), alpha).eigenvalues
+    rhs_eigs = power(geometric_mean(a, b, alpha), r).eigenvalues
     cert = log_majorizes(lhs_eigs, rhs_eigs)
     cum_lhs = np.cumsum(np.log(lhs_eigs))
     cum_rhs = np.cumsum(np.log(rhs_eigs))
@@ -613,13 +605,13 @@ def _bounded_sample(cfg, index, d):
 
 
 def _chain_sample(cfg, index, d):
-    chain = ordered_chain_pair(cfg, index, olson=False)
+    chain = ordered_chain_pair(cfg, index)
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
 def _olson_chain_sample(cfg, index, d):
     """Ordered chain whose Olson middle is certified at the drawn exponents."""
-    chain = ordered_chain_pair(cfg, index, olson=True, grid=_lean_exponents(d))
+    chain = ordered_chain_pair(cfg, index, _lean_exponents(d))
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
@@ -805,7 +797,9 @@ _INEQUALITIES = {
         require=_require_bounded_hk, factor=_cosh_factor,
         compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
         draws=(_hermitian_range,), sample=_bounded_sample,
-        cells=("bounded spectra", "norm display at `p = 2`", "`cosh(M - m)`"),
+        cells=(
+            "bounded spectra", "eigenvalues of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`cosh(M - m)`",
+        ),
     ),
     # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
     "fm-power-low": _Inequality(
@@ -1060,11 +1054,11 @@ def convergence_study(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"
         )
     factor = _INEQUALITIES[f"gt-{factor_kind}"].factor
-    lhs = eigenvalues_desc(log_euclidean(h, k, alpha))
+    lhs = log_euclidean(h, k, alpha).eigenvalues
     rows = []
     for p in ps:
         scale = factor({"alpha": alpha, "p": p, "s": s, "t": t})
-        rhs = scale * eigenvalues_desc(mean_power(h, k, alpha, p))
+        rhs = scale * mean_power(h, k, alpha, p).eigenvalues
         for index, (left, right) in enumerate(zip(lhs, rhs), start=1):
             gap = float((right - left) / left)
             rows.append(ConvergenceRow(p, index, float(left), float(right), gap))

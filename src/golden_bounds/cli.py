@@ -109,10 +109,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=None,
         help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else 0)",
     )
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json",
-        help="output format for report files (default: json)",
-    )
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -170,6 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
             f"--{flag}", type=float, default=None,
             help=f"pin the drawn parameter {flag} (exit 2 if the id does not draw it)",
         )
+    p_cert.add_argument(
+        "--format", choices=("json", "csv"), default="json",
+        help="output format for report files (default: json)",
+    )
     _add_common_flags(p_cert)
 
     sub.add_parser(

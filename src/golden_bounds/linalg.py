@@ -242,10 +242,6 @@ class SpectralDecomposition:
         v = self.eigenvectors
         return (v * np.asarray(values)) @ v.conj().T
 
-    def _scaled(self, factor: float) -> "SpectralDecomposition":
-        """The decomposition of ``factor`` times the matrix."""
-        return self._mapped(self._eigenvalues * factor, reverse=factor < 0.0)
-
     def _mapped(self, values: np.ndarray, reverse: bool = False) -> "SpectralDecomposition":
         """The decomposition with these eigenvalue images on this one's
         eigenvectors, both reversed if ``reverse`` (for a decreasing map); its
@@ -347,9 +343,10 @@ class HermitianMatrix:
     def _scaled(self, factor: float) -> "HermitianMatrix":
         """``factor`` times this matrix, of this class for a positive factor."""
         dec = self._decomp
-        new_dec = None if dec is None else dec._scaled(factor)
+        if dec is not None:
+            dec = dec._mapped(dec.eigenvalues * factor, reverse=factor < 0.0)
         cls = type(self) if factor > 0.0 else HermitianMatrix
-        return cls(self.matrix * factor, decomposition=new_dec)
+        return cls(self.matrix * factor, decomposition=dec)
 
     def __mul__(self, factor):
         if not isinstance(factor, Real):
@@ -372,10 +369,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
         smallest = float(self.eigenvalues[-1])
         if smallest <= 0.0:
             raise DomainError(f"matrix is not positive definite: min eigenvalue {smallest:.3e}")
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
 
 
 def identity_pd(n: int) -> PositiveDefiniteMatrix:
@@ -433,13 +426,16 @@ def log_pd(matrix: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(dec_out.reconstruct, decomposition=dec_out)
 
 
-def eigenvalues_desc(matrix: HermitianMatrix) -> np.ndarray:
-    """Copy of the spectrum in descending order."""
-    return matrix.eigenvalues.copy()
-
-
 def _singular_values_desc(matrix: HermitianMatrix) -> np.ndarray:
     return np.sort(np.abs(matrix.eigenvalues))[::-1]
+
+
+def _norm_family(matrix: HermitianMatrix) -> np.ndarray:
+    """Ky Fan 1..n, then Schatten 1, 2 and inf, from the cumulative sums of
+    the singular values."""
+    sv = _singular_values_desc(matrix)
+    ky_fan = np.cumsum(sv)
+    return np.concatenate([ky_fan, [ky_fan[-1], np.sqrt(np.sum(sv**2)), sv[0]]])
 
 
 def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
@@ -448,18 +444,14 @@ def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
         raise BadIndexError(f"Ky Fan index must be an integer, got {k!r}")
     if k < 1 or k > matrix.dim:
         raise BadIndexError(f"Ky Fan index {k} outside 1..{matrix.dim}")
-    return float(np.sum(_singular_values_desc(matrix)[:k]))
+    return float(_norm_family(matrix)[k - 1])
 
 
 def schatten_norm(matrix: HermitianMatrix, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}."""
-    sv = _singular_values_desc(matrix)
-    if p == 1:
-        return float(np.sum(sv))
-    if p == 2:
-        return float(np.sqrt(np.sum(sv * sv)))
-    if p == math.inf:
-        return float(sv[0])
+    for offset, order in enumerate((1, 2, math.inf)):
+        if p == order:
+            return float(_norm_family(matrix)[matrix.dim + offset])
     raise BadIndexError(f"Schatten order must be 1, 2 or inf, got {p!r}")
 
 

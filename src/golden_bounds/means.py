@@ -11,6 +11,8 @@ which is the limit the reverse trace/eigenvalue bounds sharpen at finite q.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import BadRangeError, EmptySequenceError
 from .linalg import (
     HermitianMatrix,
@@ -45,10 +47,9 @@ def geometric_mean(
     if alpha == 1.0:
         return b
     inner = PositiveDefiniteMatrix(inv_sqrt_congruence(a, b))
-    inner_pow = power(inner, alpha)
-    sqrt_a = power(a, 0.5)
-    dec = sqrt_a.decomposition
-    return PositiveDefiniteMatrix(congruence(dec.reconstruct(), inner_pow))
+    dec = a.decomposition
+    sqrt_a = dec.map_eigenvalues(np.sqrt(dec.eigenvalues))
+    return PositiveDefiniteMatrix(congruence(sqrt_a, power(inner, alpha)))
 
 
 def log_euclidean(h: HermitianMatrix, k: HermitianMatrix, alpha: float) -> PositiveDefiniteMatrix:

@@ -3,9 +3,10 @@
 Every draw is addressed by (seed, draw index, stream tag) through a Philox
 counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
-their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain)
-rather than rejection-sampling it; the certifiers re-verify the hypothesis
-on every instance they are given.
+their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain);
+a general-mode chain given an exponent grid also tests its Olson middle with
+``olson_leq`` to pick its perturbation size.  The certifiers re-verify the
+hypothesis on every instance they are given.
 
 Stream tags: a draw's primary eigenvalues (1), its eigenbasis (2), the
 secondary operand's eigenvalues (3) and basis (4), and free parameters (5).
@@ -28,7 +29,7 @@ from .linalg import (
     congruence,
     log_pd,
 )
-from .orders import olson_leq
+from .orders import DEFAULT_OLSON_GRID, olson_leq
 
 TAG_EIGENVALUES = 1
 TAG_BASIS = 2
@@ -131,6 +132,12 @@ def _draw_basis(cfg: SamplerConfig, index: int, basis_tag: int) -> np.ndarray:
     return haar_unitary(rng, cfg.dim)
 
 
+def _random_hermitian(cfg: SamplerConfig, index: int, slot: int, positive: bool):
+    values_tag, basis_tag = _pair_tags(cfg, slot)
+    vals = _draw_spectrum(cfg, index, values_tag)
+    return _from_eigen(vals, _draw_basis(cfg, index, basis_tag), positive=positive)
+
+
 def random_pd(cfg: SamplerConfig, index: int = 0, slot: int = 0) -> PositiveDefiniteMatrix:
     """V diag(u) V* with u uniform in [lo, hi] > 0 and V Haar unitary.
 
@@ -141,22 +148,14 @@ def random_pd(cfg: SamplerConfig, index: int = 0, slot: int = 0) -> PositiveDefi
         raise BadRangeError(
             f"positive definite draws need a positive range, got [{cfg.lo}, {cfg.hi}]"
         )
-    values_tag, basis_tag = _pair_tags(cfg, slot)
-    vals = _draw_spectrum(cfg, index, values_tag)
-    basis = _draw_basis(cfg, index, basis_tag)
-    out = _from_eigen(vals, basis, positive=True)
-    assert isinstance(out, PositiveDefiniteMatrix)
-    return out
+    return _random_hermitian(cfg, index, slot, positive=True)
 
 
 def random_bounded_hermitian(
     cfg: SamplerConfig, index: int = 0, slot: int = 0
 ) -> HermitianMatrix:
     """Hermitian draw with spectrum inside [lo, hi] (any real bounds)."""
-    values_tag, basis_tag = _pair_tags(cfg, slot)
-    vals = _draw_spectrum(cfg, index, values_tag)
-    basis = _draw_basis(cfg, index, basis_tag)
-    return _from_eigen(vals, basis, positive=False)
+    return _random_hermitian(cfg, index, slot, positive=False)
 
 
 def bounded_hermitian_pair(
@@ -217,23 +216,19 @@ def olson_sandwich_pair(cfg: SamplerConfig, index: int = 0) -> SandwichSample:
 
     General mode uses the bounded-spectrum route: spectra of A and B inside
     [lo, hi] force (lo/hi)^v A^v <= B^v <= (hi/lo)^v A^v for every v >= 1, so
-    the returned scalars are s = lo/hi, t = hi/lo.  Commuting mode instead
-    draws per-eigenvalue factors in [s, t] on a shared basis, which gives
-    the relation exactly.
+    the returned scalars are s = lo/hi, t = hi/lo; the pair is
+    ``random_pd_pair``'s.  Commuting mode returns ``sandwich_pair`` at these
+    s and t: per-eigenvalue factors in [s, t] on a shared basis give the
+    relation exactly.
     """
     if cfg.lo <= 0.0:
         raise BadRangeError(
             f"Olson sandwich needs a positive spectral range, got [{cfg.lo}, {cfg.hi}]"
         )
-    s = cfg.lo / cfg.hi
-    t = cfg.hi / cfg.lo
-    a = random_pd(cfg, index, slot=0)
+    s, t = cfg.lo / cfg.hi, cfg.hi / cfg.lo
     if cfg.mode == MODE_COMMUTING:
-        factor_cfg = replace(cfg, lo=s, hi=t)
-        factors = _draw_spectrum(factor_cfg, index, TAG_SECONDARY)
-        b = _from_eigen(a.decomposition.eigenvalues * factors, a.decomposition.eigenvectors, positive=True)
-    else:
-        b = random_pd(cfg, index, slot=1)
+        return sandwich_pair(cfg, s, t, index)
+    a, b = random_pd_pair(cfg, index)
     return SandwichSample(a=a, b=b, s=s, t=t)
 
 
@@ -254,8 +249,7 @@ def olson_exponential_pair(cfg: SamplerConfig, index: int = 0) -> ExponentialOls
     e^{vm} <= e^{vH}, e^{vK} <= e^{vM} for every v >= 1 then yields the Olson
     sandwich with s = m - M and t = M - m, for any (even non-commuting) draw.
     """
-    h = random_bounded_hermitian(cfg, index, slot=0)
-    k = random_bounded_hermitian(cfg, index, slot=1)
+    h, k = bounded_hermitian_pair(cfg, index)
     m, M = float(cfg.lo), float(cfg.hi)
     return ExponentialOlsonSample(h=h, k=k, s=m - M, t=M - m)
 
@@ -270,39 +264,29 @@ class ChainSample:
     M: float
 
 
-def _commuting_chain_values(
-    cfg: SamplerConfig, index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = _draw_spectrum(cfg, index, TAG_EIGENVALUES)
-    y = _draw_spectrum(cfg, index, TAG_SECONDARY)
-    return np.minimum(x, y), np.maximum(x, y), _draw_basis(cfg, index, TAG_BASIS)
-
-
-def ordered_chain_pair(
-    cfg: SamplerConfig, index: int = 0, olson: bool = False, grid=None
-) -> ChainSample:
+def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSample:
     """Sample (A, B) with 0 < m*I <= A <= B <= M*I <= I.
 
     Commuting mode pairs sorted eigenvalue draws on a shared basis, which
     makes the whole chain — including its power-monotone (Olson) middle —
-    exact.  General mode congruence-perturbs a commuting pair by T = I + eX:
-    the Loewner chain survives congruence exactly, and when ``olson`` is set
-    the A <=ols B middle is checked on ``grid`` (default grid when None),
-    shrinking e until the check passes; e = 0 restores the commuting
-    construction, so generation always terminates.
+    exact.  General mode congruence-perturbs that commuting pair by
+    T = I + eX: the Loewner chain survives congruence exactly.  Given a
+    ``grid``, the A <=ols B middle is also checked on it with ``olson_leq``
+    (tolerance 1e-9), shrinking e until the check passes; e = 0 restores the
+    commuting construction, so generation always terminates.
     """
     if not 0.0 < cfg.lo <= cfg.hi <= 1.0:
         raise BadRangeError(
             f"ordered chain needs 0 < lo <= hi <= 1, got [{cfg.lo}, {cfg.hi}]"
         )
-    a_vals, b_vals, basis = _commuting_chain_values(cfg, index)
+    x = _draw_spectrum(cfg, index, TAG_EIGENVALUES)
+    y = _draw_spectrum(cfg, index, TAG_SECONDARY)
+    basis = _draw_basis(cfg, index, TAG_BASIS)
+    a0 = _from_eigen(np.minimum(x, y), basis, positive=True)
+    b0 = _from_eigen(np.maximum(x, y), basis, positive=True)
     if cfg.mode == MODE_COMMUTING:
-        a = _from_eigen(a_vals, basis, positive=True)
-        b = _from_eigen(b_vals, basis, positive=True)
-        return ChainSample(a=a, b=b, m=cfg.lo, M=cfg.hi)
+        return ChainSample(a=a0, b=b0, m=cfg.lo, M=cfg.hi)
 
-    a0 = _from_eigen(a_vals, basis, positive=True)
-    b0 = _from_eigen(b_vals, basis, positive=True)
     perturb_rng = philox_generator(cfg.seed, index, TAG_SECONDARY_BASIS)
     raw = perturb_rng.normal(size=(cfg.dim, cfg.dim)) + 1j * perturb_rng.normal(
         size=(cfg.dim, cfg.dim)
@@ -321,7 +305,7 @@ def ordered_chain_pair(
             b_new = b1 * scale
             m_new = float(a_new.eigenvalues[-1])
             M_new = cfg.hi
-        if olson and not olson_leq(a_new, b_new, grid=grid).holds:
+        if grid is not None and not olson_leq(a_new, b_new, grid=grid).holds:
             continue
         return ChainSample(a=a_new, b=b_new, m=m_new, M=M_new)
     raise NoConvergenceError("ordered chain perturbation failed at every step size")
@@ -346,14 +330,14 @@ def ordered_exponential_chain_pair(
     pair is built as logarithms of an ordered positive chain with spectra in
     [e^m, e^M]; the scalar ends of the chain reduce to plain Loewner bounds,
     and the e^H <=ols e^K middle is the chain sampler's (exact in commuting
-    mode, checked on ``grid`` in general mode).
+    mode, checked on ``grid`` or else ``DEFAULT_OLSON_GRID`` in general mode).
     """
     if cfg.hi > 0.0:
         raise BadRangeError(
             f"exponential chain needs exponent bounds with M <= 0, got [{cfg.lo}, {cfg.hi}]"
         )
     pd_cfg = replace(cfg, lo=math.exp(cfg.lo), hi=math.exp(cfg.hi))
-    chain = ordered_chain_pair(pd_cfg, index, olson=True, grid=grid)
+    chain = ordered_chain_pair(pd_cfg, index, DEFAULT_OLSON_GRID if grid is None else grid)
     return ExponentialChainSample(
         h=log_pd(chain.a),
         k=log_pd(chain.b),

@@ -23,7 +23,14 @@ from golden_bounds.certify import (
 )
 from golden_bounds.constants import fm_factor, kantorovich, specht
 from golden_bounds.errors import BadRangeError, HypothesisViolatedError
-from golden_bounds.linalg import HermitianMatrix, PositiveDefiniteMatrix
+from golden_bounds.linalg import (
+    HermitianMatrix,
+    PositiveDefiniteMatrix,
+    ky_fan_norm,
+    schatten_norm,
+)
+from golden_bounds.means import log_euclidean, mean_power
+from golden_bounds.orders import DEFAULT_OLSON_GRID
 from golden_bounds.sampling import (
     SamplerConfig,
     bounded_hermitian_pair,
@@ -291,7 +298,7 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
         assert certify_inequality(
             "gt-specht", pair.h, pair.k, s=-1.0, t=1.0, alpha=0.3, p=2.0
         ).holds
-        chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), index, olson=True)
+        chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), index, grid=DEFAULT_OLSON_GRID)
         assert certify_inequality(
             "fm-pq", chain.a, chain.b, m=0.2, M=0.9, alpha=0.6, q=0.5, p=1.5
         ).holds
@@ -330,7 +337,7 @@ def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
     avals = np.array([1.6, 1.0, 0.7])
     a, b = commuting_pd_pair(avals, avals * np.array([0.8, 1.1, 1.9]), seed=3)
     assert certify_inequality("specht-eigen-power", a, b, s=0.8, t=1.9, alpha=0.3, r=2.0).holds
-    chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), 0, olson=True)
+    chain = ordered_chain_pair(SamplerConfig(4, 37, 0.2, 0.9), 0, grid=DEFAULT_OLSON_GRID)
     assert certify_inequality(
         "fm-eigen-power", chain.a, chain.b, m=0.2, M=0.9, alpha=0.6, r=1.5
     ).holds
@@ -461,6 +468,20 @@ def test_norm_report_families_and_filtering():
     )
     assert list(single.labels) == ["schatten-2"]
     assert single.holds
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16])
+def test_norm_report_entries_are_the_library_norms(n):
+    h, k = bounded_hermitian_pair(SamplerConfig(n, 61, -0.7, 0.7), 0)
+    report = certify_inequality("forward-mean-norm", h, k, alpha=0.35, p=1.2)
+    sides = (
+        (report.lhs_values, mean_power(h, k, 0.35, 1.2)),
+        (report.rhs_values, log_euclidean(h, k, 0.35)),
+    )
+    for values, matrix in sides:
+        expected = [ky_fan_norm(matrix, j) for j in range(1, n + 1)]
+        expected += [schatten_norm(matrix, p) for p in (1, 2, math.inf)]
+        assert list(values) == expected
 
 
 def test_norm_squared_display_factor():

@@ -453,6 +453,14 @@ def test_convergence_out_file(capsys, tmp_path):
     assert target.read_text().startswith("p,k,lhs,rhs,gap")
 
 
+def test_convergence_takes_no_format_flag(capsys):
+    # the table is always CSV; a --format would be silently ignored
+    with pytest.raises(SystemExit) as excinfo:
+        main(["convergence", "specht", "--format", "json"])
+    assert excinfo.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_convergence_rejects_unknown_factor_kind(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["convergence", "wrong-kind"])

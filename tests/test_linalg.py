@@ -23,7 +23,6 @@ from golden_bounds.linalg import (
     _singular_values_desc,
     common_eigenbasis,
     congruence,
-    eigenvalues_desc,
     exp_h,
     frobenius_distance,
     identity_pd,
@@ -96,7 +95,7 @@ def test_positive_definite_rejects_indefinite():
 
 def test_positive_definite_properties():
     p = PositiveDefiniteMatrix([[2.0, 0.0], [0.0, 0.5]])
-    assert p.min_eigenvalue == pytest.approx(0.5)
+    assert p.eigenvalues[-1] == pytest.approx(0.5)
 
 
 def test_scalar_multiplication_and_class_propagation():
@@ -374,7 +373,7 @@ def test_eigenvalues_of_a_geometric_mean_leave_its_log_pending(solver_counts):
     a, b = random_pd_array(rng, 4), random_pd_array(rng, 4)
     mean = geometric_mean(a, b, 0.3)
     before = dict(solver_counts)
-    eigenvalues_desc(mean)
+    mean.eigenvalues
     assert solver_counts == before
     mean.decomposition.eigenvectors
     assert solver_counts == dict(before, replay=before["replay"] + 1)
@@ -416,13 +415,13 @@ def test_derived_spectra_make_no_second_eigensolve(solver_counts):
 def test_spectra_of_means_build_no_entries_and_replay_no_result_log(solver_counts):
     rng = np.random.default_rng(59)
     h, k = random_hermitian(rng, 4), random_hermitian(rng, 4)
-    eigenvalues_desc(log_euclidean(h, k, 0.3))
+    log_euclidean(h, k, 0.3).eigenvalues
     # one eigensolve of the weighted sum; its log and the exponential's
     # entries stay pending
     assert solver_counts == {"jacobi": 1, "replay": 0, "builds": 0}
     before = dict(solver_counts)
     result = mean_power(h, k, 0.3, 0.5)
-    eigenvalues_desc(result)
+    result.eigenvalues
     spent = {key: solver_counts[key] - before[key] for key in before}
     # eigensolves of qH, qK, the inner congruence and the mean; the mean's
     # log is the one not replayed, and the mean's power is never built
@@ -670,15 +669,3 @@ def test_common_eigenbasis_rejects_noncommuting_pair():
     b = HermitianMatrix([[1.0, 0.6], [0.6, 1.5]])
     assert _commutator_norm(a, b) > 0.1
     assert common_eigenbasis(a, b) is None
-
-
-# ---------------------------------------------------------------------------
-# Spectrum copies
-# ---------------------------------------------------------------------------
-
-
-def test_eigenvalues_desc_returns_fresh_copy():
-    m = HermitianMatrix(np.diag([2.0, 1.0]))
-    values = eigenvalues_desc(m)
-    values[0] = 99.0
-    assert m.eigenvalues[0] == 2.0

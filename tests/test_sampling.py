@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from golden_bounds import sampling
 from golden_bounds.errors import BadRangeError
 from golden_bounds.linalg import _commutator_norm, exp_h
 from golden_bounds.orders import MODE_EXACT, MODE_GRID, loewner_leq, olson_leq, sandwich_bounds
@@ -188,6 +189,33 @@ def test_olson_sandwich_modes_and_certificates():
     assert {c.mode for c in checks2} == {MODE_GRID}
 
 
+def _same_arrays(x, y):
+    return np.array_equal(x.matrix, y.matrix) and np.array_equal(x.eigenvalues, y.eigenvalues)
+
+
+def test_olson_sandwich_pair_is_the_sandwich_or_the_pd_pair():
+    for index in range(3):
+        commuting = SamplerConfig(4, 21, 0.4, 1.6, mode=MODE_COMMUTING)
+        sample = olson_sandwich_pair(commuting, index)
+        expected = sandwich_pair(commuting, 0.4 / 1.6, 1.6 / 0.4, index)
+        assert _same_arrays(sample.a, expected.a) and _same_arrays(sample.b, expected.b)
+        assert (sample.s, sample.t) == (expected.s, expected.t)
+        general = SamplerConfig(4, 21, 0.4, 1.6, mode=MODE_GENERAL)
+        sample = olson_sandwich_pair(general, index)
+        a, b = random_pd_pair(general, index)
+        assert _same_arrays(sample.a, a) and _same_arrays(sample.b, b)
+        assert (sample.s, sample.t) == (0.4 / 1.6, 1.6 / 0.4)
+
+
+def test_olson_exponential_pair_is_the_bounded_pair():
+    for mode in (MODE_COMMUTING, MODE_GENERAL):
+        cfg = SamplerConfig(4, 22, -0.8, 0.7, mode=mode)
+        for index in range(3):
+            pair = olson_exponential_pair(cfg, index)
+            h, k = bounded_hermitian_pair(cfg, index)
+            assert _same_arrays(pair.h, h) and _same_arrays(pair.k, k)
+
+
 def test_olson_exponential_pair_relations():
     cfg = SamplerConfig(3, 8, -0.8, 0.7)
     pair = olson_exponential_pair(cfg, 0)
@@ -214,8 +242,23 @@ def test_ordered_chain_loewner_and_bounds():
 
 def test_ordered_chain_olson_middle():
     cfg = SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_GENERAL)
-    chain = ordered_chain_pair(cfg, 1, olson=True, grid=(1.0, 2.0, 3.0))
+    chain = ordered_chain_pair(cfg, 1, grid=(1.0, 2.0, 3.0))
     assert olson_leq(chain.a, chain.b, grid=(1.0, 2.0, 3.0)).holds
+
+
+def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(monkeypatch):
+    grids = []
+
+    def counting_olson_leq(a, b, grid=None, tolerance=1e-9):
+        grids.append(grid)
+        return olson_leq(a, b, grid=grid, tolerance=tolerance)
+
+    monkeypatch.setattr(sampling, "olson_leq", counting_olson_leq)
+    cfg = SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_GENERAL)
+    ordered_chain_pair(cfg, 1)
+    assert grids == []
+    ordered_chain_pair(cfg, 1, grid=(1.0, 2.0))
+    assert grids and set(grids) == {(1.0, 2.0)}
 
 
 def test_ordered_chain_range_validation():
