@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import fm_factor, kantorovich, specht
+from .constants import _check_decreasing_positive, fm_factor, kantorovich, specht
 from .errors import (
     BadRangeError,
     DimMismatchError,
@@ -122,12 +122,12 @@ class InequalityReport:
         out["parameters"] = dict(self.parameters)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
-    def csv_rows(self, instance: int | None = None) -> list[list]:
+    def csv_rows(self, instance: int) -> list[list]:
         """One row per entry; see CSV_HEADER for the column layout."""
-        head = [self.inequality_id, "" if instance is None else instance, self.n]
+        head = [self.inequality_id, instance, self.n]
         head += [self.mode, self.semantics]
         tail = [self.holds, self.tolerance, self.input_digest]
         tail.append(json.dumps(self.parameters, sort_keys=True))
@@ -280,8 +280,6 @@ def _require_chain(a, b, v: dict) -> None:
 
 def _require_exponential_olson(h, k, v: dict) -> None:
     s, t = v["s"], v["t"]
-    if s > t:
-        raise HypothesisViolatedError(f"need s <= t, got s={s}, t={t}")
     for nu in _lean_exponents(v):
         exp_nu_h = exp_h(h * nu)
         low = exp_nu_h * _exp(s * nu, "s*nu")
@@ -355,8 +353,11 @@ def _check_bounds(m: float, M: float) -> None:
 
 
 def _check_finite_st(s: float, t: float) -> None:
+    """Finite exp-Olson scalars with s <= t."""
     if not (math.isfinite(s) and math.isfinite(t)):
         raise BadRangeError(f"s and t must be finite, got s={s}, t={t}")
+    if s > t:
+        raise BadRangeError(f"need s <= t, got s={s}, t={t}")
 
 
 def _exp(exponent: float, name: str) -> float:
@@ -604,19 +605,21 @@ def _bounded_sample(cfg, index, d):
     return *bounded_hermitian_pair(cfg, index), {}
 
 
+def _chain_grid(d: dict) -> tuple[float, ...] | None:
+    """The exponents a general-mode chain sampler checks its Olson middle on:
+    the lean grid when it holds an exponent above 1, else None (at 1 alone
+    the congruence keeps A <= B exactly, and the Cholesky re-check runs)."""
+    grid = _lean_exponents(d)
+    return grid if len(grid) > 1 else None
+
+
 def _chain_sample(cfg, index, d):
-    chain = ordered_chain_pair(cfg, index)
-    return chain.a, chain.b, {"m": chain.m, "M": chain.M}
-
-
-def _olson_chain_sample(cfg, index, d):
-    """Ordered chain whose Olson middle is certified at the drawn exponents."""
-    chain = ordered_chain_pair(cfg, index, _lean_exponents(d))
+    chain = ordered_chain_pair(cfg, index, _chain_grid(d))
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
 def _exp_chain_sample(cfg, index, d):
-    pair = ordered_exponential_chain_pair(cfg, index, grid=_lean_exponents(d))
+    pair = ordered_exponential_chain_pair(cfg, index, _chain_grid(d))
     return pair.h, pair.k, {"m": pair.m, "M": pair.M}
 
 
@@ -813,13 +816,13 @@ _INEQUALITIES = {
         ("alpha", "r", "m", "M", "h"), (_alpha, _high_r),
         require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
         compare=_eigen_power,
-        draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_olson_chain_sample,
+        draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_chain_sample,
         cells=("chain", "eigenvalues, `r >= 1`", "difference factor"),
     ),
     "fm-pq": _Inequality(
         ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p), require=_require_chain,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
-        compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_olson_chain_sample,
+        compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_chain_sample,
         cells=("chain", "eigenvalues, `0 < q <= p`", "difference factor"),
     ),
     "gt-fm": _Inequality(
@@ -868,7 +871,6 @@ def certify_inequality(
     /,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    norm_id: str | None = None,
     **params,
 ) -> InequalityReport:
     """Certify one instance of ``inequality_id`` (an id of INEQUALITY_IDS):
@@ -879,9 +881,8 @@ def certify_inequality(
     kantorovich-matrix, A and the row-orthonormal U (U is not part of the
     digest).  ``params`` are exactly the row's parameters less those it
     fixes (alpha and p of the -squared ids) and the derived h = M/m and
-    rows.  ``norm_id`` keeps one entry of a norm-family report.
-    BadRangeError names an unknown id, a given name the row does not take,
-    fixes or derives, a missing name, and a norm_id on another report.
+    rows.  BadRangeError names an unknown id, a given name the row does not
+    take, fixes or derives, and a missing name.
     """
     spec = _row(inequality_id)
     fixed = sorted(set(params) & set(spec.fixed))
@@ -910,13 +911,6 @@ def certify_inequality(
     if spec.factor is not None:
         values["factor"] = spec.factor(values)
     semantics, labels, lhs, rhs, rel = spec.compare(x, y, values)
-    if norm_id is not None:
-        if semantics != SEMANTICS_NORM:
-            raise BadRangeError(f"{inequality_id} reports no norm family to pick {norm_id!r} from")
-        if norm_id not in labels:
-            raise BadRangeError(f"unknown norm id {norm_id!r}; choose from {labels}")
-        keep = labels.index(norm_id)
-        labels, lhs, rhs, rel = ([seq[keep]] for seq in (labels, lhs, rhs, rel))
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
     return InequalityReport(
         inequality_id=inequality_id,
@@ -965,24 +959,21 @@ def compare_specht_vs_fm(alpha: float, r: float, h: float) -> tuple[float, float
     return specht_side, fm_side, specht_side - fm_side
 
 
-DEFAULT_SIGN_SCAN_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
-DEFAULT_SIGN_SCAN_POWERS = (0.1, 0.3, 0.5, 0.8, 1.0)
-DEFAULT_SIGN_SCAN_RATIOS = (1.1, 1.5, 2.0, 4.0, 8.0, 16.0)
+_SIGN_SCAN_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+_SIGN_SCAN_POWERS = (0.1, 0.3, 0.5, 0.8, 1.0)
+_SIGN_SCAN_RATIOS = (1.1, 1.5, 2.0, 4.0, 8.0, 16.0)
 
 
-def specht_fm_sign_scan(
-    alphas=DEFAULT_SIGN_SCAN_ALPHAS,
-    powers=DEFAULT_SIGN_SCAN_POWERS,
-    ratios=DEFAULT_SIGN_SCAN_RATIOS,
-) -> dict:
-    """Scan (alpha, r, h) for both signs of the Specht-vs-exponential gap.
+def specht_fm_sign_scan() -> dict:
+    """Scan (alpha, r, h) over a fixed grid for both signs of the
+    Specht-vs-exponential gap.
 
     Returns {'positive': (alpha, r, h, diff) | None, 'negative': ...}; both
     present witnesses that neither constant dominates the other."""
     positive = negative = None
-    for alpha in alphas:
-        for r in powers:
-            for h in ratios:
+    for alpha in _SIGN_SCAN_ALPHAS:
+        for r in _SIGN_SCAN_POWERS:
+            for h in _SIGN_SCAN_RATIOS:
                 _, _, diff = compare_specht_vs_fm(alpha, r, h)
                 if diff > 0.0 and (positive is None or diff > positive[3]):
                     positive = (alpha, r, h, diff)
@@ -1040,15 +1031,7 @@ def convergence_study(
     gap = (rhs - lhs)/lhs."""
     alpha = _check_alpha(alpha)
     _check_finite_st(s, t)
-    if s > t:
-        raise BadRangeError(f"need s <= t, got s={s}, t={t}")
-    ps = [float(p) for p in p_sequence]
-    if not ps:
-        raise BadRangeError("p_sequence must be nonempty")
-    if any(not p > 0.0 for p in ps):
-        raise BadRangeError(f"p_sequence must be positive, got {ps}")
-    if any(later >= earlier for earlier, later in zip(ps, ps[1:])):
-        raise BadRangeError(f"p_sequence must be strictly decreasing, got {ps}")
+    ps = _check_decreasing_positive(p_sequence, "p_sequence")
     if factor_kind not in ("specht", "kantorovich"):
         raise BadRangeError(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"

@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_conv.add_argument(
-        "factor_kind", nargs="?", choices=("specht", "kantorovich"), default="specht",
-        help="which reverse factor to apply (default: specht)",
+        "factor_kind", nargs="?", default="specht",
+        help="which reverse factor to apply: specht or kantorovich (default: specht)",
     )
     p_conv.add_argument("--n", type=int, default=4, help="matrix dimension (default: 4)")
     p_conv.add_argument(

@@ -119,6 +119,19 @@ def kantorovich_lower_bound(w: float) -> float:
     return 2.0 * w**0.25 / (math.sqrt(w) + 1.0)
 
 
+def _check_decreasing_positive(values, name: str) -> list[float]:
+    """``values`` as floats, checked nonempty (EmptySequenceError), positive
+    (NonPositiveError) and strictly decreasing (BadRangeError)."""
+    seq = [float(v) for v in values]
+    if not seq:
+        raise EmptySequenceError(f"{name} must be nonempty")
+    if any(not v > 0.0 for v in seq):
+        raise NonPositiveError(f"{name} must be positive, got {seq}")
+    if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
+        raise BadRangeError(f"{name} must be strictly decreasing, got {seq}")
+    return seq
+
+
 def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     """K(w^p, alpha)^(-1/p) along a decreasing positive sequence of p.
 
@@ -126,13 +139,7 @@ def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     bound's constant in the small-exponent limit.
     """
     w, alpha = float(w), float(alpha)
-    ps = [float(p) for p in p_sequence]
-    if not ps:
-        raise EmptySequenceError("p_sequence must be nonempty")
-    if any(not p > 0.0 for p in ps):
-        raise NonPositiveError(f"p_sequence must be positive, got {ps}")
-    if any(b >= a for a, b in zip(ps, ps[1:])):
-        raise BadRangeError(f"p_sequence must be strictly decreasing, got {ps}")
+    ps = _check_decreasing_positive(p_sequence, "p_sequence")
     return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
 
 

@@ -41,11 +41,11 @@ class BadGridError(GoldenBoundsError):
     """Exponent grid for an order check is malformed."""
 
 
-class EmptySequenceError(GoldenBoundsError):
+class EmptySequenceError(BadRangeError):
     """A nonempty sequence was required."""
 
 
-class NonPositiveError(GoldenBoundsError):
+class NonPositiveError(BadRangeError):
     """A positive quantity was required."""
 
 

@@ -498,20 +498,25 @@ def _commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
     return float(np.linalg.norm(am @ bm - bm @ am))
 
 
+#: Relative threshold on the commutator and off-diagonal residual norms
+#: below which ``common_eigenbasis`` treats a pair as commuting.
+_COMMUTE_RTOL = 1e-10
+
+
 def common_eigenbasis(
-    a: HermitianMatrix, b: HermitianMatrix, rtol: float = 1e-10
+    a: HermitianMatrix, b: HermitianMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Simultaneous eigenbasis of a commuting pair, or None.
 
     Returns (V, a_values, b_values) with both matrices diagonal in V and the
     eigenvalue pairing given by shared column order (a_values descending).
-    Detection threshold: commutator and residual norms within rtol relative
-    to the operand norms.
+    Detection threshold: commutator and residual norms within _COMMUTE_RTOL
+    relative to the operand norms.
     """
     if a.dim != b.dim:
         raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     scale = a.frobenius_norm() * b.frobenius_norm()
-    if scale > 0.0 and _commutator_norm(a, b) > rtol * scale:
+    if scale > 0.0 and _commutator_norm(a, b) > _COMMUTE_RTOL * scale:
         return None
     dec = a.decomposition
     v = dec.eigenvectors.copy()
@@ -531,7 +536,7 @@ def common_eigenbasis(
         start = stop
     b_rot = v.conj().T @ b.matrix @ v
     b_scale = max(b.frobenius_norm(), 1e-300)
-    if _offdiag_norm(b_rot) > max(rtol * b_scale, 1e-13 * b_scale):
+    if _offdiag_norm(b_rot) > _COMMUTE_RTOL * b_scale:
         return None
     a_rot = v.conj().T @ a.matrix @ v
     return v, a_rot.diagonal().real.copy(), b_rot.diagonal().real.copy()

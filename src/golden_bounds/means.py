@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadRangeError, EmptySequenceError
+from .constants import _check_decreasing_positive
+from .errors import BadRangeError
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -76,12 +77,6 @@ def limit_probe(
     Returns (q, distance) pairs along a strictly decreasing positive sequence;
     the distances shrink to zero with q.
     """
-    qs = [float(q) for q in q_sequence]
-    if not qs:
-        raise EmptySequenceError("q_sequence must be nonempty")
-    if any(not q > 0.0 for q in qs):
-        raise BadRangeError(f"q_sequence must be positive, got {qs}")
-    if any(later >= earlier for earlier, later in zip(qs, qs[1:])):
-        raise BadRangeError(f"q_sequence must be strictly decreasing, got {qs}")
+    qs = _check_decreasing_positive(q_sequence, "q_sequence")
     target = log_euclidean(h, k, alpha)
     return [(q, frobenius_distance(mean_power(h, k, alpha, q), target)) for q in qs]

@@ -32,6 +32,10 @@ from .linalg import (
 #: so evidence grids only ever contain exponents >= 1.
 DEFAULT_OLSON_GRID: tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
+#: The tolerance of every Olson and log-majorization certificate: it passes
+#: when its worst normalized margin is at least -1e-9.
+_CERTIFICATE_TOLERANCE = 1e-9
+
 MODE_EXACT = "exact"
 MODE_GRID = "grid-evidence"
 MODE_EIGENVALUE = "eigenvalue"
@@ -57,7 +61,9 @@ class OrderCertificate:
     witness: dict = field(default_factory=dict)
 
 
-def _finish(relation, mode, tolerance, labels, margins, witness) -> OrderCertificate:
+def _finish(
+    relation, mode, labels, margins, witness, tolerance=_CERTIFICATE_TOLERANCE
+) -> OrderCertificate:
     worst = min(margins)
     return OrderCertificate(
         relation=relation,
@@ -89,7 +95,7 @@ def loewner_leq(
         tolerance = max(1e-10 * scale, 1e-12)
     min_eig = float(eigs[-1])
     witness = {"min_eigenvalue": min_eig, "difference_norm": scale}
-    return _finish("loewner-leq", MODE_LOEWNER, tolerance, ("min-eigenvalue",), (min_eig,), witness)
+    return _finish("loewner-leq", MODE_LOEWNER, ("min-eigenvalue",), (min_eig,), witness, tolerance)
 
 
 def sandwich_bounds(
@@ -121,10 +127,7 @@ def _validated_grid(grid) -> tuple[float, ...]:
 
 
 def olson_leq(
-    a: PositiveDefiniteMatrix,
-    b: PositiveDefiniteMatrix,
-    grid=None,
-    tolerance: float = 1e-9,
+    a: PositiveDefiniteMatrix, b: PositiveDefiniteMatrix, grid=None
 ) -> OrderCertificate:
     """Certify A <=ols B, i.e. A^r <= B^r for every exponent r >= 1.
 
@@ -151,7 +154,7 @@ def olson_leq(
             "a_eigenvalue": float(avals[worst_i]),
             "b_eigenvalue": float(bvals[worst_i]),
         }
-        return _finish("olson-leq", MODE_EXACT, tolerance, labels, margins, witness)
+        return _finish("olson-leq", MODE_EXACT, labels, margins, witness)
 
     margins = []
     labels = []
@@ -164,7 +167,7 @@ def olson_leq(
         labels.append(f"r={r:g}")
     worst_i = int(np.argmin(margins))
     witness = {"exponent": grid[worst_i], "grid": list(grid)}
-    return _finish("olson-leq", MODE_GRID, tolerance, labels, margins, witness)
+    return _finish("olson-leq", MODE_GRID, labels, margins, witness)
 
 
 def _positive_desc(values, name: str) -> np.ndarray:
@@ -177,7 +180,7 @@ def _positive_desc(values, name: str) -> np.ndarray:
     return np.sort(arr)[::-1]
 
 
-def weak_log_majorizes(values_a, values_b, tolerance: float = 1e-9) -> OrderCertificate:
+def weak_log_majorizes(values_a, values_b) -> OrderCertificate:
     """Certify lambda(A) prec-wlog lambda(B): leading products never cross.
 
     Accepts descending positive sequences or matrices carrying
@@ -200,20 +203,18 @@ def weak_log_majorizes(values_a, values_b, tolerance: float = 1e-9) -> OrderCert
         "k": worst_k + 1,
         "log_product_gap": float(cum_b[worst_k] - cum_a[worst_k]),
     }
-    return _finish(
-        "weak-log-majorization", MODE_EIGENVALUE, tolerance, labels, margins, witness
-    )
+    return _finish("weak-log-majorization", MODE_EIGENVALUE, labels, margins, witness)
 
 
-def log_majorizes(values_a, values_b, tolerance: float = 1e-9) -> OrderCertificate:
+def log_majorizes(values_a, values_b) -> OrderCertificate:
     """Weak log-majorization plus equality of the full products (determinants)."""
     avals = _positive_desc(values_a, "values_a")
     bvals = _positive_desc(values_b, "values_b")
-    weak = weak_log_majorizes(avals, bvals, tolerance)
+    weak = weak_log_majorizes(avals, bvals)
     total_gap = float(np.sum(np.log(avals)) - np.sum(np.log(bvals)))
     equality_margin = -abs(math.expm1(total_gap))
     labels = weak.labels + ("total-product",)
     margins = weak.margins + (equality_margin,)
     witness = dict(weak.witness)
     witness["total_log_gap"] = total_gap
-    return _finish("log-majorization", MODE_EIGENVALUE, tolerance, labels, margins, witness)
+    return _finish("log-majorization", MODE_EIGENVALUE, labels, margins, witness)

@@ -5,8 +5,9 @@ counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
 their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain);
 a general-mode chain given an exponent grid also tests its Olson middle with
-``olson_leq`` to pick its perturbation size.  The certifiers re-verify the
-hypothesis on every instance they are given.
+``olson_leq`` to pick its perturbation size, and with ``grid=None`` tests
+nothing.  The certifiers re-verify the hypothesis on every instance they are
+given.
 
 Stream tags: a draw's primary eigenvalues (1), its eigenbasis (2), the
 secondary operand's eigenvalues (3) and basis (4), and free parameters (5).
@@ -29,7 +30,7 @@ from .linalg import (
     congruence,
     log_pd,
 )
-from .orders import DEFAULT_OLSON_GRID, olson_leq
+from .orders import olson_leq
 
 TAG_EIGENVALUES = 1
 TAG_BASIS = 2
@@ -273,7 +274,8 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
     T = I + eX: the Loewner chain survives congruence exactly.  Given a
     ``grid``, the A <=ols B middle is also checked on it with ``olson_leq``
     (tolerance 1e-9), shrinking e until the check passes; e = 0 restores the
-    commuting construction, so generation always terminates.
+    commuting construction, so generation always terminates.  With
+    ``grid=None`` nothing is checked and the first e is kept.
     """
     if not 0.0 < cfg.lo <= cfg.hi <= 1.0:
         raise BadRangeError(
@@ -329,15 +331,16 @@ def ordered_exponential_chain_pair(
     ``cfg.lo`` and ``cfg.hi`` hold the exponent bounds m and M <= 0.  The
     pair is built as logarithms of an ordered positive chain with spectra in
     [e^m, e^M]; the scalar ends of the chain reduce to plain Loewner bounds,
-    and the e^H <=ols e^K middle is the chain sampler's (exact in commuting
-    mode, checked on ``grid`` or else ``DEFAULT_OLSON_GRID`` in general mode).
+    and the e^H <=ols e^K middle is the chain sampler's: exact in commuting
+    mode; in general mode checked on ``grid``, or not at all with
+    ``grid=None``, as in ``ordered_chain_pair``.
     """
     if cfg.hi > 0.0:
         raise BadRangeError(
             f"exponential chain needs exponent bounds with M <= 0, got [{cfg.lo}, {cfg.hi}]"
         )
     pd_cfg = replace(cfg, lo=math.exp(cfg.lo), hi=math.exp(cfg.hi))
-    chain = ordered_chain_pair(pd_cfg, index, DEFAULT_OLSON_GRID if grid is None else grid)
+    chain = ordered_chain_pair(pd_cfg, index, grid)
     return ExponentialChainSample(
         h=log_pd(chain.a),
         k=log_pd(chain.b),

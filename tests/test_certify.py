@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from golden_bounds import certify, linalg
+from golden_bounds import certify, linalg, sampling
 from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
@@ -21,16 +21,21 @@ from golden_bounds.certify import (
     run_instances,
     specht_fm_sign_scan,
 )
-from golden_bounds.constants import fm_factor, kantorovich, specht
-from golden_bounds.errors import BadRangeError, HypothesisViolatedError
+from golden_bounds.constants import fm_factor, kantorovich, kantorovich_limit_root, specht
+from golden_bounds.errors import (
+    BadRangeError,
+    EmptySequenceError,
+    HypothesisViolatedError,
+    NonPositiveError,
+)
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     ky_fan_norm,
     schatten_norm,
 )
-from golden_bounds.means import log_euclidean, mean_power
-from golden_bounds.orders import DEFAULT_OLSON_GRID
+from golden_bounds.means import limit_probe, log_euclidean, mean_power
+from golden_bounds.orders import DEFAULT_OLSON_GRID, olson_leq
 from golden_bounds.sampling import (
     SamplerConfig,
     bounded_hermitian_pair,
@@ -309,6 +314,27 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
     assert counts["jacobi_in_checks"] == 0
 
 
+@pytest.mark.parametrize("p", [0.8, 1.0, 1.7])
+def test_chain_sampler_checks_olson_middle_only_above_power_one(monkeypatch, p):
+    # fm-pq's general-mode chain is checked with olson_leq on (1, p) when
+    # p > 1; at exponent 1 alone the congruence keeps A <= B exactly
+    grids = []
+
+    def counting_olson_leq(a, b, grid=None):
+        grids.append(grid)
+        return olson_leq(a, b, grid=grid)
+
+    monkeypatch.setattr(sampling, "olson_leq", counting_olson_leq)
+    result = run_instances(
+        "fm-pq", count=3, seed=5, n=3, mode="general", param_overrides={"q": 0.5, "p": p}
+    )
+    assert result.all_hold
+    if p > 1.0:
+        assert len(grids) >= 3 and set(grids) == {(1.0, p)}
+    else:
+        assert grids == []
+
+
 def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):
     counts = _count_eigensolves_in_loewner_checks(monkeypatch)
     a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)
@@ -366,7 +392,7 @@ def test_parameter_domain_errors():
     with pytest.raises(BadRangeError):
         certify_inequality("specht-power-low", a, b, s=-1.0, t=1.3, alpha=0.5, r=0.5)  # s <= 0
     h, k = commuting_hermitian_pair([0.2, -0.1], [0.1, 0.0], seed=19)
-    with raises_exactly("need s <= t, got s=0.5, t=-0.5"):
+    with pytest.raises(BadRangeError, match="^need s <= t, got s=0.5, t=-0.5$"):
         # s > t is unsatisfiable
         certify_inequality("gt-specht", h, k, s=0.5, t=-0.5, alpha=0.5, p=1.0)
     with pytest.raises(BadRangeError):
@@ -393,34 +419,33 @@ _GT = {"alpha": 0.5, "p": 1.0, "s": -2.0, "t": 2.0}
 
 
 @pytest.mark.parametrize(
-    "inequality_id, given, norm_id, message",
+    "inequality_id, given, message",
     [
-        ("gt-nope", _GT, None, "unknown inequality id 'gt-nope'"),
-        ("gt-specht", {**_GT, "r": 2.0, "x": 1.0}, None, "gt-specht takes no parameter r, x;"),
-        ("gt-specht-norm-squared", _GT, None, "gt-specht-norm-squared fixes alpha, p;"),
-        ("gt-kantorovich-squared", {"m": -1.0, "M": 1.0, "p": 2.0}, None,
+        ("gt-nope", _GT, "unknown inequality id 'gt-nope'"),
+        ("gt-specht", {**_GT, "r": 2.0, "x": 1.0}, "gt-specht takes no parameter r, x;"),
+        ("gt-specht-norm", {**_GT, "norm_id": "schatten-2"},
+         "gt-specht-norm takes no parameter norm_id;"),
+        ("gt-specht-norm-squared", _GT, "gt-specht-norm-squared fixes alpha, p;"),
+        ("gt-kantorovich-squared", {"m": -1.0, "M": 1.0, "p": 2.0},
          "gt-kantorovich-squared fixes p;"),
-        ("bounded-pq", {"h": 2.0}, None, "bounded-pq derives h;"),
-        ("kantorovich-matrix", {"m": 0.5, "M": 2.0, "rows": 2.0}, None,
+        ("bounded-pq", {"h": 2.0}, "bounded-pq derives h;"),
+        ("kantorovich-matrix", {"m": 0.5, "M": 2.0, "rows": 2.0},
          "kantorovich-matrix derives rows;"),
-        ("gt-specht", {**_GT, "factor": 1.5}, None, "gt-specht derives factor;"),
-        ("gt-specht", {"alpha": 0.5, "p": 1.0, "s": -2.0}, None,
+        ("gt-specht", {**_GT, "factor": 1.5}, "gt-specht derives factor;"),
+        ("gt-specht", {"alpha": 0.5, "p": 1.0, "s": -2.0},
          "gt-specht needs t; it takes alpha, p, s, t$"),
-        ("gt-specht", _GT, "schatten-2", "gt-specht reports no norm family"),
     ],
     ids=[
-        "unknown-id", "unknown-name", "fixed-alpha-p", "fixed-p", "derived-h", "derived-rows",
-        "derived-factor", "missing-name", "norm-id-on-eigenvalue-report",
+        "unknown-id", "unknown-name", "norm-id", "fixed-alpha-p", "fixed-p", "derived-h",
+        "derived-rows", "derived-factor", "missing-name",
     ],
 )
-def test_certify_inequality_rejects_names_the_row_does_not_take(
-    inequality_id, given, norm_id, message
-):
+def test_certify_inequality_rejects_names_the_row_does_not_take(inequality_id, given, message):
     # The name checks run before the operands are read, so one Hermitian
-    # pair serves every id; the last case passes them and fails on norm_id.
+    # pair serves every id.
     pair = olson_exponential_pair(SamplerConfig(3, 37, -0.6, 0.6), 0)
     with pytest.raises(BadRangeError, match=message):
-        certify_inequality(inequality_id, pair.h, pair.k, norm_id=norm_id, **given)
+        certify_inequality(inequality_id, pair.h, pair.k, **given)
 
 
 def test_package_attribute_certify_is_the_module():
@@ -431,16 +456,6 @@ def test_package_attribute_certify_is_the_module():
     assert golden_bounds.certify is certify
     assert certify.__name__ == "golden_bounds.certify"
     assert golden_bounds.certify_inequality is certify.certify_inequality
-
-
-def test_unknown_norm_id_rejected():
-    cfg = SamplerConfig(2, 29, -0.4, 0.4)
-    pair = olson_exponential_pair(cfg, 0)
-    with pytest.raises(BadRangeError):
-        certify_inequality(
-            "gt-specht-norm", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0,
-            norm_id="operator",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +476,6 @@ def test_norm_report_families_and_filtering():
     by_label = dict(zip(full.labels, full.lhs_values))
     assert by_label["schatten-1"] == pytest.approx(by_label["ky-fan-3"], rel=1e-15)
     assert by_label["schatten-inf"] == pytest.approx(by_label["ky-fan-1"], rel=1e-15)
-
-    single = certify_inequality(
-        "gt-specht-norm", pair.h, pair.k, s=pair.s, t=pair.t, alpha=0.5, p=1.0,
-        norm_id="schatten-2",
-    )
-    assert list(single.labels) == ["schatten-2"]
-    assert single.holds
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16])
@@ -622,6 +630,26 @@ def test_convergence_study_validation():
         convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, (1.0, 0.5), "magic")
     with pytest.raises(BadRangeError):
         convergence_study(pair.h, pair.k, 0.5, -0.5, 0.5, (1.0, 0.5), "specht")
+
+
+@pytest.mark.parametrize(
+    "sequence, error",
+    [((), EmptySequenceError), ((1.0, -0.5), NonPositiveError), ((0.1, 0.5), BadRangeError)],
+    ids=["empty", "non-positive", "increasing"],
+)
+def test_exponent_sequences_are_checked_alike(sequence, error):
+    # the three functions that walk a decreasing positive exponent sequence
+    # share one check, so each fault raises one class in all of them
+    pair = olson_exponential_pair(SamplerConfig(2, 73, -0.3, 0.3), 0)
+    calls = (
+        lambda: kantorovich_limit_root(2.0, 0.5, sequence),
+        lambda: limit_probe(pair.h, pair.k, 0.5, sequence),
+        lambda: convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, sequence),
+    )
+    for call in calls:
+        with pytest.raises(BadRangeError) as excinfo:
+            call()
+        assert type(excinfo.value) is error
 
 
 # ---------------------------------------------------------------------------

@@ -454,18 +454,20 @@ def test_convergence_out_file(capsys, tmp_path):
 
 
 def test_convergence_takes_no_format_flag(capsys):
-    # the table is always CSV; a --format would be silently ignored
-    with pytest.raises(SystemExit) as excinfo:
-        main(["convergence", "specht", "--format", "json"])
-    assert excinfo.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    # the table is always CSV; a --format would be silently ignored, and
+    # without a kind the error still names --format, not the stray "json"
+    for kind in (["specht"], []):
+        argv = ["convergence", *kind, "--format", "json"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_convergence_rejects_unknown_factor_kind(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["convergence", "wrong-kind"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+    code, _, err = run_cli(capsys, "convergence", "wrong-kind")
+    assert code == 2
+    assert "'wrong-kind'" in err
 
 
 # ---------------------------------------------------------------------------

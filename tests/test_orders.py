@@ -126,6 +126,7 @@ def test_olson_general_pair_uses_grid_evidence():
     assert cert.holds
     assert cert.mode == MODE_GRID
     assert set(cert.labels) == {f"r={r:g}" for r in DEFAULT_OLSON_GRID}
+    assert cert.tolerance == 1e-9
 
 
 def test_olson_catches_power_order_failure():
@@ -181,6 +182,7 @@ def test_log_majorization_requires_total_product_equality():
     # Same total product, dominated partial products: holds.
     cert = log_majorizes([2.0, 0.5], [4.0, 0.25])
     assert cert.holds
+    assert cert.tolerance == 1e-9
     assert cert.labels[-1] == "total-product"
     # Total products differ: the final entry must fail even though the
     # partial-product comparisons pass.

@@ -246,18 +246,24 @@ def test_ordered_chain_olson_middle():
     assert olson_leq(chain.a, chain.b, grid=(1.0, 2.0, 3.0)).holds
 
 
-def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(monkeypatch):
+@pytest.mark.parametrize(
+    "sampler, lo, hi",
+    [(ordered_chain_pair, 0.3, 0.8), (ordered_exponential_chain_pair, -1.2, -0.2)],
+    ids=["ordered_chain_pair", "ordered_exponential_chain_pair"],
+)
+def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(monkeypatch, sampler, lo, hi):
+    # grid=None means no Olson check in both chain samplers
     grids = []
 
-    def counting_olson_leq(a, b, grid=None, tolerance=1e-9):
+    def counting_olson_leq(a, b, grid=None):
         grids.append(grid)
-        return olson_leq(a, b, grid=grid, tolerance=tolerance)
+        return olson_leq(a, b, grid=grid)
 
     monkeypatch.setattr(sampling, "olson_leq", counting_olson_leq)
-    cfg = SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_GENERAL)
-    ordered_chain_pair(cfg, 1)
+    cfg = SamplerConfig(3, 11, lo, hi, mode=MODE_GENERAL)
+    sampler(cfg, 1)
     assert grids == []
-    ordered_chain_pair(cfg, 1, grid=(1.0, 2.0))
+    sampler(cfg, 1, grid=(1.0, 2.0))
     assert grids and set(grids) == {(1.0, 2.0)}
 
 
