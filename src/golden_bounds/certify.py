@@ -40,17 +40,19 @@ from .errors import (
     HypothesisViolatedError,
 )
 from .linalg import (
+    HYPOTHESIS_RTOL,
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    _cholesky_succeeds,
+    _loewner_violation,
     _norm_family,
+    _spectral_scale,
     congruence,
     exp_h,
     power,
     trace,
 )
 from .means import _check_alpha, geometric_mean, log_euclidean, mean_power
-from .orders import log_majorizes, loewner_leq
+from .orders import log_majorizes
 from .sampling import (
     MODE_COMMUTING,
     MODE_GENERAL,
@@ -74,10 +76,6 @@ SEMANTICS_NORM = "norm"
 SEMANTICS_TRACE = "trace"
 
 DEFAULT_TOLERANCE = 1e-9
-
-#: Relative slack allowed when re-verifying a hypothesis that holds exactly
-#: by construction; violations beyond this indicate a sampler or caller bug.
-HYPOTHESIS_RTOL = 1e-8
 
 _TINY = 1e-300
 
@@ -199,25 +197,14 @@ def _norm_sides(lhs_mat, rhs_mat, factor):
 # ---------------------------------------------------------------------------
 
 
-def _spectral_scale(a: HermitianMatrix, b: HermitianMatrix, floor: float) -> float:
-    """The larger spectral radius of a and b, at least ``floor``."""
-    return max(float(np.max(np.abs(a.eigenvalues))), float(np.max(np.abs(b.eigenvalues))), floor)
-
-
 def _demand_loewner(lhs: HermitianMatrix, rhs: HermitianMatrix, what: str) -> None:
-    """Require lhs <= rhs up to the hypothesis tolerance.
-
-    A Cholesky factorization of rhs - lhs + tol*I that succeeds passes the
-    check; only when it fails is the spectrum of the difference computed,
-    and that decides the check and names the violation.
-    """
-    tolerance = HYPOTHESIS_RTOL * _spectral_scale(lhs, rhs, 1.0)
-    if _cholesky_succeeds((rhs - lhs).matrix, tolerance):
-        return
-    cert = loewner_leq(lhs, rhs, tolerance=tolerance)
-    if not cert.holds:
+    """Require lhs <= rhs by the shared Loewner test, ``linalg._loewner_violation``
+    (the chain samplers accept their pairs by it too), naming a violation by
+    the smallest eigenvalue of the difference."""
+    smallest = _loewner_violation(lhs, rhs)
+    if smallest is not None:
         raise HypothesisViolatedError(
-            f"hypothesis {what} fails: min eigenvalue of difference = {cert.worst_margin:.3e}"
+            f"hypothesis {what} fails: min eigenvalue of difference = {smallest:.3e}"
         )
 
 
@@ -265,11 +252,6 @@ def _require_bounded_hk(h, k, v: dict) -> None:
 
 
 def _require_chain(a, b, v: dict) -> None:
-    m, M = v["m"], v["M"]
-    if M > 1.0 + HYPOTHESIS_RTOL:
-        raise HypothesisViolatedError(f"chain needs M <= 1, got M = {M}")
-    if not 0.0 < m <= M:
-        raise HypothesisViolatedError(f"chain needs 0 < m <= M, got m={m}, M={M}")
     _require_bounded(a, b, v)
     for nu in _lean_exponents(v):
         if nu == 1.0:
@@ -291,10 +273,6 @@ def _require_exponential_olson(h, k, v: dict) -> None:
 
 def _require_exponential_chain(h, k, v: dict) -> None:
     m, M = v["m"], v["M"]
-    if M > 0.0 + HYPOTHESIS_RTOL:
-        raise HypothesisViolatedError(f"exponential chain needs M <= 0, got M = {M}")
-    if m > M:
-        raise HypothesisViolatedError(f"need m <= M, got m={m}, M={M}")
     slack = HYPOTHESIS_RTOL * max(abs(m), abs(M), 1.0)
     if h.eigenvalues[-1] < m - slack:
         raise HypothesisViolatedError(
@@ -403,6 +381,16 @@ def _positive_m(v: dict) -> None:
 
 def _bounds(v: dict) -> None:
     _check_bounds(v["m"], v["M"])
+
+
+def _chain_top(v: dict) -> None:
+    if v["M"] > 1.0 + HYPOTHESIS_RTOL:
+        raise BadRangeError(f"chain needs M <= 1, got M = {v['M']}")
+
+
+def _exp_chain_top(v: dict) -> None:
+    if v["M"] > 0.0 + HYPOTHESIS_RTOL:
+        raise BadRangeError(f"exponential chain needs M <= 0, got M = {v['M']}")
 
 
 def _finite_st(v: dict) -> None:
@@ -806,27 +794,29 @@ _INEQUALITIES = {
     ),
     # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
     "fm-power-low": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r),
+        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds, _chain_top),
         require=_require_chain, factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
         compare=lambda a, b, v: _power_low(a, b, v, v["factor"]),
         draws=(_chain_range, _draw_alpha, _draw_low_power), sample=_chain_sample,
         cells=("chain", "Loewner, `0 < r <= 1`", "difference factor"),
     ),
     "fm-eigen-power": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r),
+        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds, _chain_top),
         require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
         compare=_eigen_power,
         draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_chain_sample,
         cells=("chain", "eigenvalues, `r >= 1`", "difference factor"),
     ),
     "fm-pq": _Inequality(
-        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p), require=_require_chain,
+        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds, _chain_top),
+        require=_require_chain,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
         compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_chain_sample,
         cells=("chain", "eigenvalues, `0 < q <= p`", "difference factor"),
     ),
     "gt-fm": _Inequality(
-        ("alpha", "p", "m", "M"), (_alpha, _positive_p), require=_require_exponential_chain,
+        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds, _exp_chain_top),
+        require=_require_exponential_chain,
         factor=lambda v: fm_factor(
             _exp(v["p"] * (v["M"] - v["m"]), "p(M-m)"), v["alpha"], 1.0 / v["p"]
         ),

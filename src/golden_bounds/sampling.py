@@ -4,8 +4,9 @@ Every draw is addressed by (seed, draw index, stream tag) through a Philox
 counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
 their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain);
-a general-mode chain given an exponent grid also tests its Olson middle with
-``olson_leq`` to pick its perturbation size, and with ``grid=None`` tests
+a general-mode chain given an exponent grid also tests its Olson middle, by
+the certifiers' own Loewner test ``linalg._loewner_violation`` at each grid
+exponent, to pick its perturbation size, and with ``grid=None`` tests
 nothing.  The certifiers re-verify the hypothesis on every instance they are
 given.
 
@@ -22,15 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadRangeError, DimMismatchError, NoConvergenceError
+from .errors import BadRangeError, DimMismatchError
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     _from_eigen,
+    _loewner_violation,
     congruence,
     log_pd,
+    power,
 )
-from .orders import olson_leq
+from .orders import _validated_grid
 
 TAG_EIGENVALUES = 1
 TAG_BASIS = 2
@@ -44,9 +47,9 @@ MODE_COMMUTING = "commuting"
 _SEED_LIMIT = 2**64
 
 #: Shrinking congruence-perturbation sizes tried when a perturbed ordered
-#: chain must pass its Olson check; the final 0.0 falls back to the
-#: exact commuting construction so generation always succeeds.
-_EPSILON_LADDER = (0.12, 0.05, 0.02, 0.005, 0.0)
+#: chain must pass its Olson check; when every one fails, the exact
+#: commuting construction is returned, so generation always succeeds.
+_EPSILON_LADDER = (0.12, 0.05, 0.02, 0.005)
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,16 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
     makes the whole chain — including its power-monotone (Olson) middle —
     exact.  General mode congruence-perturbs that commuting pair by
     T = I + eX: the Loewner chain survives congruence exactly.  Given a
-    ``grid``, the A <=ols B middle is also checked on it with ``olson_leq``
-    (tolerance 1e-9), shrinking e until the check passes; e = 0 restores the
-    commuting construction, so generation always terminates.  With
-    ``grid=None`` nothing is checked and the first e is kept.
+    ``grid`` (checked in both modes: finite, nonempty, entries >= 1 and 1
+    among them), general mode also requires A^v <= B^v at every grid
+    exponent v by the certifiers' own Loewner test,
+    ``linalg._loewner_violation``, shrinking e until every exponent passes;
+    if none does, the commuting pair (e = 0) is returned, so generation
+    always terminates.  With ``grid=None`` nothing is checked and the first
+    e is kept.
     """
+    if grid is not None:
+        grid = _validated_grid(grid)
     if not 0.0 < cfg.lo <= cfg.hi <= 1.0:
         raise BadRangeError(
             f"ordered chain needs 0 < lo <= hi <= 1, got [{cfg.lo}, {cfg.hi}]"
@@ -286,8 +294,9 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
     basis = _draw_basis(cfg, index, TAG_BASIS)
     a0 = _from_eigen(np.minimum(x, y), basis, positive=True)
     b0 = _from_eigen(np.maximum(x, y), basis, positive=True)
+    exact = ChainSample(a=a0, b=b0, m=cfg.lo, M=cfg.hi)
     if cfg.mode == MODE_COMMUTING:
-        return ChainSample(a=a0, b=b0, m=cfg.lo, M=cfg.hi)
+        return exact
 
     perturb_rng = philox_generator(cfg.seed, index, TAG_SECONDARY_BASIS)
     raw = perturb_rng.normal(size=(cfg.dim, cfg.dim)) + 1j * perturb_rng.normal(
@@ -295,22 +304,16 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
     )
     direction = raw / max(float(np.linalg.norm(raw, 2)), 1e-300)
     for epsilon in _EPSILON_LADDER:
-        if epsilon == 0.0:
-            a_new, b_new = a0, b0
-            m_new, M_new = cfg.lo, cfg.hi
-        else:
-            transform = np.eye(cfg.dim, dtype=np.complex128) + epsilon * direction
-            a1 = PositiveDefiniteMatrix(congruence(transform, a0))
-            b1 = PositiveDefiniteMatrix(congruence(transform, b0))
-            scale = cfg.hi / float(b1.eigenvalues[0])
-            a_new = a1 * scale
-            b_new = b1 * scale
-            m_new = float(a_new.eigenvalues[-1])
-            M_new = cfg.hi
-        if grid is not None and not olson_leq(a_new, b_new, grid=grid).holds:
-            continue
-        return ChainSample(a=a_new, b=b_new, m=m_new, M=M_new)
-    raise NoConvergenceError("ordered chain perturbation failed at every step size")
+        transform = np.eye(cfg.dim, dtype=np.complex128) + epsilon * direction
+        a1 = PositiveDefiniteMatrix(congruence(transform, a0))
+        b1 = PositiveDefiniteMatrix(congruence(transform, b0))
+        scale = cfg.hi / float(b1.eigenvalues[0])
+        a, b = a1 * scale, b1 * scale
+        if grid is None or all(
+            _loewner_violation(power(a, nu), power(b, nu)) is None for nu in grid
+        ):
+            return ChainSample(a=a, b=b, m=float(a.eigenvalues[-1]), M=cfg.hi)
+    return exact
 
 
 @dataclass(frozen=True)

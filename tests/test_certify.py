@@ -12,6 +12,7 @@ from golden_bounds import certify, linalg, sampling
 from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
+    N_CYCLE,
     RECIPES,
     certify_inequality,
     compare_constants_remark,
@@ -35,13 +36,15 @@ from golden_bounds.linalg import (
     schatten_norm,
 )
 from golden_bounds.means import limit_probe, log_euclidean, mean_power
-from golden_bounds.orders import DEFAULT_OLSON_GRID, olson_leq
+from golden_bounds.orders import DEFAULT_OLSON_GRID
 from golden_bounds.sampling import (
+    TAG_PARAMS,
     SamplerConfig,
     bounded_hermitian_pair,
     olson_exponential_pair,
     ordered_chain_pair,
     ordered_exponential_chain_pair,
+    philox_generator,
     random_isometry,
     random_pd,
     sandwich_pair,
@@ -245,15 +248,54 @@ def test_chain_hypothesis_violations_detected():
     with raises_exactly("hypothesis A <= B fails: min eigenvalue of difference = -5.000e-02"):
         certify_inequality("fm-power-low", a, b, m=0.3, M=0.6, alpha=0.5, r=0.5)
     a2, b2 = commuting_pd_pair([0.4, 0.3], [0.8, 0.5], seed=15)
-    with raises_exactly("chain needs M <= 1, got M = 1.4"):
+    with pytest.raises(BadRangeError, match=r"^chain needs M <= 1, got M = 1\.4$"):
         # M > 1 breaks the chain
         certify_inequality("fm-power-low", a2, b2, m=0.3, M=1.4, alpha=0.5, r=0.5)
 
 
 def test_exponential_chain_requires_nonpositive_upper_bound():
     h, k = commuting_hermitian_pair([-0.5, -0.8], [-0.2, -0.4], seed=17)
-    with raises_exactly("exponential chain needs M <= 0, got M = 0.3"):
+    with pytest.raises(BadRangeError, match=r"^exponential chain needs M <= 0, got M = 0\.3$"):
         certify_inequality("gt-fm", h, k, m=-1.0, M=0.3, alpha=0.5, p=1.0)
+
+
+_CHAIN_ROW_PARAMS = {
+    "fm-power-low": {"alpha": 0.5, "r": 0.5},
+    "fm-eigen-power": {"alpha": 0.5, "r": 2.0},
+    "fm-pq": {"alpha": 0.5, "q": 0.5, "p": 1.5},
+}
+_CHAIN_SCALAR_FAULTS = [
+    ({"m": math.nan, "M": 0.6}, "m must be positive, got nan"),
+    ({"m": 0.3, "M": math.nan}, "need m <= M, got m=0.3, M=nan"),
+    ({"m": 0.0, "M": 0.6}, "m must be positive, got 0.0"),
+    ({"m": -0.1, "M": 0.6}, "m must be positive, got -0.1"),
+    ({"m": 0.7, "M": 0.6}, "need m <= M, got m=0.7, M=0.6"),
+    ({"m": 0.3, "M": 1.4}, "chain needs M <= 1, got M = 1.4"),
+]
+_EXP_CHAIN_SCALAR_FAULTS = [
+    ({"m": math.nan, "M": -0.2}, "need m <= M, got m=nan, M=-0.2"),
+    ({"m": -1.0, "M": math.nan}, "need m <= M, got m=-1.0, M=nan"),
+    ({"m": -0.1, "M": -0.5}, "need m <= M, got m=-0.1, M=-0.5"),
+    ({"m": -1.0, "M": 0.3}, "exponential chain needs M <= 0, got M = 0.3"),
+]
+
+
+@pytest.mark.parametrize(
+    "inequality_id, bounds, message",
+    [(i, b, msg) for i in _CHAIN_ROW_PARAMS for b, msg in _CHAIN_SCALAR_FAULTS]
+    + [("gt-fm", b, msg) for b, msg in _EXP_CHAIN_SCALAR_FAULTS],
+)
+def test_chain_scalar_faults_are_parameter_errors(inequality_id, bounds, message):
+    # m and M of the chain rows are checked with the parameters, before any
+    # hypothesis re-check, with the bounded rows' texts where they share one
+    if inequality_id == "gt-fm":
+        x, y = commuting_hermitian_pair([-0.5, -0.8], [-0.2, -0.4], seed=17)
+        params = {"alpha": 0.5, "p": 1.0}
+    else:
+        x, y = commuting_pd_pair([0.4, 0.3], [0.5, 0.45], seed=15)
+        params = _CHAIN_ROW_PARAMS[inequality_id]
+    with pytest.raises(BadRangeError, match=f"^{re.escape(message)}$"):
+        certify_inequality(inequality_id, x, y, **bounds, **params)
 
 
 def test_exponential_olson_hypothesis_violation_detected():
@@ -315,24 +357,49 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [0.8, 1.0, 1.7])
-def test_chain_sampler_checks_olson_middle_only_above_power_one(monkeypatch, p):
-    # fm-pq's general-mode chain is checked with olson_leq on (1, p) when
-    # p > 1; at exponent 1 alone the congruence keeps A <= B exactly
-    grids = []
-
-    def counting_olson_leq(a, b, grid=None):
-        grids.append(grid)
-        return olson_leq(a, b, grid=grid)
-
-    monkeypatch.setattr(sampling, "olson_leq", counting_olson_leq)
+def test_chain_sampler_checks_olson_middle_only_above_power_one(chain_checks, p):
+    # fm-pq's general-mode chain is checked by the shared Loewner test at
+    # exponents 1 and p when p > 1; at exponent 1 alone the congruence keeps
+    # A <= B exactly
     result = run_instances(
         "fm-pq", count=3, seed=5, n=3, mode="general", param_overrides={"q": 0.5, "p": p}
     )
     assert result.all_hold
     if p > 1.0:
-        assert len(grids) >= 3 and set(grids) == {(1.0, p)}
+        assert chain_checks.count(p) >= 3 and set(chain_checks) == {1.0, p}
     else:
-        assert grids == []
+        assert chain_checks == []
+
+
+@pytest.mark.parametrize(
+    "inequality_id, tried",
+    [
+        ("fm-eigen-power", [0.12, 0.05, 0.02]),
+        ("gt-fm", [0.12, 0.05, 0.02]),
+        ("fm-pq", [0.12, 0.05]),
+    ],
+)
+def test_chain_sampler_ladder_at_seed_2026(monkeypatch, inequality_id, tried):
+    # Instance 63 of run_instances(id, count=64, seed=2026) is n = 5 in
+    # general mode; its chain rejects every perturbation size before the
+    # last one tried.  These are the only rejected steps of the 21 x 1000
+    # acceptance sweep at seed 2026.
+    sizes = []
+    congruence = sampling.congruence
+
+    def recording_congruence(transform, matrix):
+        # the perturbation direction has spectral norm 1, so ||T - I||_2 = e
+        sizes.append(round(float(np.linalg.norm(transform - np.eye(len(transform)), 2)), 9))
+        return congruence(transform, matrix)
+
+    monkeypatch.setattr(sampling, "congruence", recording_congruence)
+    assert (N_CYCLE[63 % len(N_CYCLE)], 63 % 2) == (5, 1)
+    report = RECIPES[inequality_id](
+        index=63, seed=2026, n=5, mode="general", rng=philox_generator(2026, 63, TAG_PARAMS),
+        ov={}, tolerance=1e-9,
+    )
+    assert report.holds
+    assert sizes[::2] == tried and sizes[1::2] == tried  # A and B per step
 
 
 def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):

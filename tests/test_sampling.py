@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from golden_bounds import sampling
-from golden_bounds.errors import BadRangeError
+from golden_bounds.errors import BadGridError, BadRangeError
 from golden_bounds.linalg import _commutator_norm, exp_h
 from golden_bounds.orders import MODE_EXACT, MODE_GRID, loewner_leq, olson_leq, sandwich_bounds
 from golden_bounds.sampling import (
@@ -251,20 +251,38 @@ def test_ordered_chain_olson_middle():
     [(ordered_chain_pair, 0.3, 0.8), (ordered_exponential_chain_pair, -1.2, -0.2)],
     ids=["ordered_chain_pair", "ordered_exponential_chain_pair"],
 )
-def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(monkeypatch, sampler, lo, hi):
+def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(chain_checks, sampler, lo, hi):
     # grid=None means no Olson check in both chain samplers
-    grids = []
-
-    def counting_olson_leq(a, b, grid=None):
-        grids.append(grid)
-        return olson_leq(a, b, grid=grid)
-
-    monkeypatch.setattr(sampling, "olson_leq", counting_olson_leq)
+    checked = chain_checks
     cfg = SamplerConfig(3, 11, lo, hi, mode=MODE_GENERAL)
     sampler(cfg, 1)
-    assert grids == []
+    assert checked == []
     sampler(cfg, 1, grid=(1.0, 2.0))
-    assert grids and set(grids) == {(1.0, 2.0)}
+    # the accepted step passed the shared test at every grid exponent
+    assert set(checked) == {1.0, 2.0} and checked[-2:] == [1.0, 2.0]
+
+
+def test_ordered_chain_falls_back_to_the_commuting_pair(monkeypatch):
+    # when the shared Loewner test rejects every perturbation size, the
+    # exact commuting construction (e = 0) is returned
+    monkeypatch.setattr(sampling, "_loewner_violation", lambda lhs, rhs: -1.0)
+    general = ordered_chain_pair(SamplerConfig(3, 11, 0.3, 0.8), 1, grid=(1.0, 2.0))
+    commuting = ordered_chain_pair(SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_COMMUTING), 1)
+    assert (general.m, general.M) == (0.3, 0.8)
+    assert np.array_equal(general.a.matrix, commuting.a.matrix)
+    assert np.array_equal(general.b.matrix, commuting.b.matrix)
+
+
+@pytest.mark.parametrize("grid", [(2.0,), (), (1.0, math.nan)], ids=["no-1", "empty", "nan"])
+@pytest.mark.parametrize("mode", [MODE_COMMUTING, MODE_GENERAL])
+@pytest.mark.parametrize(
+    "sampler, lo, hi",
+    [(ordered_chain_pair, 0.3, 0.8), (ordered_exponential_chain_pair, -1.2, -0.2)],
+    ids=["ordered_chain_pair", "ordered_exponential_chain_pair"],
+)
+def test_chain_samplers_validate_the_grid_in_both_modes(sampler, lo, hi, mode, grid):
+    with pytest.raises(BadGridError):
+        sampler(SamplerConfig(3, 11, lo, hi, mode=mode), 1, grid=grid)
 
 
 def test_ordered_chain_range_validation():
