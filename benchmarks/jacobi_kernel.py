@@ -1,15 +1,23 @@
-"""Time the Jacobi eigensolver per call at n = 2..6 and 16.
+"""Time the Jacobi eigensolver and the Cholesky Loewner test per call at n = 2..6 and 16.
 
 Run from a checkout, with that checkout's sources on the path:
 
     PYTHONPATH=src python3 benchmarks/jacobi_kernel.py [--rounds 7]
 
-Each dimension gets a fixed set of random complex Hermitian matrices
-(seed 0). A round times one call on each of them; the printed figure is the
-median over rounds of the mean time per call, in microseconds, as JSON.
-``eigenvalues`` times ``linalg._jacobi`` alone; ``with_eigenvectors`` also
-replays its rotation log into the eigenvectors, as the first read of
-``SpectralDecomposition.eigenvectors`` does.
+A round times one call on each matrix of a fixed set; a printed figure is
+the median over rounds of the mean time per call, in microseconds. One JSON
+line holds two tables.
+
+``us_per_call`` times the eigensolver on random complex Hermitian matrices
+(seed 0): ``eigenvalues`` is ``linalg._jacobi`` alone, ``with_eigenvectors``
+also replays its rotation log into the eigenvectors, as the first read of
+``SpectralDecomposition.eigenvectors`` does (``BENCH_jacobi.json``).
+
+``cholesky_us`` and ``jacobi_us`` time the Loewner hypothesis test on random
+positive definite complex matrices (seed 0), the shape of a difference
+B - A that passes the re-check, so the factorization runs to its last pivot:
+``linalg._cholesky_succeeds`` with the re-check's 1e-8 shift against the
+``linalg._jacobi`` eigensolve it replaced (``BENCH_loewner.json``).
 """
 
 from __future__ import annotations
@@ -24,14 +32,30 @@ import numpy as np
 from golden_bounds import linalg
 
 DIMENSIONS = (2, 3, 4, 5, 6, 16)
+SHIFT = 1e-8
 
 
-def hermitian_set(n: int, count: int, seed: int = 0) -> list[np.ndarray]:
+def _set_size(n: int) -> int:
+    return 5 if n > 8 else 50
+
+
+def hermitian_set(n: int, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(count):
+    for _ in range(_set_size(n)):
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         out.append((raw + raw.conj().T) / 2.0)
+    return out
+
+
+def positive_definite_set(n: int, seed: int = 0) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(_set_size(n)):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, _ = np.linalg.qr(raw)
+        a = (q * rng.uniform(0.1, 2.0, size=n)) @ q.conj().T
+        out.append((a + a.conj().T) / 2.0)
     return out
 
 
@@ -43,27 +67,41 @@ def with_eigenvectors(matrix: np.ndarray) -> None:
     linalg._jacobi(matrix)[1].replay()
 
 
-def us_per_call(solve, n: int, rounds: int) -> float:
-    matrices = hermitian_set(n, 5 if n > 8 else 50)
-    solve(matrices[0])
+def cholesky(matrix: np.ndarray) -> None:
+    linalg._cholesky_succeeds(matrix, SHIFT)
+
+
+def us_per_call(call, matrices, rounds: int) -> float:
+    call(matrices[0])
     means = []
     for _ in range(rounds):
         started = time.perf_counter()
         for matrix in matrices:
-            solve(matrix)
+            call(matrix)
         means.append((time.perf_counter() - started) / len(matrices))
     return 1e6 * statistics.median(means)
+
+
+def _table(call, matrix_sets, rounds: int) -> dict:
+    return {str(n): round(us_per_call(call, matrix_sets[n], rounds), 1) for n in DIMENSIONS}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args()
-    tables = {
-        solve.__name__: {str(n): round(us_per_call(solve, n, args.rounds), 1) for n in DIMENSIONS}
-        for solve in (eigenvalues, with_eigenvectors)
-    }
-    print(json.dumps({"us_per_call": tables, "rounds": args.rounds}))
+    hermitian = {n: hermitian_set(n) for n in DIMENSIONS}
+    positive = {n: positive_definite_set(n) for n in DIMENSIONS}
+    assert all(linalg._cholesky_succeeds(m, SHIFT) for ms in positive.values() for m in ms)
+    print(json.dumps({
+        "us_per_call": {
+            solve.__name__: _table(solve, hermitian, args.rounds)
+            for solve in (eigenvalues, with_eigenvectors)
+        },
+        "cholesky_us": _table(cholesky, positive, args.rounds),
+        "jacobi_us": _table(linalg._jacobi, positive, args.rounds),
+        "rounds": args.rounds,
+    }))
 
 
 if __name__ == "__main__":

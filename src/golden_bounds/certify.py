@@ -218,18 +218,20 @@ def _lean_exponents(v: dict) -> tuple[float, ...]:
 # Each hypothesis check takes the two operands and the parameter dict.
 
 
-def _require_sandwich(a, b, v: dict) -> None:
-    s, t = v["s"], v["t"]
-    _demand_loewner(a * s, b, f"{s:g}*A <= B")
-    _demand_loewner(b, a * t, f"B <= {t:g}*A")
+def _powers(a, b, nu: float):
+    """A^nu, B^nu and the text of the exponent: at nu = 1 the operands
+    themselves and no text."""
+    if nu == 1.0:
+        return a, b, ""
+    return power(a, nu), power(b, nu), f"^{nu:g}"
 
 
 def _require_olson_sandwich(a, b, v: dict) -> None:
     s, t = v["s"], v["t"]
     for nu in _lean_exponents(v):
-        a_nu, b_nu = power(a, nu), power(b, nu)
-        _demand_loewner(a_nu * s**nu, b_nu, f"{s:g}^{nu:g}*A^{nu:g} <= B^{nu:g}")
-        _demand_loewner(b_nu, a_nu * t**nu, f"B^{nu:g} <= {t:g}^{nu:g}*A^{nu:g}")
+        a_nu, b_nu, e = _powers(a, b, nu)
+        _demand_loewner(a_nu * s**nu, b_nu, f"{s:g}{e}*A{e} <= B{e}")
+        _demand_loewner(b_nu, a_nu * t**nu, f"B{e} <= {t:g}{e}*A{e}")
 
 
 def _require_spectrum_bounds(x: HermitianMatrix, lo: float, hi: float, name: str) -> None:
@@ -254,10 +256,8 @@ def _require_bounded_hk(h, k, v: dict) -> None:
 def _require_chain(a, b, v: dict) -> None:
     _require_bounded(a, b, v)
     for nu in _lean_exponents(v):
-        if nu == 1.0:
-            _demand_loewner(a, b, "A <= B")
-        else:
-            _demand_loewner(power(a, nu), power(b, nu), f"A^{nu:g} <= B^{nu:g}")
+        a_nu, b_nu, e = _powers(a, b, nu)
+        _demand_loewner(a_nu, b_nu, f"A{e} <= B{e}")
 
 
 def _require_exponential_olson(h, k, v: dict) -> None:
@@ -272,16 +272,7 @@ def _require_exponential_olson(h, k, v: dict) -> None:
 
 
 def _require_exponential_chain(h, k, v: dict) -> None:
-    m, M = v["m"], v["M"]
-    slack = HYPOTHESIS_RTOL * max(abs(m), abs(M), 1.0)
-    if h.eigenvalues[-1] < m - slack:
-        raise HypothesisViolatedError(
-            f"spectrum of H dips below m: {h.eigenvalues[-1]:.6g} < {m:g}"
-        )
-    if k.eigenvalues[0] > M + slack:
-        raise HypothesisViolatedError(
-            f"spectrum of K exceeds M: {k.eigenvalues[0]:.6g} > {M:g}"
-        )
+    _require_bounded_hk(h, k, v)
     for nu in _lean_exponents(v):
         _demand_loewner(exp_h(h * nu), exp_h(k * nu), f"e^({nu:g}H) <= e^({nu:g}K)")
 
@@ -408,12 +399,16 @@ def _sandwich(v: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _power_means(a, b, v):
+    """The mean of powers A^r #_a B^r and the power of the mean (A #_a B)^r."""
+    r, alpha = v["r"], v["alpha"]
+    return geometric_mean(power(a, r), power(b, r), alpha), power(geometric_mean(a, b, alpha), r)
+
+
 def _power_low(a, b, v, multiplier: float):
     """Loewner: A^r #_a B^r <= multiplier * (A #_a B)^r for 0 < r <= 1."""
-    r, alpha = v["r"], v["alpha"]
-    lhs = geometric_mean(power(a, r), power(b, r), alpha)
-    rhs = power(geometric_mean(a, b, alpha), r) * multiplier
-    return _loewner_sides(lhs, rhs)
+    lhs, rhs = _power_means(a, b, v)
+    return _loewner_sides(lhs, rhs * multiplier)
 
 
 def _eigen_power(a, b, v):
@@ -460,9 +455,7 @@ def _compression(a, u, v):
 
 def _log_majorization(a, b, v):
     """Cumulative log-products of both spectra plus the k = n equality entry."""
-    r, alpha = v["r"], v["alpha"]
-    lhs_eigs = geometric_mean(power(a, r), power(b, r), alpha).eigenvalues
-    rhs_eigs = power(geometric_mean(a, b, alpha), r).eigenvalues
+    lhs_eigs, rhs_eigs = (mean.eigenvalues for mean in _power_means(a, b, v))
     cert = log_majorizes(lhs_eigs, rhs_eigs)
     cum_lhs = np.cumsum(np.log(lhs_eigs))
     cum_rhs = np.cumsum(np.log(rhs_eigs))
@@ -681,7 +674,7 @@ _INEQUALITIES = {
     # Specht ratio: sandwich s*A <= B <= t*A, power-monotone for exponents >= 1
     "specht-power-low": _Inequality(
         ("alpha", "r", "s", "t"), (_alpha, _low_r, _sandwich),
-        require=_require_sandwich, factor=lambda v: max(specht(v["s"]), specht(v["t"])),
+        require=_require_olson_sandwich, factor=lambda v: max(specht(v["s"]), specht(v["t"])),
         compare=lambda a, b, v: _power_low(a, b, v, v["factor"] ** v["r"]),
         draws=(_unpinned_pd_range, _sandwich_scalars, _draw_alpha, _draw_low_power),
         sample=_sandwich_sample,
@@ -892,19 +885,28 @@ def certify_inequality(
     values.update(spec.fixed, **params)
     for check in spec.checks:
         check(values)
-    if spec.require is not None:
-        spec.require(x, y, values)
-    if "h" in values:
-        values["h"] = values["M"] / values["m"]
-    if "rows" in values:
-        values["rows"] = float(np.shape(y)[0])
-    if spec.factor is not None:
-        values["factor"] = spec.factor(values)
-    semantics, labels, lhs, rhs, rel = spec.compare(x, y, values)
+    for name in spec.taken:
+        if not math.isfinite(values[name]):
+            raise BadRangeError(f"{name} must be finite, got {values[name]}")
+    try:
+        if spec.require is not None:
+            spec.require(x, y, values)
+        if "h" in values:
+            values["h"] = values["M"] / values["m"]
+        if "rows" in values:
+            values["rows"] = float(np.shape(y)[0])
+        if spec.factor is not None:
+            values["factor"] = spec.factor(values)
+        semantics, labels, lhs, rhs, rel = spec.compare(x, y, values)
+    except OverflowError as exc:
+        raise BadRangeError(
+            f"{inequality_id}: a value overflows double precision ({exc.args[-1]})"
+        ) from exc
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
+    parameters = {k: float(v) for k, v in values.items()}
     return InequalityReport(
         inequality_id=inequality_id,
-        parameters={k: float(v) for k, v in values.items()},
+        parameters=parameters,
         lhs_values=lhs,
         rhs_values=rhs,
         margins=tuple(r - l for l, r in zip(lhs, rhs)),
@@ -915,7 +917,9 @@ def certify_inequality(
         labels=tuple(labels),
         n=x.dim,
         mode="n/a",
-        input_digest=_digest(values, *(m for m in (x, y) if isinstance(m, HermitianMatrix))),
+        input_digest=_digest(
+            parameters, *(m for m in (x, y) if isinstance(m, HermitianMatrix))
+        ),
     )
 
 
@@ -1118,6 +1122,9 @@ def run_instances(
             f"{inequality_id} does not draw {', '.join(ignored)}, so it cannot be pinned; "
             f"pinnable: {', '.join(pinnable) or 'none'}"
         )
+    for name, value in overrides.items():
+        if not math.isfinite(float(value)):
+            raise BadRangeError(f"pinned {name} must be finite, got {value}")
     reports = []
     started = time.perf_counter()
     for index in range(count):

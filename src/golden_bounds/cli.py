@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .certify import (
@@ -38,8 +37,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-SEED_ENV_VAR = "GOLDEN_BOUNDS_SEED"
-
 #: Frozen reference differences for the constant-comparison reproduction:
 #: (alpha, p, h, expected difference), matched to 1e-6 absolute.
 REMARK_REFERENCES = (
@@ -56,18 +53,6 @@ _CONVERGENCE_HEADER = ("p", "k", "lhs", "rhs", "gap")
 def _fmt(value: float) -> str:
     """17 significant digits, '.' decimal — reproducible across locales."""
     return format(float(value), ".17g")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise GoldenBoundsError(
-            f"environment variable {SEED_ENV_VAR}={raw!r} is not an integer"
-        ) from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -105,10 +90,7 @@ def _sweep_to_csv(result: SweepResult) -> str:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else 0)",
-    )
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
@@ -304,12 +286,6 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except GoldenBoundsError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     handlers = {
         "constants": cmd_constants,
         "certify": cmd_certify,

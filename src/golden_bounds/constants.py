@@ -51,7 +51,10 @@ def _specht_eval(t: float) -> tuple[float, str]:
     if abs(t - 1.0) < SPECHT_SERIES_WINDOW:
         # S(e^u) = 1 + u^2/8 + O(u^4); the quartic term is < 1e-26 here
         return 1.0 + u * u / 8.0, BRANCH_SERIES
-    return (t - 1.0) * math.exp(u / (t - 1.0)) / (math.e * u), BRANCH_DIRECT
+    try:
+        return (t - 1.0) * math.exp(u / (t - 1.0)) / (math.e * u), BRANCH_DIRECT
+    except OverflowError:
+        raise BadRangeError(f"Specht ratio S({t}) exceeds double range") from None
 
 
 def specht(t: float) -> float:
@@ -59,7 +62,8 @@ def specht(t: float) -> float:
 
     Symmetric under t -> 1/t and >= 1 with equality only at t = 1; it is the
     sharp constant in the reverse arithmetic-geometric mean inequality.
-    A non-finite t raises BadRangeError.
+    A non-finite t, or a t whose S(t) exceeds double range, raises
+    BadRangeError.
     """
     return _specht_eval(float(t))[0]
 
@@ -67,6 +71,7 @@ def specht(t: float) -> float:
 def specht_p_root(t: float, p: float) -> float:
     """S(t^p)^(1/p); tends to 1 as p -> 0."""
     t, p = float(t), float(p)
+    _require_finite("Specht p-root", t, p)
     if not t > 0.0:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
     if not p > 0.0:
@@ -114,6 +119,7 @@ def kantorovich(w: float, alpha: float) -> float:
 def kantorovich_lower_bound(w: float) -> float:
     """2 w^{1/4} / (w^{1/2} + 1), the floor of K(w, .) on alpha in [0, 1]."""
     w = float(w)
+    _require_finite("Kantorovich lower bound", w)
     if not w > 0.0:
         raise NonPositiveError(f"lower bound needs w > 0, got {w}")
     return 2.0 * w**0.25 / (math.sqrt(w) + 1.0)
@@ -150,6 +156,7 @@ def fm_factor(h: float, alpha: float, scale: float) -> float:
     statements (r for the low-power form, 1/p for the rooted forms).
     """
     h, alpha, scale = float(h), float(alpha), float(scale)
+    _require_finite("fm_factor", h, alpha, scale)
     if h < 1.0:
         raise BadRangeError(f"fm_factor needs h >= 1, got {h}")
     if not 0.0 <= alpha <= 1.0:
@@ -176,5 +183,10 @@ def evaluate_constant(name: str, arguments) -> ConstantEval:
     evaluator, arity = _EVALUATORS[name]
     if len(args) != arity:
         raise BadRangeError(f"{name} takes {arity} argument(s), got {len(args)}")
-    value, branch = evaluator(*args)
+    try:
+        value, branch = evaluator(*args)
+    except OverflowError as exc:
+        raise BadRangeError(
+            f"{name}{args} overflows double precision ({exc.args[-1]})"
+        ) from exc
     return ConstantEval(name=name, arguments=args, value=value, branch=branch)

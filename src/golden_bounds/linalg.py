@@ -225,6 +225,11 @@ def _loewner_violation(lhs: HermitianMatrix, rhs: HermitianMatrix) -> float | No
     return None if smallest >= -tolerance else smallest
 
 
+def _require_same_dim(a: HermitianMatrix, b: HermitianMatrix) -> None:
+    if a.dim != b.dim:
+        raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(array)
     if out is array and array.flags.writeable:
@@ -354,8 +359,7 @@ class HermitianMatrix:
     def _binary(self, other, sign: float) -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
-        if other.dim != self.dim:
-            raise DimMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        _require_same_dim(self, other)
         return HermitianMatrix(self.matrix + sign * other.matrix)
 
     def __add__(self, other):
@@ -398,12 +402,6 @@ class PositiveDefiniteMatrix(HermitianMatrix):
             raise DomainError(f"matrix is not positive definite: min eigenvalue {smallest:.3e}")
 
 
-def identity_pd(n: int) -> PositiveDefiniteMatrix:
-    eye = np.eye(n, dtype=np.complex128)
-    dec = SpectralDecomposition(np.ones(n), eye)
-    return PositiveDefiniteMatrix(eye, decomposition=dec)
-
-
 def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> HermitianMatrix:
     order = np.argsort(-vals, kind="stable")
     dec = SpectralDecomposition(vals[order], vecs[:, order])
@@ -417,8 +415,6 @@ def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
     dec = matrix.decomposition
     if dec.eigenvalues[-1] <= 0.0:
         raise DomainError("matrix power requires a positive definite input")
-    if r == 0.0:
-        return identity_pd(matrix.dim)
     if r == 1.0:
         if isinstance(matrix, PositiveDefiniteMatrix):
             return matrix
@@ -487,8 +483,7 @@ def trace(matrix: HermitianMatrix) -> complex:
 
 
 def frobenius_distance(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     return float(np.linalg.norm(a.matrix - b.matrix))
 
 
@@ -519,8 +514,7 @@ def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> Her
 
 
 def _commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     am, bm = a.matrix, b.matrix
     return float(np.linalg.norm(am @ bm - bm @ am))
 
@@ -540,8 +534,7 @@ def common_eigenbasis(
     Detection threshold: commutator and residual norms within _COMMUTE_RTOL
     relative to the operand norms.
     """
-    if a.dim != b.dim:
-        raise DimMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     scale = a.frobenius_norm() * b.frobenius_norm()
     if scale > 0.0 and _commutator_norm(a, b) > _COMMUTE_RTOL * scale:
         return None

@@ -109,6 +109,26 @@ def test_report_digest_tracks_inputs():
     assert r1.input_digest == r3.input_digest
 
 
+@pytest.mark.parametrize(
+    "inequality_id, params",
+    [
+        ("bounded-pq", {"alpha": 0.5, "q": 1, "p": 2, "m": 1, "M": 2}),
+        ("gt-bounded-specht", {"alpha": 0.5, "p": 1, "m": 1, "M": 2}),
+        ("gt-specht", {"alpha": 0.5, "p": 1, "s": -1, "t": 1}),
+        ("gt-kantorovich-squared", {"m": 1, "M": 2}),
+    ],
+)
+def test_report_digest_ignores_the_python_type_of_a_parameter(inequality_id, params):
+    # the digest hashes the float values the report prints, so 1 and 1.0 agree
+    a, b = commuting_pd_pair([2.0, 1.0], [1.5, 1.2])
+    as_ints = certify_inequality(inequality_id, a, b, **params)
+    as_floats = certify_inequality(
+        inequality_id, a, b, **{k: float(v) for k, v in params.items()}
+    )
+    assert as_ints.parameters == as_floats.parameters
+    assert as_ints.input_digest == as_floats.input_digest
+
+
 # ---------------------------------------------------------------------------
 # Scalar cross-checks on commuting pairs
 # ---------------------------------------------------------------------------
@@ -296,6 +316,53 @@ def test_chain_scalar_faults_are_parameter_errors(inequality_id, bounds, message
         params = _CHAIN_ROW_PARAMS[inequality_id]
     with pytest.raises(BadRangeError, match=f"^{re.escape(message)}$"):
         certify_inequality(inequality_id, x, y, **bounds, **params)
+
+
+_ORDERED_HK = ([-0.5, -0.8], [-0.2, -0.4])
+
+
+@pytest.mark.parametrize(
+    "hk, bounds, message",
+    [
+        (_ORDERED_HK, {"m": -0.7, "M": -0.1},
+         "spectrum of H = [-0.8, -0.5] escapes the bounds [-0.7, -0.1]"),
+        (_ORDERED_HK, {"m": -1.0, "M": -0.6},
+         "spectrum of H = [-0.8, -0.5] escapes the bounds [-1, -0.6]"),
+        (_ORDERED_HK, {"m": -1.0, "M": -0.3},
+         "spectrum of K = [-0.4, -0.2] escapes the bounds [-1, -0.3]"),
+        # e^H <= e^K fails here too, but the spectra are checked first
+        (([-0.3, -0.4], [-0.2, -0.6]), {"m": -0.5, "M": -0.1},
+         "spectrum of K = [-0.6, -0.2] escapes the bounds [-0.5, -0.1]"),
+    ],
+)
+def test_exponential_chain_spectrum_faults(hk, bounds, message):
+    # both spectra in [m, M], by the bounded-spectra rows' check and text
+    h, k = commuting_hermitian_pair(*hk, seed=17)
+    with raises_exactly(message):
+        certify_inequality("gt-fm", h, k, **bounds, alpha=0.5, p=1.0)
+
+
+@pytest.mark.parametrize(
+    "inequality_id, params, message",
+    [
+        ("forward-ando-hiai", {"alpha": 0.5, "r": math.inf}, "r must be finite, got inf"),
+        ("fm-eigen-power", {"alpha": 0.5, "r": math.inf, "m": 0.3, "M": 0.6},
+         "r must be finite, got inf"),
+        ("specht-pq", {"alpha": 0.5, "q": 0.5, "p": math.inf, "s": 0.5, "t": 2.0},
+         "p must be finite, got inf"),
+        ("gt-specht", {"alpha": 0.5, "p": math.inf, "s": -1.0, "t": 1.0},
+         "p must be finite, got inf"),
+        ("bounded-pq", {"alpha": 0.5, "q": 0.5, "p": 1.0, "m": 0.3, "M": math.inf},
+         "M must be finite, got inf"),
+        ("gt-fm", {"alpha": 0.5, "p": 1.0, "m": -math.inf, "M": -0.1},
+         "m must be finite, got -inf"),
+    ],
+)
+def test_non_finite_parameters_are_rejected_by_name(inequality_id, params, message):
+    # after the row's own checks, which keep their texts for NaN
+    a, b = commuting_pd_pair([0.4, 0.3], [0.5, 0.45], seed=15)
+    with pytest.raises(BadRangeError, match=f"^{re.escape(message)}$"):
+        certify_inequality(inequality_id, a, b, **params)
 
 
 def test_exponential_olson_hypothesis_violation_detected():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, seeding, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,8 +9,9 @@ import pathlib
 
 import pytest
 
+from golden_bounds import certify, linalg
 from golden_bounds.certify import INEQUALITY_IDS
-from golden_bounds.cli import SEED_ENV_VAR, main
+from golden_bounds.cli import main
 
 import oracles
 
@@ -349,6 +351,72 @@ def test_exponential_out_of_double_range_is_usage_error(capsys, argv, exponent):
     assert exponent in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "kantorovich-matrix", "--count", "1", "--m", "1e-160", "--M", "1e160"),
+        ("certify", "bounded-eigen-power", "--count", "1", "--m", "1e-100", "--M", "1e100",
+         "--r", "3"),
+        ("certify", "bounded-pq", "--count", "1", "--m", "1e-100", "--M", "1e100",
+         "--q", "1", "--p", "3"),
+        ("certify", "fm-eigen-power", "--count", "1", "--m", "1e-120", "--M", "1", "--r", "3"),
+        ("certify", "fm-pq", "--count", "1", "--m", "1e-120", "--M", "1", "--q", "1", "--p", "3"),
+        ("constants", "specht", "1e-320"),
+        ("constants", "specht-p-root", "1e200", "2"),
+        ("constants", "kantorovich", "1e300", "3"),
+    ],
+)
+def test_float_overflow_is_usage_error(capsys, argv):
+    # Python float ** and math.exp raise OverflowError; exit 1 is kept for a
+    # numerical violation, so an overflow must not escape as a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "double" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("certify", "forward-ando-hiai", "--r", "inf"), "pinned r must be finite, got inf"),
+        (("certify", "fm-eigen-power", "--r", "inf"), "pinned r must be finite, got inf"),
+        (("certify", "gt-specht", "--p", "inf"), "pinned p must be finite, got inf"),
+        (("certify", "gt-fm", "--m", "nan"), "pinned m must be finite, got nan"),
+        (("constants", "fm", "2", "0.5", "inf"),
+         "fm_factor needs finite arguments, got (2.0, 0.5, inf)"),
+        (("constants", "kantorovich-lower-bound", "inf"),
+         "Kantorovich lower bound needs finite arguments, got (inf,)"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_by_name(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n" and out == ""
+
+
+def test_jacobi_sweep_cap_is_a_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    code, out, err = run_cli(capsys, "certify", "gt-specht", "--count", "1", "--seed", "1")
+    assert code == 1
+    assert err.startswith("numerical failure: Jacobi sweep cap 0 hit") and out == ""
+
+
+def test_certify_lists_failing_instances(capsys, monkeypatch):
+    recipe = certify.RECIPES["gt-fm"]
+
+    def failing(**kwargs):
+        return dataclasses.replace(recipe(**kwargs), holds=False)
+
+    monkeypatch.setitem(certify.RECIPES, "gt-fm", failing)
+    code, out, _ = run_cli(capsys, "certify", "gt-fm", "--count", "3", "--seed", "1", "--n", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert "3 VIOLATIONS" in lines[0]
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "  instance 0", "  instance 1", "  instance 2",
+    ]
+    assert all("worst relative margin" in line and "(n=2, mode=" in line for line in lines[1:])
+
+
 def test_certify_n_cycle_sentinel(capsys, tmp_path):
     target = tmp_path / "cycle.json"
     code, _, _ = run_cli(
@@ -360,36 +428,6 @@ def test_certify_n_cycle_sentinel(capsys, tmp_path):
     assert code == 0
     payload = json.loads(target.read_text())
     assert [rep["n"] for rep in payload["reports"]] == [2, 3, 4, 5, 6]
-
-
-def test_certify_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    code_env, out_env, _ = run_cli(capsys, "certify", "gt-fm", "--count", "1")
-    monkeypatch.delenv(SEED_ENV_VAR)
-    code_flag, out_flag, _ = run_cli(
-        capsys, "certify", "gt-fm", "--count", "1", "--seed", "11"
-    )
-    assert code_env == code_flag == 0
-    assert out_env == out_flag
-
-
-def test_certify_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "11")
-    _, out_flag, _ = run_cli(
-        capsys, "certify", "gt-fm", "--count", "1", "--seed", "12"
-    )
-    monkeypatch.delenv(SEED_ENV_VAR)
-    _, out_direct, _ = run_cli(
-        capsys, "certify", "gt-fm", "--count", "1", "--seed", "12"
-    )
-    assert out_flag == out_direct
-
-
-def test_bad_environment_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    code, _, err = run_cli(capsys, "certify", "gt-fm", "--count", "1")
-    assert code == 2
-    assert SEED_ENV_VAR in err
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,20 @@ def test_constants_reject_non_finite_arguments(bad):
         evaluate_constant("specht", [bad])
     with pytest.raises(BadRangeError):
         evaluate_constant("kantorovich", [2.0, bad])
+    with pytest.raises(BadRangeError):
+        kantorovich_lower_bound(bad)
+    with pytest.raises(BadRangeError):
+        specht_p_root(0.5, bad)
+    with pytest.raises(BadRangeError):
+        fm_factor(bad, 0.5, 1.0)
+    with pytest.raises(BadRangeError):
+        fm_factor(2.0, 0.5, bad)
+
+
+@pytest.mark.parametrize("t", [1e-320, 5e-309])
+def test_specht_beyond_double_range(t):
+    with pytest.raises(BadRangeError, match=r"exceeds double range$"):
+        specht(t)
 
 
 def test_specht_p_root_frozen():

@@ -25,7 +25,6 @@ from golden_bounds.linalg import (
     congruence,
     exp_h,
     frobenius_distance,
-    identity_pd,
     inv_sqrt_congruence,
     ky_fan_norm,
     log_pd,
@@ -626,16 +625,18 @@ def test_congruence_square_and_rectangular():
 def test_inv_sqrt_congruence_identity_anchor():
     rng = np.random.default_rng(19)
     m = random_hermitian(rng, 3)
-    out = inv_sqrt_congruence(identity_pd(3), m)
+    out = inv_sqrt_congruence(PositiveDefiniteMatrix(np.eye(3)), m)
     assert frobenius_distance(out, m) <= 1e-12 * max(m.frobenius_norm(), 1.0)
 
 
 def test_inv_sqrt_congruence_guards():
     with pytest.raises(DomainError):
-        inv_sqrt_congruence(HermitianMatrix(np.diag([1.0, -1.0])), identity_pd(2))
+        inv_sqrt_congruence(
+            HermitianMatrix(np.diag([1.0, -1.0])), PositiveDefiniteMatrix(np.eye(2))
+        )
     with pytest.raises(CondError):
         inv_sqrt_congruence(
-            PositiveDefiniteMatrix(np.diag([1e14, 1.0])), identity_pd(2)
+            PositiveDefiniteMatrix(np.diag([1e14, 1.0])), PositiveDefiniteMatrix(np.eye(2))
         )
 
 
