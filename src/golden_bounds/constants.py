@@ -76,7 +76,10 @@ def specht_p_root(t: float, p: float) -> float:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
     if not p > 0.0:
         raise NonPositiveError(f"exponent p must be positive, got {p}")
-    return specht(t**p) ** (1.0 / p)
+    try:
+        return specht(t**p) ** (1.0 / p)
+    except OverflowError:
+        raise BadRangeError(f"Specht p-root S({t}^{p})^(1/{p}) exceeds double range") from None
 
 
 def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
@@ -98,11 +101,14 @@ def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
         return 1.0 + beta * slope, BRANCH_LIMIT
     u = math.log(w)
     w_minus_1 = math.expm1(u)
-    wa_minus_1 = math.expm1(alpha * u)
-    wa_minus_w = wa_minus_1 - w_minus_1
-    prefactor = wa_minus_w / ((alpha - 1.0) * w_minus_1)
-    base = (alpha - 1.0) / alpha * wa_minus_1 / wa_minus_w
-    return prefactor * math.pow(base, alpha), BRANCH_DIRECT
+    try:
+        wa_minus_1 = math.expm1(alpha * u)
+        wa_minus_w = wa_minus_1 - w_minus_1
+        prefactor = wa_minus_w / ((alpha - 1.0) * w_minus_1)
+        base = (alpha - 1.0) / alpha * wa_minus_1 / wa_minus_w
+        return prefactor * math.pow(base, alpha), BRANCH_DIRECT
+    except OverflowError:
+        raise BadRangeError(f"Kantorovich constant K({w}, {alpha}) exceeds double range") from None
 
 
 def kantorovich(w: float, alpha: float) -> float:
@@ -111,7 +117,8 @@ def kantorovich(w: float, alpha: float) -> float:
     K(w, a) = ((w^a - w)/((a-1)(w-1))) * (((a-1)/a) (w^a - 1)/(w^a - w))^a
     with the removable points w = 1 and a in {0, 1} evaluated by their
     limits. K(w, a) <= 1 for a in [0, 1] and K(w, 2) = (1+w)^2/(4w).
-    A non-finite w or alpha raises BadRangeError.
+    A non-finite w or alpha, or a (w, alpha) whose K leaves double range,
+    raises BadRangeError.
     """
     return _kantorovich_eval(float(w), float(alpha))[0]
 
@@ -146,7 +153,12 @@ def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     """
     w, alpha = float(w), float(alpha)
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
-    return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
+    try:
+        return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
+    except OverflowError:
+        raise BadRangeError(
+            f"Kantorovich limit root at w={w}, alpha={alpha} exceeds double range"
+        ) from None
 
 
 def fm_factor(h: float, alpha: float, scale: float) -> float:
@@ -163,7 +175,10 @@ def fm_factor(h: float, alpha: float, scale: float) -> float:
         raise BadRangeError(f"fm_factor needs alpha in [0, 1], got {alpha}")
     if not scale > 0.0:
         raise BadRangeError(f"fm_factor needs scale > 0, got {scale}")
-    return math.exp(scale * alpha * (1.0 - alpha) * (1.0 - 1.0 / h) ** 2)
+    try:
+        return math.exp(scale * alpha * (1.0 - alpha) * (1.0 - 1.0 / h) ** 2)
+    except OverflowError:
+        raise BadRangeError(f"fm_factor({h}, {alpha}, {scale}) exceeds double range") from None
 
 
 _EVALUATORS = {
@@ -183,10 +198,5 @@ def evaluate_constant(name: str, arguments) -> ConstantEval:
     evaluator, arity = _EVALUATORS[name]
     if len(args) != arity:
         raise BadRangeError(f"{name} takes {arity} argument(s), got {len(args)}")
-    try:
-        value, branch = evaluator(*args)
-    except OverflowError as exc:
-        raise BadRangeError(
-            f"{name}{args} overflows double precision ({exc.args[-1]})"
-        ) from exc
+    value, branch = evaluator(*args)
     return ConstantEval(name=name, arguments=args, value=value, branch=branch)

@@ -38,12 +38,6 @@ JACOBI_MAX_SWEEPS = 100
 COND_LIMIT = 1e12
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     """Diagonalize a Hermitian array by cyclic Jacobi rotations.
 
@@ -473,7 +467,7 @@ def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
 def schatten_norm(matrix: HermitianMatrix, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}."""
     for offset, order in enumerate((1, 2, math.inf)):
-        if p == order:
+        if p == order and not isinstance(p, bool):
             return float(_norm_family(matrix)[matrix.dim + offset])
     raise BadIndexError(f"Schatten order must be 1, 2 or inf, got {p!r}")
 
@@ -512,51 +506,3 @@ def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> Her
     inv_sqrt = dec.map_eigenvalues(dec.eigenvalues**-0.5)
     return congruence(inv_sqrt, matrix)
 
-
-def _commutator_norm(a: HermitianMatrix, b: HermitianMatrix) -> float:
-    _require_same_dim(a, b)
-    am, bm = a.matrix, b.matrix
-    return float(np.linalg.norm(am @ bm - bm @ am))
-
-
-#: Relative threshold on the commutator and off-diagonal residual norms
-#: below which ``common_eigenbasis`` treats a pair as commuting.
-_COMMUTE_RTOL = 1e-10
-
-
-def common_eigenbasis(
-    a: HermitianMatrix, b: HermitianMatrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Simultaneous eigenbasis of a commuting pair, or None.
-
-    Returns (V, a_values, b_values) with both matrices diagonal in V and the
-    eigenvalue pairing given by shared column order (a_values descending).
-    Detection threshold: commutator and residual norms within _COMMUTE_RTOL
-    relative to the operand norms.
-    """
-    _require_same_dim(a, b)
-    scale = a.frobenius_norm() * b.frobenius_norm()
-    if scale > 0.0 and _commutator_norm(a, b) > _COMMUTE_RTOL * scale:
-        return None
-    dec = a.decomposition
-    v = dec.eigenvectors.copy()
-    avals = dec.eigenvalues
-    cluster_tol = 1e-8 * max(float(np.max(np.abs(avals))), 1e-300)
-    b_rot = v.conj().T @ b.matrix @ v
-    start = 0
-    while start < a.dim:
-        stop = start + 1
-        while stop < a.dim and avals[stop - 1] - avals[stop] <= cluster_tol:
-            stop += 1
-        if stop - start > 1:
-            block = b_rot[start:stop, start:stop]
-            block = (block + block.conj().T) / 2.0
-            _, log = _jacobi(block)
-            v[:, start:stop] = v[:, start:stop] @ log.replay()
-        start = stop
-    b_rot = v.conj().T @ b.matrix @ v
-    b_scale = max(b.frobenius_norm(), 1e-300)
-    if _offdiag_norm(b_rot) > _COMMUTE_RTOL * b_scale:
-        return None
-    a_rot = v.conj().T @ a.matrix @ v
-    return v, a_rot.diagonal().real.copy(), b_rot.diagonal().real.copy()

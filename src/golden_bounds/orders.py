@@ -1,10 +1,10 @@
 """Matrix order relations: Loewner, Olson (power-monotone), log-majorization.
 
 Every check returns an OrderCertificate recording the relation tested, the
-normalized worst-case margin, the witness that attained it, and how the
-conclusion was reached ("exact" for commuting pairs resolved in a common
-eigenbasis, "grid-evidence" for finitely many exponents, "eigenvalue" for
-spectrum-level comparisons).
+normalized worst-case margin and the witness that attained it. Each relation
+is checked one way: Loewner order by the spectrum of B - A, log-majorization
+by the partial products of the two spectra, and Olson order by grid evidence,
+the Loewner comparison of A^r and B^r at finitely many exponents r >= 1.
 
 Margins are oriented so that nonnegative means the relation holds; a
 certificate passes when the worst margin stays above minus its tolerance.
@@ -21,7 +21,6 @@ from .errors import BadGridError, DimMismatchError, NonPositiveError
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    common_eigenbasis,
     inv_sqrt_congruence,
     power,
 )
@@ -35,11 +34,6 @@ DEFAULT_OLSON_GRID: tuple[float, ...] = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0
 #: The tolerance of every Olson and log-majorization certificate: it passes
 #: when its worst normalized margin is at least -1e-9.
 _CERTIFICATE_TOLERANCE = 1e-9
-
-MODE_EXACT = "exact"
-MODE_GRID = "grid-evidence"
-MODE_EIGENVALUE = "eigenvalue"
-MODE_LOEWNER = "loewner"
 
 
 @dataclass(frozen=True)
@@ -55,14 +49,13 @@ class OrderCertificate:
     holds: bool
     worst_margin: float
     tolerance: float
-    mode: str
     labels: tuple[str, ...] = ()
     margins: tuple[float, ...] = ()
     witness: dict = field(default_factory=dict)
 
 
 def _finish(
-    relation, mode, labels, margins, witness, tolerance=_CERTIFICATE_TOLERANCE
+    relation, labels, margins, witness, tolerance=_CERTIFICATE_TOLERANCE
 ) -> OrderCertificate:
     worst = min(margins)
     return OrderCertificate(
@@ -70,32 +63,26 @@ def _finish(
         holds=bool(worst >= -tolerance),
         worst_margin=float(worst),
         tolerance=float(tolerance),
-        mode=mode,
         labels=tuple(labels),
         margins=tuple(float(m) for m in margins),
         witness=witness,
     )
 
 
-def loewner_leq(
-    a: HermitianMatrix, b: HermitianMatrix, tolerance: float | None = None
-) -> OrderCertificate:
+def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> OrderCertificate:
     """Certify A <= B in the Loewner order via the spectrum of B - A.
 
-    The margin is the smallest eigenvalue of B - A.  By default the
-    tolerance scales with the Frobenius norm of the difference (floored at
-    1e-12 so the zero difference passes); pass ``tolerance`` to pin an
-    absolute threshold instead, e.g. when the difference is expected to be
-    tiny but genuinely one-signed.
+    The margin is the smallest eigenvalue of B - A.  The tolerance scales
+    with the Frobenius norm of the difference, max(1e-10 * ||B - A||_F,
+    1e-12), floored so that the zero difference passes.
     """
     diff = b - a
     eigs = diff.eigenvalues
     scale = float(np.linalg.norm(diff.matrix))
-    if tolerance is None:
-        tolerance = max(1e-10 * scale, 1e-12)
+    tolerance = max(1e-10 * scale, 1e-12)
     min_eig = float(eigs[-1])
     witness = {"min_eigenvalue": min_eig, "difference_norm": scale}
-    return _finish("loewner-leq", MODE_LOEWNER, ("min-eigenvalue",), (min_eig,), witness, tolerance)
+    return _finish("loewner-leq", ("min-eigenvalue",), (min_eig,), witness, tolerance)
 
 
 def sandwich_bounds(
@@ -131,31 +118,14 @@ def olson_leq(
 ) -> OrderCertificate:
     """Certify A <=ols B, i.e. A^r <= B^r for every exponent r >= 1.
 
-    Commuting pairs are resolved exactly: in a common eigenbasis the relation
-    reduces to the paired eigenvalue comparison a_i <= b_i, which settles all
-    exponents at once (mode "exact").  Otherwise evidence is collected on a
-    finite exponent grid (mode "grid-evidence"): for each r the margin is the
-    smallest eigenvalue of B^r - A^r normalized by the larger spectral norm,
-    and the witness records the exponent where the margin is worst.
+    The certificate is grid evidence: for each r on a finite exponent grid,
+    which always contains r = 1, the margin is the smallest eigenvalue of
+    B^r - A^r normalized by the larger spectral norm, and the witness records
+    the exponent where the margin is worst.  On a commuting pair the r = 1
+    entry decides every exponent: in a shared eigenbasis a_i <= b_i gives
+    a_i^r <= b_i^r for all r.
     """
     grid = _validated_grid(grid)
-    shared = common_eigenbasis(a, b)
-    if shared is not None:
-        _, avals, bvals = shared
-        margins = []
-        labels = []
-        for i, (av, bv) in enumerate(zip(avals, bvals)):
-            denom = max(abs(av), abs(bv), 1e-300)
-            margins.append((bv - av) / denom)
-            labels.append(f"pair-{i}")
-        worst_i = int(np.argmin(margins))
-        witness = {
-            "pair_index": worst_i,
-            "a_eigenvalue": float(avals[worst_i]),
-            "b_eigenvalue": float(bvals[worst_i]),
-        }
-        return _finish("olson-leq", MODE_EXACT, labels, margins, witness)
-
     margins = []
     labels = []
     for r in grid:
@@ -167,7 +137,7 @@ def olson_leq(
         labels.append(f"r={r:g}")
     worst_i = int(np.argmin(margins))
     witness = {"exponent": grid[worst_i], "grid": list(grid)}
-    return _finish("olson-leq", MODE_GRID, labels, margins, witness)
+    return _finish("olson-leq", labels, margins, witness)
 
 
 def _positive_desc(values, name: str) -> np.ndarray:
@@ -203,7 +173,7 @@ def weak_log_majorizes(values_a, values_b) -> OrderCertificate:
         "k": worst_k + 1,
         "log_product_gap": float(cum_b[worst_k] - cum_a[worst_k]),
     }
-    return _finish("weak-log-majorization", MODE_EIGENVALUE, labels, margins, witness)
+    return _finish("weak-log-majorization", labels, margins, witness)
 
 
 def log_majorizes(values_a, values_b) -> OrderCertificate:
@@ -217,4 +187,4 @@ def log_majorizes(values_a, values_b) -> OrderCertificate:
     margins = weak.margins + (equality_margin,)
     witness = dict(weak.witness)
     witness["total_log_gap"] = total_gap
-    return _finish("log-majorization", MODE_EIGENVALUE, labels, margins, witness)
+    return _finish("log-majorization", labels, margins, witness)

@@ -3,13 +3,15 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import pathlib
+import tomllib
 
 import pytest
 
-from golden_bounds import certify, linalg
+from golden_bounds import certify, cli, linalg
 from golden_bounds.certify import INEQUALITY_IDS
 from golden_bounds.cli import main
 
@@ -525,3 +527,32 @@ def test_unknown_subcommand_is_usage_error(capsys):
         main(["celebrate"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "specht", "2"),
+        ("certify", "gt-specht", "--count", "2"),
+        ("convergence", "--p", "1.0"),
+    ],
+    ids=["constants", "certify", "convergence"],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    # exit 1 is kept for a numerical violation; a path that cannot be
+    # written is a usage error, reported without a traceback
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert out == ""
+
+
+def test_console_script_is_cli_main():
+    # the README's examples run the golden-bounds console script
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["golden-bounds"]
+    assert target == "golden_bounds.cli:main"
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

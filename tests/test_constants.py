@@ -110,6 +110,22 @@ def test_specht_beyond_double_range(t):
         specht(t)
 
 
+@pytest.mark.parametrize(
+    "constant, arguments",
+    [
+        (kantorovich, (1e300, 1.5)),
+        (specht_p_root, (1e200, 2.0)),
+        (kantorovich_limit_root, (1e300, 3.0, [2.0, 1.0])),
+        (fm_factor, (2.0, 0.5, 1e300)),
+    ],
+    ids=["kantorovich", "specht_p_root", "kantorovich_limit_root", "fm_factor"],
+)
+def test_constants_beyond_double_range(constant, arguments):
+    # float ** and math.exp raise OverflowError; each constant reports it
+    with pytest.raises(BadRangeError, match=r"exceeds double range$"):
+        constant(*arguments)
+
+
 def test_specht_p_root_frozen():
     assert specht_p_root(2.0, 1.0) == pytest.approx(oracles.SPECHT_2, rel=1e-14)
     assert specht_p_root(2.0, 2.0) == pytest.approx(

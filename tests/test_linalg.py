@@ -19,9 +19,7 @@ from golden_bounds import linalg
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    _commutator_norm,
     _singular_values_desc,
-    common_eigenbasis,
     congruence,
     exp_h,
     frobenius_distance,
@@ -592,8 +590,9 @@ def test_schatten_norms():
     assert schatten_norm(m, 1) == 7.0
     assert schatten_norm(m, 2) == pytest.approx(5.0)
     assert schatten_norm(m, math.inf) == 4.0
-    with pytest.raises(BadIndexError):
-        schatten_norm(m, 3)
+    for bad in (3, True):
+        with pytest.raises(BadIndexError):
+            schatten_norm(m, bad)
 
 
 def test_trace_and_distance():
@@ -638,35 +637,3 @@ def test_inv_sqrt_congruence_guards():
         inv_sqrt_congruence(
             PositiveDefiniteMatrix(np.diag([1e14, 1.0])), PositiveDefiniteMatrix(np.eye(2))
         )
-
-
-# ---------------------------------------------------------------------------
-# Commutation detection
-# ---------------------------------------------------------------------------
-
-
-def test_common_eigenbasis_on_commuting_pair():
-    rng = np.random.default_rng(29)
-    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(raw)
-    avals = np.array([4.0, 2.0, 2.0, 1.0])
-    bvals = np.array([1.0, 5.0, 3.0, 2.0])
-    a = HermitianMatrix((q * avals) @ q.conj().T)
-    b = HermitianMatrix((q * bvals) @ q.conj().T)
-    assert _commutator_norm(a, b) <= 1e-12
-    result = common_eigenbasis(a, b)
-    assert result is not None
-    v, got_a, got_b = result
-    assert np.allclose((v * got_a) @ v.conj().T, a.matrix, atol=1e-10)
-    assert np.allclose((v * got_b) @ v.conj().T, b.matrix, atol=1e-10)
-    # The scalar pairs must be the matched eigenvalue pairs, including inside
-    # the degenerate a-cluster where only b separates the directions.
-    pairs = sorted(zip(np.round(got_a, 9), np.round(got_b, 9)))
-    assert pairs == [(1.0, 2.0), (2.0, 3.0), (2.0, 5.0), (4.0, 1.0)]
-
-
-def test_common_eigenbasis_rejects_noncommuting_pair():
-    a = HermitianMatrix(np.diag([2.0, 1.0]))
-    b = HermitianMatrix([[1.0, 0.6], [0.6, 1.5]])
-    assert _commutator_norm(a, b) > 0.1
-    assert common_eigenbasis(a, b) is None
