@@ -99,9 +99,10 @@ def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
         slope = 1.0 - ell + math.log(ell)
         beta = alpha if near_zero else 1.0 - alpha
         return 1.0 + beta * slope, BRANCH_LIMIT
-    u = math.log(w)
-    w_minus_1 = math.expm1(u)
+    # K(w, a) = K(1/w, a); evaluating at w >= 1 keeps w^a - w from cancelling
+    u = abs(math.log(w))
     try:
+        w_minus_1 = math.expm1(u)
         wa_minus_1 = math.expm1(alpha * u)
         wa_minus_w = wa_minus_1 - w_minus_1
         prefactor = wa_minus_w / ((alpha - 1.0) * w_minus_1)

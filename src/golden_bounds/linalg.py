@@ -347,9 +347,6 @@ class HermitianMatrix:
         """Eigenvalues in descending order (read-only array)."""
         return self.decomposition.eigenvalues
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     def _binary(self, other, sign: float) -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
@@ -409,10 +406,8 @@ def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
     dec = matrix.decomposition
     if dec.eigenvalues[-1] <= 0.0:
         raise DomainError("matrix power requires a positive definite input")
-    if r == 1.0:
-        if isinstance(matrix, PositiveDefiniteMatrix):
-            return matrix
-        return PositiveDefiniteMatrix(matrix.matrix, decomposition=dec)
+    if r == 1.0 and isinstance(matrix, PositiveDefiniteMatrix):
+        return matrix
     with np.errstate(over="raise"):
         try:
             vals = dec.eigenvalues**r

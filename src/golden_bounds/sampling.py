@@ -12,7 +12,7 @@ given.
 
 Stream tags: a draw's primary eigenvalues (1), its eigenbasis (2), the
 secondary operand's eigenvalues (3) and basis (4), and free parameters (5).
-In commuting mode both operands of a pair share the tag-2 basis, so they
+In commuting mode both operands of a pair use one tag-2 basis draw, so they
 commute to rounding error.
 """
 
@@ -117,15 +117,6 @@ def random_isometry(cfg: SamplerConfig, rows: int, index: int = 0) -> np.ndarray
     return haar_unitary(rng, cfg.dim)[:rows, :].copy()
 
 
-def _pair_tags(cfg: SamplerConfig, slot: int) -> tuple[int, int]:
-    if slot not in (0, 1):
-        raise BadRangeError(f"slot must be 0 or 1, got {slot}")
-    values_tag = TAG_EIGENVALUES if slot == 0 else TAG_SECONDARY
-    if slot == 0 or cfg.mode == MODE_COMMUTING:
-        return values_tag, TAG_BASIS
-    return values_tag, TAG_SECONDARY_BASIS
-
-
 def _draw_spectrum(cfg: SamplerConfig, index: int, values_tag: int) -> np.ndarray:
     rng = philox_generator(cfg.seed, index, values_tag)
     return rng.uniform(cfg.lo, cfg.hi, size=cfg.dim)
@@ -136,47 +127,54 @@ def _draw_basis(cfg: SamplerConfig, index: int, basis_tag: int) -> np.ndarray:
     return haar_unitary(rng, cfg.dim)
 
 
-def _random_hermitian(cfg: SamplerConfig, index: int, slot: int, positive: bool):
-    values_tag, basis_tag = _pair_tags(cfg, slot)
-    vals = _draw_spectrum(cfg, index, values_tag)
-    return _from_eigen(vals, _draw_basis(cfg, index, basis_tag), positive=positive)
+def _random_pair(cfg: SamplerConfig, index: int, positive: bool):
+    """Spectra from tags 1 and 3, on one tag-2 basis draw in commuting mode
+    and on the tag-2 and tag-4 bases in general mode."""
+    basis = _draw_basis(cfg, index, TAG_BASIS)
+    second = basis if cfg.mode == MODE_COMMUTING else _draw_basis(cfg, index, TAG_SECONDARY_BASIS)
+    return tuple(
+        _from_eigen(_draw_spectrum(cfg, index, values_tag), vecs, positive=positive)
+        for values_tag, vecs in ((TAG_EIGENVALUES, basis), (TAG_SECONDARY, second))
+    )
 
 
-def random_pd(cfg: SamplerConfig, index: int = 0, slot: int = 0) -> PositiveDefiniteMatrix:
-    """V diag(u) V* with u uniform in [lo, hi] > 0 and V Haar unitary.
-
-    ``slot`` addresses the two operands of a pair; in commuting mode both
-    slots share the eigenbasis stream, so pair draws commute.
-    """
+def _require_positive_range(cfg: SamplerConfig) -> None:
     if cfg.lo <= 0.0:
         raise BadRangeError(
             f"positive definite draws need a positive range, got [{cfg.lo}, {cfg.hi}]"
         )
-    return _random_hermitian(cfg, index, slot, positive=True)
 
 
-def random_bounded_hermitian(
-    cfg: SamplerConfig, index: int = 0, slot: int = 0
-) -> HermitianMatrix:
+def random_pd(cfg: SamplerConfig, index: int = 0) -> PositiveDefiniteMatrix:
+    """V diag(u) V* with u uniform in [lo, hi] > 0 and V Haar unitary.
+
+    This is the first operand of ``random_pd_pair``; in commuting mode the
+    pair's second operand uses the same basis draw, so the two commute.
+    """
+    _require_positive_range(cfg)
+    vals = _draw_spectrum(cfg, index, TAG_EIGENVALUES)
+    return _from_eigen(vals, _draw_basis(cfg, index, TAG_BASIS), positive=True)
+
+
+def random_bounded_hermitian(cfg: SamplerConfig, index: int = 0) -> HermitianMatrix:
     """Hermitian draw with spectrum inside [lo, hi] (any real bounds)."""
-    return _random_hermitian(cfg, index, slot, positive=False)
+    vals = _draw_spectrum(cfg, index, TAG_EIGENVALUES)
+    return _from_eigen(vals, _draw_basis(cfg, index, TAG_BASIS), positive=False)
 
 
 def bounded_hermitian_pair(
     cfg: SamplerConfig, index: int = 0
 ) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """Two Hermitian draws with spectra in [lo, hi]; commuting mode shares the basis."""
-    return (
-        random_bounded_hermitian(cfg, index, slot=0),
-        random_bounded_hermitian(cfg, index, slot=1),
-    )
+    """Two Hermitian draws with spectra in [lo, hi]; commuting mode shares one basis draw."""
+    return _random_pair(cfg, index, positive=False)
 
 
 def random_pd_pair(
     cfg: SamplerConfig, index: int = 0
 ) -> tuple[PositiveDefiniteMatrix, PositiveDefiniteMatrix]:
     """Two positive definite draws with spectra in [lo, hi] > 0."""
-    return random_pd(cfg, index, slot=0), random_pd(cfg, index, slot=1)
+    _require_positive_range(cfg)
+    return _random_pair(cfg, index, positive=True)
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def sandwich_pair(cfg: SamplerConfig, s: float, t: float, index: int = 0) -> San
     s, t = float(s), float(t)
     if not 0.0 < s <= t:
         raise BadRangeError(f"need 0 < s <= t, got s={s}, t={t}")
-    a = random_pd(cfg, index, slot=0)
+    a = random_pd(cfg, index)
     coupling_cfg = replace(cfg, lo=s, hi=t)
     coupling_vals = _draw_spectrum(coupling_cfg, index, TAG_SECONDARY)
     if cfg.mode == MODE_COMMUTING:

@@ -33,9 +33,10 @@ from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     ky_fan_norm,
+    power,
     schatten_norm,
 )
-from golden_bounds.means import limit_probe, log_euclidean, mean_power
+from golden_bounds.means import geometric_mean, limit_probe, log_euclidean, mean_power
 from golden_bounds.orders import DEFAULT_OLSON_GRID
 from golden_bounds.sampling import (
     TAG_PARAMS,
@@ -47,6 +48,7 @@ from golden_bounds.sampling import (
     philox_generator,
     random_isometry,
     random_pd,
+    random_pd_pair,
     sandwich_pair,
 )
 
@@ -222,6 +224,43 @@ def test_power_one_keeps_loewner_form_tight():
     lhs_mean = np.sort([1.3**0.5 * 1.2**0.5, 0.9**0.5 * 1.1**0.5])
     expected = (factor - 1.0) * lhs_mean
     assert report.rhs_values == pytest.approx(expected, rel=1e-9)
+
+
+def _sandwich_operands(cfg):
+    sample = sandwich_pair(cfg, 0.8, 1.9, 0)
+    return sample.a, sample.b, {"s": sample.s, "t": sample.t}
+
+
+def _chain_operands(cfg):
+    chain = ordered_chain_pair(cfg, 0)
+    return chain.a, chain.b, {"m": chain.m, "M": chain.M}
+
+
+#: Each power-low row's operands and README factor cell.
+_POWER_LOW_ROWS = {
+    "specht-power-low": (
+        _sandwich_operands, lambda v: max(specht(v["s"]), specht(v["t"])) ** v["r"]
+    ),
+    "bounded-power-low": (
+        lambda cfg: (*random_pd_pair(cfg, 0), {"m": cfg.lo, "M": cfg.hi}),
+        lambda v: specht(v["h"]) ** v["r"],
+    ),
+    "fm-power-low": (_chain_operands, lambda v: fm_factor(v["h"], v["alpha"], v["r"])),
+}
+
+
+@pytest.mark.parametrize("inequality_id", sorted(_POWER_LOW_ROWS))
+def test_power_low_reports_the_factor_it_applies(inequality_id):
+    operands, readme_factor = _POWER_LOW_ROWS[inequality_id]
+    a, b, scalars = operands(SamplerConfig(3, 29, 0.5, 0.9))
+    report = certify_inequality(inequality_id, a, b, alpha=0.3, r=0.6, **scalars)
+    factor = report.parameters["factor"]
+    assert factor == readme_factor(report.parameters)
+    # The margins are the ascending spectrum of factor (A #_a B)^r - A^r #_a B^r.
+    diff = power(geometric_mean(a, b, 0.3), 0.6) * factor - geometric_mean(
+        power(a, 0.6), power(b, 0.6), 0.3
+    )
+    assert list(report.margins) == list(diff.eigenvalues[::-1])
 
 
 def test_alpha_endpoints_hold_everywhere():
@@ -644,6 +683,17 @@ def test_kantorovich_squared_display_uses_cosh():
     assert report.parameters["factor"] == pytest.approx(math.cosh(0.9), rel=1e-12)
 
 
+def test_cosh_factor_is_reciprocal_kantorovich():
+    # cosh(M - m) = 1 / K(e^{4(M-m)}, 1/2): the closed form the squared
+    # display reports agrees with the Kantorovich constant it stands for,
+    # over the sampled range and at widths 0, 1e-6, 5 and 20.
+    grid = [(m, w) for m in np.linspace(-1.5, 0.3, 10) for w in np.linspace(0.3, 2.0, 10)]
+    for m, width in grid + [(-0.4, w) for w in (0.0, 1e-6, 5.0, 20.0)]:
+        m, M = float(m), float(m + width)
+        factor = certify._cosh_factor({"m": m, "M": M})
+        assert factor == pytest.approx(1.0 / kantorovich(math.exp(4.0 * (M - m)), 0.5), rel=1e-9)
+
+
 def test_kantorovich_matrix_full_rank_and_compression():
     cfg = SamplerConfig(4, 47, 0.5, 2.0)
     a = random_pd(cfg, 0)
@@ -663,8 +713,7 @@ def test_kantorovich_matrix_full_rank_and_compression():
 
 def test_forward_ando_hiai_holds_and_validates():
     cfg = SamplerConfig(3, 53, 0.4, 1.8)
-    a = random_pd(cfg, 0, slot=0)
-    b = random_pd(cfg, 0, slot=1)
+    a, b = random_pd_pair(cfg, 0)
     report = certify_inequality("forward-ando-hiai", a, b, alpha=0.4, r=2.0)
     assert report.holds
     assert report.labels[-1] == "total-product"

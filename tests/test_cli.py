@@ -57,6 +57,13 @@ def test_constants_out_file(capsys, tmp_path):
     assert abs(float(target.read_text()) - oracles.SPECHT_8) < 1e-14
 
 
+def test_constants_kantorovich_tiny_w(capsys):
+    code, out, err = run_cli(capsys, "constants", "kantorovich", "1e-300", "0.5")
+    assert code == 0
+    assert err == ""
+    assert float(out) == pytest.approx(oracles.kantorovich_mp(1e-300, 0.5), rel=1e-13)
+
+
 def test_constants_unknown_name_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "constants", "frobnicate", "2")
     assert code == 2
@@ -157,8 +164,8 @@ REPORT_SHA256 = {
         "3eb59d050754b3a5818402d581fe702a7be63241392e3fb20ac334bc79677919",
     ),
     "bounded-power-low": (
-        "43b62df747dd2f88f1db0f208f3369ecb9de855ca71a1c05f9cfb8e921e2fe62",
-        "15a896b5a893bb77f287a7527f5211ef6f2983391bb08cf8a071530b60ad79ff",
+        "b45b298e71bc86b02832b2a63378f38a727398be53eda8f903acb65c4ed4eae2",
+        "a3b14fa3858f11a234d2c40941a5ec7b41adf5a20e3b10da1f1e1a748d7e31da",
     ),
     "bounded-pq": (
         "eda8f787b305e34bd57782a5981456cc097bff217dd9d5fa4917645f8afc3aeb",
@@ -229,8 +236,8 @@ REPORT_SHA256 = {
         "2c332f2d1177a925b3d08b33ecd508374cfaf003dff5a3c7b70cf7ae3a0986c6",
     ),
     "specht-power-low": (
-        "fe588a90fc2005223541b3097dcf03f580821126dc2421381a4a0a0406d028c4",
-        "e4debfb963e7bd00904dd03f336f20fb15bb0a73e691b95ca48f905e11640000",
+        "301f663aae397ac44cf7542193d5e364a46df232e216c8c3d722f089e853c31a",
+        "c91993ec3c32e9246edfed85f19b2bf6f60e3128ea124a8db1b2082737be067f",
     ),
     "specht-pq": (
         "23d73a9b37a4dba69517cd580415b6ce677f072c8f4752ba9ad8de50653f8a8b",
@@ -339,8 +346,8 @@ def test_certify_rejects_pins_the_id_does_not_draw(capsys, inequality_id, pins):
 @pytest.mark.parametrize(
     "argv, exponent",
     [
-        (("certify", "gt-kantorovich-squared", "--m", "-200", "--M", "200", "--count", "1"),
-         "e^(4(M-m)) = e^(1600) overflows"),
+        (("certify", "gt-kantorovich-squared", "--m", "-400", "--M", "400", "--count", "1"),
+         "e^(2M) = e^(800) overflows"),
         (("certify", "gt-specht", "--m", "-400", "--M", "400", "--count", "1"),
          "e^(s*nu) = e^(-800) underflows"),
         (("convergence", "specht", "--m", "-400", "--M", "400"),

@@ -168,6 +168,20 @@ def test_kantorovich_matches_mpmath_on_grid():
             )
 
 
+@pytest.mark.parametrize("w", [1e-300, 1e-200, 1e-20, 1e-5, 0.3])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_kantorovich_matches_mpmath_for_small_w(w, alpha):
+    # w^a - w cancels for tiny w unless the constant is evaluated at 1/w.
+    assert kantorovich(w, alpha) == pytest.approx(oracles.kantorovich_mp(w, alpha), rel=1e-13)
+
+
+def test_kantorovich_small_w_closed_form_and_range():
+    assert kantorovich(1e-20, 2.0) == pytest.approx((1.0 + 1e-20) ** 2 / 4e-20, rel=1e-13)
+    for w, alpha in ((1e-300, 2.0), (1e-300, 3.0), (1e-320, 0.5)):
+        with pytest.raises(BadRangeError, match="exceeds double range"):
+            kantorovich(w, alpha)
+
+
 def test_kantorovich_alpha_symmetry():
     for w in (1.5, 3.0, 9.0):
         for alpha in (0.2, 0.3, 0.45):

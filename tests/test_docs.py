@@ -1,13 +1,19 @@
 """Documentation and demos stay true to the code: the README's inequality
-table is the rendering of the inequality rows, and every demo script runs."""
+table is the rendering of the inequality rows, the values its Python examples
+state in comments are the values they compute, and every demo script runs."""
 
+import ast
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
+from golden_bounds import specht
 from golden_bounds.certify import _INEQUALITIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +42,35 @@ def test_readme_table_has_one_row_per_inequality_id():
     rendered = _rendered_table_body()
     lines = "\n".join(f"| {' | '.join(row)} |" for row in rendered)
     assert _readme_table_body() == rendered, f"the README table should read:\n{lines}"
+
+
+def _is_expression(text: str) -> bool:
+    try:
+        ast.parse(text, mode="eval")
+    except SyntaxError:
+        return False
+    return True
+
+
+def test_readme_python_comments_state_values():
+    # In each README python block, an expression statement whose trailing
+    # comment is itself an expression must evaluate to the comment's value
+    # (with S = specht); any other comment is prose and only its line runs.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked = []
+    for block in re.findall(r"```python\n(.*?)```", text, flags=re.S):
+        tokens = tokenize.generate_tokens(io.StringIO(block).readline)
+        comments = {t.start[0]: t.string[1:].strip() for t in tokens if t.type == tokenize.COMMENT}
+        namespace = {"S": specht}
+        for stmt in ast.parse(block).body:
+            claim = comments.get(stmt.end_lineno, "")
+            if isinstance(stmt, ast.Expr) and _is_expression(claim):
+                value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+                assert value == eval(claim, namespace), f"{ast.unparse(stmt)} is {value!r}"
+                checked.append(claim)
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert len(checked) >= 5, checked
 
 
 def test_demos_are_found():

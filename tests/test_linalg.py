@@ -137,7 +137,7 @@ def test_reconstruction_and_orthonormality():
         m = random_hermitian(rng, n)
         dec = m.decomposition
         assert np.linalg.norm(dec.reconstruct() - m.matrix) <= 1e-12 * max(
-            m.frobenius_norm(), 1.0
+            np.linalg.norm(m.matrix), 1.0
         )
         v = dec.eigenvectors
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
@@ -524,9 +524,18 @@ def test_power_identities():
     root = power(p, 0.5)
     assert frobenius_distance(
         HermitianMatrix(root.matrix @ root.matrix), p
-    ) <= 1e-12 * p.frobenius_norm()
+    ) <= 1e-12 * np.linalg.norm(p.matrix)
     inv = power(p, -1.0)
     assert np.allclose(inv.matrix @ p.matrix, np.eye(4), atol=1e-11)
+
+
+def test_power_one_of_a_hermitian_input_is_positive_definite():
+    # A positive definite spectrum in a plain HermitianMatrix takes the
+    # spectral map at r = 1, as at every other exponent.
+    p = random_pd_array(np.random.default_rng(5), 3)
+    out = power(HermitianMatrix(p.matrix), 1.0)
+    assert isinstance(out, PositiveDefiniteMatrix)
+    assert frobenius_distance(out, p) <= 1e-12 * np.linalg.norm(p.matrix)
 
 
 def test_power_requires_positive_definite():
@@ -560,7 +569,7 @@ def test_log_pd_inverts_exp():
     rng = np.random.default_rng(41)
     m = random_hermitian(rng, 3)
     back = log_pd(exp_h(m))
-    assert frobenius_distance(back, m) <= 1e-12 * max(m.frobenius_norm(), 1.0)
+    assert frobenius_distance(back, m) <= 1e-12 * max(np.linalg.norm(m.matrix), 1.0)
     with pytest.raises(DomainError):
         log_pd(HermitianMatrix(np.diag([1.0, -1.0])))
 
@@ -625,7 +634,7 @@ def test_inv_sqrt_congruence_identity_anchor():
     rng = np.random.default_rng(19)
     m = random_hermitian(rng, 3)
     out = inv_sqrt_congruence(PositiveDefiniteMatrix(np.eye(3)), m)
-    assert frobenius_distance(out, m) <= 1e-12 * max(m.frobenius_norm(), 1.0)
+    assert frobenius_distance(out, m) <= 1e-12 * max(np.linalg.norm(m.matrix), 1.0)
 
 
 def test_inv_sqrt_congruence_guards():

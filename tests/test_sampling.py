@@ -1,19 +1,22 @@
 """Seeded samplers: determinism, spectral ranges, the relations they construct."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from golden_bounds import sampling
-from golden_bounds.errors import BadGridError, BadRangeError
-from golden_bounds.linalg import exp_h
-from golden_bounds.orders import loewner_leq, olson_leq, sandwich_bounds
+from golden_bounds.certify import certify_inequality, compare_specht_vs_fm
+from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError
+from golden_bounds.linalg import HermitianMatrix, exp_h
+from golden_bounds.orders import loewner_leq, olson_leq, sandwich_bounds, weak_log_majorizes
 from golden_bounds.sampling import (
     MODE_COMMUTING,
     MODE_GENERAL,
     SamplerConfig,
     bounded_hermitian_pair,
+    haar_unitary,
     olson_exponential_pair,
     olson_sandwich_pair,
     ordered_chain_pair,
@@ -58,6 +61,45 @@ def test_config_validation():
         SamplerConfig(2, 1, 0.5, 2.0, mode="diagonal")
     cfg = SamplerConfig(2, 1, 0.5, 2.0)
     assert (cfg.lo, cfg.hi) == (0.5, 2.0)
+
+
+_CFG_3 = SamplerConfig(3, 1, 0.5, 2.0)
+_SIGNED = SamplerConfig(2, 0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SamplerConfig(2, 0, 0.0, math.inf), BadRangeError,
+         "spectral range must be finite, got [0.0, inf]"),
+        (lambda: philox_generator(-1, 0, 0), BadRangeError,
+         "seed must be a 64-bit unsigned integer, got -1"),
+        (lambda: philox_generator(2**64, 0, 0), BadRangeError,
+         "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        (lambda: philox_generator(0, -1, 0), BadRangeError,
+         "index and tag must be nonnegative, got (-1, 0)"),
+        (lambda: random_isometry(_CFG_3, 4), DimMismatchError, "rows must lie in [1, 3], got 4"),
+        (lambda: random_pd(_SIGNED), BadRangeError,
+         "positive definite draws need a positive range, got [-1.0, 1.0]"),
+        (lambda: random_pd_pair(_SIGNED), BadRangeError,
+         "positive definite draws need a positive range, got [-1.0, 1.0]"),
+        (lambda: olson_sandwich_pair(_SIGNED), BadRangeError,
+         "Olson sandwich needs a positive spectral range, got [-1.0, 1.0]"),
+        (lambda: certify_inequality(
+            "kantorovich-matrix", random_pd(_CFG_3), np.eye(2, 4), m=0.5, M=2.0
+         ), DimMismatchError, "isometry shape (2, 4) incompatible with dim 3"),
+        (lambda: compare_specht_vs_fm(0.5, 0.5, 0.9), BadRangeError, "h must be >= 1, got 0.9"),
+        (lambda: weak_log_majorizes([[1.0]], [1.0]), DimMismatchError,
+         "values_a must be a nonempty 1-d value sequence"),
+        (lambda: weak_log_majorizes([], []), DimMismatchError,
+         "values_a must be a nonempty 1-d value sequence"),
+        (lambda: HermitianMatrix(np.eye(2)) + 1.0, TypeError,
+         "unsupported operand type(s) for +: 'HermitianMatrix' and 'float'"),
+    ],
+)
+def test_input_checks_raise_their_class_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_golden_pd_spectra_frozen():
@@ -128,6 +170,20 @@ def test_commuting_mode_commutes_general_does_not():
     general = SamplerConfig(4, 17, 0.5, 2.0, mode=MODE_GENERAL)
     a2, b2 = random_pd_pair(general, 0)
     assert _commutator(a2, b2) > 1e-6
+
+
+@pytest.mark.parametrize("sampler, lo", [(random_pd_pair, 0.5), (bounded_hermitian_pair, -1.0)])
+@pytest.mark.parametrize("mode, draws", [(MODE_COMMUTING, 1), (MODE_GENERAL, 2)])
+def test_pair_samplers_draw_each_basis_once(monkeypatch, sampler, lo, mode, draws):
+    calls = []
+
+    def counting_haar(rng, n):
+        calls.append(n)
+        return haar_unitary(rng, n)
+
+    monkeypatch.setattr(sampling, "haar_unitary", counting_haar)
+    sampler(SamplerConfig(3, 17, lo, 2.0, mode=mode), 0)
+    assert len(calls) == draws
 
 
 def test_degenerate_range_collapses_to_scalar_matrix():
