@@ -53,6 +53,7 @@ from .sampling import (
     MODE_GENERAL,
     TAG_PARAMS,
     SamplerConfig,
+    _checked_seed,
     bounded_hermitian_pair,
     olson_exponential_pair,
     olson_sandwich_pair,
@@ -466,96 +467,56 @@ def _trace(h, k, v):
 
 
 # ---------------------------------------------------------------------------
-# Parameter draws, (rng, overrides, n) -> dict, and samplers, (config,
-# index, drawn) -> (x, y, sampled parameters).  A pinned value replaces its
-# draw; ``_ov`` still consumes the draw, the other draws skip it.
+# Parameter draws, (name, draw(rng, drawn, n)) entries, and samplers,
+# (config, index, drawn) -> (x, y, sampled parameters).  A block holds the
+# entries that draw together; a row's draws concatenate blocks in
+# params-stream order, and a later entry reads the values drawn before it.
 # ---------------------------------------------------------------------------
 
 N_CYCLE = (2, 3, 4, 5, 6)
 
-
-def _ov(overrides: dict, name: str, value: float) -> float:
-    return float(overrides.get(name, value))
-
-
-def _draw_alpha(rng, ov, n) -> dict:
-    if "alpha" in ov:
-        return {"alpha": float(ov["alpha"])}
-    if rng.uniform() < 0.4:
-        return {"alpha": float(rng.choice(np.array([0.0, 0.25, 0.5, 0.75, 1.0])))}
-    return {"alpha": float(rng.uniform())}
-
-
-def _draw_low_power(rng, ov, n) -> dict:
-    if "r" in ov:
-        return {"r": float(ov["r"])}
-    return {"r": 1.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 1.0))}
-
-
-def _draw_high_power(rng, ov, n) -> dict:
-    if "r" in ov:
-        return {"r": float(ov["r"])}
-    return {"r": 1.0 if rng.uniform() < 0.1 else float(1.0 + rng.uniform(0.0, 2.0))}
-
-
-def _draw_qp(rng, ov, n) -> dict:
-    q = _ov(ov, "q", rng.uniform(0.2, 1.2))
-    return {"q": q, "p": _ov(ov, "p", q * (1.0 + rng.uniform(0.0, 1.5)))}
-
-
-def _draw_gt_power(rng, ov, n) -> dict:
-    return {"p": _ov(ov, "p", rng.uniform(0.3, 2.5))}
-
-
-def _pd_range(rng, ov, n) -> dict:
-    lo = _ov(ov, "m", rng.uniform(0.3, 1.0))
-    return {"m": lo, "M": _ov(ov, "M", lo * rng.uniform(1.2, 5.0))}
-
-
-def _unpinned_pd_range(rng, ov, n) -> dict:
-    """The spectral range of specht-power-low, which takes no pins of m and M."""
-    return _pd_range(rng, {}, n)
-
-
-def _hermitian_range(rng, ov, n) -> dict:
-    m = _ov(ov, "m", rng.uniform(-1.5, 0.3))
-    return {"m": m, "M": _ov(ov, "M", m + rng.uniform(0.3, 2.0))}
-
-
-def _chain_range(rng, ov, n) -> dict:
-    hi = _ov(ov, "M", rng.uniform(0.35, 1.0))
-    return {"m": _ov(ov, "m", hi * rng.uniform(0.15, 0.8)), "M": hi}
-
-
-def _exp_chain_range(rng, ov, n) -> dict:
-    M = _ov(ov, "M", -rng.uniform(0.0, 0.8))
-    return {"m": _ov(ov, "m", M - rng.uniform(0.3, 2.0)), "M": M}
-
-
-def _sandwich_scalars(rng, ov, n) -> dict:
-    s = _ov(ov, "s", rng.uniform(0.4, 1.0))
-    return {"s": s, "t": _ov(ov, "t", s * (1.0 + rng.uniform(0.0, 3.0)))}
-
-
-#: The pins each draw reads; run_instances refuses a pin no draw of an id reads.
-_DRAW_PINS = {
-    _draw_alpha: ("alpha",),
-    _draw_low_power: ("r",),
-    _draw_high_power: ("r",),
-    _draw_qp: ("q", "p"),
-    _draw_gt_power: ("p",),
-    _pd_range: ("m", "M"),
-    _hermitian_range: ("m", "M"),
-    _chain_range: ("m", "M"),
-    _exp_chain_range: ("m", "M"),
-    _sandwich_scalars: ("s", "t"),
-}
+_ALPHA_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_ALPHA = (
+    ("alpha", lambda rng, d, n: float(rng.choice(_ALPHA_GRID)) if rng.uniform() < 0.4
+     else rng.uniform()),
+)
+_LOW_R = (("r", lambda rng, d, n: 1.0 if rng.uniform() < 0.1 else rng.uniform(0.05, 1.0)),)
+_HIGH_R = (
+    ("r", lambda rng, d, n: 1.0 if rng.uniform() < 0.1 else 1.0 + rng.uniform(0.0, 2.0)),
+)
+_QP = (
+    ("q", lambda rng, d, n: rng.uniform(0.2, 1.2)),
+    ("p", lambda rng, d, n: d["q"] * (1.0 + rng.uniform(0.0, 1.5))),
+)
+_GT_P = (("p", lambda rng, d, n: rng.uniform(0.3, 2.5)),)
+_PD_RANGE = (
+    ("m", lambda rng, d, n: rng.uniform(0.3, 1.0)),
+    ("M", lambda rng, d, n: d["m"] * rng.uniform(1.2, 5.0)),
+)
+_HERMITIAN_RANGE = (
+    ("m", lambda rng, d, n: rng.uniform(-1.5, 0.3)),
+    ("M", lambda rng, d, n: d["m"] + rng.uniform(0.3, 2.0)),
+)
+_CHAIN_RANGE = (
+    ("M", lambda rng, d, n: rng.uniform(0.35, 1.0)),
+    ("m", lambda rng, d, n: d["M"] * rng.uniform(0.15, 0.8)),
+)
+_EXP_CHAIN_RANGE = (
+    ("M", lambda rng, d, n: -rng.uniform(0.0, 0.8)),
+    ("m", lambda rng, d, n: d["M"] - rng.uniform(0.3, 2.0)),
+)
+_SANDWICH = (
+    ("s", lambda rng, d, n: rng.uniform(0.4, 1.0)),
+    ("t", lambda rng, d, n: d["s"] * (1.0 + rng.uniform(0.0, 3.0))),
+)
+#: The row count of kantorovich-matrix's isometry; an int, derived, never pinned.
+_ROWS = (("rows", lambda rng, d, n: int(rng.integers(1, n + 1))),)
 
 
 def _pinnable(inequality_id: str) -> tuple[str, ...]:
-    """Names ``run_instances`` accepts in ``param_overrides`` for this id."""
-    draws = _INEQUALITIES[inequality_id].draws
-    return tuple(name for draw in draws for name in _DRAW_PINS.get(draw, ()))
+    """Names ``run_instances`` accepts in ``param_overrides`` for this id:
+    the names its draws draw, less the derived rows."""
+    return tuple(name for name, _ in _INEQUALITIES[inequality_id].draws if name != "rows")
 
 
 def _sandwich_sample(cfg, index, d):
@@ -615,7 +576,9 @@ class _Inequality:
 
     ``params`` are the report's parameter keys in order, some pinned by
     ``fixed``; "factor" follows them, and "h" = M/m and "rows" are derived.
-    ``draws`` run in params-stream order, then ``sample`` builds the operands.
+    ``draws`` are (name, draw) entries run in params-stream order; each value
+    drawn, or the pin put in its place, is visible to the later entries, and
+    then ``sample`` builds the operands.
     ``cells`` are the hypothesis, comparison and factor cells of the id's row
     in the README table, which is rendered from them.
     """
@@ -625,7 +588,7 @@ class _Inequality:
     require: Callable | None
     factor: Callable | None
     compare: Callable
-    draws: tuple[Callable, ...]
+    draws: tuple[tuple[str, Callable], ...]
     sample: Callable
     cells: tuple[str, str, str]
     fixed: dict = field(default_factory=dict)
@@ -653,7 +616,7 @@ def _cosh_factor(v: dict) -> float:
     return (_exp(2.0 * M, "2M") + _exp(2.0 * m, "2m")) / (2.0 * _exp(M + m, "M+m"))
 
 
-_GT_DRAWS = (_hermitian_range, _draw_alpha, _draw_gt_power)
+_GT_DRAWS = _HERMITIAN_RANGE + _ALPHA + _GT_P
 _SQUARED = {"alpha": 0.5, "p": 2.0}
 
 _INEQUALITIES = {
@@ -663,7 +626,7 @@ _INEQUALITIES = {
         require=_require_olson_sandwich,
         factor=lambda v: max(specht(v["s"]), specht(v["t"])) ** v["r"],
         compare=_power_low,
-        draws=(_unpinned_pd_range, _sandwich_scalars, _draw_alpha, _draw_low_power),
+        draws=_PD_RANGE + _SANDWICH + _ALPHA + _LOW_R,
         sample=_sandwich_sample,
         cells=(
             "sandwich", "Loewner, `(A #_a B)^r` vs mean of powers, `0 < r <= 1`",
@@ -674,14 +637,14 @@ _INEQUALITIES = {
         ("alpha", "r", "s", "t"), (_alpha, _high_r, _sandwich), require=_require_olson_sandwich,
         factor=lambda v: max(specht(v["s"] ** v["r"]), specht(v["t"] ** v["r"])),
         compare=_eigen_power,
-        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_olson_sandwich_sample,
+        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_olson_sandwich_sample,
         cells=("power sandwich", "eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
     ),
     "specht-pq": _Inequality(
         ("alpha", "q", "p", "s", "t"), (_alpha, _q_le_p, _sandwich),
         require=_require_olson_sandwich,
         factor=lambda v: max(specht(v["s"] ** v["p"]), specht(v["t"] ** v["p"])) ** (1.0 / v["p"]),
-        compare=_pq, draws=(_pd_range, _draw_qp, _draw_alpha), sample=_olson_sandwich_sample,
+        compare=_pq, draws=_PD_RANGE + _QP + _ALPHA, sample=_olson_sandwich_sample,
         cells=(
             "power sandwich", "eigenvalues, two exponents `0 < q <= p`",
             "`max(S(s^p), S(t^p))^(1/p)`",
@@ -692,20 +655,20 @@ _INEQUALITIES = {
         ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds),
         require=_require_bounded, factor=lambda v: specht(v["h"]) ** v["r"],
         compare=_power_low,
-        draws=(_pd_range, _draw_alpha, _draw_low_power), sample=_pd_pair_sample,
+        draws=_PD_RANGE + _ALPHA + _LOW_R, sample=_pd_pair_sample,
         cells=("bounded", "Loewner, `0 < r <= 1`", "`S(h)^r`, `h = M/m`"),
     ),
     "bounded-eigen-power": _Inequality(
         ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds),
         require=_require_bounded, factor=lambda v: specht(v["h"] ** v["r"]),
         compare=_eigen_power,
-        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_pd_pair_sample,
         cells=("bounded", "eigenvalues, `r >= 1`", "`S(h^r)`"),
     ),
     "bounded-pq": _Inequality(
         ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds),
         require=_require_bounded, factor=lambda v: specht(v["h"] ** v["p"]) ** (1.0 / v["p"]),
-        compare=_pq, draws=(_pd_range, _draw_alpha, _draw_qp), sample=_pd_pair_sample,
+        compare=_pq, draws=_PD_RANGE + _ALPHA + _QP, sample=_pd_pair_sample,
         cells=("bounded", "eigenvalues, `0 < q <= p`", "`S(h^p)^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
@@ -729,7 +692,7 @@ _INEQUALITIES = {
         require=_require_exponential_olson,
         factor=lambda v: max(specht(_exp(2.0 * v["s"], "2s")), specht(_exp(2.0 * v["t"], "2t"))),
         compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
-        draws=(_hermitian_range,), sample=_exp_olson_sample,
+        draws=_HERMITIAN_RANGE, sample=_exp_olson_sample,
         cells=(
             "exp-Olson", "norm of `e^{H+K}` vs `e^{2H} # e^{2K}`",
             "`max(S(e^{2s}), S(e^{2t}))`",
@@ -746,7 +709,7 @@ _INEQUALITIES = {
         ("m", "M", "h", "rows"), (_positive_m, _bounds), require=_require_compression,
         factor=lambda v: (v["m"] + v["M"]) ** 2 / (4.0 * v["m"] * v["M"]),
         compare=_compression,
-        draws=(_pd_range, lambda rng, ov, n: {"rows": int(rng.integers(1, n + 1))}),
+        draws=_PD_RANGE + _ROWS,
         sample=lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
         cells=("bounded `A`", "Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
     ),
@@ -767,7 +730,7 @@ _INEQUALITIES = {
         ("alpha", "p", "m", "M"), (_bounds,), fixed=_SQUARED,
         require=_require_bounded_hk, factor=_cosh_factor,
         compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
-        draws=(_hermitian_range,), sample=_bounded_sample,
+        draws=_HERMITIAN_RANGE, sample=_bounded_sample,
         cells=(
             "bounded spectra", "eigenvalues of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`cosh(M - m)`",
         ),
@@ -777,21 +740,21 @@ _INEQUALITIES = {
         ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds, _chain_top),
         require=_require_chain, factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
         compare=_power_low,
-        draws=(_chain_range, _draw_alpha, _draw_low_power), sample=_chain_sample,
+        draws=_CHAIN_RANGE + _ALPHA + _LOW_R, sample=_chain_sample,
         cells=("chain", "Loewner, `0 < r <= 1`", "difference factor"),
     ),
     "fm-eigen-power": _Inequality(
         ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds, _chain_top),
         require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
         compare=_eigen_power,
-        draws=(_chain_range, _draw_high_power, _draw_alpha), sample=_chain_sample,
+        draws=_CHAIN_RANGE + _HIGH_R + _ALPHA, sample=_chain_sample,
         cells=("chain", "eigenvalues, `r >= 1`", "difference factor"),
     ),
     "fm-pq": _Inequality(
         ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds, _chain_top),
         require=_require_chain,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
-        compare=_pq, draws=(_chain_range, _draw_qp, _draw_alpha), sample=_chain_sample,
+        compare=_pq, draws=_CHAIN_RANGE + _QP + _ALPHA, sample=_chain_sample,
         cells=("chain", "eigenvalues, `0 < q <= p`", "difference factor"),
     ),
     "gt-fm": _Inequality(
@@ -801,19 +764,19 @@ _INEQUALITIES = {
             _exp(v["p"] * (v["M"] - v["m"]), "p(M-m)"), v["alpha"], 1.0 / v["p"]
         ),
         compare=_gt_eigen,
-        draws=(_exp_chain_range, _draw_gt_power, _draw_alpha), sample=_exp_chain_sample,
+        draws=_EXP_CHAIN_RANGE + _GT_P + _ALPHA, sample=_exp_chain_sample,
         cells=("exp-chain", "eigenvalues", "difference factor"),
     ),
     # Forward baselines: no hypothesis, no factor
     "forward-ando-hiai": _Inequality(
         ("alpha", "r"), (_alpha, _high_r), require=None, factor=None,
         compare=_log_majorization,
-        draws=(_pd_range, _draw_alpha, _draw_high_power), sample=_pd_pair_sample,
+        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_pd_pair_sample,
         cells=("positive pair", "log-majorization, `r >= 1`", "1"),
     ),
     "forward-gt-trace": _Inequality(
         (), (), require=None, factor=None,
-        compare=_trace, draws=(_hermitian_range,), sample=_bounded_sample,
+        compare=_trace, draws=_HERMITIAN_RANGE, sample=_bounded_sample,
         cells=("Hermitian pair", "trace", "1"),
     ),
     "forward-mean-norm": _Inequality(
@@ -823,6 +786,9 @@ _INEQUALITIES = {
         cells=("Hermitian pair", "unitarily invariant norms", "1"),
     ),
 }
+
+#: Every name some row draws and a caller may pin, in first-drawn order.
+PIN_NAMES = tuple(dict.fromkeys(name for ident in _INEQUALITIES for name in _pinnable(ident)))
 
 
 def _row(inequality_id: str) -> _Inequality:
@@ -852,9 +818,16 @@ def certify_inequality(
     digest).  ``params`` are exactly the row's parameters less those it
     fixes (alpha and p of the -squared ids) and the derived h = M/m and
     rows.  BadRangeError names an unknown id, a given name the row does not
-    take, fixes or derives, and a missing name.
+    take, fixes or derives, and a missing name; TypeError names an operand
+    that is not a HermitianMatrix (U excepted).
     """
     spec = _row(inequality_id)
+    for label, operand in zip("xy", (x,) if "rows" in spec.params else (x, y)):
+        if not isinstance(operand, HermitianMatrix):
+            raise TypeError(
+                f"{inequality_id}: operand {label} must be a HermitianMatrix, "
+                f"got {type(operand).__name__}"
+            )
     fixed = sorted(set(params) & set(spec.fixed))
     derived = sorted(set(params) & set(_DERIVED))
     unknown = sorted(set(params) - set(spec.taken) - set(spec.fixed) - set(_DERIVED))
@@ -1036,11 +1009,16 @@ def convergence_study(
 
 def _recipe(inequality_id, index, seed, n, mode, rng, ov, tolerance):
     """Draw one instance's free parameters in its row's order, sample its
-    operands, and certify it."""
+    operands, and certify it.
+
+    Every entry draws, pinned or not, so a pin moves no other draw; the pin
+    in ``ov``, if any, then takes the drawn value's place, and the later
+    entries read it."""
     spec = _INEQUALITIES[inequality_id]
     drawn = {}
-    for draw in spec.draws:
-        drawn.update(draw(rng, ov, n))
+    for name, draw in spec.draws:
+        value = draw(rng, drawn, n)
+        drawn[name] = ov.get(name, value)
     cfg = SamplerConfig(n, seed, drawn["m"], drawn["M"], mode)
     x, y, sampled = spec.sample(cfg, index, drawn)
     drawn.update(sampled)
@@ -1090,18 +1068,19 @@ def run_instances(
     Instance i draws its free parameters from the Philox stream (seed, i,
     params tag); the dimension cycles through 2..6 unless pinned by ``n``,
     and the sampler alternates general/commuting pairs unless ``mode`` pins
-    one.  ``param_overrides`` pins drawn parameters; pinning a name the id
-    does not draw raises BadRangeError.  Reports come back in instance
-    order, bit-reproducible per seed.
+    one.  ``param_overrides`` pins drawn parameters: a pin takes the place
+    of its name's draw, which still runs, so it moves no other draw but
+    those that read it (M from m, p from q, t from s, and m from M on the
+    chain rows).  Pinning a name the id does not draw raises BadRangeError.
+    Reports come back in instance order, bit-reproducible per seed.
     """
     _row(inequality_id)
+    seed = _checked_seed(seed)
     if count < 1:
         raise BadRangeError(f"count must be >= 1, got {count}")
-    if mode is not None and mode not in (MODE_GENERAL, MODE_COMMUTING):
-        raise BadRangeError(f"mode must be 'general' or 'commuting', got {mode!r}")
     tolerance = _check_tolerance(tolerance)
     recipe = RECIPES[inequality_id]
-    overrides = dict(param_overrides or {})
+    overrides = param_overrides or {}
     pinnable = _pinnable(inequality_id)
     ignored = sorted(set(overrides) - set(pinnable))
     if ignored:
@@ -1109,18 +1088,19 @@ def run_instances(
             f"{inequality_id} does not draw {', '.join(ignored)}, so it cannot be pinned; "
             f"pinnable: {', '.join(pinnable) or 'none'}"
         )
-    for name, value in overrides.items():
-        if not math.isfinite(float(value)):
+    pins = {name: float(value) for name, value in overrides.items()}
+    for name, value in pins.items():
+        if not math.isfinite(value):
             raise BadRangeError(f"pinned {name} must be finite, got {value}")
     reports = []
     started = time.perf_counter()
     for index in range(count):
-        use_n = int(n) if n is not None else N_CYCLE[index % len(N_CYCLE)]
+        use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
         use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
         rng = philox_generator(seed, index, TAG_PARAMS)
         report = recipe(
             index=index, seed=seed, n=use_n, mode=use_mode, rng=rng,
-            ov=overrides, tolerance=tolerance,
+            ov=pins, tolerance=tolerance,
         )
         reports.append(dataclasses.replace(report, mode=use_mode))
     elapsed = time.perf_counter() - started

@@ -19,6 +19,7 @@ from .certify import (
     CSV_HEADER,
     DEFAULT_TOLERANCE,
     INEQUALITY_IDS,
+    PIN_NAMES,
     SweepResult,
     compare_constants_remark,
     convergence_study,
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--commuting", action="store_true",
         help="sample commuting pairs only (default: alternate general/commuting)",
     )
-    for flag in ("alpha", "p", "q", "r", "m", "M", "s", "t"):
+    for flag in PIN_NAMES:
         p_cert.add_argument(
             f"--{flag}", type=float, default=None,
             help=f"pin the drawn parameter {flag} (exit 2 if the id does not draw it)",
@@ -220,11 +221,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("alpha", "p", "q", "r", "m", "M", "s", "t")
-        if getattr(args, key) is not None
-    }
+    overrides = {key: getattr(args, key) for key in PIN_NAMES if getattr(args, key) is not None}
     result = run_instances(
         args.inequality_id,
         count=args.count,

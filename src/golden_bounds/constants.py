@@ -10,6 +10,7 @@ one fired.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BadRangeError, EmptySequenceError, NonPositiveError
@@ -20,6 +21,8 @@ BRANCH_LIMIT = "limit"
 
 SPECHT_SERIES_WINDOW = 1e-6
 KANTOROVICH_LIMIT_WINDOW = 1e-8
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,14 @@ def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
     # K(w, a) = K(1/w, a); evaluating at w >= 1 keeps w^a - w from cancelling
     u = abs(math.log(w))
     try:
+        if u > _LOG_DOUBLE_MAX:
+            # w < 1/DBL_MAX, where e^u overflows: the same formula with the
+            # powers of e^u divided out of each factor, so only e^{-u} remains
+            em1 = math.expm1((alpha - 1.0) * u)
+            prefactor = em1 / ((alpha - 1.0) * -math.expm1(-u))
+            base = (1.0 - alpha) / alpha * math.expm1(-alpha * u) / em1
+            tail = math.exp(alpha * (alpha - 1.0) * u)
+            return prefactor * math.pow(base, alpha) * tail, BRANCH_DIRECT
         w_minus_1 = math.expm1(u)
         wa_minus_1 = math.expm1(alpha * u)
         wa_minus_w = wa_minus_1 - w_minus_1
@@ -135,12 +146,14 @@ def kantorovich_lower_bound(w: float) -> float:
 
 def _check_decreasing_positive(values, name: str) -> list[float]:
     """``values`` as floats, checked nonempty (EmptySequenceError), positive
-    (NonPositiveError) and strictly decreasing (BadRangeError)."""
+    (NonPositiveError), finite and strictly decreasing (BadRangeError)."""
     seq = [float(v) for v in values]
     if not seq:
         raise EmptySequenceError(f"{name} must be nonempty")
     if any(not v > 0.0 for v in seq):
         raise NonPositiveError(f"{name} must be positive, got {seq}")
+    if any(math.isinf(v) for v in seq):
+        raise BadRangeError(f"{name} must be finite, got {seq}")
     if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
         raise BadRangeError(f"{name} must be strictly decreasing, got {seq}")
     return seq

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadIndexError,
+    BadRangeError,
     CondError,
     DimMismatchError,
     DomainError,
@@ -37,6 +38,12 @@ JACOBI_OFFDIAG_RTOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 COND_LIMIT = 1e12
 
+#: _jacobi scales its input by a power of two (exact) that brings the binary
+#: exponent of its largest real or imaginary part into [-400, 400]: sums of
+#: squared magnitudes then stay finite, the squares that reach the stopping
+#: test stay normal, and an input already inside the range is rotated as it is.
+_JACOBI_EXPONENT_LIMIT = 400
+
 
 def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     """Diagonalize a Hermitian array by cyclic Jacobi rotations.
@@ -46,7 +53,10 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     on the first read of their eigenvectors, so a spectrum that is only read
     for its eigenvalues never pays for them. Sweeps stop once the
     off-diagonal Frobenius mass falls below 1e-14 times the Frobenius norm of
-    the input; the 100-sweep cap raises NoConvergenceError.
+    the input; the 100-sweep cap raises NoConvergenceError.  The input is
+    rotated as its copy scaled by 2^k (see _JACOBI_EXPONENT_LIMIT), which
+    leaves every rotation as it is, and the eigenvalues are scaled back by
+    2^-k.
 
     The rotations run on nested lists of Python complex scalars: at the small
     dimensions used here, per-element numpy indexing costs more than the
@@ -56,9 +66,11 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     exact zero (on real input, the sign of a zero imaginary part in an
     eigenvector can differ).
     """
-    arr = np.asarray(matrix, dtype=np.complex128)
-    n = arr.shape[0]
-    a = arr.tolist()
+    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    n = parts.shape[0]
+    peak = math.frexp(np.abs(parts).max())[1]
+    exponent = min(max(peak, -_JACOBI_EXPONENT_LIMIT), _JACOBI_EXPONENT_LIMIT) - peak
+    a = np.ldexp(parts, exponent).view(np.complex128).tolist()
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     steps = []
     threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(
@@ -135,7 +147,7 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
             row_p[p] = c * (c * app - w * apq) - wc * (c * aqp - w * aqq)
             row_q[q] = s * (s * app + z * apq) + zc * (s * aqp + z * aqq)
             row_p[q] = 0j
-    vals = np.array([a[i][i].real for i in range(n)])
+    vals = np.ldexp([a[i][i].real for i in range(n)], -exponent)
     order = np.argsort(-vals, kind="stable")
     return vals[order], _RotationLog(steps, order.tolist())
 
@@ -373,7 +385,10 @@ class HermitianMatrix:
     def __mul__(self, factor):
         if not isinstance(factor, Real):
             return NotImplemented
-        return self._scaled(float(factor))
+        factor = float(factor)
+        if not math.isfinite(factor):
+            raise BadRangeError(f"a matrix scale factor must be finite, got {factor}")
+        return self._scaled(factor)
 
     __rmul__ = __mul__
 
@@ -447,7 +462,10 @@ def _norm_family(matrix: HermitianMatrix) -> np.ndarray:
     the singular values."""
     sv = _singular_values_desc(matrix)
     ky_fan = np.cumsum(sv)
-    return np.concatenate([ky_fan, [ky_fan[-1], np.sqrt(np.sum(sv**2)), sv[0]]])
+    # squares of sv scaled by a power of two (exact) to below 1 cannot overflow
+    exponent = math.frexp(sv[0])[1]
+    schatten_2 = np.ldexp(np.sqrt(np.sum(np.ldexp(sv, -exponent) ** 2)), exponent)
+    return np.concatenate([ky_fan, [ky_fan[-1], schatten_2, sv[0]]])
 
 
 def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:

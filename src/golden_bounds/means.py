@@ -11,6 +11,8 @@ which is the limit the reverse trace/eigenvalue bounds sharpen at finite q.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import _check_decreasing_positive
@@ -64,8 +66,8 @@ def mean_power(
 ) -> PositiveDefiniteMatrix:
     """(e^{qH} #_alpha e^{qK})^{1/q} for q > 0."""
     q = float(q)
-    if not q > 0.0:
-        raise BadRangeError(f"q must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise BadRangeError(f"q must be positive and finite, got {q}")
     return power(geometric_mean(exp_h(q * h), exp_h(q * k), alpha), 1.0 / q)
 
 

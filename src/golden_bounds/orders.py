@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadGridError, DimMismatchError, NonPositiveError
+from .errors import BadGridError, BadRangeError, DimMismatchError, NonPositiveError
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -147,6 +147,8 @@ def _positive_desc(values, name: str) -> np.ndarray:
         raise DimMismatchError(f"{name} must be a nonempty 1-d value sequence")
     if np.any(arr <= 0.0):
         raise NonPositiveError(f"{name} must be strictly positive, got {arr.tolist()}")
+    if not np.all(np.isfinite(arr)):
+        raise BadRangeError(f"{name} must be finite, got {arr.tolist()}")
     return np.sort(arr)[::-1]
 
 

@@ -19,6 +19,7 @@ commute to rounding error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,10 +70,11 @@ class SamplerConfig:
     mode: str = MODE_GENERAL
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise BadRangeError(f"dim must be a positive integer, got {self.dim}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _SEED_LIMIT:
-            raise BadRangeError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        dim = _integer(self.dim, "dim")
+        if dim < 1:
+            raise BadRangeError(f"dim must be a positive integer, got {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise BadRangeError(f"spectral range must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
@@ -81,18 +83,36 @@ class SamplerConfig:
             raise BadRangeError(f"mode must be 'general' or 'commuting', got {self.mode!r}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, through
+    operator.index; any other value, 3.0 included, raises BadRangeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadRangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, checked to be a 64-bit unsigned integer."""
+    seed = _integer(seed, "seed")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise BadRangeError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
+
+
 def philox_generator(seed: int, index: int, tag: int) -> np.random.Generator:
     """Counter-based generator for stream (seed, index, tag).
 
     The 256-bit Philox counter is laid out as index * 2^128 + tag * 2^64, so
     distinct (index, tag) pairs can never collide and draws are independent
-    of the order in which streams are opened.
+    of the order in which streams are opened.  Seed, index and tag are
+    integers, Python or numpy; any other value raises BadRangeError.
     """
-    if not 0 <= seed < _SEED_LIMIT:
-        raise BadRangeError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    seed = _checked_seed(seed)
+    index, tag = _integer(index, "index"), _integer(tag, "tag")
     if index < 0 or tag < 0:
         raise BadRangeError(f"index and tag must be nonnegative, got ({index}, {tag})")
-    counter = (int(index) << 128) + (int(tag) << 64)
+    counter = (index << 128) + (tag << 64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 

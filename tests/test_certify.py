@@ -302,6 +302,16 @@ def test_bounded_hypothesis_violation_detected():
         certify_inequality("bounded-eigen-power", a, b, m=1.0, M=1.8, alpha=0.5, r=2.0)
 
 
+def test_bounded_hypothesis_violation_detected_at_1e200():
+    # the spectra are [1.9e200, 1e199] and [1.9e200, 1e199], not [1e200, 1e200]
+    a = PositiveDefiniteMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]) * 1e200)
+    b = PositiveDefiniteMatrix(np.array([[1.0, -0.9], [-0.9, 1.0]]) * 1e200)
+    with raises_exactly("spectrum of A = [1e+199, 1.9e+200] escapes the bounds [5e+199, 1.5e+200]"):
+        certify_inequality(
+            "bounded-eigen-power", a, b, alpha=0.5, r=1.0, m=5e199, M=1.5e200
+        )
+
+
 def test_chain_hypothesis_violations_detected():
     a, b = commuting_pd_pair([0.5, 0.3], [0.45, 0.6], seed=15)  # not ordered
     with raises_exactly("hypothesis A <= B fails: min eigenvalue of difference = -5.000e-02"):
@@ -872,18 +882,37 @@ def test_run_instances_param_overrides():
     assert result.all_hold
 
 
-@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
-def test_pinnable_names_are_the_pins_its_draws_read(inequality_id):
-    # A draw reads a pin when the pinned value comes back unchanged.
-    from golden_bounds.certify import _INEQUALITIES, _pinnable
+def _drawn(monkeypatch, inequality_id, seed, pins, count=6) -> list[dict]:
+    """Per instance of a sweep, its report parameters with the m and M the
+    recipe drew for its sampler in place of any reported ones."""
+    configs = []
+    monkeypatch.setattr(
+        certify, "SamplerConfig", lambda *args: configs.append(args) or SamplerConfig(*args)
+    )
+    reports = run_instances(inequality_id, count=count, seed=seed, param_overrides=pins).reports
+    return [{**rep.parameters, "m": cfg[2], "M": cfg[3]} for rep, cfg in zip(reports, configs)]
 
-    read = set()
-    for draw in _INEQUALITIES[inequality_id].draws:
-        for name in ("alpha", "p", "q", "r", "m", "M", "s", "t"):
-            out = draw(np.random.default_rng(0), {name: 0.4242}, 3)
-            if out.get(name) == 0.4242:
-                read.add(name)
-    assert set(_pinnable(inequality_id)) == read
+
+@pytest.mark.parametrize("inequality_id, name, value", [
+    ("gt-specht", "alpha", 0.3),
+    ("fm-eigen-power", "r", 1.5),
+])
+def test_a_pin_moves_no_other_draw(monkeypatch, inequality_id, name, value):
+    kept = [other for other in certify._pinnable(inequality_id) if other != name]
+    free = _drawn(monkeypatch, inequality_id, 3, {})
+    pinned = _drawn(monkeypatch, inequality_id, 3, {name: value})
+    assert [{k: d[k] for k in kept} for d in pinned] == [{k: d[k] for k in kept} for d in free]
+    assert {d[name] for d in pinned} == {value}
+
+
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_every_drawn_name_can_be_pinned(monkeypatch, inequality_id):
+    # seed 4's first draw, a consistent set, pinned whole on seed 3's instance
+    pinnable = certify._pinnable(inequality_id)
+    (other,) = _drawn(monkeypatch, inequality_id, 4, {}, count=1)
+    pins = {name: other[name] for name in pinnable}
+    (got,) = _drawn(monkeypatch, inequality_id, 3, pins, count=1)
+    assert {name: got[name] for name in pinnable} == pins
 
 
 def test_run_instances_validation():
@@ -893,6 +922,9 @@ def test_run_instances_validation():
         run_instances("gt-specht", count=0)
     with pytest.raises(BadRangeError):
         run_instances("gt-specht", count=1, mode="sideways")
+    # a name the id does not draw is refused before its value is read
+    with pytest.raises(BadRangeError, match="does not draw alpha.*pinnable:"):
+        run_instances("kantorovich-matrix", count=1, param_overrides={"alpha": "half"})
 
 
 def test_every_recipe_produces_holding_reports():

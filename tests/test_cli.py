@@ -327,12 +327,31 @@ def test_certify_parameter_pins(capsys):
     assert params["p"] == 2.0
 
 
+def test_certify_pins_the_spectral_range_of_the_sandwich(capsys, monkeypatch):
+    spectra = []
+    certify_one = certify.certify_inequality
+
+    def recording(inequality_id, x, y, /, **params):
+        spectra.append(x.eigenvalues)
+        return certify_one(inequality_id, x, y, **params)
+
+    monkeypatch.setattr(certify, "certify_inequality", recording)
+    code, _, err = run_cli(
+        capsys, "certify", "specht-power-low", "--count", "4", "--seed", "3",
+        "--m", "0.5", "--M", "0.6",
+    )
+    assert code == 0, err
+    assert len(spectra) == 4
+    for eigenvalues in spectra:
+        assert 0.5 <= eigenvalues.min() and eigenvalues.max() <= 0.6
+
+
 @pytest.mark.parametrize(
     "inequality_id, pins",
     [
         ("gt-specht", ("--s", "0.1", "--t", "0.2")),
         ("gt-kantorovich", ("--s", "-0.5",)),
-        ("specht-power-low", ("--m", "0.5", "--M", "0.6")),
+        ("kantorovich-matrix", ("--alpha", "0.5")),
         ("gt-kantorovich-squared", ("--p", "1.0")),
         ("bounded-power-low", ("--q", "0.5")),
     ],
@@ -381,6 +400,12 @@ def test_float_overflow_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "double" in err and out == ""
+
+
+def test_constants_kantorovich_of_a_subnormal_w(capsys):
+    code, out, err = run_cli(capsys, "constants", "kantorovich", "1e-320", "0.5")
+    assert (code, err) == (0, "")
+    assert float(out) == pytest.approx(oracles.kantorovich_mp(1e-320, 0.5), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -168,16 +168,19 @@ def test_kantorovich_matches_mpmath_on_grid():
             )
 
 
-@pytest.mark.parametrize("w", [1e-300, 1e-200, 1e-20, 1e-5, 0.3])
+@pytest.mark.parametrize("w", [5e-324, 1e-320, 1e-309, 1e-300, 1e-200, 1e-20, 1e-5, 0.3])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_kantorovich_matches_mpmath_for_small_w(w, alpha):
-    # w^a - w cancels for tiny w unless the constant is evaluated at 1/w.
-    assert kantorovich(w, alpha) == pytest.approx(oracles.kantorovich_mp(w, alpha), rel=1e-13)
+    # w^a - w cancels for tiny w unless the constant is evaluated at 1/w,
+    # and below 1/DBL_MAX 1/w itself leaves double range.  K is as small
+    # as 3e-81 here, so the default absolute tolerance is switched off.
+    expected = oracles.kantorovich_mp(w, alpha)
+    assert kantorovich(w, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_kantorovich_small_w_closed_form_and_range():
     assert kantorovich(1e-20, 2.0) == pytest.approx((1.0 + 1e-20) ** 2 / 4e-20, rel=1e-13)
-    for w, alpha in ((1e-300, 2.0), (1e-300, 3.0), (1e-320, 0.5)):
+    for w, alpha in ((1e-300, 2.0), (1e-300, 3.0), (1e-320, 2.0)):
         with pytest.raises(BadRangeError, match="exceeds double range"):
             kantorovich(w, alpha)
 

@@ -646,3 +646,42 @@ def test_inv_sqrt_congruence_guards():
         inv_sqrt_congruence(
             PositiveDefiniteMatrix(np.diag([1e14, 1.0])), PositiveDefiniteMatrix(np.eye(2))
         )
+
+
+# ---------------------------------------------------------------------------
+# Extreme magnitudes
+# ---------------------------------------------------------------------------
+
+_EDGE_SCALES = [1e200, 1e-200, 1e300, 1e-300]
+
+
+@pytest.mark.parametrize("scale", _EDGE_SCALES)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spectrum_is_right_at_the_edge_of_double_range(scale, kind):
+    if kind == "real":
+        entries = np.array([[1.0, 0.9], [0.9, 1.0]])
+    else:
+        raw = np.random.default_rng(5).normal(size=(2, 4, 4))
+        entries = (raw[0] + 1j * raw[1] + (raw[0] + 1j * raw[1]).conj().T) / 2.0
+    expected = np.linalg.eigvalsh(entries * scale)[::-1]
+    got = HermitianMatrix(entries * scale).eigenvalues
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_a_spread_of_400_decades_keeps_both_eigenvalues():
+    # scaled into range, 1e-200 stays 2^-1329 of 1e200, above the 2^-1474 lost
+    assert list(PositiveDefiniteMatrix(np.diag([1e200, 1e-200])).eigenvalues) == [1e200, 1e-200]
+
+
+@pytest.mark.parametrize("scale", _EDGE_SCALES)
+def test_positive_definite_rejects_an_indefinite_matrix_at_any_scale(scale):
+    with pytest.raises(DomainError, match="not positive definite"):
+        PositiveDefiniteMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]) * scale)
+
+
+@pytest.mark.parametrize("scale", _EDGE_SCALES)
+def test_norm_family_is_right_at_the_edge_of_double_range(scale):
+    m = HermitianMatrix(np.diag([3.0, -4.0]) * scale)
+    assert ky_fan_norm(m, 2) == pytest.approx(7.0 * scale, rel=1e-15, abs=0.0)
+    assert schatten_norm(m, 2) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+    assert schatten_norm(m, math.inf) == 4.0 * scale

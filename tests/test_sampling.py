@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from golden_bounds import sampling
-from golden_bounds.certify import certify_inequality, compare_specht_vs_fm
+from golden_bounds.certify import certify_inequality, compare_specht_vs_fm, run_instances
 from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError
 from golden_bounds.linalg import HermitianMatrix, exp_h
+from golden_bounds.means import limit_probe, mean_power
 from golden_bounds.orders import loewner_leq, olson_leq, sandwich_bounds, weak_log_majorizes
 from golden_bounds.sampling import (
     MODE_COMMUTING,
@@ -65,6 +66,7 @@ def test_config_validation():
 
 _CFG_3 = SamplerConfig(3, 1, 0.5, 2.0)
 _SIGNED = SamplerConfig(2, 0, -1.0, 1.0)
+_I2 = HermitianMatrix(np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -95,11 +97,38 @@ _SIGNED = SamplerConfig(2, 0, -1.0, 1.0)
          "values_a must be a nonempty 1-d value sequence"),
         (lambda: HermitianMatrix(np.eye(2)) + 1.0, TypeError,
          "unsupported operand type(s) for +: 'HermitianMatrix' and 'float'"),
+        (lambda: certify_inequality("forward-gt-trace", np.eye(2), np.eye(2)), TypeError,
+         "forward-gt-trace: operand x must be a HermitianMatrix, got ndarray"),
+        (lambda: HermitianMatrix(np.eye(2)) * math.inf, BadRangeError,
+         "a matrix scale factor must be finite, got inf"),
+        (lambda: mean_power(_I2, _I2, 0.5, math.inf), BadRangeError,
+         "q must be positive and finite, got inf"),
+        (lambda: limit_probe(_I2, _I2, 0.5, [math.inf, 1.0]), BadRangeError,
+         "q_sequence must be finite, got [inf, 1.0]"),
+        (lambda: weak_log_majorizes([math.nan, 1.0], [1.0, 1.0]), BadRangeError,
+         "values_a must be finite, got [nan, 1.0]"),
+        (lambda: weak_log_majorizes([1.0, 1.0], [math.inf, 1.0]), BadRangeError,
+         "values_b must be finite, got [inf, 1.0]"),
+        (lambda: philox_generator(3.0, 0, 0), BadRangeError, "seed must be an integer, got 3.0"),
+        (lambda: philox_generator(3, 1.5, 0), BadRangeError, "index must be an integer, got 1.5"),
+        (lambda: SamplerConfig(2.0, 0, 0.1, 1.0), BadRangeError, "dim must be an integer, got 2.0"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_seeds_and_indices_may_be_numpy_integers():
+    cfg = SamplerConfig(np.int64(3), np.uint64(2), 0.1, 1.0)
+    assert (type(cfg.dim), type(cfg.seed), cfg.dim, cfg.seed) == (int, int, 3, 2)
+    stream = philox_generator(np.int64(3), np.int32(1), np.uint8(5)).uniform(size=4)
+    assert stream.tolist() == philox_generator(3, 1, 5).uniform(size=4).tolist()
+    numpy_seed = run_instances("gt-specht", count=2, seed=np.int64(3))
+    assert type(numpy_seed.seed) is int
+    assert [r.to_json() for r in numpy_seed.reports] == [
+        r.to_json() for r in run_instances("gt-specht", count=2, seed=3).reports
+    ]
 
 
 def test_golden_pd_spectra_frozen():
