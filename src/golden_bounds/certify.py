@@ -38,7 +38,6 @@ from .linalg import (
     HYPOTHESIS_RTOL,
     HermitianMatrix,
     PositiveDefiniteMatrix,
-    _loewner_violation,
     _norm_family,
     _spectral_scale,
     congruence,
@@ -47,7 +46,7 @@ from .linalg import (
     trace,
 )
 from .means import _check_alpha, geometric_mean, log_euclidean, mean_power
-from .orders import log_majorizes
+from .orders import loewner_leq
 from .sampling import (
     MODE_COMMUTING,
     MODE_GENERAL,
@@ -194,11 +193,11 @@ def _norm_sides(lhs_mat, rhs_mat, factor):
 
 
 def _demand_loewner(lhs: HermitianMatrix, rhs: HermitianMatrix, what: str) -> None:
-    """Require lhs <= rhs by the shared Loewner test, ``linalg._loewner_violation``
+    """Require lhs <= rhs by the shared Loewner test, ``orders.loewner_leq``
     (the chain samplers accept their pairs by it too), naming a violation by
     the smallest eigenvalue of the difference."""
-    smallest = _loewner_violation(lhs, rhs)
-    if smallest is not None:
+    if not loewner_leq(lhs, rhs):
+        smallest = float((rhs - lhs).eigenvalues[-1])
         raise HypothesisViolatedError(
             f"hypothesis {what} fails: min eigenvalue of difference = {smallest:.3e}"
         )
@@ -450,14 +449,24 @@ def _compression(a, u, v):
 
 
 def _log_majorization(a, b, v):
-    """Cumulative log-products of both spectra plus the k = n equality entry."""
+    """Cumulative log-products of both spectra plus the k = n equality entry.
+
+    The margin at k is -expm1(sum_{i<=k} log lhs_i - sum_{i<=k} log rhs_i),
+    positive when the k-th partial product of the lhs sits below the rhs's;
+    the equality entry's is -|expm1(log det lhs - log det rhs)|.
+    """
     lhs_eigs, rhs_eigs = (mean.eigenvalues for mean in _power_means(a, b, v))
-    cert = log_majorizes(lhs_eigs, rhs_eigs)
     cum_lhs = np.cumsum(np.log(lhs_eigs))
     cum_rhs = np.cumsum(np.log(rhs_eigs))
+    # The margins take their logs on reversed views, which np.log may round
+    # differently from the contiguous spectra above in the last bit.
+    log_lhs, log_rhs = (np.log(np.sort(eigs)[::-1]) for eigs in (lhs_eigs, rhs_eigs))
+    margins = [-math.expm1(gap) for gap in np.cumsum(log_lhs) - np.cumsum(log_rhs)]
+    margins.append(-abs(math.expm1(float(np.sum(log_lhs) - np.sum(log_rhs)))))
+    labels = [f"k={k + 1}" for k in range(len(lhs_eigs))] + ["total-product"]
     lhs_values = np.concatenate([cum_lhs, [cum_lhs[-1]]])
     rhs_values = np.concatenate([cum_rhs, [cum_rhs[-1]]])
-    return SEMANTICS_EIGENVALUE, cert.labels, lhs_values, rhs_values, cert.margins
+    return SEMANTICS_EIGENVALUE, labels, lhs_values, rhs_values, margins
 
 
 def _trace(h, k, v):

@@ -204,7 +204,7 @@ def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
     return True
 
 
-#: Relative slack of every hypothesis check, the Loewner test below
+#: Relative slack of every hypothesis check, ``orders.loewner_leq``
 #: included: a hypothesis that holds by construction passes within it, and a
 #: violation beyond it is a sampler or caller bug.
 HYPOTHESIS_RTOL = 1e-8
@@ -213,22 +213,6 @@ HYPOTHESIS_RTOL = 1e-8
 def _spectral_scale(a: HermitianMatrix, b: HermitianMatrix, floor: float) -> float:
     """The larger spectral radius of a and b, at least ``floor``."""
     return max(float(np.max(np.abs(a.eigenvalues))), float(np.max(np.abs(b.eigenvalues))), floor)
-
-
-def _loewner_violation(lhs: HermitianMatrix, rhs: HermitianMatrix) -> float | None:
-    """None when lhs <= rhs within tol = 1e-8 * max(the larger spectral
-    radius of lhs and rhs, 1), else the smallest eigenvalue of rhs - lhs.
-
-    A Cholesky factorization of rhs - lhs + tol*I that succeeds passes the
-    check; only when it fails is the spectrum of the difference computed,
-    and that decides.
-    """
-    tolerance = HYPOTHESIS_RTOL * _spectral_scale(lhs, rhs, 1.0)
-    diff = rhs - lhs
-    if _cholesky_succeeds(diff.matrix, tolerance):
-        return None
-    smallest = float(diff.eigenvalues[-1])
-    return None if smallest >= -tolerance else smallest
 
 
 def _require_same_dim(a: HermitianMatrix, b: HermitianMatrix) -> None:
@@ -491,7 +475,11 @@ def trace(matrix: HermitianMatrix) -> complex:
 
 def frobenius_distance(a: HermitianMatrix, b: HermitianMatrix) -> float:
     _require_same_dim(a, b)
-    return float(np.linalg.norm(a.matrix - b.matrix))
+    parts = (a.matrix - b.matrix).view(np.float64)
+    # scaled by a power of two (exact) to below 1, the squares cannot overflow
+    exponent = math.frexp(np.abs(parts).max())[1]
+    scaled = np.ldexp(parts, -exponent).view(np.complex128)
+    return float(np.ldexp(np.linalg.norm(scaled), exponent))
 
 
 def congruence(transform: np.ndarray, matrix: HermitianMatrix) -> HermitianMatrix:

@@ -5,7 +5,7 @@ counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
 their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain);
 a general-mode chain given an exponent grid also tests its Olson middle, by
-the certifiers' own Loewner test ``linalg._loewner_violation`` at each grid
+``orders.olson_leq``, the certifiers' own Loewner test at each grid
 exponent, to pick its perturbation size, and with ``grid=None`` tests
 nothing.  The certifiers re-verify the hypothesis on every instance they are
 given.
@@ -29,12 +29,10 @@ from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     _from_eigen,
-    _loewner_violation,
     congruence,
     log_pd,
-    power,
 )
-from .orders import _validated_grid
+from .orders import _validated_grid, olson_leq
 
 TAG_EIGENVALUES = 1
 TAG_BASIS = 2
@@ -295,8 +293,8 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
     T = I + eX: the Loewner chain survives congruence exactly.  Given a
     ``grid`` (checked in both modes: finite, nonempty, entries >= 1 and 1
     among them), general mode also requires A^v <= B^v at every grid
-    exponent v by the certifiers' own Loewner test,
-    ``linalg._loewner_violation``, shrinking e until every exponent passes;
+    exponent v by ``orders.olson_leq``, the certifiers' own Loewner test at
+    each exponent, shrinking e until every exponent passes;
     if none does, the commuting pair (e = 0) is returned, so generation
     always terminates.  With ``grid=None`` nothing is checked and the first
     e is kept.
@@ -327,9 +325,7 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
         b1 = PositiveDefiniteMatrix(congruence(transform, b0))
         scale = cfg.hi / float(b1.eigenvalues[0])
         a, b = a1 * scale, b1 * scale
-        if grid is None or all(
-            _loewner_violation(power(a, nu), power(b, nu)) is None for nu in grid
-        ):
+        if grid is None or olson_leq(a, b, grid):
             return ChainSample(a=a, b=b, m=float(a.eigenvalues[-1]), M=cfg.hi)
     return exact
 

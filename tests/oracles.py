@@ -2,9 +2,11 @@
 
 Everything here is deliberately primitive and shares no code with the
 package: closed forms for 2x2 spectra, a scaling-and-squaring Taylor series
-for the matrix exponential, and 50-digit mpmath re-evaluations of the scalar
-constants.  The frozen literals below were produced by these evaluators and
-are asserted verbatim so a regression in either side is caught.
+for the matrix exponential, Loewner, Olson and sandwich checks on numpy's
+``eigh`` (not the package's Jacobi eigensolver), and 50-digit mpmath
+re-evaluations of the scalar constants.  The frozen literals below were
+produced by these evaluators and are asserted verbatim so a regression in
+either side is caught.
 """
 
 import math
@@ -41,6 +43,47 @@ def taylor_expm(matrix, terms: int = 40) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def _array(matrix) -> np.ndarray:
+    return np.asarray(getattr(matrix, "matrix", matrix), dtype=np.complex128)
+
+
+def _eigh_power(matrix, r: float) -> np.ndarray:
+    """A^r of a positive definite matrix through numpy's eigh."""
+    vals, vecs = np.linalg.eigh(_array(matrix))
+    return (vecs * vals**r) @ vecs.conj().T
+
+
+def loewner_margin(a, b) -> float:
+    """Smallest eigenvalue of B - A by numpy's eigvalsh: A <= B iff it is >= 0."""
+    return float(np.linalg.eigvalsh(_array(b) - _array(a))[0])
+
+
+def loewner_holds(a, b) -> bool:
+    """A <= B when the smallest eigenvalue of B - A is at least
+    -max(1e-10 * ||B - A||_F, 1e-12)."""
+    diff = _array(b) - _array(a)
+    return loewner_margin(a, b) >= -max(1e-10 * float(np.linalg.norm(diff)), 1e-12)
+
+
+def olson_holds(a, b, grid) -> bool:
+    """A^r <= B^r at every r in ``grid``, each margin lambda_min(B^r - A^r)
+    normalized by the larger spectral norm and held to -1e-9."""
+    for r in grid:
+        a_r, b_r = _eigh_power(a, r), _eigh_power(b, r)
+        scale = max(np.abs(np.linalg.eigvalsh(a_r)).max(), np.abs(np.linalg.eigvalsh(b_r)).max())
+        if loewner_margin(a_r, b_r) / max(scale, 1e-300) < -1e-9:
+            return False
+    return True
+
+
+def sandwich_bounds(a, b) -> tuple[float, float]:
+    """The tightest (lo, hi) with lo*A <= B <= hi*A: the extreme eigenvalues
+    of A^{-1/2} B A^{-1/2}."""
+    inv_sqrt = _eigh_power(a, -0.5)
+    eigs = np.linalg.eigvalsh(inv_sqrt @ _array(b) @ inv_sqrt)
+    return float(eigs[0]), float(eigs[-1])
 
 
 def specht_mp(t) -> float:

@@ -381,7 +381,7 @@ def test_loewner_check_on_a_difference_never_replays(solver_counts):
     a = random_pd_array(rng, 4)
     b = a + PositiveDefiniteMatrix(np.eye(4))
     assert solver_counts == {"jacobi": 2, "replay": 0, "builds": 0}
-    assert loewner_leq(a, b).holds
+    assert loewner_leq(a, b)
     assert solver_counts == {"jacobi": 3, "replay": 0, "builds": 0}
 
 
@@ -685,3 +685,14 @@ def test_norm_family_is_right_at_the_edge_of_double_range(scale):
     assert ky_fan_norm(m, 2) == pytest.approx(7.0 * scale, rel=1e-15, abs=0.0)
     assert schatten_norm(m, 2) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
     assert schatten_norm(m, math.inf) == 4.0 * scale
+
+
+@pytest.mark.parametrize("scale", _EDGE_SCALES)
+def test_frobenius_distance_is_right_at_the_edge_of_double_range(scale):
+    # 1e200 * I against -1e200 * I: the squares of the entries of the
+    # difference leave double range, the distance 2 * sqrt(2) * 1e200 does not
+    a = HermitianMatrix(np.eye(2) * scale)
+    b = HermitianMatrix(-np.eye(2) * scale)
+    expected = 2.0 * math.sqrt(2.0) * scale
+    assert frobenius_distance(a, b) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert frobenius_distance(a, a) == 0.0
