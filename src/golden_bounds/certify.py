@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import _check_decreasing_positive, fm_factor, kantorovich, specht
+from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
 from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError
 from .linalg import (
     HYPOTHESIS_RTOL,
@@ -53,6 +53,8 @@ from .sampling import (
     TAG_PARAMS,
     SamplerConfig,
     _checked_seed,
+    _difference_reduction,
+    _ratio_reduction,
     bounded_hermitian_pair,
     olson_exponential_pair,
     olson_sandwich_pair,
@@ -114,9 +116,6 @@ class InequalityReport:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["parameters"] = dict(self.parameters)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def csv_rows(self, instance: int) -> list[list]:
         """One row per entry; see CSV_HEADER for the column layout."""
@@ -225,8 +224,8 @@ def _require_olson_sandwich(a, b, v: dict) -> None:
     s, t = v["s"], v["t"]
     for nu in _lean_exponents(v):
         a_nu, b_nu, e = _powers(a, b, nu)
-        _demand_loewner(a_nu * s**nu, b_nu, f"{s:g}{e}*A{e} <= B{e}")
-        _demand_loewner(b_nu, a_nu * t**nu, f"B{e} <= {t:g}{e}*A{e}")
+        _demand_loewner(a_nu * _checked_pow(s, nu, "s^nu"), b_nu, f"{s:g}{e}*A{e} <= B{e}")
+        _demand_loewner(b_nu, a_nu * _checked_pow(t, nu, "t^nu"), f"B{e} <= {t:g}{e}*A{e}")
 
 
 def _require_spectrum_bounds(x: HermitianMatrix, lo: float, hi: float, name: str) -> None:
@@ -625,8 +624,34 @@ def _cosh_factor(v: dict) -> float:
     return (_exp(2.0 * M, "2M") + _exp(2.0 * m, "2m")) / (2.0 * _exp(M + m, "M+m"))
 
 
+#: The hypothesis of a corollary row and its reduction to its parent's: (cell,
+#: re-check, sampler, (m, M) -> (s, t), text of s and t).
+_RATIO = ("bounded", _require_bounded, _pd_pair_sample, _ratio_reduction, "`s = m/M`, `t = M/m`")
+_DIFFERENCE = (
+    "bounded spectra", _require_bounded_hk, _bounded_sample, _difference_reduction,
+    "`s = m - M`, `t = M - m`",
+)
+
+
+def _corollary(parent: str, reduction: tuple, params, checks, draws) -> _Inequality:
+    """The row ``parent`` at the scalars (s, t) that ``reduction`` derives from
+    [m, M]: the parent's factor there and its comparison, under the
+    reduction's hypothesis, with the corollary's own params, checks and draws."""
+    row = _INEQUALITIES[parent]
+    hypothesis, require, sample, reduce, scalars = reduction
+
+    def factor(v: dict) -> float:
+        s, t = reduce(v["m"], v["M"])
+        return row.factor({**v, "s": s, "t": t})
+
+    cells = (hypothesis, f"same as `{parent}`", f"`{parent}` at {scalars}")
+    return _Inequality(params, checks, require, factor, row.compare, draws, sample, cells)
+
+
 _GT_DRAWS = _HERMITIAN_RANGE + _ALPHA + _GT_P
 _SQUARED = {"alpha": 0.5, "p": 2.0}
+#: The parameters, checks and draws of both gt corollaries.
+_GT_BOUNDED = (("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), _GT_DRAWS)
 
 _INEQUALITIES = {
     # Specht ratio: sandwich s*A <= B <= t*A, power-monotone for exponents >= 1
@@ -644,7 +669,7 @@ _INEQUALITIES = {
     ),
     "specht-eigen-power": _Inequality(
         ("alpha", "r", "s", "t"), (_alpha, _high_r, _sandwich), require=_require_olson_sandwich,
-        factor=lambda v: max(specht(v["s"] ** v["r"]), specht(v["t"] ** v["r"])),
+        factor=lambda v: max(specht(_checked_pow(v[x], v["r"], f"{x}^r")) for x in "st"),
         compare=_eigen_power,
         draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_olson_sandwich_sample,
         cells=("power sandwich", "eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
@@ -652,33 +677,13 @@ _INEQUALITIES = {
     "specht-pq": _Inequality(
         ("alpha", "q", "p", "s", "t"), (_alpha, _q_le_p, _sandwich),
         require=_require_olson_sandwich,
-        factor=lambda v: max(specht(v["s"] ** v["p"]), specht(v["t"] ** v["p"])) ** (1.0 / v["p"]),
+        factor=lambda v: max(specht(_checked_pow(v[x], v["p"], f"{x}^p")) for x in "st")
+        ** (1.0 / v["p"]),
         compare=_pq, draws=_PD_RANGE + _QP + _ALPHA, sample=_olson_sandwich_sample,
         cells=(
             "power sandwich", "eigenvalues, two exponents `0 < q <= p`",
             "`max(S(s^p), S(t^p))^(1/p)`",
         ),
-    ),
-    # Specht ratio: spectra of A and B inside [m, M], h = M/m
-    "bounded-power-low": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds),
-        require=_require_bounded, factor=lambda v: specht(v["h"]) ** v["r"],
-        compare=_power_low,
-        draws=_PD_RANGE + _ALPHA + _LOW_R, sample=_pd_pair_sample,
-        cells=("bounded", "Loewner, `0 < r <= 1`", "`S(h)^r`, `h = M/m`"),
-    ),
-    "bounded-eigen-power": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds),
-        require=_require_bounded, factor=lambda v: specht(v["h"] ** v["r"]),
-        compare=_eigen_power,
-        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_pd_pair_sample,
-        cells=("bounded", "eigenvalues, `r >= 1`", "`S(h^r)`"),
-    ),
-    "bounded-pq": _Inequality(
-        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds),
-        require=_require_bounded, factor=lambda v: specht(v["h"] ** v["p"]) ** (1.0 / v["p"]),
-        compare=_pq, draws=_PD_RANGE + _ALPHA + _QP, sample=_pd_pair_sample,
-        cells=("bounded", "eigenvalues, `0 < q <= p`", "`S(h^p)^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
     "gt-specht": _Inequality(
@@ -707,12 +712,6 @@ _INEQUALITIES = {
             "`max(S(e^{2s}), S(e^{2t}))`",
         ),
     ),
-    "gt-bounded-specht": _Inequality(
-        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
-        factor=lambda v: specht(_exp((v["M"] - v["m"]) * v["p"], "(M-m)p")) ** (1.0 / v["p"]),
-        compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
-        cells=("bounded spectra", "eigenvalues", "`S(e^{(M-m)p})^(1/p)`"),
-    ),
     # Kantorovich constant
     "kantorovich-matrix": _Inequality(
         ("m", "M", "h", "rows"), (_positive_m, _bounds), require=_require_compression,
@@ -727,13 +726,6 @@ _INEQUALITIES = {
         require=_require_exponential_olson, factor=_kantorovich_exp_factor,
         compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
         cells=("exp-Olson", "eigenvalues", "`K(e^{p(t-s)}, a)^(-1/p)`"),
-    ),
-    "gt-kantorovich-bounded": _Inequality(
-        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), require=_require_bounded_hk,
-        factor=lambda v: kantorovich(_exp(2.0 * v["p"] * (v["M"] - v["m"]), "2p(M-m)"), v["alpha"])
-        ** (-1.0 / v["p"]),
-        compare=_gt_eigen, draws=_GT_DRAWS, sample=_bounded_sample,
-        cells=("bounded spectra", "eigenvalues", "`K(e^{2p(M-m)}, a)^(-1/p)`"),
     ),
     "gt-kantorovich-squared": _Inequality(
         ("alpha", "p", "m", "M"), (_bounds,), fixed=_SQUARED,
@@ -776,6 +768,23 @@ _INEQUALITIES = {
         draws=_EXP_CHAIN_RANGE + _GT_P + _ALPHA, sample=_exp_chain_sample,
         cells=("exp-chain", "eigenvalues", "difference factor"),
     ),
+}
+# The paper's bounded-spectrum corollaries, which read their parents' rows above
+_INEQUALITIES |= {
+    "bounded-power-low": _corollary(
+        "specht-power-low", _RATIO, ("alpha", "r", "m", "M", "h"),
+        (_alpha, _low_r, _positive_m, _bounds), _PD_RANGE + _ALPHA + _LOW_R,
+    ),
+    "bounded-eigen-power": _corollary(
+        "specht-eigen-power", _RATIO, ("alpha", "r", "m", "M", "h"),
+        (_alpha, _high_r, _positive_m, _bounds), _PD_RANGE + _ALPHA + _HIGH_R,
+    ),
+    "bounded-pq": _corollary(
+        "specht-pq", _RATIO, ("alpha", "q", "p", "m", "M", "h"),
+        (_alpha, _q_le_p, _positive_m, _bounds), _PD_RANGE + _ALPHA + _QP,
+    ),
+    "gt-bounded-specht": _corollary("gt-specht", _DIFFERENCE, *_GT_BOUNDED),
+    "gt-kantorovich-bounded": _corollary("gt-kantorovich", _DIFFERENCE, *_GT_BOUNDED),
     # Forward baselines: no hypothesis, no factor
     "forward-ando-hiai": _Inequality(
         ("alpha", "r"), (_alpha, _high_r), require=None, factor=None,
@@ -906,7 +915,7 @@ def compare_constants_remark(alpha: float, p: float, h: float) -> tuple[float, f
     p = _check_positive(p, "p")
     if not h >= 1.0:
         raise BadRangeError(f"h must be >= 1, got {h}")
-    kant_side = kantorovich(h ** (2.0 * p), alpha) ** (-1.0 / p)
+    kant_side = kantorovich(_checked_pow(h, 2.0 * p, "h^(2p)"), alpha) ** (-1.0 / p)
     fm_side = fm_factor(h**p, alpha, 1.0 / p)
     return kant_side, fm_side, kant_side - fm_side
 

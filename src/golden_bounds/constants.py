@@ -71,6 +71,19 @@ def specht(t: float) -> float:
     return _specht_eval(float(t))[0]
 
 
+def _checked_pow(base: float, exponent: float, name: str) -> float:
+    """base^exponent for base > 0; BadRangeError if it leaves double range
+    or underflows to 0, naming the power as ``name`` (e.g. "s^r")."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        fault = "exceeds double range" if value else "underflows to 0 in double precision"
+        raise BadRangeError(f"{name} = {base:g}^{exponent:g} {fault}")
+    return value
+
+
 def specht_p_root(t: float, p: float) -> float:
     """S(t^p)^(1/p); tends to 1 as p -> 0."""
     t, p = float(t), float(p)
@@ -80,7 +93,7 @@ def specht_p_root(t: float, p: float) -> float:
     if not p > 0.0:
         raise NonPositiveError(f"exponent p must be positive, got {p}")
     try:
-        return specht(t**p) ** (1.0 / p)
+        return specht(_checked_pow(t, p, "t^p")) ** (1.0 / p)
     except OverflowError:
         raise BadRangeError(f"Specht p-root S({t}^{p})^(1/{p}) exceeds double range") from None
 

@@ -195,6 +195,16 @@ def random_pd_pair(
     return _random_pair(cfg, index, positive=True)
 
 
+def _ratio_reduction(m: float, M: float) -> tuple[float, float]:
+    """(s, t) = (m/M, M/m): spectra in [m, M], m > 0, give s^v A^v <= B^v <= t^v A^v."""
+    return m / M, M / m
+
+
+def _difference_reduction(m: float, M: float) -> tuple[float, float]:
+    """(s, t) = (m - M, M - m): spectra in [m, M] give e^{vs} e^{vH} <= e^{vK} <= e^{vt} e^{vH}."""
+    return m - M, M - m
+
+
 @dataclass(frozen=True)
 class SandwichSample:
     """Pair with s*A <= B <= t*A; from ``olson_sandwich_pair``, also the
@@ -232,20 +242,14 @@ def sandwich_pair(cfg: SamplerConfig, s: float, t: float, index: int = 0) -> San
 
 
 def olson_sandwich_pair(cfg: SamplerConfig, index: int = 0) -> SandwichSample:
-    """Sample (A, B, s, t) with s*A <=ols B <=ols t*A.
-
-    General mode uses the bounded-spectrum route: spectra of A and B inside
-    [lo, hi] force (lo/hi)^v A^v <= B^v <= (hi/lo)^v A^v for every v >= 1, so
-    the returned scalars are s = lo/hi, t = hi/lo; the pair is
-    ``random_pd_pair``'s.  Commuting mode returns ``sandwich_pair`` at these
-    s and t: per-eigenvalue factors in [s, t] on a shared basis give the
-    relation exactly.
-    """
+    """Sample (A, B, s, t) with s*A <=ols B <=ols t*A, (s, t) = (lo/hi, hi/lo):
+    general mode returns ``random_pd_pair``'s pair, whose spectra in [lo, hi]
+    imply the relation, and commuting mode ``sandwich_pair``'s at s and t."""
     if cfg.lo <= 0.0:
         raise BadRangeError(
             f"Olson sandwich needs a positive spectral range, got [{cfg.lo}, {cfg.hi}]"
         )
-    s, t = cfg.lo / cfg.hi, cfg.hi / cfg.lo
+    s, t = _ratio_reduction(cfg.lo, cfg.hi)
     if cfg.mode == MODE_COMMUTING:
         return sandwich_pair(cfg, s, t, index)
     a, b = random_pd_pair(cfg, index)
@@ -263,15 +267,12 @@ class ExponentialOlsonSample:
 
 
 def olson_exponential_pair(cfg: SamplerConfig, index: int = 0) -> ExponentialOlsonSample:
-    """Sample Hermitian (H, K) with e^{m-M} e^H <=ols e^K <=ols e^{M-m} e^H.
-
-    Both spectra are drawn inside [m, M] = [cfg.lo, cfg.hi]; the bound
-    e^{vm} <= e^{vH}, e^{vK} <= e^{vM} for every v >= 1 then yields the Olson
-    sandwich with s = m - M and t = M - m, for any (even non-commuting) draw.
-    """
+    """Sample Hermitian (H, K) with spectra in [m, M] = [cfg.lo, cfg.hi], so
+    that e^{m-M} e^H <=ols e^K <=ols e^{M-m} e^H for any (even non-commuting)
+    draw, with s = m - M and t = M - m, the difference reduction of [m, M]."""
     h, k = bounded_hermitian_pair(cfg, index)
-    m, M = float(cfg.lo), float(cfg.hi)
-    return ExponentialOlsonSample(h=h, k=k, s=m - M, t=M - m)
+    s, t = _difference_reduction(float(cfg.lo), float(cfg.hi))
+    return ExponentialOlsonSample(h=h, k=k, s=s, t=t)
 
 
 @dataclass(frozen=True)

@@ -160,16 +160,16 @@ def test_certify_rejects_bad_tolerance(capsys, tol):
 #: may move the last bits of a margin.
 REPORT_SHA256 = {
     "bounded-eigen-power": (
-        "2c390de53eb9313903687fd47765747c31a2b48fb175697d79e30d878cbec486",
-        "3eb59d050754b3a5818402d581fe702a7be63241392e3fb20ac334bc79677919",
+        "f5b41f5c5b136ebaac92e0f2d1e360a92b8b7bd2a5acd9191965dbab6c4d57b8",
+        "924d526ab554377a0ea454bf9667e75b8a4203abe89713fc7da674cc4400bf65",
     ),
     "bounded-power-low": (
         "b45b298e71bc86b02832b2a63378f38a727398be53eda8f903acb65c4ed4eae2",
         "a3b14fa3858f11a234d2c40941a5ec7b41adf5a20e3b10da1f1e1a748d7e31da",
     ),
     "bounded-pq": (
-        "eda8f787b305e34bd57782a5981456cc097bff217dd9d5fa4917645f8afc3aeb",
-        "ff1a85d403cffa91beccb14a01152739c2de259d4623c98214f6499f6640320c",
+        "8785628589ac216d5a1ab8ab3e43d713615b91ee62528158b6ea88661540d999",
+        "8408fccb012088e12143177fe2753795790a6e4cf97d26975857b7ef770cfa96",
     ),
     "fm-eigen-power": (
         "a3126a2beb656505cef553a2ea2c398f2273ecc35568747a8cb762107a1a9c64",
@@ -196,8 +196,8 @@ REPORT_SHA256 = {
         "bb8b8e4392524c9b9c1677580a7e8584e32c4598a832b2a6b8c0066fd8f687c4",
     ),
     "gt-bounded-specht": (
-        "181d6837597ca7652b657f698047f02803e8ce4e308cb78cb191989315e147ef",
-        "e6c53fc5c9d5022c88bb93591201501c247ffc6073a80c978de524804fae8b5c",
+        "259a42c4a108a3b0a31dc52988dea928ac06a58c4b967b2f2a7c5bca755e7127",
+        "06548328dee51de059c453553b1073a33a7ad756366f349e1cbd685570f741d1",
     ),
     "gt-fm": (
         "69ea8255b8aa4210955eb086862a4c72bf5ac0aeb2b995374edc981fbedecdf5",
@@ -392,11 +392,17 @@ def test_exponential_out_of_double_range_is_usage_error(capsys, argv, exponent):
         ("constants", "specht", "1e-320"),
         ("constants", "specht-p-root", "1e200", "2"),
         ("constants", "kantorovich", "1e300", "3"),
+        ("constants", "specht-p-root", "1e-200", "3"),
+        ("certify", "specht-eigen-power", "--count", "1", "--m", "1e-120", "--M", "1e-10",
+         "--r", "3"),
+        ("certify", "specht-pq", "--count", "1", "--m", "1e-120", "--M", "1e-10",
+         "--q", "1", "--p", "3"),
     ],
 )
 def test_float_overflow_is_usage_error(capsys, argv):
-    # Python float ** and math.exp raise OverflowError; exit 1 is kept for a
-    # numerical violation, so an overflow must not escape as a traceback
+    # Python float ** and math.exp raise OverflowError, and ** underflows to 0
+    # silently; exit 1 is kept for a numerical violation, so neither may
+    # escape as a traceback or as a non-positive argument
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and "double" in err and out == ""

@@ -121,8 +121,8 @@ def test_seeds_and_indices_may_be_numpy_integers():
     assert stream.tolist() == philox_generator(3, 1, 5).uniform(size=4).tolist()
     numpy_seed = run_instances("gt-specht", count=2, seed=np.int64(3))
     assert type(numpy_seed.seed) is int
-    assert [r.to_json() for r in numpy_seed.reports] == [
-        r.to_json() for r in run_instances("gt-specht", count=2, seed=3).reports
+    assert [r.to_dict() for r in numpy_seed.reports] == [
+        r.to_dict() for r in run_instances("gt-specht", count=2, seed=3).reports
     ]
 
 
