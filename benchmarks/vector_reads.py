@@ -1,5 +1,5 @@
-"""Count the eigensolves whose eigenvectors are never read, and the matrices
-whose entries are never built, per benchmark workload.
+"""Count the eigensolves whose eigenvectors are never read, the matrices
+whose entries are never built, and the entry checks, per benchmark workload.
 
 Run from a checkout, with that checkout's sources on the path:
 
@@ -13,8 +13,14 @@ replays are the decompositions whose eigenvectors were never read. In the
 same way it counts the matrices constructed with pending entries (a callable,
 such as the results of ``power`` and ``exp_h``) and the first reads of
 ``matrix`` that build them; the difference is the matrices whose entries were
-never built. Report files go to a temporary directory; the counts are
-printed as JSON.
+never built. It also counts the full entry checks, made where an array
+enters (``linalg._checked_entries`` on a caller's array and
+``linalg._check_spectrum`` on a decomposition given as arrays, which is how
+a sampled operand enters), and the internal entry builds, which only
+symmetrize and guard a result computed from checked matrices
+(``linalg._result_entries``); both are also given per instance, over the
+instances the calls certify (one per convergence table). Report files go to
+a temporary directory; the counts are printed as JSON.
 """
 
 from __future__ import annotations
@@ -35,10 +41,15 @@ from golden_bounds import cli, linalg  # noqa: E402
 
 
 def count_reads(workload, cycles: int, out_dir: Path) -> dict:
-    counts = {"eigensolves": 0, "replays": 0, "pending_matrices": 0, "matrix_builds": 0}
+    counts = {
+        "eigensolves": 0, "replays": 0, "pending_matrices": 0, "matrix_builds": 0,
+        "full_checks": 0, "internal_builds": 0,
+    }
     hermitian = linalg.HermitianMatrix
     jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
     init, matrix = hermitian.__init__, hermitian.matrix
+    checks = {name: getattr(linalg, name) for name in ("_checked_entries", "_check_spectrum")}
+    result_entries = linalg._result_entries
 
     def counting_jacobi(m):
         counts["eigensolves"] += 1
@@ -56,23 +67,45 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
         counts["matrix_builds"] += callable(m._matrix)
         return matrix.fget(m)
 
+    def counting_check(check):
+        def counted(*args):
+            counts["full_checks"] += 1
+            return check(*args)
+
+        return counted
+
+    def counting_result_entries(raw):
+        counts["internal_builds"] += 1
+        return result_entries(raw)
+
     linalg._jacobi, linalg._RotationLog.replay = counting_jacobi, counting_replay
     hermitian.__init__, hermitian.matrix = counting_init, property(counting_matrix)
+    for name, check in checks.items():
+        setattr(linalg, name, counting_check(check))
+    linalg._result_entries = counting_result_entries
+    instances = 0
     try:
         for cli_seed in workload.pool[:cycles]:
             for call in workload.make_cycle(cli_seed, out_dir):
                 with contextlib.redirect_stdout(io.StringIO()):
                     if cli.main(list(call.argv)) != 0:
                         raise SystemExit(f"failed: {' '.join(call.argv)}")
+                instances += call.instances
     finally:
         linalg._jacobi, linalg._RotationLog.replay = jacobi, replay
         hermitian.__init__, hermitian.matrix = init, matrix
+        for name, check in checks.items():
+            setattr(linalg, name, check)
+        linalg._result_entries = result_entries
     unread = counts["eigensolves"] - counts["replays"]
     counts["never_read"] = unread
     counts["never_read_share"] = round(unread / counts["eigensolves"], 3)
     unbuilt = counts["pending_matrices"] - counts["matrix_builds"]
     counts["never_built"] = unbuilt
     counts["never_built_share"] = round(unbuilt / counts["pending_matrices"], 3)
+    counts["instances"] = instances
+    for name in ("full_checks", "internal_builds"):
+        counts[f"{name}_per_instance"] = round(counts[name] / instances, 3)
     return counts
 
 

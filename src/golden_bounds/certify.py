@@ -962,13 +962,16 @@ def compare_seo_constants(
     Returns (K(e^{2p(M-m)}, alpha)^{-1/p},
              K(e^{M-m}, p)^{-alpha/p} * K(e^{2p(M-m)}, alpha)^{-1/p},
              ratio), where ratio <= 1 certifies that the single constant is
-    never worse than the product."""
+    never worse than the product.  The single constant is the factor of the
+    gt-kantorovich-bounded row."""
     alpha = _check_alpha(alpha)
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise BadRangeError(f"need 0 < p <= 1, got {p}")
     _check_bounds(m, M)
-    new_constant = kantorovich(_exp(2.0 * p * (M - m), "2p(M-m)"), alpha) ** (-1.0 / p)
+    new_constant = _INEQUALITIES["gt-kantorovich-bounded"].factor(
+        {"alpha": alpha, "p": p, "m": m, "M": M}
+    )
     extra = kantorovich(_exp(M - m, "M-m"), p) ** (-alpha / p)
     product = extra * new_constant
     return new_constant, product, new_constant / product

@@ -4,13 +4,16 @@ reproduction, and convergence tables.
 Exit codes are a stable contract: 0 = everything passed, 1 = a numerical
 violation (an inequality instance failed or a reference value mismatched),
 2 = usage or configuration error.  Given the same seed and configuration,
-report files are byte-identical across runs on the same build.
+report files are byte-identical across runs on the same build.  The argument
+parser is built once per process, so a caller that runs ``main`` many times
+in one process pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -95,7 +98,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The golden-bounds parser, built on the first call and then shared by
+    every caller in the process: parse with it, do not modify it."""
     parser = argparse.ArgumentParser(
         prog="golden-bounds",
         description=(

@@ -13,6 +13,15 @@ multiply-adds on X86_V3/V4) set their rounding. Matrices produced by spectral
 construction carry their decomposition with them, and their entries
 V diag(f(λ)) V* are built on first read, so a result read only for its
 spectrum never forms them; only genuinely new matrices cost a Jacobi run.
+
+Arrays are checked where they enter, not wherever a matrix is built. A
+caller's raw array (shape, finiteness, Hermiticity defect), a decomposition
+given as arrays (shapes, finiteness) and a congruence transform (shape,
+finiteness) get the full checks; the samplers' matrices enter as drawn
+decompositions. A matrix computed here from checked matrices (a congruence,
+a sum, a scaled copy, the pending entries of a matrix function) only gets
+the symmetrization (raw + raw*)/2 and one finiteness guard, so an overflow
+raises DomainError where it happens.
 """
 
 from __future__ import annotations
@@ -235,14 +244,22 @@ class SpectralDecomposition:
     that builds them, such as the ``replay`` of a Jacobi run's rotation log.
     The callable runs on the first read of ``eigenvectors``; its array is
     kept, read-only, and the callable is dropped.
+
+    Given as arrays, the decomposition enters from outside and gets the full
+    checks: n eigenvalues, n x n eigenvectors, all finite (NotHermitianError
+    for NaN or Inf, DimMismatchError for the shapes). The descending order
+    and the unitarity of the columns are trusted. Given with a callable, as
+    this module builds it from a checked matrix, nothing is checked.
     """
 
     __slots__ = ("_eigenvalues", "_eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
-        self._eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
+        eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
         if not callable(eigenvectors):
             eigenvectors = _read_only(np.asarray(eigenvectors, dtype=np.complex128))
+            _check_spectrum(eigenvalues, eigenvectors)
+        self._eigenvalues = eigenvalues
         self._eigenvectors = eigenvectors
 
     @property
@@ -273,8 +290,33 @@ class SpectralDecomposition:
         return SpectralDecomposition(values, lambda: self.eigenvectors)
 
 
+def _check_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
+    """The full check of a decomposition given as arrays: n finite eigenvalues
+    and finite n x n eigenvector columns."""
+    n = eigenvalues.shape[0] if eigenvalues.ndim == 1 else 0
+    if n == 0 or eigenvectors.shape != (n, n):
+        raise DimMismatchError(
+            f"eigenvalues of shape {eigenvalues.shape} do not match "
+            f"eigenvectors of shape {eigenvectors.shape}"
+        )
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
+        raise NotHermitianError("decomposition entries must be finite (got NaN or Inf)")
+
+
+def _symmetric_part(raw: np.ndarray) -> np.ndarray:
+    """The read-only (raw + raw*)/2 of a square array, formed as h + h* with
+    h = raw/2. Halving is exact for normal numbers and commutes with
+    rounding, so the bits are those of (raw + raw*)/2 unless a half is
+    subnormal; unlike that form, this one cannot overflow."""
+    half = raw / 2.0
+    out = np.ascontiguousarray(half + half.conj().T)
+    out.flags.writeable = False
+    return out
+
+
 def _checked_entries(entries) -> np.ndarray:
-    """The read-only (raw + raw*)/2 of a finite, nonempty, square, Hermitian array."""
+    """The full check of an array that enters from outside: the read-only
+    (raw + raw*)/2 of a finite, nonempty, square, Hermitian array."""
     raw = np.asarray(entries, dtype=np.complex128)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
@@ -287,23 +329,36 @@ def _checked_entries(entries) -> np.ndarray:
             f"Hermiticity defect {defect:.3e} exceeds "
             f"{HERMITICITY_DEFECT_RTOL:g} * max|entry| = {HERMITICITY_DEFECT_RTOL * scale:.3e}"
         )
-    return _read_only((raw + raw.conj().T) / 2.0)
+    return _symmetric_part(raw)
+
+
+def _result_entries(raw: np.ndarray) -> np.ndarray:
+    """The read-only (raw + raw*)/2 of a square array computed here from
+    checked matrices. Its one check is the finiteness guard: such an array
+    is square and Hermitian up to rounding by construction, and can only
+    fail by leaving double range."""
+    out = _symmetric_part(raw)
+    if not np.isfinite(out).all():
+        raise DomainError("a computed matrix left double range: its entries are not finite")
+    return out
 
 
 class HermitianMatrix:
     """Square complex matrix equal to its conjugate transpose.
 
-    Construction rejects non-finite entries, symmetrizes the entries to
-    (raw + raw*)/2, and rejects inputs whose Hermiticity defect
-    max|raw - raw*| exceeds 1e-8 times the largest entry magnitude. The
-    stored array is immutable.
+    Given a caller's array, construction checks it in full: it rejects
+    non-finite entries and inputs whose Hermiticity defect max|raw - raw*|
+    exceeds 1e-8 times the largest entry magnitude, and it symmetrizes the
+    entries to (raw + raw*)/2. The stored array is immutable.
 
     The entries are given either as an array or, together with the
     decomposition, as a callable that builds them, such as a decomposition's
-    ``reconstruct``. The callable runs on the first read of ``matrix``, which
-    makes the checks above; until then ``dim`` and the spectrum come from the
-    decomposition. A HermitianMatrix given as the entries hands over its
-    entries, which it has already checked.
+    ``reconstruct``. The callable runs on the first read of ``matrix``; its
+    result is an internal one, which is symmetrized and guarded for
+    finiteness (DomainError) but not checked in full. Until then ``dim`` and
+    the spectrum come from the decomposition. A HermitianMatrix given as the
+    entries hands over its entries, which are already checked. The results
+    of sums, scalings and congruences are internal too.
     """
 
     __slots__ = ("_matrix", "_decomp")
@@ -322,7 +377,7 @@ class HermitianMatrix:
     @property
     def matrix(self) -> np.ndarray:
         if callable(self._matrix):
-            self._matrix = _checked_entries(self._matrix())
+            self._matrix = _result_entries(self._matrix())
         return self._matrix
 
     @property
@@ -347,7 +402,7 @@ class HermitianMatrix:
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
         _require_same_dim(self, other)
-        return HermitianMatrix(self.matrix + sign * other.matrix)
+        return _result(self.matrix + sign * other.matrix)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -364,7 +419,7 @@ class HermitianMatrix:
         if dec is not None:
             dec = dec._mapped(dec.eigenvalues * factor, reverse=factor < 0.0)
         cls = type(self) if factor > 0.0 else HermitianMatrix
-        return cls(self.matrix * factor, decomposition=dec)
+        return cls(_result(self.matrix * factor), decomposition=dec)
 
     def __mul__(self, factor):
         if not isinstance(factor, Real):
@@ -392,6 +447,24 @@ class PositiveDefiniteMatrix(HermitianMatrix):
             raise DomainError(f"matrix is not positive definite: min eigenvalue {smallest:.3e}")
 
 
+def _result(raw: np.ndarray) -> HermitianMatrix:
+    """A HermitianMatrix holding an internal result, ``raw`` computed here
+    from checked matrices: its entries get only ``_result_entries``."""
+    out = HermitianMatrix.__new__(HermitianMatrix)
+    out._matrix = _result_entries(raw)
+    out._decomp = None
+    return out
+
+
+def _check_images(values: np.ndarray, name: str, eigenvalues: np.ndarray) -> None:
+    """DomainError unless the eigenvalue images of a monotone map, whose
+    extremes are its ends, are positive and finite; ``name`` names the map."""
+    for end in (0, -1):
+        if not 0.0 < values[end] < math.inf:
+            fault = "exceeds double range" if values[end] else "underflows to 0 in double precision"
+            raise DomainError(f"{name} {fault} at eigenvalue {eigenvalues[end]:.6g}")
+
+
 def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> HermitianMatrix:
     order = np.argsort(-vals, kind="stable")
     dec = SpectralDecomposition(vals[order], vecs[:, order])
@@ -407,11 +480,9 @@ def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
         raise DomainError("matrix power requires a positive definite input")
     if r == 1.0 and isinstance(matrix, PositiveDefiniteMatrix):
         return matrix
-    with np.errstate(over="raise"):
-        try:
-            vals = dec.eigenvalues**r
-        except FloatingPointError as exc:
-            raise DomainError(f"matrix power overflowed: {exc}") from exc
+    with np.errstate(over="ignore"):
+        vals = dec.eigenvalues**r
+    _check_images(vals, f"matrix power X^{r:g}", dec.eigenvalues)
     dec_out = dec._mapped(vals, reverse=r < 0.0)
     return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 
@@ -421,8 +492,7 @@ def exp_h(matrix: HermitianMatrix) -> PositiveDefiniteMatrix:
     dec = matrix.decomposition
     with np.errstate(over="ignore"):
         vals = np.exp(dec.eigenvalues)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"exponential overflowed at eigenvalue {dec.eigenvalues[0]:.6g}")
+    _check_images(vals, "matrix exponential e^X", dec.eigenvalues)
     dec_out = dec._mapped(vals)
     return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 
@@ -486,11 +556,14 @@ def congruence(transform: np.ndarray, matrix: HermitianMatrix) -> HermitianMatri
     """T X T* for a complex transform T with matching column count.
 
     T may be rectangular (k x n against an n x n matrix); the result is k x k.
+    T enters here and must be finite; the result is an internal one.
     """
     t = np.asarray(transform, dtype=np.complex128)
     if t.ndim != 2 or t.shape[1] != matrix.dim:
         raise DimMismatchError(f"transform shape {t.shape} does not match dim {matrix.dim}")
-    return HermitianMatrix(t @ matrix.matrix @ t.conj().T)
+    if not np.isfinite(t).all():
+        raise NotHermitianError("transform entries must be finite (got NaN or Inf)")
+    return _result(t @ matrix.matrix @ t.conj().T)
 
 
 def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> HermitianMatrix:

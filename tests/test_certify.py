@@ -322,14 +322,20 @@ def _chain_operands(cfg):
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
-#: Each power-low row's operands and README factor cell.
+def _specht_low_factor(v):
+    """specht-power-low's README factor cell, max(S(s), S(t))^r."""
+    return max(specht(v["s"]), specht(v["t"])) ** v["r"]
+
+
+#: Each power-low row's operands and README factor cell; bounded-power-low's
+#: is specht-power-low's at the ratio reduction (s, t) = (m/M, M/m).
 _POWER_LOW_ROWS = {
-    "specht-power-low": (
-        _sandwich_operands, lambda v: max(specht(v["s"]), specht(v["t"])) ** v["r"]
-    ),
+    "specht-power-low": (_sandwich_operands, _specht_low_factor),
     "bounded-power-low": (
         lambda cfg: (*random_pd_pair(cfg, 0), {"m": cfg.lo, "M": cfg.hi}),
-        lambda v: specht(v["h"]) ** v["r"],
+        lambda v: _specht_low_factor(
+            {**v, **dict(zip("st", sampling._ratio_reduction(v["m"], v["M"])))}
+        ),
     ),
     "fm-power-low": (_chain_operands, lambda v: fm_factor(v["h"], v["alpha"], v["r"])),
 }
@@ -887,6 +893,20 @@ def test_compare_seo_constants_ratio_bounded():
         assert new == pytest.approx(ratio * product, rel=1e-12)
     with pytest.raises(BadRangeError):
         compare_seo_constants(0.5, 1.5, 0.0, 1.0)
+
+
+def test_compare_seo_constants_takes_the_bounded_rows_factor():
+    # The single constant is gt-kantorovich-bounded's factor (gt-kantorovich
+    # at s = m - M, t = M - m); the formula it replaced is the reference, and
+    # the two agree bit for bit, since p(t - s) and 2p(M - m) round alike.
+    for alpha in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for p in (1e-3, 0.3, 0.77, 1.0):
+            for m in (-1.5, -0.2, 0.0, 0.5):
+                for width in (0.0, 1e-9, 0.7, 2.0):
+                    M = m + width
+                    single, _, _ = compare_seo_constants(alpha, p, m, M)
+                    reference = kantorovich(math.exp(2.0 * p * (M - m)), alpha) ** (-1.0 / p)
+                    assert single == reference
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,25 @@ def test_float_overflow_is_usage_error(capsys, argv):
     assert err.startswith("error: ") and "double" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("certify", "specht-eigen-power", "--count", "1", "--m", "1e-100", "--M", "1e100",
+          "--r", "3"), "error: matrix power X^3 exceeds double range at eigenvalue "),
+        (("certify", "specht-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
+          "--r", "3"), "error: matrix power X^3 underflows to 0 in double precision at eigenvalue "),
+        (("certify", "bounded-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
+          "--r", "3"), "error: matrix power X^3 underflows to 0 in double precision at eigenvalue "),
+    ],
+)
+def test_matrix_power_out_of_double_range_is_usage_error(capsys, argv, message):
+    # Both spectra are positive definite; it is A^3 that leaves double range,
+    # and the error says so instead of reporting a non-positive eigenvalue.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(message) and out == ""
+
+
 def test_constants_kantorovich_of_a_subnormal_w(capsys):
     code, out, err = run_cli(capsys, "constants", "kantorovich", "1e-320", "0.5")
     assert (code, err) == (0, "")

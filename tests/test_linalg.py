@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -456,27 +458,62 @@ def test_pending_entries_need_a_decomposition():
 
 
 def test_checked_entries_are_not_checked_again(solver_counts, monkeypatch):
-    # A positive scaling and a geometric mean check each array they form
-    # once; neither hands a checked (read-only) array to a second check.
-    rng = np.random.default_rng(71)
-    a, b = random_pd_array(rng, 3), random_pd_array(rng, 3)
-    checked, check = [], linalg._checked_entries
+    # A caller's array gets one full check where it enters; a result made
+    # from checked matrices (a positive scaling, a geometric mean, a sum, a
+    # congruence, a matrix function's entries) gets none, only the
+    # symmetrization and its finiteness guard.
+    full, internal = [], []
+    check, result_entries = linalg._checked_entries, linalg._result_entries
 
     def counting_check(entries):
-        checked.append(isinstance(entries, np.ndarray) and not entries.flags.writeable)
+        full.append(entries)
         return check(entries)
 
+    def counting_result_entries(raw):
+        internal.append(raw)
+        return result_entries(raw)
+
     monkeypatch.setattr(linalg, "_checked_entries", counting_check)
+    monkeypatch.setattr(linalg, "_result_entries", counting_result_entries)
+    rng = np.random.default_rng(71)
+    a, b = random_pd_array(rng, 3), random_pd_array(rng, 3)
+    assert (len(full), len(internal)) == (2, 0)
+    full.clear()
     solver_counts.update(jacobi=0)
     doubled = a * 2.0
     assert isinstance(doubled, PositiveDefiniteMatrix)
-    assert checked == [False]
+    assert (len(full), len(internal)) == (0, 1)
     assert solver_counts["jacobi"] == 0
-    checked.clear()
+    internal.clear()
     mean = geometric_mean(a, b, 0.3)
     assert isinstance(mean, PositiveDefiniteMatrix)
-    assert checked == [False, False, False]
+    # the inner congruence, the entries of its power, the outer congruence
+    assert (len(full), len(internal)) == (0, 3)
     assert solver_counts["jacobi"] == 2
+    internal.clear()
+    (a + b).matrix, congruence(np.eye(3), a).matrix, exp_h(a).matrix
+    assert (len(full), len(internal)) == (0, 3)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e20, 1e300])
+def test_symmetrization_keeps_the_bits_of_raw_plus_raw_star_over_two(scale):
+    # raw/2 + (raw/2)* is formed so as not to overflow; away from subnormal
+    # halves it rounds exactly as (raw + raw*)/2, the reference here.
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 3, 6, 16):
+        raw = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
+        expected = (raw + raw.conj().T) / 2.0
+        assert linalg._result_entries(raw).tobytes() == expected.tobytes()
+
+
+def test_entries_near_the_top_of_double_range_build_unchanged():
+    # (raw + raw*)/2 would overflow in the sum at 1e308; the halves do not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = HermitianMatrix(1e308 * np.eye(2))
+        offdiagonal = HermitianMatrix([[0.0, 1.5e308j], [-1.5e308j, 1e308]])
+    assert np.array_equal(m.matrix, 1e308 * np.eye(2))
+    assert offdiagonal.matrix[0, 1] == 1.5e308j
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +600,67 @@ def test_exp_h_matches_taylor_oracle():
 def test_exp_h_overflow_guard():
     with pytest.raises(DomainError):
         exp_h(HermitianMatrix(np.diag([800.0, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "function, eigenvalues, message",
+    [
+        (lambda m: power(m, 3.0), [1e200, 1.0],
+         "matrix power X^3 exceeds double range at eigenvalue 1e+200"),
+        (lambda m: power(m, 3.0), [1.0, 1e-200],
+         "matrix power X^3 underflows to 0 in double precision at eigenvalue 1e-200"),
+        (lambda m: power(m, -2.0), [1e200, 1.0],
+         "matrix power X^-2 underflows to 0 in double precision at eigenvalue 1e+200"),
+        (lambda m: power(m, -2.0), [1.0, 1e-200],
+         "matrix power X^-2 exceeds double range at eigenvalue 1e-200"),
+        (exp_h, [710.0, 0.0], "matrix exponential e^X exceeds double range at eigenvalue 710"),
+        (exp_h, [0.0, -746.0],
+         "matrix exponential e^X underflows to 0 in double precision at eigenvalue -746"),
+    ],
+)
+def test_matrix_function_images_stay_in_double_range(function, eigenvalues, message):
+    # Overflow or underflow to 0 of an eigenvalue image is a DomainError that
+    # names the map, its exponent and the eigenvalue, not a later "not
+    # positive definite" or an entry check.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        function(HermitianMatrix(np.diag(eigenvalues)))
+
+
+def test_congruence_overflow_raises_where_it_happens():
+    # The product overflows inside numpy, which warns (overflow, then inf * 0);
+    # the result's finiteness guard then raises before any matrix holds it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="left double range"):
+            congruence(1e200 * np.eye(2), HermitianMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_entry_point_rejects_non_finite_input(bad):
+    finite = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spoiled = finite.copy()
+    spoiled[1, 1] = bad
+    vals, vecs = np.array([2.0, 1.0]), np.eye(2)
+    with pytest.raises(NotHermitianError, match="finite"):
+        linalg.SpectralDecomposition(np.array([2.0, bad]), vecs)
+    with pytest.raises(NotHermitianError, match="finite"):
+        linalg.SpectralDecomposition(vals, spoiled)
+    with pytest.raises(NotHermitianError, match="transform entries must be finite"):
+        congruence(spoiled, HermitianMatrix(finite))
+    # a sampler's matrix enters as its drawn spectrum and basis
+    for positive in (False, True):
+        with pytest.raises(NotHermitianError, match="finite"):
+            linalg._from_eigen(np.array([2.0, bad]), vecs, positive=positive)
+        with pytest.raises(NotHermitianError, match="finite"):
+            linalg._from_eigen(vals, spoiled, positive=positive)
+
+
+@pytest.mark.parametrize(
+    "vals, vecs", [([2.0, 1.0], np.eye(3)), ([[2.0, 1.0]], np.eye(2)), ([], np.eye(0))]
+)
+def test_decomposition_arrays_must_match_in_shape(vals, vecs):
+    with pytest.raises(DimMismatchError):
+        linalg.SpectralDecomposition(np.array(vals), vecs)
 
 
 def test_log_pd_inverts_exp():
