@@ -1,19 +1,22 @@
 """Certifiers for the reverse (and forward) geometric-mean inequalities.
 
 Every inequality has one shape: under an order hypothesis, one side is at
-most a scalar constant times the other.  The table ``_INEQUALITIES`` holds,
-per inequality id, only what differs between ids — the parameter checks,
-the hypothesis re-check, the factor, the comparison builder, the sampler,
-the order of parameter draws, and the hypothesis, comparison and factor
-text of the id's row in the README table — and one public certifier,
-``certify_inequality``, runs every row: check parameters, re-verify the
-hypothesis, build the factor, build both sides, report.  Hypotheses are
-re-verified before any conclusion is evaluated (HypothesisViolated on
-failure) so a drifting sampler cannot silently feed a certifier inputs
-outside its domain.  Comparisons are evaluated exactly as stated — Loewner
-form via the spectrum of RHS − LHS, eigenvalue form via sorted spectra, norm
-form via the Ky Fan / Schatten families, trace form directly — into an
-InequalityReport with per-entry margins.
+most a scalar constant times the other.  Each of the ten hypotheses is one
+``_Hypothesis`` record: its README cell, the scalars it adds to a row's
+parameters and their checks, its re-check, its sampler and the draws before
+the row's own.  The table ``_INEQUALITIES`` holds, per inequality id, its
+record and only what else differs — its own exponent parameters, checks and
+draws, the factor, the comparison builder and their README cells — and one
+public certifier, ``certify_inequality``, runs every row: check parameters,
+re-verify the hypothesis (HypothesisViolated on failure, so a drifting
+sampler cannot feed a certifier inputs outside its domain), build the
+factor, build both sides, report.  Comparisons are evaluated exactly as
+stated — Loewner form via the spectrum of RHS − LHS, eigenvalue form via
+sorted spectra, norm form via the Ky Fan / Schatten families, trace form
+directly — into an InequalityReport with per-entry margins; it holds when
+every relative margin is at least -1e-9.  A scalar exponential (``_exp``)
+or power of s or t (``_checked_pow``) that leaves double range is a
+BadRangeError naming it; any other scalar overflow is one naming the id.
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them.
@@ -72,7 +75,7 @@ SEMANTICS_EIGENVALUE = "eigenvalue"
 SEMANTICS_NORM = "norm"
 SEMANTICS_TRACE = "trace"
 
-DEFAULT_TOLERANCE = 1e-9
+_TOLERANCE = 1e-9
 
 _TINY = 1e-300
 
@@ -289,13 +292,6 @@ def _require_compression(a, u, v: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_tolerance(tolerance: float) -> float:
-    tolerance = float(tolerance)
-    if not 0.0 <= tolerance < math.inf:
-        raise BadRangeError(f"tolerance must be finite and >= 0, got {tolerance}")
-    return tolerance
-
-
 def _check_low_power(r: float) -> float:
     r = float(r)
     if not 0.0 < r <= 1.0:
@@ -477,8 +473,9 @@ def _trace(h, k, v):
 # ---------------------------------------------------------------------------
 # Parameter draws, (name, draw(rng, drawn, n)) entries, and samplers,
 # (config, index, drawn) -> (x, y, sampled parameters).  A block holds the
-# entries that draw together; a row's draws concatenate blocks in
-# params-stream order, and a later entry reads the values drawn before it.
+# entries that draw together; a row's draws are its hypothesis's blocks, then
+# its own, in params-stream order, and a later entry reads the values drawn
+# before it.
 # ---------------------------------------------------------------------------
 
 N_CYCLE = (2, 3, 4, 5, 6)
@@ -505,20 +502,6 @@ _HERMITIAN_RANGE = (
     ("m", lambda rng, d, n: rng.uniform(-1.5, 0.3)),
     ("M", lambda rng, d, n: d["m"] + rng.uniform(0.3, 2.0)),
 )
-_CHAIN_RANGE = (
-    ("M", lambda rng, d, n: rng.uniform(0.35, 1.0)),
-    ("m", lambda rng, d, n: d["M"] * rng.uniform(0.15, 0.8)),
-)
-_EXP_CHAIN_RANGE = (
-    ("M", lambda rng, d, n: -rng.uniform(0.0, 0.8)),
-    ("m", lambda rng, d, n: d["M"] - rng.uniform(0.3, 2.0)),
-)
-_SANDWICH = (
-    ("s", lambda rng, d, n: rng.uniform(0.4, 1.0)),
-    ("t", lambda rng, d, n: d["s"] * (1.0 + rng.uniform(0.0, 3.0))),
-)
-#: The row count of kantorovich-matrix's isometry; an int, derived, never pinned.
-_ROWS = (("rows", lambda rng, d, n: int(rng.integers(1, n + 1))),)
 
 
 def _pinnable(inequality_id: str) -> tuple[str, ...]:
@@ -569,7 +552,7 @@ def _exp_chain_sample(cfg, index, d):
 
 
 # ---------------------------------------------------------------------------
-# The inequality table and the skeleton that runs it
+# The hypotheses, the inequality table and the skeleton that runs it
 # ---------------------------------------------------------------------------
 
 
@@ -608,6 +591,79 @@ class _Inequality:
         return tuple(n for n in self.params if n not in self.fixed and n not in _DERIVED)
 
 
+@dataclass(frozen=True)
+class _Hypothesis:
+    """One order hypothesis, stated once for every row that assumes it: its
+    README cell, the scalars it appends to a row's parameters and their
+    checks, its re-check (None: nothing to re-check), its sampler, and the
+    draws that come before the row's own."""
+
+    cell: str
+    params: tuple[str, ...]
+    checks: tuple[Callable, ...]
+    require: Callable | None
+    sample: Callable
+    draws: tuple[tuple[str, Callable], ...]
+
+
+def _under(hypothesis: _Hypothesis, params, checks, draws, factor, compare, cells, fixed=None):
+    """The row of an inequality under ``hypothesis``, given its own exponent
+    parameters, checks and draws, its factor and comparison, and its
+    comparison and factor cells."""
+    h = hypothesis
+    return _Inequality(
+        params + h.params, checks + h.checks, h.require, factor, compare, h.draws + draws,
+        h.sample, (h.cell, *cells), fixed or {},
+    )
+
+
+_SANDWICH = _Hypothesis(
+    "sandwich", ("s", "t"), (_sandwich,), _require_olson_sandwich, _sandwich_sample,
+    _PD_RANGE + (
+        ("s", lambda rng, d, n: rng.uniform(0.4, 1.0)),
+        ("t", lambda rng, d, n: d["s"] * (1.0 + rng.uniform(0.0, 3.0))),
+    ),
+)
+_POWER_SANDWICH = _Hypothesis(
+    "power sandwich", ("s", "t"), (_sandwich,), _require_olson_sandwich, _olson_sandwich_sample,
+    _PD_RANGE,
+)
+_EXP_OLSON = _Hypothesis(
+    "exp-Olson", ("s", "t"), (_finite_st,), _require_exponential_olson, _exp_olson_sample,
+    _HERMITIAN_RANGE,
+)
+_BOUNDED_A = _Hypothesis(
+    "bounded `A`", ("m", "M", "h", "rows"), (_positive_m, _bounds), _require_compression,
+    lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
+    # the isometry's row count: an int, derived, never pinned
+    _PD_RANGE + (("rows", lambda rng, d, n: int(rng.integers(1, n + 1))),),
+)
+_BOUNDED = _Hypothesis(
+    "bounded", ("m", "M", "h"), (_positive_m, _bounds), _require_bounded, _pd_pair_sample,
+    _PD_RANGE,
+)
+_BOUNDED_SPECTRA = _Hypothesis(
+    "bounded spectra", ("m", "M"), (_bounds,), _require_bounded_hk, _bounded_sample,
+    _HERMITIAN_RANGE,
+)
+_CHAIN = _Hypothesis(
+    "chain", ("m", "M", "h"), (_positive_m, _bounds, _chain_top), _require_chain, _chain_sample,
+    (
+        ("M", lambda rng, d, n: rng.uniform(0.35, 1.0)),
+        ("m", lambda rng, d, n: d["M"] * rng.uniform(0.15, 0.8)),
+    ),
+)
+_EXP_CHAIN = _Hypothesis(
+    "exp-chain", ("m", "M"), (_bounds, _exp_chain_top), _require_exponential_chain,
+    _exp_chain_sample, (
+        ("M", lambda rng, d, n: -rng.uniform(0.0, 0.8)),
+        ("m", lambda rng, d, n: d["M"] - rng.uniform(0.3, 2.0)),
+    ),
+)
+_POSITIVE_PAIR = _Hypothesis("positive pair", (), (), None, _pd_pair_sample, _PD_RANGE)
+_HERMITIAN_PAIR = _Hypothesis("Hermitian pair", (), (), None, _bounded_sample, _HERMITIAN_RANGE)
+
+
 def _specht_exp_factor(v: dict) -> float:
     p = v["p"]
     return max(specht(_exp(v["s"] * p, "s*p")), specht(_exp(v["t"] * p, "t*p"))) ** (1.0 / p)
@@ -624,13 +680,10 @@ def _cosh_factor(v: dict) -> float:
     return (_exp(2.0 * M, "2M") + _exp(2.0 * m, "2m")) / (2.0 * _exp(M + m, "M+m"))
 
 
-#: The hypothesis of a corollary row and its reduction to its parent's: (cell,
-#: re-check, sampler, (m, M) -> (s, t), text of s and t).
-_RATIO = ("bounded", _require_bounded, _pd_pair_sample, _ratio_reduction, "`s = m/M`, `t = M/m`")
-_DIFFERENCE = (
-    "bounded spectra", _require_bounded_hk, _bounded_sample, _difference_reduction,
-    "`s = m - M`, `t = M - m`",
-)
+#: A corollary row's reduction to its parent's hypothesis: (its own
+#: hypothesis, (m, M) -> (s, t), text of s and t).
+_RATIO = (_BOUNDED, _ratio_reduction, "`s = m/M`, `t = M/m`")
+_DIFFERENCE = (_BOUNDED_SPECTRA, _difference_reduction, "`s = m - M`, `t = M - m`")
 
 
 def _corollary(parent: str, reduction: tuple, params, checks, draws) -> _Inequality:
@@ -638,170 +691,121 @@ def _corollary(parent: str, reduction: tuple, params, checks, draws) -> _Inequal
     [m, M]: the parent's factor there and its comparison, under the
     reduction's hypothesis, with the corollary's own params, checks and draws."""
     row = _INEQUALITIES[parent]
-    hypothesis, require, sample, reduce, scalars = reduction
+    hypothesis, reduce, scalars = reduction
 
     def factor(v: dict) -> float:
         s, t = reduce(v["m"], v["M"])
         return row.factor({**v, "s": s, "t": t})
 
-    cells = (hypothesis, f"same as `{parent}`", f"`{parent}` at {scalars}")
-    return _Inequality(params, checks, require, factor, row.compare, draws, sample, cells)
+    cells = (f"same as `{parent}`", f"`{parent}` at {scalars}")
+    return _under(hypothesis, params, checks, draws, factor, row.compare, cells)
 
 
-_GT_DRAWS = _HERMITIAN_RANGE + _ALPHA + _GT_P
 _SQUARED = {"alpha": 0.5, "p": 2.0}
-#: The parameters, checks and draws of both gt corollaries.
-_GT_BOUNDED = (("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds), _GT_DRAWS)
 
 _INEQUALITIES = {
     # Specht ratio: sandwich s*A <= B <= t*A, power-monotone for exponents >= 1
-    "specht-power-low": _Inequality(
-        ("alpha", "r", "s", "t"), (_alpha, _low_r, _sandwich),
-        require=_require_olson_sandwich,
+    "specht-power-low": _under(
+        _SANDWICH, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R, compare=_power_low,
         factor=lambda v: max(specht(v["s"]), specht(v["t"])) ** v["r"],
-        compare=_power_low,
-        draws=_PD_RANGE + _SANDWICH + _ALPHA + _LOW_R,
-        sample=_sandwich_sample,
-        cells=(
-            "sandwich", "Loewner, `(A #_a B)^r` vs mean of powers, `0 < r <= 1`",
-            "`max(S(s), S(t))^r`",
-        ),
+        cells=("Loewner, `(A #_a B)^r` vs mean of powers, `0 < r <= 1`", "`max(S(s), S(t))^r`"),
     ),
-    "specht-eigen-power": _Inequality(
-        ("alpha", "r", "s", "t"), (_alpha, _high_r, _sandwich), require=_require_olson_sandwich,
+    "specht-eigen-power": _under(
+        _POWER_SANDWICH, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
         factor=lambda v: max(specht(_checked_pow(v[x], v["r"], f"{x}^r")) for x in "st"),
-        compare=_eigen_power,
-        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_olson_sandwich_sample,
-        cells=("power sandwich", "eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
+        compare=_eigen_power, cells=("eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
     ),
-    "specht-pq": _Inequality(
-        ("alpha", "q", "p", "s", "t"), (_alpha, _q_le_p, _sandwich),
-        require=_require_olson_sandwich,
+    "specht-pq": _under(
+        _POWER_SANDWICH, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA, compare=_pq,
         factor=lambda v: max(specht(_checked_pow(v[x], v["p"], f"{x}^p")) for x in "st")
         ** (1.0 / v["p"]),
-        compare=_pq, draws=_PD_RANGE + _QP + _ALPHA, sample=_olson_sandwich_sample,
-        cells=(
-            "power sandwich", "eigenvalues, two exponents `0 < q <= p`",
-            "`max(S(s^p), S(t^p))^(1/p)`",
-        ),
+        cells=("eigenvalues, two exponents `0 < q <= p`", "`max(S(s^p), S(t^p))^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
-    "gt-specht": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
-        require=_require_exponential_olson, factor=_specht_exp_factor,
-        compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
-        cells=(
-            "exp-Olson", "eigenvalues of `e^{(1-a)H + aK}` vs mean-power",
-            "`max(S(e^{sp}), S(e^{tp}))^(1/p)`",
+    "gt-specht": _under(
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_gt_eigen,
+        factor=_specht_exp_factor, cells=(
+            "eigenvalues of `e^{(1-a)H + aK}` vs mean-power", "`max(S(e^{sp}), S(e^{tp}))^(1/p)`",
         ),
     ),
-    "gt-specht-norm": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
-        require=_require_exponential_olson, factor=_specht_exp_factor,
-        compare=_norm, draws=_GT_DRAWS, sample=_exp_olson_sample,
-        cells=("exp-Olson", "Ky Fan + Schatten norms", "same as `gt-specht`"),
+    "gt-specht-norm": _under(
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_norm,
+        factor=_specht_exp_factor, cells=("Ky Fan + Schatten norms", "same as `gt-specht`"),
     ),
-    "gt-specht-norm-squared": _Inequality(
-        ("alpha", "p", "s", "t"), (_finite_st,), fixed=_SQUARED,
-        require=_require_exponential_olson,
+    "gt-specht-norm-squared": _under(
+        _EXP_OLSON, ("alpha", "p"), (), (), fixed=_SQUARED,
         factor=lambda v: max(specht(_exp(2.0 * v["s"], "2s")), specht(_exp(2.0 * v["t"], "2t"))),
         compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
-        draws=_HERMITIAN_RANGE, sample=_exp_olson_sample,
-        cells=(
-            "exp-Olson", "norm of `e^{H+K}` vs `e^{2H} # e^{2K}`",
-            "`max(S(e^{2s}), S(e^{2t}))`",
-        ),
+        cells=("norm of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`max(S(e^{2s}), S(e^{2t}))`"),
     ),
     # Kantorovich constant
-    "kantorovich-matrix": _Inequality(
-        ("m", "M", "h", "rows"), (_positive_m, _bounds), require=_require_compression,
+    "kantorovich-matrix": _under(
+        _BOUNDED_A, (), (), (),
         factor=lambda v: (v["m"] + v["M"]) ** 2 / (4.0 * v["m"] * v["M"]),
-        compare=_compression,
-        draws=_PD_RANGE + _ROWS,
-        sample=lambda cfg, i, d: (random_pd(cfg, i), random_isometry(cfg, d["rows"], i), {}),
-        cells=("bounded `A`", "Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
+        compare=_compression, cells=("Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
     ),
-    "gt-kantorovich": _Inequality(
-        ("alpha", "p", "s", "t"), (_alpha, _positive_p, _finite_st),
-        require=_require_exponential_olson, factor=_kantorovich_exp_factor,
-        compare=_gt_eigen, draws=_GT_DRAWS, sample=_exp_olson_sample,
-        cells=("exp-Olson", "eigenvalues", "`K(e^{p(t-s)}, a)^(-1/p)`"),
+    "gt-kantorovich": _under(
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_gt_eigen,
+        factor=_kantorovich_exp_factor, cells=("eigenvalues", "`K(e^{p(t-s)}, a)^(-1/p)`"),
     ),
-    "gt-kantorovich-squared": _Inequality(
-        ("alpha", "p", "m", "M"), (_bounds,), fixed=_SQUARED,
-        require=_require_bounded_hk, factor=_cosh_factor,
+    "gt-kantorovich-squared": _under(
+        _BOUNDED_SPECTRA, ("alpha", "p"), (), (), fixed=_SQUARED, factor=_cosh_factor,
         compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
-        draws=_HERMITIAN_RANGE, sample=_bounded_sample,
-        cells=(
-            "bounded spectra", "eigenvalues of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`cosh(M - m)`",
-        ),
+        cells=("eigenvalues of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`cosh(M - m)`"),
     ),
     # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
-    "fm-power-low": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _low_r, _positive_m, _bounds, _chain_top),
-        require=_require_chain, factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
-        compare=_power_low,
-        draws=_CHAIN_RANGE + _ALPHA + _LOW_R, sample=_chain_sample,
-        cells=("chain", "Loewner, `0 < r <= 1`", "difference factor"),
+    "fm-power-low": _under(
+        _CHAIN, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R,
+        factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
+        compare=_power_low, cells=("Loewner, `0 < r <= 1`", "difference factor"),
     ),
-    "fm-eigen-power": _Inequality(
-        ("alpha", "r", "m", "M", "h"), (_alpha, _high_r, _positive_m, _bounds, _chain_top),
-        require=_require_chain, factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
-        compare=_eigen_power,
-        draws=_CHAIN_RANGE + _HIGH_R + _ALPHA, sample=_chain_sample,
-        cells=("chain", "eigenvalues, `r >= 1`", "difference factor"),
+    "fm-eigen-power": _under(
+        _CHAIN, ("alpha", "r"), (_alpha, _high_r), _HIGH_R + _ALPHA,
+        factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
+        compare=_eigen_power, cells=("eigenvalues, `r >= 1`", "difference factor"),
     ),
-    "fm-pq": _Inequality(
-        ("alpha", "q", "p", "m", "M", "h"), (_alpha, _q_le_p, _positive_m, _bounds, _chain_top),
-        require=_require_chain,
+    "fm-pq": _under(
+        _CHAIN, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
-        compare=_pq, draws=_CHAIN_RANGE + _QP + _ALPHA, sample=_chain_sample,
-        cells=("chain", "eigenvalues, `0 < q <= p`", "difference factor"),
+        compare=_pq, cells=("eigenvalues, `0 < q <= p`", "difference factor"),
     ),
-    "gt-fm": _Inequality(
-        ("alpha", "p", "m", "M"), (_alpha, _positive_p, _bounds, _exp_chain_top),
-        require=_require_exponential_chain,
+    "gt-fm": _under(
+        _EXP_CHAIN, ("alpha", "p"), (_alpha, _positive_p), _GT_P + _ALPHA,
         factor=lambda v: fm_factor(
             _exp(v["p"] * (v["M"] - v["m"]), "p(M-m)"), v["alpha"], 1.0 / v["p"]
         ),
-        compare=_gt_eigen,
-        draws=_EXP_CHAIN_RANGE + _GT_P + _ALPHA, sample=_exp_chain_sample,
-        cells=("exp-chain", "eigenvalues", "difference factor"),
+        compare=_gt_eigen, cells=("eigenvalues", "difference factor"),
     ),
 }
 # The paper's bounded-spectrum corollaries, which read their parents' rows above
 _INEQUALITIES |= {
     "bounded-power-low": _corollary(
-        "specht-power-low", _RATIO, ("alpha", "r", "m", "M", "h"),
-        (_alpha, _low_r, _positive_m, _bounds), _PD_RANGE + _ALPHA + _LOW_R,
+        "specht-power-low", _RATIO, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R,
     ),
     "bounded-eigen-power": _corollary(
-        "specht-eigen-power", _RATIO, ("alpha", "r", "m", "M", "h"),
-        (_alpha, _high_r, _positive_m, _bounds), _PD_RANGE + _ALPHA + _HIGH_R,
+        "specht-eigen-power", _RATIO, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
     ),
     "bounded-pq": _corollary(
-        "specht-pq", _RATIO, ("alpha", "q", "p", "m", "M", "h"),
-        (_alpha, _q_le_p, _positive_m, _bounds), _PD_RANGE + _ALPHA + _QP,
+        "specht-pq", _RATIO, ("alpha", "q", "p"), (_alpha, _q_le_p), _ALPHA + _QP,
     ),
-    "gt-bounded-specht": _corollary("gt-specht", _DIFFERENCE, *_GT_BOUNDED),
-    "gt-kantorovich-bounded": _corollary("gt-kantorovich", _DIFFERENCE, *_GT_BOUNDED),
+    "gt-bounded-specht": _corollary(
+        "gt-specht", _DIFFERENCE, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P,
+    ),
+    "gt-kantorovich-bounded": _corollary(
+        "gt-kantorovich", _DIFFERENCE, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P,
+    ),
     # Forward baselines: no hypothesis, no factor
-    "forward-ando-hiai": _Inequality(
-        ("alpha", "r"), (_alpha, _high_r), require=None, factor=None,
-        compare=_log_majorization,
-        draws=_PD_RANGE + _ALPHA + _HIGH_R, sample=_pd_pair_sample,
-        cells=("positive pair", "log-majorization, `r >= 1`", "1"),
+    "forward-ando-hiai": _under(
+        _POSITIVE_PAIR, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
+        factor=None, compare=_log_majorization, cells=("log-majorization, `r >= 1`", "1"),
     ),
-    "forward-gt-trace": _Inequality(
-        (), (), require=None, factor=None,
-        compare=_trace, draws=_HERMITIAN_RANGE, sample=_bounded_sample,
-        cells=("Hermitian pair", "trace", "1"),
+    "forward-gt-trace": _under(
+        _HERMITIAN_PAIR, (), (), (), factor=None, compare=_trace, cells=("trace", "1"),
     ),
-    "forward-mean-norm": _Inequality(
-        ("alpha", "p"), (_alpha, _positive_p), require=None, factor=None,
+    "forward-mean-norm": _under(
+        _HERMITIAN_PAIR, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, factor=None,
         compare=lambda h, k, v: _norm_sides(*reversed(_gt_sides(h, k, v)), 1.0),
-        draws=_GT_DRAWS, sample=_bounded_sample,
-        cells=("Hermitian pair", "unitarily invariant norms", "1"),
+        cells=("unitarily invariant norms", "1"),
     ),
 }
 
@@ -823,8 +827,6 @@ def certify_inequality(
     x,
     y,
     /,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
     **params,
 ) -> InequalityReport:
     """Certify one instance of ``inequality_id`` (an id of INEQUALITY_IDS):
@@ -837,7 +839,8 @@ def certify_inequality(
     fixes (alpha and p of the -squared ids) and the derived h = M/m and
     rows.  BadRangeError names an unknown id, a given name the row does not
     take, fixes or derives, and a missing name; TypeError names an operand
-    that is not a HermitianMatrix (U excepted).
+    that is not a HermitianMatrix (U excepted).  The report holds when every
+    relative margin is at least -1e-9, a fixed threshold.
     """
     spec = _row(inequality_id)
     for label, operand in zip("xy", (x,) if "rows" in spec.params else (x, y)):
@@ -858,7 +861,6 @@ def certify_inequality(
                 f"{inequality_id} {fault} {', '.join(names)}; "
                 f"it takes {', '.join(spec.taken) or 'no parameters'}"
             )
-    tolerance = _check_tolerance(tolerance)
     values = dict.fromkeys(spec.params)
     values.update(spec.fixed, **params)
     for check in spec.checks:
@@ -889,8 +891,8 @@ def certify_inequality(
         rhs_values=rhs,
         margins=tuple(r - l for l, r in zip(lhs, rhs)),
         relative_margins=rel,
-        holds=bool(min(rel) >= -tolerance),
-        tolerance=tolerance,
+        holds=bool(min(rel) >= -_TOLERANCE),
+        tolerance=_TOLERANCE,
         semantics=semantics,
         labels=tuple(labels),
         n=x.dim,
@@ -1028,14 +1030,16 @@ def convergence_study(
 # ---------------------------------------------------------------------------
 
 
-def _recipe(inequality_id, index, seed, n, mode, rng, ov, tolerance):
-    """Draw one instance's free parameters in its row's order, sample its
-    operands, and certify it.
+def _recipe(inequality_id, index, seed, n, mode, ov):
+    """Draw one instance's free parameters from its params stream (seed,
+    index, params tag) in its row's order, sample its operands, and certify
+    it.
 
     Every entry draws, pinned or not, so a pin moves no other draw; the pin
     in ``ov``, if any, then takes the drawn value's place, and the later
     entries read it."""
     spec = _INEQUALITIES[inequality_id]
+    rng = philox_generator(seed, index, TAG_PARAMS)
     drawn = {}
     for name, draw in spec.draws:
         value = draw(rng, drawn, n)
@@ -1044,7 +1048,7 @@ def _recipe(inequality_id, index, seed, n, mode, rng, ov, tolerance):
     x, y, sampled = spec.sample(cfg, index, drawn)
     drawn.update(sampled)
     given = {name: drawn[name] for name in spec.taken}
-    return certify_inequality(inequality_id, x, y, tolerance=tolerance, **given)
+    return certify_inequality(inequality_id, x, y, **given)
 
 
 RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
@@ -1081,7 +1085,6 @@ def run_instances(
     seed: int = 0,
     n: int | None = None,
     mode: str | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
     param_overrides: dict | None = None,
 ) -> SweepResult:
     """Certify ``count`` seeded instances of one inequality.
@@ -1099,7 +1102,6 @@ def run_instances(
     seed = _checked_seed(seed)
     if count < 1:
         raise BadRangeError(f"count must be >= 1, got {count}")
-    tolerance = _check_tolerance(tolerance)
     recipe = RECIPES[inequality_id]
     overrides = param_overrides or {}
     pinnable = _pinnable(inequality_id)
@@ -1118,11 +1120,7 @@ def run_instances(
     for index in range(count):
         use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
         use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
-        rng = philox_generator(seed, index, TAG_PARAMS)
-        report = recipe(
-            index=index, seed=seed, n=use_n, mode=use_mode, rng=rng,
-            ov=pins, tolerance=tolerance,
-        )
+        report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
         reports.append(dataclasses.replace(report, mode=use_mode))
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)

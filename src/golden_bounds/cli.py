@@ -20,7 +20,6 @@ import sys
 
 from .certify import (
     CSV_HEADER,
-    DEFAULT_TOLERANCE,
     INEQUALITY_IDS,
     PIN_NAMES,
     SweepResult,
@@ -132,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
         "certify",
         help="run a seeded certification sweep for one inequality",
         description=(
-            "Certify seeded random instances of one inequality; exits 0 only "
-            "if every instance holds. Known ids: " + ", ".join(INEQUALITY_IDS)
+            "Certify seeded random instances of one inequality; exits 0 only if "
+            "every instance holds (every relative margin >= -1e-9). Known ids: "
+            + ", ".join(INEQUALITY_IDS)
         ),
     )
     p_cert.add_argument("inequality_id", help="inequality to certify")
@@ -142,10 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix dimension; 0 cycles through 2..6 (default: 4)",
     )
     p_cert.add_argument("--count", type=int, default=200, help="instances (default: 200)")
-    p_cert.add_argument(
-        "--tol", type=float, default=DEFAULT_TOLERANCE,
-        help="relative tolerance on margins (default: 1e-9)",
-    )
     p_cert.add_argument(
         "--commuting", action="store_true",
         help="sample commuting pairs only (default: alternate general/commuting)",
@@ -234,7 +230,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         seed=args.seed,
         n=None if args.n == 0 else args.n,
         mode=MODE_COMMUTING if args.commuting else None,
-        tolerance=args.tol,
         param_overrides=overrides,
     )
     rendered = _sweep_to_json(result) if args.format == "json" else _sweep_to_csv(result)

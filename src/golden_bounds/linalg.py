@@ -303,12 +303,11 @@ def _check_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
         raise NotHermitianError("decomposition entries must be finite (got NaN or Inf)")
 
 
-def _symmetric_part(raw: np.ndarray) -> np.ndarray:
-    """The read-only (raw + raw*)/2 of a square array, formed as h + h* with
-    h = raw/2. Halving is exact for normal numbers and commutes with
-    rounding, so the bits are those of (raw + raw*)/2 unless a half is
+def _symmetric_part(half: np.ndarray) -> np.ndarray:
+    """The read-only (raw + raw*)/2 of a square array, formed as h + h* from
+    its half h = raw/2. Halving is exact for normal numbers and commutes
+    with rounding, so the bits are those of (raw + raw*)/2 unless a half is
     subnormal; unlike that form, this one cannot overflow."""
-    half = raw / 2.0
     out = np.ascontiguousarray(half + half.conj().T)
     out.flags.writeable = False
     return out
@@ -323,13 +322,14 @@ def _checked_entries(entries) -> np.ndarray:
     scale = float(np.max(np.abs(raw)))
     if not math.isfinite(scale):
         raise NotHermitianError("matrix entries must be finite (got NaN or Inf)")
-    defect = float(np.max(np.abs(raw - raw.conj().T)))
+    half = raw / 2.0  # the halves' defect cannot overflow; its double may be inf, silently
+    defect = 2.0 * float(np.max(np.abs(half - half.conj().T)))
     if defect > HERMITICITY_DEFECT_RTOL * scale:
         raise NotHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds "
             f"{HERMITICITY_DEFECT_RTOL:g} * max|entry| = {HERMITICITY_DEFECT_RTOL * scale:.3e}"
         )
-    return _symmetric_part(raw)
+    return _symmetric_part(half)
 
 
 def _result_entries(raw: np.ndarray) -> np.ndarray:
@@ -337,7 +337,7 @@ def _result_entries(raw: np.ndarray) -> np.ndarray:
     checked matrices. Its one check is the finiteness guard: such an array
     is square and Hermitian up to rounding by construction, and can only
     fail by leaving double range."""
-    out = _symmetric_part(raw)
+    out = _symmetric_part(raw / 2.0)
     if not np.isfinite(out).all():
         raise DomainError("a computed matrix left double range: its entries are not finite")
     return out
@@ -402,7 +402,8 @@ class HermitianMatrix:
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
         _require_same_dim(self, other)
-        return _result(self.matrix + sign * other.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _result(self.matrix + sign * other.matrix)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -415,11 +416,13 @@ class HermitianMatrix:
 
     def _scaled(self, factor: float) -> "HermitianMatrix":
         """``factor`` times this matrix, of this class for a positive factor."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = _result(self.matrix * factor)
         dec = self._decomp
         if dec is not None:
             dec = dec._mapped(dec.eigenvalues * factor, reverse=factor < 0.0)
         cls = type(self) if factor > 0.0 else HermitianMatrix
-        return cls(_result(self.matrix * factor), decomposition=dec)
+        return cls(scaled, decomposition=dec)
 
     def __mul__(self, factor):
         if not isinstance(factor, Real):
@@ -449,7 +452,8 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
 def _result(raw: np.ndarray) -> HermitianMatrix:
     """A HermitianMatrix holding an internal result, ``raw`` computed here
-    from checked matrices: its entries get only ``_result_entries``."""
+    from checked matrices: its entries get only ``_result_entries``, whose
+    DomainError is the one signal of an overflow (formed with warnings off)."""
     out = HermitianMatrix.__new__(HermitianMatrix)
     out._matrix = _result_entries(raw)
     out._decomp = None
@@ -563,7 +567,8 @@ def congruence(transform: np.ndarray, matrix: HermitianMatrix) -> HermitianMatri
         raise DimMismatchError(f"transform shape {t.shape} does not match dim {matrix.dim}")
     if not np.isfinite(t).all():
         raise NotHermitianError("transform entries must be finite (got NaN or Inf)")
-    return _result(t @ matrix.matrix @ t.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _result(t @ matrix.matrix @ t.conj().T)
 
 
 def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> HermitianMatrix:

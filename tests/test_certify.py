@@ -38,13 +38,11 @@ from golden_bounds.linalg import (
 )
 from golden_bounds.means import geometric_mean, limit_probe, log_euclidean, mean_power
 from golden_bounds.sampling import (
-    TAG_PARAMS,
     SamplerConfig,
     bounded_hermitian_pair,
     olson_exponential_pair,
     ordered_chain_pair,
     ordered_exponential_chain_pair,
-    philox_generator,
     random_isometry,
     random_pd,
     random_pd_pair,
@@ -614,10 +612,7 @@ def test_chain_sampler_ladder_at_seed_2026(monkeypatch, inequality_id, tried):
 
     monkeypatch.setattr(sampling, "congruence", recording_congruence)
     assert (N_CYCLE[63 % len(N_CYCLE)], 63 % 2) == (5, 1)
-    report = RECIPES[inequality_id](
-        index=63, seed=2026, n=5, mode="general", rng=philox_generator(2026, 63, TAG_PARAMS),
-        ov={}, tolerance=1e-9,
-    )
+    report = RECIPES[inequality_id](index=63, seed=2026, n=5, mode="general", ov={})
     assert report.holds
     assert sizes[::2] == tried and sizes[1::2] == tried  # A and B per step
 

@@ -14,6 +14,7 @@ import pytest
 from golden_bounds import certify, cli, linalg
 from golden_bounds.certify import INEQUALITY_IDS
 from golden_bounds.cli import main
+from golden_bounds.errors import BadRangeError
 
 import oracles
 
@@ -143,13 +144,18 @@ def test_certify_csv_shape(capsys, tmp_path):
         assert row[lhs_column] == format(float(row[lhs_column]), ".17g")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_certify_rejects_bad_tolerance(capsys, tol):
-    # A NaN tolerance flags every instance, inf certifies anything and a
-    # negative one fails instances whose margins are positive.
-    code, out, err = run_cli(capsys, "certify", "gt-specht", "--count", "3", "--tol", tol)
-    assert code == 2
-    assert "tolerance" in err and out == ""
+def test_the_tolerance_is_not_settable(capsys):
+    # "holds" means every relative margin >= -1e-9, one threshold for every
+    # caller: no flag or keyword sets another.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", "gt-specht", "--count", "3", "--tol", "1e-3"])
+    assert exit_info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    h = linalg.HermitianMatrix([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(BadRangeError, match="takes no parameter tolerance"):
+        certify.certify_inequality("gt-specht", h, h, alpha=0.5, p=1.0, s=0, t=0, tolerance=1e-3)
+    with pytest.raises(TypeError, match="tolerance"):
+        certify.run_instances("gt-specht", count=1, tolerance=1e-3)
 
 
 #: sha256 of ``certify <id> --n 0 --count 20 --seed 7 --format {csv,json}``

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from golden_bounds import specht
+from golden_bounds import certify, specht
 from golden_bounds.certify import _INEQUALITIES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +42,16 @@ def test_readme_table_has_one_row_per_inequality_id():
     rendered = _rendered_table_body()
     lines = "\n".join(f"| {' | '.join(row)} |" for row in rendered)
     assert _readme_table_body() == rendered, f"the README table should read:\n{lines}"
+
+
+def test_readme_hypothesis_key_names_each_hypothesis_record_once():
+    # The key's italic names are exactly the cells of the hypothesis records
+    # that the table's rows take their hypothesis cell from.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    key = text.split("Hypothesis column key:", 1)[1].split("\n\n", 1)[0]
+    records = [value for value in vars(certify).values() if isinstance(value, certify._Hypothesis)]
+    assert len(records) == 10
+    assert sorted(re.findall(r"\*([^*]+)\*", key)) == sorted(record.cell for record in records)
 
 
 def _is_expression(text: str) -> bool:

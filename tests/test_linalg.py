@@ -60,9 +60,17 @@ def test_construction_symmetrizes_small_defects():
     assert m.matrix[0, 1] == 0.5 + 0.5e-12j
 
 
-def test_construction_rejects_large_defect():
-    with pytest.raises(NotHermitianError):
-        HermitianMatrix([[1.0, 1.0], [0.0, 1.0]])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.0, 1.0], [0.0, 1.0]],
+        # the defect raw - raw* would overflow to inf here; its halves do not
+        [[0.0, 1.5e308], [-1.5e308, 0.0]],
+    ],
+)
+def test_construction_rejects_large_defect(entries):
+    with pytest.raises(NotHermitianError, match="Hermiticity defect"):
+        HermitianMatrix(entries)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
@@ -626,13 +634,21 @@ def test_matrix_function_images_stay_in_double_range(function, eigenvalues, mess
         function(HermitianMatrix(np.diag(eigenvalues)))
 
 
-def test_congruence_overflow_raises_where_it_happens():
-    # The product overflows inside numpy, which warns (overflow, then inf * 0);
-    # the result's finiteness guard then raises before any matrix holds it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(DomainError, match="left double range"):
-            congruence(1e200 * np.eye(2), HermitianMatrix(np.eye(2)))
+@pytest.mark.parametrize(
+    "overflow",
+    [
+        lambda: congruence(1e200 * np.eye(2), HermitianMatrix(np.eye(2))),
+        lambda: HermitianMatrix(1e308 * np.eye(2)) + HermitianMatrix(1e308 * np.eye(2)),
+        lambda: HermitianMatrix([[1e308, 1e308], [1e308, 1e308]]) * 10.0,
+    ],
+    ids=["congruence", "sum", "scaling"],
+)
+def test_congruence_overflow_raises_where_it_happens(overflow):
+    # A product that overflows (and then meets inf * 0) raises the result's
+    # DomainError before any matrix holds it, with no numpy warning first:
+    # warnings are errors in this suite.
+    with pytest.raises(DomainError, match="left double range"):
+        overflow()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
