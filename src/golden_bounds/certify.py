@@ -533,21 +533,13 @@ def _bounded_sample(cfg, index, d):
     return *bounded_hermitian_pair(cfg, index), {}
 
 
-def _chain_grid(d: dict) -> tuple[float, ...] | None:
-    """The exponents a general-mode chain sampler checks its Olson middle on:
-    the lean grid when it holds an exponent above 1, else None (at 1 alone
-    the congruence keeps A <= B exactly, and the Cholesky re-check runs)."""
-    grid = _lean_exponents(d)
-    return grid if len(grid) > 1 else None
-
-
 def _chain_sample(cfg, index, d):
-    chain = ordered_chain_pair(cfg, index, _chain_grid(d))
+    chain = ordered_chain_pair(cfg, index, grid=_lean_exponents(d))
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
 def _exp_chain_sample(cfg, index, d):
-    pair = ordered_exponential_chain_pair(cfg, index, _chain_grid(d))
+    pair = ordered_exponential_chain_pair(cfg, index, grid=_lean_exponents(d))
     return pair.h, pair.k, {"m": pair.m, "M": pair.M}
 
 
@@ -912,24 +904,26 @@ def compare_constants_remark(alpha: float, p: float, h: float) -> tuple[float, f
     """Kantorovich-route factor minus exponential-route factor at (alpha, p, h).
 
     Returns (K(h^{2p}, alpha)^{-1/p}, exp((1/p) alpha(1-alpha)(1-1/h^p)^2),
-    difference).  The sign varies with h — neither reverse bound dominates."""
+    difference).  The sign varies with h — neither reverse bound dominates.
+    The exponential-route factor is the fm-pq row's."""
     alpha = _check_alpha(alpha)
     p = _check_positive(p, "p")
     if not h >= 1.0:
         raise BadRangeError(f"h must be >= 1, got {h}")
     kant_side = kantorovich(_checked_pow(h, 2.0 * p, "h^(2p)"), alpha) ** (-1.0 / p)
-    fm_side = fm_factor(h**p, alpha, 1.0 / p)
+    fm_side = _INEQUALITIES["fm-pq"].factor({"alpha": alpha, "p": p, "h": h})
     return kant_side, fm_side, kant_side - fm_side
 
 
 def compare_specht_vs_fm(alpha: float, r: float, h: float) -> tuple[float, float, float]:
     """Specht-route factor minus exponential-route factor for the low-power
-    comparison: (S(h)^r, exp(r alpha(1-alpha)(1-1/h)^2), difference)."""
+    comparison: (S(h)^r, exp(r alpha(1-alpha)(1-1/h)^2), difference), the
+    latter the fm-power-low row's factor."""
     alpha, r = _check_alpha(alpha), _check_low_power(r)
     if not h >= 1.0:
         raise BadRangeError(f"h must be >= 1, got {h}")
     specht_side = specht(h) ** r
-    fm_side = fm_factor(h, alpha, r)
+    fm_side = _INEQUALITIES["fm-power-low"].factor({"alpha": alpha, "r": r, "h": h})
     return specht_side, fm_side, specht_side - fm_side
 
 

@@ -319,15 +319,19 @@ def _checked_entries(entries) -> np.ndarray:
     raw = np.asarray(entries, dtype=np.complex128)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
-    scale = float(np.max(np.abs(raw)))
-    if not math.isfinite(scale):
+    if not np.isfinite(raw).all():
         raise NotHermitianError("matrix entries must be finite (got NaN or Inf)")
-    half = raw / 2.0  # the halves' defect cannot overflow; its double may be inf, silently
-    defect = 2.0 * float(np.max(np.abs(half - half.conj().T)))
+    half = raw / 2.0
+    # Moduli of the quarters and of their defect stay in double range; both
+    # values are exactly a quarter of the unscaled ones for normal numbers,
+    # and their Python-float quadruples may be inf, silently.
+    quarter = half / 2.0
+    scale = float(np.max(np.abs(quarter)))
+    defect = float(np.max(np.abs(quarter - quarter.conj().T)))
     if defect > HERMITICITY_DEFECT_RTOL * scale:
         raise NotHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds "
-            f"{HERMITICITY_DEFECT_RTOL:g} * max|entry| = {HERMITICITY_DEFECT_RTOL * scale:.3e}"
+            f"Hermiticity defect {4.0 * defect:.3e} exceeds {HERMITICITY_DEFECT_RTOL:g} "
+            f"* max|entry| = {4.0 * HERMITICITY_DEFECT_RTOL * scale:.3e}"
         )
     return _symmetric_part(half)
 

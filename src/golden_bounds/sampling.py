@@ -4,11 +4,10 @@ Every draw is addressed by (seed, draw index, stream tag) through a Philox
 counter-based generator, so outputs are bit-exact reproducible, independent of
 draw order, and safely partitionable across workers.  Pair samplers construct
 their hypothesis (sandwich, Olson sandwich, bounded spectrum, ordered chain);
-a general-mode chain given an exponent grid also tests its Olson middle, by
-``orders.olson_leq``, the certifiers' own Loewner test at each grid
-exponent, to pick its perturbation size, and with ``grid=None`` tests
-nothing.  The certifiers re-verify the hypothesis on every instance they are
-given.
+a general-mode chain also tests its Olson middle on the exponent grid it is
+given, by ``orders.olson_leq``, the certifiers' own Loewner test at each grid
+exponent, to pick its perturbation size.  The certifiers re-verify the
+hypothesis on every instance they are given.
 
 Stream tags: a draw's primary eigenvalues (1), its eigenbasis (2), the
 secondary operand's eigenvalues (3) and basis (4), and free parameters (5).
@@ -196,8 +195,14 @@ def random_pd_pair(
 
 
 def _ratio_reduction(m: float, M: float) -> tuple[float, float]:
-    """(s, t) = (m/M, M/m): spectra in [m, M], m > 0, give s^v A^v <= B^v <= t^v A^v."""
-    return m / M, M / m
+    """(s, t) = (m/M, M/m): spectra in [m, M], m > 0, give s^v A^v <= B^v <= t^v A^v.
+    BadRangeError if a ratio underflows to 0 or leaves double range."""
+    s, t = m / M, M / m
+    for value, ratio in ((s, f"m/M = {m:g}/{M:g}"), (t, f"M/m = {M:g}/{m:g}")):
+        if not 0.0 < value < math.inf:
+            fault = "exceeds double range" if value else "underflows to 0 in double precision"
+            raise BadRangeError(f"{ratio} {fault}")
+    return s, t
 
 
 def _difference_reduction(m: float, M: float) -> tuple[float, float]:
@@ -245,10 +250,7 @@ def olson_sandwich_pair(cfg: SamplerConfig, index: int = 0) -> SandwichSample:
     """Sample (A, B, s, t) with s*A <=ols B <=ols t*A, (s, t) = (lo/hi, hi/lo):
     general mode returns ``random_pd_pair``'s pair, whose spectra in [lo, hi]
     imply the relation, and commuting mode ``sandwich_pair``'s at s and t."""
-    if cfg.lo <= 0.0:
-        raise BadRangeError(
-            f"Olson sandwich needs a positive spectral range, got [{cfg.lo}, {cfg.hi}]"
-        )
+    _require_positive_range(cfg)
     s, t = _ratio_reduction(cfg.lo, cfg.hi)
     if cfg.mode == MODE_COMMUTING:
         return sandwich_pair(cfg, s, t, index)
@@ -285,23 +287,20 @@ class ChainSample:
     M: float
 
 
-def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSample:
+def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, *, grid) -> ChainSample:
     """Sample (A, B) with 0 < m*I <= A <= B <= M*I <= I.
 
     Commuting mode pairs sorted eigenvalue draws on a shared basis, which
     makes the whole chain — including its power-monotone (Olson) middle —
     exact.  General mode congruence-perturbs that commuting pair by
-    T = I + eX: the Loewner chain survives congruence exactly.  Given a
-    ``grid`` (checked in both modes: finite, nonempty, entries >= 1 and 1
-    among them), general mode also requires A^v <= B^v at every grid
-    exponent v by ``orders.olson_leq``, the certifiers' own Loewner test at
-    each exponent, shrinking e until every exponent passes;
-    if none does, the commuting pair (e = 0) is returned, so generation
-    always terminates.  With ``grid=None`` nothing is checked and the first
-    e is kept.
+    T = I + eX: the Loewner chain survives congruence exactly.  The
+    ``grid`` is checked in both modes (finite, nonempty, entries >= 1 and 1
+    among them); general mode requires A^v <= B^v at every grid exponent v
+    by ``orders.olson_leq``, the certifiers' own Loewner test at each
+    exponent, shrinking e until every exponent passes; if none does, the
+    commuting pair (e = 0) is returned, so generation always terminates.
     """
-    if grid is not None:
-        grid = _validated_grid(grid)
+    grid = _validated_grid(grid)
     if not 0.0 < cfg.lo <= cfg.hi <= 1.0:
         raise BadRangeError(
             f"ordered chain needs 0 < lo <= hi <= 1, got [{cfg.lo}, {cfg.hi}]"
@@ -326,7 +325,7 @@ def ordered_chain_pair(cfg: SamplerConfig, index: int = 0, grid=None) -> ChainSa
         b1 = PositiveDefiniteMatrix(congruence(transform, b0))
         scale = cfg.hi / float(b1.eigenvalues[0])
         a, b = a1 * scale, b1 * scale
-        if grid is None or olson_leq(a, b, grid):
+        if olson_leq(a, b, grid):
             return ChainSample(a=a, b=b, m=float(a.eigenvalues[-1]), M=cfg.hi)
     return exact
 
@@ -342,7 +341,7 @@ class ExponentialChainSample:
 
 
 def ordered_exponential_chain_pair(
-    cfg: SamplerConfig, index: int = 0, grid=None
+    cfg: SamplerConfig, index: int = 0, *, grid
 ) -> ExponentialChainSample:
     """Sample Hermitian (H, K) with e^m I <=ols e^H <=ols e^K <=ols e^M I <=ols I.
 
@@ -350,15 +349,14 @@ def ordered_exponential_chain_pair(
     pair is built as logarithms of an ordered positive chain with spectra in
     [e^m, e^M]; the scalar ends of the chain reduce to plain Loewner bounds,
     and the e^H <=ols e^K middle is the chain sampler's: exact in commuting
-    mode; in general mode checked on ``grid``, or not at all with
-    ``grid=None``, as in ``ordered_chain_pair``.
+    mode and checked on ``grid`` in general mode, as in ``ordered_chain_pair``.
     """
     if cfg.hi > 0.0:
         raise BadRangeError(
             f"exponential chain needs exponent bounds with M <= 0, got [{cfg.lo}, {cfg.hi}]"
         )
     pd_cfg = replace(cfg, lo=math.exp(cfg.lo), hi=math.exp(cfg.hi))
-    chain = ordered_chain_pair(pd_cfg, index, grid)
+    chain = ordered_chain_pair(pd_cfg, index, grid=grid)
     return ExponentialChainSample(
         h=log_pd(chain.a),
         k=log_pd(chain.b),

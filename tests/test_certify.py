@@ -1,6 +1,7 @@
 """Certifiers: report invariants, scalar cross-checks, hypothesis guards."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -316,7 +317,7 @@ def _sandwich_operands(cfg):
 
 
 def _chain_operands(cfg):
-    chain = ordered_chain_pair(cfg, 0)
+    chain = ordered_chain_pair(cfg, 0, grid=(1.0,))
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
@@ -575,10 +576,10 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [0.8, 1.0, 1.7])
-def test_chain_sampler_checks_olson_middle_only_above_power_one(chain_checks, p):
+def test_chain_sampler_checks_olson_middle_on_the_lean_grid(chain_checks, p):
     # fm-pq's general-mode chain is checked by the shared Loewner test at
-    # exponents 1 and p when p > 1; at exponent 1 alone the congruence keeps
-    # A <= B exactly
+    # exponent 1, and at p too when p > 1; at exponent 1 alone the first
+    # perturbation size passes, one check per instance
     result = run_instances(
         "fm-pq", count=3, seed=5, n=3, mode="general", param_overrides={"q": 0.5, "p": p}
     )
@@ -586,7 +587,31 @@ def test_chain_sampler_checks_olson_middle_only_above_power_one(chain_checks, p)
     if p > 1.0:
         assert chain_checks.count(p) >= 3 and set(chain_checks) == {1.0, p}
     else:
-        assert chain_checks == []
+        assert chain_checks == [1.0] * 3
+
+
+_CHAIN_IDS = ("fm-power-low", "fm-eigen-power", "fm-pq", "gt-fm")
+
+
+@pytest.mark.parametrize("inequality_id", _CHAIN_IDS)
+def test_every_general_chain_passes_olson_order_on_its_lean_grid(monkeypatch, inequality_id):
+    # each general-mode chain of a sweep is tested on its row's lean grid,
+    # and the chain it returns is the one that passed
+    calls = []
+    olson_leq = sampling.olson_leq
+
+    def recording_olson_leq(a, b, grid):
+        calls.append((tuple(grid), olson_leq(a, b, grid)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sampling, "olson_leq", recording_olson_leq)
+    for index in range(1, 20, 2):
+        calls.clear()
+        n = N_CYCLE[index % len(N_CYCLE)]
+        report = RECIPES[inequality_id](index=index, seed=1, n=n, mode="general", ov={})
+        lean = certify._lean_exponents(report.parameters)
+        assert calls and {grid for grid, _ in calls} == {lean}
+        assert calls[-1][1] and not any(verdict for _, verdict in calls[:-1])
 
 
 @pytest.mark.parametrize(
@@ -894,6 +919,8 @@ def test_compare_seo_constants_takes_the_bounded_rows_factor():
     # The single constant is gt-kantorovich-bounded's factor (gt-kantorovich
     # at s = m - M, t = M - m); the formula it replaced is the reference, and
     # the two agree bit for bit, since p(t - s) and 2p(M - m) round alike.
+    # The two remark comparisons take fm-pq's and fm-power-low's factors,
+    # the same operations as the formulas they replaced.
     for alpha in (0.0, 0.1, 0.5, 0.9, 1.0):
         for p in (1e-3, 0.3, 0.77, 1.0):
             for m in (-1.5, -0.2, 0.0, 0.5):
@@ -902,6 +929,13 @@ def test_compare_seo_constants_takes_the_bounded_rows_factor():
                     single, _, _ = compare_seo_constants(alpha, p, m, M)
                     reference = kantorovich(math.exp(2.0 * p * (M - m)), alpha) ** (-1.0 / p)
                     assert single == reference
+            for h in (1.0, 1.0 + 1e-9, 1.5, 4.0, 16.0):
+                _, remark, _ = compare_constants_remark(alpha, p, h)
+                assert remark == fm_factor(h**p, alpha, 1.0 / p)
+                _, low, _ = compare_specht_vs_fm(alpha, p, h)
+                assert low == fm_factor(h, alpha, p)
+        _, remark, _ = compare_constants_remark(alpha, 2.5, 3.0)
+        assert remark == fm_factor(3.0**2.5, alpha, 1.0 / 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -972,6 +1006,29 @@ def test_exponent_sequences_are_checked_alike(sequence, error):
 def test_registry_covers_every_id():
     assert set(INEQUALITY_IDS) == set(RECIPES)
     assert len(INEQUALITY_IDS) == 21
+
+
+def test_the_repeated_sweeps_are_exactly_the_known_pairs():
+    # Pairs of ids whose relative margins are bit-equal on every general
+    # instance repeat one sweep under two names: each corollary below draws
+    # its parent's pairs and applies its parent's factor at the same scalars.
+    # A new repeat fails here; drawing a tight (s, t) for the parent rows
+    # removes pairs on purpose.
+    general = {
+        ident: [r.relative_margins for r in run_instances(ident, 20, 1).reports
+                if r.mode == "general"]
+        for ident in INEQUALITY_IDS
+    }
+    repeated = {
+        (first, second)
+        for first, second in itertools.combinations(INEQUALITY_IDS, 2)
+        if general[first] == general[second]
+    }
+    assert repeated == {
+        ("bounded-eigen-power", "specht-eigen-power"),
+        ("gt-bounded-specht", "gt-specht"),
+        ("gt-kantorovich", "gt-kantorovich-bounded"),
+    }
 
 
 def test_run_instances_deterministic_and_annotated():

@@ -403,6 +403,8 @@ def test_exponential_out_of_double_range_is_usage_error(capsys, argv, exponent):
          "--r", "3"),
         ("certify", "specht-pq", "--count", "1", "--m", "1e-120", "--M", "1e-10",
          "--q", "1", "--p", "3"),
+        ("certify", "bounded-power-low", "--m", "1e-300", "--M", "1e300", "--count", "2"),
+        ("certify", "specht-eigen-power", "--m", "1e-300", "--M", "1e300", "--count", "2"),
     ],
 )
 def test_float_overflow_is_usage_error(capsys, argv):

@@ -524,6 +524,41 @@ def test_entries_near_the_top_of_double_range_build_unchanged():
     assert offdiagonal.matrix[0, 1] == 1.5e308j
 
 
+def test_complex_entries_whose_moduli_leave_double_range_are_checked():
+    # |1.5e308 + 1.5e308j| exceeds double range, but the entries are finite:
+    # the array is Hermitian and builds, and its non-Hermitian twin is
+    # rejected for its defect, not for its finiteness
+    entry = complex(1.5e308, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = HermitianMatrix([[0.0, entry], [entry.conjugate(), 0.0]])
+        with pytest.raises(NotHermitianError, match="Hermiticity defect"):
+            HermitianMatrix([[0.0, entry], [-entry.conjugate(), 0.0]])
+    assert m.matrix[0, 1] == entry and m.matrix[1, 0] == entry.conjugate()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e20, 1e300])
+def test_hermiticity_verdict_and_message_are_those_of_the_unscaled_entries(scale):
+    # the check runs on quarters of the entries; for normal numbers its
+    # verdict and its message are those of max|raw - raw*| > 1e-8 max|raw|
+    rng = np.random.default_rng(79)
+    for n in (2, 3, 6):
+        for ratio in (0.5, 0.99, 1.01, 2.0):
+            hermitian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            hermitian += hermitian.conj().T
+            defect = ratio * 1e-8 * float(np.max(np.abs(hermitian)))
+            raw = (hermitian + defect * np.triu(np.ones((n, n)), 1)) * scale
+            gap = float(np.max(np.abs(raw - raw.conj().T)))
+            bound = 1e-8 * float(np.max(np.abs(raw)))
+            if gap > bound:
+                message = f"Hermiticity defect {gap:.3e} exceeds 1e-08 * max|entry| = {bound:.3e}"
+                with pytest.raises(NotHermitianError) as excinfo:
+                    HermitianMatrix(raw)
+                assert str(excinfo.value) == message
+            else:
+                HermitianMatrix(raw)
+
+
 # ---------------------------------------------------------------------------
 # The shifted Cholesky positivity predicate
 # ---------------------------------------------------------------------------

@@ -89,7 +89,11 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: random_pd_pair(_SIGNED), BadRangeError,
          "positive definite draws need a positive range, got [-1.0, 1.0]"),
         (lambda: olson_sandwich_pair(_SIGNED), BadRangeError,
-         "Olson sandwich needs a positive spectral range, got [-1.0, 1.0]"),
+         "positive definite draws need a positive range, got [-1.0, 1.0]"),
+        (lambda: sampling._ratio_reduction(1e-300, 1e300), BadRangeError,
+         "m/M = 1e-300/1e+300 underflows to 0 in double precision"),
+        (lambda: sampling._ratio_reduction(1e-160, 1e160), BadRangeError,
+         "M/m = 1e+160/1e-160 exceeds double range"),
         (lambda: certify_inequality(
             "kantorovich-matrix", random_pd(_CFG_3), np.eye(2, 4), m=0.5, M=2.0
          ), DimMismatchError, "isometry shape (2, 4) incompatible with dim 3"),
@@ -275,7 +279,7 @@ def test_olson_and_loewner_agree_on_commuting_draws():
     for n in range(2, 7):
         cfg = SamplerConfig(n, 5, 0.3, 0.8, mode=MODE_COMMUTING)
         for index in range(3):
-            chain = ordered_chain_pair(cfg, index)
+            chain = ordered_chain_pair(cfg, index, grid=GRID)
             sample = olson_sandwich_pair(cfg, index)
             pairs = [
                 (chain.a, chain.b),
@@ -335,7 +339,7 @@ def test_olson_exponential_pair_relations():
 def test_ordered_chain_loewner_and_bounds():
     for mode in (MODE_COMMUTING, MODE_GENERAL):
         cfg = SamplerConfig(4, 10, 0.2, 0.9, mode=mode)
-        chain = ordered_chain_pair(cfg, 0)
+        chain = ordered_chain_pair(cfg, 0, grid=(1.0,))
         assert 0.0 < chain.m <= chain.M <= 1.0 + 1e-12
         assert oracles.loewner_holds(chain.a, chain.b)
         assert chain.a.eigenvalues[-1] >= chain.m - 1e-10
@@ -354,12 +358,17 @@ def test_ordered_chain_olson_middle():
     [(ordered_chain_pair, 0.3, 0.8), (ordered_exponential_chain_pair, -1.2, -0.2)],
     ids=["ordered_chain_pair", "ordered_exponential_chain_pair"],
 )
-def test_ordered_chain_checks_its_olson_middle_only_on_a_grid(chain_checks, sampler, lo, hi):
-    # grid=None means no Olson check in both chain samplers
+def test_ordered_chain_checks_its_olson_middle_on_the_grid_it_is_given(
+    chain_checks, sampler, lo, hi
+):
+    # a general-mode chain always runs the shared test on its grid, which
+    # it must be given; at exponent 1 alone the first perturbation passes
     checked = chain_checks
     cfg = SamplerConfig(3, 11, lo, hi, mode=MODE_GENERAL)
-    sampler(cfg, 1)
-    assert checked == []
+    with pytest.raises(TypeError, match="grid"):
+        sampler(cfg, 1)
+    sampler(cfg, 1, grid=(1.0,))
+    assert checked == [1.0]
     sampler(cfg, 1, grid=(1.0, 2.0))
     # the accepted step passed the shared test at every grid exponent
     assert set(checked) == {1.0, 2.0} and checked[-2:] == [1.0, 2.0]
@@ -370,7 +379,9 @@ def test_ordered_chain_falls_back_to_the_commuting_pair(monkeypatch):
     # exact commuting construction (e = 0) is returned
     monkeypatch.setattr(orders, "loewner_leq", lambda lhs, rhs: False)
     general = ordered_chain_pair(SamplerConfig(3, 11, 0.3, 0.8), 1, grid=(1.0, 2.0))
-    commuting = ordered_chain_pair(SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_COMMUTING), 1)
+    commuting = ordered_chain_pair(
+        SamplerConfig(3, 11, 0.3, 0.8, mode=MODE_COMMUTING), 1, grid=(1.0,)
+    )
     assert (general.m, general.M) == (0.3, 0.8)
     assert np.array_equal(general.a.matrix, commuting.a.matrix)
     assert np.array_equal(general.b.matrix, commuting.b.matrix)
@@ -390,9 +401,9 @@ def test_chain_samplers_validate_the_grid_in_both_modes(sampler, lo, hi, mode, g
 
 def test_ordered_chain_range_validation():
     with pytest.raises(BadRangeError):
-        ordered_chain_pair(SamplerConfig(3, 1, 0.5, 1.5), 0)
+        ordered_chain_pair(SamplerConfig(3, 1, 0.5, 1.5), 0, grid=(1.0,))
     with pytest.raises(BadRangeError):
-        ordered_chain_pair(SamplerConfig(3, 1, 0.0, 0.5), 0)
+        ordered_chain_pair(SamplerConfig(3, 1, 0.0, 0.5), 0, grid=(1.0,))
 
 
 def test_exponential_chain_relations():
@@ -406,4 +417,4 @@ def test_exponential_chain_relations():
 
 def test_exponential_chain_rejects_positive_upper_bound():
     with pytest.raises(BadRangeError):
-        ordered_exponential_chain_pair(SamplerConfig(3, 1, -1.0, 0.5), 0)
+        ordered_exponential_chain_pair(SamplerConfig(3, 1, -1.0, 0.5), 0, grid=(1.0,))
