@@ -19,8 +19,11 @@ enters (``linalg._checked_entries`` on a caller's array and
 a sampled operand enters), and the internal entry builds, which only
 symmetrize and guard a result computed from checked matrices
 (``linalg._result_entries``); both are also given per instance, over the
-instances the calls certify (one per convergence table). Report files go to
-a temporary directory; the counts are printed as JSON.
+instances the calls certify (one per convergence table). It first narrows
+its own CPU affinity to one CPU, so that ``run_instances`` certifies every
+instance in this process, where the hooks count it, instead of forking a
+child per extra CPU. Report files go to a temporary directory; the counts are
+printed as JSON.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -113,6 +117,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cycles", type=int, default=2)
     args = parser.parse_args()
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
         table = {
             name: count_reads(workload, args.cycles, Path(tmp))

@@ -19,17 +19,23 @@ or power of s or t (``_checked_pow``) that leaves double range is a
 BadRangeError naming it; any other scalar overflow is one naming the id.
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
-run_instances drives soundness sweeps over them.
+run_instances drives soundness sweeps over them, one forked child per extra
+CPU the process may use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -232,7 +238,7 @@ def _require_olson_sandwich(a, b, v: dict) -> None:
 
 
 def _require_spectrum_bounds(x: HermitianMatrix, lo: float, hi: float, name: str) -> None:
-    slack = HYPOTHESIS_RTOL * max(abs(lo), abs(hi), 1.0)
+    slack = HYPOTHESIS_RTOL * max(abs(lo), abs(hi))
     eigs = x.eigenvalues
     if eigs[-1] < lo - slack or eigs[0] > hi + slack:
         raise HypothesisViolatedError(
@@ -1046,6 +1052,8 @@ def _recipe(inequality_id, index, seed, n, mode, ov):
 
 
 RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
+#: The recipes as defined here; run_instances splits a sweep only over these.
+_OWN_RECIPES = dict(RECIPES)
 
 INEQUALITY_IDS = tuple(sorted(RECIPES))
 
@@ -1073,6 +1081,91 @@ class SweepResult:
         )
 
 
+def _blocks(count: int) -> list[range]:
+    """``range(count)`` in contiguous blocks as even as can be, one per CPU
+    this process may run on, at most ``count``; one block where ``os.fork``
+    or ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [range(count)]
+    k = min(count, len(os.sched_getaffinity(0)))
+    bounds = [count * j // k for j in range(k + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fork(work: Callable, block: range):
+    """Start a child that runs ``work(block)`` and writes its pickled
+    result, or the exception it raised, to a pipe; (its pid, the pipe's
+    read end).
+
+    The child leaves by ``os._exit``, so it flushes no stdio buffer it
+    inherited and runs no atexit handler or enclosing ``finally``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while the process runs other OS
+            # threads, such as OpenBLAS's pool; the child takes none of their
+            # locks: it runs this package's arithmetic and exits.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = work(block)
+            except Exception as exc:
+                outcome = exc
+            payload = pickle.dumps(outcome)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_split(work: Callable, blocks: list[range]) -> list:
+    """``work(block)`` for each block, concatenated in block order: every
+    block but the last in a forked child, the last in this process.  The
+    error raised is the first failing block's, as one loop over the blocks
+    would raise it; no child outlives the call."""
+    children = []
+    try:
+        for block in blocks[:-1]:
+            children.append(_fork(work, block))
+        try:
+            last = work(blocks[-1])
+        except Exception as exc:
+            last = exc
+        outcomes = []
+        for (_, pipe), block in zip(children, blocks):
+            payload = pipe.read()
+            if not payload:
+                raise RuntimeError(
+                    f"the child certifying instances {block.start}..{block.stop - 1} "
+                    "exited without a result"
+                )
+            outcomes.append(pickle.loads(payload))
+        outcomes.append(last)
+    finally:
+        # Each child has sent its outcome by now, unless the call is failing
+        # and no longer needs it: stop any still running, then reap them all.
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        results += outcome
+    return results
+
+
 def run_instances(
     inequality_id: str,
     count: int = 200,
@@ -1091,6 +1184,16 @@ def run_instances(
     those that read it (M from m, p from q, t from s, and m from M on the
     chain rows).  Pinning a name the id does not draw raises BadRangeError.
     Reports come back in instance order, bit-reproducible per seed.
+
+    The instances are split into contiguous blocks, one per CPU this process
+    may run on (``os.sched_getaffinity``): each block but the last is
+    certified in a forked child, the last here, and the reports are byte for
+    byte those of a single process.  An error is the one the lowest failing
+    instance raises, with its class and message.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, or with one CPU or one instance,
+    the one block runs here.  A recipe
+    replaced in ``RECIPES`` (a caller's wrapper that records each instance)
+    runs every instance here, so what it records stays in this process.
     """
     _row(inequality_id)
     seed = _checked_seed(seed)
@@ -1109,13 +1212,19 @@ def run_instances(
     for name, value in pins.items():
         if not math.isfinite(value):
             raise BadRangeError(f"pinned {name} must be finite, got {value}")
-    reports = []
+
+    def certify_block(block: range) -> list[InequalityReport]:
+        reports = []
+        for index in block:
+            use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
+            use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
+            report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
+            reports.append(dataclasses.replace(report, mode=use_mode))
+        return reports
+
     started = time.perf_counter()
-    for index in range(count):
-        use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
-        use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
-        report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
-        reports.append(dataclasses.replace(report, mode=use_mode))
+    blocks = _blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
+    reports = _run_split(certify_block, blocks)
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

@@ -23,14 +23,14 @@ from .linalg import (
 
 
 def loewner_leq(lhs: HermitianMatrix, rhs: HermitianMatrix) -> bool:
-    """Whether lhs <= rhs within tol = 1e-8 * max(the larger spectral radius
-    of lhs and rhs, 1).
+    """Whether lhs <= rhs within tol = 1e-8 * the larger spectral radius of
+    lhs and rhs, so the test means the same at every scale.
 
     A Cholesky factorization of rhs - lhs + tol*I that succeeds passes the
     check; only when it fails is the spectrum of the difference computed,
     and that decides.
     """
-    tolerance = HYPOTHESIS_RTOL * _spectral_scale(lhs, rhs, 1.0)
+    tolerance = HYPOTHESIS_RTOL * _spectral_scale(lhs, rhs, 0.0)
     diff = rhs - lhs
     if _cholesky_succeeds(diff.matrix, tolerance):
         return True

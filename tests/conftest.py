@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import os
+
 import pytest
 
 from golden_bounds import orders
@@ -24,3 +26,16 @@ def chain_checks(monkeypatch) -> list:
     monkeypatch.setattr(orders, "power", recording_power)
     monkeypatch.setattr(orders, "loewner_leq", counting_loewner_leq)
     return checked
+
+
+@pytest.fixture
+def one_cpu():
+    """Narrow this process's CPU affinity to one CPU for the test, then
+    restore it: ``run_instances`` then certifies every instance in this
+    process, where a test's monkeypatches see them all."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -237,11 +239,12 @@ def _certified(monkeypatch, inequality_id, count, seed, mode) -> list[tuple]:
 
     monkeypatch.setattr(certify, "certify_inequality", recording)
     run_instances(inequality_id, count, seed, mode=mode)
+    assert len(seen) == count
     return seen
 
 
 @pytest.mark.parametrize("inequality_id", _LOEWNER_IDS[:3])
-def test_commuting_loewner_differences_are_the_factor_slack(monkeypatch, inequality_id):
+def test_commuting_loewner_differences_are_the_factor_slack(monkeypatch, one_cpu, inequality_id):
     # On a commuting pair A^r #_a B^r = (A #_a B)^r, so the difference whose
     # spectrum is reported, factor (A #_a B)^r - A^r #_a B^r, is
     # (factor - 1) (A #_a B)^r.
@@ -267,7 +270,7 @@ _COROLLARIES = {
 @pytest.mark.parametrize("inequality_id", sorted(_COROLLARIES))
 @pytest.mark.parametrize("mode", ["commuting", "general"])
 def test_bounded_pairs_meet_the_parent_hypothesis_at_the_reduced_scalars(
-    monkeypatch, inequality_id, mode
+    monkeypatch, one_cpu, inequality_id, mode
 ):
     # The reduction lemma: spectra inside [m, M] imply the parent's hypothesis
     # at the (s, t) derived from m and M, so the parent's bound applies there.
@@ -401,6 +404,28 @@ def test_bounded_hypothesis_violation_detected_at_1e200():
         certify_inequality(
             "bounded-eigen-power", a, b, alpha=0.5, r=1.0, m=5e199, M=1.5e200
         )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9])
+def test_sandwich_violation_is_caught_at_every_scale(scale):
+    # A <= B fails by an eigenvalue of -6.3 * scale; with the re-check's
+    # tolerance floored at 1e-8 the scale-1e-9 pair passed, and the report
+    # read as a counterexample to Specht's reverse bound
+    rng = np.random.default_rng(0)
+    a, b = (
+        PositiveDefiniteMatrix(scale * (z @ z.conj().T + 0.1 * np.eye(3)))
+        for z in (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+    )
+    with raises_exactly(
+        f"hypothesis 1*A <= B fails: min eigenvalue of difference = {-6.337 * scale:.3e}"
+    ):
+        certify_inequality("specht-eigen-power", a, b, alpha=0.5, r=2.0, s=1.0, t=1.0)
+
+
+def test_bounded_violation_is_caught_at_small_scale():
+    a, b = commuting_pd_pair([2.5e-10, 1e-10], [1.5e-10, 1.2e-10])
+    with raises_exactly("spectrum of A = [1e-10, 2.5e-10] escapes the bounds [1e-10, 2e-10]"):
+        certify_inequality("bounded-pq", a, b, m=1e-10, M=2e-10, alpha=0.5, q=0.5, p=1.0)
 
 
 def test_chain_hypothesis_violations_detected():
@@ -576,18 +601,15 @@ def test_passing_loewner_checks_make_no_eigensolve(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [0.8, 1.0, 1.7])
-def test_chain_sampler_checks_olson_middle_on_the_lean_grid(chain_checks, p):
+def test_chain_sampler_checks_olson_middle_on_the_lean_grid(chain_checks, one_cpu, p):
     # fm-pq's general-mode chain is checked by the shared Loewner test at
-    # exponent 1, and at p too when p > 1; at exponent 1 alone the first
-    # perturbation size passes, one check per instance
+    # exponent 1, and at p too when p > 1; the first perturbation size
+    # passes, so each of the three instances checks its grid once
     result = run_instances(
         "fm-pq", count=3, seed=5, n=3, mode="general", param_overrides={"q": 0.5, "p": p}
     )
     assert result.all_hold
-    if p > 1.0:
-        assert chain_checks.count(p) >= 3 and set(chain_checks) == {1.0, p}
-    else:
-        assert chain_checks == [1.0] * 3
+    assert chain_checks == ([1.0, p] if p > 1.0 else [1.0]) * 3
 
 
 _CHAIN_IDS = ("fm-power-low", "fm-eigen-power", "fm-pq", "gt-fm")
@@ -1042,6 +1064,98 @@ def test_run_instances_deterministic_and_annotated():
     ]
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64])
+def test_sweep_blocks_cover_the_instances_once_in_order(count):
+    blocks = certify._blocks(count)
+    assert len(blocks) == min(count, len(os.sched_getaffinity(0)))
+    assert [i for block in blocks for i in block] == list(range(count))
+    assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+
+
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_a_split_sweep_reports_what_one_process_reports(request, inequality_id):
+    split = [r.to_dict() for r in run_instances(inequality_id, count=7, seed=11).reports]
+    request.getfixturevalue("one_cpu")
+    single = [r.to_dict() for r in run_instances(inequality_id, count=7, seed=11).reports]
+    assert split == single
+
+
+def _params_draw_raises(monkeypatch, effects: dict) -> None:
+    """Make the params-stream draw of instance i run ``effects[i]()`` first;
+    the patch is in place before a sweep forks, so its children see it."""
+    philox = certify.philox_generator
+
+    def generator(seed, index, tag):
+        if index in effects:
+            effects[index]()
+        return philox(seed, index, tag)
+
+    monkeypatch.setattr(certify, "philox_generator", generator)
+
+
+def _raise(error):
+    def effect():
+        raise error
+
+    return effect
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_split_sweep_raises_the_lowest_failing_instances_error(monkeypatch):
+    # on two CPUs instance 1 fails in the child and instance 6 in this process
+    _params_draw_raises(monkeypatch, {
+        1: _raise(BadRangeError("instance 1")), 6: _raise(HypothesisViolatedError("instance 6")),
+    })
+    with pytest.raises(BadRangeError, match="^instance 1$"):
+        run_instances("gt-specht", count=8, seed=1)
+    assert _no_child_left()
+
+
+def test_no_child_outlives_a_sweep(monkeypatch):
+    run_instances("gt-specht", count=4, seed=1)
+    assert _no_child_left()
+    # a child still at work when this process is interrupted is stopped
+    parent = os.getpid()
+    _params_draw_raises(monkeypatch, {
+        0: lambda: os.getpid() != parent and time.sleep(60), 3: _raise(KeyboardInterrupt()),
+    })
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_instances("gt-specht", count=4, seed=1)
+    assert time.perf_counter() - started < 30.0
+    assert _no_child_left()
+
+
+def test_a_child_that_dies_is_an_error(monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep forks only with two CPUs or more")
+    parent = os.getpid()
+    _params_draw_raises(monkeypatch, {0: lambda: os.getpid() != parent and os._exit(3)})
+    with pytest.raises(RuntimeError, match=r"^the child certifying instances 0\.\.1 "):
+        run_instances("gt-specht", count=4, seed=1)
+    assert _no_child_left()
+
+
+def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):
+    seen = []
+    recipe = RECIPES["gt-specht"]
+
+    def recording(**kwargs):
+        seen.append((os.getpid(), kwargs["index"]))
+        return recipe(**kwargs)
+
+    monkeypatch.setitem(RECIPES, "gt-specht", recording)
+    run_instances("gt-specht", count=4, seed=1)
+    assert seen == [(os.getpid(), index) for index in range(4)]
+
+
 def test_run_instances_pins_dimension_and_mode():
     result = run_instances("bounded-pq", count=4, seed=2, n=3, mode="commuting")
     assert {r.n for r in result.reports} == {3}
@@ -1066,6 +1180,7 @@ def _drawn(monkeypatch, inequality_id, seed, pins, count=6) -> list[dict]:
         certify, "SamplerConfig", lambda *args: configs.append(args) or SamplerConfig(*args)
     )
     reports = run_instances(inequality_id, count=count, seed=seed, param_overrides=pins).reports
+    assert len(configs) == count
     return [{**rep.parameters, "m": cfg[2], "M": cfg[3]} for rep, cfg in zip(reports, configs)]
 
 
@@ -1073,7 +1188,7 @@ def _drawn(monkeypatch, inequality_id, seed, pins, count=6) -> list[dict]:
     ("gt-specht", "alpha", 0.3),
     ("fm-eigen-power", "r", 1.5),
 ])
-def test_a_pin_moves_no_other_draw(monkeypatch, inequality_id, name, value):
+def test_a_pin_moves_no_other_draw(monkeypatch, one_cpu, inequality_id, name, value):
     kept = [other for other in certify._pinnable(inequality_id) if other != name]
     free = _drawn(monkeypatch, inequality_id, 3, {})
     pinned = _drawn(monkeypatch, inequality_id, 3, {name: value})
@@ -1082,7 +1197,7 @@ def test_a_pin_moves_no_other_draw(monkeypatch, inequality_id, name, value):
 
 
 @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
-def test_every_drawn_name_can_be_pinned(monkeypatch, inequality_id):
+def test_every_drawn_name_can_be_pinned(monkeypatch, one_cpu, inequality_id):
     # seed 4's first draw, a consistent set, pinned whole on seed 3's instance
     pinnable = certify._pinnable(inequality_id)
     (other,) = _drawn(monkeypatch, inequality_id, 4, {}, count=1)

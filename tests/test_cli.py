@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import io
 import json
+import os
 import pathlib
 import tomllib
 
@@ -333,7 +335,7 @@ def test_certify_parameter_pins(capsys):
     assert params["p"] == 2.0
 
 
-def test_certify_pins_the_spectral_range_of_the_sandwich(capsys, monkeypatch):
+def test_certify_pins_the_spectral_range_of_the_sandwich(capsys, monkeypatch, one_cpu):
     spectra = []
     certify_one = certify.certify_inequality
 
@@ -611,6 +613,19 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")
     assert out == ""
+
+
+def test_a_failed_fork_is_not_reported_as_a_write_error(capsys, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep forks only with two CPUs or more")
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(BlockingIOError):
+        main(["certify", "gt-specht", "--count", "4", "--seed", "1"])
+    assert capsys.readouterr().err == ""
 
 
 def test_console_script_is_cli_main():

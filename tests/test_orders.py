@@ -37,9 +37,10 @@ def test_loewner_detects_violation():
         ([1.0, 1.0], [1.0 - 1.9e-8, 2.0], True),
         ([1.0, 1.0], [1.0 - 2.1e-8, 2.0], False),
         ([1.0, 1.0], [1.0 - 1e-6, 2.0], False),
-        # tol = 1e-8 * 1, the floor, for spectra inside [-1, 1]
-        ([0.0, 0.0], [-0.9e-8, 1e-3], True),
-        ([0.0, 0.0], [-1.1e-8, 1e-3], False),
+        # tol = 1e-8 * 1e-3: no floor, however small the spectral radius
+        ([0.0, 0.0], [-0.9e-11, 1e-3], True),
+        ([0.0, 0.0], [-1.1e-11, 1e-3], False),
+        ([1e-10, 1e-10], [1e-12, 1e-12], False),
     ],
 )
 def test_loewner_tolerance_is_relative_to_the_spectral_radius(lhs, rhs, holds):
@@ -47,11 +48,11 @@ def test_loewner_tolerance_is_relative_to_the_spectral_radius(lhs, rhs, holds):
 
 
 def test_loewner_spectrum_decides_when_cholesky_fails():
-    # smallest eigenvalue of the difference exactly -tol: the shifted
-    # Cholesky meets a zero pivot and fails, the spectrum passes
+    # smallest eigenvalue of the difference exactly -tol = -1e-8 * 0.5: the
+    # shifted Cholesky meets a zero pivot and fails, the spectrum passes
     lhs = HermitianMatrix(np.zeros((2, 2)))
-    assert loewner_leq(lhs, HermitianMatrix(np.diag([-1e-8, 0.5]))) is True
-    assert loewner_leq(lhs, HermitianMatrix(np.diag([-1.0000001e-8, 0.5]))) is False
+    assert loewner_leq(lhs, HermitianMatrix(np.diag([-5e-9, 0.5]))) is True
+    assert loewner_leq(lhs, HermitianMatrix(np.diag([-5.0000001e-9, 0.5]))) is False
 
 
 def test_loewner_accepts_the_tightest_sandwich():
