@@ -19,21 +19,33 @@ or power of s or t (``_checked_pow``) that leaves double range is a
 BadRangeError naming it; any other scalar overflow is one naming the id.
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
-run_instances drives soundness sweeps over them, one forked child per extra
-CPU the process may use.
+run_instances drives soundness sweeps over them on every CPU the process may
+use: it certifies one block of instances itself and sends each other block
+to a worker process.  The first split sweep forks the workers, and they
+serve every later one until the process exits, or until a changed stamp, an
+error, an interrupt or a dead worker stops them all.  The stamp is the
+affinity mask and the identity of every value in the namespaces of this
+package's modules and of their classes, so a monkeypatch and its undo reach
+the workers; a container changed in place does not.  Narrowing the affinity
+to one CPU (``taskset -c 0``) keeps a sweep in one process.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
+import operator
 import os
 import pickle
 import signal
+import sys
+import threading
 import time
 import warnings
 from collections.abc import Callable
@@ -371,12 +383,12 @@ def _bounds(v: dict) -> None:
 
 
 def _chain_top(v: dict) -> None:
-    if v["M"] > 1.0 + HYPOTHESIS_RTOL:
+    if v["M"] > 1.0:
         raise BadRangeError(f"chain needs M <= 1, got M = {v['M']}")
 
 
 def _exp_chain_top(v: dict) -> None:
-    if v["M"] > 0.0 + HYPOTHESIS_RTOL:
+    if v["M"] > 0.0:
         raise BadRangeError(f"exponential chain needs M <= 0, got M = {v['M']}")
 
 
@@ -1092,72 +1104,217 @@ def _blocks(count: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fork(work: Callable, block: range):
-    """Start a child that runs ``work(block)`` and writes its pickled
-    result, or the exception it raised, to a pipe; (its pid, the pipe's
-    read end).
+def _certify_block(
+    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, block: range
+) -> list[InequalityReport]:
+    """The reports of the instances in ``block`` of one sweep, in order."""
+    recipe = RECIPES[inequality_id]
+    reports = []
+    for index in block:
+        use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
+        use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
+        report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
+        reports.append(dataclasses.replace(report, mode=use_mode))
+    return reports
 
-    The child leaves by ``os._exit``, so it flushes no stdio buffer it
-    inherited and runs no atexit handler or enclosing ``finally``."""
-    read_fd, write_fd = os.pipe()
+
+@dataclass(frozen=True)
+class _Worker:
+    """A forked sweep worker: its pid, the write end of its request pipe and
+    the read end of its response pipe."""
+
+    pid: int
+    requests: io.BufferedWriter
+    responses: io.BufferedReader
+
+
+class _Pool:
+    """This process's sweep workers, the stamp of the package they were
+    forked with, and the lock that gives them to one sweep at a time; one
+    instance, changed in place, so the stamp never sees it rebound."""
+
+    def __init__(self) -> None:
+        self.workers: list[_Worker] = []
+        self.stamp: tuple | None = None
+        self.lock = threading.Lock()
+
+
+_POOL = _Pool()
+
+
+def _stamp() -> tuple:
+    """The affinity mask, and every value in the namespaces of this package's
+    modules and of the classes they define.  Values are held, not their ids,
+    so a stamp compares by identity without an id being reused; a container
+    changed in place keeps its identity, so the stamp does not see that."""
+    package = __name__.partition(".")[0]
+    values = []
+    for name, module in list(sys.modules.items()):
+        if name != package and not name.startswith(package + "."):
+            continue
+        namespace = vars(module)
+        values += namespace
+        values += namespace.values()
+        for value in namespace.values():
+            if isinstance(value, type) and value.__module__ == name:
+                values += vars(value).values()
+    return frozenset(os.sched_getaffinity(0)), values
+
+
+def _same_stamp(a: tuple, b: tuple | None) -> bool:
+    return (
+        b is not None and a[0] == b[0] and len(a[1]) == len(b[1])
+        and all(map(operator.is_, a[1], b[1]))
+    )
+
+
+def _send(pipe: io.BufferedWriter, obj) -> None:
+    payload = pickle.dumps(obj)
+    pipe.write(len(payload).to_bytes(8, "little") + payload)
+    pipe.flush()
+
+
+def _receive(pipe: io.BufferedReader):
+    """The next object sent down ``pipe``, or None if the pipe ends first."""
+    header = pipe.read(8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    payload = pipe.read(size)
+    return pickle.loads(payload) if len(payload) == size else None
+
+
+def _serve(requests: int, responses: int) -> None:
+    """A worker's loop: read a job ``(inequality_id, seed, n, mode, pins,
+    block)``, send back its reports or the exception it raised, until the
+    request pipe ends.  The worker holds no caller's stdin or stdout, so a
+    pipe the caller reads ends when the caller exits."""
+    null = os.open(os.devnull, os.O_RDWR)
+    os.dup2(null, 0)
+    os.dup2(null, 1)
+    os.close(null)
+    with open(requests, "rb") as jobs, open(responses, "wb") as results:
+        while (job := _receive(jobs)) is not None:
+            try:
+                outcome = _certify_block(*job)
+            except Exception as exc:
+                outcome = exc
+            _send(results, outcome)
+
+
+def _start_worker() -> _Worker:
+    """Fork a worker running ``_serve``.  It leaves by ``os._exit``, so it
+    flushes no stdio buffer it inherited and runs no atexit handler or
+    enclosing ``finally``."""
+    fds = os.pipe() + os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork while the process runs other OS
-            # threads, such as OpenBLAS's pool; the child takes none of their
-            # locks: it runs this package's arithmetic and exits.
+            # threads, such as OpenBLAS's pool; the worker takes none of their
+            # locks: it runs this package's arithmetic only.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
+    request_read, request_write, response_read, response_write = fds
     if pid == 0:
         try:
-            os.close(read_fd)
-            try:
-                outcome = work(block)
-            except Exception as exc:
-                outcome = exc
-            payload = pickle.dumps(outcome)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
+            os.close(request_write)
+            os.close(response_read)
+            _serve(request_read, response_write)
         finally:
             os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    os.close(request_read)
+    os.close(response_write)
+    return _Worker(pid, open(request_write, "wb"), open(response_read, "rb"))
 
 
-def _run_split(work: Callable, blocks: list[range]) -> list:
-    """``work(block)`` for each block, concatenated in block order: every
-    block but the last in a forked child, the last in this process.  The
-    error raised is the first failing block's, as one loop over the blocks
-    would raise it; no child outlives the call."""
-    children = []
+def _exited(pid: int) -> bool:
+    """Whether the child ``pid`` has exited; it is left to be reaped, unless
+    a caller's own ``os.wait`` has reaped it already."""
     try:
-        for block in blocks[:-1]:
-            children.append(_fork(work, block))
+        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+    except ChildProcessError:
+        return True
+
+
+def _workers(k: int) -> list[_Worker]:
+    """``k`` live workers forked from the package as it is now: the pool is
+    stopped first if the stamp has changed or a worker has exited since."""
+    stamp = _stamp()
+    if not _same_stamp(stamp, _POOL.stamp) or any(_exited(w.pid) for w in _POOL.workers):
+        _stop_workers()
+    _POOL.stamp = stamp
+    while len(_POOL.workers) < k:
+        _POOL.workers.append(_start_worker())
+    return _POOL.workers[:k]
+
+
+def _stop_workers() -> None:
+    """SIGKILL and reap every worker; the next split sweep forks new ones."""
+    workers, _POOL.workers, _POOL.stamp = _POOL.workers, [], None
+    for worker in workers:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(worker.pid, signal.SIGKILL)
+    for worker in workers:
+        # the worker is dead, so a request still buffered cannot be flushed
+        with contextlib.suppress(OSError):
+            worker.requests.close()
+        worker.responses.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(worker.pid, 0)
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the inherited pipes of the parent's workers,
+    whose ends of file would otherwise wait on this child too, and forget
+    the workers, which are not this child's to stop.  The lock is made anew:
+    a thread of the parent may have held it at the fork."""
+    for worker in _POOL.workers:
+        worker.requests.close()
+        worker.responses.close()
+    _POOL.__init__()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(_stop_workers)
+
+
+def _run_split(job: tuple, blocks: list[range]) -> list[InequalityReport]:
+    """``_certify_block(*job, block)`` for each block, concatenated in block
+    order: every block but the last in a worker, the last in this process.
+    The error raised is the first failing block's, as one loop over the
+    blocks would raise it.  An error, an interrupt or a worker that dies
+    stops every worker, so none is left at work on a sweep no one reads."""
+    if len(blocks) == 1:
+        return _certify_block(*job, blocks[0])
+    done = False
+    with _POOL.lock:
         try:
-            last = work(blocks[-1])
-        except Exception as exc:
-            last = exc
-        outcomes = []
-        for (_, pipe), block in zip(children, blocks):
-            payload = pipe.read()
-            if not payload:
-                raise RuntimeError(
-                    f"the child certifying instances {block.start}..{block.stop - 1} "
-                    "exited without a result"
-                )
-            outcomes.append(pickle.loads(payload))
-        outcomes.append(last)
-    finally:
-        # Each child has sent its outcome by now, unless the call is failing
-        # and no longer needs it: stop any still running, then reap them all.
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            workers = _workers(len(blocks) - 1)
+            for worker, block in zip(workers, blocks):
+                _send(worker.requests, (*job, block))
+            try:
+                last = _certify_block(*job, blocks[-1])
+            except Exception as exc:
+                last = exc
+            outcomes = []
+            for worker, block in zip(workers, blocks):
+                outcome = _receive(worker.responses)
+                if outcome is None:
+                    raise RuntimeError(
+                        f"the child certifying instances {block.start}..{block.stop - 1} "
+                        "exited without a result"
+                    )
+                outcomes.append(outcome)
+            outcomes.append(last)
+            done = not any(isinstance(outcome, Exception) for outcome in outcomes)
+        finally:
+            if not done:
+                _stop_workers()
     results = []
     for outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -1187,11 +1344,12 @@ def run_instances(
 
     The instances are split into contiguous blocks, one per CPU this process
     may run on (``os.sched_getaffinity``): each block but the last is
-    certified in a forked child, the last here, and the reports are byte for
-    byte those of a single process.  An error is the one the lowest failing
-    instance raises, with its class and message.  Where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, or with one CPU or one instance,
-    the one block runs here.  A recipe
+    certified in a worker process, the last here, and the reports are byte
+    for byte those of a single process.  The workers are forked at the
+    first split sweep and serve the later ones (see the module docstring).
+    An error is the one the lowest failing instance raises, with its class
+    and message.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    or with one CPU or one instance, the one block runs here.  A recipe
     replaced in ``RECIPES`` (a caller's wrapper that records each instance)
     runs every instance here, so what it records stays in this process.
     """
@@ -1213,18 +1371,9 @@ def run_instances(
         if not math.isfinite(value):
             raise BadRangeError(f"pinned {name} must be finite, got {value}")
 
-    def certify_block(block: range) -> list[InequalityReport]:
-        reports = []
-        for index in block:
-            use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
-            use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
-            report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
-            reports.append(dataclasses.replace(report, mode=use_mode))
-        return reports
-
     started = time.perf_counter()
     blocks = _blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
-    reports = _run_split(certify_block, blocks)
+    reports = _run_split((inequality_id, seed, n, mode, pins), blocks)
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

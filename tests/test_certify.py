@@ -6,6 +6,10 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -30,6 +34,7 @@ from golden_bounds.errors import (
     BadRangeError,
     EmptySequenceError,
     HypothesisViolatedError,
+    NoConvergenceError,
     NonPositiveError,
 )
 from golden_bounds.linalg import (
@@ -456,12 +461,15 @@ _CHAIN_SCALAR_FAULTS = [
     ({"m": -0.1, "M": 0.6}, "m must be positive, got -0.1"),
     ({"m": 0.7, "M": 0.6}, "need m <= M, got m=0.7, M=0.6"),
     ({"m": 0.3, "M": 1.4}, "chain needs M <= 1, got M = 1.4"),
+    # the top is exact: no tolerance past M = 1
+    ({"m": 0.3, "M": 1.000000001}, "chain needs M <= 1, got M = 1.000000001"),
 ]
 _EXP_CHAIN_SCALAR_FAULTS = [
     ({"m": math.nan, "M": -0.2}, "need m <= M, got m=nan, M=-0.2"),
     ({"m": -1.0, "M": math.nan}, "need m <= M, got m=-1.0, M=nan"),
     ({"m": -0.1, "M": -0.5}, "need m <= M, got m=-0.1, M=-0.5"),
     ({"m": -1.0, "M": 0.3}, "exponential chain needs M <= 0, got M = 0.3"),
+    ({"m": -1.0, "M": 1e-9}, "exponential chain needs M <= 0, got M = 1e-09"),
 ]
 
 
@@ -1118,8 +1126,18 @@ def test_a_split_sweep_raises_the_lowest_failing_instances_error(monkeypatch):
     assert _no_child_left()
 
 
+def _worker_pids() -> list[int]:
+    return [worker.pid for worker in certify._POOL.workers]
+
+
 def test_no_child_outlives_a_sweep(monkeypatch):
+    # split sweeps reuse the workers, which live until they are stopped
     run_instances("gt-specht", count=4, seed=1)
+    workers = _worker_pids()
+    run_instances("gt-specht", count=4, seed=1)
+    assert _worker_pids() == workers
+    assert len(workers) >= len(certify._blocks(4)) - 1
+    certify._stop_workers()
     assert _no_child_left()
     # a child still at work when this process is interrupted is stopped
     parent = os.getpid()
@@ -1141,6 +1159,118 @@ def test_a_child_that_dies_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^the child certifying instances 0\.\.1 "):
         run_instances("gt-specht", count=4, seed=1)
     assert _no_child_left()
+
+
+def _gone(pid: int) -> bool:
+    """Whether ``pid`` has exited within 30 s; a zombie that no one has
+    reaped yet counts as exited."""
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                if stat.read().rpartition(")")[2].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@pytest.mark.parametrize(
+    "ending", ["pass", "sys.exit(3)", "os.kill(os.getpid(), signal.SIGKILL)"]
+)
+def test_no_worker_outlives_its_process(ending):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep starts workers only with two CPUs or more")
+    program = (
+        "import os, signal, sys\n"
+        "from golden_bounds import certify\n"
+        "certify.run_instances('gt-specht', count=4, seed=1)\n"
+        "print(*[worker.pid for worker in certify._POOL.workers], flush=True)\n"
+        f"{ending}\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    child = subprocess.Popen([sys.executable, "-c", program], stdout=subprocess.PIPE, env=env)
+    try:
+        # the pipe ends only when no process holds it: no worker keeps it open
+        out, _ = child.communicate(timeout=30)
+    finally:
+        child.kill()
+        child.wait()
+    workers = [int(pid) for pid in out.split()]
+    assert workers
+    assert all(_gone(pid) for pid in workers)
+
+
+def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep starts workers only with two CPUs or more")
+
+    def sweep() -> list[dict]:
+        return [r.to_dict() for r in run_instances("gt-specht", count=4, seed=1).reports]
+
+    split = sweep()
+    workers = _worker_pids()
+    # a monkeypatch reaches the workers, and so does its undo
+    monkeypatch.setattr(certify, "N_CYCLE", (3,))
+    assert {report["n"] for report in sweep()} == {3}
+    assert set(_worker_pids()).isdisjoint(workers)
+    monkeypatch.undo()
+    assert sweep() == split
+    # instance 0, in a worker, is the lowest failing instance
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergenceError) as first:
+        certify._certify_block("gt-specht", 1, None, None, {}, range(1))
+    with pytest.raises(NoConvergenceError, match=f"^{re.escape(str(first.value))}$"):
+        sweep()
+    monkeypatch.undo()
+    assert sweep() == split
+    # so does a changed affinity mask
+    workers = _worker_pids()
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus | {max(cpus) + 1})
+    assert sweep() == split
+    assert len(_worker_pids()) >= 2 and set(_worker_pids()).isdisjoint(workers)
+    monkeypatch.undo()
+    request.getfixturevalue("one_cpu")
+    assert sweep() == split
+
+
+@pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
+def test_a_worker_killed_between_sweeps_is_replaced(reaped):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep starts workers only with two CPUs or more")
+    split = [r.to_dict() for r in run_instances("gt-specht", count=4, seed=1).reports]
+    killed = _worker_pids()[0]
+    os.kill(killed, signal.SIGKILL)
+    if reaped:
+        os.waitpid(killed, 0)
+    else:
+        assert _gone(killed)
+    assert [r.to_dict() for r in run_instances("gt-specht", count=4, seed=1).reports] == split
+    assert killed not in _worker_pids()
+
+
+def test_sweeps_in_two_threads_take_the_workers_in_turn():
+    def sweeps(seed: int) -> list[list[dict]]:
+        return [
+            [r.to_dict() for r in run_instances("gt-specht", count=6, seed=seed + k).reports]
+            for k in range(3)
+        ]
+
+    alone = {seed: sweeps(seed) for seed in (1, 10)}
+    together = {}
+    threads = [
+        threading.Thread(target=lambda seed=seed: together.update({seed: sweeps(seed)}))
+        for seed in alone
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    assert together == alone
 
 
 def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):

@@ -462,6 +462,24 @@ def test_non_finite_numbers_are_rejected_by_name(capsys, argv, message):
     assert err == f"error: {message}\n" and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("certify", "fm-pq", "--M", "1.000000001"),
+         "error: ordered chain needs 0 < lo <= hi <= 1, got ["),
+        (("certify", "gt-fm", "--M", "1e-9"),
+         "error: exponential chain needs exponent bounds with M <= 0, got ["),
+    ],
+)
+def test_a_chain_top_just_past_its_limit_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(message) and out == ""
+    pins = {"M": float(argv[-1])}
+    with pytest.raises(BadRangeError):
+        certify.run_instances(argv[1], count=1, param_overrides=pins)
+
+
 def test_jacobi_sweep_cap_is_a_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     code, out, err = run_cli(capsys, "certify", "gt-specht", "--count", "1", "--seed", "1")
@@ -622,6 +640,8 @@ def test_a_failed_fork_is_not_reported_as_a_write_error(capsys, monkeypatch):
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    # a running worker would serve the sweep without a fork
+    certify._stop_workers()
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(BlockingIOError):
         main(["certify", "gt-specht", "--count", "4", "--seed", "1"])
