@@ -21,8 +21,9 @@ BadRangeError naming it; any other scalar overflow is one naming the id.
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them on every CPU the process may
 use: it certifies one block of instances itself and sends each other block
-to a worker process.  The first split sweep forks the workers, and they
-serve every later one until the process exits, or until a changed stamp, an
+to a worker process.  convergence_study splits a table's p sequence over
+the same workers.  The first split call forks the workers, and they serve
+every later one until the process exits, or until a changed stamp, an
 error, an interrupt or a dead worker stops them all.  The stamp is the
 affinity mask and the identity of every value in the namespaces of this
 package's modules and of their classes, so a monkeypatch and its undo reach
@@ -552,11 +553,15 @@ def _bounded_sample(cfg, index, d):
 
 
 def _chain_sample(cfg, index, d):
+    # the row's own check of the top comes before the sampler's, so a pinned
+    # top past 1 is reported in the certifier's words, at its pinned value
+    _chain_top(d)
     chain = ordered_chain_pair(cfg, index, grid=_lean_exponents(d))
     return chain.a, chain.b, {"m": chain.m, "M": chain.M}
 
 
 def _exp_chain_sample(cfg, index, d):
+    _exp_chain_top(d)
     pair = ordered_exponential_chain_pair(cfg, index, grid=_lean_exponents(d))
     return pair.h, pair.k, {"m": pair.m, "M": pair.M}
 
@@ -1017,7 +1022,15 @@ def convergence_study(
     lambda_k of the mean-power side scaled by the chosen factor ("specht" ->
     (max{S(e^{sp}), S(e^{tp})})^{1/p}, "kantorovich" -> K(e^{p(t-s)},
     alpha)^{-1/p}) against the fixed lambda_k(e^{(1-alpha)H + alpha K}), with
-    gap = (rhs - lhs)/lhs."""
+    gap = (rhs - lhs)/lhs.
+
+    The p sequence is split into contiguous blocks over the sweep workers
+    that ``run_instances`` uses, the smallest block last, for this process,
+    which also computes the lhs.  The rows, and the error raised, are those
+    of one loop over p: the lhs's error first, then at each p in order the
+    factor's before the mean-power side's.  With one CPU or one p, or with a
+    ``mean_power`` here that is not the package's own (a caller's wrapper
+    that records each call), the table runs in this process."""
     alpha = _check_alpha(alpha)
     _check_finite_st(s, t)
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
@@ -1026,15 +1039,50 @@ def convergence_study(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"
         )
     factor = _INEQUALITIES[f"gt-{factor_kind}"].factor
-    lhs = log_euclidean(h, k, alpha).eigenvalues
+    scales, fault = [], None
+    try:
+        for p in ps:
+            scales.append(factor({"alpha": alpha, "p": p, "s": s, "t": t}))
+    except Exception as exc:
+        # the mean-power sides of the p values before this one outrank it
+        fault = exc
+    taken = ps[: len(scales)]
+    own = mean_power is _OWN_MEAN_POWER["mean_power"]
+    blocks = _blocks(len(taken)) if own and len(taken) > 1 else [range(len(taken))]
+    chunks = [taken[b.start:b.stop] for b in blocks]
+    jobs = [(_mean_power_spectra, (h, k, alpha, chunk)) for chunk in chunks[:-1]]
+    jobs.append((_lhs_and_spectra, (h, k, alpha, chunks[-1])))
+    *heads, tail = _run_split(jobs)
+    if isinstance(tail, Exception):
+        raise tail
+    lhs, last = tail
+    spectra = _joined((*heads, last))
+    if fault is not None:
+        raise fault
     rows = []
-    for p in ps:
-        scale = factor({"alpha": alpha, "p": p, "s": s, "t": t})
-        rhs = scale * mean_power(h, k, alpha, p).eigenvalues
+    for p, scale, spectrum in zip(taken, scales, spectra):
+        rhs = scale * spectrum
         for index, (left, right) in enumerate(zip(lhs, rhs), start=1):
             gap = float((right - left) / left)
             rows.append(ConvergenceRow(p, index, float(left), float(right), gap))
     return rows
+
+
+def _mean_power_spectra(h, k, alpha: float, ps) -> list[np.ndarray]:
+    """The eigenvalues of ``mean_power(h, k, alpha, p)`` for each p, in order."""
+    return [mean_power(h, k, alpha, p).eigenvalues for p in ps]
+
+
+def _lhs_and_spectra(h, k, alpha: float, ps) -> tuple:
+    """The eigenvalues of the log-Euclidean mean, the lhs of a convergence
+    table, and ``_mean_power_spectra`` of its last p block, or the error that
+    raised; that error is returned, for the earlier blocks' errors outrank
+    it, and only the lhs's outranks them."""
+    lhs = log_euclidean(h, k, alpha).eigenvalues
+    try:
+        return lhs, _mean_power_spectra(h, k, alpha, ps)
+    except Exception as exc:
+        return lhs, exc
 
 
 # ---------------------------------------------------------------------------
@@ -1064,8 +1112,12 @@ def _recipe(inequality_id, index, seed, n, mode, ov):
 
 
 RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
-#: The recipes as defined here; run_instances splits a sweep only over these.
+#: The recipes and ``mean_power`` as defined here, in containers that a
+#: caller's wrapper replacing module names leaves alone: run_instances
+#: splits a sweep only over these recipes, convergence_study a table only
+#: over this mean_power.
 _OWN_RECIPES = dict(RECIPES)
+_OWN_MEAN_POWER = {"mean_power": mean_power}
 
 INEQUALITY_IDS = tuple(sorted(RECIPES))
 
@@ -1094,13 +1146,15 @@ class SweepResult:
 
 
 def _blocks(count: int) -> list[range]:
-    """``range(count)`` in contiguous blocks as even as can be, one per CPU
-    this process may run on, at most ``count``; one block where ``os.fork``
-    or ``os.sched_getaffinity`` is missing."""
+    """``range(count)`` in contiguous blocks as even as can be, the larger
+    first, one per CPU this process may run on, at most ``count``; one block
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing.  The last
+    block, the smallest, is this process's, which has the rest of the
+    work."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return [range(count)]
     k = min(count, len(os.sched_getaffinity(0)))
-    bounds = [count * j // k for j in range(k + 1)]
+    bounds = [-(-count * j // k) for j in range(k + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -1184,22 +1238,26 @@ def _receive(pipe: io.BufferedReader):
     return pickle.loads(payload) if len(payload) == size else None
 
 
+def _outcome(function: Callable, args: tuple):
+    """What ``function(*args)`` returns, or the exception it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return exc
+
+
 def _serve(requests: int, responses: int) -> None:
-    """A worker's loop: read a job ``(inequality_id, seed, n, mode, pins,
-    block)``, send back its reports or the exception it raised, until the
-    request pipe ends.  The worker holds no caller's stdin or stdout, so a
-    pipe the caller reads ends when the caller exits."""
+    """A worker's loop: read a job ``(function, args)``, send back its
+    ``_outcome``, until the request pipe ends.  The function is a module-level
+    one, pickled by name.  The worker holds no caller's stdin or stdout, so
+    a pipe the caller reads ends when the caller exits."""
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
     os.close(null)
     with open(requests, "rb") as jobs, open(responses, "wb") as results:
         while (job := _receive(jobs)) is not None:
-            try:
-                outcome = _certify_block(*job)
-            except Exception as exc:
-                outcome = exc
-            _send(results, outcome)
+            _send(results, _outcome(*job))
 
 
 def _start_worker() -> _Worker:
@@ -1283,30 +1341,26 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_stop_workers)
 
 
-def _run_split(job: tuple, blocks: list[range]) -> list[InequalityReport]:
-    """``_certify_block(*job, block)`` for each block, concatenated in block
-    order: every block but the last in a worker, the last in this process.
-    The error raised is the first failing block's, as one loop over the
-    blocks would raise it.  An error, an interrupt or a worker that dies
-    stops every worker, so none is left at work on a sweep no one reads."""
-    if len(blocks) == 1:
-        return _certify_block(*job, blocks[0])
+def _run_split(jobs: list[tuple[Callable, tuple]]) -> list:
+    """The ``_outcome`` of each job ``(function, args)``, in job order: every
+    job but the last in a worker, the last in this process.  An exception
+    in a job, an interrupt or a worker that dies stops every worker, so none
+    is left at work on a result no one reads."""
+    if len(jobs) == 1:
+        return [_outcome(*jobs[0])]
     done = False
     with _POOL.lock:
         try:
-            workers = _workers(len(blocks) - 1)
-            for worker, block in zip(workers, blocks):
-                _send(worker.requests, (*job, block))
-            try:
-                last = _certify_block(*job, blocks[-1])
-            except Exception as exc:
-                last = exc
+            workers = _workers(len(jobs) - 1)
+            for worker, job in zip(workers, jobs):
+                _send(worker.requests, job)
+            last = _outcome(*jobs[-1])
             outcomes = []
-            for worker, block in zip(workers, blocks):
+            for worker, (function, args) in zip(workers, jobs):
                 outcome = _receive(worker.responses)
                 if outcome is None:
                     raise RuntimeError(
-                        f"the child certifying instances {block.start}..{block.stop - 1} "
+                        f"the worker running {function.__name__} on {args[-1]} "
                         "exited without a result"
                     )
                 outcomes.append(outcome)
@@ -1315,12 +1369,18 @@ def _run_split(job: tuple, blocks: list[range]) -> list[InequalityReport]:
         finally:
             if not done:
                 _stop_workers()
-    results = []
+    return outcomes
+
+
+def _joined(outcomes) -> list:
+    """The lists among ``outcomes`` concatenated in order, up to the first
+    exception, which is raised: the error of one loop over the blocks."""
+    joined = []
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-        results += outcome
-    return results
+        joined += outcome
+    return joined
 
 
 def run_instances(
@@ -1346,7 +1406,8 @@ def run_instances(
     may run on (``os.sched_getaffinity``): each block but the last is
     certified in a worker process, the last here, and the reports are byte
     for byte those of a single process.  The workers are forked at the
-    first split sweep and serve the later ones (see the module docstring).
+    first split sweep or table and serve the later ones (see the module
+    docstring).
     An error is the one the lowest failing instance raises, with its class
     and message.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
     or with one CPU or one instance, the one block runs here.  A recipe
@@ -1373,7 +1434,9 @@ def run_instances(
 
     started = time.perf_counter()
     blocks = _blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
-    reports = _run_split((inequality_id, seed, n, mode, pins), blocks)
+    reports = _joined(_run_split(
+        [(_certify_block, (inequality_id, seed, n, mode, pins, block)) for block in blocks]
+    ))
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

@@ -284,10 +284,17 @@ class SpectralDecomposition:
     def _mapped(self, values: np.ndarray, reverse: bool = False) -> "SpectralDecomposition":
         """The decomposition with these eigenvalue images on this one's
         eigenvectors, both reversed if ``reverse`` (for a decreasing map); its
-        eigenvectors are built from this one's when first read."""
+        eigenvectors are built from this one's when first read.  They are
+        given as a bound method, so the result pickles, lazy as it is."""
         if reverse:
-            return SpectralDecomposition(values[::-1], lambda: self.eigenvectors[:, ::-1])
-        return SpectralDecomposition(values, lambda: self.eigenvectors)
+            return SpectralDecomposition(values[::-1], self._reversed_eigenvectors)
+        return SpectralDecomposition(values, self._same_eigenvectors)
+
+    def _same_eigenvectors(self) -> np.ndarray:
+        return self.eigenvectors
+
+    def _reversed_eigenvectors(self) -> np.ndarray:
+        return self.eigenvectors[:, ::-1]
 
 
 def _check_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:

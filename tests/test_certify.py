@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -15,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from golden_bounds import certify, linalg, sampling
+from golden_bounds import certify, linalg, means, sampling
 from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
@@ -33,6 +34,7 @@ from golden_bounds.constants import fm_factor, kantorovich, kantorovich_limit_ro
 from golden_bounds.errors import (
     BadRangeError,
     EmptySequenceError,
+    GoldenBoundsError,
     HypothesisViolatedError,
     NoConvergenceError,
     NonPositiveError,
@@ -40,6 +42,7 @@ from golden_bounds.errors import (
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    exp_h,
     ky_fan_norm,
     power,
     schatten_norm,
@@ -1156,7 +1159,9 @@ def test_a_child_that_dies_is_an_error(monkeypatch):
         pytest.skip("a sweep forks only with two CPUs or more")
     parent = os.getpid()
     _params_draw_raises(monkeypatch, {0: lambda: os.getpid() != parent and os._exit(3)})
-    with pytest.raises(RuntimeError, match=r"^the child certifying instances 0\.\.1 "):
+    with pytest.raises(
+        RuntimeError, match=r"^the worker running _certify_block on range\(0, 2\) exited "
+    ):
         run_instances("gt-specht", count=4, seed=1)
     assert _no_child_left()
 
@@ -1284,6 +1289,112 @@ def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):
     monkeypatch.setitem(RECIPES, "gt-specht", recording)
     run_instances("gt-specht", count=4, seed=1)
     assert seen == [(os.getpid(), index) for index in range(4)]
+
+
+#: The CLI's default convergence powers: on two CPUs the first four go to
+#: a worker and the last three stay in this process.
+_POWERS = (1.0, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4)
+
+
+def _table_bits(rows) -> list[tuple]:
+    return [(row.p.hex(), row.k, row.lhs.hex(), row.rhs.hex(), row.gap.hex()) for row in rows]
+
+
+@pytest.mark.parametrize("operand", ["2.0 * h", "exp_h(h)"])
+def test_lazy_operands_give_one_table_split_or_in_one_process(request, operand):
+    # both operands hold a decomposition whose eigenvectors are not built
+    # yet; they pickle as they are and give the workers the same bits
+    def table() -> list[tuple]:
+        pair = olson_exponential_pair(SamplerConfig(4, 7, -0.6, 0.9), 0)
+        x = 2.0 * pair.h if operand == "2.0 * h" else exp_h(pair.h)
+        assert callable(x.decomposition._eigenvectors)
+        assert pickle.loads(pickle.dumps(x)).eigenvalues.tobytes() == x.eigenvalues.tobytes()
+        return _table_bits(convergence_study(x, pair.k, pair.s, pair.t, 0.5, _POWERS))
+
+    split = table()
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert certify._POOL.workers
+    request.getfixturevalue("one_cpu")
+    assert split == table()
+
+
+def _table_faults(monkeypatch, lhs: bool = False, factor=(), mean=()) -> None:
+    """Make the lhs, the factor at each p of ``factor`` and the mean-power
+    side at each p of ``mean`` raise an error that names it; the mean-power
+    faults are patched into ``means``, so the workers see them."""
+    if lhs:
+        def failing_lhs(h, k, alpha):
+            raise BadRangeError("lhs")
+
+        monkeypatch.setattr(certify, "log_euclidean", failing_lhs)
+    row = certify._INEQUALITIES["gt-specht"]
+
+    def failing_factor(v):
+        if v["p"] in factor:
+            raise BadRangeError(f"factor at p = {v['p']}")
+        return row.factor(v)
+
+    faulty = dataclasses.replace(row, factor=failing_factor)
+    monkeypatch.setitem(certify._INEQUALITIES, "gt-specht", faulty)
+    power = means.power
+
+    def failing_power(matrix, exponent):
+        # mean_power's last step is the power 1/p
+        for p in mean:
+            if exponent == 1.0 / p:
+                raise HypothesisViolatedError(f"mean power at p = {p}")
+        return power(matrix, exponent)
+
+    monkeypatch.setattr(means, "power", failing_power)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({"lhs": True, "mean": (0.3,)}, "lhs"),
+        ({"factor": (0.1,), "mean": (0.3,)}, "mean power at p = 0.3"),
+        ({"factor": (0.3,), "mean": (0.1,)}, "factor at p = 0.3"),
+        ({"mean": (0.03, 0.01)}, "mean power at p = 0.03"),
+        ({"factor": (0.001,), "mean": (0.0001,)}, "factor at p = 0.001"),
+        ({"mean": (0.001,), "factor": (0.0001,)}, "mean power at p = 0.001"),
+        ({"factor": (1.0,)}, "factor at p = 1.0"),
+    ],
+)
+def test_a_table_raises_the_error_of_one_loop_over_p(monkeypatch, request, faults, message):
+    pair = olson_exponential_pair(SamplerConfig(3, 5, -0.6, 0.9), 0)
+    _table_faults(monkeypatch, **faults)
+    with pytest.raises(GoldenBoundsError) as split:
+        convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS)
+    assert str(split.value) == message
+    request.getfixturevalue("one_cpu")
+    with pytest.raises(type(split.value), match=f"^{re.escape(message)}$"):
+        convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS)
+
+
+def test_a_failing_block_in_a_worker_stops_the_pool(monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a table starts workers only with two CPUs or more")
+    pair = olson_exponential_pair(SamplerConfig(3, 5, -0.6, 0.9), 0)
+    # p = 0.1 and 0.03 are in the worker's block, 1e-3 in this process's
+    _table_faults(monkeypatch, mean=(0.1, 0.03, 1e-3))
+    with pytest.raises(HypothesisViolatedError, match=r"^mean power at p = 0\.1$"):
+        convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS)
+    assert certify._POOL.workers == []
+    assert _no_child_left()
+
+
+def test_a_replaced_mean_power_runs_the_table_in_this_process(monkeypatch):
+    seen = []
+    own = certify.mean_power
+
+    def recording(h, k, alpha, q):
+        seen.append((os.getpid(), q))
+        return own(h, k, alpha, q)
+
+    monkeypatch.setattr(certify, "mean_power", recording)
+    pair = olson_exponential_pair(SamplerConfig(3, 5, -0.6, 0.9), 0)
+    convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS)
+    assert seen == [(os.getpid(), p) for p in _POWERS]
 
 
 def test_run_instances_pins_dimension_and_mode():
