@@ -24,6 +24,13 @@ its own CPU affinity to one CPU, so that ``run_instances`` certifies every
 instance in this process, where the hooks count it, instead of forking a
 child per extra CPU. Report files go to a temporary directory; the counts are
 printed as JSON.
+
+Wrapping ``linalg._jacobi`` bypasses the spectral cache, so the counts above
+describe every eigensolve as if it had no cache.  The same calls then run
+once more unwrapped, from an empty cache, and ``cache`` gives the cache's
+tally over them: hits, misses (eigensolves run), re-solves (eigenvectors
+read on a hit that found them unbuilt and its log gone) and the bytes of
+the entries held at the end.
 """
 
 from __future__ import annotations
@@ -87,14 +94,8 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
     for name, check in checks.items():
         setattr(linalg, name, counting_check(check))
     linalg._result_entries = counting_result_entries
-    instances = 0
     try:
-        for cli_seed in workload.pool[:cycles]:
-            for call in workload.make_cycle(cli_seed, out_dir):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    if cli.main(list(call.argv)) != 0:
-                        raise SystemExit(f"failed: {' '.join(call.argv)}")
-                instances += call.instances
+        instances = run_calls(workload, cycles, out_dir)
     finally:
         linalg._jacobi, linalg._RotationLog.replay = jacobi, replay
         hermitian.__init__, hermitian.matrix = init, matrix
@@ -110,7 +111,22 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
     counts["instances"] = instances
     for name in ("full_checks", "internal_builds"):
         counts[f"{name}_per_instance"] = round(counts[name] / instances, 3)
+    linalg._CACHE.clear()
+    run_calls(workload, cycles, out_dir)
+    counts["cache"] = dict(linalg._CACHE.tally)
     return counts
+
+
+def run_calls(workload, cycles: int, out_dir: Path) -> int:
+    """Run the CLI calls of the first ``cycles`` cycles; the instances they certify."""
+    instances = 0
+    for cli_seed in workload.pool[:cycles]:
+        for call in workload.make_cycle(cli_seed, out_dir):
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(list(call.argv)) != 0:
+                    raise SystemExit(f"failed: {' '.join(call.argv)}")
+            instances += call.instances
+    return instances
 
 
 def main() -> None:

@@ -14,6 +14,26 @@ construction carry their decomposition with them, and their entries
 V diag(f(λ)) V* are built on first read, so a result read only for its
 spectrum never forms them; only genuinely new matrices cost a Jacobi run.
 
+Nor does a matrix whose entries equal, bit for bit, those of one solved a
+little earlier in the same process: every solve goes through one spectral
+cache, keyed by the exact bytes of the read-only complex128 entries the
+eigensolver would receive.  A hit shares the decomposition that the
+matrices of that solve still hold (read-only arrays, eigenvectors built
+once for all who share it), or, once none holds it, gets a new one on the
+cached eigenvalues and, if some sharer built them, eigenvectors.  The cache
+holds at most _CACHE_BYTES (256 KiB, fixed) of entries, least recently used
+out first: that is room for the reuse within one pass of a sweep over the
+ids (rows that share draws solve the same matrices) and not across passes.
+It holds no rotation log, so a hit whose eigenvectors were never built
+builds them, if they are read, from a new solve of its key, which gives the
+same bits.  The cache is consulted and filled only while ``_jacobi`` is
+this module's own function and JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL and
+_JACOBI_EXPONENT_LIMIT hold their values here, so a caller's wrapper around
+``_jacobi`` sees every solve and a changed setting takes effect at once.
+It lives as long as the process, across the CLI calls made in it; a new
+``golden-bounds`` process, and each forked sweep worker, starts with it
+empty.
+
 Arrays are checked where they enter, not wherever a matrix is built. A
 caller's raw array (shape, finiteness, Hermiticity defect), a decomposition
 given as arrays (shapes, finiteness) and a congruence transform (shape,
@@ -27,6 +47,10 @@ raises DomainError where it happens.
 from __future__ import annotations
 
 import math
+import os
+import threading
+import weakref
+from collections import OrderedDict
 from numbers import Real
 
 import numpy as np
@@ -54,7 +78,15 @@ COND_LIMIT = 1e12
 _JACOBI_EXPONENT_LIMIT = 400
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
+def _settings() -> tuple:
+    """The module values ``_jacobi`` reads: its sweep cap, stopping ratio and
+    exponent limit."""
+    return JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL, _JACOBI_EXPONENT_LIMIT
+
+
+def _jacobi(
+    matrix: np.ndarray, settings: tuple | None = None
+) -> tuple[np.ndarray, "_RotationLog"]:
     """Diagonalize a Hermitian array by cyclic Jacobi rotations.
 
     Returns (eigenvalues descending, the log of the rotations). The log's
@@ -65,7 +97,8 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     the input; the 100-sweep cap raises NoConvergenceError.  The input is
     rotated as its copy scaled by 2^k (see _JACOBI_EXPONENT_LIMIT), which
     leaves every rotation as it is, and the eigenvalues are scaled back by
-    2^-k.
+    2^-k.  ``settings`` replaces the module values of ``_settings()``; the
+    spectral cache's re-solves pass the values its entries were solved with.
 
     The rotations run on nested lists of Python complex scalars: at the small
     dimensions used here, per-element numpy indexing costs more than the
@@ -75,17 +108,18 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     exact zero (on real input, the sign of a zero imaginary part in an
     eigenvector can differ).
     """
+    max_sweeps, offdiag_rtol, exponent_limit = settings or _settings()
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
     n = parts.shape[0]
     peak = math.frexp(np.abs(parts).max())[1]
-    exponent = min(max(peak, -_JACOBI_EXPONENT_LIMIT), _JACOBI_EXPONENT_LIMIT) - peak
+    exponent = min(max(peak, -exponent_limit), exponent_limit) - peak
     a = np.ldexp(parts, exponent).view(np.complex128).tolist()
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     steps = []
-    threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(
+    threshold = offdiag_rtol * math.sqrt(
         sum(x.real * x.real + x.imag * x.imag for row in a for x in row)
     )
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+    for sweep in range(max_sweeps + 1):
         off = 0.0
         for i, row in enumerate(a):  # row-major, lower entries through their mirrors
             for above in a[:i]:
@@ -96,9 +130,9 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
         off = math.sqrt(off)
         if off <= threshold:
             break
-        if sweep == JACOBI_MAX_SWEEPS:
+        if sweep == max_sweeps:
             raise NoConvergenceError(
-                f"Jacobi sweep cap {JACOBI_MAX_SWEEPS} hit at off-diagonal "
+                f"Jacobi sweep cap {max_sweeps} hit at off-diagonal "
                 f"mass {off:.3e} (threshold {threshold:.3e})"
             )
         for p, q in pairs:
@@ -159,6 +193,13 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     vals = np.ldexp([a[i][i].real for i in range(n)], -exponent)
     order = np.argsort(-vals, kind="stable")
     return vals[order], _RotationLog(steps, order.tolist())
+
+
+#: ``_jacobi`` and its settings as defined here, in containers that a
+#: caller's wrapper replacing module names leaves alone: the spectral cache
+#: serves only this function under these settings.
+_OWN_JACOBI = {"_jacobi": _jacobi}
+_OWN_SETTINGS = _settings()
 
 
 class _RotationLog:
@@ -252,7 +293,7 @@ class SpectralDecomposition:
     this module builds it from a checked matrix, nothing is checked.
     """
 
-    __slots__ = ("_eigenvalues", "_eigenvectors")
+    __slots__ = ("_eigenvalues", "_eigenvectors", "__weakref__")
 
     def __init__(self, eigenvalues, eigenvectors):
         eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
@@ -290,6 +331,9 @@ class SpectralDecomposition:
             return SpectralDecomposition(values[::-1], self._reversed_eigenvectors)
         return SpectralDecomposition(values, self._same_eigenvectors)
 
+    def __setstate__(self, state: tuple) -> None:
+        _restore_read_only(self, state)
+
     def _same_eigenvectors(self) -> np.ndarray:
         return self.eigenvectors
 
@@ -308,6 +352,171 @@ def _check_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
         )
     if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
         raise NotHermitianError("decomposition entries must be finite (got NaN or Inf)")
+
+
+def _restore_read_only(obj, state: tuple) -> None:
+    """Set the slots of an unpickled object, its arrays read-only again: a
+    pickle round trip copies an array and drops the flag."""
+    for name, value in state[1].items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        setattr(obj, name, value)
+
+
+#: The spectral cache holds at most this many bytes of solved matrices: per
+#: entry its key, its eigenvalues, room for its eigenvectors and
+#: _CACHE_ENTRY_OVERHEAD; about 30 entries at n = 16 and 300 at n = 2.  That
+#: covers the reuse within one pass of a sweep over the ids, whose rows share
+#: draws, and not the reuse across passes.
+_CACHE_BYTES = 256 * 1024
+#: The Python objects of one entry besides its arrays' data, measured.
+_CACHE_ENTRY_OVERHEAD = 600
+
+
+class _Entry:
+    """One solved matrix in the spectral cache: its key (the bytes of its
+    entries), its eigenvalues, its eigenvectors once some sharer has read
+    them, and a weak reference to the decomposition its sharers hold now.
+    The cache holds no rotation log: a log lives as long as the
+    decomposition that holds it, as it does without a cache."""
+
+    __slots__ = ("key", "eigenvalues", "eigenvectors", "shared")
+
+    def __init__(self, key: bytes, eigenvalues: np.ndarray):
+        eigenvalues.flags.writeable = False
+        self.key = key
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = None
+        self.shared = None
+
+    def decomposition(self, log: _RotationLog | None = None) -> SpectralDecomposition:
+        """The decomposition the sharers hold, or, if none holds it (yet or
+        any more), a new one on the same eigenvalues, whose eigenvectors are
+        those stored here, or the replay of ``log``, the solve's, or else
+        come from a new solve of the key."""
+        dec = None if self.shared is None else self.shared()
+        if dec is None:
+            dec = SpectralDecomposition(self.eigenvalues, _Vectors(self, log))
+            self.shared = weakref.ref(dec)
+        return dec
+
+    def __getstate__(self) -> tuple:
+        """The weak reference stays behind: an unpickled entry is in no cache
+        and shared by no decomposition yet."""
+        return None, {
+            "key": self.key,
+            "eigenvalues": self.eigenvalues,
+            "eigenvectors": self.eigenvectors,
+            "shared": None,
+        }
+
+    def __setstate__(self, state: tuple) -> None:
+        _restore_read_only(self, state)
+
+    def nbytes(self) -> int:
+        """What the entry counts against _CACHE_BYTES."""
+        return 2 * len(self.key) + self.eigenvalues.nbytes + _CACHE_ENTRY_OVERHEAD
+
+
+class _Vectors:
+    """The eigenvector builder of a cached decomposition: the entry's
+    eigenvectors if a sharer has built them, else the replay of the rotation
+    log of the solve, else, for a decomposition made after every holder of
+    the first was gone, the replay of a new solve of the key under the
+    settings every cached solve is made with, which gives the same bits.
+    The columns built are stored in the entry for later sharers."""
+
+    __slots__ = ("entry", "log")
+
+    def __init__(self, entry: _Entry, log: _RotationLog | None):
+        self.entry = entry
+        self.log = log
+
+    def __call__(self) -> np.ndarray:
+        entry, log = self.entry, self.log
+        if entry.eigenvectors is None:
+            if log is None:
+                _CACHE.count("resolves")
+                n = entry.eigenvalues.shape[0]
+                matrix = np.frombuffer(entry.key, dtype=np.complex128).reshape(n, n)
+                log = _OWN_JACOBI["_jacobi"](matrix, _OWN_SETTINGS)[1]
+            vectors = log.replay()
+            vectors.flags.writeable = False
+            entry.eigenvectors = vectors
+        return entry.eigenvectors
+
+
+class _SpectralCache:
+    """This process's solved matrices, keyed by the exact bytes of their
+    entries, least recently used first, and a tally of hits, misses
+    (solves), re-solves and the bytes held.  One instance, changed in place
+    and never rebound, so certify's stamp does not see it change; the lock
+    makes it safe to share between threads."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict[bytes, _Entry] = OrderedDict()
+        self.lock = threading.Lock()
+        self.tally = {"hits": 0, "misses": 0, "resolves": 0, "bytes": 0}
+
+    def count(self, name: str) -> None:
+        with self.lock:
+            self.tally[name] += 1
+
+    def clear(self) -> None:
+        """Empty the cache and zero the tally, in place."""
+        with self.lock:
+            self.entries.clear()
+            self.tally.update(dict.fromkeys(self.tally, 0))
+
+    def after_fork(self) -> None:
+        """In a forked child: a new lock, for a thread of the parent may have
+        held the old one at the fork, and an empty cache."""
+        self.lock = threading.Lock()
+        self.clear()
+
+    def solve(self, matrix: np.ndarray) -> SpectralDecomposition:
+        """The cached decomposition of an entry array with these bytes, or a
+        new solve, cached unless its entry alone exceeds the budget.  Two
+        threads may solve one key at once; the first to store it is shared."""
+        key = matrix.tobytes()
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                self.tally["hits"] += 1
+                return entry.decomposition()
+        vals, log = _jacobi(matrix)
+        entry = _Entry(key, vals)
+        dec = entry.decomposition(log)
+        tally = self.tally
+        with self.lock:
+            tally["misses"] += 1
+            if entry.nbytes() > _CACHE_BYTES:
+                return dec
+            held = self.entries.setdefault(key, entry)
+            if held is not entry:
+                self.entries.move_to_end(key)
+                return held.decomposition()
+            tally["bytes"] += entry.nbytes()
+            while tally["bytes"] > _CACHE_BYTES:
+                tally["bytes"] -= self.entries.popitem(last=False)[1].nbytes()
+        return dec
+
+
+_CACHE = _SpectralCache()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_CACHE.after_fork)
+
+
+def _solve(matrix: np.ndarray) -> SpectralDecomposition:
+    """The decomposition of a checked entry array.  The spectral cache is
+    consulted and filled only while ``_jacobi`` is the package's own and its
+    settings are the module's own; otherwise, as under a caller's wrapper
+    that counts the solves, every solve runs and none is stored."""
+    if _jacobi is _OWN_JACOBI["_jacobi"] and _settings() == _OWN_SETTINGS:
+        return _CACHE.solve(matrix)
+    vals, log = _jacobi(matrix)
+    return SpectralDecomposition(vals, log.replay)
 
 
 def _symmetric_part(half: np.ndarray) -> np.ndarray:
@@ -400,14 +609,16 @@ class HermitianMatrix:
     @property
     def decomposition(self) -> SpectralDecomposition:
         if self._decomp is None:
-            vals, log = _jacobi(self._matrix)
-            self._decomp = SpectralDecomposition(vals, log.replay)
+            self._decomp = _solve(self._matrix)
         return self._decomp
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order (read-only array)."""
         return self.decomposition.eigenvalues
+
+    def __setstate__(self, state: tuple) -> None:
+        _restore_read_only(self, state)
 
     def _binary(self, other, sign: float) -> "HermitianMatrix":
         if not isinstance(other, HermitianMatrix):

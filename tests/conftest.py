@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from golden_bounds import orders
+from golden_bounds import linalg, orders
+
+
+@pytest.fixture(autouse=True)
+def empty_spectral_cache():
+    """Start every test with an empty spectral cache and a zero tally, so
+    that what a test counts does not hang on the tests run before it."""
+    linalg._CACHE.clear()
 
 
 @pytest.fixture

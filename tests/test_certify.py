@@ -1278,6 +1278,20 @@ def test_sweeps_in_two_threads_take_the_workers_in_turn():
     assert together == alone
 
 
+def test_spectral_cache_stays_in_its_budget_over_an_n16_pass(one_cpu):
+    # one pass over the ids at one seed, a commuting and a general instance
+    # each: the rows that share draws hit the decompositions of the rows
+    # before them, and the general instances solve more than the budget holds
+    for inequality_id in INEQUALITY_IDS:
+        assert run_instances(inequality_id, count=2, seed=1, n=16).all_hold
+    cache = linalg._CACHE
+    assert cache.tally["hits"] > 0 and cache.tally["misses"] > 0
+    held = sum(entry.nbytes() for entry in cache.entries.values())
+    assert cache.tally["bytes"] == held
+    # the budget bound: entries were evicted to keep within it
+    assert held <= linalg._CACHE_BYTES and len(cache.entries) < cache.tally["misses"]
+
+
 def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):
     seen = []
     recipe = RECIPES["gt-specht"]

@@ -1,8 +1,13 @@
 """Matrix core: construction, Jacobi spectra, functions, norms."""
 
+import gc
 import hashlib
 import math
+import os
+import pickle
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -557,6 +562,145 @@ def test_hermiticity_verdict_and_message_are_those_of_the_unscaled_entries(scale
                 assert str(excinfo.value) == message
             else:
                 HermitianMatrix(raw)
+
+
+# ---------------------------------------------------------------------------
+# The spectral cache: one solve per distinct entry array
+# ---------------------------------------------------------------------------
+
+
+def test_matrices_with_the_same_bytes_share_one_decomposition():
+    a = random_hermitian(np.random.default_rng(83), 5).matrix
+    first, second = HermitianMatrix(a), PositiveDefiniteMatrix(a @ a + np.eye(5))
+    again = HermitianMatrix(a.copy())
+    assert again.decomposition is first.decomposition
+    assert second.decomposition is not first.decomposition
+    assert again.decomposition.eigenvectors is first.decomposition.eigenvectors
+    assert linalg._CACHE.tally["hits"] == 1 and linalg._CACHE.tally["misses"] == 2
+    vals, vecs = jacobi_eigenpairs(a)
+    assert first.eigenvalues.tobytes() == vals.tobytes()
+    assert first.decomposition.eigenvectors.tobytes() == vecs.tobytes()
+    # entries one ulp apart are another key
+    moved = a.copy()
+    moved[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
+    moved[1, 0] = moved[0, 1].conjugate()
+    assert HermitianMatrix(moved).decomposition is not first.decomposition
+    assert linalg._CACHE.tally["misses"] == 3
+
+
+def test_a_wrapped_jacobi_sees_every_solve_and_none_is_stored(solver_counts, monkeypatch):
+    a = random_hermitian(np.random.default_rng(89), 4).matrix
+    decompositions = [HermitianMatrix(a).decomposition for _ in range(3)]
+    assert solver_counts["jacobi"] == 3
+    assert len({id(dec) for dec in decompositions}) == 3
+    assert not linalg._CACHE.entries
+    assert linalg._CACHE.tally == dict.fromkeys(linalg._CACHE.tally, 0)
+    monkeypatch.undo()
+    HermitianMatrix(a).eigenvalues
+    assert linalg._CACHE.tally["misses"] == 1 and linalg._CACHE.tally["hits"] == 0
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("JACOBI_MAX_SWEEPS", 0), ("JACOBI_OFFDIAG_RTOL", 1e-3), ("_JACOBI_EXPONENT_LIMIT", 2)],
+)
+def test_changed_settings_bypass_the_cache(monkeypatch, name, value):
+    a = random_hermitian(np.random.default_rng(97), 4).matrix * 100.0
+    cached = HermitianMatrix(a)
+    cached.eigenvalues
+    monkeypatch.setattr(linalg, name, value)
+    if name == "JACOBI_MAX_SWEEPS":
+        with pytest.raises(NoConvergenceError, match="sweep cap 0 hit"):
+            HermitianMatrix(a).eigenvalues
+    else:
+        assert HermitianMatrix(a).decomposition is not cached.decomposition
+    assert linalg._CACHE.tally["hits"] == 0 and linalg._CACHE.tally["misses"] == 1
+
+
+def test_a_hit_after_its_holders_are_gone_keeps_the_bits(monkeypatch):
+    rng = np.random.default_rng(101)
+    a, b = random_hermitian(rng, 6).matrix, random_hermitian(rng, 5).matrix
+    (a_vals, a_vecs), (b_vals, b_vecs) = jacobi_eigenpairs(a), jacobi_eigenpairs(b)
+    # a's eigenvectors are read while a holder lives, b's never are
+    built = HermitianMatrix(a).decomposition.eigenvectors
+    HermitianMatrix(b).eigenvalues
+    gc.collect()
+    # the cache keeps no log: a new holder of a gets the stored columns, and
+    # one of b solves b's bytes again, under the settings of cached solves
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    later_a, later_b = linalg._CACHE.solve(a), linalg._CACHE.solve(b)
+    assert later_a.eigenvectors is built and built.tobytes() == a_vecs.tobytes()
+    assert later_b.eigenvectors.tobytes() == b_vecs.tobytes()
+    assert later_a.eigenvalues.tobytes() == a_vals.tobytes()
+    assert later_b.eigenvalues.tobytes() == b_vals.tobytes()
+    assert linalg._CACHE.tally == dict(linalg._CACHE.tally, hits=2, misses=2, resolves=1)
+
+
+def test_decompositions_in_three_threads_evict_safely():
+    # more distinct arrays than the budget holds, so each thread evicts
+    # while the others look up and store; at n = 1 a solve is quick, so the
+    # threads spend most of their time in the cache
+    arrays = [np.array([[float(i)]]) for i in range(1000)]
+    expected = [np.array([float(i)]).tobytes() for i in range(1000)]
+    orders = [list(range(1000)) * 6, list(range(999, -1, -1)) * 6, list(range(0, 1000, 2)) * 12]
+    faults, results = [], {}
+
+    def solve_all(name, order):
+        try:
+            results[name] = [(i, HermitianMatrix(arrays[i]).eigenvalues.tobytes()) for i in order]
+        except Exception as exc:
+            faults.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=solve_all, args=(k, order)) for k, order in enumerate(orders)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not faults and len(results) == 3
+    for pairs in results.values():
+        assert all(bits == expected[i] for i, bits in pairs)
+    tally = linalg._CACHE.tally
+    assert tally["hits"] + tally["misses"] == sum(map(len, orders))
+    assert tally["hits"] > 0 and 0 < tally["bytes"] <= linalg._CACHE_BYTES
+    assert tally["bytes"] == sum(entry.nbytes() for entry in linalg._CACHE.entries.values())
+
+
+def test_a_forked_child_starts_with_an_empty_cache():
+    HermitianMatrix(random_hermitian(np.random.default_rng(107), 3).matrix).eigenvalues
+    assert linalg._CACHE.entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        empty = not linalg._CACHE.entries and not any(linalg._CACHE.tally.values())
+        os._exit(0 if empty and linalg._CACHE.lock.acquire(blocking=False) else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert linalg._CACHE.entries
+
+
+def test_pickled_matrices_and_decompositions_stay_read_only():
+    h = random_hermitian(np.random.default_rng(109), 4)
+    lazy = exp_h(h)
+    # h's cached decomposition goes with it, its eigenvectors not yet built
+    copies = [pickle.loads(pickle.dumps(lazy))]
+    built = HermitianMatrix(h.matrix)
+    built.decomposition.eigenvectors
+    copies += [pickle.loads(pickle.dumps(x)) for x in (built, h)]
+    for original, copy in zip((lazy, built, h), copies):
+        arrays = [copy.matrix, copy.eigenvalues, copy.decomposition.eigenvectors]
+        assert not any(array.flags.writeable for array in arrays)
+        assert copy.eigenvalues.tobytes() == original.eigenvalues.tobytes()
+        assert copy.matrix.tobytes() == original.matrix.tobytes()
+    dec = pickle.loads(pickle.dumps(built.decomposition))
+    assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
 
 
 # ---------------------------------------------------------------------------
