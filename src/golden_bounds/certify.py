@@ -6,11 +6,13 @@ most a scalar constant times the other.  Each of the ten hypotheses is one
 parameters and their checks, its re-check, its sampler and the draws before
 the row's own.  The table ``_INEQUALITIES`` holds, per inequality id, its
 record and only what else differs — its own exponent parameters, checks and
-draws, the factor, the comparison builder and their README cells — and one
-public certifier, ``certify_inequality``, runs every row: check parameters,
+draws, the factor, the comparison and their README cells — and one public
+certifier, ``certify_inequality``, runs every row: check parameters,
 re-verify the hypothesis (HypothesisViolated on failure, so a drifting
 sampler cannot feed a certifier inputs outside its domain), build the
-factor, build both sides, report.  Comparisons are evaluated exactly as
+factor, build the first side, then the second, and combine them into the
+report.  A comparison is those two side builders, which do not read each
+other, and the combiner.  Comparisons are evaluated exactly as
 stated — Loewner form via the spectrum of RHS − LHS, eigenvalue form via
 sorted spectra, norm form via the Ky Fan / Schatten families, trace form
 directly — into an InequalityReport with per-entry margins; it holds when
@@ -21,14 +23,17 @@ BadRangeError naming it; any other scalar overflow is one naming the id.
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them on every CPU the process may
 use: it certifies one block of instances itself and sends each other block
-to a worker process.  convergence_study splits a table's p sequence over
-the same workers.  The first split call forks the workers, and they serve
-every later one until the process exits, or until a changed stamp, an
-error, an interrupt or a dead worker stops them all.  The stamp is the
-affinity mask and the identity of every value in the namespaces of this
-package's modules and of their classes, so a monkeypatch and its undo reach
-the workers; a container changed in place does not.  Narrowing the affinity
-to one CPU (``taskset -c 0``) keeps a sweep in one process.
+to a worker process.  An instance left over from even blocks is certified
+in two processes: this one opens it and builds its second side while a
+worker builds its first.  convergence_study splits a table's p sequence
+over the same workers.  The first split call forks the workers, and they
+serve every later one until the process exits, or until a changed stamp,
+an error, an interrupt or a dead worker stops them all.  The stamp is the
+affinity mask and every value in the namespaces of this package's modules
+and of their classes, compared by identity and then equality, so a
+monkeypatch and its undo reach the workers; a container changed in place
+does not.  Narrowing the affinity to one CPU (``taskset -c 0``) keeps a
+sweep in one process.
 """
 
 from __future__ import annotations
@@ -41,13 +46,13 @@ import hashlib
 import io
 import json
 import math
-import operator
 import os
 import pickle
 import signal
 import sys
 import threading
 import time
+import types
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -181,17 +186,20 @@ def _relative(lhs, rhs) -> list:
     return [(r - l) / max(abs(l), abs(r), _TINY) for l, r in zip(lhs, rhs)]
 
 
-def _eigen_sides(lhs_values, rhs_values):
-    labels = [f"k={k + 1}" for k in range(len(lhs_values))]
-    return SEMANTICS_EIGENVALUE, labels, lhs_values, rhs_values, _relative(lhs_values, rhs_values)
+def _eigen_sides(lhs, rhs, v):
+    """lambda_k of the lhs against factor * lambda_k of the rhs."""
+    rhs = v["factor"] * rhs
+    labels = [f"k={k + 1}" for k in range(len(lhs))]
+    return SEMANTICS_EIGENVALUE, labels, lhs, rhs, _relative(lhs, rhs)
 
 
-def _loewner_sides(lhs_mat, rhs_mat):
-    """LHS <= RHS via the ascending spectrum of RHS - LHS.
+def _loewner_sides(lhs_mat, rhs_mat, v):
+    """LHS <= factor * RHS via the ascending spectrum of factor * RHS - LHS.
 
     Margins are the difference eigenvalues; relative margins divide by the
     larger spectral norm of the two sides, so 'holds' is scale-invariant.
     """
+    rhs_mat = rhs_mat * v["factor"]
     diff = rhs_mat - lhs_mat
     diff_eigs = diff.eigenvalues[::-1]
     scale = _spectral_scale(lhs_mat, rhs_mat, _TINY)
@@ -200,12 +208,13 @@ def _loewner_sides(lhs_mat, rhs_mat):
     return SEMANTICS_LOEWNER, labels, np.zeros(len(diff_eigs)), diff_eigs, rel
 
 
-def _norm_sides(lhs_mat, rhs_mat, factor):
-    """Ky Fan 1..n plus Schatten {1, 2, inf} values of two positive matrices."""
-    labels = [f"ky-fan-{k + 1}" for k in range(lhs_mat.dim)]
+def _norm_sides(lhs, rhs, v):
+    """Ky Fan 1..n plus Schatten {1, 2, inf} values (``_norm_family``) of two
+    positive matrices, the rhs's times the factor, if the row has one."""
+    labels = [f"ky-fan-{k + 1}" for k in range(len(lhs) - 3)]
     labels += ["schatten-1", "schatten-2", "schatten-inf"]
-    lhs_values, rhs_values = _norm_family(lhs_mat), factor * _norm_family(rhs_mat)
-    return SEMANTICS_NORM, labels, lhs_values, rhs_values, _relative(lhs_values, rhs_values)
+    rhs = v.get("factor", 1.0) * rhs
+    return SEMANTICS_NORM, labels, lhs, rhs, _relative(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,73 +412,78 @@ def _sandwich(v: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Comparison builders, (x, y, params) -> (semantics, labels, lhs, rhs,
-# relative margins): five families and three one-offs
+# Comparisons: two side builders, (x, y, params) -> side, and a combiner,
+# (first, second, params) -> (semantics, labels, lhs, rhs, relative
+# margins).  Neither side reads the other, so a sweep may build the first in
+# a worker while it builds the second.
 # ---------------------------------------------------------------------------
 
 
-def _power_means(a, b, v):
-    """The mean of powers A^r #_a B^r and the power of the mean (A #_a B)^r."""
-    r, alpha = v["r"], v["alpha"]
-    return geometric_mean(power(a, r), power(b, r), alpha), power(geometric_mean(a, b, alpha), r)
+@dataclass(frozen=True)
+class _Comparison:
+    """How a row compares its operands: ``first`` and ``second`` build the
+    two sides, in the order one process evaluates them, and ``combine``
+    turns them into the report's columns.  "First" is the first evaluated,
+    not the lhs: forward-mean-norm reports its first side as its rhs."""
+
+    first: Callable
+    second: Callable
+    combine: Callable
 
 
-def _power_low(a, b, v):
-    """Loewner: A^r #_a B^r <= factor * (A #_a B)^r for 0 < r <= 1."""
-    lhs, rhs = _power_means(a, b, v)
-    return _loewner_sides(lhs, rhs * v["factor"])
+def _mean_of_powers(a, b, v):
+    """A^r #_a B^r."""
+    return geometric_mean(power(a, v["r"]), power(b, v["r"]), v["alpha"])
 
 
-def _eigen_power(a, b, v):
-    """lambda_k(A #_a B)^r against factor * lambda_k(A^r #_a B^r)."""
-    r, alpha = v["r"], v["alpha"]
-    lhs = geometric_mean(a, b, alpha).eigenvalues ** r
-    rhs = v["factor"] * geometric_mean(power(a, r), power(b, r), alpha).eigenvalues
-    return _eigen_sides(lhs, rhs)
+def _power_of_mean(a, b, v):
+    """(A #_a B)^r."""
+    return power(geometric_mean(a, b, v["alpha"]), v["r"])
 
 
-def _pq(a, b, v):
-    """lambda_k(A^q #_a B^q)^{1/q} against factor * lambda_k(A^p #_a B^p)^{1/p}."""
-    q, p, alpha = v["q"], v["p"], v["alpha"]
-    lhs = geometric_mean(power(a, q), power(b, q), alpha).eigenvalues ** (1.0 / q)
-    rhs = v["factor"] * geometric_mean(power(a, p), power(b, p), alpha).eigenvalues ** (1.0 / p)
-    return _eigen_sides(lhs, rhs)
+def _powered_mean_spectrum(a, b, v, e: str):
+    """lambda_k(A^e #_a B^e)^{1/e} for the exponent named ``e``."""
+    e = v[e]
+    return geometric_mean(power(a, e), power(b, e), v["alpha"]).eigenvalues ** (1.0 / e)
 
 
-def _gt_sides(h, k, v):
-    """e^{(1-a)H + aK} and the mean-power (e^{pH} #_a e^{pK})^{1/p}."""
-    return log_euclidean(h, k, v["alpha"]), mean_power(h, k, v["alpha"], v["p"])
+def _log_euclidean(h, k, v):
+    """e^{(1-a)H + aK}."""
+    return log_euclidean(h, k, v["alpha"])
 
 
-def _squared_sides(h, k, v):
-    """e^{H+K} and e^{2H} # e^{2K}: the alpha = 1/2, p = 2 display, squared."""
-    return exp_h(h + k), geometric_mean(exp_h(h * 2.0), exp_h(k * 2.0), 0.5)
+def _mean_power(h, k, v):
+    """The mean-power (e^{pH} #_a e^{pK})^{1/p}."""
+    return mean_power(h, k, v["alpha"], v["p"])
 
 
-def _gt_eigen(h, k, v, sides=_gt_sides):
-    lhs_mat, rhs_mat = sides(h, k, v)
-    return _eigen_sides(lhs_mat.eigenvalues, v["factor"] * rhs_mat.eigenvalues)
+def _exp_sum(h, k, v):
+    """e^{H+K}: the alpha = 1/2, p = 2 display's lhs, squared."""
+    return exp_h(h + k)
 
 
-def _norm(h, k, v, sides=_gt_sides):
-    return _norm_sides(*sides(h, k, v), v["factor"])
+def _squared_mean(h, k, v):
+    """e^{2H} # e^{2K}: the alpha = 1/2, p = 2 display's rhs, squared."""
+    return geometric_mean(exp_h(h * 2.0), exp_h(k * 2.0), 0.5)
 
 
-def _compression(a, u, v):
-    """Loewner: U A^{-1} U* <= factor * (U A U*)^{-1}."""
-    lhs = PositiveDefiniteMatrix(congruence(u, power(a, -1.0)))
-    compressed = PositiveDefiniteMatrix(congruence(u, a))
-    return _loewner_sides(lhs, power(compressed, -1.0) * v["factor"])
+def _eigenvalues(side):
+    """The side builder of the spectrum of ``side``'s matrix."""
+    return lambda x, y, v: side(x, y, v).eigenvalues
 
 
-def _log_majorization(a, b, v):
+def _norms(side):
+    """The side builder of ``_norm_family`` of ``side``'s matrix."""
+    return lambda x, y, v: _norm_family(side(x, y, v))
+
+
+def _log_majorization(lhs_eigs, rhs_eigs, v):
     """Cumulative log-products of both spectra plus the k = n equality entry.
 
     The margin at k is -expm1(sum_{i<=k} log lhs_i - sum_{i<=k} log rhs_i),
     positive when the k-th partial product of the lhs sits below the rhs's;
     the equality entry's is -|expm1(log det lhs - log det rhs)|.
     """
-    lhs_eigs, rhs_eigs = (mean.eigenvalues for mean in _power_means(a, b, v))
     cum_lhs = np.cumsum(np.log(lhs_eigs))
     cum_rhs = np.cumsum(np.log(rhs_eigs))
     # The margins take their logs on reversed views, which np.log may round
@@ -483,10 +497,45 @@ def _log_majorization(a, b, v):
     return SEMANTICS_EIGENVALUE, labels, lhs_values, rhs_values, margins
 
 
-def _trace(h, k, v):
-    lhs = float(trace(exp_h(h + k)).real)
-    rhs = float(np.trace(exp_h(h).matrix @ exp_h(k).matrix).real)
+def _trace_sides(lhs, rhs, v):
     return SEMANTICS_TRACE, ("trace",), [lhs], [rhs], _relative([lhs], [rhs])
+
+
+#: Loewner: A^r #_a B^r <= factor * (A #_a B)^r for 0 < r <= 1.
+_POWER_LOW = _Comparison(_mean_of_powers, _power_of_mean, _loewner_sides)
+#: lambda_k(A #_a B)^r against factor * lambda_k(A^r #_a B^r).
+_EIGEN_POWER = _Comparison(
+    lambda a, b, v: geometric_mean(a, b, v["alpha"]).eigenvalues ** v["r"],
+    _eigenvalues(_mean_of_powers), _eigen_sides,
+)
+#: lambda_k(A^q #_a B^q)^{1/q} against factor * lambda_k(A^p #_a B^p)^{1/p}.
+_PQ = _Comparison(
+    lambda a, b, v: _powered_mean_spectrum(a, b, v, "q"),
+    lambda a, b, v: _powered_mean_spectrum(a, b, v, "p"), _eigen_sides,
+)
+_GT_EIGEN = _Comparison(_eigenvalues(_log_euclidean), _eigenvalues(_mean_power), _eigen_sides)
+_SQUARED_EIGEN = _Comparison(_eigenvalues(_exp_sum), _eigenvalues(_squared_mean), _eigen_sides)
+_GT_NORM = _Comparison(_norms(_log_euclidean), _norms(_mean_power), _norm_sides)
+_SQUARED_NORM = _Comparison(_norms(_exp_sum), _norms(_squared_mean), _norm_sides)
+#: The forward bound: the mean-power's norms at most the log-Euclidean's.
+_FORWARD_NORM = _Comparison(
+    _norms(_log_euclidean), _norms(_mean_power),
+    lambda first, second, v: _norm_sides(second, first, v),
+)
+#: Loewner: U A^{-1} U* <= factor * (U A U*)^{-1}.
+_COMPRESSION = _Comparison(
+    lambda a, u, v: PositiveDefiniteMatrix(congruence(u, power(a, -1.0))),
+    lambda a, u, v: power(PositiveDefiniteMatrix(congruence(u, a)), -1.0), _loewner_sides,
+)
+#: Log-majorization of the mean of powers by the power of the mean.
+_LOG_MAJORIZATION = _Comparison(
+    _eigenvalues(_mean_of_powers), _eigenvalues(_power_of_mean), _log_majorization
+)
+#: Trace: tr e^{H+K} <= tr e^H e^K.
+_TRACE = _Comparison(
+    lambda h, k, v: float(trace(exp_h(h + k)).real),
+    lambda h, k, v: float(np.trace(exp_h(h).matrix @ exp_h(k).matrix).real), _trace_sides,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +642,7 @@ class _Inequality:
     checks: tuple[Callable, ...]
     require: Callable | None
     factor: Callable | None
-    compare: Callable
+    compare: _Comparison
     draws: tuple[tuple[str, Callable], ...]
     sample: Callable
     cells: tuple[str, str, str]
@@ -721,75 +770,75 @@ _SQUARED = {"alpha": 0.5, "p": 2.0}
 _INEQUALITIES = {
     # Specht ratio: sandwich s*A <= B <= t*A, power-monotone for exponents >= 1
     "specht-power-low": _under(
-        _SANDWICH, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R, compare=_power_low,
+        _SANDWICH, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R, compare=_POWER_LOW,
         factor=lambda v: max(specht(v["s"]), specht(v["t"])) ** v["r"],
         cells=("Loewner, `(A #_a B)^r` vs mean of powers, `0 < r <= 1`", "`max(S(s), S(t))^r`"),
     ),
     "specht-eigen-power": _under(
         _POWER_SANDWICH, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
         factor=lambda v: max(specht(_checked_pow(v[x], v["r"], f"{x}^r")) for x in "st"),
-        compare=_eigen_power, cells=("eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
+        compare=_EIGEN_POWER, cells=("eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
     ),
     "specht-pq": _under(
-        _POWER_SANDWICH, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA, compare=_pq,
+        _POWER_SANDWICH, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA, compare=_PQ,
         factor=lambda v: max(specht(_checked_pow(v[x], v["p"], f"{x}^p")) for x in "st")
         ** (1.0 / v["p"]),
         cells=("eigenvalues, two exponents `0 < q <= p`", "`max(S(s^p), S(t^p))^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
     "gt-specht": _under(
-        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_gt_eigen,
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_GT_EIGEN,
         factor=_specht_exp_factor, cells=(
             "eigenvalues of `e^{(1-a)H + aK}` vs mean-power", "`max(S(e^{sp}), S(e^{tp}))^(1/p)`",
         ),
     ),
     "gt-specht-norm": _under(
-        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_norm,
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_GT_NORM,
         factor=_specht_exp_factor, cells=("Ky Fan + Schatten norms", "same as `gt-specht`"),
     ),
     "gt-specht-norm-squared": _under(
         _EXP_OLSON, ("alpha", "p"), (), (), fixed=_SQUARED,
         factor=lambda v: max(specht(_exp(2.0 * v["s"], "2s")), specht(_exp(2.0 * v["t"], "2t"))),
-        compare=lambda h, k, v: _norm(h, k, v, _squared_sides),
+        compare=_SQUARED_NORM,
         cells=("norm of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`max(S(e^{2s}), S(e^{2t}))`"),
     ),
     # Kantorovich constant
     "kantorovich-matrix": _under(
         _BOUNDED_A, (), (), (),
         factor=lambda v: (v["m"] + v["M"]) ** 2 / (4.0 * v["m"] * v["M"]),
-        compare=_compression, cells=("Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
+        compare=_COMPRESSION, cells=("Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
     ),
     "gt-kantorovich": _under(
-        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_gt_eigen,
+        _EXP_OLSON, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, compare=_GT_EIGEN,
         factor=_kantorovich_exp_factor, cells=("eigenvalues", "`K(e^{p(t-s)}, a)^(-1/p)`"),
     ),
     "gt-kantorovich-squared": _under(
         _BOUNDED_SPECTRA, ("alpha", "p"), (), (), fixed=_SQUARED, factor=_cosh_factor,
-        compare=lambda h, k, v: _gt_eigen(h, k, v, _squared_sides),
+        compare=_SQUARED_EIGEN,
         cells=("eigenvalues of `e^{H+K}` vs `e^{2H} # e^{2K}`", "`cosh(M - m)`"),
     ),
     # Exponential difference factor: ordered chain m*I <= A <= B <= M*I <= I
     "fm-power-low": _under(
         _CHAIN, ("alpha", "r"), (_alpha, _low_r), _ALPHA + _LOW_R,
         factor=lambda v: fm_factor(v["h"], v["alpha"], v["r"]),
-        compare=_power_low, cells=("Loewner, `0 < r <= 1`", "difference factor"),
+        compare=_POWER_LOW, cells=("Loewner, `0 < r <= 1`", "difference factor"),
     ),
     "fm-eigen-power": _under(
         _CHAIN, ("alpha", "r"), (_alpha, _high_r), _HIGH_R + _ALPHA,
         factor=lambda v: fm_factor(v["h"] ** v["r"], v["alpha"], 1.0),
-        compare=_eigen_power, cells=("eigenvalues, `r >= 1`", "difference factor"),
+        compare=_EIGEN_POWER, cells=("eigenvalues, `r >= 1`", "difference factor"),
     ),
     "fm-pq": _under(
         _CHAIN, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA,
         factor=lambda v: fm_factor(v["h"] ** v["p"], v["alpha"], 1.0 / v["p"]),
-        compare=_pq, cells=("eigenvalues, `0 < q <= p`", "difference factor"),
+        compare=_PQ, cells=("eigenvalues, `0 < q <= p`", "difference factor"),
     ),
     "gt-fm": _under(
         _EXP_CHAIN, ("alpha", "p"), (_alpha, _positive_p), _GT_P + _ALPHA,
         factor=lambda v: fm_factor(
             _exp(v["p"] * (v["M"] - v["m"]), "p(M-m)"), v["alpha"], 1.0 / v["p"]
         ),
-        compare=_gt_eigen, cells=("eigenvalues", "difference factor"),
+        compare=_GT_EIGEN, cells=("eigenvalues", "difference factor"),
     ),
 }
 # The paper's bounded-spectrum corollaries, which read their parents' rows above
@@ -812,14 +861,14 @@ _INEQUALITIES |= {
     # Forward baselines: no hypothesis, no factor
     "forward-ando-hiai": _under(
         _POSITIVE_PAIR, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
-        factor=None, compare=_log_majorization, cells=("log-majorization, `r >= 1`", "1"),
+        factor=None, compare=_LOG_MAJORIZATION, cells=("log-majorization, `r >= 1`", "1"),
     ),
     "forward-gt-trace": _under(
-        _HERMITIAN_PAIR, (), (), (), factor=None, compare=_trace, cells=("trace", "1"),
+        _HERMITIAN_PAIR, (), (), (), factor=None, compare=_TRACE, cells=("trace", "1"),
     ),
     "forward-mean-norm": _under(
         _HERMITIAN_PAIR, ("alpha", "p"), (_alpha, _positive_p), _ALPHA + _GT_P, factor=None,
-        compare=lambda h, k, v: _norm_sides(*reversed(_gt_sides(h, k, v)), 1.0),
+        compare=_FORWARD_NORM,
         cells=("unitarily invariant norms", "1"),
     ),
 }
@@ -857,6 +906,29 @@ def certify_inequality(
     that is not a HermitianMatrix (U excepted).  The report holds when every
     relative margin is at least -1e-9, a fixed threshold.
     """
+    values = _opened(inequality_id, x, y, params)
+    compare = _INEQUALITIES[inequality_id].compare
+    with _overflow_named(inequality_id):
+        first = compare.first(x, y, values)
+        second = compare.second(x, y, values)
+    return _report(inequality_id, x, y, values, first, second)
+
+
+@contextlib.contextmanager
+def _overflow_named(inequality_id: str):
+    """Raise a scalar overflow inside as a BadRangeError naming the id."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise BadRangeError(
+            f"{inequality_id}: a value overflows double precision ({exc.args[-1]})"
+        ) from exc
+
+
+def _opened(inequality_id: str, x, y, params: dict) -> dict:
+    """The first steps of ``certify_inequality``: check the operands and
+    the parameters, re-verify the hypothesis, derive h and rows and build
+    the factor.  Returns the row's parameter dict, which both sides read."""
     spec = _row(inequality_id)
     for label, operand in zip("xy", (x,) if "rows" in spec.params else (x, y)):
         if not isinstance(operand, HermitianMatrix):
@@ -883,7 +955,7 @@ def certify_inequality(
     for name in spec.taken:
         if not math.isfinite(values[name]):
             raise BadRangeError(f"{name} must be finite, got {values[name]}")
-    try:
+    with _overflow_named(inequality_id):
         if spec.require is not None:
             spec.require(x, y, values)
         if "h" in values:
@@ -892,11 +964,19 @@ def certify_inequality(
             values["rows"] = float(np.shape(y)[0])
         if spec.factor is not None:
             values["factor"] = spec.factor(values)
-        semantics, labels, lhs, rhs, rel = spec.compare(x, y, values)
-    except OverflowError as exc:
-        raise BadRangeError(
-            f"{inequality_id}: a value overflows double precision ({exc.args[-1]})"
-        ) from exc
+    return values
+
+
+def _report(inequality_id: str, x, y, values: dict, first, second) -> InequalityReport:
+    """The last step of ``certify_inequality``: combine the two sides into
+    the report.  A side given as the exception that building it raised is
+    raised here, the first side's before the second's."""
+    with _overflow_named(inequality_id):
+        for side in (first, second):
+            if isinstance(side, Exception):
+                raise side
+        compared = _INEQUALITIES[inequality_id].compare.combine(first, second, values)
+    semantics, labels, lhs, rhs, rel = compared
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
     parameters = {k: float(v) for k, v in values.items()}
     return InequalityReport(
@@ -1090,10 +1170,10 @@ def _lhs_and_spectra(h, k, alpha: float, ps) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _recipe(inequality_id, index, seed, n, mode, ov):
+def _draw(inequality_id, index, seed, n, mode, ov) -> tuple:
     """Draw one instance's free parameters from its params stream (seed,
-    index, params tag) in its row's order, sample its operands, and certify
-    it.
+    index, params tag) in its row's order and sample its operands: the
+    operands and the parameters ``certify_inequality`` takes.
 
     Every entry draws, pinned or not, so a pin moves no other draw; the pin
     in ``ov``, if any, then takes the drawn value's place, and the later
@@ -1107,7 +1187,12 @@ def _recipe(inequality_id, index, seed, n, mode, ov):
     cfg = SamplerConfig(n, seed, drawn["m"], drawn["M"], mode)
     x, y, sampled = spec.sample(cfg, index, drawn)
     drawn.update(sampled)
-    given = {name: drawn[name] for name in spec.taken}
+    return x, y, {name: drawn[name] for name in spec.taken}
+
+
+def _recipe(inequality_id, index, seed, n, mode, ov):
+    """Draw one seeded instance (``_draw``) and certify it."""
+    x, y, given = _draw(inequality_id, index, seed, n, mode, ov)
     return certify_inequality(inequality_id, x, y, **given)
 
 
@@ -1145,17 +1230,46 @@ class SweepResult:
         )
 
 
-def _blocks(count: int) -> list[range]:
-    """``range(count)`` in contiguous blocks as even as can be, the larger
-    first, one per CPU this process may run on, at most ``count``; one block
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing.  The last
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _blocks(count: int, k: int | None = None) -> list[range]:
+    """``range(count)`` in ``k`` contiguous blocks as even as can be, the
+    larger first; by default one per CPU, at most ``count``.  The last
     block, the smallest, is this process's, which has the rest of the
     work."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return [range(count)]
-    k = min(count, len(os.sched_getaffinity(0)))
+    k = k or min(count, _cpus())
     bounds = [-(-count * j // k) for j in range(k + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _sweep_blocks(count: int) -> list[range]:
+    """The blocks of a sweep of ``count`` instances, which ``run_instances``
+    certifies whole, one per process.  With k = min(CPUs, max(count, 2))
+    processes and count = q k + 1, every process gets q instances, and the
+    last instance, in no block, is certified in two of them; otherwise they
+    are ``_blocks(count)``.  The split pays where one instance is left over:
+    with two or more, the processes that certify one of them whole would
+    still finish last.  A sweep of one instance (q = 0) is split only while
+    the workers run: forking one for a side alone, and its first
+    copy-on-write faults, cost more than the side saves at n = 16."""
+    k = min(_cpus(), max(count, 2))
+    if k > 1 and count % k == 1 and (count > 1 or _POOL.workers):
+        return _blocks(count - 1, k)
+    return _blocks(count)
+
+
+def _dimension_and_mode(index: int, n: int | None, mode: str | None) -> tuple[int, str]:
+    """The dimension and sampler mode of instance ``index`` of a sweep: n
+    and mode if pinned, else the 2..6 cycle and alternating modes."""
+    use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
+    use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
+    return use_n, use_mode
 
 
 def _certify_block(
@@ -1165,11 +1279,31 @@ def _certify_block(
     recipe = RECIPES[inequality_id]
     reports = []
     for index in block:
-        use_n = n if n is not None else N_CYCLE[index % len(N_CYCLE)]
-        use_mode = mode if mode is not None else (MODE_COMMUTING, MODE_GENERAL)[index % 2]
+        use_n, use_mode = _dimension_and_mode(index, n, mode)
         report = recipe(index=index, seed=seed, n=use_n, mode=use_mode, ov=pins)
         reports.append(dataclasses.replace(report, mode=use_mode))
     return reports
+
+
+def _opened_instance(
+    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
+) -> tuple:
+    """Instance ``index`` of one sweep drawn and opened (``_opened``): its
+    operands and parameter dict, ready for its two sides."""
+    use_n, use_mode = _dimension_and_mode(index, n, mode)
+    x, y, given = _draw(inequality_id, index, seed, use_n, use_mode, pins)
+    return x, y, _opened(inequality_id, x, y, given)
+
+
+def _first_side(x, y, values: dict, inequality_id: str):
+    """The first side of an opened instance of ``inequality_id``: a job a
+    worker runs while this process builds the second."""
+    return _INEQUALITIES[inequality_id].compare.first(x, y, values)
+
+
+def _second_side(x, y, values: dict, inequality_id: str):
+    """The second side of an opened instance of ``inequality_id``."""
+    return _INEQUALITIES[inequality_id].compare.second(x, y, values)
 
 
 @dataclass(frozen=True)
@@ -1196,30 +1330,53 @@ class _Pool:
 _POOL = _Pool()
 
 
+#: Per module of this package: its namespace values when last stamped and
+#: the classes and submodules it defines among them, so that a stamp looks
+#: for them again only in a namespace that has changed.
+_DEFINED: dict[str, tuple[tuple, tuple]] = {}
+
+
+def _defined(name: str, values: tuple) -> tuple:
+    """The classes module ``name`` defines and the submodules bound in it,
+    among ``values``, the values of its namespace."""
+    held = _DEFINED.get(name)
+    if held is None or not _same_stamp(values, held[0]):
+        members = tuple(
+            value for value in values
+            if isinstance(value, type) and value.__module__ == name
+            or isinstance(value, types.ModuleType) and value.__name__.startswith(name + ".")
+        )
+        held = _DEFINED[name] = (values, members)
+    return held[1]
+
+
 def _stamp() -> tuple:
-    """The affinity mask, and every value in the namespaces of this package's
-    modules and of the classes they define.  Values are held, not their ids,
-    so a stamp compares by identity without an id being reused; a container
-    changed in place keeps its identity, so the stamp does not see that."""
-    package = __name__.partition(".")[0]
-    values = []
-    for name, module in list(sys.modules.items()):
-        if name != package and not name.startswith(package + "."):
-            continue
-        namespace = vars(module)
-        values += namespace
-        values += namespace.values()
-        for value in namespace.values():
-            if isinstance(value, type) and value.__module__ == name:
-                values += vars(value).values()
-    return frozenset(os.sched_getaffinity(0)), values
+    """The affinity mask, and tuple copies of the names and of the values
+    in the namespaces of this package, of its modules (each import binds
+    one in the package's namespace) and of the classes they define.  Values
+    are held, not their ids, so an id cannot be reused while the stamp
+    lives; a container changed in place keeps its identity, so the stamp
+    does not see that."""
+    parts = [frozenset(os.sched_getaffinity(0))]
+    owners = [sys.modules[__name__.partition(".")[0]]]
+    for owner in owners:
+        namespace = vars(owner)
+        values = tuple(namespace.values())
+        parts += tuple(namespace), values
+        if isinstance(owner, types.ModuleType):
+            owners += _defined(owner.__name__, values)
+    return tuple(parts)
 
 
 def _same_stamp(a: tuple, b: tuple | None) -> bool:
-    return (
-        b is not None and a[0] == b[0] and len(a[1]) == len(b[1])
-        and all(map(operator.is_, a[1], b[1]))
-    )
+    """Whether stamp ``a`` matches ``b``: item by item at C speed, where an
+    item matches if it is the same object or, failing that, compares equal;
+    an item whose comparison raises, such as an array rebound to another,
+    does not match."""
+    try:
+        return b is not None and a == b
+    except Exception:
+        return False
 
 
 def _send(pipe: io.BufferedWriter, obj) -> None:
@@ -1248,16 +1405,17 @@ def _outcome(function: Callable, args: tuple):
 
 def _serve(requests: int, responses: int) -> None:
     """A worker's loop: read a job ``(function, args)``, send back its
-    ``_outcome``, until the request pipe ends.  The function is a module-level
-    one, pickled by name.  The worker holds no caller's stdin or stdout, so
-    a pipe the caller reads ends when the caller exits."""
+    ``_outcome`` in a 1-tuple (an outcome of None is not the end of the
+    pipe), until the request pipe ends.  The function is a module-level one,
+    pickled by name.  The worker holds no caller's stdin or stdout, so a
+    pipe the caller reads ends when the caller exits."""
     null = os.open(os.devnull, os.O_RDWR)
     os.dup2(null, 0)
     os.dup2(null, 1)
     os.close(null)
     with open(requests, "rb") as jobs, open(responses, "wb") as results:
         while (job := _receive(jobs)) is not None:
-            _send(results, _outcome(*job))
+            _send(results, (_outcome(*job),))
 
 
 def _start_worker() -> _Worker:
@@ -1341,35 +1499,98 @@ if hasattr(os, "register_at_fork"):
 atexit.register(_stop_workers)
 
 
+class _Session:
+    """The workers one split call holds, and the jobs it has sent them in
+    order.  ``clean`` tells whether every outcome read was a value."""
+
+    def __init__(self) -> None:
+        self.workers: list[_Worker] = []
+        self.jobs: list[tuple[_Worker, Callable, tuple]] = []
+        self.clean = False
+
+    def send(self, worker: int, function: Callable, *args) -> None:
+        """Queue the job ``function(*args)`` on worker ``worker``, behind
+        the jobs sent to it before."""
+        self.jobs.append((self.workers[worker], function, args))
+        _send(self.workers[worker].requests, (function, args))
+
+    def outcomes(self, *local) -> list:
+        """The ``_outcome`` of every job sent, in the order sent, then the
+        outcomes ``local`` of this process's own jobs."""
+        outcomes = []
+        for worker, function, args in self.jobs:
+            response = _receive(worker.responses)
+            if response is None:
+                raise RuntimeError(
+                    f"the worker running {function.__name__} on {args[-1]} "
+                    "exited without a result"
+                )
+            outcomes += response
+        outcomes += local
+        self.clean = not any(isinstance(outcome, Exception) for outcome in outcomes)
+        return outcomes
+
+
+@contextlib.contextmanager
+def _session(k: int):
+    """``k`` live workers for one split call, as a ``_Session`` that holds
+    the pool's lock.  Unless the session's ``outcomes`` are all values, the
+    workers are stopped at its end: an exception in a job, an interrupt or
+    a worker that dies stops every worker, so none is left at work on a
+    result no one reads."""
+    with _POOL.lock:
+        session = _Session()
+        try:
+            session.workers = _workers(k)
+            yield session
+        finally:
+            if not session.clean:
+                _stop_workers()
+
+
 def _run_split(jobs: list[tuple[Callable, tuple]]) -> list:
     """The ``_outcome`` of each job ``(function, args)``, in job order: every
-    job but the last in a worker, the last in this process.  An exception
-    in a job, an interrupt or a worker that dies stops every worker, so none
-    is left at work on a result no one reads."""
+    job but the last in a worker, the last in this process."""
     if len(jobs) == 1:
         return [_outcome(*jobs[0])]
-    done = False
-    with _POOL.lock:
-        try:
-            workers = _workers(len(jobs) - 1)
-            for worker, job in zip(workers, jobs):
-                _send(worker.requests, job)
-            last = _outcome(*jobs[-1])
-            outcomes = []
-            for worker, (function, args) in zip(workers, jobs):
-                outcome = _receive(worker.responses)
-                if outcome is None:
-                    raise RuntimeError(
-                        f"the worker running {function.__name__} on {args[-1]} "
-                        "exited without a result"
-                    )
-                outcomes.append(outcome)
-            outcomes.append(last)
-            done = not any(isinstance(outcome, Exception) for outcome in outcomes)
-        finally:
-            if not done:
-                _stop_workers()
-    return outcomes
+    with _session(len(jobs) - 1) as session:
+        for worker, (function, args) in enumerate(jobs[:-1]):
+            session.send(worker, function, *args)
+        return session.outcomes(_outcome(*jobs[-1]))
+
+
+def _run_sides(sweep: tuple, blocks: list[range]) -> list:
+    """The outcomes of a sweep's ``blocks`` (see ``_sweep_blocks``), in
+    order, then the report of the instance left over after them, or the
+    error certifying it raises.
+
+    Each block but the last goes to a worker and the last is certified
+    here.  This process opens the leftover instance (draw, parameter checks,
+    hypothesis re-check, factor) and queues its first side, with its
+    operands and parameter dict, on the first worker, behind that worker's
+    block.  It builds the second side itself, then its own block, and
+    combines the two sides: the report and the error are those of
+    ``certify_inequality`` in one process."""
+    inequality_id, _, n, mode, _ = sweep
+    *heads, mine = blocks
+    index = mine.stop
+    with _session(len(heads)) as session:
+        for worker, block in enumerate(heads):
+            session.send(worker, _certify_block, *sweep, block)
+        opened = _outcome(_opened_instance, (*sweep, index))
+        if isinstance(opened, Exception):
+            second = opened
+        else:
+            session.send(0, _first_side, *opened, inequality_id)
+            second = _outcome(_second_side, (*opened, inequality_id))
+        outcomes = session.outcomes(_outcome(_certify_block, (*sweep, mine)), second)
+    if isinstance(opened, Exception):
+        return outcomes
+    *done, first, own, second = outcomes
+    report = _outcome(_report, (inequality_id, *opened, first, second))
+    if not isinstance(report, Exception):
+        report = [dataclasses.replace(report, mode=_dimension_and_mode(index, n, mode)[1])]
+    return [*done, own, report]
 
 
 def _joined(outcomes) -> list:
@@ -1404,15 +1625,21 @@ def run_instances(
 
     The instances are split into contiguous blocks, one per CPU this process
     may run on (``os.sched_getaffinity``): each block but the last is
-    certified in a worker process, the last here, and the reports are byte
+    certified in a worker process, the last here.  When one instance is
+    left over from even blocks (``_sweep_blocks``: on two CPUs, the last
+    instance of an odd count, and the only one of a count of 1 while the
+    workers run), it is certified in two processes: a worker builds its
+    first side behind its block while this process opens it, builds its
+    second side and combines them (``_run_sides``).  The reports are byte
     for byte those of a single process.  The workers are forked at the
     first split sweep or table and serve the later ones (see the module
     docstring).
     An error is the one the lowest failing instance raises, with its class
-    and message.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
-    or with one CPU or one instance, the one block runs here.  A recipe
-    replaced in ``RECIPES`` (a caller's wrapper that records each instance)
-    runs every instance here, so what it records stays in this process.
+    and message, and for a split instance the one ``certify_inequality``
+    raises.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or
+    with one CPU, the one block runs here.  A recipe replaced in ``RECIPES``
+    (a caller's wrapper that records each instance) runs every instance
+    here, so what it records stays in this process.
     """
     _row(inequality_id)
     seed = _checked_seed(seed)
@@ -1433,10 +1660,13 @@ def run_instances(
             raise BadRangeError(f"pinned {name} must be finite, got {value}")
 
     started = time.perf_counter()
-    blocks = _blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
-    reports = _joined(_run_split(
-        [(_certify_block, (inequality_id, seed, n, mode, pins, block)) for block in blocks]
-    ))
+    sweep = (inequality_id, seed, n, mode, pins)
+    blocks = _sweep_blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
+    if blocks[-1].stop < count:
+        outcomes = _run_sides(sweep, blocks)
+    else:
+        outcomes = _run_split([(_certify_block, (*sweep, block)) for block in blocks])
+    reports = _joined(outcomes)
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

@@ -33,6 +33,7 @@ from golden_bounds.certify import (
 from golden_bounds.constants import fm_factor, kantorovich, kantorovich_limit_root, specht
 from golden_bounds.errors import (
     BadRangeError,
+    DomainError,
     EmptySequenceError,
     GoldenBoundsError,
     HypothesisViolatedError,
@@ -1075,12 +1076,101 @@ def test_run_instances_deterministic_and_annotated():
     ]
 
 
+#: Where a sweep's events are logged, one line each: the pid, the event and
+#: the instance index; set before the sweep forks its workers.
+_EVENTS = {"path": None}
+_DRAW, _FIRST_SIDE, _SECOND_SIDE = certify._draw, certify._first_side, certify._second_side
+
+
+def _log(event: str, index=None) -> None:
+    with open(_EVENTS["path"], "a") as log:
+        log.write(f"{os.getpid()} {event} {index}\n")
+
+
+def _logging_draw(inequality_id, index, seed, n, mode, ov):
+    _log("draw", index)
+    return _DRAW(inequality_id, index, seed, n, mode, ov)
+
+
+def _logging_first_side(*args):
+    _log("first")
+    return _FIRST_SIDE(*args)
+
+
+def _logging_second_side(*args):
+    _log("second")
+    return _SECOND_SIDE(*args)
+
+
+def _start_workers() -> None:
+    """Fork the sweep workers, if this process may use two CPUs, by a split
+    call of no-op jobs: a sweep of one instance forks none for its side."""
+    certify._run_split([(len, ((),))] * len(certify._blocks(2)))
+
+
+def _sweep_events(monkeypatch, tmp_path, inequality_id, count) -> tuple[list, list]:
+    """The blocks of a sweep with its workers running, and the (pid, event,
+    index) of each instance drawn and each side built separately in it, in
+    the order logged.  The patches are module names of certify, so the
+    workers are forked afresh with them, and the side job pickles the
+    logging function by name.  The path is set in a container, which the
+    stamp does not see, so the workers are stopped first: workers forked
+    for an earlier call with these same patches would log to its path."""
+    certify._stop_workers()
+    _EVENTS["path"] = tmp_path / "events"
+    monkeypatch.setattr(certify, "_draw", _logging_draw)
+    monkeypatch.setattr(certify, "_first_side", _logging_first_side)
+    monkeypatch.setattr(certify, "_second_side", _logging_second_side)
+    _start_workers()
+    blocks = certify._sweep_blocks(count)
+    run_instances(inequality_id, count=count, seed=1)
+    monkeypatch.undo()
+    events = []
+    for line in _EVENTS["path"].read_text().splitlines():
+        pid, event, index = line.split()
+        events.append((int(pid), event, None if index == "None" else int(index)))
+    return blocks, events
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 64])
-def test_sweep_blocks_cover_the_instances_once_in_order(count):
-    blocks = certify._blocks(count)
-    assert len(blocks) == min(count, len(os.sched_getaffinity(0)))
-    assert [i for block in blocks for i in block] == list(range(count))
+def test_sweep_blocks_cover_the_instances_once_in_order(monkeypatch, tmp_path, count):
+    # every instance is certified once: whole, in the process of its block,
+    # or, left over from even blocks, as two sides in two processes
+    blocks, events = _sweep_events(monkeypatch, tmp_path, "gt-specht", count)
+    whole = [i for block in blocks for i in block]
+    left = list(range(len(whole), count))
+    assert whole + left == list(range(count))
     assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+    cpus = len(os.sched_getaffinity(0))
+    k = min(cpus, max(count, 2))
+    if k > 1 and count % k == 1:
+        assert len(blocks) == k and {len(block) for block in blocks} == {count // k}
+        assert left == [count - 1]
+    else:
+        assert len(blocks) == min(count, cpus) and left == []
+    drawn = {index: pid for pid, event, index in events if event == "draw"}
+    assert sorted(index for _, event, index in events if event == "draw") == list(range(count))
+    here = os.getpid()
+    for j, block in enumerate(blocks):
+        pids = {drawn[i] for i in block}
+        assert len(pids) <= 1 and (pids <= {here} if j == len(blocks) - 1 else here not in pids)
+    first = [pid for pid, event, _ in events if event == "first"]
+    second = [pid for pid, event, _ in events if event == "second"]
+    if left:
+        # opened here, its first side built in a worker, its second here
+        assert drawn[count - 1] == here
+        assert len(first) == 1 and first != [here] and second == [here]
+    else:
+        assert first == second == []
+
+
+def test_a_sweep_of_one_instance_forks_no_worker_for_its_side():
+    certify._stop_workers()
+    assert certify._sweep_blocks(1) == [range(1)]
+    assert run_instances("gt-specht", count=1, seed=1, n=16).all_hold
+    assert certify._POOL.workers == []
+    _start_workers()
+    assert len(certify._sweep_blocks(1)) == min(2, len(os.sched_getaffinity(0)))
 
 
 @pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
@@ -1089,6 +1179,19 @@ def test_a_split_sweep_reports_what_one_process_reports(request, inequality_id):
     request.getfixturevalue("one_cpu")
     single = [r.to_dict() for r in run_instances(inequality_id, count=7, seed=11).reports]
     assert split == single
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_a_split_instance_reports_what_one_process_reports(request, inequality_id, count):
+    # on two CPUs the last instance is built as two sides in two processes
+    def sweep() -> list[dict]:
+        return [r.to_dict() for r in run_instances(inequality_id, count, seed=7, n=16).reports]
+
+    _start_workers()
+    split = sweep()
+    request.getfixturevalue("one_cpu")
+    assert split == sweep()
 
 
 def _params_draw_raises(monkeypatch, effects: dict) -> None:
@@ -1127,6 +1230,101 @@ def test_a_split_sweep_raises_the_lowest_failing_instances_error(monkeypatch):
     with pytest.raises(BadRangeError, match="^instance 1$"):
         run_instances("gt-specht", count=8, seed=1)
     assert _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({0: "instance 0", 2: "instance 2"}, "instance 0"),
+        ({1: "instance 1", 2: "instance 2"}, "instance 1"),
+        ({2: "instance 2"}, "instance 2"),
+    ],
+)
+def test_a_split_instance_ranks_after_the_blocks(monkeypatch, request, faults, message):
+    # count 3 on two CPUs: instance 0 in the worker, 1 here and 2 split
+    _params_draw_raises(monkeypatch, {i: _raise(BadRangeError(m)) for i, m in faults.items()})
+    with pytest.raises(BadRangeError, match=f"^{message}$"):
+        run_instances("gt-specht", count=3, seed=1)
+    assert _no_child_left()
+    request.getfixturevalue("one_cpu")
+    with pytest.raises(BadRangeError, match=f"^{message}$"):
+        run_instances("gt-specht", count=3, seed=1)
+
+
+def _raising(error):
+    def raising(*args, **kwargs):
+        raise error
+
+    return raising
+
+
+_OVERFLOWS = "gt-specht: a value overflows double precision"
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        # the hypothesis re-check, here, as the instance is opened
+        ({"_demand_loewner": HypothesisViolatedError("re-check")}, HypothesisViolatedError,
+         "re-check"),
+        # the first side, e^{(1-a)H + aK}, built in a worker
+        ({"log_euclidean": DomainError("first side")}, DomainError, "first side"),
+        # the second side, the mean-power, built here
+        ({"mean_power": DomainError("second side")}, DomainError, "second side"),
+        # the combiner
+        ({"_relative": DomainError("combined")}, DomainError, "combined"),
+        # both sides fail: the first one's error, as in one process
+        ({"log_euclidean": DomainError("first side"), "mean_power": DomainError("second side")},
+         DomainError, "first side"),
+        # an overflow anywhere is the id's BadRangeError
+        ({"_demand_loewner": OverflowError("re-check")}, BadRangeError, f"{_OVERFLOWS} (re-check)"),
+        ({"log_euclidean": OverflowError("first")}, BadRangeError, f"{_OVERFLOWS} (first)"),
+        ({"mean_power": OverflowError("second")}, BadRangeError, f"{_OVERFLOWS} (second)"),
+        ({"_relative": OverflowError("combined")}, BadRangeError, f"{_OVERFLOWS} (combined)"),
+    ],
+)
+def test_a_split_instance_raises_what_one_process_raises(
+    monkeypatch, request, faults, error, message
+):
+    # the faults are certify's module names, so the workers see them too
+    for name, fault in faults.items():
+        monkeypatch.setattr(certify, name, _raising(fault))
+    _start_workers()
+
+    def raised() -> tuple:
+        with pytest.raises(GoldenBoundsError) as excinfo:
+            run_instances("gt-specht", count=1, seed=1)
+        return type(excinfo.value), str(excinfo.value)
+
+    assert raised() == (error, message)
+    request.getfixturevalue("one_cpu")
+    assert raised() == (error, message)
+
+
+def test_a_worker_killed_during_a_side_job_is_an_error(monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep forks only with two CPUs or more")
+    parent = os.getpid()
+    first = certify.log_euclidean
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return first(*args)
+
+    monkeypatch.setattr(certify, "log_euclidean", dying)
+    _start_workers()
+    with pytest.raises(
+        RuntimeError, match=r"^the worker running _first_side on gt-specht exited without a result$"
+    ):
+        run_instances("gt-specht", count=1, seed=1)
+    assert certify._POOL.workers == []
+    assert _no_child_left()
+
+
+def test_a_job_that_returns_none_is_a_result():
+    # a worker's outcome of None is not taken for the end of its pipe
+    assert certify._run_split([(time.sleep, (0,))] * 2) == [None, None]
 
 
 def _worker_pids() -> list[int]:
@@ -1243,6 +1441,23 @@ def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
     assert sweep() == split
 
 
+def test_the_stamp_sees_a_rebound_name_in_a_module_or_a_class(monkeypatch):
+    stamp = certify._stamp()
+    assert certify._same_stamp(certify._stamp(), stamp)
+    for owner, name, value in [
+        (certify, "N_CYCLE", (3,)),
+        (linalg, "JACOBI_MAX_SWEEPS", 0),
+        # an equal array: its == is elementwise, so it does not match
+        (certify, "_ALPHA_GRID", certify._ALPHA_GRID.copy()),
+        (certify.SweepResult, "summary", lambda self: ""),
+        (means, "a_new_name", 1.0),
+    ]:
+        monkeypatch.setattr(owner, name, value, raising=False)
+        assert not certify._same_stamp(certify._stamp(), stamp), name
+        monkeypatch.undo()
+        assert certify._same_stamp(certify._stamp(), stamp), name
+
+
 @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
 def test_a_worker_killed_between_sweeps_is_replaced(reaped):
     if len(os.sched_getaffinity(0)) < 2:
@@ -1301,8 +1516,11 @@ def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):
         return recipe(**kwargs)
 
     monkeypatch.setitem(RECIPES, "gt-specht", recording)
-    run_instances("gt-specht", count=4, seed=1)
-    assert seen == [(os.getpid(), index) for index in range(4)]
+    # whole blocks (4) and a leftover instance, alone (1) or after blocks (3)
+    for count in (4, 1, 3):
+        seen.clear()
+        run_instances("gt-specht", count=count, seed=1)
+        assert seen == [(os.getpid(), index) for index in range(count)]
 
 
 #: The CLI's default convergence powers: on two CPUs the first four go to

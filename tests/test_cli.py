@@ -272,6 +272,49 @@ def test_certify_report_bytes_are_frozen(capsys, tmp_path, inequality_id, fmt):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == expected
 
 
+#: sha256 of ``certify <id> --n 16 --count 3 --seed 7 --format json``
+#: report files, frozen before an instance left over from even blocks was
+#: certified as two sides in two processes: a 2-CPU host splits the third
+#: instance, and under ``taskset -c 0`` all three run in one process, so
+#: both paths are pinned.  Frozen like REPORT_SHA256.
+N16_REPORT_SHA256 = {
+    "bounded-eigen-power": "d3abeb08c91936730a8f361853b35b4749b8093ab31121bb7c44c7a1a94ac474",
+    "bounded-power-low": "74f27961a2c564b39b41668af5d16d074990bcaeff26c477eef294bc58558b3f",
+    "bounded-pq": "4e976360d2324eff1cd50662ad4daaef517480a71082ff760ed3a1286d3b0e2a",
+    "fm-eigen-power": "737d794a86e19f3cb3f077ddec39238ead7509f04c7d6731a107cc1647898616",
+    "fm-power-low": "2ddd9333887be4044e3113639081f173ec0e398aec94b3ef920e2a1c689e59a0",
+    "fm-pq": "3eeb88ff09e8fc055903a339df67496955db83c910801183f21813585d0d0c51",
+    "forward-ando-hiai": "e5a06fe52eeffc20f1a2f989ebb18f6c59e68fc0553c6355ade1f1fab525f81e",
+    "forward-gt-trace": "270ba57efe0d117cfb108675f57f08c94db3631ff2b9a6c6e490ea31034d6127",
+    "forward-mean-norm": "3e47312d52c6cc90869c421349e733c70a3225e07c1b6fc9809777dcd8887cf2",
+    "gt-bounded-specht": "fc1756f621444503b7885ae7ee77efe12d99c44028c96623548c854d02336c26",
+    "gt-fm": "4e19ea668d9d075ab9079b9f4f32acf9007aaa60634857c90a542596223336a9",
+    "gt-kantorovich": "fbe904745913d01c8c0cf90bbc03321790b896feb139b09f4d61b949b2dcfbe7",
+    "gt-kantorovich-bounded": "af31fc525648d4e048d008edbb3f6f9724ea7f8cc362232a8ce872d2e16a33e3",
+    "gt-kantorovich-squared": "ceead8bd3b87ad19b3225f0c83d5439a0981df549d162cccd1000672d7d4e83a",
+    "gt-specht": "6103dfe089f29c549cde9f8501a215f65199f392f2ad78dee2410390a5e0f5c6",
+    "gt-specht-norm": "9ae51da11c77f579c3feb6fa9ff10b434209febc2df1df2415a54c19bc388842",
+    "gt-specht-norm-squared": "d6927419b1cc696a61778cf16aff865467ef3b69e63334dc6987171227436cf9",
+    "kantorovich-matrix": "2ef5d31dd53455486ea3a7512f7e552f1e445983c340cc2fa612b2d7ed54cee9",
+    "specht-eigen-power": "d10efc05905946f2dbbdf5fe7a08f52651ff04e55309e25b7db1fce34c7b5a83",
+    "specht-power-low": "75acb92c52b8be58bc06a8c23b1f37c26c15804575fcd23d31049e83692c6063",
+    "specht-pq": "a52a1c3a2febe1783b9afcb51dd80884231d0e5f5c890d983b0035fef994fe42",
+}
+
+
+@pytest.mark.parametrize("inequality_id", sorted(N16_REPORT_SHA256))
+def test_certify_n16_report_bytes_are_frozen(capsys, tmp_path, inequality_id):
+    assert sorted(N16_REPORT_SHA256) == sorted(INEQUALITY_IDS)
+    target = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "certify", inequality_id, "--n", "16", "--count", "3", "--seed", "7",
+        "--format", "json", "--out", str(target),
+    )
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == N16_REPORT_SHA256[inequality_id]
+
+
 #: Relative margins of the same reports, frozen from the numpy-array Jacobi
 #: kernel that preceded the Python-scalar one.  Digests pin the bits of one
 #: build; this pins the values: a kernel change may move a margin by at most

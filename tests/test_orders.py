@@ -149,12 +149,12 @@ def test_olson_grid_validation():
 
 
 @pytest.fixture
-def log_majorization(monkeypatch):
+def log_majorization():
     """``certify._log_majorization`` on two given spectra: labels and margins."""
-    monkeypatch.setattr(certify, "_power_means", lambda a, b, v: (a, b))
 
     def margins(lhs, rhs):
-        _, labels, _, _, margins = certify._log_majorization(diag_pd(lhs), diag_pd(rhs), {})
+        spectra = (diag_pd(values).eigenvalues for values in (lhs, rhs))
+        _, labels, _, _, margins = certify._log_majorization(*spectra, {})
         return list(labels), list(margins)
 
     return margins
