@@ -25,12 +25,12 @@ run_instances drives soundness sweeps over them on every CPU the process may
 use: it certifies one block of instances itself and sends each other block
 to a worker process.  An instance left over from even blocks is certified
 in two processes: this one opens it and builds its second side while a
-worker builds its first.  convergence_study splits a table's p sequence
-over the same workers.  The first split call forks the workers, and they
-serve every later one until the process exits, or until a changed stamp,
-an error, an interrupt or a dead worker stops them all.  The stamp is the
-affinity mask and every value in the namespaces of this package's modules
-and of their classes, compared by identity and then equality, so a
+worker opens it too and builds its first.  convergence_study splits a
+table's p sequence over the same workers.  The first split call forks the
+workers, and they serve every later one until the process exits, or until
+a changed stamp, an error, an interrupt or a dead worker stops them all.
+The stamp is the affinity mask and every value in the namespaces of this
+package's modules and of their classes, compared by identity, so a
 monkeypatch and its undo reach the workers; a container changed in place
 does not.  Narrowing the affinity to one CPU (``taskset -c 0``) keeps a
 sweep in one process.
@@ -46,6 +46,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import pickle
 import signal
@@ -1256,8 +1257,10 @@ def _sweep_blocks(count: int) -> list[range]:
     are ``_blocks(count)``.  The split pays where one instance is left over:
     with two or more, the processes that certify one of them whole would
     still finish last.  A sweep of one instance (q = 0) is split only while
-    the workers run: forking one for a side alone, and its first
-    copy-on-write faults, cost more than the side saves at n = 16."""
+    the workers run: in a new process, forking one for a side alone, and
+    its first copy-on-write faults, cost what the side saves at n = 16
+    (x1.007 in the median over all ids, x1.09 on the cheapest,
+    ``BENCH_sides.json``)."""
     k = min(_cpus(), max(count, 2))
     if k > 1 and count % k == 1 and (count > 1 or _POOL.workers):
         return _blocks(count - 1, k)
@@ -1295,9 +1298,14 @@ def _opened_instance(
     return x, y, _opened(inequality_id, x, y, given)
 
 
-def _first_side(x, y, values: dict, inequality_id: str):
-    """The first side of an opened instance of ``inequality_id``: a job a
-    worker runs while this process builds the second."""
+def _first_side(
+    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
+):
+    """The first side of instance ``index`` of one sweep, which it draws and
+    opens anew: a worker's job while this process opens the instance too
+    and builds the second side.  The job is the sweep and the index, not
+    the operands, so every request to a worker is small."""
+    x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
     return _INEQUALITIES[inequality_id].compare.first(x, y, values)
 
 
@@ -1340,7 +1348,13 @@ def _defined(name: str, values: tuple) -> tuple:
     """The classes module ``name`` defines and the submodules bound in it,
     among ``values``, the values of its namespace."""
     held = _DEFINED.get(name)
-    if held is None or not _same_stamp(values, held[0]):
+    try:
+        # equality will do: what is looked for is classes and modules, which
+        # compare by identity
+        same = held is not None and values == held[0]
+    except Exception:  # an elementwise ==, such as an array's, raises
+        same = False
+    if not same:
         members = tuple(
             value for value in values
             if isinstance(value, type) and value.__module__ == name
@@ -1351,32 +1365,30 @@ def _defined(name: str, values: tuple) -> tuple:
 
 
 def _stamp() -> tuple:
-    """The affinity mask, and tuple copies of the names and of the values
-    in the namespaces of this package, of its modules (each import binds
-    one in the package's namespace) and of the classes they define.  Values
-    are held, not their ids, so an id cannot be reused while the stamp
-    lives; a container changed in place keeps its identity, so the stamp
-    does not see that."""
-    parts = [frozenset(os.sched_getaffinity(0))]
+    """The affinity mask and the names in the namespaces of this package, of
+    its modules (each import binds one in the package's namespace) and of
+    the classes they define; then the values bound to those names, held, so
+    that an id cannot be reused while the stamp lives.  Both are built from
+    tuple copies of each namespace.  A container changed in place keeps its
+    identity, so the stamp does not see that."""
+    names = [frozenset(os.sched_getaffinity(0))]
+    values = []
     owners = [sys.modules[__name__.partition(".")[0]]]
     for owner in owners:
         namespace = vars(owner)
-        values = tuple(namespace.values())
-        parts += tuple(namespace), values
+        own = tuple(namespace.values())
+        names.append(tuple(namespace))
+        values += own
         if isinstance(owner, types.ModuleType):
-            owners += _defined(owner.__name__, values)
-    return tuple(parts)
+            owners += _defined(owner.__name__, own)
+    return tuple(names), tuple(values)
 
 
 def _same_stamp(a: tuple, b: tuple | None) -> bool:
-    """Whether stamp ``a`` matches ``b``: item by item at C speed, where an
-    item matches if it is the same object or, failing that, compares equal;
-    an item whose comparison raises, such as an array rebound to another,
-    does not match."""
-    try:
-        return b is not None and a == b
-    except Exception:
-        return False
+    """Whether stamp ``a`` matches ``b``: the same affinity and names (so as
+    many values), each bound to the same object.  An equal object in its
+    place (1.0 for 1, -0.0 for 0.0) does not match."""
+    return b is not None and a[0] == b[0] and all(map(operator.is_, a[1], b[1]))
 
 
 def _send(pipe: io.BufferedWriter, obj) -> None:
@@ -1565,28 +1577,33 @@ def _run_sides(sweep: tuple, blocks: list[range]) -> list:
     error certifying it raises.
 
     Each block but the last goes to a worker and the last is certified
-    here.  This process opens the leftover instance (draw, parameter checks,
-    hypothesis re-check, factor) and queues its first side, with its
-    operands and parameter dict, on the first worker, behind that worker's
-    block.  It builds the second side itself, then its own block, and
-    combines the two sides: the report and the error are those of
-    ``certify_inequality`` in one process."""
+    here.  The leftover instance's first side is queued on the first worker
+    behind its block, as the sweep and the index: the worker draws and
+    opens the instance itself (``_first_side``).  This process opens it too
+    (draw, parameter checks, hypothesis re-check, factor), builds the second
+    side, then its own block, and combines the two sides: the report and
+    the error are those of ``certify_inequality`` in one process.
+
+    Every request is written before any response is read, so each must be
+    small: a worker reads its next request only after it has written its
+    last response, which waits on this process once it outgrows the pipe's
+    buffer, and a request that outgrew it too would wait on the worker."""
     inequality_id, _, n, mode, _ = sweep
     *heads, mine = blocks
     index = mine.stop
     with _session(len(heads)) as session:
         for worker, block in enumerate(heads):
             session.send(worker, _certify_block, *sweep, block)
+        session.send(0, _first_side, *sweep, index)
         opened = _outcome(_opened_instance, (*sweep, index))
         if isinstance(opened, Exception):
             second = opened
         else:
-            session.send(0, _first_side, *opened, inequality_id)
             second = _outcome(_second_side, (*opened, inequality_id))
         outcomes = session.outcomes(_outcome(_certify_block, (*sweep, mine)), second)
-    if isinstance(opened, Exception):
-        return outcomes
     *done, first, own, second = outcomes
+    if isinstance(opened, Exception):
+        return [*done, own, opened]
     report = _outcome(_report, (inequality_id, *opened, first, second))
     if not isinstance(report, Exception):
         report = [dataclasses.replace(report, mode=_dimension_and_mode(index, n, mode)[1])]
@@ -1628,12 +1645,12 @@ def run_instances(
     certified in a worker process, the last here.  When one instance is
     left over from even blocks (``_sweep_blocks``: on two CPUs, the last
     instance of an odd count, and the only one of a count of 1 while the
-    workers run), it is certified in two processes: a worker builds its
-    first side behind its block while this process opens it, builds its
-    second side and combines them (``_run_sides``).  The reports are byte
-    for byte those of a single process.  The workers are forked at the
-    first split sweep or table and serve the later ones (see the module
-    docstring).
+    workers run), it is certified in two processes: a worker opens it and
+    builds its first side behind its block while this process opens it,
+    builds its second side and combines them (``_run_sides``).  The
+    reports are byte for byte those of a single process.  The workers are
+    forked at the first split sweep or table and serve the later ones (see
+    the module docstring).
     An error is the one the lowest failing instance raises, with its class
     and message, and for a split instance the one ``certify_inequality``
     raises.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or

@@ -1148,18 +1148,23 @@ def test_sweep_blocks_cover_the_instances_once_in_order(monkeypatch, tmp_path, c
         assert left == [count - 1]
     else:
         assert len(blocks) == min(count, cpus) and left == []
-    drawn = {index: pid for pid, event, index in events if event == "draw"}
-    assert sorted(index for _, event, index in events if event == "draw") == list(range(count))
+    drawn = {}
+    for pid, event, index in events:
+        if event == "draw":
+            drawn.setdefault(index, set()).add(pid)
+    assert sorted(drawn) == list(range(count))
     here = os.getpid()
     for j, block in enumerate(blocks):
-        pids = {drawn[i] for i in block}
+        pids = set().union(*(drawn[i] for i in block))
         assert len(pids) <= 1 and (pids <= {here} if j == len(blocks) - 1 else here not in pids)
+        assert all(len(drawn[i]) == 1 for i in block)
     first = [pid for pid, event, _ in events if event == "first"]
     second = [pid for pid, event, _ in events if event == "second"]
     if left:
-        # opened here, its first side built in a worker, its second here
-        assert drawn[count - 1] == here
+        # drawn and opened here for its second side, and in a worker, which
+        # builds its first side
         assert len(first) == 1 and first != [here] and second == [here]
+        assert drawn[count - 1] == {here, first[0]}
     else:
         assert first == second == []
 
@@ -1315,11 +1320,33 @@ def test_a_worker_killed_during_a_side_job_is_an_error(monkeypatch):
     monkeypatch.setattr(certify, "log_euclidean", dying)
     _start_workers()
     with pytest.raises(
-        RuntimeError, match=r"^the worker running _first_side on gt-specht exited without a result$"
+        RuntimeError, match=r"^the worker running _first_side on 0 exited without a result$"
     ):
         run_instances("gt-specht", count=1, seed=1)
     assert certify._POOL.workers == []
     assert _no_child_left()
+
+
+def test_a_split_sweep_at_a_large_n_finishes():
+    # At n = 48 a pair of operands (74 KB pickled) outgrows a pipe's 64 KiB
+    # buffer, and so does a worker's block of 50 reports.  A request that
+    # large, queued on a worker still writing such a response, would wait on
+    # the worker while the worker waited on this process.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep forks only with two CPUs or more")
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the split sweep did not finish")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(300)
+    try:
+        result = run_instances("kantorovich-matrix", count=101, seed=1, n=48)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    alone = certify._certify_block("kantorovich-matrix", 1, 48, None, {}, range(100, 101))
+    assert result.reports[-1].to_dict() == alone[0].to_dict()
 
 
 def test_a_job_that_returns_none_is_a_result():
@@ -1447,8 +1474,11 @@ def test_the_stamp_sees_a_rebound_name_in_a_module_or_a_class(monkeypatch):
     for owner, name, value in [
         (certify, "N_CYCLE", (3,)),
         (linalg, "JACOBI_MAX_SWEEPS", 0),
-        # an equal array: its == is elementwise, so it does not match
+        # equal values that are other objects
         (certify, "_ALPHA_GRID", certify._ALPHA_GRID.copy()),
+        (certify, "_TOLERANCE", float(repr(certify._TOLERANCE))),
+        (linalg, "JACOBI_MAX_SWEEPS", float(linalg.JACOBI_MAX_SWEEPS)),
+        (certify, "N_CYCLE", tuple(list(certify.N_CYCLE))),
         (certify.SweepResult, "summary", lambda self: ""),
         (means, "a_new_name", 1.0),
     ]:
