@@ -1,4 +1,4 @@
-"""Time the Jacobi eigensolver and the Cholesky Loewner test per call at n = 2..6 and 16.
+"""Time the Jacobi eigensolver and the Cholesky Loewner test per call at n = 2..6, 8..10, 12 and 16.
 
 Run from a checkout, with that checkout's sources on the path:
 
@@ -6,12 +6,20 @@ Run from a checkout, with that checkout's sources on the path:
 
 A round times one call on each matrix of a fixed set; a printed figure is
 the median over rounds of the mean time per call, in microseconds. One JSON
-line holds two tables.
+line holds the tables.
 
 ``us_per_call`` times the eigensolver on random complex Hermitian matrices
 (seed 0): ``eigenvalues`` is ``linalg._jacobi`` alone, ``with_eigenvectors``
 also replays its rotation log into the eigenvectors, as the first read of
-``SpectralDecomposition.eigenvectors`` does (``BENCH_jacobi.json``).
+``SpectralDecomposition.eigenvectors`` does (``BENCH_jacobi.json``).  From
+``linalg._ROUND_ROBIN_MIN_N`` up the solver is the round-robin kernel, and
+below it the cyclic one.
+
+``kernels`` times both kernels at every n on the same matrices, with the
+crossover passed to ``linalg._jacobi`` above or below n; within a round the
+four timings (each kernel, eigenvalues alone and with eigenvectors) run in
+turn, so a drift of the host's speed reaches them alike.  Their ratio sets
+the crossover (``BENCH_round_robin.json``).
 
 ``cholesky_us`` and ``jacobi_us`` time the Loewner hypothesis test on random
 positive definite complex matrices (seed 0), the shape of a difference
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import time
 
@@ -31,7 +40,7 @@ import numpy as np
 
 from golden_bounds import linalg
 
-DIMENSIONS = (2, 3, 4, 5, 6, 16)
+DIMENSIONS = (2, 3, 4, 5, 6, 8, 9, 10, 12, 16)
 SHIFT = 1e-8
 
 
@@ -71,6 +80,41 @@ def cholesky(matrix: np.ndarray) -> None:
     linalg._cholesky_succeeds(matrix, SHIFT)
 
 
+def _kernel_settings(kernel: str) -> tuple:
+    """``linalg._jacobi``'s settings with the round-robin crossover above
+    every n (``cyclic``) or below it (``round_robin``)."""
+    *settings, _ = linalg._settings()
+    return (*settings, math.inf if kernel == "cyclic" else 2)
+
+
+def kernel_table(matrix_sets, rounds: int) -> dict:
+    """{kernel: {"eigenvalues" | "with_eigenvectors": {n: us per call}}}."""
+    out = {
+        kernel: {"eigenvalues": {}, "with_eigenvectors": {}} for kernel in ("cyclic", "round_robin")
+    }
+    for n in DIMENSIONS:
+        matrices = matrix_sets[n]
+        calls = {}
+        for kernel in out:
+            settings = _kernel_settings(kernel)
+            calls[kernel, "eigenvalues"] = lambda m, s=settings: linalg._jacobi(m, s)
+            calls[kernel, "with_eigenvectors"] = (
+                lambda m, s=settings: linalg._jacobi(m, s)[1].replay()
+            )
+        means = {key: [] for key in calls}
+        for call in calls.values():
+            call(matrices[0])
+        for _ in range(rounds):
+            for key, call in calls.items():
+                started = time.perf_counter()
+                for matrix in matrices:
+                    call(matrix)
+                means[key].append((time.perf_counter() - started) / len(matrices))
+        for (kernel, what), samples in means.items():
+            out[kernel][what][str(n)] = round(1e6 * statistics.median(samples), 1)
+    return out
+
+
 def us_per_call(call, matrices, rounds: int) -> float:
     call(matrices[0])
     means = []
@@ -98,6 +142,7 @@ def main() -> None:
             solve.__name__: _table(solve, hermitian, args.rounds)
             for solve in (eigenvalues, with_eigenvectors)
         },
+        "kernels": kernel_table(hermitian, args.rounds),
         "cholesky_us": _table(cholesky, positive, args.rounds),
         "jacobi_us": _table(linalg._jacobi, positive, args.rounds),
         "rounds": args.rounds,

@@ -28,7 +28,9 @@ in two processes: this one opens it and builds its second side while a
 worker opens it too and builds its first.  convergence_study splits a
 table's p sequence over the same workers.  The first split call forks the
 workers, and they serve every later one until the process exits, or until
-a changed stamp, an error, an interrupt or a dead worker stops them all.
+a changed stamp, an interrupt, a dead worker or any other raise before every
+response is read stops them all; an error that a block or side returns
+leaves them running.
 The stamp is the affinity mask and every value in the namespaces of this
 package's modules and of their classes, compared by identity, so a
 monkeypatch and its undo reach the workers; a container changed in place
@@ -1258,9 +1260,10 @@ def _sweep_blocks(count: int) -> list[range]:
     with two or more, the processes that certify one of them whole would
     still finish last.  A sweep of one instance (q = 0) is split only while
     the workers run: in a new process, forking one for a side alone, and
-    its first copy-on-write faults, cost what the side saves at n = 16
-    (x1.007 in the median over all ids, x1.09 on the cheapest,
-    ``BENCH_sides.json``)."""
+    its first copy-on-write faults, cost more than the side saves at n = 16
+    (x1.055 in the median of 105 alternated pairs over all ids, the split
+    faster in 13), while with the workers running the split pays (x0.816
+    over 210 pairs, faster in 179; ``BENCH_round_robin.json``)."""
     k = min(_cpus(), max(count, 2))
     if k > 1 and count % k == 1 and (count > 1 or _POOL.workers):
         return _blocks(count - 1, k)
@@ -1513,12 +1516,13 @@ atexit.register(_stop_workers)
 
 class _Session:
     """The workers one split call holds, and the jobs it has sent them in
-    order.  ``clean`` tells whether every outcome read was a value."""
+    order.  ``drained`` tells whether the response to every job has been
+    read."""
 
     def __init__(self) -> None:
         self.workers: list[_Worker] = []
         self.jobs: list[tuple[_Worker, Callable, tuple]] = []
-        self.clean = False
+        self.drained = False
 
     def send(self, worker: int, function: Callable, *args) -> None:
         """Queue the job ``function(*args)`` on worker ``worker``, behind
@@ -1539,24 +1543,25 @@ class _Session:
                 )
             outcomes += response
         outcomes += local
-        self.clean = not any(isinstance(outcome, Exception) for outcome in outcomes)
+        self.drained = True
         return outcomes
 
 
 @contextlib.contextmanager
 def _session(k: int):
     """``k`` live workers for one split call, as a ``_Session`` that holds
-    the pool's lock.  Unless the session's ``outcomes`` are all values, the
-    workers are stopped at its end: an exception in a job, an interrupt or
-    a worker that dies stops every worker, so none is left at work on a
-    result no one reads."""
+    the pool's lock.  Unless the session has read every response, the
+    workers are stopped at its end: an interrupt, a worker that dies or a
+    raise before the last read stops every worker, so none is left at work
+    on a result no one reads.  An error that a job returns as its outcome,
+    in a worker or here, leaves them idle and running for the next call."""
     with _POOL.lock:
         session = _Session()
         try:
             session.workers = _workers(k)
             yield session
         finally:
-            if not session.clean:
+            if not session.drained:
                 _stop_workers()
 
 

@@ -1,15 +1,20 @@
 """Hermitian matrix core: types, Jacobi spectral decomposition, matrix functions.
 
-Every spectrum comes from one eigensolver, a cyclic Jacobi iteration with
-complex rotations run on Python complex scalars; a positivity test that needs
-no spectrum runs a Cholesky factorization on the same scalars instead. Neither
-needs an external solver, and run to run the results repeat bit for bit. The
-eigensolver rotates only the upper triangle and logs its rotations; the
-eigenvectors are built on their first read, by replaying the log on the
-identity, so a spectrum read only for its eigenvalues never builds them.
-Across machines the last bits can still move: the matrix products around the
-solver run on numpy, whose BLAS build and runtime CPU dispatch (fused
-multiply-adds on X86_V3/V4) set their rounding. Matrices produced by spectral
+Every spectrum comes from one eigensolver, a Jacobi iteration with complex
+rotations, and a positivity test that needs no spectrum runs a Cholesky
+factorization on Python complex scalars instead. Neither needs an external
+solver, and run to run the results repeat bit for bit. Below
+_ROUND_ROBIN_MIN_N (9) the eigensolver is cyclic: it runs one rotation at a
+time on Python complex scalars, rotating only the upper triangle. From there
+up it is round-robin: each round rotates disjoint pairs at once as one
+unitary G, applied as G* A G by two numpy products, so at those n the
+eigenvalues too are rounded by the host BLAS. Either way it logs what it
+applied, and the eigenvectors are built on their first read, by replaying
+the log on the identity, so a spectrum read only for its eigenvalues never
+builds them. Across machines the last bits can still move: the matrix
+products around the solver, and in it from n = 9, run on numpy, whose BLAS
+build and runtime CPU dispatch (fused multiply-adds on X86_V3/V4) set their
+rounding. Matrices produced by spectral
 construction carry their decomposition with them, and their entries
 V diag(f(λ)) V* are built on first read, so a result read only for its
 spectrum never forms them; only genuinely new matrices cost a Jacobi run.
@@ -27,9 +32,10 @@ ids (rows that share draws solve the same matrices) and not across passes.
 It holds no rotation log, so a hit whose eigenvectors were never built
 builds them, if they are read, from a new solve of its key, which gives the
 same bits.  The cache is consulted and filled only while ``_jacobi`` is
-this module's own function and JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL and
-_JACOBI_EXPONENT_LIMIT hold their values here, so a caller's wrapper around
-``_jacobi`` sees every solve and a changed setting takes effect at once.
+this module's own function and JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL,
+_JACOBI_EXPONENT_LIMIT and _ROUND_ROBIN_MIN_N hold their values here, so a
+caller's wrapper around ``_jacobi`` sees every solve and a changed setting
+takes effect at once.
 It lives as long as the process, across the CLI calls made in it; a new
 ``golden-bounds`` process, and each forked sweep worker, starts with it
 empty.
@@ -46,6 +52,7 @@ raises DomainError where it happens.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -78,16 +85,28 @@ COND_LIMIT = 1e12
 _JACOBI_EXPONENT_LIMIT = 400
 
 
+#: From this dimension up, _jacobi rotates in the round-robin order (see
+#: _round_robin_jacobi); below it, in the cyclic order on Python scalars.
+#: The ``kernels`` table of benchmarks/jacobi_kernel.py (BENCH_round_robin.json,
+#: 2 cores, AVX-512, OpenBLAS 0.3.31; two runs) has round-robin at x0.8-0.9
+#: of cyclic at n = 6, x1.0-1.5 at n = 8 and 9, and x1.9-2.7 at n = 16.  It
+#: is 9 rather than 8 so that n <= 8, where kernel digests are frozen and no
+#: sweep runs at 7 or 8, keeps the cyclic kernel's bits.
+_ROUND_ROBIN_MIN_N = 9
+
+
 def _settings() -> tuple:
-    """The module values ``_jacobi`` reads: its sweep cap, stopping ratio and
-    exponent limit."""
-    return JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL, _JACOBI_EXPONENT_LIMIT
+    """The module values ``_jacobi`` reads: its sweep cap, stopping ratio,
+    exponent limit and round-robin crossover."""
+    return JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL, _JACOBI_EXPONENT_LIMIT, _ROUND_ROBIN_MIN_N
 
 
 def _jacobi(
     matrix: np.ndarray, settings: tuple | None = None
 ) -> tuple[np.ndarray, "_RotationLog"]:
-    """Diagonalize a Hermitian array by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian array by Jacobi rotations: in the cyclic order
+    below the crossover _ROUND_ROBIN_MIN_N (9), in the round-robin order of
+    ``_round_robin_jacobi`` from it.
 
     Returns (eigenvalues descending, the log of the rotations). The log's
     ``replay`` builds the unitary eigenvector columns; decompositions call it
@@ -100,19 +119,25 @@ def _jacobi(
     2^-k.  ``settings`` replaces the module values of ``_settings()``; the
     spectral cache's re-solves pass the values its entries were solved with.
 
-    The rotations run on nested lists of Python complex scalars: at the small
-    dimensions used here, per-element numpy indexing costs more than the
+    The cyclic rotations run on nested lists of Python complex scalars: at
+    these small dimensions, per-element numpy indexing costs more than the
     arithmetic. Only the diagonal and the upper triangle of ``a`` are kept;
     an entry below the diagonal is read as the conjugate of its mirror, which
     is what rotating both triangles would store there, up to the sign of an
     exact zero (on real input, the sign of a zero imaginary part in an
-    eigenvector can differ).
+    eigenvector can differ).  The round-robin kernel applies its rounds with
+    BLAS products instead, so from the crossover up no such claim holds: its
+    bits are those of the host's BLAS kernel.
     """
-    max_sweeps, offdiag_rtol, exponent_limit = settings or _settings()
+    max_sweeps, offdiag_rtol, exponent_limit, round_robin_min_n = settings or _settings()
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
     n = parts.shape[0]
     peak = math.frexp(np.abs(parts).max())[1]
     exponent = min(max(peak, -exponent_limit), exponent_limit) - peak
+    if n >= round_robin_min_n:
+        return _round_robin_jacobi(
+            np.ldexp(parts, exponent).view(np.complex128), exponent, max_sweeps, offdiag_rtol
+        )
     a = np.ldexp(parts, exponent).view(np.complex128).tolist()
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     steps = []
@@ -131,10 +156,7 @@ def _jacobi(
         if off <= threshold:
             break
         if sweep == max_sweeps:
-            raise NoConvergenceError(
-                f"Jacobi sweep cap {max_sweeps} hit at off-diagonal "
-                f"mass {off:.3e} (threshold {threshold:.3e})"
-            )
+            raise _sweep_cap_error(max_sweeps, off, threshold)
         for p, q in pairs:
             row_p = a[p]
             row_q = a[q]
@@ -195,6 +217,99 @@ def _jacobi(
     return vals[order], _RotationLog(steps, order.tolist())
 
 
+def _sweep_cap_error(max_sweeps: int, off: float, threshold: float) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"Jacobi sweep cap {max_sweeps} hit at off-diagonal "
+        f"mass {off:.3e} (threshold {threshold:.3e})"
+    )
+
+
+@functools.cache
+def _round_robin_schedule(n: int) -> tuple:
+    """One sweep of the round-robin order at dimension n, and the mask of
+    the off-diagonal entries.  The sweep is a tuple of rounds; each round is
+    the flat indices of the entries (p, p), then (p, q), (q, p) and (q, q),
+    of its disjoint pairs p < q.
+    Every pair p < q is in one round.  The order is the tournament one:
+    index 0 stays and the others move one place per round; at odd n an
+    index n is added, and whichever index meets it idles in that round.
+    Cached per n, so its arrays are read-only."""
+    m = n + n % 2
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted((players[i], players[m - 1 - i])) for i in range(m // 2)]
+        p, q = np.array([pair for pair in pairs if pair[1] < n]).T
+        flat = np.concatenate((p * (n + 1), p * n + q, q * n + p, q * (n + 1)))
+        rounds.append(_read_only(flat))
+        players = [players[0], players[-1], *players[1:-1]]
+    return tuple(rounds), _read_only(~np.eye(n, dtype=bool))
+
+
+def _round_robin_jacobi(
+    a: np.ndarray, exponent: int, max_sweeps: int, offdiag_rtol: float
+) -> tuple[np.ndarray, "_RotationLog"]:
+    """``_jacobi`` on ``a``, its input scaled by 2^exponent, in the parallel
+    order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985).  The pairs
+    of a round are disjoint, so its rotations make one unitary G, and
+    A <- G* A G is two numpy products on the host BLAS.  Each rotation is
+    formed as in the cyclic kernel, from the entries of A at the start of
+    its round, except that t is taken from hypot(1, tau), which needs no
+    branch for |tau| > 1e150; a pair with a zero coupling or an infinite
+    tau is skipped, G being the identity there.  After each round A is made
+    Hermitian again, as (A + A*)/2, since the products round its two
+    triangles apart, and the entry a rotation zeroes is set to zero.  The
+    log keeps the entries of each round's G."""
+    n = a.shape[0]
+    rounds, off_diagonal = _round_robin_schedule(n)
+    eye = np.eye(n, dtype=np.complex128)
+    steps = []
+    threshold = offdiag_rtol * math.sqrt(np.vdot(a, a).real)
+    for sweep in range(max_sweeps + 1):
+        x = a[off_diagonal]
+        off = math.sqrt(np.vdot(x, x).real)
+        if off <= threshold:
+            break
+        if sweep == max_sweeps:
+            raise _sweep_cap_error(max_sweeps, off, threshold)
+        for flat in rounds:
+            m = len(flat) // 4
+            entries = a.take(flat).tolist()  # the (p, p), (p, q), (q, p), (q, q) of each pair
+            values = [1.0] * m + [0.0] * (2 * m) + [1.0] * m  # those of G
+            skipped = []
+            for i in range(m):
+                apq = entries[m + i]
+                mag = abs(apq)
+                tau = (entries[3 * m + i].real - entries[i].real) / (2.0 * mag) if mag else math.inf
+                if math.isinf(tau):
+                    skipped.append(i)
+                    continue
+                inv = 1.0 / mag
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # G = diag(1, conj(phase)) . [[c, s], [-s, c]] on (p, q)
+                conj_phase = complex(apq.real * inv, -apq.imag * inv)
+                values[i] = c
+                values[m + i] = s
+                values[2 * m + i] = -s * conj_phase
+                values[3 * m + i] = c * conj_phase
+            g = eye.copy()
+            g.put(flat, values)
+            a = g.conj().T @ (a @ g)
+            a = (a + a.conj().T) * 0.5
+            a.put(flat[m : 3 * m], 0.0)
+            for i in skipped:  # G is the identity there: (p, q) and (q, p) stay
+                a.put(flat[m + i : 3 * m : m], entries[m + i : 3 * m : m])
+            steps.append((flat, values))
+    vals = np.ldexp(a.diagonal().real, -exponent)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], _RotationLog(steps, order.tolist(), rounds=True)
+
+
 #: ``_jacobi`` and its settings as defined here, in containers that a
 #: caller's wrapper replacing module names leaves alone: the spectral cache
 #: serves only this function under these settings.
@@ -203,17 +318,30 @@ _OWN_SETTINGS = _settings()
 
 
 class _RotationLog:
-    """The rotations of one Jacobi run and the descending order of its eigenvalues."""
+    """The rotations of one Jacobi run and the descending order of its
+    eigenvalues: one rotation per step from the cyclic kernel, or, from the
+    round-robin kernel (``rounds``), one round's unitary per step."""
 
-    __slots__ = ("steps", "order")
+    __slots__ = ("steps", "order", "rounds")
 
-    def __init__(self, steps: list, order: list):
-        self.steps = steps  # (p, q, c, s, w, z) per rotation, in the order applied
+    def __init__(self, steps: list, order: list, rounds: bool = False):
+        # (p, q, c, s, w, z) per rotation, or (flat indices, values) of each
+        # round's unitary entries, in the order applied
+        self.steps = steps
         self.order = order
+        self.rounds = rounds
 
     def replay(self) -> np.ndarray:
         """The eigenvector columns: each rotation applied to the identity, in order."""
         n = len(self.order)
+        if self.rounds:
+            eye = np.eye(n, dtype=np.complex128)
+            vectors = eye
+            for flat, values in self.steps:
+                g = eye.copy()
+                g.put(flat, values)
+                vectors = vectors @ g
+            return vectors.take(self.order, axis=1)
         vt = np.eye(n, dtype=np.complex128).tolist()  # rows are eigenvector columns
         for p, q, c, s, w, z in self.steps:
             col_p = vt[p]

@@ -273,32 +273,33 @@ def test_certify_report_bytes_are_frozen(capsys, tmp_path, inequality_id, fmt):
 
 
 #: sha256 of ``certify <id> --n 16 --count 3 --seed 7 --format json``
-#: report files, frozen before an instance left over from even blocks was
-#: certified as two sides in two processes: a 2-CPU host splits the third
-#: instance, and under ``taskset -c 0`` all three run in one process, so
-#: both paths are pinned.  Frozen like REPORT_SHA256.
+#: report files, frozen with the round-robin Jacobi kernel (n >= 9): a 2-CPU
+#: host certifies the third instance as two sides in two processes, and
+#: under ``taskset -c 0`` all three run in one process, so both paths are
+#: pinned.  Frozen like REPORT_SHA256, and like it specific to this host's
+#: BLAS kernel, which the round-robin rotations run on.
 N16_REPORT_SHA256 = {
-    "bounded-eigen-power": "d3abeb08c91936730a8f361853b35b4749b8093ab31121bb7c44c7a1a94ac474",
-    "bounded-power-low": "74f27961a2c564b39b41668af5d16d074990bcaeff26c477eef294bc58558b3f",
-    "bounded-pq": "4e976360d2324eff1cd50662ad4daaef517480a71082ff760ed3a1286d3b0e2a",
-    "fm-eigen-power": "737d794a86e19f3cb3f077ddec39238ead7509f04c7d6731a107cc1647898616",
-    "fm-power-low": "2ddd9333887be4044e3113639081f173ec0e398aec94b3ef920e2a1c689e59a0",
-    "fm-pq": "3eeb88ff09e8fc055903a339df67496955db83c910801183f21813585d0d0c51",
-    "forward-ando-hiai": "e5a06fe52eeffc20f1a2f989ebb18f6c59e68fc0553c6355ade1f1fab525f81e",
-    "forward-gt-trace": "270ba57efe0d117cfb108675f57f08c94db3631ff2b9a6c6e490ea31034d6127",
-    "forward-mean-norm": "3e47312d52c6cc90869c421349e733c70a3225e07c1b6fc9809777dcd8887cf2",
-    "gt-bounded-specht": "fc1756f621444503b7885ae7ee77efe12d99c44028c96623548c854d02336c26",
-    "gt-fm": "4e19ea668d9d075ab9079b9f4f32acf9007aaa60634857c90a542596223336a9",
-    "gt-kantorovich": "fbe904745913d01c8c0cf90bbc03321790b896feb139b09f4d61b949b2dcfbe7",
-    "gt-kantorovich-bounded": "af31fc525648d4e048d008edbb3f6f9724ea7f8cc362232a8ce872d2e16a33e3",
-    "gt-kantorovich-squared": "ceead8bd3b87ad19b3225f0c83d5439a0981df549d162cccd1000672d7d4e83a",
-    "gt-specht": "6103dfe089f29c549cde9f8501a215f65199f392f2ad78dee2410390a5e0f5c6",
-    "gt-specht-norm": "9ae51da11c77f579c3feb6fa9ff10b434209febc2df1df2415a54c19bc388842",
-    "gt-specht-norm-squared": "d6927419b1cc696a61778cf16aff865467ef3b69e63334dc6987171227436cf9",
-    "kantorovich-matrix": "2ef5d31dd53455486ea3a7512f7e552f1e445983c340cc2fa612b2d7ed54cee9",
-    "specht-eigen-power": "d10efc05905946f2dbbdf5fe7a08f52651ff04e55309e25b7db1fce34c7b5a83",
-    "specht-power-low": "75acb92c52b8be58bc06a8c23b1f37c26c15804575fcd23d31049e83692c6063",
-    "specht-pq": "a52a1c3a2febe1783b9afcb51dd80884231d0e5f5c890d983b0035fef994fe42",
+    "bounded-eigen-power": "3f76bc0b4581c215bf4b9a63df25d7615d41e53b57c31ca46601d1db5b16b72b",
+    "bounded-power-low": "0b29aaa54ee5463581352e11272755c6cfebf3156b4a2cef73769e7be5295066",
+    "bounded-pq": "fb52263916c0bb03d0b54d0548ec25372d92ffd3fa37a4486faa3a4e30a03d6e",
+    "fm-eigen-power": "6b1c2d1b299386714ec7aef5d5511db695306aa68335069fce5c95c5eade608a",
+    "fm-power-low": "4fb316e91431ff42ce3b94f35e4e793b3a2da1823706517fdaf60e753f24469a",
+    "fm-pq": "6ec8aa5ef3a6bf65b90990660edaf0aa7b9576befa9557fe7cbf2946bf1e68f6",
+    "forward-ando-hiai": "7ade67b7b5629db51ad148cddf99ba2392b6839f47bbb087ebd9ec9749f2f590",
+    "forward-gt-trace": "1fead8c3dd12f354b9cdfef841ee3f85f93338a89b085c54dd71c040c5ae0d1c",
+    "forward-mean-norm": "b1ac43f58a614fb018e1c5321952e7c129760bcd9895d4486f16002fba1818b7",
+    "gt-bounded-specht": "cf2a28ca961b2437ca21e8eaf37e28128c2c27d3c11e4236de9716eac1c9d556",
+    "gt-fm": "10471b7a0bd4aab8b3fcfee8e371c3c70ebc3aa37577f4b49de1b363216e4a1a",
+    "gt-kantorovich": "bd4fd7eef0c603803026472bc7a9487aece65b9ba6afa07d332ba1752d1a0d69",
+    "gt-kantorovich-bounded": "225861e1bd306b50a816773d5845b71093ca922a77f46ca7c4d6e4cde14f4ced",
+    "gt-kantorovich-squared": "bcf026351ad33262bdb316aa2e11130fbde777ca4f74dda32ce20164e9ca77f8",
+    "gt-specht": "aac7085a4c65a266e1a855014456281561a3289fc1fb04009d529e7c9d45e12a",
+    "gt-specht-norm": "9a0bd9ed67d088f70ddc9552548f1ba3d59ac36df2f200fb611ae1f5fe42690f",
+    "gt-specht-norm-squared": "da83a638830b0446277e0bf67df74ee54f417a02834eb3780348116502ae5cd8",
+    "kantorovich-matrix": "623a34f7cd3be98d031bb2e41e6958f0674f1850e88ac7001c20721237e1eb36",
+    "specht-eigen-power": "42ed9c01495b61f0c25607ede1ddb232004ea27a5b9a7537c73467cbfde3fea8",
+    "specht-power-low": "6110b20d93adeb934cc30417476ea27d04eadc2340818a44b119cf95b4ba73f5",
+    "specht-pq": "9c3ba8e15b511df6a29f6237028d74cc9dfa2cd18f2c7e28c6c21c5f3e7ec2e1",
 }
 
 

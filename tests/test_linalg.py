@@ -201,7 +201,7 @@ def assert_accurate_decomposition(a, vals, vecs):
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 16])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 11, 16, 17, 24, 48])
 def test_jacobi_matches_eigh(n):
     rng = np.random.default_rng(100 + n)
     for trial in range(12 if n <= 8 else 3):
@@ -243,7 +243,8 @@ def test_jacobi_sweep_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "diagonal", [[4.5], [3.0, -1.0, 2.0], [1.0, 1.0, 0.0, 1.0], [0.0, 0.0]]
+    "diagonal",
+    [[4.5], [3.0, -1.0, 2.0], [1.0, 1.0, 0.0, 1.0], [0.0, 0.0], [i % 5 - 2.0 for i in range(16)]],
 )
 def test_jacobi_makes_no_rotation_on_diagonal_input(diagonal):
     # Any rotation would leave inexact eigenvector entries; none may remain.
@@ -254,12 +255,115 @@ def test_jacobi_makes_no_rotation_on_diagonal_input(diagonal):
     assert vecs.dtype == np.complex128 and vecs.flags.c_contiguous
 
 
+# The round-robin kernel, which _jacobi runs from linalg._ROUND_ROBIN_MIN_N up
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 16, 17])
+def test_round_robin_schedule_rotates_each_pair_once_per_sweep(n):
+    rounds, off_diagonal = linalg._round_robin_schedule(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for flat in rounds:
+        diagonal, pq, qp, qq = np.split(flat, 4)
+        p, q = divmod(pq, n)
+        assert np.array_equal(diagonal, p * (n + 1)) and np.array_equal(qq, q * (n + 1))
+        assert np.array_equal(qp, q * n + p) and np.all(p < q)
+        # disjoint: each index in at most one pair, and at even n in one
+        assert len(set(p) | set(q)) == 2 * len(p) == n - n % 2
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    assert np.array_equal(off_diagonal, ~np.eye(n, dtype=bool))
+
+
+def test_round_robin_runs_from_the_crossover_up():
+    crossover = linalg._ROUND_ROBIN_MIN_N
+    for n in (crossover - 1, crossover):
+        a = random_hermitian(np.random.default_rng(n), n).matrix
+        assert linalg._jacobi(a)[1].rounds == (n == crossover)
+
+
+def test_round_robin_leaves_decoupled_indices_exact():
+    # indices coupled to nothing keep their diagonal entry as eigenvalue and
+    # their unit vector as eigenvector, bit for bit; a coupled block's
+    # eigenvectors vanish exactly off the block
+    n = 16
+    block = [3, 7, 8, 12]
+    rng = np.random.default_rng(19)
+    a = np.diag(100.0 + np.arange(n)).astype(np.complex128)
+    raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a[np.ix_(block, block)] = (raw + raw.conj().T) / 2.0
+    vals, vecs = jacobi_eigenpairs(a)
+    assert_accurate_decomposition(a, vals, vecs)
+    free = [i for i in range(n) if i not in block][::-1]
+    assert vals[:12].tolist() == [100.0 + i for i in free]
+    assert np.array_equal(vecs[:, :12], np.eye(n)[:, free])
+    assert not vecs[free, 12:].any()
+
+
+@pytest.mark.parametrize("coupling", [1e-200, 1e-320])
+def test_round_robin_huge_tau_branches(coupling):
+    # test_jacobi_huge_tau_branches' matrix at indices 0, 1, 2 of a 16 x 16
+    # whose other indices couple to nothing
+    a = np.diag(10.0 + np.arange(16)).astype(np.complex128)
+    a[:3, :3] = [[0.0, coupling, 0.0], [coupling, 1.0, 0.5], [0.0, 0.5, 2.0]]
+    vals, vecs = jacobi_eigenpairs(a)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))
+    assert_accurate_decomposition(a, vals, vecs)
+    if coupling == 1e-200:
+        # t = 1 / (tau + hypot(1, tau)) = 1 / (2 tau) at tau = 5e199
+        assert coupling / 2.0 <= abs(vecs[1, 15]) <= 2.0 * coupling
+    else:
+        # tau overflows to inf, on every pair with index 0, and those pairs
+        # are skipped: its row and column of G stay e_0
+        assert np.array_equal(vecs[:, 15], np.eye(16)[0])
+        assert vals[15] == 0.0
+
+
+@pytest.mark.parametrize("n", [11, 16])
+@pytest.mark.parametrize("power", [1000, -1000])
+def test_round_robin_scales_its_input_by_a_power_of_two(n, power):
+    # entries at 2^+-1000 are rotated as their copy scaled into
+    # [2^-400, 2^400], which changes no rotation: the eigenvalues are the
+    # unscaled ones times 2^power and the eigenvectors are the same bits
+    a = random_hermitian(np.random.default_rng(23 + n), n).matrix
+    vals, vecs = jacobi_eigenpairs(a)
+    scaled_vals, scaled_vecs = jacobi_eigenpairs(np.ldexp(a.view(np.float64), power).view(a.dtype))
+    assert scaled_vals.tobytes() == np.ldexp(vals, power).tobytes()
+    assert scaled_vecs.tobytes() == vecs.tobytes()
+
+
+def test_round_robin_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    rng = np.random.default_rng(9)
+    a = random_hermitian(rng, 16).matrix
+    with pytest.raises(NoConvergenceError, match="sweep cap 1 hit"):
+        linalg._jacobi(a)
+    # a single coupled pair: its rotation zeroes it, so one sweep is enough
+    b = np.diag(np.arange(16.0)).astype(np.complex128)
+    b[4, 11], b[11, 4] = 0.5 + 0.25j, 0.5 - 0.25j
+    assert_accurate_decomposition(b, *jacobi_eigenpairs(b))
+
+
+def test_round_robin_repeated_eigenvalues():
+    # u u* + 2I: eigenvalue 2 fifteen times
+    rng = np.random.default_rng(29)
+    u = rng.normal(size=16) + 1j * rng.normal(size=16)
+    a = np.outer(u, u.conj()) + 2.0 * np.eye(16)
+    a = (a + a.conj().T) / 2.0
+    vals, vecs = jacobi_eigenpairs(a)
+    assert_accurate_decomposition(a, vals, vecs)
+    assert np.max(np.abs(vals[1:] - 2.0)) <= 1e-14 * vals[0]
+    assert abs(vals[0] - 2.0 - np.vdot(u, u).real) <= 1e-14 * vals[0]
+
+
 def kernel_digest_inputs() -> dict:
     """Seeded Hermitian arrays for the frozen kernel digests.
 
     They are built from normal draws with additions, halvings and Python
     scalar products only, so no BLAS call or numpy CPU dispatch touches their
-    bits; neither does the kernel, which runs on Python scalars.
+    bits.  Below linalg._ROUND_ROBIN_MIN_N neither does the kernel, which
+    runs on Python scalars there; the round-robin kernel at n = 16 rotates
+    with BLAS products, so the n16 digests hold for this host's BLAS kernel.
     """
     rng = np.random.default_rng(2024)
     cases = {}
@@ -288,11 +392,12 @@ def kernel_digest_inputs() -> dict:
     return cases
 
 
-#: sha256 of eigenvalues.tobytes() + eigenvectors.tobytes(), frozen from the
-#: kernel that built its eigenvectors while it rotated, on both triangles.
+#: sha256 of eigenvalues.tobytes() + eigenvectors.tobytes().  Below n = 16
+#: they were frozen from the cyclic kernel that built its eigenvectors while
+#: it rotated, on both triangles; the n16 ones from the round-robin kernel.
 #: On real inputs ("-real") every imaginary part is zero, and the sign of such
-#: a zero in an eigenvector may differ from that kernel's (n16-real has two),
-#: so those digests are taken after adding 0.0, which turns -0.0 into 0.0.
+#: a zero in an eigenvector may differ from that first kernel's, so those
+#: digests are taken after adding 0.0, which turns -0.0 into 0.0.
 KERNEL_SHA256 = {
     "n1-complex-0": "68f0ab7c0cce5d3bf31c1325f035339d2ba7691b09d8c25c224657a6187b7ba2",
     "n1-complex-1": "f6cab86dd25d5f229d961e1eb117c54c2ca2df8ee8d566d48139571b83d9c93d",
@@ -315,9 +420,9 @@ KERNEL_SHA256 = {
     "n8-complex-0": "b1f76684a62e484678fe603bf78c9899c1ebd7ce2ad5ae735f2d59fa7da621b0",
     "n8-complex-1": "6356246e15569b502dbdd859ef3b216f70eab43cc13db4150ef6845f43b675a5",
     "n8-real": "687b50c4402262a8e8b48b5185e569ed065d13747479ff95901d68c81751cabd",
-    "n16-complex-0": "44f5bcbb2d68696e6ba2ce7d82915c63532e2ddd81a02b0fa271f9836193c2fa",
-    "n16-complex-1": "3e9a2175b48e7ad25c4c8421956865ca7f94dcd0de29620f8550a9c9618474ca",
-    "n16-real": "896aaab31d9d28243272ccd9b25ff62deae9c7ec1a9b3fcb974e48fc6a0f77cd",
+    "n16-complex-0": "4429d913fc9a9658a7e1665fe6e59201c4f92ac09c3145e31a28c467e4e9b65b",
+    "n16-complex-1": "ad62193f89d5f88a6d22e82fc762f990d625cbd7e32702782da1ec91b62b9b51",
+    "n16-real": "b169d556edc2f4b4ff7578ee819276cfcc3c20b87a970d1b4dbee60745813ca8",
     "diagonal": "26ae4518f399cb3df4fc1e1449184fcf0a725cdc1dbeeaa56e643d7566ea268d",
     "coupling-1e-200": "07fe390493a0e39377835ecf03ee0a373db280b5bfba98d53fb859e2731fba86",
     "repeated": "71bde21d0f91cabbccf7931ee6b11a3a6430d4a9958faf316640c0eb3fcab441",
@@ -368,8 +473,9 @@ def solver_counts(monkeypatch):
     return counts
 
 
-def test_eigenvectors_replay_once_into_one_read_only_array(solver_counts):
-    m = random_hermitian(np.random.default_rng(41), 5)
+@pytest.mark.parametrize("n", [5, 16])
+def test_eigenvectors_replay_once_into_one_read_only_array(solver_counts, n):
+    m = random_hermitian(np.random.default_rng(41), n)
     dec = m.decomposition
     assert solver_counts == {"jacobi": 1, "replay": 0, "builds": 0}
     first = dec.eigenvectors
@@ -602,7 +708,12 @@ def test_a_wrapped_jacobi_sees_every_solve_and_none_is_stored(solver_counts, mon
 
 @pytest.mark.parametrize(
     "name, value",
-    [("JACOBI_MAX_SWEEPS", 0), ("JACOBI_OFFDIAG_RTOL", 1e-3), ("_JACOBI_EXPONENT_LIMIT", 2)],
+    [
+        ("JACOBI_MAX_SWEEPS", 0),
+        ("JACOBI_OFFDIAG_RTOL", 1e-3),
+        ("_JACOBI_EXPONENT_LIMIT", 2),
+        ("_ROUND_ROBIN_MIN_N", 2),
+    ],
 )
 def test_changed_settings_bypass_the_cache(monkeypatch, name, value):
     a = random_hermitian(np.random.default_rng(97), 4).matrix * 100.0
