@@ -7,6 +7,20 @@ and certifies the corresponding matrix inequalities on seeded random
 instances at desk scale.
 """
 
+import os
+import sys
+
+# The eigensolver's matrix products are of desk-scale size, where BLAS
+# threads gain nothing, and a split sweep already runs one process per CPU:
+# at n = 48 a 101-instance sweep on 2 CPUs takes 10-39 s with OpenBLAS's
+# default threads against 5.6 s with one.  The library reads these when
+# numpy is first imported, so a setting made before then, or numpy imported
+# first, wins.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
+
 from .certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
