@@ -4,7 +4,7 @@ split call pays to check the worker pool.
 Run from a checkout, with that checkout's sources on the path, on a host
 with two CPUs or more:
 
-    PYTHONPATH=src python3 benchmarks/side_split.py [--reps 10] [--n 2,3,4,5,6,16] [--single-n 16]
+    PYTHONPATH=src python3 benchmarks/side_split.py [--reps 10] [--n 2,3,4,5,6,16]
 
 ``overhead_us`` is the median time of ``certify._stamp()``, of comparing
 two stamps, and of a two-job ``_run_split`` whose jobs do nothing (the
@@ -18,8 +18,8 @@ sweep.  Seeds differ per repetition and are shared by the two ways, so each
 pair certifies the same instances.  It reports the summed times, the median
 of the per-pair ratios split/whole and the pairs the split won.
 
-``single`` times, per dimension of ``--single-n``, sweeps of one instance
-of every id with the workers already running, as ``_sweep_blocks`` splits
+``single`` times sweeps of one n = 16 instance of every id, sweep-n16's
+smallest calls, with the workers already running, as ``_sweep_blocks`` splits
 them (its two sides in two processes) and whole in this process,
 alternated in the same way: whether the split of a one-instance sweep
 still pays.
@@ -112,21 +112,20 @@ def split(ns: list[int], reps: int) -> dict:
     return out
 
 
-def single(ns: list[int], reps: int) -> dict:
-    out = {}
-    for n in ns:
-        ratios = []
-        for rep in range(reps):
-            for inequality_id in INEQUALITY_IDS:
-                sweep = (inequality_id, 100 + rep, n, None, {})
-                sides = _timed(lambda: certify._run_sides(sweep, certify._blocks(0, 2)))
-                whole = _timed(lambda: certify._certify_block(*sweep, range(1)))
-                ratios.append(sides / whole)
-        out[f"n{n}"] = {
+def single(reps: int) -> dict:
+    ratios = []
+    for rep in range(reps):
+        for inequality_id in INEQUALITY_IDS:
+            sweep = (inequality_id, 100 + rep, 16, None, {})
+            sides = _timed(lambda: certify._run_sides(sweep, certify._blocks(0, 2)))
+            whole = _timed(lambda: certify._certify_block(*sweep, range(1)))
+            ratios.append(sides / whole)
+    return {
+        "n16": {
             "median_pair_ratio": round(statistics.median(ratios), 3),
             "split_won": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
         }
-    return out
+    }
 
 
 def _n16_pass(split: bool) -> None:
@@ -166,7 +165,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--n", default="2,3,4,5,6,16")
-    parser.add_argument("--single-n", default="16")
     args = parser.parse_args()
     if len(os.sched_getaffinity(0)) < 2:
         sys.exit("side_split.py needs two CPUs or more: on one, no sweep is split")
@@ -175,7 +173,7 @@ def main() -> None:
         "numpy": __import__("numpy").__version__,
         "overhead_us": overhead(),
         "split": split([int(n) for n in args.n.split(",")], args.reps),
-        "single": single([int(n) for n in args.single_n.split(",")], args.reps),
+        "single": single(args.reps),
         "cache": cache(),
     }
     print(json.dumps(result, indent=1))

@@ -10,16 +10,28 @@ instances at desk scale.
 import os
 import sys
 
-# The eigensolver's matrix products are of desk-scale size, where BLAS
-# threads gain nothing, and a split sweep already runs one process per CPU:
-# at n = 48 a 101-instance sweep on 2 CPUs takes 10-39 s with OpenBLAS's
-# default threads against 5.6 s with one.  The library reads these when
-# numpy is first imported, so a setting made before then, or numpy imported
-# first, wins.
-if "numpy" not in sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-        os.environ.setdefault(_var, "1")
-    del _var
+
+def _set_one_blas_thread() -> tuple[str, ...]:
+    """Set the BLAS thread counts to 1 for numpy's import below, unless the
+    caller has set them or has imported numpy already; return those set.
+
+    The eigensolver's matrix products are of desk-scale size, where BLAS
+    threads gain nothing, and a split sweep already runs one process per
+    CPU: at n = 48 a 101-instance sweep on 2 CPUs takes 8.6-9.6 s with
+    OpenBLAS's default threads against 2.8-3.3 s with one.  The BLAS reads
+    the variables as it loads, so they are removed again at the end of this
+    module: the subprocesses the caller starts later do not inherit them."""
+    if "numpy" in sys.modules:
+        return ()
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+    unset = tuple(name for name in names if name not in os.environ)
+    os.environ.update(dict.fromkeys(unset, "1"))
+    return unset
+
+
+# Set before the modules below import numpy, not by importing numpy here:
+# compiled after numpy, the modules would raise the peak RSS by about 1 MB.
+_ONE_BLAS_THREAD = _set_one_blas_thread()
 
 from .certify import (
     CSV_HEADER,
@@ -97,6 +109,9 @@ from .sampling import (
 )
 
 __version__ = "0.1.0"
+
+for _name in _ONE_BLAS_THREAD:
+    del os.environ[_name]
 
 __all__ = [
     "BadGridError",

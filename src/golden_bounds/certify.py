@@ -1373,12 +1373,17 @@ def _stamp() -> tuple:
     the classes they define; then the values bound to those names, held, so
     that an id cannot be reused while the stamp lives.  Both are built from
     tuple copies of each namespace.  A container changed in place keeps its
-    identity, so the stamp does not see that."""
+    identity, so the stamp does not see that.  A class's ``__slotnames__``
+    is left out: ``copyreg`` caches it there on the class's first pickle, so
+    the first split table, which pickles its operands, would otherwise
+    re-fork the workers on the next split call."""
     names = [frozenset(os.sched_getaffinity(0))]
     values = []
     owners = [sys.modules[__name__.partition(".")[0]]]
     for owner in owners:
         namespace = vars(owner)
+        if "__slotnames__" in namespace:
+            namespace = {k: v for k, v in namespace.items() if k != "__slotnames__"}
         own = tuple(namespace.values())
         names.append(tuple(namespace))
         values += own

@@ -276,8 +276,11 @@ def test_certify_report_bytes_are_frozen(capsys, tmp_path, inequality_id, fmt):
 #: report files, frozen with the round-robin Jacobi kernel (n >= 9): a 2-CPU
 #: host certifies the third instance as two sides in two processes, and
 #: under ``taskset -c 0`` all three run in one process, so both paths are
-#: pinned.  Frozen like REPORT_SHA256, and like it specific to this host's
-#: BLAS kernel, which the round-robin rotations run on.
+#: pinned.  Frozen like REPORT_SHA256, and like it, the 12 convergence
+#: digests and these before the round-robin kernel, specific to the BLAS
+#: kernel and numpy CPU dispatch of the host they were frozen on (OpenBLAS's
+#: SkylakeX kernel, numpy's X86_V4 loops): all 75 read differently under
+#: OPENBLAS_CORETYPE=Haswell, and 71 with numpy's X86_V4 loops disabled.
 N16_REPORT_SHA256 = {
     "bounded-eigen-power": "3f76bc0b4581c215bf4b9a63df25d7615d41e53b57c31ca46601d1db5b16b72b",
     "bounded-power-low": "0b29aaa54ee5463581352e11272755c6cfebf3156b4a2cef73769e7be5295066",

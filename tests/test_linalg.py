@@ -2,10 +2,12 @@
 
 import gc
 import hashlib
+import json
 import math
 import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -363,7 +365,7 @@ def kernel_digest_inputs() -> dict:
     scalar products only, so no BLAS call or numpy CPU dispatch touches their
     bits.  Below linalg._ROUND_ROBIN_MIN_N neither does the kernel, which
     runs on Python scalars there; the round-robin kernel at n = 16 rotates
-    with BLAS products, so the n16 digests hold for this host's BLAS kernel.
+    with BLAS products, whose bits depend on the BLAS kernel.
     """
     rng = np.random.default_rng(2024)
     cases = {}
@@ -394,7 +396,11 @@ def kernel_digest_inputs() -> dict:
 
 #: sha256 of eigenvalues.tobytes() + eigenvectors.tobytes().  Below n = 16
 #: they were frozen from the cyclic kernel that built its eigenvectors while
-#: it rotated, on both triangles; the n16 ones from the round-robin kernel.
+#: it rotated, on both triangles; the n16 ones from the round-robin kernel
+#: on OpenBLAS's Haswell kernel, which any x86-64 CPU with AVX2 runs, so
+#: they hold whatever kernel OpenBLAS would pick for the host (numpy's CPU
+#: dispatch does not move them: they read the same with its X86_V4 loops
+#: disabled).
 #: On real inputs ("-real") every imaginary part is zero, and the sign of such
 #: a zero in an eigenvector may differ from that first kernel's, so those
 #: digests are taken after adding 0.0, which turns -0.0 into 0.0.
@@ -420,8 +426,8 @@ KERNEL_SHA256 = {
     "n8-complex-0": "b1f76684a62e484678fe603bf78c9899c1ebd7ce2ad5ae735f2d59fa7da621b0",
     "n8-complex-1": "6356246e15569b502dbdd859ef3b216f70eab43cc13db4150ef6845f43b675a5",
     "n8-real": "687b50c4402262a8e8b48b5185e569ed065d13747479ff95901d68c81751cabd",
-    "n16-complex-0": "4429d913fc9a9658a7e1665fe6e59201c4f92ac09c3145e31a28c467e4e9b65b",
-    "n16-complex-1": "ad62193f89d5f88a6d22e82fc762f990d625cbd7e32702782da1ec91b62b9b51",
+    "n16-complex-0": "3e44bc47862494557483962e6d437c290d36db212288e7682c60918a6cebd803",
+    "n16-complex-1": "83cf2e98d9ee361811889e3ff56e1d95d465a5465ea406a7202b7f06d7779024",
     "n16-real": "b169d556edc2f4b4ff7578ee819276cfcc3c20b87a970d1b4dbee60745813ca8",
     "diagonal": "26ae4518f399cb3df4fc1e1449184fcf0a725cdc1dbeeaa56e643d7566ea268d",
     "coupling-1e-200": "07fe390493a0e39377835ecf03ee0a373db280b5bfba98d53fb859e2731fba86",
@@ -429,16 +435,39 @@ KERNEL_SHA256 = {
 }
 
 
+def kernel_digests() -> dict:
+    """The KERNEL_SHA256 digest of each of kernel_digest_inputs(), computed
+    in this process."""
+    digests = {}
+    for name, a in kernel_digest_inputs().items():
+        vals, vecs = jacobi_eigenpairs(a)
+        if name.endswith("-real"):
+            vecs = vecs + 0.0
+        digests[name] = hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def haswell_kernel_digests() -> dict:
+    """kernel_digests() computed in a new process on OpenBLAS's Haswell
+    kernel: OpenBLAS picks its kernel as it loads, so this process, which
+    has loaded it, cannot switch."""
+    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(linalg.__file__))]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(path)}
+    code = "import json, test_linalg; print(json.dumps(test_linalg.kernel_digests()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
 def test_kernel_digest_table_covers_every_input():
     assert set(KERNEL_SHA256) == set(kernel_digest_inputs())
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SHA256))
-def test_jacobi_bits_are_frozen(name):
-    vals, vecs = jacobi_eigenpairs(kernel_digest_inputs()[name])
-    if name.endswith("-real"):
-        vecs = vecs + 0.0
-    assert hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest() == KERNEL_SHA256[name]
+def test_jacobi_bits_are_frozen(haswell_kernel_digests, name):
+    assert haswell_kernel_digests[name] == KERNEL_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
