@@ -6,13 +6,14 @@ with two CPUs or more:
 
     PYTHONPATH=src python3 benchmarks/side_split.py [--reps 10] [--n 2,3,4,5,6,16]
 
-``overhead_us`` is the median time of ``certify._stamp()``, of comparing
-two stamps, and of a two-job ``_run_split`` whose jobs do nothing (the
-workers already forked): the pool check every split call pays.
+``overhead_us`` is the median time of ``_pool._stamp()``, of comparing
+two stamps, and of a ``_pool.run`` of two jobs that do nothing, one in a
+worker and one here (the worker already forked): the pool check every
+split call pays.
 
 ``split`` times, per pinned dimension n, count-3 sweeps of every id, each
-once with its last instance split into two sides (``_run_sides`` over
-blocks of one instance each) and once in whole-instance blocks (two and
+once with its last instance split into two sides (``certify._sweep_outcomes``
+over blocks of one instance each, as ``run_instances`` runs it) and once in whole-instance blocks (two and
 one), alternated, with empty spectral caches in both processes before each
 sweep.  Seeds differ per repetition and are shared by the two ways, so each
 pair certifies the same instances.  It reports the summed times, the median
@@ -47,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import INEQUALITY_IDS, N16_COUNTS, WORKLOADS  # noqa: E402
 
-from golden_bounds import certify, cli, linalg  # noqa: E402, F401
+from golden_bounds import _pool, certify, cli, linalg  # noqa: E402, F401
 
 
 def _clear(_) -> int:
@@ -61,7 +62,7 @@ def _tally(_) -> dict:
 
 def _everywhere(function) -> list:
     """``function(None)`` in the first worker and here: [worker's, this process's]."""
-    return certify._run_split([(function, (None,)), (function, (None,))])
+    return _pool.run([[(function, (None,))]], [(function, (None,))])
 
 
 def _median_us(function, number: int, repeat: int = 15) -> float:
@@ -69,14 +70,25 @@ def _median_us(function, number: int, repeat: int = 15) -> float:
 
 
 def overhead() -> dict:
-    a, b = certify._stamp(), certify._stamp()
-    jobs = [(len, ((),)), (len, ((),))]
-    certify._run_split(jobs)
+    a, b = _pool._stamp(), _pool._stamp()
+    noop = [(len, ((),))]
+    _pool.run([noop], noop)
     return {
-        "stamp": round(_median_us(certify._stamp, 500), 1),
-        "compare": round(_median_us(lambda: certify._same_stamp(a, b), 500), 1),
-        "noop_run_split": round(_median_us(lambda: certify._run_split(jobs), 200), 1),
+        "stamp": round(_median_us(_pool._stamp, 500), 1),
+        "compare": round(_median_us(lambda: _pool._same_stamp(a, b), 500), 1),
+        "noop_split": round(_median_us(lambda: _pool.run([noop], noop), 200), 1),
     }
+
+
+def _whole(sweep: tuple, count: int) -> list:
+    """The reports of a sweep of ``count`` instances in whole blocks."""
+    return certify._joined(certify._sweep_outcomes(sweep, certify._blocks(count), count))
+
+
+def _with_side(sweep: tuple, blocks: list) -> list:
+    """The reports of a sweep of ``blocks`` and the instance after them,
+    certified in two sides, as ``run_instances`` runs it."""
+    return certify._joined(certify._sweep_outcomes(sweep, blocks, blocks[-1].stop + 1))
 
 
 def _timed(sweep) -> float:
@@ -94,12 +106,8 @@ def split(ns: list[int], reps: int) -> dict:
         for rep in range(reps):
             for inequality_id in INEQUALITY_IDS:
                 sweep = (inequality_id, 100 + rep, n, None, {})
-                sides = _timed(lambda: certify._joined(
-                    certify._run_sides(sweep, certify._blocks(2, 2))
-                ))
-                whole = _timed(lambda: certify._joined(certify._run_split(
-                    [(certify._certify_block, (*sweep, block)) for block in certify._blocks(3)]
-                )))
+                sides = _timed(lambda: _with_side(sweep, certify._blocks(2, 2)))
+                whole = _timed(lambda: _whole(sweep, 3))
                 total["split"] += sides
                 total["whole"] += whole
                 ratios.append(sides / whole)
@@ -117,7 +125,7 @@ def single(reps: int) -> dict:
     for rep in range(reps):
         for inequality_id in INEQUALITY_IDS:
             sweep = (inequality_id, 100 + rep, 16, None, {})
-            sides = _timed(lambda: certify._run_sides(sweep, certify._blocks(0, 2)))
+            sides = _timed(lambda: _with_side(sweep, certify._blocks(0, 2)))
             whole = _timed(lambda: certify._certify_block(*sweep, range(1)))
             ratios.append(sides / whole)
     return {
@@ -137,10 +145,7 @@ def _n16_pass(split: bool) -> None:
             if split:
                 certify.run_instances(inequality_id, count, cli_seed, n=16)
             else:
-                sweep = (inequality_id, cli_seed, 16, None, {})
-                certify._joined(certify._run_split(
-                    [(certify._certify_block, (*sweep, block)) for block in certify._blocks(count)]
-                ))
+                _whole((inequality_id, cli_seed, 16, None, {}), count)
 
 
 def cache() -> dict:

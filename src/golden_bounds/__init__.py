@@ -16,11 +16,10 @@ def _set_one_blas_thread() -> tuple[str, ...]:
     caller has set them or has imported numpy already; return those set.
 
     The eigensolver's matrix products are of desk-scale size, where BLAS
-    threads gain nothing, and a split sweep already runs one process per
-    CPU: at n = 48 a 101-instance sweep on 2 CPUs takes 8.6-9.6 s with
-    OpenBLAS's default threads against 2.8-3.3 s with one.  The BLAS reads
-    the variables as it loads, so they are removed again at the end of this
-    module: the subprocesses the caller starts later do not inherit them."""
+    threads gain nothing (a split call sets one thread itself, whatever the
+    import order: ``_pool``).  The BLAS reads the variables as it loads, so
+    they are removed again at the end of this module: the subprocesses the
+    caller starts later do not inherit them."""
     if "numpy" in sys.modules:
         return ()
     names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")

@@ -22,46 +22,31 @@ BadRangeError naming it; any other scalar overflow is one naming the id.
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them on every CPU the process may
-use: it certifies one block of instances itself and sends each other block
-to a worker process.  An instance left over from even blocks is certified
-in two processes: this one opens it and builds its second side while a
-worker opens it too and builds its first.  convergence_study splits a
-table's p sequence over the same workers.  The first split call forks the
-workers, and they serve every later one until the process exits, or until
-a changed stamp, an interrupt, a dead worker or any other raise before every
-response is read stops them all; an error that a block or side returns
-leaves them running.
-The stamp is the affinity mask and every value in the namespaces of this
-package's modules and of their classes, compared by identity, so a
-monkeypatch and its undo reach the workers; a container changed in place
-does not.  Narrowing the affinity to one CPU (``taskset -c 0``) keeps a
-sweep in one process.
+use.  One plan, ``_run_plan``, gives the work of a sweep or a table to the
+worker processes of ``_pool`` and to this one.  A sweep becomes its blocks
+of instances, the last certified here and each other in a worker; an
+instance left over from even blocks is certified in two processes: a job
+queued on the first worker ahead of its block builds its first side, and
+this process its second.  convergence_study's table becomes its p blocks,
+the last, with the lhs, here.  On one CPU (``taskset -c 0``) all stays here.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
-import operator
 import os
-import pickle
-import signal
-import sys
-import threading
 import time
-import types
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
 from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError
 from .linalg import (
@@ -1132,14 +1117,12 @@ def convergence_study(
     taken = ps[: len(scales)]
     own = mean_power is _OWN_MEAN_POWER["mean_power"]
     blocks = _blocks(len(taken)) if own and len(taken) > 1 else [range(len(taken))]
-    chunks = [taken[b.start:b.stop] for b in blocks]
-    jobs = [(_mean_power_spectra, (h, k, alpha, chunk)) for chunk in chunks[:-1]]
-    jobs.append((_lhs_and_spectra, (h, k, alpha, chunks[-1])))
-    *heads, tail = _run_split(jobs)
-    if isinstance(tail, Exception):
-        raise tail
-    lhs, last = tail
-    spectra = _joined((*heads, last))
+    jobs = [(_mean_power_spectra, (h, k, alpha, taken[b.start:b.stop])) for b in blocks]
+    outcomes, _, lhs = _run_plan(jobs, here=(log_euclidean, (h, k, alpha)))
+    if isinstance(lhs, Exception):
+        raise lhs
+    lhs = lhs.eigenvalues
+    spectra = _joined(outcomes)
     if fault is not None:
         raise fault
     rows = []
@@ -1154,18 +1137,6 @@ def convergence_study(
 def _mean_power_spectra(h, k, alpha: float, ps) -> list[np.ndarray]:
     """The eigenvalues of ``mean_power(h, k, alpha, p)`` for each p, in order."""
     return [mean_power(h, k, alpha, p).eigenvalues for p in ps]
-
-
-def _lhs_and_spectra(h, k, alpha: float, ps) -> tuple:
-    """The eigenvalues of the log-Euclidean mean, the lhs of a convergence
-    table, and ``_mean_power_spectra`` of its last p block, or the error that
-    raised; that error is returned, for the earlier blocks' errors outrank
-    it, and only the lhs's outranks them."""
-    lhs = log_euclidean(h, k, alpha).eigenvalues
-    try:
-        return lhs, _mean_power_spectra(h, k, alpha, ps)
-    except Exception as exc:
-        return lhs, exc
 
 
 # ---------------------------------------------------------------------------
@@ -1234,8 +1205,8 @@ class SweepResult:
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on; 1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing."""
+    """The CPUs this process may run on; 1 where the os module has no fork
+    or no sched_getaffinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
@@ -1259,13 +1230,11 @@ def _sweep_blocks(count: int) -> list[range]:
     are ``_blocks(count)``.  The split pays where one instance is left over:
     with two or more, the processes that certify one of them whole would
     still finish last.  A sweep of one instance (q = 0) is split only while
-    the workers run: in a new process, forking one for a side alone, and
-    its first copy-on-write faults, cost more than the side saves at n = 16
-    (x1.055 in the median of 105 alternated pairs over all ids, the split
-    faster in 13), while with the workers running the split pays (x0.816
-    over 210 pairs, faster in 179; ``BENCH_round_robin.json``)."""
+    the workers run: forking one for a side alone costs more than the side
+    saves at n = 16 (x1.055 over 105 pairs), while with the workers running
+    the split pays (x0.816 over 210; ``BENCH_round_robin.json``)."""
     k = min(_cpus(), max(count, 2))
-    if k > 1 and count % k == 1 and (count > 1 or _POOL.workers):
+    if k > 1 and count % k == 1 and (count > 1 or _pool.running()):
         return _blocks(count - 1, k)
     return _blocks(count)
 
@@ -1294,8 +1263,7 @@ def _certify_block(
 def _opened_instance(
     inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
 ) -> tuple:
-    """Instance ``index`` of one sweep drawn and opened (``_opened``): its
-    operands and parameter dict, ready for its two sides."""
+    """Instance ``index`` of one sweep drawn and opened: operands and parameters."""
     use_n, use_mode = _dimension_and_mode(index, n, mode)
     x, y, given = _draw(inequality_id, index, seed, use_n, use_mode, pins)
     return x, y, _opened(inequality_id, x, y, given)
@@ -1305,319 +1273,63 @@ def _first_side(
     inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
 ):
     """The first side of instance ``index`` of one sweep, which it draws and
-    opens anew: a worker's job while this process opens the instance too
-    and builds the second side.  The job is the sweep and the index, not
-    the operands, so every request to a worker is small."""
+    opens anew: a worker's job, given the sweep and the index, not the
+    operands, so that every request to a worker is small."""
     x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
     return _INEQUALITIES[inequality_id].compare.first(x, y, values)
 
 
-def _second_side(x, y, values: dict, inequality_id: str):
-    """The second side of an opened instance of ``inequality_id``."""
-    return _INEQUALITIES[inequality_id].compare.second(x, y, values)
-
-
-@dataclass(frozen=True)
-class _Worker:
-    """A forked sweep worker: its pid, the write end of its request pipe and
-    the read end of its response pipe."""
-
-    pid: int
-    requests: io.BufferedWriter
-    responses: io.BufferedReader
-
-
-class _Pool:
-    """This process's sweep workers, the stamp of the package they were
-    forked with, and the lock that gives them to one sweep at a time; one
-    instance, changed in place, so the stamp never sees it rebound."""
-
-    def __init__(self) -> None:
-        self.workers: list[_Worker] = []
-        self.stamp: tuple | None = None
-        self.lock = threading.Lock()
-
-
-_POOL = _Pool()
-
-
-#: Per module of this package: its namespace values when last stamped and
-#: the classes and submodules it defines among them, so that a stamp looks
-#: for them again only in a namespace that has changed.
-_DEFINED: dict[str, tuple[tuple, tuple]] = {}
-
-
-def _defined(name: str, values: tuple) -> tuple:
-    """The classes module ``name`` defines and the submodules bound in it,
-    among ``values``, the values of its namespace."""
-    held = _DEFINED.get(name)
+def _second_side(
+    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
+) -> tuple:
+    """Instance ``index`` of one sweep opened and its second side built:
+    the operands, the parameter dict and the side, or the error building
+    the side raised; an error opening the instance is raised."""
+    x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
     try:
-        # equality will do: what is looked for is classes and modules, which
-        # compare by identity
-        same = held is not None and values == held[0]
-    except Exception:  # an elementwise ==, such as an array's, raises
-        same = False
-    if not same:
-        members = tuple(
-            value for value in values
-            if isinstance(value, type) and value.__module__ == name
-            or isinstance(value, types.ModuleType) and value.__name__.startswith(name + ".")
-        )
-        held = _DEFINED[name] = (values, members)
-    return held[1]
-
-
-def _stamp() -> tuple:
-    """The affinity mask and the names in the namespaces of this package, of
-    its modules (each import binds one in the package's namespace) and of
-    the classes they define; then the values bound to those names, held, so
-    that an id cannot be reused while the stamp lives.  Both are built from
-    tuple copies of each namespace.  A container changed in place keeps its
-    identity, so the stamp does not see that.  A class's ``__slotnames__``
-    is left out: ``copyreg`` caches it there on the class's first pickle, so
-    the first split table, which pickles its operands, would otherwise
-    re-fork the workers on the next split call."""
-    names = [frozenset(os.sched_getaffinity(0))]
-    values = []
-    owners = [sys.modules[__name__.partition(".")[0]]]
-    for owner in owners:
-        namespace = vars(owner)
-        if "__slotnames__" in namespace:
-            namespace = {k: v for k, v in namespace.items() if k != "__slotnames__"}
-        own = tuple(namespace.values())
-        names.append(tuple(namespace))
-        values += own
-        if isinstance(owner, types.ModuleType):
-            owners += _defined(owner.__name__, own)
-    return tuple(names), tuple(values)
-
-
-def _same_stamp(a: tuple, b: tuple | None) -> bool:
-    """Whether stamp ``a`` matches ``b``: the same affinity and names (so as
-    many values), each bound to the same object.  An equal object in its
-    place (1.0 for 1, -0.0 for 0.0) does not match."""
-    return b is not None and a[0] == b[0] and all(map(operator.is_, a[1], b[1]))
-
-
-def _send(pipe: io.BufferedWriter, obj) -> None:
-    payload = pickle.dumps(obj)
-    pipe.write(len(payload).to_bytes(8, "little") + payload)
-    pipe.flush()
-
-
-def _receive(pipe: io.BufferedReader):
-    """The next object sent down ``pipe``, or None if the pipe ends first."""
-    header = pipe.read(8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    payload = pipe.read(size)
-    return pickle.loads(payload) if len(payload) == size else None
-
-
-def _outcome(function: Callable, args: tuple):
-    """What ``function(*args)`` returns, or the exception it raises."""
-    try:
-        return function(*args)
+        second = _INEQUALITIES[inequality_id].compare.second(x, y, values)
     except Exception as exc:
-        return exc
+        second = exc
+    return x, y, values, second
 
 
-def _serve(requests: int, responses: int) -> None:
-    """A worker's loop: read a job ``(function, args)``, send back its
-    ``_outcome`` in a 1-tuple (an outcome of None is not the end of the
-    pipe), until the request pipe ends.  The function is a module-level one,
-    pickled by name.  The worker holds no caller's stdin or stdout, so a
-    pipe the caller reads ends when the caller exits."""
-    null = os.open(os.devnull, os.O_RDWR)
-    os.dup2(null, 0)
-    os.dup2(null, 1)
-    os.close(null)
-    with open(requests, "rb") as jobs, open(responses, "wb") as results:
-        while (job := _receive(jobs)) is not None:
-            _send(results, (_outcome(*job),))
+def _run_plan(jobs: list[tuple[Callable, tuple]], there=None, here=None) -> tuple:
+    """The outcomes of a plan's block jobs ``(function, args)``, in order,
+    then those of ``there`` and ``here``, None if not given.  The last block
+    runs in this process, each other in a worker of its own (``_pool.run``);
+    ``there`` is queued on the first worker ahead of its block, and ``here``
+    runs in this process ahead of its own.  A job that raises gives its
+    exception as its outcome."""
+    *heads, mine = jobs
+    queues = [[job] for job in heads]
+    if there:
+        queues[0].insert(0, there)
+    outcomes = _pool.run(queues, [here, mine] if here else [mine])
+    first = outcomes.pop(0) if there else None
+    second = outcomes.pop(-2) if here else None
+    return outcomes, first, second
 
 
-def _start_worker() -> _Worker:
-    """Fork a worker running ``_serve``.  It leaves by ``os._exit``, so it
-    flushes no stdio buffer it inherited and runs no atexit handler or
-    enclosing ``finally``."""
-    fds = os.pipe() + os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while the process runs other OS
-            # threads, such as OpenBLAS's pool; the worker takes none of their
-            # locks: it runs this package's arithmetic only.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        for fd in fds:
-            os.close(fd)
-        raise
-    request_read, request_write, response_read, response_write = fds
-    if pid == 0:
-        try:
-            os.close(request_write)
-            os.close(response_read)
-            _serve(request_read, response_write)
-        finally:
-            os._exit(0)
-    os.close(request_read)
-    os.close(response_write)
-    return _Worker(pid, open(request_write, "wb"), open(response_read, "rb"))
-
-
-def _exited(pid: int) -> bool:
-    """Whether the child ``pid`` has exited; it is left to be reaped, unless
-    a caller's own ``os.wait`` has reaped it already."""
-    try:
-        return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
-    except ChildProcessError:
-        return True
-
-
-def _workers(k: int) -> list[_Worker]:
-    """``k`` live workers forked from the package as it is now: the pool is
-    stopped first if the stamp has changed or a worker has exited since."""
-    stamp = _stamp()
-    if not _same_stamp(stamp, _POOL.stamp) or any(_exited(w.pid) for w in _POOL.workers):
-        _stop_workers()
-    _POOL.stamp = stamp
-    while len(_POOL.workers) < k:
-        _POOL.workers.append(_start_worker())
-    return _POOL.workers[:k]
-
-
-def _stop_workers() -> None:
-    """SIGKILL and reap every worker; the next split sweep forks new ones."""
-    workers, _POOL.workers, _POOL.stamp = _POOL.workers, [], None
-    for worker in workers:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(worker.pid, signal.SIGKILL)
-    for worker in workers:
-        # the worker is dead, so a request still buffered cannot be flushed
-        with contextlib.suppress(OSError):
-            worker.requests.close()
-        worker.responses.close()
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(worker.pid, 0)
-
-
-def _forget_workers() -> None:
-    """In a forked child: close the inherited pipes of the parent's workers,
-    whose ends of file would otherwise wait on this child too, and forget
-    the workers, which are not this child's to stop.  The lock is made anew:
-    a thread of the parent may have held it at the fork."""
-    for worker in _POOL.workers:
-        worker.requests.close()
-        worker.responses.close()
-    _POOL.__init__()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-atexit.register(_stop_workers)
-
-
-class _Session:
-    """The workers one split call holds, and the jobs it has sent them in
-    order.  ``drained`` tells whether the response to every job has been
-    read."""
-
-    def __init__(self) -> None:
-        self.workers: list[_Worker] = []
-        self.jobs: list[tuple[_Worker, Callable, tuple]] = []
-        self.drained = False
-
-    def send(self, worker: int, function: Callable, *args) -> None:
-        """Queue the job ``function(*args)`` on worker ``worker``, behind
-        the jobs sent to it before."""
-        self.jobs.append((self.workers[worker], function, args))
-        _send(self.workers[worker].requests, (function, args))
-
-    def outcomes(self, *local) -> list:
-        """The ``_outcome`` of every job sent, in the order sent, then the
-        outcomes ``local`` of this process's own jobs."""
-        outcomes = []
-        for worker, function, args in self.jobs:
-            response = _receive(worker.responses)
-            if response is None:
-                raise RuntimeError(
-                    f"the worker running {function.__name__} on {args[-1]} "
-                    "exited without a result"
-                )
-            outcomes += response
-        outcomes += local
-        self.drained = True
-        return outcomes
-
-
-@contextlib.contextmanager
-def _session(k: int):
-    """``k`` live workers for one split call, as a ``_Session`` that holds
-    the pool's lock.  Unless the session has read every response, the
-    workers are stopped at its end: an interrupt, a worker that dies or a
-    raise before the last read stops every worker, so none is left at work
-    on a result no one reads.  An error that a job returns as its outcome,
-    in a worker or here, leaves them idle and running for the next call."""
-    with _POOL.lock:
-        session = _Session()
-        try:
-            session.workers = _workers(k)
-            yield session
-        finally:
-            if not session.drained:
-                _stop_workers()
-
-
-def _run_split(jobs: list[tuple[Callable, tuple]]) -> list:
-    """The ``_outcome`` of each job ``(function, args)``, in job order: every
-    job but the last in a worker, the last in this process."""
-    if len(jobs) == 1:
-        return [_outcome(*jobs[0])]
-    with _session(len(jobs) - 1) as session:
-        for worker, (function, args) in enumerate(jobs[:-1]):
-            session.send(worker, function, *args)
-        return session.outcomes(_outcome(*jobs[-1]))
-
-
-def _run_sides(sweep: tuple, blocks: list[range]) -> list:
-    """The outcomes of a sweep's ``blocks`` (see ``_sweep_blocks``), in
-    order, then the report of the instance left over after them, or the
-    error certifying it raises.
-
-    Each block but the last goes to a worker and the last is certified
-    here.  The leftover instance's first side is queued on the first worker
-    behind its block, as the sweep and the index: the worker draws and
-    opens the instance itself (``_first_side``).  This process opens it too
-    (draw, parameter checks, hypothesis re-check, factor), builds the second
-    side, then its own block, and combines the two sides: the report and
-    the error are those of ``certify_inequality`` in one process.
-
-    Every request is written before any response is read, so each must be
-    small: a worker reads its next request only after it has written its
-    last response, which waits on this process once it outgrows the pipe's
-    buffer, and a request that outgrew it too would wait on the worker."""
-    inequality_id, _, n, mode, _ = sweep
-    *heads, mine = blocks
-    index = mine.stop
-    with _session(len(heads)) as session:
-        for worker, block in enumerate(heads):
-            session.send(worker, _certify_block, *sweep, block)
-        session.send(0, _first_side, *sweep, index)
-        opened = _outcome(_opened_instance, (*sweep, index))
-        if isinstance(opened, Exception):
-            second = opened
-        else:
-            second = _outcome(_second_side, (*opened, inequality_id))
-        outcomes = session.outcomes(_outcome(_certify_block, (*sweep, mine)), second)
-    *done, first, own, second = outcomes
+def _sweep_outcomes(sweep: tuple, blocks: list[range], count: int) -> list:
+    """The outcomes of a sweep's ``blocks``, in order, then, if an instance
+    is left over after them, its report in a list or the error that
+    certifying it in one process raises."""
+    jobs = [(_certify_block, (*sweep, block)) for block in blocks]
+    index = blocks[-1].stop
+    if index == count:
+        return _run_plan(jobs)[0]
+    # the leftover instance: its first side in a worker, its second here
+    sides = (_first_side, (*sweep, index)), (_second_side, (*sweep, index))
+    outcomes, first, opened = _run_plan(jobs, *sides)
     if isinstance(opened, Exception):
-        return [*done, own, opened]
-    report = _outcome(_report, (inequality_id, *opened, first, second))
-    if not isinstance(report, Exception):
-        report = [dataclasses.replace(report, mode=_dimension_and_mode(index, n, mode)[1])]
-    return [*done, own, report]
+        return [*outcomes, opened]
+    inequality_id, _, n, mode, _ = sweep
+    x, y, values, second = opened
+    try:
+        report = _report(inequality_id, x, y, values, first, second)
+    except Exception as exc:
+        return [*outcomes, exc]
+    return [*outcomes, [dataclasses.replace(report, mode=_dimension_and_mode(index, n, mode)[1])]]
 
 
 def _joined(outcomes) -> list:
@@ -1650,23 +1362,15 @@ def run_instances(
     chain rows).  Pinning a name the id does not draw raises BadRangeError.
     Reports come back in instance order, bit-reproducible per seed.
 
-    The instances are split into contiguous blocks, one per CPU this process
-    may run on (``os.sched_getaffinity``): each block but the last is
-    certified in a worker process, the last here.  When one instance is
-    left over from even blocks (``_sweep_blocks``: on two CPUs, the last
-    instance of an odd count, and the only one of a count of 1 while the
-    workers run), it is certified in two processes: a worker opens it and
-    builds its first side behind its block while this process opens it,
-    builds its second side and combines them (``_run_sides``).  The
-    reports are byte for byte those of a single process.  The workers are
-    forked at the first split sweep or table and serve the later ones (see
-    the module docstring).
-    An error is the one the lowest failing instance raises, with its class
-    and message, and for a split instance the one ``certify_inequality``
-    raises.  Where ``os.fork`` or ``os.sched_getaffinity`` is missing, or
-    with one CPU, the one block runs here.  A recipe replaced in ``RECIPES``
-    (a caller's wrapper that records each instance) runs every instance
-    here, so what it records stays in this process.
+    The instances are certified in blocks, one per CPU this process may run
+    on, and an instance left over from even blocks as two sides in two
+    processes (``_sweep_blocks``, ``_run_plan``).  The reports are byte for
+    byte those of one process, and an error is the one the lowest failing
+    instance raises, with its class and message (for a split instance, the
+    one ``certify_inequality`` raises).  With one CPU, where the os module
+    has no fork or no sched_getaffinity, or with a recipe replaced in
+    ``RECIPES`` (a caller's wrapper that records each instance, which then
+    stays in this process), every instance is certified here.
     """
     _row(inequality_id)
     seed = _checked_seed(seed)
@@ -1689,11 +1393,7 @@ def run_instances(
     started = time.perf_counter()
     sweep = (inequality_id, seed, n, mode, pins)
     blocks = _sweep_blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
-    if blocks[-1].stop < count:
-        outcomes = _run_sides(sweep, blocks)
-    else:
-        outcomes = _run_split([(_certify_block, (*sweep, block)) for block in blocks])
-    reports = _joined(outcomes)
+    reports = _joined(_sweep_outcomes(sweep, blocks, count))
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

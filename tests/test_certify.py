@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from golden_bounds import certify, linalg, means, sampling
+from golden_bounds import _pool, certify, linalg, means, sampling
 from golden_bounds.certify import (
     CSV_HEADER,
     INEQUALITY_IDS,
@@ -1105,7 +1105,8 @@ def _logging_second_side(*args):
 def _start_workers() -> None:
     """Fork the sweep workers, if this process may use two CPUs, by a split
     call of no-op jobs: a sweep of one instance forks none for its side."""
-    certify._run_split([(len, ((),))] * len(certify._blocks(2)))
+    noop = [(len, ((),))]
+    _pool.run([noop] * (len(certify._blocks(2)) - 1), noop)
 
 
 def _sweep_events(monkeypatch, tmp_path, inequality_id, count) -> tuple[list, list]:
@@ -1116,7 +1117,7 @@ def _sweep_events(monkeypatch, tmp_path, inequality_id, count) -> tuple[list, li
     logging function by name.  The path is set in a container, which the
     stamp does not see, so the workers are stopped first: workers forked
     for an earlier call with these same patches would log to its path."""
-    certify._stop_workers()
+    _pool.stop()
     _EVENTS["path"] = tmp_path / "events"
     monkeypatch.setattr(certify, "_draw", _logging_draw)
     monkeypatch.setattr(certify, "_first_side", _logging_first_side)
@@ -1170,10 +1171,10 @@ def test_sweep_blocks_cover_the_instances_once_in_order(monkeypatch, tmp_path, c
 
 
 def test_a_sweep_of_one_instance_forks_no_worker_for_its_side():
-    certify._stop_workers()
+    _pool.stop()
     assert certify._sweep_blocks(1) == [range(1)]
     assert run_instances("gt-specht", count=1, seed=1, n=16).all_hold
-    assert certify._POOL.workers == []
+    assert _pool._POOL.workers == []
     _start_workers()
     assert len(certify._sweep_blocks(1)) == min(2, len(os.sched_getaffinity(0)))
 
@@ -1230,7 +1231,7 @@ def _no_child_left() -> bool:
 def _no_child_but_the_workers() -> bool:
     """Whether every child of this process is a pool worker: once the
     workers are stopped, no child is left."""
-    certify._stop_workers()
+    _pool.stop()
     return _no_child_left()
 
 
@@ -1330,7 +1331,7 @@ def test_a_worker_killed_during_a_side_job_is_an_error(monkeypatch):
         RuntimeError, match=r"^the worker running _first_side on 0 exited without a result$"
     ):
         run_instances("gt-specht", count=1, seed=1)
-    assert certify._POOL.workers == []
+    assert _pool._POOL.workers == []
     assert _no_child_left()
 
 
@@ -1358,11 +1359,11 @@ def test_a_split_sweep_at_a_large_n_finishes():
 
 def test_a_job_that_returns_none_is_a_result():
     # a worker's outcome of None is not taken for the end of its pipe
-    assert certify._run_split([(time.sleep, (0,))] * 2) == [None, None]
+    assert _pool.run([[(time.sleep, (0,))]], [(time.sleep, (0,))]) == [None, None]
 
 
 def _worker_pids() -> list[int]:
-    return [worker.pid for worker in certify._POOL.workers]
+    return [worker.pid for worker in _pool._POOL.workers]
 
 
 def test_no_child_outlives_a_sweep(monkeypatch):
@@ -1372,7 +1373,7 @@ def test_no_child_outlives_a_sweep(monkeypatch):
     run_instances("gt-specht", count=4, seed=1)
     assert _worker_pids() == workers
     assert len(workers) >= len(certify._blocks(4)) - 1
-    certify._stop_workers()
+    _pool.stop()
     assert _no_child_left()
     # a child still at work when this process is interrupted is stopped
     parent = os.getpid()
@@ -1421,9 +1422,9 @@ def test_no_worker_outlives_its_process(ending):
         pytest.skip("a sweep starts workers only with two CPUs or more")
     program = (
         "import os, signal, sys\n"
-        "from golden_bounds import certify\n"
+        "from golden_bounds import _pool, certify\n"
         "certify.run_instances('gt-specht', count=4, seed=1)\n"
-        "print(*[worker.pid for worker in certify._POOL.workers], flush=True)\n"
+        "print(*[worker.pid for worker in _pool._POOL.workers], flush=True)\n"
         f"{ending}\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1476,8 +1477,8 @@ def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
 
 
 def test_the_stamp_sees_a_rebound_name_in_a_module_or_a_class(monkeypatch):
-    stamp = certify._stamp()
-    assert certify._same_stamp(certify._stamp(), stamp)
+    stamp = _pool._stamp()
+    assert _pool._same_stamp(_pool._stamp(), stamp)
     for owner, name, value in [
         (certify, "N_CYCLE", (3,)),
         (linalg, "JACOBI_MAX_SWEEPS", 0),
@@ -1488,11 +1489,13 @@ def test_the_stamp_sees_a_rebound_name_in_a_module_or_a_class(monkeypatch):
         (certify, "N_CYCLE", tuple(list(certify.N_CYCLE))),
         (certify.SweepResult, "summary", lambda self: ""),
         (means, "a_new_name", 1.0),
+        # the pool's own module is one of the package's
+        (_pool, "a_new_name", 1.0),
     ]:
         monkeypatch.setattr(owner, name, value, raising=False)
-        assert not certify._same_stamp(certify._stamp(), stamp), name
+        assert not _pool._same_stamp(_pool._stamp(), stamp), name
         monkeypatch.undo()
-        assert certify._same_stamp(certify._stamp(), stamp), name
+        assert _pool._same_stamp(_pool._stamp(), stamp), name
 
 
 @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
@@ -1582,7 +1585,7 @@ def test_lazy_operands_give_one_table_split_or_in_one_process(request, operand):
 
     split = table()
     if len(os.sched_getaffinity(0)) >= 2:
-        assert certify._POOL.workers
+        assert _pool._POOL.workers
     request.getfixturevalue("one_cpu")
     assert split == table()
 
