@@ -1,15 +1,14 @@
 """Time the split of a sweep's leftover instance into two sides, and what a
-split call pays to check the worker pool.
+no-op split call costs.
 
 Run from a checkout, with that checkout's sources on the path, on a host
 with two CPUs or more:
 
     PYTHONPATH=src python3 benchmarks/side_split.py [--reps 10] [--n 2,3,4,5,6,16]
 
-``overhead_us`` is the median time of ``_pool._stamp()``, of comparing
-two stamps, and of a ``_pool.run`` of two jobs that do nothing, one in a
-worker and one here (the worker already forked): the pool check every
-split call pays.
+``overhead_us`` is the median time of a ``_pool.run`` of two jobs that do
+nothing, one in a worker and one here (the worker already forked): what
+every split call pays for the pool.
 
 ``split`` times, per pinned dimension n, count-3 sweeps of every id, each
 once with its last instance split into two sides (``certify._sweep_outcomes``
@@ -70,14 +69,9 @@ def _median_us(function, number: int, repeat: int = 15) -> float:
 
 
 def overhead() -> dict:
-    a, b = _pool._stamp(), _pool._stamp()
     noop = [(len, ((),))]
     _pool.run([noop], noop)
-    return {
-        "stamp": round(_median_us(_pool._stamp, 500), 1),
-        "compare": round(_median_us(lambda: _pool._same_stamp(a, b), 500), 1),
-        "noop_split": round(_median_us(lambda: _pool.run([noop], noop), 200), 1),
-    }
+    return {"noop_split": round(_median_us(lambda: _pool.run([noop], noop), 200), 1)}
 
 
 def _whole(sweep: tuple, count: int) -> list:

@@ -3,27 +3,25 @@
 ``run`` takes a list of jobs ``(function, args)`` per worker and the jobs
 this process runs itself, and returns every outcome in job order.  The
 first call forks the workers, and they serve every later one until the
-process exits (``stop``), or until a changed stamp, an interrupt, a dead
-worker or any other raise before every response is read stops them all.
-The stamp is the affinity mask and every value in the namespaces of this
-package's modules and of their classes, compared by identity, so a
-monkeypatch and its undo reach the workers; a container changed in place
-does not.  During a call that uses workers, numpy's OpenBLAS runs one
-thread here and in each worker: the products are of desk-scale size, and
-every CPU already runs a process.
+process exits (``stop``), or until an interrupt, a dead worker or any other
+raise before every response is read stops them all.  A worker runs the
+package as it was when the worker was forked: a monkeypatch made later
+reaches the workers only after ``stop``, which makes the next call fork
+them anew; ``certify`` keeps in this process a sweep or a table whose
+recipe, mean power or eigensolver a caller has replaced.  During a call
+that uses workers, numpy's OpenBLAS runs one thread here and in each
+worker: the products are of desk-scale size, and every CPU already runs a
+process.
 """
 
 import atexit
 import contextlib
 import functools
 import io
-import operator
 import os
 import pickle
 import signal
-import sys
 import threading
-import types
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -39,72 +37,15 @@ class _Worker:
 
 
 class _Pool:
-    """This process's workers, their stamp and the lock that gives them to
-    one call at a time; one instance, changed in place, never rebound."""
+    """This process's workers and the lock that gives them to one call at a
+    time; one instance, changed in place, never rebound."""
 
     def __init__(self) -> None:
         self.workers: list[_Worker] = []
-        self.stamp: tuple | None = None
         self.lock = threading.Lock()
 
 
 _POOL = _Pool()
-
-#: Per module of this package: its namespace values when last stamped and
-#: the classes and submodules it defines among them, so that a stamp looks
-#: for them again only in a namespace that has changed.
-_DEFINED: dict[str, tuple[tuple, tuple]] = {}
-
-
-def _defined(name: str, values: tuple) -> tuple:
-    """The classes module ``name`` defines and the submodules bound in it,
-    among ``values``, the values of its namespace."""
-    held = _DEFINED.get(name)
-    try:
-        # equality will do: what is looked for is classes and modules, which
-        # compare by identity
-        same = held is not None and values == held[0]
-    except Exception:  # an elementwise ==, such as an array's, raises
-        same = False
-    if not same:
-        members = tuple(
-            value for value in values
-            if isinstance(value, type) and value.__module__ == name
-            or isinstance(value, types.ModuleType) and value.__name__.startswith(name + ".")
-        )
-        held = _DEFINED[name] = (values, members)
-    return held[1]
-
-
-def _stamp() -> tuple:
-    """The affinity mask and the names in the namespaces of this package, of
-    its modules (each import binds one in the package's namespace, this one
-    included) and of the classes they define; then the values bound to those
-    names, held, so that an id cannot be reused while the stamp lives.  A
-    class's ``__slotnames__`` is left out: ``copyreg`` caches it there on
-    the class's first pickle, so the first split table, which pickles its
-    operands, would otherwise re-fork the workers on the next split call."""
-    names = [frozenset(os.sched_getaffinity(0))]
-    values = []
-    owners = [sys.modules[__name__.partition(".")[0]]]
-    for owner in owners:
-        namespace = vars(owner)
-        if "__slotnames__" in namespace:
-            namespace = {k: v for k, v in namespace.items() if k != "__slotnames__"}
-        own = tuple(namespace.values())
-        names.append(tuple(namespace))
-        values += own
-        if isinstance(owner, types.ModuleType):
-            owners += _defined(owner.__name__, own)
-    return tuple(names), tuple(values)
-
-
-def _same_stamp(a: tuple, b: tuple | None) -> bool:
-    """Whether stamp ``a`` matches ``b``: the same affinity and names (so as
-    many values), each bound to the same object.  An equal object in its
-    place (1.0 for 1, -0.0 for 0.0) does not match."""
-    return b is not None and a[0] == b[0] and all(map(operator.is_, a[1], b[1]))
-
 
 @functools.cache
 def _openblas() -> tuple | None:
@@ -223,7 +164,7 @@ def running() -> bool:
 
 def stop() -> None:
     """SIGKILL and reap every worker; the next call forks new ones."""
-    workers, _POOL.workers, _POOL.stamp = _POOL.workers, [], None
+    workers, _POOL.workers = _POOL.workers, []
     for worker in workers:
         with contextlib.suppress(ProcessLookupError):
             os.kill(worker.pid, signal.SIGKILL)
@@ -261,7 +202,8 @@ def run(queues: list[list[tuple[Callable, tuple]]], local: list[tuple[Callable, 
     and sends every outcome in one response after the last, so no job waits
     on this process to read a response, however large.  A worker that dies
     is named by the first job of its queue.  The workers are forked anew if
-    the stamp has changed or one has exited since the last call.  The call
+    one has exited since the last call; they run the package as it was when
+    they were forked, whatever this process has patched since.  The call
     holds the pool's lock; unless it has read every response, its end (an
     interrupt, a dead worker, a raise here) stops the workers, so none is
     left at work on a result no one reads."""
@@ -271,10 +213,8 @@ def run(queues: list[list[tuple[Callable, tuple]]], local: list[tuple[Callable, 
         threads = _blas_threads(1)
         drained = False
         try:
-            stamp = _stamp()
-            if not _same_stamp(stamp, _POOL.stamp) or any(_exited(w.pid) for w in _POOL.workers):
+            if any(_exited(w.pid) for w in _POOL.workers):
                 stop()
-            _POOL.stamp = stamp
             while len(_POOL.workers) < len(queues):
                 _POOL.workers.append(_start_worker())
             for worker, jobs in zip(_POOL.workers, queues):

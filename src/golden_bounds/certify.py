@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _pool
+from . import _pool, linalg
 from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
 from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError
 from .linalg import (
@@ -69,6 +69,7 @@ from .sampling import (
     SamplerConfig,
     _checked_seed,
     _difference_reduction,
+    _integer,
     _ratio_reduction,
     bounded_hermitian_pair,
     olson_exponential_pair,
@@ -1097,8 +1098,9 @@ def convergence_study(
     which also computes the lhs.  The rows, and the error raised, are those
     of one loop over p: the lhs's error first, then at each p in order the
     factor's before the mean-power side's.  With one CPU or one p, or with a
-    ``mean_power`` here that is not the package's own (a caller's wrapper
-    that records each call), the table runs in this process."""
+    ``mean_power`` here or an eigensolver that is not the package's own (a
+    caller's wrapper that records each call, ``linalg._own_solver``), the
+    table runs in this process."""
     alpha = _check_alpha(alpha)
     _check_finite_st(s, t)
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
@@ -1115,7 +1117,7 @@ def convergence_study(
         # the mean-power sides of the p values before this one outrank it
         fault = exc
     taken = ps[: len(scales)]
-    own = mean_power is _OWN_MEAN_POWER["mean_power"]
+    own = mean_power is _OWN_MEAN_POWER["mean_power"] and linalg._own_solver()
     blocks = _blocks(len(taken)) if own and len(taken) > 1 else [range(len(taken))]
     jobs = [(_mean_power_spectra, (h, k, alpha, taken[b.start:b.stop])) for b in blocks]
     outcomes, _, lhs = _run_plan(jobs, here=(log_euclidean, (h, k, alpha)))
@@ -1369,15 +1371,19 @@ def run_instances(
     instance raises, with its class and message (for a split instance, the
     one ``certify_inequality`` raises).  With one CPU, where the os module
     has no fork or no sched_getaffinity, or with a recipe replaced in
-    ``RECIPES`` (a caller's wrapper that records each instance, which then
-    stays in this process), every instance is certified here.
+    ``RECIPES`` or an eigensolver that is not the package's own
+    (``linalg._own_solver``: a caller's wrapper that records each instance
+    or solve, which then sees them all), every instance is certified here.
     """
     _row(inequality_id)
     seed = _checked_seed(seed)
+    count = _integer(count, "count")
     if count < 1:
         raise BadRangeError(f"count must be >= 1, got {count}")
     recipe = RECIPES[inequality_id]
     overrides = param_overrides or {}
+    if not isinstance(overrides, dict):
+        raise BadRangeError(f"param_overrides must be a dict, got {overrides!r}")
     pinnable = _pinnable(inequality_id)
     ignored = sorted(set(overrides) - set(pinnable))
     if ignored:
@@ -1385,14 +1391,18 @@ def run_instances(
             f"{inequality_id} does not draw {', '.join(ignored)}, so it cannot be pinned; "
             f"pinnable: {', '.join(pinnable) or 'none'}"
         )
-    pins = {name: float(value) for name, value in overrides.items()}
+    try:
+        pins = {name: float(value) for name, value in overrides.items()}
+    except (TypeError, ValueError):
+        raise BadRangeError(f"pinned values must be numbers, got {overrides!r}") from None
     for name, value in pins.items():
         if not math.isfinite(value):
             raise BadRangeError(f"pinned {name} must be finite, got {value}")
 
     started = time.perf_counter()
     sweep = (inequality_id, seed, n, mode, pins)
-    blocks = _sweep_blocks(count) if recipe is _OWN_RECIPES[inequality_id] else [range(count)]
+    own = recipe is _OWN_RECIPES[inequality_id] and linalg._own_solver()
+    blocks = _sweep_blocks(count) if own else [range(count)]
     reports = _joined(_sweep_outcomes(sweep, blocks, count))
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)

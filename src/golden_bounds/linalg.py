@@ -33,9 +33,10 @@ It holds no rotation log, so a hit whose eigenvectors were never built
 builds them, if they are read, from a new solve of its key, which gives the
 same bits.  The cache is consulted and filled only while ``_jacobi`` is
 this module's own function and JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL,
-_JACOBI_EXPONENT_LIMIT and _ROUND_ROBIN_MIN_N hold their values here, so a
-caller's wrapper around ``_jacobi`` sees every solve and a changed setting
-takes effect at once.
+_JACOBI_EXPONENT_LIMIT and _ROUND_ROBIN_MIN_N hold their values here
+(``_own_solver``, which also keeps sweeps and tables in this process), so
+a caller's wrapper around ``_jacobi`` sees every solve and a changed
+setting takes effect at once.
 It lives as long as the process, across the CLI calls made in it; a new
 ``golden-bounds`` process, and each forked sweep worker, starts with it
 empty.
@@ -311,10 +312,17 @@ def _round_robin_jacobi(
 
 
 #: ``_jacobi`` and its settings as defined here, in containers that a
-#: caller's wrapper replacing module names leaves alone: the spectral cache
-#: serves only this function under these settings.
+#: caller's wrapper replacing module names leaves alone (``_own_solver``).
 _OWN_JACOBI = {"_jacobi": _jacobi}
 _OWN_SETTINGS = _settings()
+
+
+def _own_solver() -> bool:
+    """Whether ``_jacobi`` and its settings are this module's own.  Only
+    then is the spectral cache used and do sweeps and tables split over the
+    workers, so that a caller's wrapper around ``_jacobi`` sees every solve
+    in this process and a changed setting takes effect at once."""
+    return _jacobi is _OWN_JACOBI["_jacobi"] and _settings() == _OWN_SETTINGS
 
 
 class _RotationLog:
@@ -578,8 +586,7 @@ class _SpectralCache:
     """This process's solved matrices, keyed by the exact bytes of their
     entries, least recently used first, and a tally of hits, misses
     (solves), re-solves and the bytes held.  One instance, changed in place
-    and never rebound, so certify's stamp does not see it change; the lock
-    makes it safe to share between threads."""
+    and never rebound; the lock makes it safe to share between threads."""
 
     def __init__(self) -> None:
         self.entries: OrderedDict[bytes, _Entry] = OrderedDict()
@@ -638,10 +645,10 @@ if hasattr(os, "register_at_fork"):
 
 def _solve(matrix: np.ndarray) -> SpectralDecomposition:
     """The decomposition of a checked entry array.  The spectral cache is
-    consulted and filled only while ``_jacobi`` is the package's own and its
-    settings are the module's own; otherwise, as under a caller's wrapper
-    that counts the solves, every solve runs and none is stored."""
-    if _jacobi is _OWN_JACOBI["_jacobi"] and _settings() == _OWN_SETTINGS:
+    consulted and filled only while ``_own_solver()``; otherwise, as under a
+    caller's wrapper that counts the solves, every solve runs and none is
+    stored."""
+    if _own_solver():
         return _CACHE.solve(matrix)
     vals, log = _jacobi(matrix)
     return SpectralDecomposition(vals, log.replay)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from golden_bounds import linalg, orders
+from golden_bounds import _pool, linalg, orders
 
 
 @pytest.fixture(autouse=True)
@@ -12,6 +12,16 @@ def empty_spectral_cache():
     """Start every test with an empty spectral cache and a zero tally, so
     that what a test counts does not hang on the tests run before it."""
     linalg._CACHE.clear()
+
+
+@pytest.fixture(autouse=True)
+def new_workers():
+    """Stop the sweep workers after every test.  A worker runs the package
+    as it was when it was forked, so the next test's first split call forks
+    workers that see the patches made before it, and no patch outlives its
+    test in a worker."""
+    yield
+    _pool.stop()
 
 
 @pytest.fixture

@@ -1112,12 +1112,9 @@ def _start_workers() -> None:
 def _sweep_events(monkeypatch, tmp_path, inequality_id, count) -> tuple[list, list]:
     """The blocks of a sweep with its workers running, and the (pid, event,
     index) of each instance drawn and each side built separately in it, in
-    the order logged.  The patches are module names of certify, so the
-    workers are forked afresh with them, and the side job pickles the
-    logging function by name.  The path is set in a container, which the
-    stamp does not see, so the workers are stopped first: workers forked
-    for an earlier call with these same patches would log to its path."""
-    _pool.stop()
+    the order logged.  The patches are module names of certify, made before
+    the workers are forked, so the workers run them, and the side job
+    pickles the logging function by name."""
     _EVENTS["path"] = tmp_path / "events"
     monkeypatch.setattr(certify, "_draw", _logging_draw)
     monkeypatch.setattr(certify, "_first_side", _logging_first_side)
@@ -1171,7 +1168,6 @@ def test_sweep_blocks_cover_the_instances_once_in_order(monkeypatch, tmp_path, c
 
 
 def test_a_sweep_of_one_instance_forks_no_worker_for_its_side():
-    _pool.stop()
     assert certify._sweep_blocks(1) == [range(1)]
     assert run_instances("gt-specht", count=1, seed=1, n=16).all_hold
     assert _pool._POOL.workers == []
@@ -1442,7 +1438,7 @@ def test_no_worker_outlives_its_process(ending):
     assert all(_gone(pid) for pid in workers)
 
 
-def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
+def test_a_changed_eigensolver_setting_keeps_the_sweep_here(monkeypatch, request):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a sweep starts workers only with two CPUs or more")
 
@@ -1451,13 +1447,9 @@ def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
 
     split = sweep()
     workers = _worker_pids()
-    # a monkeypatch reaches the workers, and so does its undo
-    monkeypatch.setattr(certify, "N_CYCLE", (3,))
-    assert {report["n"] for report in sweep()} == {3}
-    assert set(_worker_pids()).isdisjoint(workers)
-    monkeypatch.undo()
-    assert sweep() == split
-    # instance 0, in a worker, is the lowest failing instance
+    assert workers
+    # the workers, forked before the patch, would certify instance 0 under
+    # the package's own setting; run here, it is the lowest failing instance
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(NoConvergenceError) as first:
         certify._certify_block("gt-specht", 1, None, None, {}, range(1))
@@ -1465,37 +1457,40 @@ def test_a_changed_package_or_affinity_forks_new_workers(monkeypatch, request):
         sweep()
     monkeypatch.undo()
     assert sweep() == split
-    # so does a changed affinity mask
-    workers = _worker_pids()
-    cpus = os.sched_getaffinity(0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus | {max(cpus) + 1})
-    assert sweep() == split
-    assert len(_worker_pids()) >= 2 and set(_worker_pids()).isdisjoint(workers)
-    monkeypatch.undo()
+    assert _worker_pids() == workers
     request.getfixturevalue("one_cpu")
     assert sweep() == split
 
 
-def test_the_stamp_sees_a_rebound_name_in_a_module_or_a_class(monkeypatch):
-    stamp = _pool._stamp()
-    assert _pool._same_stamp(_pool._stamp(), stamp)
-    for owner, name, value in [
-        (certify, "N_CYCLE", (3,)),
-        (linalg, "JACOBI_MAX_SWEEPS", 0),
-        # equal values that are other objects
-        (certify, "_ALPHA_GRID", certify._ALPHA_GRID.copy()),
-        (certify, "_TOLERANCE", float(repr(certify._TOLERANCE))),
-        (linalg, "JACOBI_MAX_SWEEPS", float(linalg.JACOBI_MAX_SWEEPS)),
-        (certify, "N_CYCLE", tuple(list(certify.N_CYCLE))),
-        (certify.SweepResult, "summary", lambda self: ""),
-        (means, "a_new_name", 1.0),
-        # the pool's own module is one of the package's
-        (_pool, "a_new_name", 1.0),
-    ]:
-        monkeypatch.setattr(owner, name, value, raising=False)
-        assert not _pool._same_stamp(_pool._stamp(), stamp), name
-        monkeypatch.undo()
-        assert _pool._same_stamp(_pool._stamp(), stamp), name
+def test_a_wrapped_eigensolver_sees_every_solve_in_this_process(monkeypatch, tmp_path, request):
+    # the wrapper logs each solve to a file, so a solve in a worker would show
+    _EVENTS["path"] = tmp_path / "events"
+    solve = linalg._jacobi
+
+    def logging_jacobi(*args):
+        _log("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "_jacobi", logging_jacobi)
+    pair = olson_exponential_pair(SamplerConfig(4, 7, -0.6, 0.9), 0)
+
+    def solves() -> list[int]:
+        counts = []
+        for call in (
+            lambda: run_instances("gt-specht", count=3, seed=1),
+            lambda: run_instances("gt-specht", count=4, seed=1),
+            lambda: convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS),
+        ):
+            _EVENTS["path"].write_text("")
+            call()
+            pids = [int(line.split()[0]) for line in _EVENTS["path"].read_text().splitlines()]
+            assert pids and set(pids) == {os.getpid()}
+            counts.append(len(pids))
+        return counts
+
+    split = solves()
+    request.getfixturevalue("one_cpu")
+    assert solves() == split
 
 
 @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
@@ -1647,11 +1642,6 @@ def test_a_failing_block_in_a_worker_keeps_the_pool(monkeypatch):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a table starts workers only with two CPUs or more")
     pair = olson_exponential_pair(SamplerConfig(3, 5, -0.6, 0.9), 0)
-    # as in a new process, no operand has been pickled yet: the first table
-    # pickles them, and copyreg caches __slotnames__ in their classes
-    for cls in (linalg.HermitianMatrix, linalg.SpectralDecomposition):
-        if "__slotnames__" in vars(cls):
-            monkeypatch.delattr(cls, "__slotnames__")
     # p = 0.1 and 0.03 are in the worker's block, 1e-3 in this process's
     _table_faults(monkeypatch, mean=(0.1, 0.03, 1e-3))
     with pytest.raises(HypothesisViolatedError, match=r"^mean power at p = 0\.1$"):
@@ -1671,8 +1661,8 @@ def test_an_error_in_this_processs_block_keeps_the_workers(monkeypatch):
         pytest.skip("a sweep starts workers only with two CPUs or more")
     _start_workers()
     workers = _worker_pids()
-    # set into a container, which the stamp does not see: the workers,
-    # forked before, certify instances 0 and 1, and this process fails on 2
+    # patched after the fork: the workers certify instances 0 and 1 as the
+    # package was when they were forked, and this process fails on 2
     row = certify._INEQUALITIES["gt-specht"]
 
     def failing_factor(v):
@@ -1768,6 +1758,11 @@ def test_run_instances_validation():
     # a name the id does not draw is refused before its value is read
     with pytest.raises(BadRangeError, match="does not draw alpha.*pinnable:"):
         run_instances("kantorovich-matrix", count=1, param_overrides={"alpha": "half"})
+    # malformed input is a BadRangeError too, not a TypeError or ValueError
+    for bad in ({"count": 2.5}, {"count": "3"}, {"param_overrides": ["alpha"]},
+                {"param_overrides": {"alpha": "x"}}, {"param_overrides": {"alpha": None}}):
+        with pytest.raises(BadRangeError):
+            run_instances("gt-specht", **{"count": 1, **bad})
 
 
 def test_every_recipe_produces_holding_reports():

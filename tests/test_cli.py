@@ -13,7 +13,7 @@ import tomllib
 
 import pytest
 
-from golden_bounds import _pool, certify, cli, linalg
+from golden_bounds import certify, cli, linalg
 from golden_bounds.certify import INEQUALITY_IDS
 from golden_bounds.cli import main
 from golden_bounds.errors import BadRangeError
@@ -722,8 +722,6 @@ def test_a_failed_fork_is_not_reported_as_a_write_error(capsys, monkeypatch):
     def no_fork():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    # a running worker would serve the sweep without a fork
-    _pool.stop()
     monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(BlockingIOError):
         main(["certify", "gt-specht", "--count", "4", "--seed", "1"])

@@ -5,7 +5,7 @@ import signal
 import subprocess
 import sys
 
-from golden_bounds import _pool
+from golden_bounds import _pool, linalg
 
 
 def test_a_queue_of_large_requests_and_responses_finishes():
@@ -48,3 +48,16 @@ def test_one_blas_thread_during_a_split_call_whatever_the_import_order():
     before, worker, here, after = out.split()
     assert before != "None"
     assert (worker, here, after) == ("1", "1", before)
+
+
+def test_workers_run_the_package_as_it_was_forked(monkeypatch):
+    # a patch made after the fork reaches this process's jobs, not the
+    # worker's; after stop the next call forks a worker that runs it
+    job = [(linalg._settings, ())]
+    own = linalg._settings()
+    assert _pool.run([job], []) == [own]
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 7)
+    patched = (7, *own[1:])
+    assert _pool.run([job], job) == [own, patched]
+    _pool.stop()
+    assert _pool.run([job], []) == [patched]
