@@ -22,13 +22,13 @@ BadRangeError naming it; any other scalar overflow is one naming the id.
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them on every CPU the process may
-use.  One plan, ``_run_plan``, gives the work of a sweep or a table to the
-worker processes of ``_pool`` and to this one.  A sweep becomes its blocks
-of instances, the last certified here and each other in a worker; an
-instance left over from even blocks is certified in two processes: a job
-queued on the first worker ahead of its block builds its first side, and
-this process its second.  convergence_study's table becomes its p blocks,
-the last, with the lhs, here.  On one CPU (``taskset -c 0``) all stays here.
+use.  A split call is its one-process loop cut into job lists for the
+workers of ``_pool`` and this process: a sweep's blocks of instances, the
+last certified here, and an instance left over from even blocks as two
+sides, the first in a job ahead of the first worker's block, the second
+here; convergence_study's p blocks, each computing its factors and sides,
+the last here after the lhs.  Each job raises its own error.  On one CPU
+(``taskset -c 0``) all stays here.
 """
 
 from __future__ import annotations
@@ -330,7 +330,11 @@ def _check_bounds(m: float, M: float) -> None:
 
 def _check_finite_st(s: float, t: float) -> None:
     """Finite exp-Olson scalars with s <= t."""
-    if not (math.isfinite(s) and math.isfinite(t)):
+    try:
+        finite = math.isfinite(s) and math.isfinite(t)
+    except TypeError:
+        raise BadRangeError(f"s and t must be numbers, got s={s!r}, t={t!r}") from None
+    if not finite:
         raise BadRangeError(f"s and t must be finite, got s={s}, t={t}")
     if s > t:
         raise BadRangeError(f"need s <= t, got s={s}, t={t}")
@@ -868,7 +872,7 @@ PIN_NAMES = tuple(dict.fromkeys(name for ident in _INEQUALITIES for name in _pin
 
 def _row(inequality_id: str) -> _Inequality:
     """The table row of ``inequality_id``; BadRangeError for an unknown id."""
-    if inequality_id not in _INEQUALITIES:
+    if not isinstance(inequality_id, str) or inequality_id not in _INEQUALITIES:
         raise BadRangeError(
             f"unknown inequality id {inequality_id!r}; known ids: {', '.join(INEQUALITY_IDS)}"
         )
@@ -958,12 +962,8 @@ def _opened(inequality_id: str, x, y, params: dict) -> dict:
 
 def _report(inequality_id: str, x, y, values: dict, first, second) -> InequalityReport:
     """The last step of ``certify_inequality``: combine the two sides into
-    the report.  A side given as the exception that building it raised is
-    raised here, the first side's before the second's."""
+    the report."""
     with _overflow_named(inequality_id):
-        for side in (first, second):
-            if isinstance(side, Exception):
-                raise side
         compared = _INEQUALITIES[inequality_id].compare.combine(first, second, values)
     semantics, labels, lhs, rhs, rel = compared
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
@@ -1095,12 +1095,14 @@ def convergence_study(
 
     The p sequence is split into contiguous blocks over the sweep workers
     that ``run_instances`` uses, the smallest block last, for this process,
-    which also computes the lhs.  The rows, and the error raised, are those
-    of one loop over p: the lhs's error first, then at each p in order the
-    factor's before the mean-power side's.  With one CPU or one p, or with a
-    ``mean_power`` here or an eigensolver that is not the package's own (a
-    caller's wrapper that records each call, ``linalg._own_solver``), the
-    table runs in this process."""
+    which computes the lhs before it.  A block's job computes, at each of
+    its p in order, the factor and then the scaled mean-power side, so the
+    rows, and the error raised, are those of one loop over p: the lhs's
+    error first, then at each p in order the factor's before the mean-power
+    side's.  With one CPU or one p, or with a ``mean_power`` here or an
+    eigensolver that is not the package's own (a caller's wrapper that
+    records each call, ``linalg._own_solver``), the table runs in this
+    process."""
     alpha = _check_alpha(alpha)
     _check_finite_st(s, t)
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
@@ -1108,37 +1110,28 @@ def convergence_study(
         raise BadRangeError(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"
         )
-    factor = _INEQUALITIES[f"gt-{factor_kind}"].factor
-    scales, fault = [], None
-    try:
-        for p in ps:
-            scales.append(factor({"alpha": alpha, "p": p, "s": s, "t": t}))
-    except Exception as exc:
-        # the mean-power sides of the p values before this one outrank it
-        fault = exc
-    taken = ps[: len(scales)]
     own = mean_power is _OWN_MEAN_POWER["mean_power"] and linalg._own_solver()
-    blocks = _blocks(len(taken)) if own and len(taken) > 1 else [range(len(taken))]
-    jobs = [(_mean_power_spectra, (h, k, alpha, taken[b.start:b.stop])) for b in blocks]
-    outcomes, _, lhs = _run_plan(jobs, here=(log_euclidean, (h, k, alpha)))
+    blocks = _blocks(len(ps)) if own else [range(len(ps))]
+    table = h, k, alpha, s, t, factor_kind
+    *theirs, mine = [[(_scaled_spectra, (*table, ps[b.start:b.stop]))] for b in blocks]
+    *outcomes, lhs, last = _pool.run(theirs, [(log_euclidean, (h, k, alpha)), *mine])
     if isinstance(lhs, Exception):
         raise lhs
     lhs = lhs.eigenvalues
-    spectra = _joined(outcomes)
-    if fault is not None:
-        raise fault
     rows = []
-    for p, scale, spectrum in zip(taken, scales, spectra):
-        rhs = scale * spectrum
+    for p, rhs in _joined([*outcomes, last]):
         for index, (left, right) in enumerate(zip(lhs, rhs), start=1):
             gap = float((right - left) / left)
             rows.append(ConvergenceRow(p, index, float(left), float(right), gap))
     return rows
 
 
-def _mean_power_spectra(h, k, alpha: float, ps) -> list[np.ndarray]:
-    """The eigenvalues of ``mean_power(h, k, alpha, p)`` for each p, in order."""
-    return [mean_power(h, k, alpha, p).eigenvalues for p in ps]
+def _scaled_spectra(h, k, alpha: float, s: float, t: float, factor_kind: str, ps) -> list:
+    """(p, the gt-``factor_kind`` factor at p times the eigenvalues of
+    ``mean_power(h, k, alpha, p)``) for each p, in order: at each p the
+    factor is evaluated before the mean power."""
+    factor, v = _INEQUALITIES[f"gt-{factor_kind}"].factor, {"alpha": alpha, "s": s, "t": t}
+    return [(p, factor({**v, "p": p}) * mean_power(h, k, alpha, p).eigenvalues) for p in ps]
 
 
 # ---------------------------------------------------------------------------
@@ -1278,53 +1271,39 @@ def _first_side(
     opens anew: a worker's job, given the sweep and the index, not the
     operands, so that every request to a worker is small."""
     x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
-    return _INEQUALITIES[inequality_id].compare.first(x, y, values)
+    with _overflow_named(inequality_id):
+        return _INEQUALITIES[inequality_id].compare.first(x, y, values)
 
 
 def _second_side(
     inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
 ) -> tuple:
     """Instance ``index`` of one sweep opened and its second side built:
-    the operands, the parameter dict and the side, or the error building
-    the side raised; an error opening the instance is raised."""
+    the operands, the parameter dict and the side."""
     x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
-    try:
-        second = _INEQUALITIES[inequality_id].compare.second(x, y, values)
-    except Exception as exc:
-        second = exc
-    return x, y, values, second
-
-
-def _run_plan(jobs: list[tuple[Callable, tuple]], there=None, here=None) -> tuple:
-    """The outcomes of a plan's block jobs ``(function, args)``, in order,
-    then those of ``there`` and ``here``, None if not given.  The last block
-    runs in this process, each other in a worker of its own (``_pool.run``);
-    ``there`` is queued on the first worker ahead of its block, and ``here``
-    runs in this process ahead of its own.  A job that raises gives its
-    exception as its outcome."""
-    *heads, mine = jobs
-    queues = [[job] for job in heads]
-    if there:
-        queues[0].insert(0, there)
-    outcomes = _pool.run(queues, [here, mine] if here else [mine])
-    first = outcomes.pop(0) if there else None
-    second = outcomes.pop(-2) if here else None
-    return outcomes, first, second
+    with _overflow_named(inequality_id):
+        return x, y, values, _INEQUALITIES[inequality_id].compare.second(x, y, values)
 
 
 def _sweep_outcomes(sweep: tuple, blocks: list[range], count: int) -> list:
     """The outcomes of a sweep's ``blocks``, in order, then, if an instance
     is left over after them, its report in a list or the error that
-    certifying it in one process raises."""
-    jobs = [(_certify_block, (*sweep, block)) for block in blocks]
+    certifying it in one process raises.  The last block runs in this
+    process, each other in a worker of its own (``_pool.run``)."""
+    *theirs, mine = [[(_certify_block, (*sweep, block))] for block in blocks]
     index = blocks[-1].stop
     if index == count:
-        return _run_plan(jobs)[0]
-    # the leftover instance: its first side in a worker, its second here
-    sides = (_first_side, (*sweep, index)), (_second_side, (*sweep, index))
-    outcomes, first, opened = _run_plan(jobs, *sides)
-    if isinstance(opened, Exception):
-        return [*outcomes, opened]
+        return _pool.run(theirs, mine)
+    # the leftover instance: its first side in the first worker, ahead of
+    # its block, and its second here, ahead of this process's block
+    theirs[0].insert(0, (_first_side, (*sweep, index)))
+    first, *outcomes, opened, last = _pool.run(theirs, [(_second_side, (*sweep, index)), *mine])
+    outcomes.append(last)
+    # opening is deterministic, so the first error of the two is the one of
+    # one process: opening, then the first side, then the second
+    fault = next((side for side in (first, opened) if isinstance(side, Exception)), None)
+    if fault is not None:
+        return [*outcomes, fault]
     inequality_id, _, n, mode, _ = sweep
     x, y, values, second = opened
     try:
@@ -1365,9 +1344,9 @@ def run_instances(
     Reports come back in instance order, bit-reproducible per seed.
 
     The instances are certified in blocks, one per CPU this process may run
-    on, and an instance left over from even blocks as two sides in two
-    processes (``_sweep_blocks``, ``_run_plan``).  The reports are byte for
-    byte those of one process, and an error is the one the lowest failing
+    on, and one left over from even blocks as two sides in two processes
+    (``_sweep_blocks``, ``_sweep_outcomes``).  The reports are byte for byte
+    those of one process, and an error is the one the lowest failing
     instance raises, with its class and message (for a split instance, the
     one ``certify_inequality`` raises).  With one CPU, where the os module
     has no fork or no sched_getaffinity, or with a recipe replaced in

@@ -158,9 +158,12 @@ def kantorovich_lower_bound(w: float) -> float:
 
 
 def _check_decreasing_positive(values, name: str) -> list[float]:
-    """``values`` as floats, checked nonempty (EmptySequenceError), positive
-    (NonPositiveError), finite and strictly decreasing (BadRangeError)."""
-    seq = [float(v) for v in values]
+    """``values`` as floats, checked numbers, nonempty (EmptySequenceError),
+    positive (NonPositiveError), finite and strictly decreasing (BadRangeError)."""
+    try:
+        seq = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise BadRangeError(f"{name} must be a sequence of numbers, got {values!r}") from None
     if not seq:
         raise EmptySequenceError(f"{name} must be nonempty")
     if any(not v > 0.0 for v in seq):

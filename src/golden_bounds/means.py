@@ -29,7 +29,10 @@ from .linalg import (
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise BadRangeError(f"alpha must be a number, got {alpha!r}") from None
     if not 0.0 <= alpha <= 1.0:
         raise BadRangeError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha

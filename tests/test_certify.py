@@ -764,6 +764,7 @@ _GT = {"alpha": 0.5, "p": 1.0, "s": -2.0, "t": 2.0}
     "inequality_id, given, message",
     [
         ("gt-nope", _GT, "unknown inequality id 'gt-nope'"),
+        (["gt-specht"], _GT, r"unknown inequality id \['gt-specht'\]"),
         ("gt-specht", {**_GT, "r": 2.0, "x": 1.0}, "gt-specht takes no parameter r, x;"),
         ("gt-specht-norm", {**_GT, "norm_id": "schatten-2"},
          "gt-specht-norm takes no parameter norm_id;"),
@@ -778,8 +779,8 @@ _GT = {"alpha": 0.5, "p": 1.0, "s": -2.0, "t": 2.0}
          "gt-specht needs t; it takes alpha, p, s, t$"),
     ],
     ids=[
-        "unknown-id", "unknown-name", "norm-id", "fixed-alpha-p", "fixed-p", "derived-h",
-        "derived-rows", "derived-factor", "missing-name",
+        "unknown-id", "unhashable-id", "unknown-name", "norm-id", "fixed-alpha-p", "fixed-p",
+        "derived-h", "derived-rows", "derived-factor", "missing-name",
     ],
 )
 def test_certify_inequality_rejects_names_the_row_does_not_take(inequality_id, given, message):
@@ -1010,6 +1011,11 @@ def test_convergence_study_validation():
         convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, (1.0, 0.5), "magic")
     with pytest.raises(BadRangeError):
         convergence_study(pair.h, pair.k, 0.5, -0.5, 0.5, (1.0, 0.5), "specht")
+    # malformed input is a BadRangeError too, not a TypeError or ValueError
+    for bad in ({"p_sequence": [1, "x"]}, {"alpha": "x"}, {"p_sequence": 5}, {"s": "x"}):
+        given = {"s": pair.s, "t": pair.t, "alpha": 0.5, "p_sequence": (1.0, 0.5), **bad}
+        with pytest.raises(BadRangeError):
+            convergence_study(pair.h, pair.k, **given)
 
 
 @pytest.mark.parametrize(
@@ -1755,6 +1761,10 @@ def test_run_instances_validation():
         run_instances("gt-specht", count=0)
     with pytest.raises(BadRangeError):
         run_instances("gt-specht", count=1, mode="sideways")
+    # an id that is not a string is unknown too, hashable or not
+    for bad_id in (["gt-specht"], 3, None):
+        with pytest.raises(BadRangeError, match="unknown inequality id"):
+            run_instances(bad_id, count=1)
     # a name the id does not draw is refused before its value is read
     with pytest.raises(BadRangeError, match="does not draw alpha.*pinnable:"):
         run_instances("kantorovich-matrix", count=1, param_overrides={"alpha": "half"})
