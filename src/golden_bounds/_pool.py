@@ -119,9 +119,11 @@ def _serve(requests: int, responses: int) -> None:
 
 
 def _start_worker() -> _Worker:
-    """Fork a worker running ``_serve`` on one BLAS thread.  It leaves by
-    ``os._exit``, so it flushes no stdio buffer it inherited and runs no
-    atexit handler or enclosing ``finally``."""
+    """Fork a worker running ``_serve``.  It keeps the one BLAS thread that
+    ``run`` set before the fork: setting it again in the child would start
+    OpenBLAS's thread pool anew there.  It leaves by ``os._exit``, so it
+    flushes no stdio buffer it inherited and runs no atexit handler or
+    enclosing ``finally``."""
     fds = os.pipe() + os.pipe()
     try:
         with warnings.catch_warnings():
@@ -139,7 +141,6 @@ def _start_worker() -> _Worker:
         try:
             os.close(request_write)
             os.close(response_read)
-            _blas_threads(1)
             _serve(request_read, response_write)
         finally:
             os._exit(0)

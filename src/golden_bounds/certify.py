@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _pool, linalg
 from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
-from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError
+from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError, _integer, _real
 from .linalg import (
     HYPOTHESIS_RTOL,
     HermitianMatrix,
@@ -60,7 +60,7 @@ from .linalg import (
     power,
     trace,
 )
-from .means import _check_alpha, geometric_mean, log_euclidean, mean_power
+from .means import geometric_mean, log_euclidean, mean_power
 from .orders import loewner_leq
 from .sampling import (
     MODE_COMMUTING,
@@ -69,7 +69,6 @@ from .sampling import (
     SamplerConfig,
     _checked_seed,
     _difference_reduction,
-    _integer,
     _ratio_reduction,
     bounded_hermitian_pair,
     olson_exponential_pair,
@@ -304,40 +303,48 @@ def _require_compression(a, u, v: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parameter checks.  The table's checks validate entries of the parameter
-# dict in place and store them as floats.
+# Parameter checks: each is one test of the parameter dict and one message.
+# They run on floats: every parameter a caller gives goes through
+# ``errors._real`` first (``_checked``), in the rows and the experiments alike.
 # ---------------------------------------------------------------------------
 
 
-def _check_low_power(r: float) -> float:
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise BadRangeError(f"exponent must lie in (0, 1], got {r}")
-    return r
+def _check(test: Callable[[dict], bool], message: str) -> Callable[[dict], None]:
+    """The check that raises BadRangeError(``message`` formatted from the
+    parameter dict) where ``test`` of the dict is false."""
+
+    def check(v: dict) -> None:
+        if not test(v):
+            raise BadRangeError(message.format(**v))
+
+    return check
 
 
-def _check_positive(value: float, name: str) -> float:
-    value = float(value)
-    if not value > 0.0:
-        raise BadRangeError(f"{name} must be positive, got {value}")
-    return value
+def _checked(checks, **values) -> dict:
+    """``values`` as floats by ``_real``, in order, then run through ``checks``."""
+    v = {name: _real(value, name) for name, value in values.items()}
+    for check in checks:
+        check(v)
+    return v
 
 
-def _check_bounds(m: float, M: float) -> None:
-    if not m <= M:
-        raise BadRangeError(f"need m <= M, got m={m}, M={M}")
-
-
-def _check_finite_st(s: float, t: float) -> None:
-    """Finite exp-Olson scalars with s <= t."""
-    try:
-        finite = math.isfinite(s) and math.isfinite(t)
-    except TypeError:
-        raise BadRangeError(f"s and t must be numbers, got s={s!r}, t={t!r}") from None
-    if not finite:
-        raise BadRangeError(f"s and t must be finite, got s={s}, t={t}")
-    if s > t:
-        raise BadRangeError(f"need s <= t, got s={s}, t={t}")
+_alpha = _check(lambda v: 0.0 <= v["alpha"] <= 1.0, "alpha must lie in [0, 1], got {alpha}")
+_low_r = _check(lambda v: 0.0 < v["r"] <= 1.0, "exponent must lie in (0, 1], got {r}")
+_high_r = _check(lambda v: v["r"] >= 1.0, "exponent must be >= 1, got {r}")
+_q_le_p = _check(lambda v: 0.0 < v["q"] <= v["p"], "need 0 < q <= p, got q={q}, p={p}")
+_positive_p = _check(lambda v: v["p"] > 0.0, "p must be positive, got {p}")
+_low_p = _check(lambda v: 0.0 < v["p"] <= 1.0, "need 0 < p <= 1, got {p}")
+_positive_m = _check(lambda v: v["m"] > 0.0, "m must be positive, got {m}")
+_bounds = _check(lambda v: v["m"] <= v["M"], "need m <= M, got m={m}, M={M}")
+_chain_top = _check(lambda v: v["M"] <= 1.0, "chain needs M <= 1, got M = {M}")
+_exp_chain_top = _check(lambda v: v["M"] <= 0.0, "exponential chain needs M <= 0, got M = {M}")
+_high_h = _check(lambda v: v["h"] >= 1.0, "h must be >= 1, got {h}")
+_finite_s_t = _check(
+    lambda v: math.isfinite(v["s"]) and math.isfinite(v["t"]),
+    "s and t must be finite, got s={s}, t={t}",
+)
+_s_le_t = _check(lambda v: v["s"] <= v["t"], "need s <= t, got s={s}, t={t}")
+_sandwich = _check(lambda v: 0.0 < v["s"] <= v["t"], "need 0 < s <= t, got s={s}, t={t}")
 
 
 def _exp(exponent: float, name: str) -> float:
@@ -351,57 +358,6 @@ def _exp(exponent: float, name: str) -> float:
         fault = "overflows" if value else "underflows to 0"
         raise BadRangeError(f"e^({name}) = e^({exponent:g}) {fault} in double precision")
     return value
-
-
-def _alpha(v: dict) -> None:
-    v["alpha"] = _check_alpha(v["alpha"])
-
-
-def _low_r(v: dict) -> None:
-    v["r"] = _check_low_power(v["r"])
-
-
-def _high_r(v: dict) -> None:
-    v["r"] = r = float(v["r"])
-    if not r >= 1.0:
-        raise BadRangeError(f"exponent must be >= 1, got {r}")
-
-
-def _q_le_p(v: dict) -> None:
-    v["q"], v["p"] = q, p = float(v["q"]), float(v["p"])
-    if not 0.0 < q <= p:
-        raise BadRangeError(f"need 0 < q <= p, got q={q}, p={p}")
-
-
-def _positive_p(v: dict) -> None:
-    v["p"] = _check_positive(v["p"], "p")
-
-
-def _positive_m(v: dict) -> None:
-    v["m"] = _check_positive(v["m"], "m")
-
-
-def _bounds(v: dict) -> None:
-    _check_bounds(v["m"], v["M"])
-
-
-def _chain_top(v: dict) -> None:
-    if v["M"] > 1.0:
-        raise BadRangeError(f"chain needs M <= 1, got M = {v['M']}")
-
-
-def _exp_chain_top(v: dict) -> None:
-    if v["M"] > 0.0:
-        raise BadRangeError(f"exponential chain needs M <= 0, got M = {v['M']}")
-
-
-def _finite_st(v: dict) -> None:
-    _check_finite_st(v["s"], v["t"])
-
-
-def _sandwich(v: dict) -> None:
-    if not 0.0 < v["s"] <= v["t"]:
-        raise BadRangeError(f"need 0 < s <= t, got s={v['s']}, t={v['t']}")
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +642,8 @@ _POWER_SANDWICH = _Hypothesis(
     _PD_RANGE,
 )
 _EXP_OLSON = _Hypothesis(
-    "exp-Olson", ("s", "t"), (_finite_st,), _require_exponential_olson, _exp_olson_sample,
-    _HERMITIAN_RANGE,
+    "exp-Olson", ("s", "t"), (_finite_s_t, _s_le_t), _require_exponential_olson,
+    _exp_olson_sample, _HERMITIAN_RANGE,
 )
 _BOUNDED_A = _Hypothesis(
     "bounded `A`", ("m", "M", "h", "rows"), (_positive_m, _bounds), _require_compression,
@@ -920,8 +876,10 @@ def _overflow_named(inequality_id: str):
 
 def _opened(inequality_id: str, x, y, params: dict) -> dict:
     """The first steps of ``certify_inequality``: check the operands and
-    the parameters, re-verify the hypothesis, derive h and rows and build
-    the factor.  Returns the row's parameter dict, which both sides read."""
+    the parameter names, take each given parameter as a float by
+    ``errors._real`` and run the row's checks, check that each is finite,
+    re-verify the hypothesis, derive h and rows and build the factor.
+    Returns the row's parameter dict, which both sides read."""
     spec = _row(inequality_id)
     for label, operand in zip("xy", (x,) if "rows" in spec.params else (x, y)):
         if not isinstance(operand, HermitianMatrix):
@@ -942,9 +900,7 @@ def _opened(inequality_id: str, x, y, params: dict) -> dict:
                 f"it takes {', '.join(spec.taken) or 'no parameters'}"
             )
     values = dict.fromkeys(spec.params)
-    values.update(spec.fixed, **params)
-    for check in spec.checks:
-        check(values)
+    values.update(spec.fixed, **_checked(spec.checks, **{n: params[n] for n in spec.taken}))
     for name in spec.taken:
         if not math.isfinite(values[name]):
             raise BadRangeError(f"{name} must be finite, got {values[name]}")
@@ -998,12 +954,10 @@ def compare_constants_remark(alpha: float, p: float, h: float) -> tuple[float, f
     Returns (K(h^{2p}, alpha)^{-1/p}, exp((1/p) alpha(1-alpha)(1-1/h^p)^2),
     difference).  The sign varies with h — neither reverse bound dominates.
     The exponential-route factor is the fm-pq row's."""
-    alpha = _check_alpha(alpha)
-    p = _check_positive(p, "p")
-    if not h >= 1.0:
-        raise BadRangeError(f"h must be >= 1, got {h}")
+    v = _checked((_alpha, _positive_p, _high_h), alpha=alpha, p=p, h=h)
+    alpha, p, h = v.values()
     kant_side = kantorovich(_checked_pow(h, 2.0 * p, "h^(2p)"), alpha) ** (-1.0 / p)
-    fm_side = _INEQUALITIES["fm-pq"].factor({"alpha": alpha, "p": p, "h": h})
+    fm_side = _INEQUALITIES["fm-pq"].factor(v)
     return kant_side, fm_side, kant_side - fm_side
 
 
@@ -1011,11 +965,9 @@ def compare_specht_vs_fm(alpha: float, r: float, h: float) -> tuple[float, float
     """Specht-route factor minus exponential-route factor for the low-power
     comparison: (S(h)^r, exp(r alpha(1-alpha)(1-1/h)^2), difference), the
     latter the fm-power-low row's factor."""
-    alpha, r = _check_alpha(alpha), _check_low_power(r)
-    if not h >= 1.0:
-        raise BadRangeError(f"h must be >= 1, got {h}")
-    specht_side = specht(h) ** r
-    fm_side = _INEQUALITIES["fm-power-low"].factor({"alpha": alpha, "r": r, "h": h})
+    v = _checked((_alpha, _low_r, _high_h), alpha=alpha, r=r, h=h)
+    specht_side = specht(v["h"]) ** v["r"]
+    fm_side = _INEQUALITIES["fm-power-low"].factor(v)
     return specht_side, fm_side, specht_side - fm_side
 
 
@@ -1052,14 +1004,9 @@ def compare_seo_constants(
              ratio), where ratio <= 1 certifies that the single constant is
     never worse than the product.  The single constant is the factor of the
     gt-kantorovich-bounded row."""
-    alpha = _check_alpha(alpha)
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise BadRangeError(f"need 0 < p <= 1, got {p}")
-    _check_bounds(m, M)
-    new_constant = _INEQUALITIES["gt-kantorovich-bounded"].factor(
-        {"alpha": alpha, "p": p, "m": m, "M": M}
-    )
+    v = _checked((_alpha, _low_p, _bounds), alpha=alpha, p=p, m=m, M=M)
+    alpha, p, m, M = v.values()
+    new_constant = _INEQUALITIES["gt-kantorovich-bounded"].factor(v)
     extra = kantorovich(_exp(M - m, "M-m"), p) ** (-alpha / p)
     product = extra * new_constant
     return new_constant, product, new_constant / product
@@ -1103,8 +1050,7 @@ def convergence_study(
     eigensolver that is not the package's own (a caller's wrapper that
     records each call, ``linalg._own_solver``), the table runs in this
     process."""
-    alpha = _check_alpha(alpha)
-    _check_finite_st(s, t)
+    alpha, s, t = _checked((_alpha, _finite_s_t, _s_le_t), alpha=alpha, s=s, t=t).values()
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
     if factor_kind not in ("specht", "kantorovich"):
         raise BadRangeError(
@@ -1370,10 +1316,7 @@ def run_instances(
             f"{inequality_id} does not draw {', '.join(ignored)}, so it cannot be pinned; "
             f"pinnable: {', '.join(pinnable) or 'none'}"
         )
-    try:
-        pins = {name: float(value) for name, value in overrides.items()}
-    except (TypeError, ValueError):
-        raise BadRangeError(f"pinned values must be numbers, got {overrides!r}") from None
+    pins = {name: _real(value, f"pinned {name}") for name, value in overrides.items()}
     for name, value in pins.items():
         if not math.isfinite(value):
             raise BadRangeError(f"pinned {name} must be finite, got {value}")

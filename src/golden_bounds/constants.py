@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import BadRangeError, EmptySequenceError, NonPositiveError
+from .errors import BadRangeError, EmptySequenceError, NonPositiveError, _real, _reals
 
 BRANCH_DIRECT = "direct"
 BRANCH_SERIES = "series"
@@ -68,7 +68,7 @@ def specht(t: float) -> float:
     A non-finite t, or a t whose S(t) exceeds double range, raises
     BadRangeError.
     """
-    return _specht_eval(float(t))[0]
+    return _specht_eval(_real(t, "t"))[0]
 
 
 def _checked_pow(base: float, exponent: float, name: str) -> float:
@@ -86,7 +86,7 @@ def _checked_pow(base: float, exponent: float, name: str) -> float:
 
 def specht_p_root(t: float, p: float) -> float:
     """S(t^p)^(1/p); tends to 1 as p -> 0."""
-    t, p = float(t), float(p)
+    t, p = _real(t, "t"), _real(p, "p")
     _require_finite("Specht p-root", t, p)
     if not t > 0.0:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
@@ -145,12 +145,12 @@ def kantorovich(w: float, alpha: float) -> float:
     A non-finite w or alpha, or a (w, alpha) whose K leaves double range,
     raises BadRangeError.
     """
-    return _kantorovich_eval(float(w), float(alpha))[0]
+    return _kantorovich_eval(_real(w, "w"), _real(alpha, "alpha"))[0]
 
 
 def kantorovich_lower_bound(w: float) -> float:
     """2 w^{1/4} / (w^{1/2} + 1), the floor of K(w, .) on alpha in [0, 1]."""
-    w = float(w)
+    w = _real(w, "w")
     _require_finite("Kantorovich lower bound", w)
     if not w > 0.0:
         raise NonPositiveError(f"lower bound needs w > 0, got {w}")
@@ -160,10 +160,7 @@ def kantorovich_lower_bound(w: float) -> float:
 def _check_decreasing_positive(values, name: str) -> list[float]:
     """``values`` as floats, checked numbers, nonempty (EmptySequenceError),
     positive (NonPositiveError), finite and strictly decreasing (BadRangeError)."""
-    try:
-        seq = [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise BadRangeError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    seq = _reals(values, name)
     if not seq:
         raise EmptySequenceError(f"{name} must be nonempty")
     if any(not v > 0.0 for v in seq):
@@ -181,7 +178,7 @@ def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     The values tend to 1 as p -> 0, which is what collapses the reverse
     bound's constant in the small-exponent limit.
     """
-    w, alpha = float(w), float(alpha)
+    w, alpha = _real(w, "w"), _real(alpha, "alpha")
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
     try:
         return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
@@ -197,7 +194,7 @@ def fm_factor(h: float, alpha: float, scale: float) -> float:
     The scale argument absorbs the exponent bookkeeping of the different
     statements (r for the low-power form, 1/p for the rooted forms).
     """
-    h, alpha, scale = float(h), float(alpha), float(scale)
+    h, alpha, scale = _real(h, "h"), _real(alpha, "alpha"), _real(scale, "scale")
     _require_finite("fm_factor", h, alpha, scale)
     if h < 1.0:
         raise BadRangeError(f"fm_factor needs h >= 1, got {h}")
@@ -222,7 +219,7 @@ _EVALUATORS = {
 
 def evaluate_constant(name: str, arguments) -> ConstantEval:
     """Evaluate a named constant and report the branch taken."""
-    args = tuple(float(a) for a in arguments)
+    args = tuple(_reals(arguments, "arguments"))
     if name not in _EVALUATORS:
         raise BadRangeError(f"unknown constant {name!r}; choose from {sorted(_EVALUATORS)}")
     evaluator, arity = _EVALUATORS[name]

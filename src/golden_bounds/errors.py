@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the gates that turn a
+caller's scalars into numbers or name them in a BadRangeError."""
+
+import operator
 
 
 class GoldenBoundsError(Exception):
@@ -51,3 +54,31 @@ class NonPositiveError(BadRangeError):
 
 class HypothesisViolatedError(GoldenBoundsError):
     """Certifier input does not satisfy the inequality's hypothesis."""
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float: whatever float() accepts passes; any other
+    value raises BadRangeError naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise BadRangeError(f"{name} must be a number, got {value!r}") from None
+
+
+def _reals(values, name: str, error: type = BadRangeError) -> list[float]:
+    """``values`` as a list of floats, each whatever float() accepts; a
+    value that is not an iterable of numbers raises ``error`` naming ``name``
+    (BadRangeError, or BadGridError for an exponent grid)."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, through
+    operator.index; any other value, 3.0 included, raises BadRangeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadRangeError(f"{name} must be an integer, got {value!r}") from None

@@ -72,6 +72,7 @@ from .errors import (
     NoConvergenceError,
     NonSquareError,
     NotHermitianError,
+    _real,
 )
 
 HERMITICITY_DEFECT_RTOL = 1e-8
@@ -835,7 +836,7 @@ def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> Hermitian
 
 def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
     """Real matrix power of a positive definite matrix via its spectrum."""
-    r = float(exponent)
+    r = _real(exponent, "exponent")
     dec = matrix.decomposition
     if dec.eigenvalues[-1] <= 0.0:
         raise DomainError("matrix power requires a positive definite input")

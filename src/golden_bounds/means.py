@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .constants import _check_decreasing_positive
-from .errors import BadRangeError
+from .errors import BadRangeError, _real
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -29,10 +29,7 @@ from .linalg import (
 
 
 def _check_alpha(alpha: float) -> float:
-    try:
-        alpha = float(alpha)
-    except (TypeError, ValueError):
-        raise BadRangeError(f"alpha must be a number, got {alpha!r}") from None
+    alpha = _real(alpha, "alpha")
     if not 0.0 <= alpha <= 1.0:
         raise BadRangeError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
@@ -68,7 +65,7 @@ def mean_power(
     h: HermitianMatrix, k: HermitianMatrix, alpha: float, q: float
 ) -> PositiveDefiniteMatrix:
     """(e^{qH} #_alpha e^{qK})^{1/q} for q > 0."""
-    q = float(q)
+    q = _real(q, "q")
     if not 0.0 < q < math.inf:
         raise BadRangeError(f"q must be positive and finite, got {q}")
     return power(geometric_mean(exp_h(q * h), exp_h(q * k), alpha), 1.0 / q)

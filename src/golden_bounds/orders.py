@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadGridError
+from .errors import BadGridError, _reals
 from .linalg import (
     HYPOTHESIS_RTOL,
     HermitianMatrix,
@@ -38,7 +38,7 @@ def loewner_leq(lhs: HermitianMatrix, rhs: HermitianMatrix) -> bool:
 
 
 def _validated_grid(grid) -> tuple[float, ...]:
-    values = sorted({float(r) for r in grid})
+    values = sorted(set(_reals(grid, "exponent grid", BadGridError)))
     if not values:
         raise BadGridError("exponent grid must be nonempty")
     if any(not math.isfinite(r) for r in values):

@@ -18,12 +18,11 @@ commute to rounding error.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadRangeError, DimMismatchError
+from .errors import BadRangeError, DimMismatchError, _integer, _real
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -72,21 +71,14 @@ class SamplerConfig:
             raise BadRangeError(f"dim must be a positive integer, got {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "lo", _real(self.lo, "lo"))
+        object.__setattr__(self, "hi", _real(self.hi, "hi"))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise BadRangeError(f"spectral range must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise BadRangeError(f"spectral range is empty: [{self.lo}, {self.hi}]")
         if self.mode not in (MODE_GENERAL, MODE_COMMUTING):
             raise BadRangeError(f"mode must be 'general' or 'commuting', got {self.mode!r}")
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int: Python and numpy integers pass, through
-    operator.index; any other value, 3.0 included, raises BadRangeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise BadRangeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_seed(seed) -> int:
@@ -128,6 +120,7 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_isometry(cfg: SamplerConfig, rows: int, index: int = 0) -> np.ndarray:
     """rows x dim matrix U with U U* = I (rows of a Haar unitary)."""
+    rows = _integer(rows, "rows")
     if not 1 <= rows <= cfg.dim:
         raise DimMismatchError(f"rows must lie in [1, {cfg.dim}], got {rows}")
     rng = philox_generator(cfg.seed, index, TAG_SECONDARY_BASIS)
@@ -228,7 +221,7 @@ def sandwich_pair(cfg: SamplerConfig, s: float, t: float, index: int = 0) -> San
     B = A^{1/2} C A^{1/2}, so the sandwich holds exactly by construction.
     In commuting mode C shares A's eigenbasis and B is built spectrally.
     """
-    s, t = float(s), float(t)
+    s, t = _real(s, "s"), _real(t, "t")
     if not 0.0 < s <= t:
         raise BadRangeError(f"need 0 < s <= t, got s={s}, t={t}")
     a = random_pd(cfg, index)
@@ -273,7 +266,7 @@ def olson_exponential_pair(cfg: SamplerConfig, index: int = 0) -> ExponentialOls
     that e^{m-M} e^H <=ols e^K <=ols e^{M-m} e^H for any (even non-commuting)
     draw, with s = m - M and t = M - m, the difference reduction of [m, M]."""
     h, k = bounded_hermitian_pair(cfg, index)
-    s, t = _difference_reduction(float(cfg.lo), float(cfg.hi))
+    s, t = _difference_reduction(cfg.lo, cfg.hi)
     return ExponentialOlsonSample(h=h, k=k, s=s, t=t)
 
 

@@ -30,13 +30,16 @@ def test_a_queue_of_large_requests_and_responses_finishes():
 def test_one_blas_thread_during_a_split_call_whatever_the_import_order():
     # numpy imported first loads its OpenBLAS with a thread per CPU; a call
     # that uses workers runs one here and one in each worker, and gives the
-    # caller its count back after
+    # caller its count back after; the worker runs one OS thread, with no
+    # BLAS thread pool started anew after the fork
     program = (
-        "import numpy\n"
+        "import os, numpy\n"
         "from golden_bounds import _pool\n"
         "before = _pool._blas_threads()\n"
         "job = [(_pool._blas_threads, ())]\n"
-        "print(before, *_pool.run([job], job), _pool._blas_threads())\n"
+        "tasks = (os.listdir, ('/proc/self/task',))\n"
+        "worker, worker_tasks, here = _pool.run([[*job, tasks]], job)\n"
+        "print(before, worker, here, _pool._blas_threads(), len(worker_tasks))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -45,9 +48,10 @@ def test_one_blas_thread_during_a_split_call_whatever_the_import_order():
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60,
         check=True,
     ).stdout
-    before, worker, here, after = out.split()
+    before, worker, here, after, worker_tasks = out.split()
     assert before != "None"
     assert (worker, here, after) == ("1", "1", before)
+    assert worker_tasks == "1"
 
 
 def test_workers_run_the_package_as_it_was_forked(monkeypatch):

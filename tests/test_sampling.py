@@ -8,9 +8,21 @@ import pytest
 
 import oracles
 from golden_bounds import orders, sampling
-from golden_bounds.certify import certify_inequality, compare_specht_vs_fm, run_instances
+from golden_bounds.certify import (
+    certify_inequality,
+    compare_seo_constants,
+    compare_specht_vs_fm,
+    run_instances,
+)
+from golden_bounds.constants import (
+    evaluate_constant,
+    fm_factor,
+    kantorovich_limit_root,
+    specht,
+    specht_p_root,
+)
 from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError
-from golden_bounds.linalg import HermitianMatrix, exp_h
+from golden_bounds.linalg import HermitianMatrix, exp_h, power
 from golden_bounds.means import limit_probe, mean_power
 from golden_bounds.orders import loewner_leq, olson_leq
 from golden_bounds.sampling import (
@@ -111,6 +123,31 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: philox_generator(3.0, 0, 0), BadRangeError, "seed must be an integer, got 3.0"),
         (lambda: philox_generator(3, 1.5, 0), BadRangeError, "index must be an integer, got 1.5"),
         (lambda: SamplerConfig(2.0, 0, 0.1, 1.0), BadRangeError, "dim must be an integer, got 2.0"),
+        # a scalar that is not a number is a BadRangeError naming it, in every module
+        (lambda: specht("x"), BadRangeError, "t must be a number, got 'x'"),
+        (lambda: specht_p_root(2, "x"), BadRangeError, "p must be a number, got 'x'"),
+        (lambda: fm_factor("x", 0.5, 1), BadRangeError, "h must be a number, got 'x'"),
+        (lambda: kantorovich_limit_root("x", 0.5, (1, 0.5)), BadRangeError,
+         "w must be a number, got 'x'"),
+        (lambda: evaluate_constant("specht", 5), BadRangeError,
+         "arguments must be a sequence of numbers, got 5"),
+        (lambda: power(random_pd(_CFG_3), None), BadRangeError,
+         "exponent must be a number, got None"),
+        (lambda: mean_power(_I2, _I2, 0.5, "x"), BadRangeError, "q must be a number, got 'x'"),
+        (lambda: SamplerConfig(3, 1, "x", 1.0), BadRangeError, "lo must be a number, got 'x'"),
+        (lambda: random_isometry(_CFG_3, "x"), BadRangeError, "rows must be an integer, got 'x'"),
+        (lambda: olson_leq(random_pd(_CFG_3), random_pd(_CFG_3), ["x"]), BadGridError,
+         "exponent grid must be a sequence of numbers, got ['x']"),
+        (lambda: compare_seo_constants(0.5, 0.5, "x", 1), BadRangeError,
+         "m must be a number, got 'x'"),
+        (lambda: certify_inequality(
+            "specht-power-low", _I2, _I2, alpha=0.5, r=0.5, s="x", t=2.0
+         ), BadRangeError, "s must be a number, got 'x'"),
+        (lambda: certify_inequality("specht-pq", _I2, _I2, alpha=0.5, q=None, p=1.0, s=0.5, t=2.0),
+         BadRangeError, "q must be a number, got None"),
+        (lambda: certify_inequality(
+            "bounded-power-low", _I2, _I2, alpha=0.5, r=0.5, m=0.5, M=None
+         ), BadRangeError, "M must be a number, got None"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
