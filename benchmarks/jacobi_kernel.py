@@ -15,8 +15,8 @@ also replays its rotation log into the eigenvectors, as the first read of
 ``linalg._ROUND_ROBIN_MIN_N`` up the solver is the round-robin kernel, and
 below it the cyclic one.
 
-``kernels`` times both kernels at every n on the same matrices, with the
-crossover passed to ``linalg._jacobi`` above or below n; within a round the
+``kernels`` times both kernels at every n on the same matrices, with
+``linalg._ROUND_ROBIN_MIN_N`` set above or below n; within a round the
 four timings (each kernel, eigenvalues alone and with eigenvectors) run in
 turn, so a drift of the host's speed reaches them alike.  Their ratio sets
 the crossover (``BENCH_round_robin.json``).
@@ -31,6 +31,7 @@ B - A that passes the re-check, so the factorization runs to its last pivot:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import statistics
@@ -80,11 +81,16 @@ def cholesky(matrix: np.ndarray) -> None:
     linalg._cholesky_succeeds(matrix, SHIFT)
 
 
-def _kernel_settings(kernel: str) -> tuple:
-    """``linalg._jacobi``'s settings with the round-robin crossover above
-    every n (``cyclic``) or below it (``round_robin``)."""
-    *settings, _ = linalg._settings()
-    return (*settings, math.inf if kernel == "cyclic" else 2)
+@contextlib.contextmanager
+def _kernel(kernel: str):
+    """Run ``kernel`` at every n: the round-robin crossover set above every n
+    (``cyclic``) or below it (``round_robin``), then restored."""
+    crossover = linalg._ROUND_ROBIN_MIN_N
+    linalg._ROUND_ROBIN_MIN_N = math.inf if kernel == "cyclic" else 2
+    try:
+        yield
+    finally:
+        linalg._ROUND_ROBIN_MIN_N = crossover
 
 
 def kernel_table(matrix_sets, rounds: int) -> dict:
@@ -96,20 +102,19 @@ def kernel_table(matrix_sets, rounds: int) -> dict:
         matrices = matrix_sets[n]
         calls = {}
         for kernel in out:
-            settings = _kernel_settings(kernel)
-            calls[kernel, "eigenvalues"] = lambda m, s=settings: linalg._jacobi(m, s)
-            calls[kernel, "with_eigenvectors"] = (
-                lambda m, s=settings: linalg._jacobi(m, s)[1].replay()
-            )
+            calls[kernel, "eigenvalues"] = eigenvalues
+            calls[kernel, "with_eigenvectors"] = with_eigenvectors
         means = {key: [] for key in calls}
-        for call in calls.values():
-            call(matrices[0])
+        for (kernel, _), call in calls.items():
+            with _kernel(kernel):
+                call(matrices[0])
         for _ in range(rounds):
             for key, call in calls.items():
-                started = time.perf_counter()
-                for matrix in matrices:
-                    call(matrix)
-                means[key].append((time.perf_counter() - started) / len(matrices))
+                with _kernel(key[0]):
+                    started = time.perf_counter()
+                    for matrix in matrices:
+                        call(matrix)
+                    means[key].append((time.perf_counter() - started) / len(matrices))
         for (kernel, what), samples in means.items():
             out[kernel][what][str(n)] = round(1e6 * statistics.median(samples), 1)
     return out

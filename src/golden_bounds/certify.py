@@ -1305,6 +1305,11 @@ def run_instances(
     count = _integer(count, "count")
     if count < 1:
         raise BadRangeError(f"count must be >= 1, got {count}")
+    n = None if n is None else _integer(n, "n")
+    if n is not None and n < 1:
+        raise BadRangeError(f"n must be >= 1, got {n}")
+    if mode is not None and mode not in (MODE_GENERAL, MODE_COMMUTING):
+        raise BadRangeError(f"mode must be None, 'general' or 'commuting', got {mode!r}")
     recipe = RECIPES[inequality_id]
     overrides = param_overrides or {}
     if not isinstance(overrides, dict):

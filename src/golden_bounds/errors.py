@@ -56,23 +56,34 @@ class HypothesisViolatedError(GoldenBoundsError):
     """Certifier input does not satisfy the inequality's hypothesis."""
 
 
+def _shown(value) -> str:
+    """The repr of a caller's value, cut to 40 characters and "..."."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _real(value, name: str) -> float:
     """``value`` as a float: whatever float() accepts passes; any other
-    value raises BadRangeError naming ``name``."""
+    value, or one float() overflows on, raises BadRangeError naming ``name``."""
     try:
         return float(value)
     except (TypeError, ValueError):
         raise BadRangeError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise BadRangeError(f"{name} exceeds double range, got {_shown(value)}") from None
 
 
 def _reals(values, name: str, error: type = BadRangeError) -> list[float]:
     """``values`` as a list of floats, each whatever float() accepts; a
-    value that is not an iterable of numbers raises ``error`` naming ``name``
-    (BadRangeError, or BadGridError for an exponent grid)."""
+    value that is not an iterable of numbers, or holds one float() overflows
+    on, raises ``error`` naming ``name`` (BadRangeError, or BadGridError for
+    an exponent grid)."""
     try:
         return [float(v) for v in values]
     except (TypeError, ValueError):
         raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
+    except OverflowError:
+        raise error(f"{name} exceeds double range, got {_shown(values)}") from None
 
 
 def _integer(value, name: str) -> int:

@@ -22,24 +22,20 @@ spectrum never forms them; only genuinely new matrices cost a Jacobi run.
 Nor does a matrix whose entries equal, bit for bit, those of one solved a
 little earlier in the same process: every solve goes through one spectral
 cache, keyed by the exact bytes of the read-only complex128 entries the
-eigensolver would receive.  A hit shares the decomposition that the
-matrices of that solve still hold (read-only arrays, eigenvectors built
-once for all who share it), or, once none holds it, gets a new one on the
-cached eigenvalues and, if some sharer built them, eigenvectors.  The cache
-holds at most _CACHE_BYTES (256 KiB, fixed) of entries, least recently used
-out first: that is room for the reuse within one pass of a sweep over the
-ids (rows that share draws solve the same matrices) and not across passes.
-It holds no rotation log, so a hit whose eigenvectors were never built
-builds them, if they are read, from a new solve of its key, which gives the
-same bits.  The cache is consulted and filled only while ``_jacobi`` is
-this module's own function and JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL,
-_JACOBI_EXPONENT_LIMIT and _ROUND_ROBIN_MIN_N hold their values here
-(``_own_solver``, which also keeps sweeps and tables in this process), so
-a caller's wrapper around ``_jacobi`` sees every solve and a changed
-setting takes effect at once.
-It lives as long as the process, across the CLI calls made in it; a new
-``golden-bounds`` process, and each forked sweep worker, starts with it
-empty.
+eigensolver would receive.  A hit is a new decomposition on the cached
+read-only arrays: the eigenvalues, and the eigenvectors once a decomposition
+of that key has built them.  The cache holds at most _CACHE_BYTES (256 KiB,
+fixed) of entries, least recently used out first: that is room for the
+reuse within one pass of a sweep over the ids (rows that share draws solve
+the same matrices) and not across passes.  It holds no rotation log, so a
+hit whose eigenvectors were never built builds them, if they are read, from
+a new solve of its key, which gives the same bits.  The cache is consulted
+and filled only while ``_jacobi`` is this module's own function
+(``_own_solver``, which also keeps sweeps and tables in this process), so a
+caller's wrapper around ``_jacobi`` sees every solve.  The eigensolver's
+settings are constants, which the cache does not track.  It lives as long
+as the process, across the CLI calls made in it; a new ``golden-bounds``
+process, and each forked sweep worker, starts with it empty.
 
 Arrays are checked where they enter, not wherever a matrix is built. A
 caller's raw array (shape, finiteness, Hermiticity defect), a decomposition
@@ -57,7 +53,6 @@ import functools
 import math
 import os
 import threading
-import weakref
 from collections import OrderedDict
 from numbers import Real
 
@@ -97,15 +92,7 @@ _JACOBI_EXPONENT_LIMIT = 400
 _ROUND_ROBIN_MIN_N = 9
 
 
-def _settings() -> tuple:
-    """The module values ``_jacobi`` reads: its sweep cap, stopping ratio,
-    exponent limit and round-robin crossover."""
-    return JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_RTOL, _JACOBI_EXPONENT_LIMIT, _ROUND_ROBIN_MIN_N
-
-
-def _jacobi(
-    matrix: np.ndarray, settings: tuple | None = None
-) -> tuple[np.ndarray, "_RotationLog"]:
+def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
     """Diagonalize a Hermitian array by Jacobi rotations: in the cyclic order
     below the crossover _ROUND_ROBIN_MIN_N (9), in the round-robin order of
     ``_round_robin_jacobi`` from it.
@@ -118,8 +105,7 @@ def _jacobi(
     the input; the 100-sweep cap raises NoConvergenceError.  The input is
     rotated as its copy scaled by 2^k (see _JACOBI_EXPONENT_LIMIT), which
     leaves every rotation as it is, and the eigenvalues are scaled back by
-    2^-k.  ``settings`` replaces the module values of ``_settings()``; the
-    spectral cache's re-solves pass the values its entries were solved with.
+    2^-k.
 
     The cyclic rotations run on nested lists of Python complex scalars: at
     these small dimensions, per-element numpy indexing costs more than the
@@ -131,22 +117,19 @@ def _jacobi(
     BLAS products instead, so from the crossover up no such claim holds: its
     bits are those of the host's BLAS kernel.
     """
-    max_sweeps, offdiag_rtol, exponent_limit, round_robin_min_n = settings or _settings()
     parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
     n = parts.shape[0]
     peak = math.frexp(np.abs(parts).max())[1]
-    exponent = min(max(peak, -exponent_limit), exponent_limit) - peak
-    if n >= round_robin_min_n:
-        return _round_robin_jacobi(
-            np.ldexp(parts, exponent).view(np.complex128), exponent, max_sweeps, offdiag_rtol
-        )
+    exponent = min(max(peak, -_JACOBI_EXPONENT_LIMIT), _JACOBI_EXPONENT_LIMIT) - peak
+    if n >= _ROUND_ROBIN_MIN_N:
+        return _round_robin_jacobi(np.ldexp(parts, exponent).view(np.complex128), exponent)
     a = np.ldexp(parts, exponent).view(np.complex128).tolist()
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     steps = []
-    threshold = offdiag_rtol * math.sqrt(
+    threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(
         sum(x.real * x.real + x.imag * x.imag for row in a for x in row)
     )
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for i, row in enumerate(a):  # row-major, lower entries through their mirrors
             for above in a[:i]:
@@ -157,8 +140,8 @@ def _jacobi(
         off = math.sqrt(off)
         if off <= threshold:
             break
-        if sweep == max_sweeps:
-            raise _sweep_cap_error(max_sweeps, off, threshold)
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise _sweep_cap_error(off, threshold)
         for p, q in pairs:
             row_p = a[p]
             row_q = a[q]
@@ -219,9 +202,9 @@ def _jacobi(
     return vals[order], _RotationLog(steps, order.tolist())
 
 
-def _sweep_cap_error(max_sweeps: int, off: float, threshold: float) -> NoConvergenceError:
+def _sweep_cap_error(off: float, threshold: float) -> NoConvergenceError:
     return NoConvergenceError(
-        f"Jacobi sweep cap {max_sweeps} hit at off-diagonal "
+        f"Jacobi sweep cap {JACOBI_MAX_SWEEPS} hit at off-diagonal "
         f"mass {off:.3e} (threshold {threshold:.3e})"
     )
 
@@ -248,9 +231,7 @@ def _round_robin_schedule(n: int) -> tuple:
     return tuple(rounds), _read_only(~np.eye(n, dtype=bool))
 
 
-def _round_robin_jacobi(
-    a: np.ndarray, exponent: int, max_sweeps: int, offdiag_rtol: float
-) -> tuple[np.ndarray, "_RotationLog"]:
+def _round_robin_jacobi(a: np.ndarray, exponent: int) -> tuple[np.ndarray, "_RotationLog"]:
     """``_jacobi`` on ``a``, its input scaled by 2^exponent, in the parallel
     order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985).  The pairs
     of a round are disjoint, so its rotations make one unitary G, and
@@ -266,14 +247,14 @@ def _round_robin_jacobi(
     rounds, off_diagonal = _round_robin_schedule(n)
     eye = np.eye(n, dtype=np.complex128)
     steps = []
-    threshold = offdiag_rtol * math.sqrt(np.vdot(a, a).real)
-    for sweep in range(max_sweeps + 1):
+    threshold = JACOBI_OFFDIAG_RTOL * math.sqrt(np.vdot(a, a).real)
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         x = a[off_diagonal]
         off = math.sqrt(np.vdot(x, x).real)
         if off <= threshold:
             break
-        if sweep == max_sweeps:
-            raise _sweep_cap_error(max_sweeps, off, threshold)
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise _sweep_cap_error(off, threshold)
         for flat in rounds:
             m = len(flat) // 4
             entries = a.take(flat).tolist()  # the (p, p), (p, q), (q, p), (q, q) of each pair
@@ -312,18 +293,16 @@ def _round_robin_jacobi(
     return vals[order], _RotationLog(steps, order.tolist(), rounds=True)
 
 
-#: ``_jacobi`` and its settings as defined here, in containers that a
-#: caller's wrapper replacing module names leaves alone (``_own_solver``).
+#: ``_jacobi`` as defined here, in a container that a caller's wrapper
+#: replacing the module name leaves alone (``_own_solver``).
 _OWN_JACOBI = {"_jacobi": _jacobi}
-_OWN_SETTINGS = _settings()
 
 
 def _own_solver() -> bool:
-    """Whether ``_jacobi`` and its settings are this module's own.  Only
-    then is the spectral cache used and do sweeps and tables split over the
-    workers, so that a caller's wrapper around ``_jacobi`` sees every solve
-    in this process and a changed setting takes effect at once."""
-    return _jacobi is _OWN_JACOBI["_jacobi"] and _settings() == _OWN_SETTINGS
+    """Whether ``_jacobi`` is this module's own.  Only then is the spectral
+    cache used and do sweeps and tables split over the workers, so that a
+    caller's wrapper around ``_jacobi`` sees every solve in this process."""
+    return _jacobi is _OWN_JACOBI["_jacobi"]
 
 
 class _RotationLog:
@@ -430,7 +409,7 @@ class SpectralDecomposition:
     this module builds it from a checked matrix, nothing is checked.
     """
 
-    __slots__ = ("_eigenvalues", "_eigenvectors", "__weakref__")
+    __slots__ = ("_eigenvalues", "_eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
         eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
@@ -512,40 +491,37 @@ _CACHE_ENTRY_OVERHEAD = 600
 
 class _Entry:
     """One solved matrix in the spectral cache: its key (the bytes of its
-    entries), its eigenvalues, its eigenvectors once some sharer has read
-    them, and a weak reference to the decomposition its sharers hold now.
-    The cache holds no rotation log: a log lives as long as the
-    decomposition that holds it, as it does without a cache."""
+    entries), its eigenvalues, and its eigenvectors once a decomposition of
+    it has read them.  The cache holds no rotation log: a log lives as long
+    as the decomposition that holds it, as it does without a cache."""
 
-    __slots__ = ("key", "eigenvalues", "eigenvectors", "shared")
+    __slots__ = ("key", "eigenvalues", "eigenvectors")
 
     def __init__(self, key: bytes, eigenvalues: np.ndarray):
         eigenvalues.flags.writeable = False
         self.key = key
         self.eigenvalues = eigenvalues
         self.eigenvectors = None
-        self.shared = None
 
     def decomposition(self, log: _RotationLog | None = None) -> SpectralDecomposition:
-        """The decomposition the sharers hold, or, if none holds it (yet or
-        any more), a new one on the same eigenvalues, whose eigenvectors are
-        those stored here, or the replay of ``log``, the solve's, or else
-        come from a new solve of the key."""
-        dec = None if self.shared is None else self.shared()
-        if dec is None:
-            dec = SpectralDecomposition(self.eigenvalues, _Vectors(self, log))
-            self.shared = weakref.ref(dec)
-        return dec
+        """A new decomposition on this entry's arrays; its eigenvectors are
+        built, if they are read, by ``_vectors``, on ``log``, the solve's."""
+        return SpectralDecomposition(self.eigenvalues, functools.partial(self._vectors, log))
 
-    def __getstate__(self) -> tuple:
-        """The weak reference stays behind: an unpickled entry is in no cache
-        and shared by no decomposition yet."""
-        return None, {
-            "key": self.key,
-            "eigenvalues": self.eigenvalues,
-            "eigenvectors": self.eigenvectors,
-            "shared": None,
-        }
+    def _vectors(self, log: _RotationLog | None) -> np.ndarray:
+        """The stored eigenvectors, or else, stored for the next reader, the
+        replay of ``log`` or of a new solve of the key, which gives the same
+        bits."""
+        if self.eigenvectors is None:
+            if log is None:
+                _CACHE.count("resolves")
+                n = self.eigenvalues.shape[0]
+                matrix = np.frombuffer(self.key, dtype=np.complex128).reshape(n, n)
+                log = _OWN_JACOBI["_jacobi"](matrix)[1]
+            vectors = log.replay()
+            vectors.flags.writeable = False
+            self.eigenvectors = vectors
+        return self.eigenvectors
 
     def __setstate__(self, state: tuple) -> None:
         _restore_read_only(self, state)
@@ -553,34 +529,6 @@ class _Entry:
     def nbytes(self) -> int:
         """What the entry counts against _CACHE_BYTES."""
         return 2 * len(self.key) + self.eigenvalues.nbytes + _CACHE_ENTRY_OVERHEAD
-
-
-class _Vectors:
-    """The eigenvector builder of a cached decomposition: the entry's
-    eigenvectors if a sharer has built them, else the replay of the rotation
-    log of the solve, else, for a decomposition made after every holder of
-    the first was gone, the replay of a new solve of the key under the
-    settings every cached solve is made with, which gives the same bits.
-    The columns built are stored in the entry for later sharers."""
-
-    __slots__ = ("entry", "log")
-
-    def __init__(self, entry: _Entry, log: _RotationLog | None):
-        self.entry = entry
-        self.log = log
-
-    def __call__(self) -> np.ndarray:
-        entry, log = self.entry, self.log
-        if entry.eigenvectors is None:
-            if log is None:
-                _CACHE.count("resolves")
-                n = entry.eigenvalues.shape[0]
-                matrix = np.frombuffer(entry.key, dtype=np.complex128).reshape(n, n)
-                log = _OWN_JACOBI["_jacobi"](matrix, _OWN_SETTINGS)[1]
-            vectors = log.replay()
-            vectors.flags.writeable = False
-            entry.eigenvectors = vectors
-        return entry.eigenvectors
 
 
 class _SpectralCache:
@@ -611,9 +559,10 @@ class _SpectralCache:
         self.clear()
 
     def solve(self, matrix: np.ndarray) -> SpectralDecomposition:
-        """The cached decomposition of an entry array with these bytes, or a
-        new solve, cached unless its entry alone exceeds the budget.  Two
-        threads may solve one key at once; the first to store it is shared."""
+        """A decomposition on the cached arrays of an entry array with these
+        bytes, or a new solve, cached unless its entry alone exceeds the
+        budget.  Two threads may solve one key at once; the first to store it
+        is cached, and each returns its own solve, of the same bits."""
         key = matrix.tobytes()
         with self.lock:
             entry = self.entries.get(key)
@@ -629,10 +578,9 @@ class _SpectralCache:
             tally["misses"] += 1
             if entry.nbytes() > _CACHE_BYTES:
                 return dec
-            held = self.entries.setdefault(key, entry)
-            if held is not entry:
+            if self.entries.setdefault(key, entry) is not entry:
                 self.entries.move_to_end(key)
-                return held.decomposition()
+                return dec
             tally["bytes"] += entry.nbytes()
             while tally["bytes"] > _CACHE_BYTES:
                 tally["bytes"] -= self.entries.popitem(last=False)[1].nbytes()

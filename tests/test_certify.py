@@ -37,7 +37,6 @@ from golden_bounds.errors import (
     EmptySequenceError,
     GoldenBoundsError,
     HypothesisViolatedError,
-    NoConvergenceError,
     NonPositiveError,
 )
 from golden_bounds.linalg import (
@@ -1442,30 +1441,6 @@ def test_no_worker_outlives_its_process(ending):
     workers = [int(pid) for pid in out.split()]
     assert workers
     assert all(_gone(pid) for pid in workers)
-
-
-def test_a_changed_eigensolver_setting_keeps_the_sweep_here(monkeypatch, request):
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("a sweep starts workers only with two CPUs or more")
-
-    def sweep() -> list[dict]:
-        return [r.to_dict() for r in run_instances("gt-specht", count=4, seed=1).reports]
-
-    split = sweep()
-    workers = _worker_pids()
-    assert workers
-    # the workers, forked before the patch, would certify instance 0 under
-    # the package's own setting; run here, it is the lowest failing instance
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(NoConvergenceError) as first:
-        certify._certify_block("gt-specht", 1, None, None, {}, range(1))
-    with pytest.raises(NoConvergenceError, match=f"^{re.escape(str(first.value))}$"):
-        sweep()
-    monkeypatch.undo()
-    assert sweep() == split
-    assert _worker_pids() == workers
-    request.getfixturevalue("one_cpu")
-    assert sweep() == split
 
 
 def test_a_wrapped_eigensolver_sees_every_solve_in_this_process(monkeypatch, tmp_path, request):

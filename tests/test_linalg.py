@@ -704,13 +704,18 @@ def test_hermiticity_verdict_and_message_are_those_of_the_unscaled_entries(scale
 # ---------------------------------------------------------------------------
 
 
-def test_matrices_with_the_same_bytes_share_one_decomposition():
+def test_matrices_with_the_same_bytes_share_one_solve():
     a = random_hermitian(np.random.default_rng(83), 5).matrix
-    first, second = HermitianMatrix(a), PositiveDefiniteMatrix(a @ a + np.eye(5))
-    again = HermitianMatrix(a.copy())
-    assert again.decomposition is first.decomposition
-    assert second.decomposition is not first.decomposition
-    assert again.decomposition.eigenvectors is first.decomposition.eigenvectors
+    first, again = HermitianMatrix(a), HermitianMatrix(a.copy())
+    assert again.eigenvalues is first.eigenvalues
+    assert linalg._CACHE.tally["hits"] == 1 and linalg._CACHE.tally["misses"] == 1
+    # a hit is a new decomposition on the entry's arrays: the columns one
+    # builds are those the other reads
+    assert again.decomposition is not first.decomposition
+    built = again.decomposition.eigenvectors
+    assert first.decomposition.eigenvectors is built
+    second = PositiveDefiniteMatrix(a @ a + np.eye(5))
+    assert second.eigenvalues is not first.eigenvalues
     assert linalg._CACHE.tally["hits"] == 1 and linalg._CACHE.tally["misses"] == 2
     vals, vecs = jacobi_eigenpairs(a)
     assert first.eigenvalues.tobytes() == vals.tobytes()
@@ -719,7 +724,7 @@ def test_matrices_with_the_same_bytes_share_one_decomposition():
     moved = a.copy()
     moved[0, 1] = complex(np.nextafter(a[0, 1].real, np.inf), a[0, 1].imag)
     moved[1, 0] = moved[0, 1].conjugate()
-    assert HermitianMatrix(moved).decomposition is not first.decomposition
+    assert HermitianMatrix(moved).eigenvalues is not first.eigenvalues
     assert linalg._CACHE.tally["misses"] == 3
 
 
@@ -735,29 +740,7 @@ def test_a_wrapped_jacobi_sees_every_solve_and_none_is_stored(solver_counts, mon
     assert linalg._CACHE.tally["misses"] == 1 and linalg._CACHE.tally["hits"] == 0
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [
-        ("JACOBI_MAX_SWEEPS", 0),
-        ("JACOBI_OFFDIAG_RTOL", 1e-3),
-        ("_JACOBI_EXPONENT_LIMIT", 2),
-        ("_ROUND_ROBIN_MIN_N", 2),
-    ],
-)
-def test_changed_settings_bypass_the_cache(monkeypatch, name, value):
-    a = random_hermitian(np.random.default_rng(97), 4).matrix * 100.0
-    cached = HermitianMatrix(a)
-    cached.eigenvalues
-    monkeypatch.setattr(linalg, name, value)
-    if name == "JACOBI_MAX_SWEEPS":
-        with pytest.raises(NoConvergenceError, match="sweep cap 0 hit"):
-            HermitianMatrix(a).eigenvalues
-    else:
-        assert HermitianMatrix(a).decomposition is not cached.decomposition
-    assert linalg._CACHE.tally["hits"] == 0 and linalg._CACHE.tally["misses"] == 1
-
-
-def test_a_hit_after_its_holders_are_gone_keeps_the_bits(monkeypatch):
+def test_a_hit_after_its_holders_are_gone_keeps_the_bits():
     rng = np.random.default_rng(101)
     a, b = random_hermitian(rng, 6).matrix, random_hermitian(rng, 5).matrix
     (a_vals, a_vecs), (b_vals, b_vecs) = jacobi_eigenpairs(a), jacobi_eigenpairs(b)
@@ -766,14 +749,32 @@ def test_a_hit_after_its_holders_are_gone_keeps_the_bits(monkeypatch):
     HermitianMatrix(b).eigenvalues
     gc.collect()
     # the cache keeps no log: a new holder of a gets the stored columns, and
-    # one of b solves b's bytes again, under the settings of cached solves
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    # one of b solves b's bytes again
     later_a, later_b = linalg._CACHE.solve(a), linalg._CACHE.solve(b)
     assert later_a.eigenvectors is built and built.tobytes() == a_vecs.tobytes()
     assert later_b.eigenvectors.tobytes() == b_vecs.tobytes()
     assert later_a.eigenvalues.tobytes() == a_vals.tobytes()
     assert later_b.eigenvalues.tobytes() == b_vals.tobytes()
     assert linalg._CACHE.tally == dict(linalg._CACHE.tally, hits=2, misses=2, resolves=1)
+
+
+@pytest.mark.parametrize("hit_first", [True, False])
+@pytest.mark.parametrize("n", [6, 16])
+def test_a_live_hit_read_before_or_after_its_holder_keeps_the_bits(n, hit_first):
+    a = random_hermitian(np.random.default_rng(113 + n), n).matrix
+    vals, vecs = jacobi_eigenpairs(a)
+    holder = HermitianMatrix(a).decomposition
+    hit = linalg._CACHE.solve(a)
+    # read first, the hit has no log and solves the key again; read second,
+    # it gets the columns that the replay of the holder's log stored
+    first, second = (hit, holder) if hit_first else (holder, hit)
+    built = first.eigenvectors
+    assert second.eigenvectors is built
+    for dec in (holder, hit):
+        assert dec.eigenvalues.tobytes() == vals.tobytes()
+        assert dec.eigenvectors.tobytes() == vecs.tobytes()
+    resolves = int(hit_first)
+    assert linalg._CACHE.tally == dict(linalg._CACHE.tally, hits=1, misses=1, resolves=resolves)
 
 
 def test_decompositions_in_three_threads_evict_safely():

@@ -54,14 +54,18 @@ def test_one_blas_thread_during_a_split_call_whatever_the_import_order():
     assert worker_tasks == "1"
 
 
+def _sweep_cap() -> int:
+    return linalg.JACOBI_MAX_SWEEPS
+
+
 def test_workers_run_the_package_as_it_was_forked(monkeypatch):
     # a patch made after the fork reaches this process's jobs, not the
     # worker's; after stop the next call forks a worker that runs it
-    job = [(linalg._settings, ())]
-    own = linalg._settings()
+    job = [(_sweep_cap, ())]
+    own = _sweep_cap()
     assert _pool.run([job], []) == [own]
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 7)
-    patched = (7, *own[1:])
+    patched = 7
     assert _pool.run([job], job) == [own, patched]
     _pool.stop()
     assert _pool.run([job], []) == [patched]

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: certify_inequality(
             "bounded-power-low", _I2, _I2, alpha=0.5, r=0.5, m=0.5, M=None
          ), BadRangeError, "M must be a number, got None"),
+        # a number float() overflows on is named too, its repr cut to 40 characters
+        (lambda: specht(10**400), BadRangeError, f"t exceeds double range, got 1{'0' * 39}..."),
+        (lambda: specht(Fraction(10**400)), BadRangeError,
+         f"t exceeds double range, got Fraction(1{'0' * 30}..."),
+        (lambda: evaluate_constant("specht", [10**400]), BadRangeError,
+         f"arguments exceeds double range, got [1{'0' * 38}..."),
+        (lambda: run_instances("gt-specht", 1, param_overrides={"alpha": 10**400}), BadRangeError,
+         f"pinned alpha exceeds double range, got 1{'0' * 39}..."),
+        (lambda: olson_leq(random_pd(_CFG_3), random_pd(_CFG_3), [1, 10**400]), BadGridError,
+         f"exponent grid exceeds double range, got [1, 1{'0' * 35}..."),
+        # a sweep's dimension and mode are checked where they enter, by their names
+        (lambda: run_instances("gt-specht", 1, n="x"), BadRangeError,
+         "n must be an integer, got 'x'"),
+        (lambda: run_instances("gt-specht", 1, n=2.0), BadRangeError,
+         "n must be an integer, got 2.0"),
+        (lambda: run_instances("gt-specht", 1, n=0), BadRangeError, "n must be >= 1, got 0"),
+        (lambda: run_instances("gt-specht", 1, mode="diagonal"), BadRangeError,
+         "mode must be None, 'general' or 'commuting', got 'diagonal'"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
