@@ -10,7 +10,7 @@ line holds the tables.
 
 ``us_per_call`` times the eigensolver on random complex Hermitian matrices
 (seed 0): ``eigenvalues`` is ``linalg._jacobi`` alone, ``with_eigenvectors``
-also replays its rotation log into the eigenvectors, as the first read of
+also calls the replay it returns to build the eigenvectors, as the first read of
 ``SpectralDecomposition.eigenvectors`` does (``BENCH_jacobi.json``).  From
 ``linalg._ROUND_ROBIN_MIN_N`` up the solver is the round-robin kernel, and
 below it the cyclic one.
@@ -74,7 +74,7 @@ def eigenvalues(matrix: np.ndarray) -> None:
 
 
 def with_eigenvectors(matrix: np.ndarray) -> None:
-    linalg._jacobi(matrix)[1].replay()
+    linalg._jacobi(matrix)[1]()
 
 
 def cholesky(matrix: np.ndarray) -> None:

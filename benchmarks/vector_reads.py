@@ -7,9 +7,9 @@ Run from a checkout, with that checkout's sources on the path:
 
 For each workload in ``perfbench/workloads.py`` it runs the CLI calls of the
 first ``--cycles`` cycles (CLI seeds taken from the start of the workload's
-pool) in this process, and counts ``linalg._jacobi`` calls and rotation-log
-replays. Each log is replayed at most once, so the eigensolves minus the
-replays are the decompositions whose eigenvectors were never read. In the
+pool) in this process, and counts ``linalg._jacobi`` calls and calls of the
+replays they return. Each replay runs at most once, so the eigensolves minus
+the replays are the decompositions whose eigenvectors were never read. In the
 same way it counts the matrices constructed with pending entries (a callable,
 such as the results of ``power`` and ``exp_h``) and the first reads of
 ``matrix`` that build them; the difference is the matrices whose entries were
@@ -19,17 +19,17 @@ enters (``linalg._checked_entries`` on a caller's array and
 a sampled operand enters), and the internal entry builds, which only
 symmetrize and guard a result computed from checked matrices
 (``linalg._result_entries``); both are also given per instance, over the
-instances the calls certify (one per convergence table). It first narrows
-its own CPU affinity to one CPU, so that ``run_instances`` certifies every
-instance in this process, where the hooks count it, instead of forking a
-child per extra CPU. Report files go to a temporary directory; the counts are
-printed as JSON.
+instances the calls certify (one per convergence table). While
+``linalg._jacobi`` is wrapped, every call runs in this process, where the
+hooks count it; the script also narrows its own CPU affinity to one CPU, so
+that the unwrapped pass below runs here too. Report files go to a temporary
+directory; the counts are printed as JSON.
 
 Wrapping ``linalg._jacobi`` bypasses the spectral cache, so the counts above
 describe every eigensolve as if it had no cache.  The same calls then run
 once more unwrapped, from an empty cache, and ``cache`` gives the cache's
 tally over them: hits, misses (eigensolves run), re-solves (eigenvectors
-read on a hit that found them unbuilt and its log gone) and the bytes of
+read on a hit that found them unbuilt and no replay) and the bytes of
 the entries held at the end.
 """
 
@@ -57,18 +57,20 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
         "full_checks": 0, "internal_builds": 0,
     }
     hermitian = linalg.HermitianMatrix
-    jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
+    jacobi = linalg._jacobi
     init, matrix = hermitian.__init__, hermitian.matrix
     checks = {name: getattr(linalg, name) for name in ("_checked_entries", "_check_spectrum")}
     result_entries = linalg._result_entries
 
     def counting_jacobi(m):
         counts["eigensolves"] += 1
-        return jacobi(m)
+        vals, replay = jacobi(m)
 
-    def counting_replay(log):
-        counts["replays"] += 1
-        return replay(log)
+        def counting_replay():
+            counts["replays"] += 1
+            return replay()
+
+        return vals, counting_replay
 
     def counting_init(self, entries, **kwargs):
         counts["pending_matrices"] += callable(entries)
@@ -89,7 +91,7 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
         counts["internal_builds"] += 1
         return result_entries(raw)
 
-    linalg._jacobi, linalg._RotationLog.replay = counting_jacobi, counting_replay
+    linalg._jacobi = counting_jacobi
     hermitian.__init__, hermitian.matrix = counting_init, property(counting_matrix)
     for name, check in checks.items():
         setattr(linalg, name, counting_check(check))
@@ -97,7 +99,7 @@ def count_reads(workload, cycles: int, out_dir: Path) -> dict:
     try:
         instances = run_calls(workload, cycles, out_dir)
     finally:
-        linalg._jacobi, linalg._RotationLog.replay = jacobi, replay
+        linalg._jacobi = jacobi
         hermitian.__init__, hermitian.matrix = init, matrix
         for name, check in checks.items():
             setattr(linalg, name, check)

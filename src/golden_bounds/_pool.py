@@ -7,9 +7,9 @@ process exits (``stop``), or until an interrupt, a dead worker or any other
 raise before every response is read stops them all.  A worker runs the
 package as it was when the worker was forked: a monkeypatch made later
 reaches the workers only after ``stop``, which makes the next call fork
-them anew; ``certify`` keeps in this process a sweep or a table whose
-recipe, mean power or eigensolver a caller has replaced.  During a call
-that uses workers, numpy's OpenBLAS runs one thread here and in each
+them anew; ``certify`` keeps every sweep and table in this process while
+a caller's wrapper replaces the eigensolver, ``linalg._jacobi``.  During a
+call that uses workers, numpy's OpenBLAS runs one thread here and in each
 worker: the products are of desk-scale size, and every CPU already runs a
 process.
 """

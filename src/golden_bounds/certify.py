@@ -28,7 +28,8 @@ last certified here, and an instance left over from even blocks as two
 sides, the first in a job ahead of the first worker's block, the second
 here; convergence_study's p blocks, each computing its factors and sides,
 the last here after the lhs.  Each job raises its own error.  On one CPU
-(``taskset -c 0``) all stays here.
+(``taskset -c 0``), or while ``linalg._jacobi`` is a caller's wrapper, all
+stays here.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _pool, linalg
+from . import _pool, errors, linalg
 from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
 from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError, _integer, _real
 from .linalg import (
@@ -293,7 +294,7 @@ def _require_exponential_chain(h, k, v: dict) -> None:
 def _require_compression(a, u, v: dict) -> None:
     """Spectrum of A inside [m, M] and a row-orthonormal transform U."""
     _require_spectrum_bounds(a, v["m"], v["M"], "A")
-    u = np.asarray(u, dtype=np.complex128)
+    u = errors._array(u, np.complex128, "transform entries")
     n = a.dim
     if u.ndim != 2 or u.shape[1] != n or not 1 <= u.shape[0] <= n:
         raise DimMismatchError(f"isometry shape {u.shape} incompatible with dim {n}")
@@ -1046,20 +1047,18 @@ def convergence_study(
     its p in order, the factor and then the scaled mean-power side, so the
     rows, and the error raised, are those of one loop over p: the lhs's
     error first, then at each p in order the factor's before the mean-power
-    side's.  With one CPU or one p, or with a ``mean_power`` here or an
-    eigensolver that is not the package's own (a caller's wrapper that
-    records each call, ``linalg._own_solver``), the table runs in this
-    process."""
+    side's.  With one CPU (``_cpus``: also while ``linalg._jacobi`` is a
+    caller's wrapper) or one p, the table runs in this process.  A caller
+    who replaces ``mean_power`` and wants it to see every p wraps
+    ``linalg._jacobi`` too, or narrows this process to one CPU."""
     alpha, s, t = _checked((_alpha, _finite_s_t, _s_le_t), alpha=alpha, s=s, t=t).values()
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
     if factor_kind not in ("specht", "kantorovich"):
         raise BadRangeError(
             f"factor_kind must be 'specht' or 'kantorovich', got {factor_kind!r}"
         )
-    own = mean_power is _OWN_MEAN_POWER["mean_power"] and linalg._own_solver()
-    blocks = _blocks(len(ps)) if own else [range(len(ps))]
     table = h, k, alpha, s, t, factor_kind
-    *theirs, mine = [[(_scaled_spectra, (*table, ps[b.start:b.stop]))] for b in blocks]
+    *theirs, mine = [[(_scaled_spectra, (*table, ps[b.start:b.stop]))] for b in _blocks(len(ps))]
     *outcomes, lhs, last = _pool.run(theirs, [(log_euclidean, (h, k, alpha)), *mine])
     if isinstance(lhs, Exception):
         raise lhs
@@ -1112,12 +1111,6 @@ def _recipe(inequality_id, index, seed, n, mode, ov):
 
 
 RECIPES = {ident: functools.partial(_recipe, ident) for ident in _INEQUALITIES}
-#: The recipes and ``mean_power`` as defined here, in containers that a
-#: caller's wrapper replacing module names leaves alone: run_instances
-#: splits a sweep only over these recipes, convergence_study a table only
-#: over this mean_power.
-_OWN_RECIPES = dict(RECIPES)
-_OWN_MEAN_POWER = {"mean_power": mean_power}
 
 INEQUALITY_IDS = tuple(sorted(RECIPES))
 
@@ -1147,8 +1140,9 @@ class SweepResult:
 
 def _cpus() -> int:
     """The CPUs this process may run on; 1 where the os module has no fork
-    or no sched_getaffinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    or no sched_getaffinity, and while ``linalg._jacobi`` is a caller's
+    wrapper (``linalg._own_solver``), which then sees every solve here."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and linalg._own_solver()):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -1294,11 +1288,12 @@ def run_instances(
     (``_sweep_blocks``, ``_sweep_outcomes``).  The reports are byte for byte
     those of one process, and an error is the one the lowest failing
     instance raises, with its class and message (for a split instance, the
-    one ``certify_inequality`` raises).  With one CPU, where the os module
-    has no fork or no sched_getaffinity, or with a recipe replaced in
-    ``RECIPES`` or an eigensolver that is not the package's own
-    (``linalg._own_solver``: a caller's wrapper that records each instance
-    or solve, which then sees them all), every instance is certified here.
+    one ``certify_inequality`` raises).  With one CPU (``_cpus``: also where
+    the os module has no fork or no sched_getaffinity, and while
+    ``linalg._jacobi`` is a caller's wrapper, which then sees every solve),
+    every instance is certified here.  A caller who replaces a ``RECIPES``
+    entry and wants it to see every instance wraps ``linalg._jacobi`` too,
+    or narrows this process to one CPU.
     """
     _row(inequality_id)
     seed = _checked_seed(seed)
@@ -1310,7 +1305,6 @@ def run_instances(
         raise BadRangeError(f"n must be >= 1, got {n}")
     if mode is not None and mode not in (MODE_GENERAL, MODE_COMMUTING):
         raise BadRangeError(f"mode must be None, 'general' or 'commuting', got {mode!r}")
-    recipe = RECIPES[inequality_id]
     overrides = param_overrides or {}
     if not isinstance(overrides, dict):
         raise BadRangeError(f"param_overrides must be a dict, got {overrides!r}")
@@ -1328,9 +1322,7 @@ def run_instances(
 
     started = time.perf_counter()
     sweep = (inequality_id, seed, n, mode, pins)
-    own = recipe is _OWN_RECIPES[inequality_id] and linalg._own_solver()
-    blocks = _sweep_blocks(count) if own else [range(count)]
-    reports = _joined(_sweep_outcomes(sweep, blocks, count))
+    reports = _joined(_sweep_outcomes(sweep, _sweep_blocks(count), count))
     elapsed = time.perf_counter() - started
     violations = tuple(i for i, rep in enumerate(reports) if not rep.holds)
     return SweepResult(

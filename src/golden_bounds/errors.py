@@ -1,7 +1,9 @@
 """Exception types shared across the library, and the gates that turn a
-caller's scalars into numbers or name them in a BadRangeError."""
+caller's scalars and arrays into numbers or name them in an error."""
 
 import operator
+
+import numpy as np
 
 
 class GoldenBoundsError(Exception):
@@ -84,6 +86,16 @@ def _reals(values, name: str, error: type = BadRangeError) -> list[float]:
         raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
     except OverflowError:
         raise error(f"{name} exceeds double range, got {_shown(values)}") from None
+
+
+def _array(value, dtype, name: str) -> np.ndarray:
+    """``value`` as a numpy array of ``dtype``: whatever np.asarray accepts
+    passes; a value it cannot convert (ragged, not numbers) or overflows on
+    raises NotHermitianError naming ``name``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise NotHermitianError(f"{name} must be numbers, got {_shown(value)}") from None
 
 
 def _integer(value, name: str) -> int:

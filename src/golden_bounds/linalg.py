@@ -8,9 +8,9 @@ _ROUND_ROBIN_MIN_N (9) the eigensolver is cyclic: it runs one rotation at a
 time on Python complex scalars, rotating only the upper triangle. From there
 up it is round-robin: each round rotates disjoint pairs at once as one
 unitary G, applied as G* A G by two numpy products, so at those n the
-eigenvalues too are rounded by the host BLAS. Either way it logs what it
-applied, and the eigenvectors are built on their first read, by replaying
-the log on the identity, so a spectrum read only for its eigenvalues never
+eigenvalues too are rounded by the host BLAS. Either way it returns a
+replay of what it applied, which builds the eigenvectors on their first
+read, on the identity, so a spectrum read only for its eigenvalues never
 builds them. Across machines the last bits can still move: the matrix
 products around the solver, and in it from n = 9, run on numpy, whose BLAS
 build and runtime CPU dispatch (fused multiply-adds on X86_V3/V4) set their
@@ -27,12 +27,12 @@ read-only arrays: the eigenvalues, and the eigenvectors once a decomposition
 of that key has built them.  The cache holds at most _CACHE_BYTES (256 KiB,
 fixed) of entries, least recently used out first: that is room for the
 reuse within one pass of a sweep over the ids (rows that share draws solve
-the same matrices) and not across passes.  It holds no rotation log, so a
-hit whose eigenvectors were never built builds them, if they are read, from
-a new solve of its key, which gives the same bits.  The cache is consulted
-and filled only while ``_jacobi`` is this module's own function
-(``_own_solver``, which also keeps sweeps and tables in this process), so a
-caller's wrapper around ``_jacobi`` sees every solve.  The eigensolver's
+the same matrices) and not across passes.  It holds no replay, so a hit
+whose eigenvectors were never built builds them, if they are read, from a
+new solve of its key, which gives the same bits.  While ``_jacobi`` is a
+caller's wrapper (``_own_solver``), the cache is bypassed and sweeps and
+tables stay in this process, so the wrapper sees every solve, and every
+eigenvector build through the replays it returns.  The eigensolver's
 settings are constants, which the cache does not track.  It lives as long
 as the process, across the CLI calls made in it; a new ``golden-bounds``
 process, and each forked sweep worker, starts with it empty.
@@ -54,6 +54,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from numbers import Real
 
 import numpy as np
@@ -67,6 +68,7 @@ from .errors import (
     NoConvergenceError,
     NonSquareError,
     NotHermitianError,
+    _array,
     _real,
 )
 
@@ -92,17 +94,17 @@ _JACOBI_EXPONENT_LIMIT = 400
 _ROUND_ROBIN_MIN_N = 9
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
+def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Diagonalize a Hermitian array by Jacobi rotations: in the cyclic order
     below the crossover _ROUND_ROBIN_MIN_N (9), in the round-robin order of
     ``_round_robin_jacobi`` from it.
 
-    Returns (eigenvalues descending, the log of the rotations). The log's
-    ``replay`` builds the unitary eigenvector columns; decompositions call it
-    on the first read of their eigenvectors, so a spectrum that is only read
-    for its eigenvalues never pays for them. Sweeps stop once the
-    off-diagonal Frobenius mass falls below 1e-14 times the Frobenius norm of
-    the input; the 100-sweep cap raises NoConvergenceError.  The input is
+    Returns (eigenvalues descending, replay), a callable that pickles and
+    builds the unitary eigenvector columns; decompositions call it on the
+    first read of their eigenvectors, so a spectrum that is only read for
+    its eigenvalues never pays for them. Sweeps stop once the off-diagonal
+    Frobenius mass falls below 1e-14 times the Frobenius norm of the input;
+    the 100-sweep cap raises NoConvergenceError.  The input is
     rotated as its copy scaled by 2^k (see _JACOBI_EXPONENT_LIMIT), which
     leaves every rotation as it is, and the eigenvalues are scaled back by
     2^-k.
@@ -199,7 +201,7 @@ def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, "_RotationLog"]:
             row_p[q] = 0j
     vals = np.ldexp([a[i][i].real for i in range(n)], -exponent)
     order = np.argsort(-vals, kind="stable")
-    return vals[order], _RotationLog(steps, order.tolist())
+    return vals[order], functools.partial(_replay_rotations, steps, order.tolist())
 
 
 def _sweep_cap_error(off: float, threshold: float) -> NoConvergenceError:
@@ -231,7 +233,7 @@ def _round_robin_schedule(n: int) -> tuple:
     return tuple(rounds), _read_only(~np.eye(n, dtype=bool))
 
 
-def _round_robin_jacobi(a: np.ndarray, exponent: int) -> tuple[np.ndarray, "_RotationLog"]:
+def _round_robin_jacobi(a: np.ndarray, exponent: int) -> tuple[np.ndarray, Callable]:
     """``_jacobi`` on ``a``, its input scaled by 2^exponent, in the parallel
     order of Brent and Luk (SIAM J. Sci. Stat. Comput. 6, 1985).  The pairs
     of a round are disjoint, so its rotations make one unitary G, and
@@ -242,7 +244,7 @@ def _round_robin_jacobi(a: np.ndarray, exponent: int) -> tuple[np.ndarray, "_Rot
     tau is skipped, G being the identity there.  After each round A is made
     Hermitian again, as (A + A*)/2, since the products round its two
     triangles apart, and the entry a rotation zeroes is set to zero.  The
-    log keeps the entries of each round's G."""
+    replay keeps the entries of each round's G."""
     n = a.shape[0]
     rounds, off_diagonal = _round_robin_schedule(n)
     eye = np.eye(n, dtype=np.complex128)
@@ -290,7 +292,7 @@ def _round_robin_jacobi(a: np.ndarray, exponent: int) -> tuple[np.ndarray, "_Rot
             steps.append((flat, values))
     vals = np.ldexp(a.diagonal().real, -exponent)
     order = np.argsort(-vals, kind="stable")
-    return vals[order], _RotationLog(steps, order.tolist(), rounds=True)
+    return vals[order], functools.partial(_replay_rounds, steps, order.tolist())
 
 
 #: ``_jacobi`` as defined here, in a container that a caller's wrapper
@@ -300,46 +302,37 @@ _OWN_JACOBI = {"_jacobi": _jacobi}
 
 def _own_solver() -> bool:
     """Whether ``_jacobi`` is this module's own.  Only then is the spectral
-    cache used and do sweeps and tables split over the workers, so that a
-    caller's wrapper around ``_jacobi`` sees every solve in this process."""
+    cache used and do sweeps and tables split (``certify._cpus``), so that a
+    caller's wrapper around ``_jacobi`` sees every solve and replay here."""
     return _jacobi is _OWN_JACOBI["_jacobi"]
 
 
-class _RotationLog:
-    """The rotations of one Jacobi run and the descending order of its
-    eigenvalues: one rotation per step from the cyclic kernel, or, from the
-    round-robin kernel (``rounds``), one round's unitary per step."""
+def _replay_rotations(steps: list, order: list) -> np.ndarray:
+    """The eigenvector columns of a cyclic run, in the eigenvalues' ``order``:
+    each rotation (p, q, c, s, w, z) of ``steps`` applied to the identity."""
+    n = len(order)
+    vt = np.eye(n, dtype=np.complex128).tolist()  # rows are eigenvector columns
+    for p, q, c, s, w, z in steps:
+        col_p = vt[p]
+        col_q = vt[q]
+        for j in range(n):
+            x = col_p[j]
+            y = col_q[j]
+            col_p[j] = c * x - w * y
+            col_q[j] = s * x + z * y
+    return np.array([vt[i] for i in order], dtype=np.complex128).T.copy()
 
-    __slots__ = ("steps", "order", "rounds")
 
-    def __init__(self, steps: list, order: list, rounds: bool = False):
-        # (p, q, c, s, w, z) per rotation, or (flat indices, values) of each
-        # round's unitary entries, in the order applied
-        self.steps = steps
-        self.order = order
-        self.rounds = rounds
-
-    def replay(self) -> np.ndarray:
-        """The eigenvector columns: each rotation applied to the identity, in order."""
-        n = len(self.order)
-        if self.rounds:
-            eye = np.eye(n, dtype=np.complex128)
-            vectors = eye
-            for flat, values in self.steps:
-                g = eye.copy()
-                g.put(flat, values)
-                vectors = vectors @ g
-            return vectors.take(self.order, axis=1)
-        vt = np.eye(n, dtype=np.complex128).tolist()  # rows are eigenvector columns
-        for p, q, c, s, w, z in self.steps:
-            col_p = vt[p]
-            col_q = vt[q]
-            for j in range(n):
-                x = col_p[j]
-                y = col_q[j]
-                col_p[j] = c * x - w * y
-                col_q[j] = s * x + z * y
-        return np.array([vt[i] for i in self.order], dtype=np.complex128).T.copy()
+def _replay_rounds(steps: list, order: list) -> np.ndarray:
+    """The eigenvector columns of a round-robin run, in the eigenvalues'
+    ``order``: the product of its rounds' unitaries, as (flat indices, values)."""
+    eye = np.eye(len(order), dtype=np.complex128)
+    vectors = eye
+    for flat, values in steps:
+        g = eye.copy()
+        g.put(flat, values)
+        vectors = vectors @ g
+    return vectors.take(order, axis=1)
 
 
 def _cholesky_succeeds(matrix: np.ndarray, shift: float) -> bool:
@@ -398,7 +391,7 @@ class SpectralDecomposition:
     """Eigenvalues (descending) and matching unitary eigenvector columns.
 
     The eigenvector columns are given either as an array or as a callable
-    that builds them, such as the ``replay`` of a Jacobi run's rotation log.
+    that builds them, such as the replay that ``_jacobi`` returns.
     The callable runs on the first read of ``eigenvectors``; its array is
     kept, read-only, and the callable is dropped.
 
@@ -412,9 +405,9 @@ class SpectralDecomposition:
     __slots__ = ("_eigenvalues", "_eigenvectors")
 
     def __init__(self, eigenvalues, eigenvectors):
-        eigenvalues = _read_only(np.asarray(eigenvalues, dtype=np.float64))
+        eigenvalues = _read_only(_array(eigenvalues, np.float64, "decomposition entries"))
         if not callable(eigenvectors):
-            eigenvectors = _read_only(np.asarray(eigenvectors, dtype=np.complex128))
+            eigenvectors = _read_only(_array(eigenvectors, np.complex128, "decomposition entries"))
             _check_spectrum(eigenvalues, eigenvectors)
         self._eigenvalues = eigenvalues
         self._eigenvectors = eigenvectors
@@ -492,8 +485,8 @@ _CACHE_ENTRY_OVERHEAD = 600
 class _Entry:
     """One solved matrix in the spectral cache: its key (the bytes of its
     entries), its eigenvalues, and its eigenvectors once a decomposition of
-    it has read them.  The cache holds no rotation log: a log lives as long
-    as the decomposition that holds it, as it does without a cache."""
+    it has read them.  The cache holds no replay: a replay lives as long as
+    the decomposition that holds it, as it does without a cache."""
 
     __slots__ = ("key", "eigenvalues", "eigenvectors")
 
@@ -503,22 +496,22 @@ class _Entry:
         self.eigenvalues = eigenvalues
         self.eigenvectors = None
 
-    def decomposition(self, log: _RotationLog | None = None) -> SpectralDecomposition:
+    def decomposition(self, replay: Callable | None = None) -> SpectralDecomposition:
         """A new decomposition on this entry's arrays; its eigenvectors are
-        built, if they are read, by ``_vectors``, on ``log``, the solve's."""
-        return SpectralDecomposition(self.eigenvalues, functools.partial(self._vectors, log))
+        built, if they are read, by ``_vectors``, on ``replay``, the solve's."""
+        return SpectralDecomposition(self.eigenvalues, functools.partial(self._vectors, replay))
 
-    def _vectors(self, log: _RotationLog | None) -> np.ndarray:
-        """The stored eigenvectors, or else, stored for the next reader, the
-        replay of ``log`` or of a new solve of the key, which gives the same
+    def _vectors(self, replay: Callable | None) -> np.ndarray:
+        """The stored eigenvectors, or else, stored for the next reader, those
+        of ``replay`` or of a new solve of the key, which gives the same
         bits."""
         if self.eigenvectors is None:
-            if log is None:
+            if replay is None:
                 _CACHE.count("resolves")
                 n = self.eigenvalues.shape[0]
                 matrix = np.frombuffer(self.key, dtype=np.complex128).reshape(n, n)
-                log = _OWN_JACOBI["_jacobi"](matrix)[1]
-            vectors = log.replay()
+                replay = _OWN_JACOBI["_jacobi"](matrix)[1]
+            vectors = replay()
             vectors.flags.writeable = False
             self.eigenvectors = vectors
         return self.eigenvectors
@@ -570,9 +563,9 @@ class _SpectralCache:
                 self.entries.move_to_end(key)
                 self.tally["hits"] += 1
                 return entry.decomposition()
-        vals, log = _jacobi(matrix)
+        vals, replay = _jacobi(matrix)
         entry = _Entry(key, vals)
-        dec = entry.decomposition(log)
+        dec = entry.decomposition(replay)
         tally = self.tally
         with self.lock:
             tally["misses"] += 1
@@ -594,13 +587,12 @@ if hasattr(os, "register_at_fork"):
 
 def _solve(matrix: np.ndarray) -> SpectralDecomposition:
     """The decomposition of a checked entry array.  The spectral cache is
-    consulted and filled only while ``_own_solver()``; otherwise, as under a
-    caller's wrapper that counts the solves, every solve runs and none is
-    stored."""
+    consulted and filled only while ``_own_solver()``; otherwise, under a
+    caller's wrapper, every solve runs, none is stored, and the eigenvectors
+    are built by the replay that the wrapper returned."""
     if _own_solver():
         return _CACHE.solve(matrix)
-    vals, log = _jacobi(matrix)
-    return SpectralDecomposition(vals, log.replay)
+    return SpectralDecomposition(*_jacobi(matrix))
 
 
 def _symmetric_part(half: np.ndarray) -> np.ndarray:
@@ -616,7 +608,7 @@ def _symmetric_part(half: np.ndarray) -> np.ndarray:
 def _checked_entries(entries) -> np.ndarray:
     """The full check of an array that enters from outside: the read-only
     (raw + raw*)/2 of a finite, nonempty, square, Hermitian array."""
-    raw = np.asarray(entries, dtype=np.complex128)
+    raw = _array(entries, np.complex128, "matrix entries")
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
         raise NonSquareError(f"expected a nonempty square matrix, got shape {raw.shape}")
     if not np.isfinite(raw).all():
@@ -733,7 +725,7 @@ class HermitianMatrix:
     def __mul__(self, factor):
         if not isinstance(factor, Real):
             return NotImplemented
-        factor = float(factor)
+        factor = _real(factor, "a matrix scale factor")
         if not math.isfinite(factor):
             raise BadRangeError(f"a matrix scale factor must be finite, got {factor}")
         return self._scaled(factor)
@@ -868,7 +860,7 @@ def congruence(transform: np.ndarray, matrix: HermitianMatrix) -> HermitianMatri
     T may be rectangular (k x n against an n x n matrix); the result is k x k.
     T enters here and must be finite; the result is an internal one.
     """
-    t = np.asarray(transform, dtype=np.complex128)
+    t = _array(transform, np.complex128, "transform entries")
     if t.ndim != 2 or t.shape[1] != matrix.dim:
         raise DimMismatchError(f"transform shape {t.shape} does not match dim {matrix.dim}")
     if not np.isfinite(t).all():

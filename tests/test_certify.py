@@ -687,20 +687,15 @@ def test_failing_loewner_check_still_takes_the_spectrum(monkeypatch):
 
 def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
     # Both sides compare spectra of geometric means, so the eigenvectors of
-    # the means are never built: each one's rotation log is still pending.
-    means, replays = [], []
-    mean, replay = certify.geometric_mean, linalg._RotationLog.replay
+    # the means are never built: each one's replay is still pending.
+    means = []
+    mean = certify.geometric_mean
 
     def recording_mean(a, b, alpha):
         means.append(mean(a, b, alpha))
         return means[-1]
 
-    def counting_replay(log):
-        replays.append(log)
-        return replay(log)
-
     monkeypatch.setattr(certify, "geometric_mean", recording_mean)
-    monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
     avals = np.array([1.6, 1.0, 0.7])
     a, b = commuting_pd_pair(avals, avals * np.array([0.8, 1.1, 1.9]), seed=3)
     assert certify_inequality("specht-eigen-power", a, b, s=0.8, t=1.9, alpha=0.3, r=2.0).holds
@@ -709,10 +704,11 @@ def test_eigen_power_sides_leave_mean_eigenvectors_unbuilt(monkeypatch):
         "fm-eigen-power", chain.a, chain.b, m=0.2, M=0.9, alpha=0.6, r=1.5
     ).holds
     assert len(means) == 4
-    before = len(replays)
     for m in means:
-        m.decomposition.eigenvectors
-    assert len(replays) == before + 4
+        dec = m._decomp
+        assert callable(dec._eigenvectors)
+        vectors = dec.eigenvectors
+        assert dec._eigenvectors is vectors and not vectors.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -1444,34 +1440,56 @@ def test_no_worker_outlives_its_process(ending):
 
 
 def test_a_wrapped_eigensolver_sees_every_solve_in_this_process(monkeypatch, tmp_path, request):
-    # the wrapper logs each solve to a file, so a solve in a worker would show
+    # the wrapper logs each solve and each replay of the eigenvectors to a
+    # file, so one in a worker would show; the workers run before the wrap,
+    # and one run unwrapped would be missing from the counts
     _EVENTS["path"] = tmp_path / "events"
     solve = linalg._jacobi
 
     def logging_jacobi(*args):
         _log("solve")
-        return solve(*args)
+        vals, replay = solve(*args)
 
+        def logging_replay():
+            _log("replay")
+            return replay()
+
+        return vals, logging_replay
+
+    _start_workers()
     monkeypatch.setattr(linalg, "_jacobi", logging_jacobi)
     pair = olson_exponential_pair(SamplerConfig(4, 7, -0.6, 0.9), 0)
 
-    def solves() -> list[int]:
+    def events() -> list[dict]:
         counts = []
         for call in (
+            lambda: run_instances("gt-specht", count=1, seed=1),
             lambda: run_instances("gt-specht", count=3, seed=1),
             lambda: run_instances("gt-specht", count=4, seed=1),
             lambda: convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS),
         ):
             _EVENTS["path"].write_text("")
             call()
-            pids = [int(line.split()[0]) for line in _EVENTS["path"].read_text().splitlines()]
-            assert pids and set(pids) == {os.getpid()}
-            counts.append(len(pids))
+            logged = [line.split() for line in _EVENTS["path"].read_text().splitlines()]
+            assert logged and {int(pid) for pid, _, _ in logged} == {os.getpid()}
+            kinds = [kind for _, kind, _ in logged]
+            counts.append({kind: kinds.count(kind) for kind in ("solve", "replay")})
         return counts
 
-    split = solves()
+    split = events()
+    assert sum(count["replay"] for count in split)
     request.getfixturevalue("one_cpu")
-    assert solves() == split
+    assert events() == split
+
+
+def test_a_wrapped_eigensolver_leaves_this_process_one_cpu(monkeypatch):
+    cpus = certify._cpus()
+    assert cpus == len(os.sched_getaffinity(0))
+    solve = linalg._jacobi
+    monkeypatch.setattr(linalg, "_jacobi", lambda matrix: solve(matrix))
+    assert certify._cpus() == 1
+    monkeypatch.undo()
+    assert certify._cpus() == cpus
 
 
 @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
@@ -1521,22 +1539,6 @@ def test_spectral_cache_stays_in_its_budget_over_an_n16_pass(one_cpu):
     assert cache.tally["bytes"] == held
     # the budget bound: entries were evicted to keep within it
     assert held <= linalg._CACHE_BYTES and len(cache.entries) < cache.tally["misses"]
-
-
-def test_a_replaced_recipe_runs_every_instance_in_this_process(monkeypatch):
-    seen = []
-    recipe = RECIPES["gt-specht"]
-
-    def recording(**kwargs):
-        seen.append((os.getpid(), kwargs["index"]))
-        return recipe(**kwargs)
-
-    monkeypatch.setitem(RECIPES, "gt-specht", recording)
-    # whole blocks (4) and a leftover instance, alone (1) or after blocks (3)
-    for count in (4, 1, 3):
-        seen.clear()
-        run_instances("gt-specht", count=count, seed=1)
-        assert seen == [(os.getpid(), index) for index in range(count)]
 
 
 #: The CLI's default convergence powers: on two CPUs the first four go to
@@ -1663,20 +1665,6 @@ def test_an_error_in_this_processs_block_keeps_the_workers(monkeypatch):
     # and the next split call forks nothing
     assert run_instances("gt-specht", count=4, seed=1).all_hold
     assert _worker_pids() == workers
-
-
-def test_a_replaced_mean_power_runs_the_table_in_this_process(monkeypatch):
-    seen = []
-    own = certify.mean_power
-
-    def recording(h, k, alpha, q):
-        seen.append((os.getpid(), q))
-        return own(h, k, alpha, q)
-
-    monkeypatch.setattr(certify, "mean_power", recording)
-    pair = olson_exponential_pair(SamplerConfig(3, 5, -0.6, 0.9), 0)
-    convergence_study(pair.h, pair.k, pair.s, pair.t, 0.5, _POWERS)
-    assert seen == [(os.getpid(), p) for p in _POWERS]
 
 
 def test_run_instances_pins_dimension_and_mode():

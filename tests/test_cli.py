@@ -536,7 +536,7 @@ def test_jacobi_sweep_cap_is_a_numerical_failure(capsys, monkeypatch):
     assert err.startswith("numerical failure: Jacobi sweep cap 0 hit") and out == ""
 
 
-def test_certify_lists_failing_instances(capsys, monkeypatch):
+def test_certify_lists_failing_instances(capsys, monkeypatch, one_cpu):
     recipe = certify.RECIPES["gt-fm"]
 
     def failing(**kwargs):

@@ -186,9 +186,9 @@ def test_repeated_eigenvalues_handled():
 
 
 def jacobi_eigenpairs(a):
-    """Eigenvalues from ``_jacobi`` and eigenvectors from the replay of its log."""
-    vals, log = linalg._jacobi(a)
-    return vals, log.replay()
+    """Eigenvalues from ``_jacobi`` and eigenvectors from the replay it returns."""
+    vals, replay = linalg._jacobi(a)
+    return vals, replay()
 
 
 def assert_accurate_decomposition(a, vals, vecs):
@@ -281,7 +281,8 @@ def test_round_robin_runs_from_the_crossover_up():
     crossover = linalg._ROUND_ROBIN_MIN_N
     for n in (crossover - 1, crossover):
         a = random_hermitian(np.random.default_rng(n), n).matrix
-        assert linalg._jacobi(a)[1].rounds == (n == crossover)
+        replay = linalg._replay_rounds if n == crossover else linalg._replay_rotations
+        assert linalg._jacobi(a)[1].func is replay
 
 
 def test_round_robin_leaves_decoupled_indices_exact():
@@ -477,19 +478,21 @@ def test_jacobi_bits_are_frozen(haswell_kernel_digests, name):
 
 @pytest.fixture
 def solver_counts(monkeypatch):
-    """Count the eigensolves, the rotation-log replays and the builds of
-    pending matrix entries made from here on."""
+    """Count the eigensolves, the replays of their eigenvectors and the
+    builds of pending matrix entries made from here on."""
     counts = {"jacobi": 0, "replay": 0, "builds": 0}
-    jacobi, replay = linalg._jacobi, linalg._RotationLog.replay
+    jacobi = linalg._jacobi
     matrix = linalg.HermitianMatrix.matrix
 
     def counting_jacobi(m):
         counts["jacobi"] += 1
-        return jacobi(m)
+        vals, replay = jacobi(m)
 
-    def counting_replay(log):
-        counts["replay"] += 1
-        return replay(log)
+        def counting_replay():
+            counts["replay"] += 1
+            return replay()
+
+        return vals, counting_replay
 
     def counting_matrix(m):
         if callable(m._matrix):
@@ -497,7 +500,6 @@ def solver_counts(monkeypatch):
         return matrix.fget(m)
 
     monkeypatch.setattr(linalg, "_jacobi", counting_jacobi)
-    monkeypatch.setattr(linalg._RotationLog, "replay", counting_replay)
     monkeypatch.setattr(linalg.HermitianMatrix, "matrix", property(counting_matrix))
     return counts
 

@@ -22,8 +22,15 @@ from golden_bounds.constants import (
     specht,
     specht_p_root,
 )
-from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError
-from golden_bounds.linalg import HermitianMatrix, exp_h, power
+from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError, NotHermitianError
+from golden_bounds.linalg import (
+    HermitianMatrix,
+    PositiveDefiniteMatrix,
+    SpectralDecomposition,
+    congruence,
+    exp_h,
+    power,
+)
 from golden_bounds.means import limit_probe, mean_power
 from golden_bounds.orders import loewner_leq, olson_leq
 from golden_bounds.sampling import (
@@ -167,6 +174,29 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: run_instances("gt-specht", 1, n=0), BadRangeError, "n must be >= 1, got 0"),
         (lambda: run_instances("gt-specht", 1, mode="diagonal"), BadRangeError,
          "mode must be None, 'general' or 'commuting', got 'diagonal'"),
+        # a scale factor goes through the scalar gate, and a caller's array
+        # that is not numbers, ragged or overflows through the array gate
+        (lambda: HermitianMatrix(np.eye(2)) * 10**400, BadRangeError,
+         f"a matrix scale factor exceeds double range, got 1{'0' * 39}..."),
+        (lambda: 10**400 * HermitianMatrix(np.eye(2)), BadRangeError,
+         f"a matrix scale factor exceeds double range, got 1{'0' * 39}..."),
+        (lambda: HermitianMatrix([[10**400]]), NotHermitianError,
+         f"matrix entries must be numbers, got [[1{'0' * 37}..."),
+        (lambda: HermitianMatrix([["x"]]), NotHermitianError,
+         "matrix entries must be numbers, got [['x']]"),
+        (lambda: HermitianMatrix([[1, 2], [3]]), NotHermitianError,
+         "matrix entries must be numbers, got [[1, 2], [3]]"),
+        (lambda: SpectralDecomposition(["x"], np.eye(1)), NotHermitianError,
+         "decomposition entries must be numbers, got ['x']"),
+        (lambda: SpectralDecomposition([1.0], [[10**400]]), NotHermitianError,
+         f"decomposition entries must be numbers, got [[1{'0' * 37}..."),
+        (lambda: congruence([["x"]], _I2), NotHermitianError,
+         "transform entries must be numbers, got [['x']]"),
+        (lambda: congruence([[10**400]], _I2), NotHermitianError,
+         f"transform entries must be numbers, got [[1{'0' * 37}..."),
+        (lambda: certify_inequality(
+            "kantorovich-matrix", PositiveDefiniteMatrix(np.eye(2)), [["x", 0]], m=1.0, M=1.0
+         ), NotHermitianError, "transform entries must be numbers, got [['x', 0]]"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
