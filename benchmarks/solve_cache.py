@@ -12,12 +12,13 @@ so that every instance is certified here.  No call repeats within a pass.
 
 ``counts`` come from two passes after the cache is emptied: the first is a
 process's first pass; the second visits every CLI seed again.  Each is
-given as the cache tally (hits, misses, that is solves, re-solves of a key
-whose eigenvectors were read unbuilt after its log was gone, and bytes held
-at the end), plus the hits on entries stored during an earlier cycle
-(``hits_from_earlier_cycles``) and, among those, on entries stored during
-the earlier visit of the same CLI seed (``hits_from_same_seed``).  The
-budget is meant to serve reuse within a cycle only, so both should read 0.
+given as the cache tally (hits, misses, that is solves, re-solves, each a
+hit that reads its eigenvectors before any decomposition of its key has
+built them, and bytes held at the end), plus the hits on entries stored
+during an earlier cycle (``hits_from_earlier_cycles``) and, among those, on
+entries stored during the earlier visit of the same CLI seed
+(``hits_from_same_seed``).  The budget is meant to serve reuse within a
+cycle only, so both should read 0.
 
 ``seconds`` times first passes in ``--rounds`` alternated pairs: ``cached``
 empties the cache before its pass, ``bypassed`` runs with ``linalg._jacobi``

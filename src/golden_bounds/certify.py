@@ -25,11 +25,12 @@ run_instances drives soundness sweeps over them on every CPU the process may
 use.  A split call is its one-process loop cut into job lists for the
 workers of ``_pool`` and this process: a sweep's blocks of instances, the
 last certified here, and an instance left over from even blocks as two
-sides, the first in a job ahead of the first worker's block, the second
-here; convergence_study's p blocks, each computing its factors and sides,
-the last here after the lhs.  Each job raises its own error.  On one CPU
-(``taskset -c 0``), or while ``linalg._jacobi`` is a caller's wrapper, all
-stays here.
+runs of one job, ``_side(k, ...)``, which opens the instance (its
+parameters and the report's head, n and the input digest) and builds side
+k: k = 0 ahead of the first worker's block, k = 1 here; convergence_study's
+p blocks, each computing its factors and sides, the last here after the
+lhs.  Each job raises its own error.  On one CPU (``taskset -c 0``), or
+while ``linalg._jacobi`` is a caller's wrapper, all stays here.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _digest(params: dict, *matrices: HermitianMatrix) -> str:
     hasher = hashlib.sha256()
     for m in matrices:
         hasher.update(np.ascontiguousarray(m.matrix).tobytes())
-    hasher.update(repr(sorted(params.items())).encode())
+    hasher.update(repr(sorted((k, float(v)) for k, v in params.items())).encode())
     return hasher.hexdigest()[:16]
 
 
@@ -856,12 +857,12 @@ def certify_inequality(
     that is not a HermitianMatrix (U excepted).  The report holds when every
     relative margin is at least -1e-9, a fixed threshold.
     """
-    values = _opened(inequality_id, x, y, params)
+    values, head = _opened(inequality_id, x, y, params)
     compare = _INEQUALITIES[inequality_id].compare
     with _overflow_named(inequality_id):
         first = compare.first(x, y, values)
         second = compare.second(x, y, values)
-    return _report(inequality_id, x, y, values, first, second)
+    return _report(inequality_id, values, head, first, second)
 
 
 @contextlib.contextmanager
@@ -875,14 +876,17 @@ def _overflow_named(inequality_id: str):
         ) from exc
 
 
-def _opened(inequality_id: str, x, y, params: dict) -> dict:
+def _opened(inequality_id: str, x, y, params: dict) -> tuple[dict, tuple[int, str]]:
     """The first steps of ``certify_inequality``: check the operands and
     the parameter names, take each given parameter as a float by
     ``errors._real`` and run the row's checks, check that each is finite,
     re-verify the hypothesis, derive h and rows and build the factor.
-    Returns the row's parameter dict, which both sides read."""
+    Returns the row's parameter dict, which both sides read, and the
+    report's head: n and the input digest of the parameters and the
+    operands (U excepted)."""
     spec = _row(inequality_id)
-    for label, operand in zip("xy", (x,) if "rows" in spec.params else (x, y)):
+    operands = (x,) if "rows" in spec.params else (x, y)
+    for label, operand in zip("xy", operands):
         if not isinstance(operand, HermitianMatrix):
             raise TypeError(
                 f"{inequality_id}: operand {label} must be a HermitianMatrix, "
@@ -914,12 +918,12 @@ def _opened(inequality_id: str, x, y, params: dict) -> dict:
             values["rows"] = float(np.shape(y)[0])
         if spec.factor is not None:
             values["factor"] = spec.factor(values)
-    return values
+    return values, (x.dim, _digest(values, *operands))
 
 
-def _report(inequality_id: str, x, y, values: dict, first, second) -> InequalityReport:
+def _report(inequality_id: str, values: dict, head: tuple, first, second) -> InequalityReport:
     """The last step of ``certify_inequality``: combine the two sides into
-    the report."""
+    the report, under the head (n, input digest) that ``_opened`` fixed."""
     with _overflow_named(inequality_id):
         compared = _INEQUALITIES[inequality_id].compare.combine(first, second, values)
     semantics, labels, lhs, rhs, rel = compared
@@ -936,11 +940,9 @@ def _report(inequality_id: str, x, y, values: dict, first, second) -> Inequality
         tolerance=_TOLERANCE,
         semantics=semantics,
         labels=tuple(labels),
-        n=x.dim,
+        n=head[0],
         mode="n/a",
-        input_digest=_digest(
-            parameters, *(m for m in (x, y) if isinstance(m, HermitianMatrix))
-        ),
+        input_digest=head[1],
     )
 
 
@@ -1195,34 +1197,19 @@ def _certify_block(
     return reports
 
 
-def _opened_instance(
-    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
+def _side(
+    k: int, inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
 ) -> tuple:
-    """Instance ``index`` of one sweep drawn and opened: operands and parameters."""
+    """Instance ``index`` of one sweep drawn and opened, and its side ``k``
+    built (0 the first, 1 the second): the parameter dict, the report's
+    head and the side.  A job is given the sweep and the index, not the
+    operands, so that every request to a worker is small."""
     use_n, use_mode = _dimension_and_mode(index, n, mode)
     x, y, given = _draw(inequality_id, index, seed, use_n, use_mode, pins)
-    return x, y, _opened(inequality_id, x, y, given)
-
-
-def _first_side(
-    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
-):
-    """The first side of instance ``index`` of one sweep, which it draws and
-    opens anew: a worker's job, given the sweep and the index, not the
-    operands, so that every request to a worker is small."""
-    x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
+    values, head = _opened(inequality_id, x, y, given)
+    compare = _INEQUALITIES[inequality_id].compare
     with _overflow_named(inequality_id):
-        return _INEQUALITIES[inequality_id].compare.first(x, y, values)
-
-
-def _second_side(
-    inequality_id: str, seed: int, n: int | None, mode: str | None, pins: dict, index: int
-) -> tuple:
-    """Instance ``index`` of one sweep opened and its second side built:
-    the operands, the parameter dict and the side."""
-    x, y, values = _opened_instance(inequality_id, seed, n, mode, pins, index)
-    with _overflow_named(inequality_id):
-        return x, y, values, _INEQUALITIES[inequality_id].compare.second(x, y, values)
+        return values, head, (compare.first, compare.second)[k](x, y, values)
 
 
 def _sweep_outcomes(sweep: tuple, blocks: list[range], count: int) -> list:
@@ -1236,18 +1223,18 @@ def _sweep_outcomes(sweep: tuple, blocks: list[range], count: int) -> list:
         return _pool.run(theirs, mine)
     # the leftover instance: its first side in the first worker, ahead of
     # its block, and its second here, ahead of this process's block
-    theirs[0].insert(0, (_first_side, (*sweep, index)))
-    first, *outcomes, opened, last = _pool.run(theirs, [(_second_side, (*sweep, index)), *mine])
+    theirs[0].insert(0, (_side, (0, *sweep, index)))
+    first, *outcomes, second, last = _pool.run(theirs, [(_side, (1, *sweep, index)), *mine])
     outcomes.append(last)
     # opening is deterministic, so the first error of the two is the one of
     # one process: opening, then the first side, then the second
-    fault = next((side for side in (first, opened) if isinstance(side, Exception)), None)
+    fault = next((side for side in (first, second) if isinstance(side, Exception)), None)
     if fault is not None:
         return [*outcomes, fault]
     inequality_id, _, n, mode, _ = sweep
-    x, y, values, second = opened
+    values, head, side = second
     try:
-        report = _report(inequality_id, x, y, values, first, second)
+        report = _report(inequality_id, values, head, first[2], side)
     except Exception as exc:
         return [*outcomes, exc]
     return [*outcomes, [dataclasses.replace(report, mode=_dimension_and_mode(index, n, mode)[1])]]
@@ -1284,9 +1271,10 @@ def run_instances(
     Reports come back in instance order, bit-reproducible per seed.
 
     The instances are certified in blocks, one per CPU this process may run
-    on, and one left over from even blocks as two sides in two processes
-    (``_sweep_blocks``, ``_sweep_outcomes``).  The reports are byte for byte
-    those of one process, and an error is the one the lowest failing
+    on, and one left over from even blocks as two sides in two processes,
+    each by the job ``_side``, which opens it and so carries the report's
+    head (``_sweep_blocks``, ``_sweep_outcomes``).  The reports are byte for
+    byte those of one process, and an error is the one the lowest failing
     instance raises, with its class and message (for a split instance, the
     one ``certify_inequality`` raises).  With one CPU (``_cpus``: also where
     the os module has no fork or no sched_getaffinity, and while

@@ -1,6 +1,7 @@
 """Exception types shared across the library, and the gates that turn a
 caller's scalars and arrays into numbers or name them in an error."""
 
+import contextlib
 import operator
 
 import numpy as np
@@ -98,10 +99,10 @@ def _array(value, dtype, name: str) -> np.ndarray:
         raise NotHermitianError(f"{name} must be numbers, got {_shown(value)}") from None
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, error: type = BadRangeError) -> int:
     """``value`` as a Python int: Python and numpy integers pass, through
-    operator.index; any other value, 3.0 included, raises BadRangeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise BadRangeError(f"{name} must be an integer, got {value!r}") from None
+    operator.index; any other value, True and 3.0 included, raises ``error``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise error(f"{name} must be an integer, got {value!r}")

@@ -69,6 +69,7 @@ from .errors import (
     NonSquareError,
     NotHermitianError,
     _array,
+    _integer,
     _real,
 )
 
@@ -777,6 +778,8 @@ def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> Hermitian
 def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
     """Real matrix power of a positive definite matrix via its spectrum."""
     r = _real(exponent, "exponent")
+    if math.isnan(r):
+        raise BadRangeError(f"exponent must not be NaN, got {r}")
     dec = matrix.decomposition
     if dec.eigenvalues[-1] <= 0.0:
         raise DomainError("matrix power requires a positive definite input")
@@ -826,8 +829,7 @@ def _norm_family(matrix: HermitianMatrix) -> np.ndarray:
 
 def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
     """Sum of the k largest singular values, 1 <= k <= n."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise BadIndexError(f"Ky Fan index must be an integer, got {k!r}")
+    k = _integer(k, "Ky Fan index", BadIndexError)
     if k < 1 or k > matrix.dim:
         raise BadIndexError(f"Ky Fan index {k} outside 1..{matrix.dim}")
     return float(_norm_family(matrix)[k - 1])

@@ -142,6 +142,16 @@ def test_report_digest_ignores_the_python_type_of_a_parameter(inequality_id, par
     assert as_ints.input_digest == as_floats.input_digest
 
 
+@pytest.mark.parametrize("inequality_id", INEQUALITY_IDS)
+def test_opening_an_instance_fixes_the_report_head(inequality_id):
+    # both halves of a split instance carry the head that opening computes,
+    # so it must be the (n, input digest) of the report of one process
+    x, y, given = certify._draw(inequality_id, 1, 3, 3, sampling.MODE_GENERAL, {})
+    _, head = certify._opened(inequality_id, x, y, given)
+    report = certify_inequality(inequality_id, x, y, **given)
+    assert head == (report.n, report.input_digest) and report.n == 3
+
+
 # ---------------------------------------------------------------------------
 # Scalar cross-checks on commuting pairs
 # ---------------------------------------------------------------------------
@@ -1080,7 +1090,7 @@ def test_run_instances_deterministic_and_annotated():
 #: Where a sweep's events are logged, one line each: the pid, the event and
 #: the instance index; set before the sweep forks its workers.
 _EVENTS = {"path": None}
-_DRAW, _FIRST_SIDE, _SECOND_SIDE = certify._draw, certify._first_side, certify._second_side
+_DRAW, _SIDE = certify._draw, certify._side
 
 
 def _log(event: str, index=None) -> None:
@@ -1093,14 +1103,9 @@ def _logging_draw(inequality_id, index, seed, n, mode, ov):
     return _DRAW(inequality_id, index, seed, n, mode, ov)
 
 
-def _logging_first_side(*args):
-    _log("first")
-    return _FIRST_SIDE(*args)
-
-
-def _logging_second_side(*args):
-    _log("second")
-    return _SECOND_SIDE(*args)
+def _logging_side(k, *args):
+    _log(("first", "second")[k])
+    return _SIDE(k, *args)
 
 
 def _start_workers() -> None:
@@ -1118,8 +1123,7 @@ def _sweep_events(monkeypatch, tmp_path, inequality_id, count) -> tuple[list, li
     pickles the logging function by name."""
     _EVENTS["path"] = tmp_path / "events"
     monkeypatch.setattr(certify, "_draw", _logging_draw)
-    monkeypatch.setattr(certify, "_first_side", _logging_first_side)
-    monkeypatch.setattr(certify, "_second_side", _logging_second_side)
+    monkeypatch.setattr(certify, "_side", _logging_side)
     _start_workers()
     blocks = certify._sweep_blocks(count)
     run_instances(inequality_id, count=count, seed=1)
@@ -1325,7 +1329,7 @@ def test_a_worker_killed_during_a_side_job_is_an_error(monkeypatch):
     monkeypatch.setattr(certify, "log_euclidean", dying)
     _start_workers()
     with pytest.raises(
-        RuntimeError, match=r"^the worker running _first_side on 0 exited without a result$"
+        RuntimeError, match=r"^the worker running _side on 0 exited without a result$"
     ):
         run_instances("gt-specht", count=1, seed=1)
     assert _pool._POOL.workers == []

@@ -131,6 +131,19 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: philox_generator(3.0, 0, 0), BadRangeError, "seed must be an integer, got 3.0"),
         (lambda: philox_generator(3, 1.5, 0), BadRangeError, "index must be an integer, got 1.5"),
         (lambda: SamplerConfig(2.0, 0, 0.1, 1.0), BadRangeError, "dim must be an integer, got 2.0"),
+        # a bool is no integer, as np.True_ is not
+        (lambda: run_instances("gt-specht", count=True), BadRangeError,
+         "count must be an integer, got True"),
+        (lambda: run_instances("gt-specht", 1, seed=True), BadRangeError,
+         "seed must be an integer, got True"),
+        (lambda: run_instances("gt-specht", 1, n=True), BadRangeError,
+         "n must be an integer, got True"),
+        (lambda: SamplerConfig(True, 0, 0.5, 1.0), BadRangeError, "dim must be an integer, got True"),
+        (lambda: random_isometry(_CFG_3, True), BadRangeError, "rows must be an integer, got True"),
+        (lambda: philox_generator(0, True, 0), BadRangeError, "index must be an integer, got True"),
+        # a NaN exponent is named, whatever the spectrum
+        (lambda: power(PositiveDefiniteMatrix(np.eye(2)), math.nan), BadRangeError,
+         "exponent must not be NaN, got nan"),
         # a scalar that is not a number is a BadRangeError naming it, in every module
         (lambda: specht("x"), BadRangeError, "t must be a number, got 'x'"),
         (lambda: specht_p_root(2, "x"), BadRangeError, "p must be a number, got 'x'"),
