@@ -6,12 +6,23 @@ import pytest
 
 from golden_bounds import _pool, linalg, orders
 
+import freeze
+
 
 @pytest.fixture(autouse=True)
 def empty_spectral_cache():
     """Start every test with an empty spectral cache and a zero tally, so
     that what a test counts does not hang on the tests run before it."""
     linalg._CACHE.clear()
+
+
+@pytest.fixture(scope="session")
+def pinned_digests() -> dict:
+    """Every frozen digest, computed once per session in one new process
+    pinned to one BLAS kernel and numpy CPU dispatch (``freeze.PIN``).  The
+    process inherits this one's CPU affinity, so a sweep there splits as it
+    would here."""
+    return freeze.pinned_digests()
 
 
 @pytest.fixture(autouse=True)

@@ -1,13 +1,10 @@
 """Matrix core: construction, Jacobi spectra, functions, norms."""
 
 import gc
-import hashlib
-import json
 import math
 import os
 import pickle
 import re
-import subprocess
 import sys
 import threading
 import warnings
@@ -42,6 +39,7 @@ from golden_bounds.linalg import (
 from golden_bounds.means import geometric_mean, log_euclidean, mean_power
 from golden_bounds.orders import loewner_leq
 
+import freeze
 import oracles
 
 
@@ -359,116 +357,16 @@ def test_round_robin_repeated_eigenvalues():
     assert abs(vals[0] - 2.0 - np.vdot(u, u).real) <= 1e-14 * vals[0]
 
 
-def kernel_digest_inputs() -> dict:
-    """Seeded Hermitian arrays for the frozen kernel digests.
-
-    They are built from normal draws with additions, halvings and Python
-    scalar products only, so no BLAS call or numpy CPU dispatch touches their
-    bits.  Below linalg._ROUND_ROBIN_MIN_N neither does the kernel, which
-    runs on Python scalars there; the round-robin kernel at n = 16 rotates
-    with BLAS products, whose bits depend on the BLAS kernel.
-    """
-    rng = np.random.default_rng(2024)
-    cases = {}
-    for n in (1, 2, 3, 4, 5, 6, 8, 16):
-        for trial in range(3):
-            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            name = f"n{n}-complex-{trial}"
-            if trial == 2:
-                raw = raw.real.astype(np.complex128)
-                name = f"n{n}-real"
-            cases[name] = (raw + raw.conj().T) / 2.0
-    cases["diagonal"] = np.diag(np.array([3.0, -1.0, 2.0, 2.0], dtype=np.complex128))
-    # tau = 5e199 on the first rotation: the |tau| > 1e150 branch
-    cases["coupling-1e-200"] = np.array(
-        [[0.0, 1e-200, 0.0], [1e-200, 1.0, 0.5], [0.0, 0.5, 2.0]], dtype=np.complex128
-    )
-    # u u* + 2I: eigenvalue 2 four times
-    u = [complex(x, y) for x, y in rng.normal(size=(5, 2))]
-    rank_one = np.array(
-        [
-            [x * y.conjugate() + (2.0 if i == j else 0.0) for j, y in enumerate(u)]
-            for i, x in enumerate(u)
-        ]
-    )
-    cases["repeated"] = (rank_one + rank_one.conj().T) / 2.0
-    return cases
+#: The frozen digests of tests/freeze.py.  Below linalg._ROUND_ROBIN_MIN_N
+#: the kernel runs on Python scalars, so only the n = 16 ones hang on the
+#: pinned BLAS kernel.
+FROZEN_DIGESTS = freeze.frozen()
 
 
-#: sha256 of eigenvalues.tobytes() + eigenvectors.tobytes().  Below n = 16
-#: they were frozen from the cyclic kernel that built its eigenvectors while
-#: it rotated, on both triangles; the n16 ones from the round-robin kernel
-#: on OpenBLAS's Haswell kernel, which any x86-64 CPU with AVX2 runs, so
-#: they hold whatever kernel OpenBLAS would pick for the host (numpy's CPU
-#: dispatch does not move them: they read the same with its X86_V4 loops
-#: disabled).
-#: On real inputs ("-real") every imaginary part is zero, and the sign of such
-#: a zero in an eigenvector may differ from that first kernel's, so those
-#: digests are taken after adding 0.0, which turns -0.0 into 0.0.
-KERNEL_SHA256 = {
-    "n1-complex-0": "68f0ab7c0cce5d3bf31c1325f035339d2ba7691b09d8c25c224657a6187b7ba2",
-    "n1-complex-1": "f6cab86dd25d5f229d961e1eb117c54c2ca2df8ee8d566d48139571b83d9c93d",
-    "n1-real": "f2b56f6adeb4e1e016b67a4a10e78f2dfb2ffa8179b3f1f6e8906f4007aaf61b",
-    "n2-complex-0": "da8c550ba950d786133ffd6d233af76ef61b2170e8d265963e66a0fe363e7071",
-    "n2-complex-1": "848461c1a44a2bbb2bb20afd0ce0784e2d480a18b320b476a1a309df2149164b",
-    "n2-real": "7d381ed601c368e671ae222fb01210987feb9bab6ed6d14daf8f41de90173e1a",
-    "n3-complex-0": "b7cd9e187a6e00963c396803e9d0fbba40aba0839375e7dfd7a1f95c51740ab9",
-    "n3-complex-1": "e68d173f12421c390354fe776c1e3ae2c4417bec7fa046ecc13d7ec6ba459fec",
-    "n3-real": "a8d4f14fb1e0e9913caf0e98f041feb75adbccd5693dd10afc5d32c935a97b73",
-    "n4-complex-0": "8c5220263b70a5d2310ae0359b323d05842500779b80e001703d6ed90daa2846",
-    "n4-complex-1": "1312a5869893e5cd1deae24d33f368ca4a4d64c610890704e5090d3633c0671b",
-    "n4-real": "08465e15eef726658f1e0ad8c10efc88ebc466084092e8d088a5b34480c79af7",
-    "n5-complex-0": "e63adc0b92357f3698d474e3f24bc5bd9076137efc21407285964edde0ac8915",
-    "n5-complex-1": "9ca898a61878686b0157d65243f463b6f4f5c6f5331433e75484241dfb620220",
-    "n5-real": "552601abbdaf9bd6647211151ffd8ab001d9f72049133d38ee9bd636daa5dca4",
-    "n6-complex-0": "f6694208fcfb1bef931ec212dbfdcfee3575100241b377b91b380fa87d28f0fb",
-    "n6-complex-1": "eb91fe567d30d55f255a87955df8b174951ea141c1b8d60327fbcb00b7c93409",
-    "n6-real": "29d84722bfc459ccec904a188df43b16fc610201c1a18c1d900ec11547e64840",
-    "n8-complex-0": "b1f76684a62e484678fe603bf78c9899c1ebd7ce2ad5ae735f2d59fa7da621b0",
-    "n8-complex-1": "6356246e15569b502dbdd859ef3b216f70eab43cc13db4150ef6845f43b675a5",
-    "n8-real": "687b50c4402262a8e8b48b5185e569ed065d13747479ff95901d68c81751cabd",
-    "n16-complex-0": "3e44bc47862494557483962e6d437c290d36db212288e7682c60918a6cebd803",
-    "n16-complex-1": "83cf2e98d9ee361811889e3ff56e1d95d465a5465ea406a7202b7f06d7779024",
-    "n16-real": "b169d556edc2f4b4ff7578ee819276cfcc3c20b87a970d1b4dbee60745813ca8",
-    "diagonal": "26ae4518f399cb3df4fc1e1449184fcf0a725cdc1dbeeaa56e643d7566ea268d",
-    "coupling-1e-200": "07fe390493a0e39377835ecf03ee0a373db280b5bfba98d53fb859e2731fba86",
-    "repeated": "71bde21d0f91cabbccf7931ee6b11a3a6430d4a9958faf316640c0eb3fcab441",
-}
-
-
-def kernel_digests() -> dict:
-    """The KERNEL_SHA256 digest of each of kernel_digest_inputs(), computed
-    in this process."""
-    digests = {}
-    for name, a in kernel_digest_inputs().items():
-        vals, vecs = jacobi_eigenpairs(a)
-        if name.endswith("-real"):
-            vecs = vecs + 0.0
-        digests[name] = hashlib.sha256(vals.tobytes() + vecs.tobytes()).hexdigest()
-    return digests
-
-
-@pytest.fixture(scope="module")
-def haswell_kernel_digests() -> dict:
-    """kernel_digests() computed in a new process on OpenBLAS's Haswell
-    kernel: OpenBLAS picks its kernel as it loads, so this process, which
-    has loaded it, cannot switch."""
-    path = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(linalg.__file__))]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(path)}
-    code = "import json, test_linalg; print(json.dumps(test_linalg.kernel_digests()))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return json.loads(done.stdout)
-
-
-def test_kernel_digest_table_covers_every_input():
-    assert set(KERNEL_SHA256) == set(kernel_digest_inputs())
-
-
-@pytest.mark.parametrize("name", sorted(KERNEL_SHA256))
-def test_jacobi_bits_are_frozen(haswell_kernel_digests, name):
-    assert haswell_kernel_digests[name] == KERNEL_SHA256[name]
+@pytest.mark.parametrize("name", sorted(freeze.kernel_digest_inputs()))
+def test_jacobi_bits_are_frozen(pinned_digests, name):
+    key = freeze.kernel(name)
+    assert pinned_digests[key] == FROZEN_DIGESTS[key]
 
 
 # ---------------------------------------------------------------------------
