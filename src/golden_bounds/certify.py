@@ -435,12 +435,9 @@ def _log_majorization(lhs_eigs, rhs_eigs, v):
     positive when the k-th partial product of the lhs sits below the rhs's;
     the equality entry's is -|expm1(log det lhs - log det rhs)|.
     """
-    cum_lhs = np.cumsum(np.log(lhs_eigs))
-    cum_rhs = np.cumsum(np.log(rhs_eigs))
-    # The margins take their logs on reversed views, which np.log may round
-    # differently from the contiguous spectra above in the last bit.
     log_lhs, log_rhs = (np.log(np.sort(eigs)[::-1]) for eigs in (lhs_eigs, rhs_eigs))
-    margins = [-math.expm1(gap) for gap in np.cumsum(log_lhs) - np.cumsum(log_rhs)]
+    cum_lhs, cum_rhs = np.cumsum(log_lhs), np.cumsum(log_rhs)
+    margins = [-math.expm1(gap) for gap in cum_lhs - cum_rhs]
     margins.append(-abs(math.expm1(float(np.sum(log_lhs) - np.sum(log_rhs)))))
     labels = [f"k={k + 1}" for k in range(len(lhs_eigs))] + ["total-product"]
     lhs_values = np.concatenate([cum_lhs, [cum_lhs[-1]]])

@@ -180,6 +180,8 @@ def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     """
     w, alpha = _real(w, "w"), _real(alpha, "alpha")
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
+    if w <= 0.0:  # a NaN goes on to kantorovich's finiteness check
+        raise NonPositiveError(f"Kantorovich constant needs w > 0, got {w}")
     try:
         return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
     except OverflowError:

@@ -873,6 +873,7 @@ def congruence(transform: np.ndarray, matrix: HermitianMatrix) -> HermitianMatri
 
 def inv_sqrt_congruence(anchor: HermitianMatrix, matrix: HermitianMatrix) -> HermitianMatrix:
     """A^{-1/2} X A^{-1/2} with a condition-number safeguard on the anchor."""
+    _require_same_dim(anchor, matrix)
     dec = anchor.decomposition
     smallest = float(dec.eigenvalues[-1])
     largest = float(dec.eigenvalues[0])

@@ -20,6 +20,7 @@ from .errors import BadRangeError, _real
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
+    _require_same_dim,
     congruence,
     exp_h,
     frobenius_distance,
@@ -45,6 +46,7 @@ def geometric_mean(
     commuting pairs. Endpoints return the operands themselves.
     """
     alpha = _check_alpha(alpha)
+    _require_same_dim(a, b)
     if alpha == 0.0:
         return a
     if alpha == 1.0:

@@ -22,16 +22,23 @@ from golden_bounds.constants import (
     specht,
     specht_p_root,
 )
-from golden_bounds.errors import BadGridError, BadRangeError, DimMismatchError, NotHermitianError
+from golden_bounds.errors import (
+    BadGridError,
+    BadRangeError,
+    DimMismatchError,
+    NonPositiveError,
+    NotHermitianError,
+)
 from golden_bounds.linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
     SpectralDecomposition,
     congruence,
     exp_h,
+    inv_sqrt_congruence,
     power,
 )
-from golden_bounds.means import limit_probe, mean_power
+from golden_bounds.means import geometric_mean, limit_probe, mean_power
 from golden_bounds.orders import loewner_leq, olson_leq
 from golden_bounds.sampling import (
     MODE_COMMUTING,
@@ -88,6 +95,8 @@ def test_config_validation():
 _CFG_3 = SamplerConfig(3, 1, 0.5, 2.0)
 _SIGNED = SamplerConfig(2, 0, -1.0, 1.0)
 _I2 = HermitianMatrix(np.eye(2))
+_H1 = HermitianMatrix(np.eye(1))
+_PD1, _PD2 = PositiveDefiniteMatrix(np.eye(1)), PositiveDefiniteMatrix(np.eye(2))
 #: The exponent grid these tests collect Olson evidence on.
 GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 
@@ -210,6 +219,14 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         (lambda: certify_inequality(
             "kantorovich-matrix", PositiveDefiniteMatrix(np.eye(2)), [["x", 0]], m=1.0, M=1.0
          ), NotHermitianError, "transform entries must be numbers, got [['x', 0]]"),
+        # operands of two sizes are named as such, at the means' endpoints too
+        (lambda: geometric_mean(_PD1, _PD2, 0.0), DimMismatchError, "dimension mismatch: 1 vs 2"),
+        (lambda: mean_power(_H1, _I2, 0.0, 1.0), DimMismatchError, "dimension mismatch: 1 vs 2"),
+        (lambda: mean_power(_H1, _I2, 0.5, 1.0), DimMismatchError, "dimension mismatch: 1 vs 2"),
+        (lambda: inv_sqrt_congruence(_PD1, _I2), DimMismatchError, "dimension mismatch: 1 vs 2"),
+        # a negative w is named, not the complex w**p it would give
+        (lambda: kantorovich_limit_root(-2.0, 0.5, [0.5]), NonPositiveError,
+         "Kantorovich constant needs w > 0, got -2.0"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
