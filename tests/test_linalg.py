@@ -357,9 +357,7 @@ def test_round_robin_repeated_eigenvalues():
     assert abs(vals[0] - 2.0 - np.vdot(u, u).real) <= 1e-14 * vals[0]
 
 
-#: The frozen digests of tests/freeze.py.  Below linalg._ROUND_ROBIN_MIN_N
-#: the kernel runs on Python scalars, so only the n = 16 ones hang on the
-#: pinned BLAS kernel.
+#: The frozen digests of tests/freeze.py.
 FROZEN_DIGESTS = freeze.frozen()
 
 
