@@ -87,7 +87,7 @@ _JACOBI_EXPONENT_LIMIT = 400
 
 #: From this dimension up, _jacobi rotates in the round-robin order (see
 #: _round_robin_jacobi); below it, in the cyclic order on Python scalars.
-#: The ``kernels`` table of benchmarks/jacobi_kernel.py (BENCH_round_robin.json,
+#: The ``kernels`` section of benchmarks/layers.py (BENCH_round_robin.json,
 #: 2 cores, AVX-512, OpenBLAS 0.3.31; two runs) has round-robin at x0.8-0.9
 #: of cyclic at n = 6, x1.0-1.5 at n = 8 and 9, and x1.9-2.7 at n = 16.  It
 #: is 9 rather than 8 so that n <= 8, where kernel digests are frozen and no
@@ -655,7 +655,10 @@ class HermitianMatrix:
     finiteness (DomainError) but not checked in full. Until then ``dim`` and
     the spectrum come from the decomposition. A HermitianMatrix given as the
     entries hands over its entries, which are already checked. The results
-    of sums, scalings and congruences are internal too.
+    of sums, scalings and congruences are internal too. A decomposition
+    must be a SpectralDecomposition (TypeError), and beside an array of
+    entries one of their dimension (DimMismatchError); its spectrum is
+    trusted.
     """
 
     __slots__ = ("_matrix", "_decomp")
@@ -668,6 +671,15 @@ class HermitianMatrix:
                 raise TypeError("entries given as a callable need a decomposition")
         else:
             entries = _checked_entries(entries)
+        if decomposition is not None:
+            if not isinstance(decomposition, SpectralDecomposition):
+                kind = type(decomposition).__name__
+                raise TypeError(f"decomposition must be a SpectralDecomposition, got {kind}")
+            size = decomposition.eigenvalues.shape[0]
+            if not callable(entries) and size != entries.shape[0]:
+                raise DimMismatchError(
+                    f"decomposition of dimension {size} for entries of dimension {entries.shape[0]}"
+                )
         self._matrix = entries
         self._decomp = decomposition
 
@@ -838,7 +850,7 @@ def ky_fan_norm(matrix: HermitianMatrix, k: int) -> float:
 def schatten_norm(matrix: HermitianMatrix, p) -> float:
     """Schatten p-norm for p in {1, 2, inf}."""
     for offset, order in enumerate((1, 2, math.inf)):
-        if p == order and not isinstance(p, bool):
+        if p == order and not isinstance(p, (bool, np.bool_)):
             return float(_norm_family(matrix)[matrix.dim + offset])
     raise BadIndexError(f"Schatten order must be 1, 2 or inf, got {p!r}")
 

@@ -92,15 +92,18 @@ def _checked_seed(seed) -> int:
 def philox_generator(seed: int, index: int, tag: int) -> np.random.Generator:
     """Counter-based generator for stream (seed, index, tag).
 
-    The 256-bit Philox counter is laid out as index * 2^128 + tag * 2^64, so
-    distinct (index, tag) pairs can never collide and draws are independent
-    of the order in which streams are opened.  Seed, index and tag are
-    integers, Python or numpy; any other value raises BadRangeError.
+    The 256-bit Philox counter is laid out as index * 2^128 + tag * 2^64,
+    with 0 <= index < 2^128 and 0 <= tag < 2^64, so distinct (index, tag)
+    pairs can never collide and draws are independent of the order in which
+    streams are opened.  Seed, index and tag are integers, Python or numpy;
+    any other value, or one out of range, raises BadRangeError.
     """
     seed = _checked_seed(seed)
     index, tag = _integer(index, "index"), _integer(tag, "tag")
     if index < 0 or tag < 0:
         raise BadRangeError(f"index and tag must be nonnegative, got ({index}, {tag})")
+    if index >> 128 or tag >> 64:
+        raise BadRangeError(f"index must be below 2**128 and tag below 2**64, got ({index}, {tag})")
     counter = (index << 128) + (tag << 64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 

@@ -518,6 +518,83 @@ def test_convergence_rejects_unknown_factor_kind(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one cycle of the benchmark workloads' calls
+# ---------------------------------------------------------------------------
+
+
+#: The ids in the benchmark's order, the registry's when its reference was
+#: frozen: each "-pq" row before its "-power-low" row.
+_WORKLOAD_IDS = (
+    "bounded-eigen-power", "bounded-pq", "bounded-power-low", "fm-eigen-power", "fm-pq",
+    "fm-power-low", "forward-ando-hiai", "forward-gt-trace", "forward-mean-norm",
+    "gt-bounded-specht", "gt-fm", "gt-kantorovich", "gt-kantorovich-bounded",
+    "gt-kantorovich-squared", "gt-specht", "gt-specht-norm", "gt-specht-norm-squared",
+    "kantorovich-matrix", "specht-eigen-power", "specht-pq", "specht-power-low",
+)
+
+
+def _workload_cycle(workload: str, out: pathlib.Path) -> list[list[str]]:
+    """The CLI calls of one cycle of a benchmark workload at CLI seed 1, as
+    its harness makes them: every id at n = 2..6 with 5 to 15 instances
+    (csv), every id at n = 16 with 1 to 3 (json), or the specht and
+    kantorovich tables at n = 2..6, general and commuting."""
+    if workload == "convergence":
+        return [
+            ["convergence", kind, "--n", str(n), "--seed", "1", "--out", str(out), *commuting]
+            for kind in ("specht", "kantorovich")
+            for n in range(2, 7)
+            for commuting in ([], ["--commuting"])
+        ]
+    if workload == "sweep-cycle":
+        n, fmt, counts = 0, "csv", [range(5, 16)[(5 + 3 * i) % 11] for i in range(21)]
+    else:
+        n, fmt, counts = 16, "json", [(1, 2, 3)[(1 + i) % 3] for i in range(21)]
+    return [
+        ["certify", inequality_id, "--n", str(n), "--count", str(count), "--seed", "1",
+         "--format", fmt, "--out", str(out)]
+        for inequality_id, count in zip(_WORKLOAD_IDS, counts, strict=True)
+    ]
+
+
+@pytest.mark.parametrize("workload", ["sweep-cycle", "sweep-n16", "convergence"])
+def test_the_spectral_cache_hits_on_every_workload(capsys, tmp_path, one_cpu, workload):
+    for argv in _workload_cycle(workload, tmp_path / "report"):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert sorted(_WORKLOAD_IDS) == sorted(INEQUALITY_IDS)
+    tally = linalg._CACHE.tally
+    # rows that share draws solve the same matrices: no hit means the key
+    # or the bypass rule stopped matching them (233, 27 and 150 hits)
+    assert tally["hits"] > 0
+    # a hit that reads eigenvectors before any decomposition of its key has
+    # built them solves the key again, for the cache holds no rotation log
+    # (5, 0 and 0 re-solves)
+    assert tally["resolves"] <= 0.05 * tally["hits"]
+
+
+def test_arrays_are_checked_in_full_only_where_they_enter(capsys, tmp_path, monkeypatch, one_cpu):
+    # one full check per sampled operand, at most two per instance (1.972):
+    # an internal result checked as if it came from a caller would add more
+    checks = []
+
+    def counted(check):
+        def call(*args):
+            checks.append(check.__name__)
+            return check(*args)
+
+        return call
+
+    for name in ("_checked_entries", "_check_spectrum"):
+        monkeypatch.setattr(linalg, name, counted(getattr(linalg, name)))
+    instances = 0
+    for argv in _workload_cycle("sweep-cycle", tmp_path / "report.csv"):
+        assert main(argv) == 0
+        instances += int(argv[argv.index("--count") + 1])
+    capsys.readouterr()
+    assert instances == 213 and 0 < len(checks) <= 2 * instances
+
+
+# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 

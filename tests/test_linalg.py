@@ -897,6 +897,21 @@ def test_decomposition_arrays_must_match_in_shape(vals, vecs):
         linalg.SpectralDecomposition(np.array(vals), vecs)
 
 
+@pytest.mark.parametrize("cls", [HermitianMatrix, PositiveDefiniteMatrix])
+def test_a_decomposition_must_match_the_entries(cls):
+    three = linalg.SpectralDecomposition([3.0, 2.0, 1.0], np.eye(3))
+    message = "^decomposition of dimension 3 for entries of dimension 2$"
+    with pytest.raises(DimMismatchError, match=message):
+        cls(np.eye(2), decomposition=three)
+    with pytest.raises(DimMismatchError):
+        cls(cls(np.eye(2)), decomposition=three)
+    with pytest.raises(TypeError, match="^decomposition must be a SpectralDecomposition, got str$"):
+        cls(np.eye(2), decomposition="x")
+    with pytest.raises(TypeError, match="^decomposition must be a SpectralDecomposition, got str$"):
+        cls(three.reconstruct, decomposition="x")
+    assert ky_fan_norm(cls(3 * np.eye(3), decomposition=three), 2) == 5.0
+
+
 def test_log_pd_inverts_exp():
     rng = np.random.default_rng(41)
     m = random_hermitian(rng, 3)
@@ -931,7 +946,7 @@ def test_schatten_norms():
     assert schatten_norm(m, 1) == 7.0
     assert schatten_norm(m, 2) == pytest.approx(5.0)
     assert schatten_norm(m, math.inf) == 4.0
-    for bad in (3, True):
+    for bad in (3, True, np.True_):
         with pytest.raises(BadIndexError):
             schatten_norm(m, bad)
 

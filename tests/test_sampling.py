@@ -112,6 +112,12 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
          "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
         (lambda: philox_generator(0, -1, 0), BadRangeError,
          "index and tag must be nonnegative, got (-1, 0)"),
+        # a tag of 2**64 would draw index 1's stream; an index of 2**128
+        # would leave the 256-bit counter
+        (lambda: philox_generator(0, 0, 2**64), BadRangeError,
+         f"index must be below 2**128 and tag below 2**64, got (0, {2**64})"),
+        (lambda: philox_generator(0, 2**128, 0), BadRangeError,
+         f"index must be below 2**128 and tag below 2**64, got ({2**128}, 0)"),
         (lambda: random_isometry(_CFG_3, 4), DimMismatchError, "rows must lie in [1, 3], got 4"),
         (lambda: random_pd(_SIGNED), BadRangeError,
          "positive definite draws need a positive range, got [-1.0, 1.0]"),
