@@ -16,9 +16,10 @@ other, and the combiner.  Comparisons are evaluated exactly as
 stated — Loewner form via the spectrum of RHS − LHS, eigenvalue form via
 sorted spectra, norm form via the Ky Fan / Schatten families, trace form
 directly — into an InequalityReport with per-entry margins; it holds when
-every relative margin is at least -1e-9.  A scalar exponential (``_exp``)
-or power of s or t (``_checked_pow``) that leaves double range is a
-BadRangeError naming it; any other scalar overflow is one naming the id.
+every relative margin is at least -1e-9.  A scalar exponential (``_exp``),
+a power of s, t or h, or a row's factor that leaves double range is a
+BadRangeError naming it, from the range gate ``errors._in_range``; any other
+scalar overflow is one naming the id (``errors._overflow_named``).
 
 ``RECIPES`` maps each id to its seeded per-instance recipe, and
 run_instances drives soundness sweeps over them on every CPU the process may
@@ -35,7 +36,6 @@ while ``linalg._jacobi`` is a caller's wrapper, all stays here.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pool, errors, linalg
-from .constants import _check_decreasing_positive, _checked_pow, fm_factor, kantorovich, specht
+from .constants import _check_decreasing_positive, fm_factor, kantorovich, specht
 from .errors import BadRangeError, DimMismatchError, HypothesisViolatedError, _integer, _real
 from .linalg import (
     HYPOTHESIS_RTOL,
@@ -245,8 +245,10 @@ def _require_olson_sandwich(a, b, v: dict) -> None:
     s, t = v["s"], v["t"]
     for nu in _lean_exponents(v):
         a_nu, b_nu, e = _powers(a, b, nu)
-        _demand_loewner(a_nu * _checked_pow(s, nu, "s^nu"), b_nu, f"{s:g}{e}*A{e} <= B{e}")
-        _demand_loewner(b_nu, a_nu * _checked_pow(t, nu, "t^nu"), f"B{e} <= {t:g}{e}*A{e}")
+        s_nu = errors._in_range(lambda: s**nu, "s^nu = {:g}^{:g}", s, nu)
+        _demand_loewner(a_nu * s_nu, b_nu, f"{s:g}{e}*A{e} <= B{e}")
+        t_nu = errors._in_range(lambda: t**nu, "t^nu = {:g}^{:g}", t, nu)
+        _demand_loewner(b_nu, a_nu * t_nu, f"B{e} <= {t:g}{e}*A{e}")
 
 
 def _require_spectrum_bounds(x: HermitianMatrix, lo: float, hi: float, name: str) -> None:
@@ -350,16 +352,8 @@ _sandwich = _check(lambda v: 0.0 < v["s"] <= v["t"], "need 0 < s <= t, got s={s}
 
 
 def _exp(exponent: float, name: str) -> float:
-    """e^exponent; BadRangeError if it overflows or underflows to 0, naming
-    the exponent as ``name`` (e.g. "t*p")."""
-    try:
-        value = math.exp(exponent)
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        fault = "overflows" if value else "underflows to 0"
-        raise BadRangeError(f"e^({name}) = e^({exponent:g}) {fault} in double precision")
-    return value
+    """e^exponent through the range gate, the exponent named ``name`` (e.g. "t*p")."""
+    return errors._in_range(lambda: math.exp(exponent), "e^({}) = e^({:g})", name, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +672,20 @@ _HERMITIAN_PAIR = _Hypothesis("Hermitian pair", (), (), None, _bounded_sample, _
 
 def _specht_exp_factor(v: dict) -> float:
     p = v["p"]
-    return max(specht(_exp(v["s"] * p, "s*p")), specht(_exp(v["t"] * p, "t*p"))) ** (1.0 / p)
+    ratio = max(specht(_exp(v["s"] * p, "s*p")), specht(_exp(v["t"] * p, "t*p")))
+    return errors._in_range(lambda: ratio ** (1.0 / p), "S^(1/p) = {}^(1/{})", ratio, p)
 
 
 def _kantorovich_exp_factor(v: dict) -> float:
     p = v["p"]
-    return kantorovich(_exp(p * (v["t"] - v["s"]), "p(t-s)"), v["alpha"]) ** (-1.0 / p)
+    k = kantorovich(_exp(p * (v["t"] - v["s"]), "p(t-s)"), v["alpha"])
+    return errors._in_range(lambda: k ** (-1.0 / p), "K^(-1/p) = {}^(-1/{})", k, p)
+
+
+def _specht_of_powers(v: dict, name: str) -> float:
+    """max(S(s^e), S(t^e)) at the exponent e = v[name]."""
+    what, e = "{}^{} = {:g}^{:g}", v[name]
+    return max(specht(errors._in_range(lambda: v[x] ** e, what, x, name, v[x], e)) for x in "st")
 
 
 def _cosh_factor(v: dict) -> float:
@@ -724,13 +726,12 @@ _INEQUALITIES = {
     ),
     "specht-eigen-power": _under(
         _POWER_SANDWICH, ("alpha", "r"), (_alpha, _high_r), _ALPHA + _HIGH_R,
-        factor=lambda v: max(specht(_checked_pow(v[x], v["r"], f"{x}^r")) for x in "st"),
+        factor=lambda v: _specht_of_powers(v, "r"),
         compare=_EIGEN_POWER, cells=("eigenvalues, `r >= 1`", "`max(S(s^r), S(t^r))`"),
     ),
     "specht-pq": _under(
         _POWER_SANDWICH, ("alpha", "q", "p"), (_alpha, _q_le_p), _QP + _ALPHA, compare=_PQ,
-        factor=lambda v: max(specht(_checked_pow(v[x], v["p"], f"{x}^p")) for x in "st")
-        ** (1.0 / v["p"]),
+        factor=lambda v: _specht_of_powers(v, "p") ** (1.0 / v["p"]),
         cells=("eigenvalues, two exponents `0 < q <= p`", "`max(S(s^p), S(t^p))^(1/p)`"),
     ),
     # Golden-Thompson reverses with the Specht ratio
@@ -753,7 +754,8 @@ _INEQUALITIES = {
     # Kantorovich constant
     "kantorovich-matrix": _under(
         _BOUNDED_A, (), (), (),
-        factor=lambda v: (v["m"] + v["M"]) ** 2 / (4.0 * v["m"] * v["M"]),
+        factor=lambda v: (v["m"] + v["M"]) ** 2
+        / errors._in_range(lambda: 4.0 * v["m"] * v["M"], "4mM = 4*{:g}*{:g}", v["m"], v["M"]),
         compare=_COMPRESSION, cells=("Loewner, inverse under a compression", "`(m+M)^2 / 4mM`"),
     ),
     "gt-kantorovich": _under(
@@ -856,21 +858,10 @@ def certify_inequality(
     """
     values, head = _opened(inequality_id, x, y, params)
     compare = _INEQUALITIES[inequality_id].compare
-    with _overflow_named(inequality_id):
+    with errors._overflow_named("{}: a value", inequality_id):
         first = compare.first(x, y, values)
         second = compare.second(x, y, values)
     return _report(inequality_id, values, head, first, second)
-
-
-@contextlib.contextmanager
-def _overflow_named(inequality_id: str):
-    """Raise a scalar overflow inside as a BadRangeError naming the id."""
-    try:
-        yield
-    except OverflowError as exc:
-        raise BadRangeError(
-            f"{inequality_id}: a value overflows double precision ({exc.args[-1]})"
-        ) from exc
 
 
 def _opened(inequality_id: str, x, y, params: dict) -> tuple[dict, tuple[int, str]]:
@@ -906,7 +897,7 @@ def _opened(inequality_id: str, x, y, params: dict) -> tuple[dict, tuple[int, st
     for name in spec.taken:
         if not math.isfinite(values[name]):
             raise BadRangeError(f"{name} must be finite, got {values[name]}")
-    with _overflow_named(inequality_id):
+    with errors._overflow_named("{}: a value", inequality_id):
         if spec.require is not None:
             spec.require(x, y, values)
         if "h" in values:
@@ -914,14 +905,15 @@ def _opened(inequality_id: str, x, y, params: dict) -> tuple[dict, tuple[int, st
         if "rows" in values:
             values["rows"] = float(np.shape(y)[0])
         if spec.factor is not None:
-            values["factor"] = spec.factor(values)
+            what = inequality_id + " factor"
+            values["factor"] = errors._in_range(lambda: spec.factor(values), what)
     return values, (x.dim, _digest(values, *operands))
 
 
 def _report(inequality_id: str, values: dict, head: tuple, first, second) -> InequalityReport:
     """The last step of ``certify_inequality``: combine the two sides into
     the report, under the head (n, input digest) that ``_opened`` fixed."""
-    with _overflow_named(inequality_id):
+    with errors._overflow_named("{}: a value", inequality_id):
         compared = _INEQUALITIES[inequality_id].compare.combine(first, second, values)
     semantics, labels, lhs, rhs, rel = compared
     lhs, rhs, rel = (tuple(float(val) for val in seq) for seq in (lhs, rhs, rel))
@@ -956,7 +948,9 @@ def compare_constants_remark(alpha: float, p: float, h: float) -> tuple[float, f
     The exponential-route factor is the fm-pq row's."""
     v = _checked((_alpha, _positive_p, _high_h), alpha=alpha, p=p, h=h)
     alpha, p, h = v.values()
-    kant_side = kantorovich(_checked_pow(h, 2.0 * p, "h^(2p)"), alpha) ** (-1.0 / p)
+    h_2p = errors._in_range(lambda: h ** (2.0 * p), "h^(2p) = {:g}^{:g}", h, 2.0 * p)
+    k = kantorovich(h_2p, alpha)
+    kant_side = errors._in_range(lambda: k ** (-1.0 / p), "K^(-1/p) = {}^(-1/{})", k, p)
     fm_side = _INEQUALITIES["fm-pq"].factor(v)
     return kant_side, fm_side, kant_side - fm_side
 
@@ -1007,8 +1001,8 @@ def compare_seo_constants(
     v = _checked((_alpha, _low_p, _bounds), alpha=alpha, p=p, m=m, M=M)
     alpha, p, m, M = v.values()
     new_constant = _INEQUALITIES["gt-kantorovich-bounded"].factor(v)
-    extra = kantorovich(_exp(M - m, "M-m"), p) ** (-alpha / p)
-    product = extra * new_constant
+    k = kantorovich(_exp(M - m, "M-m"), p)
+    product = errors._in_range(lambda: k ** (-alpha / p) * new_constant, "the product bound")
     return new_constant, product, new_constant / product
 
 
@@ -1205,7 +1199,7 @@ def _side(
     x, y, given = _draw(inequality_id, index, seed, use_n, use_mode, pins)
     values, head = _opened(inequality_id, x, y, given)
     compare = _INEQUALITIES[inequality_id].compare
-    with _overflow_named(inequality_id):
+    with errors._overflow_named("{}: a value", inequality_id):
         return values, head, (compare.first, compare.second)[k](x, y, values)
 
 

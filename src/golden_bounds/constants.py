@@ -4,7 +4,8 @@ Three families: the Specht ratio, the generalized Kantorovich constant, and
 the exponential difference factor that reverses the mean comparison for
 ordered pairs. Each evaluator picks an explicit branch (direct formula,
 series around a removable point, or analytic limit) and can report which
-one fired.
+one fired.  A value, or a power inside one, that leaves double range is a
+BadRangeError naming it, from the range gate ``errors._in_range``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import BadRangeError, EmptySequenceError, NonPositiveError, _real, _reals
+from .errors import BadRangeError, EmptySequenceError, NonPositiveError, _in_range, _real, _reals
 
 BRANCH_DIRECT = "direct"
 BRANCH_SERIES = "series"
@@ -54,10 +55,10 @@ def _specht_eval(t: float) -> tuple[float, str]:
     if abs(t - 1.0) < SPECHT_SERIES_WINDOW:
         # S(e^u) = 1 + u^2/8 + O(u^4); the quartic term is < 1e-26 here
         return 1.0 + u * u / 8.0, BRANCH_SERIES
-    try:
-        return (t - 1.0) * math.exp(u / (t - 1.0)) / (math.e * u), BRANCH_DIRECT
-    except OverflowError:
-        raise BadRangeError(f"Specht ratio S({t}) exceeds double range") from None
+    direct = _in_range(
+        lambda: (t - 1.0) * math.exp(u / (t - 1.0)) / (math.e * u), "Specht ratio S({})", t
+    )
+    return direct, BRANCH_DIRECT
 
 
 def specht(t: float) -> float:
@@ -65,37 +66,25 @@ def specht(t: float) -> float:
 
     Symmetric under t -> 1/t and >= 1 with equality only at t = 1; it is the
     sharp constant in the reverse arithmetic-geometric mean inequality.
-    A non-finite t, or a t whose S(t) exceeds double range, raises
+    A non-finite t, or a t whose S(t) leaves double range, raises
     BadRangeError.
     """
     return _specht_eval(_real(t, "t"))[0]
 
 
-def _checked_pow(base: float, exponent: float, name: str) -> float:
-    """base^exponent for base > 0; BadRangeError if it leaves double range
-    or underflows to 0, naming the power as ``name`` (e.g. "s^r")."""
-    try:
-        value = base**exponent
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        fault = "exceeds double range" if value else "underflows to 0 in double precision"
-        raise BadRangeError(f"{name} = {base:g}^{exponent:g} {fault}")
-    return value
-
-
-def specht_p_root(t: float, p: float) -> float:
-    """S(t^p)^(1/p); tends to 1 as p -> 0."""
-    t, p = _real(t, "t"), _real(p, "p")
+def _specht_p_root_eval(t: float, p: float) -> tuple[float, str]:
     _require_finite("Specht p-root", t, p)
     if not t > 0.0:
         raise NonPositiveError(f"Specht ratio needs t > 0, got {t}")
     if not p > 0.0:
         raise NonPositiveError(f"exponent p must be positive, got {p}")
-    try:
-        return specht(_checked_pow(t, p, "t^p")) ** (1.0 / p)
-    except OverflowError:
-        raise BadRangeError(f"Specht p-root S({t}^{p})^(1/{p}) exceeds double range") from None
+    ratio, branch = _specht_eval(_in_range(lambda: t**p, "t^p = {:g}^{:g}", t, p))
+    return _in_range(lambda: ratio ** (1.0 / p), "Specht p-root S({}^{})^(1/{})", t, p, p), branch
+
+
+def specht_p_root(t: float, p: float) -> float:
+    """S(t^p)^(1/p); tends to 1 as p -> 0."""
+    return _specht_p_root_eval(_real(t, "t"), _real(p, "p"))[0]
 
 
 def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
@@ -117,23 +106,26 @@ def _kantorovich_eval(w: float, alpha: float) -> tuple[float, str]:
         return 1.0 + beta * slope, BRANCH_LIMIT
     # K(w, a) = K(1/w, a); evaluating at w >= 1 keeps w^a - w from cancelling
     u = abs(math.log(w))
-    try:
-        if u > _LOG_DOUBLE_MAX:
-            # w < 1/DBL_MAX, where e^u overflows: the same formula with the
-            # powers of e^u divided out of each factor, so only e^{-u} remains
-            em1 = math.expm1((alpha - 1.0) * u)
-            prefactor = em1 / ((alpha - 1.0) * -math.expm1(-u))
-            base = (1.0 - alpha) / alpha * math.expm1(-alpha * u) / em1
-            tail = math.exp(alpha * (alpha - 1.0) * u)
-            return prefactor * math.pow(base, alpha) * tail, BRANCH_DIRECT
-        w_minus_1 = math.expm1(u)
-        wa_minus_1 = math.expm1(alpha * u)
-        wa_minus_w = wa_minus_1 - w_minus_1
-        prefactor = wa_minus_w / ((alpha - 1.0) * w_minus_1)
-        base = (alpha - 1.0) / alpha * wa_minus_1 / wa_minus_w
-        return prefactor * math.pow(base, alpha), BRANCH_DIRECT
-    except OverflowError:
-        raise BadRangeError(f"Kantorovich constant K({w}, {alpha}) exceeds double range") from None
+    what = "Kantorovich constant K({}, {})"
+    return _in_range(lambda: _kantorovich_direct(u, alpha), what, w, alpha), BRANCH_DIRECT
+
+
+def _kantorovich_direct(u: float, alpha: float) -> float:
+    """K(e^u, alpha) by its closed form, for u = |log w|."""
+    if u > _LOG_DOUBLE_MAX:
+        # w < 1/DBL_MAX, where e^u overflows: the same formula with the
+        # powers of e^u divided out of each factor, so only e^{-u} remains
+        em1 = math.expm1((alpha - 1.0) * u)
+        prefactor = em1 / ((alpha - 1.0) * -math.expm1(-u))
+        base = (1.0 - alpha) / alpha * math.expm1(-alpha * u) / em1
+        tail = math.exp(alpha * (alpha - 1.0) * u)
+        return prefactor * math.pow(base, alpha) * tail
+    w_minus_1 = math.expm1(u)
+    wa_minus_1 = math.expm1(alpha * u)
+    wa_minus_w = wa_minus_1 - w_minus_1
+    prefactor = wa_minus_w / ((alpha - 1.0) * w_minus_1)
+    base = (alpha - 1.0) / alpha * wa_minus_1 / wa_minus_w
+    return prefactor * math.pow(base, alpha)
 
 
 def kantorovich(w: float, alpha: float) -> float:
@@ -182,12 +174,8 @@ def kantorovich_limit_root(w: float, alpha: float, p_sequence) -> list[float]:
     ps = _check_decreasing_positive(p_sequence, "p_sequence")
     if w <= 0.0:  # a NaN goes on to kantorovich's finiteness check
         raise NonPositiveError(f"Kantorovich constant needs w > 0, got {w}")
-    try:
-        return [kantorovich(w**p, alpha) ** (-1.0 / p) for p in ps]
-    except OverflowError:
-        raise BadRangeError(
-            f"Kantorovich limit root at w={w}, alpha={alpha} exceeds double range"
-        ) from None
+    what = "Kantorovich limit root at w={}, alpha={}"
+    return [_in_range(lambda: kantorovich(w**p, alpha) ** (-1.0 / p), what, w, alpha) for p in ps]
 
 
 def fm_factor(h: float, alpha: float, scale: float) -> float:
@@ -204,15 +192,13 @@ def fm_factor(h: float, alpha: float, scale: float) -> float:
         raise BadRangeError(f"fm_factor needs alpha in [0, 1], got {alpha}")
     if not scale > 0.0:
         raise BadRangeError(f"fm_factor needs scale > 0, got {scale}")
-    try:
-        return math.exp(scale * alpha * (1.0 - alpha) * (1.0 - 1.0 / h) ** 2)
-    except OverflowError:
-        raise BadRangeError(f"fm_factor({h}, {alpha}, {scale}) exceeds double range") from None
+    exponent = scale * alpha * (1.0 - alpha) * (1.0 - 1.0 / h) ** 2
+    return _in_range(lambda: math.exp(exponent), "fm_factor({}, {}, {})", h, alpha, scale)
 
 
 _EVALUATORS = {
     "specht": (_specht_eval, 1),
-    "specht-p-root": (lambda t, p: (specht_p_root(t, p), _specht_eval(t**p)[1]), 2),
+    "specht-p-root": (_specht_p_root_eval, 2),
     "kantorovich": (_kantorovich_eval, 2),
     "kantorovich-lower-bound": (lambda w: (kantorovich_lower_bound(w), BRANCH_DIRECT), 1),
     "fm": (lambda h, alpha, scale: (fm_factor(h, alpha, scale), BRANCH_DIRECT), 3),

@@ -1,8 +1,13 @@
-"""Exception types shared across the library, and the gates that turn a
-caller's scalars and arrays into numbers or name them in an error."""
+"""Exception types shared across the library, the gates that turn a
+caller's scalars and arrays into numbers or name them in an error, and the
+gate that names a scalar computed in double precision that leaves its range:
+"<what> exceeds double range" or "<what> underflows to 0 in double precision",
+worded only here."""
 
 import contextlib
+import math
 import operator
+from collections.abc import Mapping, Set
 
 import numpy as np
 
@@ -78,15 +83,17 @@ def _real(value, name: str) -> float:
 
 def _reals(values, name: str, error: type = BadRangeError) -> list[float]:
     """``values`` as a list of floats, each whatever float() accepts; a
-    value that is not an iterable of numbers, or holds one float() overflows
-    on, raises ``error`` naming ``name`` (BadRangeError, or BadGridError for
-    an exponent grid)."""
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise error(f"{name} must be a sequence of numbers, got {values!r}") from None
-    except OverflowError:
-        raise error(f"{name} exceeds double range, got {_shown(values)}") from None
+    value that is not an ordered iterable of numbers (a str, bytes, set or
+    mapping is not), or holds one float() overflows on, raises ``error``
+    naming ``name`` (BadRangeError, or BadGridError for an exponent grid)."""
+    if not isinstance(values, (str, bytes, bytearray, Set, Mapping)):
+        try:
+            return [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+        except OverflowError:
+            raise error(f"{name} exceeds double range, got {_shown(values)}") from None
+    raise error(f"{name} must be a sequence of numbers, got {values!r}")
 
 
 def _array(value, dtype, name: str) -> np.ndarray:
@@ -106,3 +113,29 @@ def _integer(value, name: str, error: type = BadRangeError) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+@contextlib.contextmanager
+def _overflow_named(what: str, *fields):
+    """Raise an OverflowError inside as a BadRangeError: "<what> exceeds
+    double range", ``what`` formatted with ``fields``."""
+    try:
+        yield
+    except OverflowError:
+        raise BadRangeError(f"{what.format(*fields)} exceeds double range") from None
+
+
+def _in_range(compute, what: str, *fields, error: type = BadRangeError):
+    """``compute()``, a nonzero scalar computed in double precision, unless
+    it raises OverflowError or gives inf or NaN ("<what> exceeds double
+    range") or 0 ("<what> underflows to 0 in double precision"): then
+    ``error`` (BadRangeError, or DomainError for a matrix function), with
+    ``what`` formatted with ``fields``, which costs nothing until then."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if 0.0 < abs(value) < math.inf:
+        return value
+    fault = "underflows to 0 in double precision" if value == 0.0 else "exceeds double range"
+    raise error(f"{what.format(*fields)} {fault}")

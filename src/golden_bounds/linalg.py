@@ -69,6 +69,7 @@ from .errors import (
     NonSquareError,
     NotHermitianError,
     _array,
+    _in_range,
     _integer,
     _real,
 )
@@ -771,13 +772,13 @@ def _result(raw: np.ndarray) -> HermitianMatrix:
     return out
 
 
-def _check_images(values: np.ndarray, name: str, eigenvalues: np.ndarray) -> None:
-    """DomainError unless the eigenvalue images of a monotone map, whose
-    extremes are its ends, are positive and finite; ``name`` names the map."""
+def _check_images(values: np.ndarray, eigenvalues: np.ndarray, name: str, *fields) -> None:
+    """The eigenvalue images of a monotone map, whose extremes are its ends,
+    through the range gate as DomainErrors; ``name`` formatted with
+    ``fields`` names the map."""
+    what = name + " at eigenvalue {:.6g}"
     for end in (0, -1):
-        if not 0.0 < values[end] < math.inf:
-            fault = "exceeds double range" if values[end] else "underflows to 0 in double precision"
-            raise DomainError(f"{name} {fault} at eigenvalue {eigenvalues[end]:.6g}")
+        _in_range(lambda: values[end], what, *fields, eigenvalues[end], error=DomainError)
 
 
 def _from_eigen(vals: np.ndarray, vecs: np.ndarray, positive: bool) -> HermitianMatrix:
@@ -799,7 +800,7 @@ def power(matrix: HermitianMatrix, exponent: float) -> PositiveDefiniteMatrix:
         return matrix
     with np.errstate(over="ignore"):
         vals = dec.eigenvalues**r
-    _check_images(vals, f"matrix power X^{r:g}", dec.eigenvalues)
+    _check_images(vals, dec.eigenvalues, "matrix power X^{:g}", r)
     dec_out = dec._mapped(vals, reverse=r < 0.0)
     return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 
@@ -809,7 +810,7 @@ def exp_h(matrix: HermitianMatrix) -> PositiveDefiniteMatrix:
     dec = matrix.decomposition
     with np.errstate(over="ignore"):
         vals = np.exp(dec.eigenvalues)
-    _check_images(vals, "matrix exponential e^X", dec.eigenvalues)
+    _check_images(vals, dec.eigenvalues, "matrix exponential e^X")
     dec_out = dec._mapped(vals)
     return PositiveDefiniteMatrix(dec_out.reconstruct, decomposition=dec_out)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadRangeError, DimMismatchError, _integer, _real
+from .errors import BadRangeError, DimMismatchError, _in_range, _integer, _real
 from .linalg import (
     HermitianMatrix,
     PositiveDefiniteMatrix,
@@ -77,6 +77,9 @@ class SamplerConfig:
             raise BadRangeError(f"spectral range must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise BadRangeError(f"spectral range is empty: [{self.lo}, {self.hi}]")
+        if self.lo < self.hi:  # the draws scale by the width
+            what = "width of the spectral range [{}, {}]"
+            _in_range(lambda: self.hi - self.lo, what, self.lo, self.hi)
         if self.mode not in (MODE_GENERAL, MODE_COMMUTING):
             raise BadRangeError(f"mode must be 'general' or 'commuting', got {self.mode!r}")
 
@@ -192,13 +195,9 @@ def random_pd_pair(
 
 def _ratio_reduction(m: float, M: float) -> tuple[float, float]:
     """(s, t) = (m/M, M/m): spectra in [m, M], m > 0, give s^v A^v <= B^v <= t^v A^v.
-    BadRangeError if a ratio underflows to 0 or leaves double range."""
-    s, t = m / M, M / m
-    for value, ratio in ((s, f"m/M = {m:g}/{M:g}"), (t, f"M/m = {M:g}/{m:g}")):
-        if not 0.0 < value < math.inf:
-            fault = "exceeds double range" if value else "underflows to 0 in double precision"
-            raise BadRangeError(f"{ratio} {fault}")
-    return s, t
+    Each ratio goes through the range gate."""
+    s = _in_range(lambda: m / M, "m/M = {:g}/{:g}", m, M)
+    return s, _in_range(lambda: M / m, "M/m = {:g}/{:g}", M, m)
 
 
 def _difference_reduction(m: float, M: float) -> tuple[float, float]:
@@ -351,7 +350,8 @@ def ordered_exponential_chain_pair(
         raise BadRangeError(
             f"exponential chain needs exponent bounds with M <= 0, got [{cfg.lo}, {cfg.hi}]"
         )
-    pd_cfg = replace(cfg, lo=math.exp(cfg.lo), hi=math.exp(cfg.hi))
+    lo = _in_range(lambda: math.exp(cfg.lo), "e^(m) = e^({:g})", cfg.lo)  # e^M >= e^m
+    pd_cfg = replace(cfg, lo=lo, hi=math.exp(cfg.hi))
     chain = ordered_chain_pair(pd_cfg, index, grid=grid)
     return ExponentialChainSample(
         h=log_pd(chain.a),

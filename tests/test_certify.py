@@ -30,7 +30,14 @@ from golden_bounds.certify import (
     run_instances,
     specht_fm_sign_scan,
 )
-from golden_bounds.constants import fm_factor, kantorovich, kantorovich_limit_root, specht
+from golden_bounds.constants import (
+    fm_factor,
+    kantorovich,
+    kantorovich_limit_root,
+    kantorovich_lower_bound,
+    specht,
+    specht_p_root,
+)
 from golden_bounds.errors import (
     BadRangeError,
     DomainError,
@@ -1024,6 +1031,63 @@ def test_convergence_study_validation():
 
 
 @pytest.mark.parametrize(
+    "kind, pattern",
+    [
+        ("specht", r"S\^\(1/p\) = [0-9.]+e\+257\^\(1/0\.3\) exceeds double range"),
+        ("kantorovich", r"e\^\(p\(t-s\)\) = e\^\(1200\) exceeds double range"),
+    ],
+)
+def test_convergence_factor_beyond_double_range_is_named(kind, pattern):
+    # at s = -2000, t = 2000 and p = 0.3 the Specht factor's power 1/p, and
+    # the Kantorovich factor's e^{p(t-s)}, leave double range
+    pair = olson_exponential_pair(SamplerConfig(2, 73, -0.3, 0.3), 0)
+    with pytest.raises(BadRangeError, match=f"^{pattern}$"):
+        convergence_study(pair.h, pair.k, -2000.0, 2000.0, 0.5, [0.3], kind)
+
+
+#: The values the extreme-value sweep gives each argument of a scalar
+#: function of one or two arguments, and the ten it gives each argument of
+#: one of three or four.
+_EXTREMES = (
+    0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 + 1e-12, 2.0, 1e300, 1.7e308, -1.0,
+    math.inf, -math.inf, math.nan,
+)
+_TEN_EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1.7e308, math.inf, math.nan)
+
+
+def test_extreme_arguments_give_finite_numbers_or_a_library_error():
+    # A float product that overflows gives inf, and then NaN, without
+    # raising; every scalar function ends in finite floats or a
+    # GoldenBoundsError, never a NaN or a bare OverflowError.
+    sweep = (
+        (specht, _EXTREMES, 1),
+        (kantorovich_lower_bound, _EXTREMES, 1),
+        (specht_p_root, _EXTREMES, 2),
+        (kantorovich, _EXTREMES, 2),
+        (fm_factor, _TEN_EXTREMES, 3),
+        (compare_constants_remark, _TEN_EXTREMES, 3),
+        (compare_specht_vs_fm, _TEN_EXTREMES, 3),
+        (compare_seo_constants, _TEN_EXTREMES, 4),
+    )
+    calls, bad = 0, []
+    for function, values, arity in sweep:
+        for arguments in itertools.product(values, repeat=arity):
+            calls += 1
+            try:
+                result = function(*arguments)
+            except GoldenBoundsError:
+                continue
+            except Exception as exc:  # an escape: what the sweep counts
+                bad.append((function.__name__, arguments, repr(exc)))
+                continue
+            results = result if isinstance(result, tuple) else (result,)
+            if not all(isinstance(x, float) and math.isfinite(x) for x in results):
+                bad.append((function.__name__, arguments, result))
+    assert calls == 13420
+    assert bad == []
+
+
+@pytest.mark.parametrize(
     "sequence, error",
     [((), EmptySequenceError), ((1.0, -0.5), NonPositiveError), ((0.1, 0.5), BadRangeError)],
     ids=["empty", "non-positive", "increasing"],
@@ -1272,7 +1336,7 @@ def _raising(error):
     return raising
 
 
-_OVERFLOWS = "gt-specht: a value overflows double precision"
+_OVERFLOWS = "gt-specht: a value exceeds double range"
 
 
 @pytest.mark.parametrize(
@@ -1291,10 +1355,10 @@ _OVERFLOWS = "gt-specht: a value overflows double precision"
         ({"log_euclidean": DomainError("first side"), "mean_power": DomainError("second side")},
          DomainError, "first side"),
         # an overflow anywhere is the id's BadRangeError
-        ({"_demand_loewner": OverflowError("re-check")}, BadRangeError, f"{_OVERFLOWS} (re-check)"),
-        ({"log_euclidean": OverflowError("first")}, BadRangeError, f"{_OVERFLOWS} (first)"),
-        ({"mean_power": OverflowError("second")}, BadRangeError, f"{_OVERFLOWS} (second)"),
-        ({"_relative": OverflowError("combined")}, BadRangeError, f"{_OVERFLOWS} (combined)"),
+        ({"_demand_loewner": OverflowError("re-check")}, BadRangeError, _OVERFLOWS),
+        ({"log_euclidean": OverflowError("first")}, BadRangeError, _OVERFLOWS),
+        ({"mean_power": OverflowError("second")}, BadRangeError, _OVERFLOWS),
+        ({"_relative": OverflowError("combined")}, BadRangeError, _OVERFLOWS),
     ],
 )
 def test_a_split_instance_raises_what_one_process_raises(

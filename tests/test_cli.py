@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import tomllib
 
 import pytest
@@ -285,7 +286,7 @@ def test_certify_rejects_pins_the_id_does_not_draw(capsys, inequality_id, pins):
     "argv, exponent",
     [
         (("certify", "gt-kantorovich-squared", "--m", "-400", "--M", "400", "--count", "1"),
-         "e^(2M) = e^(800) overflows"),
+         "e^(2M) = e^(800) exceeds double range"),
         (("certify", "gt-specht", "--m", "-400", "--M", "400", "--count", "1"),
          "e^(s*nu) = e^(-800) underflows"),
         (("convergence", "specht", "--m", "-400", "--M", "400"),
@@ -302,6 +303,10 @@ def test_exponential_out_of_double_range_is_usage_error(capsys, argv, exponent):
     "argv",
     [
         ("certify", "kantorovich-matrix", "--count", "1", "--m", "1e-160", "--M", "1e160"),
+        ("certify", "kantorovich-matrix", "--count", "1", "--m", "1e-200", "--M", "1e-200"),
+        # cosh(M - m) as (e^{2M} + e^{2m}) / (2 e^{M+m}): the sum overflows to
+        # inf without raising
+        ("certify", "gt-kantorovich-squared", "--count", "1", "--m", "354", "--M", "354.8"),
         ("certify", "bounded-eigen-power", "--count", "1", "--m", "1e-100", "--M", "1e100",
          "--r", "3"),
         ("certify", "bounded-pq", "--count", "1", "--m", "1e-100", "--M", "1e100",
@@ -332,20 +337,39 @@ def test_float_overflow_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("certify", "specht-eigen-power", "--count", "1", "--m", "1e-100", "--M", "1e100",
-          "--r", "3"), "error: matrix power X^3 exceeds double range at eigenvalue "),
-        (("certify", "specht-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
-          "--r", "3"), "error: matrix power X^3 underflows to 0 in double precision at eigenvalue "),
-        (("certify", "bounded-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
-          "--r", "3"), "error: matrix power X^3 underflows to 0 in double precision at eigenvalue "),
+        # the draws' width hi - lo leaves double range, where numpy's uniform
+        # raised its bare OverflowError
+        (("convergence", "--m=-1.7e308", "--M=1.7e308"),
+         "width of the spectral range [-1.7e+308, 1.7e+308] exceeds double range"),
+        (("certify", "gt-specht", "--count", "1", "--m=-1e308", "--M=1e308"),
+         "width of the spectral range [-1e+308, 1e+308] exceeds double range"),
+        # the chain bound e^m underflows, not a range [0.0, e^M] never given
+        (("certify", "gt-fm", "--count", "1", "--M=-1", "--m=-800"),
+         "e^(m) = e^(-800) underflows to 0 in double precision"),
     ],
 )
-def test_matrix_power_out_of_double_range_is_usage_error(capsys, argv, message):
+def test_sampler_range_faults_are_usage_errors(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, fault",
+    [
+        (("certify", "specht-eigen-power", "--count", "1", "--m", "1e-100", "--M", "1e100",
+          "--r", "3"), "exceeds double range"),
+        (("certify", "specht-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
+          "--r", "3"), "underflows to 0 in double precision"),
+        (("certify", "bounded-eigen-power", "--count", "2", "--m", "1e-200", "--M", "1e-150",
+          "--r", "3"), "underflows to 0 in double precision"),
+    ],
+)
+def test_matrix_power_out_of_double_range_is_usage_error(capsys, argv, fault):
     # Both spectra are positive definite; it is A^3 that leaves double range,
     # and the error says so instead of reporting a non-positive eigenvalue.
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith(message) and out == ""
+    assert re.fullmatch(rf"error: matrix power X\^3 at eigenvalue \S+ {fault}\n", err)
+    assert out == ""
 
 
 def test_constants_kantorovich_of_a_subnormal_w(capsys):

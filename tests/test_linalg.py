@@ -832,16 +832,16 @@ def test_exp_h_overflow_guard():
     "function, eigenvalues, message",
     [
         (lambda m: power(m, 3.0), [1e200, 1.0],
-         "matrix power X^3 exceeds double range at eigenvalue 1e+200"),
+         "matrix power X^3 at eigenvalue 1e+200 exceeds double range"),
         (lambda m: power(m, 3.0), [1.0, 1e-200],
-         "matrix power X^3 underflows to 0 in double precision at eigenvalue 1e-200"),
+         "matrix power X^3 at eigenvalue 1e-200 underflows to 0 in double precision"),
         (lambda m: power(m, -2.0), [1e200, 1.0],
-         "matrix power X^-2 underflows to 0 in double precision at eigenvalue 1e+200"),
+         "matrix power X^-2 at eigenvalue 1e+200 underflows to 0 in double precision"),
         (lambda m: power(m, -2.0), [1.0, 1e-200],
-         "matrix power X^-2 exceeds double range at eigenvalue 1e-200"),
-        (exp_h, [710.0, 0.0], "matrix exponential e^X exceeds double range at eigenvalue 710"),
+         "matrix power X^-2 at eigenvalue 1e-200 exceeds double range"),
+        (exp_h, [710.0, 0.0], "matrix exponential e^X at eigenvalue 710 exceeds double range"),
         (exp_h, [0.0, -746.0],
-         "matrix exponential e^X underflows to 0 in double precision at eigenvalue -746"),
+         "matrix exponential e^X at eigenvalue -746 underflows to 0 in double precision"),
     ],
 )
 def test_matrix_function_images_stay_in_double_range(function, eigenvalues, message):

@@ -13,6 +13,7 @@ from golden_bounds.certify import (
     certify_inequality,
     compare_seo_constants,
     compare_specht_vs_fm,
+    convergence_study,
     run_instances,
 )
 from golden_bounds.constants import (
@@ -233,6 +234,30 @@ GRID = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
         # a negative w is named, not the complex w**p it would give
         (lambda: kantorovich_limit_root(-2.0, 0.5, [0.5]), NonPositiveError,
          "Kantorovich constant needs w > 0, got -2.0"),
+        # a spectral range whose width leaves double range, and an
+        # exponential chain bound that underflows, are named where they enter
+        (lambda: SamplerConfig(2, 0, -1e308, 1e308), BadRangeError,
+         "width of the spectral range [-1e+308, 1e+308] exceeds double range"),
+        (lambda: ordered_exponential_chain_pair(SamplerConfig(2, 0, -800.0, -1.0), grid=GRID),
+         BadRangeError, "e^(m) = e^(-800) underflows to 0 in double precision"),
+        # text is not read character by character, nor a set or mapping in
+        # hash order; generators, lists, tuples and arrays pass
+        (lambda: evaluate_constant("kantorovich", "25"), BadRangeError,
+         "arguments must be a sequence of numbers, got '25'"),
+        (lambda: evaluate_constant("kantorovich", {2.0, 0.5}), BadRangeError,
+         f"arguments must be a sequence of numbers, got {({2.0, 0.5})!r}"),
+        (lambda: evaluate_constant("specht", b"2"), BadRangeError,
+         "arguments must be a sequence of numbers, got b'2'"),
+        (lambda: evaluate_constant("specht", bytearray(b"2")), BadRangeError,
+         "arguments must be a sequence of numbers, got bytearray(b'2')"),
+        (lambda: evaluate_constant("specht", {2.0: "t"}), BadRangeError,
+         "arguments must be a sequence of numbers, got {2.0: 't'}"),
+        (lambda: convergence_study(_I2, _I2, 0.0, 0.0, 0.5, "51"), BadRangeError,
+         "p_sequence must be a sequence of numbers, got '51'"),
+        (lambda: limit_probe(_I2, _I2, 0.5, frozenset({1.0})), BadRangeError,
+         "q_sequence must be a sequence of numbers, got frozenset({1.0})"),
+        (lambda: olson_leq(random_pd(_CFG_3), random_pd(_CFG_3), "12"), BadGridError,
+         "exponent grid must be a sequence of numbers, got '12'"),
     ],
 )
 def test_input_checks_raise_their_class_and_message(call, error, message):
